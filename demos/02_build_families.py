@@ -6,7 +6,7 @@ as the image of the Hamiltonian map.
 """
 
 from cartansuper.families import build, build_lprime, divergence
-from cartansuper.liesuper import bigrade_blocks, check_axioms
+from cartansuper.liesuper import check_axioms
 
 for family, n in [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]:
     A = build(family, n)
@@ -29,7 +29,7 @@ print(f"  first Cartan row of S(4) has divergence {divergence(4, row)}")
 
 print("\n== the bigrade cells of W(4) ==")
 W4 = build("W", 4)
-blocks = bigrade_blocks(W4)
+blocks = W4.cells()
 theta = blocks[(0, (0, 0, 0, 0))]
 print(f"  {len(blocks)} cells; the (0, theta) cell is "
       f"{[str(W4.basis[i]) for i in theta]}")

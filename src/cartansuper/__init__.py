@@ -34,7 +34,6 @@ from .liesuper import (
     AxiomReport,
     ModelFormatError,
     ad_matrix,
-    bigrade_blocks,
     check_axioms,
     model_from_json,
     model_to_json,
@@ -71,7 +70,6 @@ __all__ = [
     "Subspace",
     "ad_image",
     "ad_matrix",
-    "bigrade_blocks",
     "bigrade_decompose",
     "build",
     "build_lprime",

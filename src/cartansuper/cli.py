@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=_env_default("FORMAT", "text"),
         )
         p.add_argument("--seed", type=int, default=_int_env("SEED", 0))
-        p.add_argument("--jobs", type=int, default=_int_env("JOBS", 1))
 
     p_build = sub.add_parser("build", help="construct an algebra and emit its model")
     common(p_build, with_model=False)
@@ -253,8 +252,6 @@ def cmd_certify(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     handlers = {
         "build": cmd_build,
         "info": cmd_info,

@@ -34,6 +34,10 @@ from .linalg import (
     vec_axpy_inplace,
 )
 
+WeightTuple = Tuple[int, ...]
+Cell = Tuple[int, WeightTuple]
+Shift = Tuple[int, WeightTuple]
+
 
 class EndMap:
     """A linear map on the model, stored column-sparse, with a parity tag.
@@ -105,15 +109,6 @@ class EndMap:
         return f"EndMap(dim={self.dim}, nnz={nnz}, parity={self.parity})"
 
 
-def matrix_to_flat(m: Matrix) -> Vec:
-    dim = m.rows
-    out: Vec = {}
-    for a, row in m.data.items():
-        for b, c in row.items():
-            out[a * dim + b] = c
-    return out
-
-
 def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
     """Check the signed Leibniz rule on every basis pair (sufficient by
     bilinearity)."""
@@ -156,7 +151,7 @@ def _bracket_tables(A: AlgebraModel):
 
 def leibniz_rows(
     A: AlgebraModel, parity: Optional[int] = None
-) -> Iterator[Tuple[Tuple[int, WeightTuple], Vec]]:
+) -> Iterator[Tuple[Shift, Vec]]:
     """Yield (shift, constraint row) pairs over flattened End(L) coordinates.
 
     One row per (basis pair i <= j, output coordinate k); the pair (j, i) is
@@ -208,28 +203,74 @@ def leibniz_rows(
                 yield (d_shift, w_shift), row
 
 
-WeightTuple = Tuple[int, ...]
+class BlockSystem:
+    """The bigrade block layout of End(L), shared by both machine checks.
 
+    The entry (a, b) of a map, flat id a * dim + b, sends the cell of b
+    into the cell of a; its block is the shift between the two cells.
+    Each block lists its flat ids in sorted order, and an entry's local id
+    is its position there.  Parity 0 or 1 keeps only the blocks of that
+    Z_2-shift.
+    """
 
-def _block_entries(A: AlgebraModel, parity: Optional[int]):
-    """Enumerate the block pattern: shift -> flat entry ids of its block."""
-    cells = A.cells()
-    keys = sorted(cells)
-    dim = A.dim
-    blocks: Dict[Tuple[int, WeightTuple], List[int]] = {}
-    for (db, wb) in keys:
-        for (da, wa) in keys:
-            d = A.deg_sub(da, db)
-            if parity is not None and d % 2 != parity:
-                continue
-            shift = (d, tuple(x - y for x, y in zip(wa, wb)))
-            entries = blocks.setdefault(shift, [])
-            for a in cells[(da, wa)]:
-                for b in cells[(db, wb)]:
-                    entries.append(a * dim + b)
-    for entries in blocks.values():
-        entries.sort()
-    return blocks
+    def __init__(self, A: AlgebraModel, parity: Optional[int] = None):
+        self.A = A
+        self.cells = A.cells()
+        dim = A.dim
+        self.entries: Dict[Shift, List[int]] = {}
+        for cb, bs in self.cells.items():
+            for ca, as_ in self.cells.items():
+                shift = self.cell_shift(A, ca, cb)
+                if parity is not None and shift[0] % 2 != parity:
+                    continue
+                self.entries.setdefault(shift, []).extend(
+                    a * dim + b for a in as_ for b in bs
+                )
+        self.local: Dict[Shift, Dict[int, int]] = {}
+        for shift, entries in self.entries.items():
+            entries.sort()
+            self.local[shift] = {key: i for i, key in enumerate(entries)}
+        # source cells and answer of the last shifts_from call
+        self._reach: tuple = ((), {})
+
+    @staticmethod
+    def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
+        """The (degree, weight) shift of a map sending cell cb into cell ca."""
+        (da, wa), (db, wb) = ca, cb
+        return (A.deg_sub(da, db), tuple(x - y for x, y in zip(wa, wb)))
+
+    def localize(self, shift: Shift, row: Vec) -> Vec:
+        local = self.local[shift]
+        return {local[k]: c for k, c in row.items()}
+
+    def lift(self, shift: Shift, row: Vec) -> Vec:
+        entries = self.entries[shift]
+        return {entries[k]: c for k, c in row.items()}
+
+    def kernel(self, shift: Shift, rows: List[Vec]) -> List[Vec]:
+        """Flat basis of the maps in one block annihilated by the flat rows."""
+        local_rows = [self.localize(shift, row) for row in rows]
+        kern = kernel_of_rows(local_rows, len(self.entries[shift]))
+        return [self.lift(shift, v) for v in kern]
+
+    def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
+        """The shifts that move some cell of x's support onto a cell of L,
+        each with its (target cell, source cell) pairs.
+
+        Callers ask for one vector many times in a row, so the answer for
+        the last set of source cells is kept.
+        """
+        cell_of = self.A.cell_of
+        sources = tuple(dict.fromkeys(cell_of(b) for b in x))
+        if sources != self._reach[0]:
+            reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
+            for cb in sources:
+                for ca in self.cells:
+                    shift = self.cell_shift(self.A, ca, cb)
+                    if shift in self.entries:
+                        reach.setdefault(shift, []).append((ca, cb))
+            self._reach = (sources, reach)
+        return self._reach[1]
 
 
 def derivation_space(
@@ -265,21 +306,14 @@ def derivation_space(
     if method != "blocks":
         raise ValueError(f"unknown method {method!r}")
 
-    blocks = _block_entries(A, parity)
-    grouped: Dict[Tuple[int, WeightTuple], List[Vec]] = {}
+    blocks = BlockSystem(A, parity)
+    grouped: Dict[Shift, List[Vec]] = {}
     for shift, row in leibniz_rows(A, parity):
         grouped.setdefault(shift, []).append(row)
 
     out_rows: List[Vec] = []
-    for shift in sorted(blocks):
-        entries = blocks[shift]
-        local = {key: idx for idx, key in enumerate(entries)}
-        local_rows = [
-            {local[k]: c for k, c in row.items()}
-            for row in grouped.get(shift, [])
-        ]
-        for v in kernel_of_rows(local_rows, len(entries)):
-            out_rows.append({entries[k]: c for k, c in v.items()})
+    for shift in sorted(blocks.entries):
+        out_rows.extend(blocks.kernel(shift, grouped.get(shift, [])))
     return Subspace.from_vectors(out_rows, flat_dim)
 
 
@@ -294,7 +328,7 @@ def ad_image(P: LPrimeModel) -> Subspace:
     rows = []
     for u in range(P.ext.dim):
         mat = ad_matrix(P.ext, {u: Fraction(1)}, restrict=m)
-        rows.append(matrix_to_flat(mat))
+        rows.append(EndMap.from_matrix(mat).to_flat())
     return Subspace.from_vectors(rows, m * m)
 
 

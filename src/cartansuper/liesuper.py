@@ -173,10 +173,11 @@ class AlgebraModel:
         return (self.degree[i], self.weight[i])
 
     def cells(self) -> Dict[Tuple[int, WeightVec], List[int]]:
+        """Partition of basis indices by (degree, weight), in key order."""
         out: Dict[Tuple[int, WeightVec], List[int]] = {}
         for i in range(self.dim):
             out.setdefault(self.cell_of(i), []).append(i)
-        return out
+        return {key: out[key] for key in sorted(out)}
 
     # -- bracket
 
@@ -325,12 +326,6 @@ def check_axioms(
             return fail(f"Jacobi fails at triple ({i},{j},{k})", triples)
 
     return AxiomReport(True, pairs, triples)
-
-
-def bigrade_blocks(A: AlgebraModel) -> Dict[Tuple[int, WeightVec], List[int]]:
-    """Partition of basis indices by (degree, weight), deterministically ordered."""
-    cells = A.cells()
-    return {key: cells[key] for key in sorted(cells)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ the vanishing argument of the underlying proof:
 * h_0-shifted and d-sum-shifted copies of every nonnegative-degree basis
   vector.
 
-Constraints are intersected with the bigrade block pattern: a local
-superderivation splits into (degree, weight)-homogeneous components that
-are themselves local with witnesses in the matching slice of L', so the
-certified space may soundly be computed one shift at a time.  The space
+Constraints are intersected with the bigrade block pattern of End(L), the
+:class:`~cartansuper.derivations.BlockSystem` that the Leibniz solver also
+runs on: a local superderivation splits into (degree, weight)-homogeneous
+components that are themselves local with witnesses in the matching slice
+of L', so the certified space may soundly be computed one shift at a time,
+and a probe only constrains the blocks its cells reach.  The space
 always contains ad L'; when it collapses to exactly ad L' = Der L, every
 map that is locally inner at all points is inner, which is the per-n
 certificate of LDer(L) = Der(L).  When the proof list leaves a residual
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derivations import EndMap, ad_image
+from .derivations import BlockSystem, Cell, EndMap, Shift
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix
 from .linalg import (
@@ -50,8 +52,6 @@ from .linalg import (
     vec_dot,
     vec_scale,
 )
-
-Shift = Tuple[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -91,6 +91,8 @@ class Certificate:
     twolocal_pairs_checked: int = 0
     twolocal_failure: Optional[str] = None
     elapsed_ms: Optional[int] = None
+    # the engine that reached the verdict, for certify_2local
+    engine: Optional["ConstraintEngine"] = field(default=None, repr=False, compare=False)
 
     def as_dict(self, with_timing: bool = False) -> dict:
         return {
@@ -153,10 +155,9 @@ def bigrade_decompose(phi: EndMap, A: AlgebraModel) -> Dict[Shift, EndMap]:
     """
     out: Dict[Shift, Dict[int, Vec]] = {}
     for b, col in phi.cols.items():
-        db, wb = A.cell_of(b)
+        cb = A.cell_of(b)
         for a, c in col.items():
-            da, wa = A.cell_of(a)
-            shift = (A.deg_sub(da, db), tuple(x - y for x, y in zip(wa, wb)))
+            shift = BlockSystem.cell_shift(A, A.cell_of(a), cb)
             out.setdefault(shift, {}).setdefault(b, {})[a] = c
     return {
         shift: EndMap(phi.dim, cols, parity=shift[0] % 2)
@@ -344,30 +345,13 @@ class ConstraintEngine:
         self.L = L
         dim = L.dim
         self.dim = dim
-        self.cells = L.cells()
-        self.cell_keys = sorted(self.cells)
-
-        # block pattern: shift -> list of (a, b) entry pairs
-        self.blocks: Dict[Shift, List[Tuple[int, int]]] = {}
-        for (db, wb) in self.cell_keys:
-            for (da, wa) in self.cell_keys:
-                shift = (
-                    L.deg_sub(da, db),
-                    tuple(x - y for x, y in zip(wa, wb)),
-                )
-                entries = self.blocks.setdefault(shift, [])
-                for a in self.cells[(da, wa)]:
-                    for b in self.cells[(db, wb)]:
-                        entries.append((a, b))
-        for entries in self.blocks.values():
-            entries.sort()
+        self.blocks = BlockSystem(L)
 
         # current solution spaces: shift -> list of rows over local ids
-        self.space: Dict[Shift, List[Vec]] = {}
-        self.local: Dict[Shift, Dict[Tuple[int, int], int]] = {}
-        for shift, entries in self.blocks.items():
-            self.local[shift] = {e: i for i, e in enumerate(entries)}
-            self.space[shift] = [{i: Fraction(1)} for i in range(len(entries))]
+        self.space: Dict[Shift, List[Vec]] = {
+            shift: [{i: Fraction(1)} for i in range(len(entries))]
+            for shift, entries in self.blocks.entries.items()
+        }
 
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
@@ -376,21 +360,19 @@ class ConstraintEngine:
         ad_rows: Dict[Shift, List[Vec]] = {}
         for u in range(ext.dim):
             shift = (ext.degree[u], ext.weight[u])
-            local = self.local.get(shift)
             cols: Dict[int, Vec] = {}
-            row: Vec = {}
             for b in range(dim):
                 w = ext.bracket_basis(u, b)
                 for a, c in w.items():
                     if a >= dim:
                         raise ValueError("ad(L') does not preserve L")
-                    if local is None:
-                        raise ValueError("ad(u) hits a shift outside the block pattern")
                     cols.setdefault(b, {})[a] = c
-                    row[local[(a, b)]] = c
-            if not row:
+            if not cols:
                 raise ValueError(f"ad is not injective on L' (basis {u})")
+            if shift not in self.blocks.entries:
+                raise ValueError("ad(u) hits a shift outside the block pattern")
             self.slice_ad.setdefault(shift, []).append(cols)
+            row = self.blocks.localize(shift, EndMap(dim, cols).to_flat())
             ad_rows.setdefault(shift, []).append(row)
         for shift, rows in ad_rows.items():
             self.ad_rref[shift] = rref(rows)[0]
@@ -406,22 +388,18 @@ class ConstraintEngine:
 
     def constraint_rows(self, x: Vec, shift: Shift) -> List[Vec]:
         """Rows over the shift block expressing phi_shift(x) in [L'_shift, x]."""
-        L, dim = self.L, self.dim
-        d, wsh = shift
-        comps: Dict[Tuple[int, Tuple[int, ...]], Vec] = {}
+        L, dim, cells = self.L, self.dim, self.blocks.cells
+        pairs = self.blocks.shifts_from(x).get(shift)
+        if not pairs:
+            return []
+        comps: Dict[Cell, Vec] = {}
         for b, c in x.items():
             comps.setdefault(L.cell_of(b), {})[b] = c
-        targets = []
-        for (db, wb), sub in comps.items():
-            ca = (L.deg_add(db, d), tuple(p + q for p, q in zip(wb, wsh)))
-            if ca in self.cells:
-                targets.append((ca, sub))
-        if not targets:
-            return []
+        targets = [(ca, comps[cb]) for ca, cb in pairs]
         # local coordinates of the value space V = sum of target cells
         v_ids: List[int] = []
         for ca, _ in targets:
-            v_ids.extend(self.cells[ca])
+            v_ids.extend(cells[ca])
         v_ids.sort()
         v_local = {a: i for i, a in enumerate(v_ids)}
         # the slice orbit [L'_shift, x], localized to V
@@ -435,31 +413,27 @@ class ConstraintEngine:
             if w:
                 span_rows.append({v_local[a]: c for a, c in w.items()})
         ann = kernel_of_rows(span_rows, len(v_ids))
-        local = self.local[shift]
         rows: List[Vec] = []
         for kappa in ann:
+            # distinct targets come from distinct source cells, so every
+            # entry (a, b) is written once
             row: Vec = {}
             for ca, sub in targets:
-                for a in self.cells[ca]:
+                for a in cells[ca]:
                     ka = kappa.get(v_local[a])
-                    if not ka:
-                        continue
-                    for b, xb in sub.items():
-                        key = local[(a, b)]
-                        s = row.get(key, Fraction(0)) + ka * xb
-                        if s:
-                            row[key] = s
-                        else:
-                            row.pop(key, None)
+                    if ka:
+                        for b, xb in sub.items():
+                            if xb:
+                                row[a * dim + b] = ka * xb
             if row:
-                rows.append(row)
+                rows.append(self.blocks.localize(shift, row))
         return rows
 
     def add_probes(self, probes: Sequence[Probe]) -> None:
         for probe in probes:
             self.probe_labels.append(probe.label)
-            for shift, space in self.space.items():
-                if not space or self._converged(shift):
+            for shift in self.blocks.shifts_from(probe.vector):
+                if not self.space[shift] or self._converged(shift):
                     continue
                 for row in self.constraint_rows(probe.vector, shift):
                     self._cut(shift, row)
@@ -497,13 +471,12 @@ class ConstraintEngine:
         return sum(len(s) for s in self.space.values()) - self.dim_ad()
 
     def as_subspace(self) -> Subspace:
-        dim = self.dim
-        rows = []
-        for shift in sorted(self.space):
-            entries = self.blocks[shift]
-            for row in self.space[shift]:
-                rows.append({entries[k][0] * dim + entries[k][1]: c for k, c in row.items()})
-        return Subspace.from_vectors(rows, dim * dim)
+        rows = [
+            self.blocks.lift(shift, row)
+            for shift in sorted(self.space)
+            for row in self.space[shift]
+        ]
+        return Subspace.from_vectors(rows, self.dim * self.dim)
 
 
 def constrained_space(
@@ -528,12 +501,9 @@ def constrained_space(
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
-        for shift in sorted(engine.blocks):
-            entries = engine.blocks[shift]
+        for shift in sorted(engine.space):
             for row in engine.constraint_rows(probe.vector, shift):
-                rows.append(
-                    {entries[k][0] * dim + entries[k][1]: c for k, c in row.items()}
-                )
+                rows.append(engine.blocks.lift(shift, row))
     return Subspace.from_vectors(kernel_of_rows(rows, dim * dim), dim * dim)
 
 
@@ -599,6 +569,7 @@ def certify(
         dim_ad=engine.dim_ad(),
         verdict=verdict,
         elapsed_ms=elapsed,
+        engine=engine,
     )
 
 
@@ -625,8 +596,9 @@ def certify_2local(
     (project the pairwise witness), so CERTIFIED for the local statement
     settles the 2-local one by reduction.  Seeded spot checks keep the
     reduction honest: inner maps must be jointly feasible on every sampled
-    pair, and when the local verdict is INCONCLUSIVE a sampled map from the
-    residual space is searched for a concretely failing pair.
+    pair, and when the local verdict is INCONCLUSIVE a map from the residual
+    space of the engine that reached the verdict is searched for a
+    concretely failing pair.
     """
     rng = random.Random(seed)
     L = P.base
@@ -647,24 +619,17 @@ def certify_2local(
         verdict = "CERTIFIED"
     else:
         verdict = "INCONCLUSIVE"
-        if failure is None and cert.verdict != "CERTIFIED":
-            # sample a residual map and look for a failing pair
-            engine = ConstraintEngine(P)
-            sep = SeparatingScalar(cert.t)
-            engine.add_probes(proof_probes(P, sep))
-            inner = ad_image(P)
+        if failure is None and cert.engine is not None:
+            # take a residual map and look for a failing pair
+            engine = cert.engine
             witness = None
             for shift in sorted(engine.space):
-                for row in engine.space[shift]:
-                    entries = engine.blocks[shift]
-                    flat = {
-                        entries[k][0] * L.dim + entries[k][1]: c
-                        for k, c in row.items()
-                    }
-                    if not inner.contains(flat):
-                        witness = EndMap.from_flat(L.dim, flat)
-                        break
-                if witness:
+                inner = Subspace.from_vectors(
+                    engine.ad_rref.get(shift, []), len(engine.blocks.entries[shift])
+                )
+                outside = [r for r in engine.space[shift] if not inner.contains(r)]
+                if outside:
+                    witness = EndMap.from_flat(L.dim, engine.blocks.lift(shift, outside[0]))
                     break
             if witness is not None:
                 for _ in range(pairs):

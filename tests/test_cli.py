@@ -161,11 +161,6 @@ def test_missing_family_exits_2():
     assert "family" in res.stderr
 
 
-def test_jobs_flag_validated():
-    res = run_cli("check", "--family", "H", "--n", "5", "--jobs", "0")
-    assert res.returncode == 2
-
-
 def test_bad_env_integer_exits_2():
     res = run_cli("info", env_extra={"CARTANSUPER_N": "four", "CARTANSUPER_FAMILY": "W"})
     assert res.returncode == 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cartansuper.derivations import (
+    BlockSystem,
     EndMap,
     ad_image,
     derivation_report,
@@ -186,3 +187,56 @@ def test_bigrade_decompose_reconstructs(pairs):
         for k, c in comp.to_flat().items():
             total[k] = total.get(k, Fraction(0)) + c
     assert {k: c for k, c in total.items() if c} == flat
+
+
+# -- the block core
+
+
+DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_block_system_partitions_end_l(pairs, spec):
+    A, _ = pairs[spec]
+    blocks = BlockSystem(A)
+    ids = sorted(k for entries in blocks.entries.values() for k in entries)
+    assert ids == list(range(A.dim * A.dim))
+    for shift, entries in blocks.entries.items():
+        assert entries == sorted(entries)
+        assert blocks.local[shift] == {k: i for i, k in enumerate(entries)}
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_block_system_localize_lift_round_trip(pairs, spec):
+    A, _ = pairs[spec]
+    blocks = BlockSystem(A)
+    rng = random.Random(35)
+    for shift in rng.sample(sorted(blocks.entries), 20):
+        entries = blocks.entries[shift]
+        row = {
+            k: Fraction(rng.choice([-3, -1, 1, 2]))
+            for k in rng.sample(entries, min(len(entries), 5))
+        }
+        local = blocks.localize(shift, row)
+        assert set(local) <= set(range(len(entries)))
+        assert blocks.lift(shift, local) == row
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_cell_shift_agrees_with_bigrade_decompose(pairs, spec):
+    from cartansuper.localcert import bigrade_decompose
+
+    A, _ = pairs[spec]
+    blocks = BlockSystem(A)
+    rng = random.Random(36)
+    for _ in range(5):
+        flat = {
+            rng.randrange(A.dim * A.dim): Fraction(rng.randint(1, 3))
+            for _ in range(25)
+        }
+        comps = bigrade_decompose(EndMap.from_flat(A.dim, flat), A)
+        for shift, comp in comps.items():
+            for b, col in comp.cols.items():
+                for a in col:
+                    assert BlockSystem.cell_shift(A, A.cell_of(a), A.cell_of(b)) == shift
+                    assert a * A.dim + b in blocks.local[shift]

@@ -9,7 +9,6 @@ import pytest
 from cartansuper.families import attach_derived, build
 from cartansuper.liesuper import (
     ad_matrix,
-    bigrade_blocks,
     check_axioms,
     model_from_json,
     model_to_json,
@@ -94,7 +93,7 @@ def test_check_axioms_detects_fault_injection(W4):
 
 
 def test_bigrade_blocks_w4(W4):
-    blocks = bigrade_blocks(W4)
+    blocks = W4.cells()
     d1 = unit(W4, "1*d1")
     (idx,) = d1.keys()
     assert blocks[(-1, (-1, 0, 0, 0))] == [idx]
@@ -110,12 +109,12 @@ def test_bigrade_blocks_w4(W4):
 
 
 def test_bigrade_blocks_h5_cartan_cell(H5):
-    blocks = bigrade_blocks(H5)
+    blocks = H5.cells()
     assert len(blocks[(0, (0, 0))]) == 2
 
 
 def test_bracket_maps_cells_additively(W4):
-    blocks = bigrade_blocks(W4)
+    blocks = W4.cells()
     cell_of = {i: key for key, cell in blocks.items() for i in cell}
     for (i, j), w in W4.table.items():
         di, wi = cell_of[i]
@@ -151,7 +150,7 @@ def test_deserialization_rejects_garbage():
 
 def test_ad_is_morphism_on_homogeneous_pairs(W4):
     rng = random.Random(21)
-    blocks = list(bigrade_blocks(W4).values())
+    blocks = list(W4.cells().values())
     for _ in range(12):
         cu = rng.choice(blocks)
         cv = rng.choice(blocks)

@@ -10,8 +10,10 @@ from cartansuper.families import build, build_lprime, w_basis
 from cartansuper.liesuper import ad_matrix
 from cartansuper.linalg import Matrix, kernel, rank, vec_axpy_inplace
 from cartansuper.localcert import (
+    ConstraintEngine,
     Probe,
     SeparatingScalar,
+    anchored_probes,
     certify,
     certify_2local,
     constrained_space,
@@ -19,6 +21,7 @@ from cartansuper.localcert import (
     is_local_at,
     orbit,
     proof_probes,
+    random_probes,
     separating_t,
 )
 
@@ -295,10 +298,31 @@ def test_single_cartan_probe_leaves_slack(W4):
 def test_blocks_and_reference_paths_agree(H5):
     _, P = H5
     sep = separating_t(P.ext)
-    probes = proof_probes(P, sep)[:25]
-    assert constrained_space(P, probes, method="blocks") == constrained_space(
-        P, probes, method="reference"
-    )
+    for probes in (proof_probes(P, sep)[:25], random_probes(P, 20, seed=3)):
+        assert constrained_space(P, probes, method="blocks") == constrained_space(
+            P, probes, method="reference"
+        )
+
+
+@pytest.mark.parametrize("model", ["W4", "H5"])
+def test_skipped_shifts_have_no_constraint_rows(model, request):
+    # a block without an entry in any column of x's support gives
+    # phi_shift(x) = 0, which every orbit contains
+    A, P = request.getfixturevalue(model)
+    engine = ConstraintEngine(P)
+    columns = {
+        shift: {k % A.dim for k in entries}
+        for shift, entries in engine.blocks.entries.items()
+    }
+    probes = proof_probes(P, separating_t(P.ext)) + anchored_probes(P)
+    for probe in probes:
+        x = probe.vector
+        reach = engine.blocks.shifts_from(x)
+        for shift in engine.space:
+            touches = not columns[shift].isdisjoint(x)
+            assert (shift in reach) == touches
+            if shift not in reach:
+                assert engine.constraint_rows(x, shift) == []
 
 
 def test_constrained_space_requires_probes(H5):
@@ -359,6 +383,37 @@ def test_certify_2local_inconclusive_passthrough(W4):
     cert = certify(P, budget=1)
     cert = certify_2local(P, cert, seed=9, pairs=5)
     assert cert.twolocal_verdict == "INCONCLUSIVE"
+
+
+def test_certify_2local_residual_map_obeys_every_probe_used(H5, monkeypatch):
+    # the residual map must come from the engine that reached the verdict,
+    # not from the proof probes alone
+    import cartansuper.localcert as localcert
+
+    _, P = H5
+    sep = separating_t(P.ext)
+    budget = len(proof_probes(P, sep)) + 1
+    cert = certify(P, budget=budget)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert len(cert.probe_labels) == budget
+    assert cert.dim_constrained == 42
+
+    fed = []
+    real = localcert.is_2local_at
+
+    def spy(phi, x, y, P_):
+        fed.append(phi)
+        return real(phi, x, y, P_)
+
+    monkeypatch.setattr(localcert, "is_2local_at", spy)
+    certify_2local(P, cert, seed=9, pairs=5)
+    inner = ad_image(P)
+    residual = [phi for phi in fed if not inner.contains(phi.to_flat())]
+    assert residual
+    by_label = {p.label: p for p in proof_probes(P, sep) + anchored_probes(P)}
+    C = constrained_space(P, [by_label[l] for l in cert.probe_labels])
+    for phi in residual:
+        assert C.contains(phi.to_flat())
 
 
 def test_bigrade_decompose_of_inner_maps_is_single_shift(W4):
