@@ -8,9 +8,11 @@ as an exact linear system in the matrix entries of D.  The system splits
 along the bigrading: a basis-homogeneous derivation component of bidegree
 shift (d, a) maps the cell (j, b) into (j+d, b+a), and every scalar Leibniz
 constraint touches exactly one such shift, so the global kernel decomposes
-into many small block kernels (the performance path).  A reference path
-feeds the identical rows through one global elimination without using the
-block structure.
+into many small block kernels (the performance path).  The rows have int
+coefficients, and each block is solved mod p and then checked over Q; a
+block whose modular answer is not proved is solved again with Fractions.
+A reference path feeds the identical rows, as Fractions, through one global
+elimination without using the block structure or the modular kernel.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L'.
 Their agreement, subspace equality inside End(L), is the machine-checkable
@@ -21,16 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from math import lcm
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix
 from .linalg import (
     Echelon,
+    IntVec,
     Matrix,
     Subspace,
     Vec,
     kernel_of_rows,
+    kernel_of_rows_modp,
     vec_axpy_inplace,
 )
 
@@ -135,38 +141,47 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
 
 
 def _bracket_tables(A: AlgebraModel):
-    """Column/row views of the bracket table indexed by output coordinate."""
-    by_col: List[Dict[int, List[Tuple[int, Fraction]]]] = [
-        {} for _ in range(A.dim)
-    ]
-    by_row: List[Dict[int, List[Tuple[int, Fraction]]]] = [
-        {} for _ in range(A.dim)
-    ]
+    """The bracket table times its common denominator, as int views:
+    the table itself and its column/row views indexed by output coordinate.
+
+    Every Leibniz coefficient is linear in the structure constants, so the
+    scaling multiplies each row by one nonzero constant and leaves the row
+    space alone.  The denominator is 1 for every built model.
+    """
+    den = lcm(*(c.denominator for w in A.table.values() for c in w.values()))
+    table: Dict[Tuple[int, int], IntVec] = {}
+    by_col: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
+    by_row: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
     for (i, j), w in A.table.items():
-        for k, c in w.items():
+        ints = table[(i, j)] = {k: int(c * den) for k, c in w.items()}
+        for k, c in ints.items():
             by_col[j].setdefault(k, []).append((i, c))
             by_row[i].setdefault(k, []).append((j, c))
-    return by_col, by_row
+    return table, by_col, by_row
 
 
 def leibniz_rows(
     A: AlgebraModel, parity: Optional[int] = None
-) -> Iterator[Tuple[Shift, Vec]]:
+) -> Iterator[Tuple[Shift, IntVec]]:
     """Yield (shift, constraint row) pairs over flattened End(L) coordinates.
 
     One row per (basis pair i <= j, output coordinate k); the pair (j, i) is
     dropped as anticommutativity makes it redundant, while i = j stays (odd
     self-brackets are not trivial).  Each row touches entries of exactly one
-    bidegree shift, computed and attached for the block solver.
+    bidegree shift, computed and attached for the block solver.  Rows have
+    int coefficients: they are built from the denominator-free table of
+    `_bracket_tables`.
     """
     dim = A.dim
-    by_col, by_row = _bracket_tables(A)
+    table, by_col, by_row = _bracket_tables(A)
     deg, wt = A.degree, A.weight
+    cell_no = {cell: n for n, cell in enumerate(A.cells())}
+    cell_of = [cell_no[A.cell_of(k)] for k in range(dim)]
     for i in range(dim):
         pi = A.parity[i]
         for j in range(i, dim):
-            w = A.table.get((i, j), {})
-            rows: Dict[int, Vec] = {}
+            w = table.get((i, j), {})
+            rows: Dict[int, IntVec] = {}
             if w:
                 for k in range(dim):
                     rows[k] = {k * dim + m: c for m, c in w.items()}
@@ -174,19 +189,27 @@ def leibniz_rows(
                 row = rows.setdefault(k, {})
                 for a, c in hits:
                     key = a * dim + i
-                    s = row.get(key, Fraction(0)) - c
+                    s = row.get(key, 0) - c
                     if s:
                         row[key] = s
                     else:
                         row.pop(key, None)
-            base_shift_deg = A.deg_sub(A.deg_sub(0, deg[i]), deg[j])
+            # the shift of row k depends on k only through its cell
+            d0 = A.deg_sub(A.deg_sub(0, deg[i]), deg[j])
+            w0 = [-y - z for y, z in zip(wt[i], wt[j])]
+            shifts: Dict[int, Shift] = {}
+            for k in rows.keys() | by_row[i].keys():
+                if cell_of[k] not in shifts:
+                    shifts[cell_of[k]] = (
+                        A.deg_add(deg[k], d0), tuple(map(add, wt[k], w0))
+                    )
             for k, hits in by_row[i].items():
                 row = rows.setdefault(k, {})
-                p_k = A.deg_add(deg[k], base_shift_deg) % 2
-                sgn = Fraction(-1 if (p_k * pi) % 2 == 0 else 1)
+                p_k = shifts[cell_of[k]][0] % 2
+                sgn = -1 if (p_k * pi) % 2 == 0 else 1
                 for a, c in hits:
                     key = a * dim + j
-                    s = row.get(key, Fraction(0)) + sgn * c
+                    s = row.get(key, 0) + sgn * c
                     if s:
                         row[key] = s
                     else:
@@ -194,13 +217,14 @@ def leibniz_rows(
             for k, row in rows.items():
                 if not row:
                     continue
-                d_shift = A.deg_add(deg[k], base_shift_deg)
-                if parity is not None and d_shift % 2 != parity:
+                shift = shifts[cell_of[k]]
+                if parity is not None and shift[0] % 2 != parity:
                     continue
-                w_shift = tuple(
-                    x - y - z for x, y, z in zip(wt[k], wt[i], wt[j])
-                )
-                yield (d_shift, w_shift), row
+                yield shift, row
+
+
+def _as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
+    return [{k: Fraction(c) for k, c in row.items()} for row in rows]
 
 
 class BlockSystem:
@@ -247,10 +271,19 @@ class BlockSystem:
         entries = self.entries[shift]
         return {entries[k]: c for k, c in row.items()}
 
-    def kernel(self, shift: Shift, rows: List[Vec]) -> List[Vec]:
-        """Flat basis of the maps in one block annihilated by the flat rows."""
+    def kernel(self, shift: Shift, rows: List[IntVec]) -> List[Vec]:
+        """Flat basis of the maps in one block annihilated by the flat
+        integer rows.
+
+        The block is solved mod p first (`kernel_of_rows_modp`, checked over
+        Q); only when that is not proved does it fall back to the Fraction
+        `kernel_of_rows`.  Both give the same RREF basis.
+        """
         local_rows = [self.localize(shift, row) for row in rows]
-        kern = kernel_of_rows(local_rows, len(self.entries[shift]))
+        ncols = len(self.entries[shift])
+        kern = kernel_of_rows_modp(local_rows, ncols)
+        if kern is None:
+            kern = kernel_of_rows(_as_fractions(local_rows), ncols)
         return [self.lift(shift, v) for v in kern]
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
@@ -287,7 +320,7 @@ def derivation_space(
     dim = A.dim
     flat_dim = dim * dim
     if method == "reference":
-        rows = [row for _, row in leibniz_rows(A, parity)]
+        rows = _as_fractions(row for _, row in leibniz_rows(A, parity))
         if parity is None:
             return Subspace.from_vectors(kernel_of_rows(rows, flat_dim), flat_dim)
         support = [
@@ -307,7 +340,7 @@ def derivation_space(
         raise ValueError(f"unknown method {method!r}")
 
     blocks = BlockSystem(A, parity)
-    grouped: Dict[Shift, List[Vec]] = {}
+    grouped: Dict[Shift, List[IntVec]] = {}
     for shift, row in leibniz_rows(A, parity):
         grouped.setdefault(shift, []).append(row)
 

@@ -383,7 +383,7 @@ def from_json_dict(obj: dict) -> AlgebraModel:
         degree = [int(d) for d in obj["degree"]]
         weight = [tuple(int(x) for x in w) for w in obj["weight"]]
         cartan = [int(c) for c in obj["cartan"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"malformed model data: {exc}") from exc
     if family not in FAMILIES:
         raise ModelFormatError(f"unknown family {family!r}")

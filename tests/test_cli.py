@@ -103,6 +103,19 @@ def test_check_corrupt_model_exits_2(tmp_path):
     assert "error" in res.stderr
 
 
+def test_check_zero_denominator_exits_2(tmp_path):
+    model = tmp_path / "h5.json"
+    run_cli("build", "--family", "H", "--n", "5", "--format", "json",
+            "--out", str(model))
+    obj = json.loads(model.read_text())
+    obj["bracket"][0][2][0][1] = "1/0"
+    model.write_text(json.dumps(obj))
+    res = run_cli("check", "--model", str(model))
+    assert res.returncode == 2
+    assert "malformed model data" in res.stderr
+    assert "internal error" not in res.stderr
+
+
 def test_check_missing_model_exits_2(tmp_path):
     res = run_cli("check", "--model", str(tmp_path / "missing.json"))
     assert res.returncode == 2

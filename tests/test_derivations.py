@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cartansuper import derivations
 from cartansuper.derivations import (
     BlockSystem,
     EndMap,
@@ -17,6 +18,7 @@ from cartansuper.derivations import (
 )
 from cartansuper.families import LPrimeModel, build, build_lprime
 from cartansuper.liesuper import AlgebraModel, ad_matrix
+from cartansuper.linalg import PRIME
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,12 @@ def test_blockwise_agrees_with_reference_on_w4(pairs):
     assert derivation_space(A, method="blocks") == derivation_space(
         A, method="reference"
     )
+
+
+@pytest.mark.parametrize("spec", [("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_blockwise_agrees_with_reference(pairs, spec):
+    A, _ = pairs[spec]
+    assert derivation_space(A) == derivation_space(A, method="reference")
 
 
 def test_members_of_derivation_space_satisfy_leibniz(pairs):
@@ -240,3 +248,73 @@ def test_cell_shift_agrees_with_bigrade_decompose(pairs, spec):
                 for a in col:
                     assert BlockSystem.cell_shift(A, A.cell_of(a), A.cell_of(b)) == shift
                     assert a * A.dim + b in blocks.local[shift]
+
+
+# -- the modular block kernels
+
+
+def rescaled_model(A: AlgebraModel, r: int, lam: Fraction) -> AlgebraModel:
+    """A copy of A in the basis where e_r is replaced by lam * e_r.
+
+    [s_i e_i, s_j e_j] = sum_k (s_i s_j / s_k) c_ij^k (s_k e_k), so the
+    copy is isomorphic to A and has the same grading.
+    """
+    scale = [Fraction(1)] * A.dim
+    scale[r] = lam
+    out = copy.copy(A)
+    out.table = {
+        (i, j): {k: scale[i] * scale[j] / scale[k] * c for k, c in w.items()}
+        for (i, j), w in A.table.items()
+    }
+    return out
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the blocks that `derivation_space` solves with Fractions."""
+    calls = []
+    exact = derivations.kernel_of_rows
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(derivations, "kernel_of_rows", counted)
+    return calls
+
+
+def test_desk_blocks_need_no_fallback(pairs, fallbacks):
+    for spec in [("H", 5), ("Stilde", 4)]:
+        A, P = pairs[spec]
+        assert derivation_space(A) == ad_image(P)
+    assert fallbacks == []
+
+
+def test_unlucky_prime_falls_back_to_fractions(pairs, fallbacks):
+    A, _ = pairs[("H", 5)]
+    B = rescaled_model(A, 0, Fraction(PRIME))
+    constants = {c for w in B.table.values() for c in w.values()}
+    assert any(c.denominator == PRIME for c in constants)
+    assert any(c.numerator % PRIME == 0 for c in constants)
+    blocks = derivation_space(B)
+    assert fallbacks
+    assert blocks.dim == 32
+    assert blocks == derivation_space(B, method="reference")
+
+
+def test_denominators_are_cleared_once(pairs, fallbacks):
+    A, _ = pairs[("H", 5)]
+    B = rescaled_model(A, 0, Fraction(1, 2))
+    assert any(c.denominator == 2 for w in B.table.values() for c in w.values())
+    blocks = derivation_space(B)
+    assert fallbacks == []
+    assert blocks.dim == 32
+    assert blocks == derivation_space(B, method="reference")
+
+
+def test_leibniz_rows_are_integral(pairs):
+    A, _ = pairs[("H", 5)]
+    B = rescaled_model(A, 0, Fraction(1, 2))
+    for model in (A, B):
+        for _, row in derivations.leibniz_rows(model):
+            assert all(type(c) is int and c for c in row.values())
