@@ -23,7 +23,6 @@ from .families import (
     LPrimeModel,
     build,
     build_lprime,
-    cartan_and_roots,
     divergence,
     ham,
     involution,
@@ -73,7 +72,6 @@ __all__ = [
     "bigrade_decompose",
     "build",
     "build_lprime",
-    "cartan_and_roots",
     "certify",
     "certify_2local",
     "check_axioms",

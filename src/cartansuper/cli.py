@@ -2,8 +2,10 @@
 derivation lemmas, and run the certification pipeline.
 
 Exit codes: 0 success / certified, 1 check failure or internal error,
-2 input error (bad family spec, unreadable or malformed model file),
-3 inconclusive certification.
+2 input error (bad family spec or environment value, an unwritable --out,
+a model file that is unreadable, malformed, differs in any field or
+bracket from the constructor of its family and n, or names another family
+or n than --family/--n), 3 inconclusive certification.
 
 Every flag has an environment override with prefix CARTANSUPER_
 (e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.
@@ -121,10 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT_ERROR) from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -140,6 +146,12 @@ def _load_or_build(args) -> AlgebraModel:
         except OSError as exc:
             raise ModelFormatError(f"cannot read {model_path}: {exc}") from exc
         model = model_from_json(text)
+        for flag, got in (("family", model.family), ("n", model.n)):
+            value = getattr(args, flag)
+            if value is not None and value != got:
+                raise ModelFormatError(
+                    f"--{flag} {value} does not match the model file's {flag} {got}"
+                )
         attach_derived(model)
         return model
     if args.family is None or args.n is None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exterior import (
     ExtElem,
@@ -48,13 +48,11 @@ from .liesuper import (
     Combo,
     GradingElement,
     Ham,
+    ModelFormatError,
     VectorField,
     WeightVec,
 )
 from .linalg import Matrix, SpanSolver, Subspace, Vec, kernel, vec_axpy_inplace
-
-_ONE = Fraction(1)
-
 
 class FamilyError(ValueError):
     """A family/n combination outside the defined range."""
@@ -69,7 +67,10 @@ class FamilySpec:
         f, n = self.family, self.n
         if f not in ("W", "S", "Stilde", "H"):
             raise FamilyError(f"unknown family {f!r} (expected W, S, Stilde or H)")
-        check_n(n)
+        try:
+            check_n(n)
+        except ValueError as exc:
+            raise FamilyError(str(exc)) from None
         if f in ("W", "S") and n < 4:
             raise FamilyError(f"{f} requires n >= 4")
         if f == "Stilde":
@@ -79,6 +80,19 @@ class FamilySpec:
                 raise FamilyError("Stilde requires even n")
         if f == "H" and n <= 4:
             raise FamilyError("H requires n > 4")
+
+    @property
+    def dim(self) -> int:
+        """dim of the algebra, from the closed form (no construction)."""
+        f, n = self.family, self.n
+        if f == "W":
+            return n << n
+        if f == "H":
+            return (1 << n) - 2
+        return ((n - 1) << n) + 1
+
+    def __str__(self) -> str:
+        return f"{self.family}({self.n})"
 
 
 def involution(i: int, n: int) -> int:
@@ -125,7 +139,7 @@ def w_bracket_pair(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> Vec:
         s1, g1 = hit
         s2, m = mono_mul(f, g1)
         if s2:
-            out[idx[(m, j)]] = Fraction(s1 * s2)
+            out[idx[(m, j)]] = s1 * s2
     hit = mono_partial(j, f)
     if hit is not None:
         s1, f1 = hit
@@ -133,7 +147,7 @@ def w_bracket_pair(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> Vec:
         if s2:
             sign = -1 if ((mono_degree(f) + 1) * (mono_degree(g) + 1)) % 2 == 0 else 1
             k = idx[(m, i)]
-            c = out.get(k, Fraction(0)) + Fraction(sign * s1 * s2)
+            c = out.get(k, 0) + sign * s1 * s2
             if c:
                 out[k] = c
             else:
@@ -217,42 +231,18 @@ def euler(n: int) -> Vec:
 
 def cartan_chain_w(family: str, n: int) -> List[Vec]:
     """The standard Cartan basis h_1..h_l in W(n) coordinates."""
-    def diag(i: int) -> Vec:
-        return w_unit(n, 1 << (i - 1), i)
+    def diag(i: int, c: int = 1) -> Vec:
+        return w_unit(n, 1 << (i - 1), i, c)
 
     if family == "W":
         return [diag(i) for i in range(1, n + 1)]
     if family in ("S", "Stilde"):
-        out = []
-        for i in range(1, n):
-            h = diag(i)
-            vec_axpy_inplace(h, Fraction(-1), diag(i + 1))
-            out.append(h)
-        return out
-    if family == "H":
-        out = []
-        for i in range(1, n // 2 + 1):
-            h = diag(i)
-            vec_axpy_inplace(h, Fraction(-1), diag(involution(i, n)))
-            out.append(h)
-        return out
-    raise FamilyError(f"unknown family {family!r}")
-
-
-def desc_to_w(n: int, desc: BasisDesc) -> Vec:
-    """Expand a basis descriptor into ambient W(n) coordinates."""
-    if isinstance(desc, VectorField):
-        return w_unit(n, desc.mono, desc.j)
-    if isinstance(desc, Ham):
-        return ham(ExtElem.monomial(n, desc.mono))
-    if isinstance(desc, GradingElement):
-        return euler(n)
-    if isinstance(desc, Combo):
-        out: Vec = {}
-        for c, m, j in desc.terms:
-            vec_axpy_inplace(out, Fraction(c), w_unit(n, m, j))
-        return out
-    raise TypeError(f"unknown descriptor {desc!r}")
+        pairs = [(i, i + 1) for i in range(1, n)]
+    elif family == "H":
+        pairs = [(i, involution(i, n)) for i in range(1, n // 2 + 1)]
+    else:
+        raise FamilyError(f"unknown family {family!r}")
+    return [{**diag(i), **diag(k, -1)} for i, k in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +262,34 @@ def _row_desc(n: int, row: Vec) -> BasisDesc:
     return Combo(terms)
 
 
-def _finish_model(
+def _graded(
     family: str,
     n: int,
     rows: List[Vec],
     descs: List[BasisDesc],
-    chain_family: str,
-    modulus: Optional[int] = None,
-    extended: bool = False,
-) -> AlgebraModel:
-    """Assemble an AlgebraModel from basis rows given in W(n) coordinates.
+    base: Optional[AlgebraModel] = None,
+) -> Tuple[AlgebraModel, SpanSolver]:
+    """An AlgebraModel with an empty bracket table, from basis rows given in
+    W(n) coordinates, plus a solver that expresses W(n) vectors in the rows.
 
-    Verifies along the way that every row is homogeneous in parity and
-    (possibly modular) degree, and is an exact simultaneous eigenvector of
-    the Cartan chain; any failure is a constructor bug, not user error.
+    Verifies along the way that every row has integer coordinates, is
+    homogeneous in parity and (possibly modular) degree, and is an exact
+    simultaneous eigenvector of the Cartan chain; any failure is a
+    constructor bug, not user error.  For L' over ``base`` the grading
+    element enlarges the zero cell, so the chain need only sit inside it.
     """
+    chain_family = family.rstrip("'")
+    modulus = n if chain_family == "Stilde" else None
     basis_w = w_basis(n)
+    if any(c.denominator != 1 for row in rows for c in row.values()):
+        raise AssertionError(f"{family}({n}): non-integer basis row")
+    rows = [{k: int(c) for k, c in row.items()} for row in rows]
 
-    def norm_deg(d: int) -> int:
-        if modulus is None:
-            return d
-        return (d + 1) % modulus - 1
-
+    period = modulus or n + 1  # field degree = deg f - 1, and deg f <= n
     parity: List[int] = []
     degree: List[int] = []
     for row in rows:
-        degs = {norm_deg(mono_degree(basis_w[i][0]) - 1) for i in row}
+        degs = {mono_degree(basis_w[i][0]) % period - 1 for i in row}
         pars = {(mono_degree(basis_w[i][0]) + 1) % 2 for i in row}
         if len(degs) != 1 or len(pars) != 1:
             raise AssertionError(f"{family}({n}): basis row not bigraded")
@@ -331,48 +323,61 @@ def _finish_model(
             raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
         chain_model.append(coords)
 
-    dim = len(rows)
-    table: Dict[Tuple[int, int], Vec] = {}
-    for i in range(dim):
-        for j in range(dim):
-            z = w_bracket(n, rows[i], rows[j])
-            if not z:
-                continue
-            coords = span.express(z)
-            if coords is None:
-                raise AssertionError(
-                    f"{family}({n}): bracket of basis {i},{j} leaves the span"
-                )
-            if coords:
-                table[(i, j)] = coords
-
     zero_wt = tuple([0] * len(chain_w))
     cartan = [
-        i for i in range(dim) if degree[i] == 0 and weight[i] == zero_wt
+        i for i in range(len(rows)) if degree[i] == 0 and weight[i] == zero_wt
     ]
     cartan_space = Subspace.from_vectors([rows[i] for i in cartan], len(basis_w))
     chain_space = Subspace.from_vectors(chain_w, len(basis_w))
-    if extended:
-        # the grading element enlarges the zero cell of L'; the chain must
-        # still sit inside it
+    if base is not None:
         if not cartan_space.contains_subspace(chain_space):
             raise AssertionError(f"{family}({n}): chain escapes the Cartan cell")
     elif cartan_space != chain_space:
         raise AssertionError(f"{family}({n}): Cartan cell does not match the chain")
 
-    return AlgebraModel(
-        family,
-        n,
-        descs,
-        table,
-        parity,
-        degree,
-        weight,
-        cartan,
-        grading_modulus=modulus,
-        w_coords=rows,
-        cartan_chain=chain_model,
-    )
+    model = AlgebraModel(family, n, descs, {}, parity, degree, weight, cartan,
+                         grading_modulus=modulus, w_coords=rows, cartan_chain=chain_model)
+    return model, span
+
+
+def _bracket_rows(
+    n: int, rows: List[Vec], first: int = 0
+) -> Iterator[Tuple[int, int, Vec]]:
+    """Yield (i, j, [row i, row j]) over W(n) for every pair of basis rows
+    with i >= first or j >= first.  The one place that brackets basis rows."""
+    dim = len(rows)
+    for i in range(dim):
+        for j in range(0 if i >= first else first, dim):
+            yield i, j, w_bracket(n, rows[i], rows[j])
+
+
+def _finish_model(
+    family: str,
+    n: int,
+    rows: List[Vec],
+    descs: List[BasisDesc],
+    base: Optional[AlgebraModel] = None,
+) -> AlgebraModel:
+    """The model of `_graded` with its bracket table filled in.
+
+    With ``base``, whose rows are the leading rows here, the table starts as
+    a copy of base's and only the pairs involving the extra rows are
+    bracketed.
+    """
+    model, span = _graded(family, n, rows, descs, base)
+    table = dict(base.table) if base is not None else {}
+    first = base.dim if base is not None else 0
+    for i, j, z in _bracket_rows(n, model.w_coords, first):
+        if not z:
+            continue
+        coords = span.express(z)
+        if coords is None:
+            raise AssertionError(
+                f"{family}({n}): bracket of basis {i},{j} leaves the span"
+            )
+        table[(i, j)] = coords
+    model.table = table
+    return model
 
 
 def _divergence_kernel(n: int) -> Subspace:
@@ -390,51 +395,44 @@ def _divergence_kernel(n: int) -> Subspace:
     return kernel(div)
 
 
-def build(spec, n: Optional[int] = None) -> AlgebraModel:
-    """Build the AlgebraModel for a family spec (or family tag plus n)."""
-    if not isinstance(spec, FamilySpec):
-        spec = FamilySpec(spec, n)
-    spec.validate()
+def _family_rows(spec: FamilySpec) -> Tuple[List[Vec], List[BasisDesc]]:
+    """The basis rows, in W(n) coordinates, and descriptors of a valid spec."""
     family, n = spec.family, spec.n
-
     if family == "W":
         rows = [w_unit(n, mask, j) for mask, j in w_basis(n)]
-        descs: List[BasisDesc] = [VectorField(mask, j) for mask, j in w_basis(n)]
-        return _finish_model("W", n, rows, descs, "W")
+        return rows, [VectorField(mask, j) for mask, j in w_basis(n)]
 
     if family == "S":
-        ker = _divergence_kernel(n)
-        rows = [dict(r) for r in ker.rows]
-        descs = [_row_desc(n, r) for r in rows]
-        return _finish_model("S", n, rows, descs, "S")
+        rows = [dict(r) for r in _divergence_kernel(n).rows]
+        return rows, [_row_desc(n, r) for r in rows]
 
     if family == "Stilde":
-        ker = _divergence_kernel(n)
-        rows: List[Vec] = []
+        rows = []
         for i in range(1, n + 1):
             row = w_unit(n, 0, i)
             vec_axpy_inplace(row, Fraction(-1), xi(i, n))
             rows.append(row)
         basis_w = w_basis(n)
-        for r in ker.rows:
+        for r in _divergence_kernel(n).rows:
             if mono_degree(basis_w[min(r)][0]) - 1 >= 0:
                 rows.append(dict(r))
-        descs = [_row_desc(n, r) for r in rows]
-        return _finish_model("Stilde", n, rows, descs, "Stilde", modulus=n)
+        return rows, [_row_desc(n, r) for r in rows]
 
-    if family == "H":
-        rows = []
-        descs = []
-        for mask, j in w_basis(n):
-            if j != 1:
-                continue
-            d = mono_degree(mask)
-            if 1 <= d <= n - 1:
-                rows.append(ham(ExtElem.monomial(n, mask)))
-                descs.append(Ham(mask))
-        return _finish_model("H", n, rows, descs, "H")
+    rows = []
+    descs: List[BasisDesc] = []
+    for mask, j in w_basis(n):
+        if j == 1 and 1 <= mono_degree(mask) <= n - 1:
+            rows.append(ham(ExtElem.monomial(n, mask)))
+            descs.append(Ham(mask))
+    return rows, descs
 
-    raise FamilyError(f"unknown family {family!r}")
+
+def build(spec, n: Optional[int] = None) -> AlgebraModel:
+    """Build the AlgebraModel for a family spec (or family tag plus n)."""
+    if not isinstance(spec, FamilySpec):
+        spec = FamilySpec(spec, n)
+    spec.validate()
+    return _finish_model(spec.family, spec.n, *_family_rows(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -465,66 +463,59 @@ class LPrimeModel:
 
 def build_lprime(A: AlgebraModel) -> LPrimeModel:
     family, n = A.family, A.n
-    if A.w_coords is None:
-        attach_derived(A)
     if family in ("W", "Stilde"):
         return LPrimeModel(A, A, [])
 
-    rows = [dict(r) for r in A.w_coords]
-    descs = list(A.basis)
-    extra: List[str] = []
+    rows = list(A.w_coords)
+    extra: List[BasisDesc] = []
     if family == "H":
-        top = Ham((1 << n) - 1)
-        rows.append(desc_to_w(n, top))
-        descs.append(top)
-        extra.append(str(top))
-    grading = GradingElement()
+        top = (1 << n) - 1
+        rows.append(ham(ExtElem.monomial(n, top)))
+        extra.append(Ham(top))
     rows.append(euler(n))
-    descs.append(grading)
-    extra.append(str(grading))
+    extra.append(GradingElement())
 
-    ext = _finish_model(family + "'", n, rows, descs, family, modulus=None, extended=True)
-    return LPrimeModel(A, ext, extra)
-
-
-def cartan_and_roots(A: AlgebraModel) -> Tuple[List[int], List[WeightVec]]:
-    """Recompute the Cartan cell indices and the weight of every basis vector."""
-    if A.w_coords is None:
-        attach_derived(A)
-    n = A.n
-    chain_w = cartan_chain_w(A.family.rstrip("'"), n)
-    weights: List[WeightVec] = []
-    for row in A.w_coords:
-        wt = []
-        for h in chain_w:
-            z = w_bracket(n, h, row)
-            lead = min(row)
-            lam = z.get(lead, Fraction(0)) / row[lead]
-            wt.append(int(lam))
-        weights.append(tuple(wt))
-    zero_wt = tuple([0] * len(chain_w))
-    cartan = [
-        i
-        for i in range(A.dim)
-        if A.degree[i] == 0 and weights[i] == zero_wt
-    ]
-    return cartan, weights
+    ext = _finish_model(family + "'", n, rows, A.basis + extra, base=A)
+    return LPrimeModel(A, ext, [str(d) for d in extra])
 
 
 def attach_derived(A: AlgebraModel) -> AlgebraModel:
-    """Recompute w_coords and the Cartan chain for a deserialized model."""
-    n = A.n
-    rows = [desc_to_w(n, d) for d in A.basis]
-    span = SpanSolver()
-    for row in rows:
-        if not span.add(row):
-            raise AssertionError("dependent basis rows in model")
-    chain = []
-    for h in cartan_chain_w(A.family.rstrip("'"), n):
-        coords = span.express(h)
-        if coords is None:
-            raise AssertionError("Cartan chain escapes the model span")
-        chain.append(coords)
-    A.w_coords = rows
-    A.cartan_chain = chain
+    """Check a deserialized model against the constructor of its family and
+    n, then attach the constructor's w_coords and Cartan chain.
+
+    Any difference raises ModelFormatError naming the first differing field
+    or bracket pair.  The dimension is checked before anything is built.
+    The table is compared in place: for every pair (i, j), the W(n) bracket
+    of rows i and j must equal sum_k c_k row_k over the model's entry, which
+    is equality of the structure constants, as the rows are independent.
+    """
+    spec = FamilySpec(A.family, A.n)
+    try:
+        spec.validate()
+    except FamilyError as exc:
+        raise ModelFormatError(f"family/n: {exc}") from None
+    if A.dim != spec.dim:
+        raise ModelFormatError(
+            f"basis: {A.dim} entries, but {spec} has dimension {spec.dim}"
+        )
+    C, _ = _graded(spec.family, spec.n, *_family_rows(spec))
+    for name in ("basis", "parity", "degree", "weight", "cartan"):
+        got, want = getattr(A, name), getattr(C, name)
+        if got != want:
+            i = next(
+                (i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                min(len(got), len(want)),
+            )
+            raise ModelFormatError(f"{name}[{i}] differs from the {spec} constructor")
+    rows = C.w_coords
+    for i, j, z in _bracket_rows(spec.n, rows):
+        w = A.table.get((i, j), {})
+        combo: Vec = {}
+        for k, c in w.items():
+            vec_axpy_inplace(combo, c, rows[k])
+        if combo != z or not all(w.values()):
+            raise ModelFormatError(
+                f"bracket ({i},{j}) differs from the {spec} constructor"
+            )
+    A.w_coords, A.cartan_chain = rows, C.cartan_chain
     return A

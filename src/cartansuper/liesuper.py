@@ -148,10 +148,6 @@ class AlgebraModel:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def rank(self) -> int:
-        return len(self.cartan_chain) if self.cartan_chain else len(self.cartan)
-
     def zero_weight(self) -> WeightVec:
         return tuple([0] * len(self.weight[0])) if self.weight else ()
 
@@ -378,12 +374,13 @@ def from_json_dict(obj: dict) -> AlgebraModel:
         table: Dict[Tuple[int, int], Vec] = {}
         for i, j, entries in obj["bracket"]:
             w = {int(k): _parse_frac(s) for k, s in entries}
-            table[(int(i), int(j))] = w
+            if w:
+                table[(int(i), int(j))] = w
         parity = [int(p) for p in obj["parity"]]
         degree = [int(d) for d in obj["degree"]]
         weight = [tuple(int(x) for x in w) for w in obj["weight"]]
         cartan = [int(c) for c in obj["cartan"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"malformed model data: {exc}") from exc
     if family not in FAMILIES:
         raise ModelFormatError(f"unknown family {family!r}")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 PKG = "cartansuper.cli"
 
 
@@ -18,6 +20,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=300,
     )
 
 
@@ -57,6 +60,21 @@ def test_build_rejects_small_h():
     res = run_cli("build", "--family", "H", "--n", "4")
     assert res.returncode == 2
     assert "n > 4" in res.stderr
+
+
+def test_build_rejects_n_out_of_range():
+    res = run_cli("build", "--family", "W", "--n", "0")
+    assert res.returncode == 2
+    assert "n must be in 1..63" in res.stderr
+
+
+def test_build_out_into_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "w4.json"
+    res = run_cli("build", "--family", "W", "--n", "4", "--format", "json",
+                  "--out", str(out))
+    assert res.returncode == 2
+    assert f"cannot write {out}" in res.stderr
+    assert "internal error" not in res.stderr
 
 
 def test_info_depth_ranges():
@@ -113,6 +131,90 @@ def test_check_zero_denominator_exits_2(tmp_path):
     res = run_cli("check", "--model", str(model))
     assert res.returncode == 2
     assert "malformed model data" in res.stderr
+    assert "internal error" not in res.stderr
+
+
+def test_model_must_match_family_and_n_flags(tmp_path):
+    model = tmp_path / "h5.json"
+    run_cli("build", "--family", "H", "--n", "5", "--format", "json",
+            "--out", str(model))
+    res = run_cli("info", "--family", "W", "--n", "4", "--model", str(model))
+    assert res.returncode == 2
+    assert "--family W does not match" in res.stderr
+    res = run_cli("info", "--model", str(model), env_extra={"CARTANSUPER_N": "6"})
+    assert res.returncode == 2
+    assert "--n 6 does not match" in res.stderr
+    res = run_cli("info", "--family", "H", "--n", "5", "--model", str(model))
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.fixture(scope="module")
+def w4_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("w4") / "w4.json"
+    res = run_cli("build", "--family", "W", "--n", "4", "--format", "json",
+                  "--out", str(path))
+    assert res.returncode == 0, res.stderr
+    return json.loads(path.read_text())
+
+
+def _swap_basis(obj):
+    obj["basis"][1], obj["basis"][2] = obj["basis"][2], obj["basis"][1]
+    return "basis[1]"
+
+
+def _flip_parity(obj):
+    obj["parity"][7] ^= 1
+    return "parity[7]"
+
+
+def _double_coefficient(obj):
+    for i, j, entries in obj["bracket"]:
+        for entry in entries:
+            if entry[1] == "1/1":
+                entry[1] = "2/1"
+                return f"bracket ({i},{j})"
+    raise AssertionError("no unit coefficient in W(4)")
+
+
+def _shift_weight(obj):
+    obj["weight"][9][0] += 1
+    return "weight[9]"
+
+
+def _shift_degree(obj):
+    obj["degree"][9] += 1
+    return "degree[9]"
+
+
+def _edit_cartan(obj):
+    obj["cartan"][0] = obj["cartan"][1]
+    return "cartan[0]"
+
+
+def _n_12(obj):
+    obj["n"] = 12
+    return "W(12) has dimension 49152"
+
+
+def _n_true(obj):
+    obj["n"] = True
+    return "family/n"
+
+
+@pytest.mark.parametrize("tamper", [
+    _swap_basis, _flip_parity, _double_coefficient, _shift_weight,
+    _shift_degree, _edit_cartan, _n_12, _n_true,
+])
+@pytest.mark.parametrize("command", ["certify", "check"])
+def test_tampered_model_exits_2_naming_the_field(tmp_path, w4_model, tamper, command):
+    obj = json.loads(json.dumps(w4_model))
+    named = tamper(obj)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    res = run_cli(command, "--model", str(path))
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert named in res.stderr
+    assert "CERTIFIED" not in res.stdout
     assert "internal error" not in res.stderr
 
 

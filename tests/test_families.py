@@ -11,7 +11,6 @@ from cartansuper.families import (
     _divergence_kernel,
     build,
     build_lprime,
-    cartan_and_roots,
     divergence,
     euler,
     ham,
@@ -37,6 +36,8 @@ from cartansuper.linalg import Matrix, rank
         ("Stilde", 5, "even"),
         ("H", 4, "n > 4"),
         ("Q", 4, "unknown family"),
+        ("W", 0, "n must be in 1..63"),
+        ("H", 64, "n must be in 1..63"),
     ],
 )
 def test_family_spec_rejections(family, n, message):
@@ -291,14 +292,6 @@ def test_root_systems_match_descriptions():
         if (a, b) != (0, 0)
     }
     assert {w for w in H5.weight if any(w)} == expected_h
-
-
-def test_cartan_and_roots_recompute_matches_build():
-    for spec in [("W", 4), ("S", 4), ("H", 5)]:
-        A = build(*spec)
-        cartan, weights = cartan_and_roots(A)
-        assert cartan == A.cartan
-        assert weights == A.weight
 
 
 def test_euler_field_coordinates():

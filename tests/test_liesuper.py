@@ -1,13 +1,17 @@
 """Algebra container: bracket table, axioms, bigrading, serialization."""
 
 import copy
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cartansuper.families import attach_derived, build
+from cartansuper.families import FamilyError, attach_derived, build
 from cartansuper.liesuper import (
+    ModelFormatError,
     ad_matrix,
     check_axioms,
     model_from_json,
@@ -140,12 +144,80 @@ def test_serialization_round_trip_bit_exact():
 
 
 def test_deserialization_rejects_garbage():
-    from cartansuper.liesuper import ModelFormatError
-
     with pytest.raises(ModelFormatError):
         model_from_json("not json {{{")
     with pytest.raises(ModelFormatError):
         model_from_json('{"family": "X", "n": 4}')
+    obj = json.loads(model_to_json(build("H", 5)))
+    obj["bracket"][0][2][0][1] = 1  # a number where "num/den" belongs
+    with pytest.raises(ModelFormatError):
+        model_from_json(json.dumps(obj))
+
+
+H5_REF = build("H", 5)
+H5_OBJ = json.loads(model_to_json(H5_REF))
+
+
+def _paths(value, path=()):
+    """(path, value) for every node of a JSON value, the root included."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _paths(child, path + (key,))
+
+
+H5_NODES = list(_paths(H5_OBJ))
+H5_LISTS = [p for p, v in H5_NODES if isinstance(v, list) and len(v) >= 2]
+H5_INTS = [p for p, v in H5_NODES if type(v) is int]
+H5_COEFFS = [p for p, v in H5_NODES if isinstance(v, str) and p[0] == "bracket"]
+
+
+@st.composite
+def single_edits(draw):
+    """The H(5) model JSON with one random edit applied."""
+    obj = copy.deepcopy(H5_OBJ)
+
+    def at(path):
+        node = obj
+        for key in path:
+            node = node[key]
+        return node
+
+    kind = draw(st.sampled_from(["swap", "int", "coeff", "drop", "family", "n"]))
+    if kind == "swap":
+        items = at(draw(st.sampled_from(H5_LISTS)))
+        i = draw(st.integers(0, len(items) - 1))
+        j = draw(st.integers(0, len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+    elif kind == "int":
+        *head, last = draw(st.sampled_from(H5_INTS))
+        at(head)[last] = draw(st.integers(-2, 70))
+    elif kind == "coeff":
+        *head, last = draw(st.sampled_from(H5_COEFFS))
+        at(head)[last] = draw(
+            st.sampled_from(["0/1", "1/1", "-1/1", "2/1", "1/2", "1/0", "x", ""])
+        )
+    elif kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "family":
+        obj["family"] = draw(st.sampled_from(["W", "S", "Stilde", "H", "Q"]))
+    else:
+        obj["n"] = draw(st.integers(-1, 70) | st.booleans())
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_edits())
+def test_single_edits_load_as_h5_or_exit_as_input_errors(text):
+    try:
+        B = attach_derived(model_from_json(text))
+    except (ModelFormatError, FamilyError):
+        return
+    assert model_to_json(B) == model_to_json(H5_REF)
+    assert B.table == H5_REF.table
+    assert B.w_coords == H5_REF.w_coords
+    assert B.cartan_chain == H5_REF.cartan_chain
 
 
 def test_ad_is_morphism_on_homogeneous_pairs(W4):
