@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix
@@ -35,6 +35,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vec,
+    as_fractions,
     kernel_of_rows,
     kernel_of_rows_modp,
     vec_axpy_inplace,
@@ -140,20 +141,31 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
 # the Leibniz linear system
 
 
+def table_denominator(A: AlgebraModel) -> int:
+    """The lcm of the bracket table's denominators; 1 for every built model.
+
+    Scaling every structure constant by this one constant leaves each span
+    built from them alone.
+    """
+    return lcm(*(c.denominator for w in A.table.values() for c in w.values()))
+
+
 def _bracket_tables(A: AlgebraModel):
-    """The bracket table times its common denominator, as int views:
-    the table itself and its column/row views indexed by output coordinate.
+    """The bracket table times `table_denominator`, as int views: the table
+    itself and its column/row views indexed by output coordinate.
 
     Every Leibniz coefficient is linear in the structure constants, so the
     scaling multiplies each row by one nonzero constant and leaves the row
-    space alone.  The denominator is 1 for every built model.
+    space alone.
     """
-    den = lcm(*(c.denominator for w in A.table.values() for c in w.values()))
+    den = table_denominator(A)
     table: Dict[Tuple[int, int], IntVec] = {}
     by_col: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
     by_row: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
     for (i, j), w in A.table.items():
-        ints = table[(i, j)] = {k: int(c * den) for k, c in w.items()}
+        ints = table[(i, j)] = {
+            k: c.numerator * (den // c.denominator) for k, c in w.items()
+        }
         for k, c in ints.items():
             by_col[j].setdefault(k, []).append((i, c))
             by_row[i].setdefault(k, []).append((j, c))
@@ -223,10 +235,6 @@ def leibniz_rows(
                 yield shift, row
 
 
-def _as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
-    return [{k: Fraction(c) for k, c in row.items()} for row in rows]
-
-
 class BlockSystem:
     """The bigrade block layout of End(L), shared by both machine checks.
 
@@ -254,8 +262,10 @@ class BlockSystem:
         for shift, entries in self.entries.items():
             entries.sort()
             self.local[shift] = {key: i for i, key in enumerate(entries)}
-        # source cells and answer of the last shifts_from call
+        # source cells and answer of the last shifts_from call, and the
+        # (shift, target cell) pairs of each source cell
         self._reach: tuple = ((), {})
+        self._cell_reach: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
 
     @staticmethod
     def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
@@ -283,7 +293,7 @@ class BlockSystem:
         ncols = len(self.entries[shift])
         kern = kernel_of_rows_modp(local_rows, ncols)
         if kern is None:
-            kern = kernel_of_rows(_as_fractions(local_rows), ncols)
+            kern = kernel_of_rows(as_fractions(local_rows), ncols)
         return [self.lift(shift, v) for v in kern]
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
@@ -291,17 +301,22 @@ class BlockSystem:
         each with its (target cell, source cell) pairs.
 
         Callers ask for one vector many times in a row, so the answer for
-        the last set of source cells is kept.
+        the last set of source cells is kept, and so is each source cell's
+        list of shifts.
         """
         cell_of = self.A.cell_of
         sources = tuple(dict.fromkeys(cell_of(b) for b in x))
         if sources != self._reach[0]:
             reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
             for cb in sources:
-                for ca in self.cells:
-                    shift = self.cell_shift(self.A, ca, cb)
-                    if shift in self.entries:
-                        reach.setdefault(shift, []).append((ca, cb))
+                targets = self._cell_reach.get(cb)
+                if targets is None:
+                    shifts = ((self.cell_shift(self.A, ca, cb), ca) for ca in self.cells)
+                    targets = self._cell_reach[cb] = [
+                        (shift, ca) for shift, ca in shifts if shift in self.entries
+                    ]
+                for shift, ca in targets:
+                    reach.setdefault(shift, []).append((ca, cb))
             self._reach = (sources, reach)
         return self._reach[1]
 
@@ -320,7 +335,7 @@ def derivation_space(
     dim = A.dim
     flat_dim = dim * dim
     if method == "reference":
-        rows = _as_fractions(row for _, row in leibniz_rows(A, parity))
+        rows = as_fractions(row for _, row in leibniz_rows(A, parity))
         if parity is None:
             return Subspace.from_vectors(kernel_of_rows(rows, flat_dim), flat_dim)
         support = [

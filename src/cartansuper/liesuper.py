@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -337,11 +338,6 @@ def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def to_json_dict(A: AlgebraModel) -> dict:
     bracket = []
     for (i, j) in sorted(A.table):
@@ -365,22 +361,69 @@ def model_to_json(A: AlgebraModel) -> str:
     return json.dumps(to_json_dict(A), separators=(",", ":"))
 
 
+# descriptors and coefficients exactly as `str` and `_frac_str` write them
+_INT = r"-?(0|[1-9][0-9]*)"
+_MONO = r"(1|(x[1-9][0-9]*)+)"
+_FIELD = rf"{_MONO}\*d[1-9][0-9]*"
+_TERM = rf"{_INT}(/[1-9][0-9]*)?\*{_FIELD}"
+_DESC = re.compile(rf"C|DH\({_MONO}\)|{_FIELD}|{_TERM}( \+ {_TERM})+")
+_NUM_DEN = re.compile(rf"{_INT}/[1-9][0-9]*")
+
+
+def _not_int(x, name: str) -> ValueError:
+    return ValueError(f"{name}: expected a JSON integer, got {json.dumps(x, default=repr)}")
+
+
+def _ints(xs, name: str) -> List[int]:
+    """The list xs if every entry is a JSON integer (not a bool, float or string)."""
+    for i, x in enumerate(xs):
+        if type(x) is not int:
+            raise _not_int(x, f"{name}[{i}]")
+    return list(xs)
+
+
+def _written(x, form: re.Pattern, name: str) -> str:
+    """x itself if it is a string in the form `model_to_json` writes."""
+    if not (isinstance(x, str) and form.fullmatch(x)):
+        raise ValueError(f"{name}: malformed text {json.dumps(x, default=repr)}")
+    return x
+
+
 def from_json_dict(obj: dict) -> AlgebraModel:
+    """Parse a model object; every malformed field is named in the error.
+
+    Integer fields must be JSON integers, and the integers and fractions
+    inside strings must be written as `model_to_json` writes them.
+    """
     try:
         family = obj["family"]
-        n = int(obj["n"])
-        basis = [parse_desc(s) for s in obj["basis"]]
+        n = obj["n"]
+        if type(n) is not int:
+            raise _not_int(n, "family/n")
+        basis = [
+            parse_desc(_written(s, _DESC, f"basis[{i}]"))
+            for i, s in enumerate(obj["basis"])
+        ]
         dim = len(basis)
         table: Dict[Tuple[int, int], Vec] = {}
-        for i, j, entries in obj["bracket"]:
-            w = {int(k): _parse_frac(s) for k, s in entries}
+        coeffs: Dict[str, Fraction] = {}  # each distinct coefficient text, parsed once
+        for e, (i, j, entries) in enumerate(obj["bracket"]):
+            i, j = _ints((i, j), f"bracket[{e}]")
+            w = {}
+            for k, c in entries:
+                x = coeffs.get(c) if type(c) is str else None
+                if x is None:
+                    x = coeffs[c] = Fraction(_written(c, _NUM_DEN, f"bracket ({i},{j})"))
+                if type(k) is not int:
+                    raise _not_int(k, f"bracket ({i},{j})")
+                w[k] = x
             if w:
-                table[(int(i), int(j))] = w
-        parity = [int(p) for p in obj["parity"]]
-        degree = [int(d) for d in obj["degree"]]
-        weight = [tuple(int(x) for x in w) for w in obj["weight"]]
-        cartan = [int(c) for c in obj["cartan"]]
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                table[(i, j)] = w
+        parity = _ints(obj["parity"], "parity")
+        degree = _ints(obj["degree"], "degree")
+        weight = [tuple(_ints(w, f"weight[{i}]")) for i, w in enumerate(obj["weight"])]
+        cartan = _ints(obj["cartan"], "cartan")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model data: {exc}") from exc
     if family not in FAMILIES:
         raise ModelFormatError(f"unknown family {family!r}")

@@ -7,10 +7,15 @@ a rational solution space has the same dimension as its complex counterpart,
 which is what lets integer structure constants stand in for the complex
 field.
 
-The one exception is `kernel_of_rows_modp`, the fast path for the Leibniz
-block kernels: it eliminates integer rows mod p = 2^31 - 1 and returns a
-kernel only after checking it exactly over Q, so its answer is either the
-Fraction answer or None.
+There are two exceptions, both on integer rows (``{index: int}``):
+
+- `kernel_of_rows_modp`, the fast path for the Leibniz block kernels,
+  eliminates mod p = 2^31 - 1 and returns a kernel only after checking it
+  exactly over Q, so its answer is either the Fraction answer or None;
+- `kernel_of_int_rows` and `int_combine`, the certifier's engine,
+  eliminate fraction-free over Z.  Every row is kept as a primitive
+  integer multiple of the row Fraction elimination would hold, so the
+  answer is the Fraction answer, scaled, with nothing to check.
 
 Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros.
 Subspaces are kept in reduced row echelon form (RREF), which is unique per
@@ -34,57 +39,10 @@ _ONE = Fraction(1)
 # sparse vector helpers
 
 
-def vec_from(items: Iterable[Tuple[int, Fraction]]) -> Vec:
-    v: Vec = {}
-    for k, c in items:
-        c = Fraction(c)
-        if c:
-            s = v.get(k)
-            if s is None:
-                v[k] = c
-            else:
-                s += c
-                if s:
-                    v[k] = s
-                else:
-                    del v[k]
-    return v
-
-
 def vec_scale(v: Vec, c: Fraction) -> Vec:
     if not c:
         return {}
     return {k: x * c for k, x in v.items()}
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s += c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = -c
-        else:
-            s -= c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
 
 
 def vec_axpy_inplace(u: Vec, c: Fraction, v: Vec) -> None:
@@ -104,9 +62,10 @@ def vec_axpy_inplace(u: Vec, c: Fraction, v: Vec) -> None:
 
 
 def vec_dot(u: Vec, v: Vec) -> Fraction:
+    """The dot product; an int when both vectors have int entries."""
     if len(u) > len(v):
         u, v = v, u
-    total = Fraction(0)
+    total = 0
     for k, c in u.items():
         x = v.get(k)
         if x is not None:
@@ -129,11 +88,6 @@ class Matrix:
         self.data: Dict[int, Vec] = data if data is not None else {}
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Vec], cols: int) -> "Matrix":
-        data = {i: dict(r) for i, r in enumerate(rows) if r}
-        return cls(len(rows), cols, data)
-
-    @classmethod
     def from_dense(cls, dense: Sequence[Sequence]) -> "Matrix":
         nrows = len(dense)
         ncols = len(dense[0]) if nrows else 0
@@ -146,21 +100,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data.get(i, {}).get(j, Fraction(0))
-
-    def set_entry(self, i: int, j: int, x) -> None:
-        x = Fraction(x)
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        row = self.data.setdefault(i, {})
-        if x:
-            row[j] = x
-        else:
-            row.pop(j, None)
-            if not row:
-                del self.data[i]
-
-    def row_list(self) -> List[Vec]:
-        return [dict(self.data.get(i, {})) for i in range(self.rows)]
 
     def matvec(self, v: Vec) -> Vec:
         out: Vec = {}
@@ -296,6 +235,83 @@ def kernel_of_rows(rows: Iterable[Vec], ncols: int) -> List[Vec]:
     kern = _kernel_rows(rr, piv, ncols)
     kern_rref, _ = rref(kern)
     return kern_rref
+
+
+# ---------------------------------------------------------------------------
+# fraction-free integer elimination
+#
+# Bareiss-style (Math. Comp. 22, 1968): a row is eliminated by cross
+# multiplication, v <- a v - b w, and then divided by its content, so every
+# row stays a primitive integer multiple of the row that Fraction elimination
+# would hold.  Nothing is reduced modulo anything, so there is no fallback.
+
+
+def as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
+    return [{k: Fraction(c) for k, c in row.items()} for row in rows]
+
+
+def int_combine(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:
+    """a u + b v divided by its content (the gcd of its entries)."""
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
+    out = {k: a * x for k, x in u.items()} if a != 1 else dict(u)
+    for k, x in v.items():
+        s = out.get(k, 0) + b * x
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {k: x // g for k, x in out.items()}
+    return out
+
+
+def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
+    """`kernel_of_rows` for integer rows, on ints: its RREF basis with each
+    vector scaled to a primitive integer vector with a positive lead.
+
+    The rows are brought to reduced echelon form with each pivot at a row's
+    last column.  The kernel vector of a free column f is then nonzero only
+    at f and at pivot columns right of f, so f is its lead and every other
+    kernel vector vanishes there: these vectors, in order of f, are the RREF
+    of the kernel up to positive scalars.
+    """
+    pivots: Dict[int, IntVec] = {}
+    for row in rows:
+        v = row
+        while v:
+            lead = max(v)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
+                break
+            v = int_combine(prow[lead], v, -v[lead], prow)
+        if len(pivots) == ncols:
+            return []
+    # back-reduce left to right; each pivot row used is already reduced
+    for lead in sorted(pivots):
+        row = pivots[lead]
+        for k in [k for k in row if k != lead and k in pivots]:
+            row = int_combine(pivots[k][k], row, -row[k], pivots[k])
+        pivots[lead] = row
+    kern: Dict[int, IntVec] = {f: {} for f in range(ncols) if f not in pivots}
+    for lead, row in pivots.items():
+        for f, x in row.items():
+            if f != lead:
+                kern[f][lead] = x
+    out = []
+    for f, hits in kern.items():
+        # f + sum_p (-row_p[f] / row_p[p]) p, scaled by the lcm of the row_p[p]
+        m = lcm(*(pivots[p][p] for p in hits))
+        v = {f: m}
+        for p, x in hits.items():
+            v[p] = -x * (m // pivots[p][p])
+        g = gcd(*v.values())
+        out.append({k: x // g for k, x in v.items()} if g > 1 else v)
+    return out
 
 
 # ---------------------------------------------------------------------------

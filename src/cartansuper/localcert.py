@@ -20,7 +20,10 @@ Constraints are intersected with the bigrade block pattern of End(L), the
 runs on: a local superderivation splits into (degree, weight)-homogeneous
 components that are themselves local with witnesses in the matching slice
 of L', so the certified space may soundly be computed one shift at a time,
-and a probe only constrains the blocks its cells reach.  The space
+and a probe only constrains the blocks its cells reach.  The engine runs
+on Python ints, eliminating fraction-free (cross multiplication, then
+division by the content), so it is exact over Q with no modular step and
+no fallback; Fractions appear only at its edges.  The space
 always contains ad L'; when it collapses to exactly ad L' = Der L, every
 map that is locally inner at all points is inner, which is the per-n
 certificate of LDer(L) = Der(L).  When the proof list leaves a residual
@@ -36,15 +39,20 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derivations import BlockSystem, Cell, EndMap, Shift
+from .derivations import BlockSystem, Cell, EndMap, Shift, table_denominator
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix
 from .linalg import (
+    IntVec,
     Matrix,
     Subspace,
     Vec,
+    as_fractions,
+    int_combine,
+    kernel_of_int_rows,
     kernel_of_rows,
     rref,
     solve,
@@ -190,6 +198,12 @@ def separating_t(A: AlgebraModel) -> SeparatingScalar:
 # the probe list
 
 
+def _integral(v: Vec) -> IntVec:
+    """v times the lcm of its denominators: the same direction, on ints."""
+    den = lcm(*(c.denominator for c in v.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+
+
 def _normalize_direction(v: Vec) -> Tuple[Tuple[int, Fraction], ...]:
     lead = min(v)
     inv = Fraction(1) / v[lead]
@@ -333,8 +347,14 @@ class ConstraintEngine:
 
     For every shift the engine keeps the current solution space of that
     block (starting from the whole block) and cuts it with one linear
-    functional per constraint row.  Exact arithmetic makes the result
-    independent of the probe order.  A block that has shrunk onto its inner
+    functional per constraint row.  Everything runs on Python ints: probes
+    are scaled to integer vectors (the orbit condition is invariant under
+    scaling the probe), the slice ad columns come from the denominator-free
+    table, the annihilator is a fraction-free integer kernel, and a cut
+    keeps each row a primitive integer multiple of the row exact rational
+    elimination would keep.  So the result is exact and independent of the
+    probe order; Fractions appear only where spaces are compared with or
+    handed out as subspaces over Q.  A block that has shrunk onto its inner
     target is skipped from then on: the target is contained in every
     further cut, so no more shrinking is possible.
     """
@@ -347,26 +367,26 @@ class ConstraintEngine:
         self.dim = dim
         self.blocks = BlockSystem(L)
 
-        # current solution spaces: shift -> list of rows over local ids
-        self.space: Dict[Shift, List[Vec]] = {
-            shift: [{i: Fraction(1)} for i in range(len(entries))]
+        # current solution spaces: shift -> list of int rows over local ids
+        self.space: Dict[Shift, List[IntVec]] = {
+            shift: [{i: 1} for i in range(len(entries))]
             for shift, entries in self.blocks.entries.items()
         }
 
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
-        self.slice_ad: Dict[Shift, List[Dict[int, Vec]]] = {}
+        den = table_denominator(ext)
+        self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
         self.ad_rref: Dict[Shift, List[Vec]] = {}
-        ad_rows: Dict[Shift, List[Vec]] = {}
+        ad_rows: Dict[Shift, List[IntVec]] = {}
         for u in range(ext.dim):
             shift = (ext.degree[u], ext.weight[u])
-            cols: Dict[int, Vec] = {}
+            cols: Dict[int, IntVec] = {}
             for b in range(dim):
-                w = ext.bracket_basis(u, b)
-                for a, c in w.items():
+                for a, c in ext.bracket_basis(u, b).items():
                     if a >= dim:
                         raise ValueError("ad(L') does not preserve L")
-                    cols.setdefault(b, {})[a] = c
+                    cols.setdefault(b, {})[a] = c.numerator * (den // c.denominator)
             if not cols:
                 raise ValueError(f"ad is not injective on L' (basis {u})")
             if shift not in self.blocks.entries:
@@ -375,7 +395,7 @@ class ConstraintEngine:
             row = self.blocks.localize(shift, EndMap(dim, cols).to_flat())
             ad_rows.setdefault(shift, []).append(row)
         for shift, rows in ad_rows.items():
-            self.ad_rref[shift] = rref(rows)[0]
+            self.ad_rref[shift] = rref(as_fractions(rows))[0]
         self.probe_labels: List[str] = []
 
     def dim_ad(self) -> int:
@@ -386,13 +406,24 @@ class ConstraintEngine:
         # equality already means equality
         return len(self.space[shift]) == len(self.ad_rref.get(shift, []))
 
-    def constraint_rows(self, x: Vec, shift: Shift) -> List[Vec]:
-        """Rows over the shift block expressing phi_shift(x) in [L'_shift, x]."""
+    def constraint_rows(
+        self,
+        x: IntVec,
+        shift: Shift,
+        pairs: Optional[List[Tuple[Cell, Cell]]] = None,
+    ) -> List[IntVec]:
+        """Rows over the shift block expressing phi_shift(x) in [L'_shift, x].
+
+        x has int coefficients.  pairs are the shift's (target, source)
+        cells from `BlockSystem.shifts_from(x)`; they are looked up when
+        not given.
+        """
         L, dim, cells = self.L, self.dim, self.blocks.cells
-        pairs = self.blocks.shifts_from(x).get(shift)
+        if pairs is None:
+            pairs = self.blocks.shifts_from(x).get(shift)
         if not pairs:
             return []
-        comps: Dict[Cell, Vec] = {}
+        comps: Dict[Cell, IntVec] = {}
         for b, c in x.items():
             comps.setdefault(L.cell_of(b), {})[b] = c
         targets = [(ca, comps[cb]) for ca, cb in pairs]
@@ -403,21 +434,21 @@ class ConstraintEngine:
         v_ids.sort()
         v_local = {a: i for i, a in enumerate(v_ids)}
         # the slice orbit [L'_shift, x], localized to V
-        span_rows: List[Vec] = []
+        span_rows: List[IntVec] = []
         for cols in self.slice_ad.get(shift, []):
-            w: Vec = {}
+            w: IntVec = {}
             for b, c in x.items():
                 col = cols.get(b)
                 if col:
                     vec_axpy_inplace(w, c, col)
             if w:
                 span_rows.append({v_local[a]: c for a, c in w.items()})
-        ann = kernel_of_rows(span_rows, len(v_ids))
-        rows: List[Vec] = []
+        ann = kernel_of_int_rows(span_rows, len(v_ids))
+        rows: List[IntVec] = []
         for kappa in ann:
             # distinct targets come from distinct source cells, so every
             # entry (a, b) is written once
-            row: Vec = {}
+            row: IntVec = {}
             for ca, sub in targets:
                 for a in cells[ca]:
                     ka = kappa.get(v_local[a])
@@ -432,15 +463,16 @@ class ConstraintEngine:
     def add_probes(self, probes: Sequence[Probe]) -> None:
         for probe in probes:
             self.probe_labels.append(probe.label)
-            for shift in self.blocks.shifts_from(probe.vector):
+            x = _integral(probe.vector)
+            for shift, pairs in self.blocks.shifts_from(x).items():
                 if not self.space[shift] or self._converged(shift):
                     continue
-                for row in self.constraint_rows(probe.vector, shift):
+                for row in self.constraint_rows(x, shift, pairs):
                     self._cut(shift, row)
                     if not self.space[shift]:
                         break
 
-    def _cut(self, shift: Shift, functional: Vec) -> None:
+    def _cut(self, shift: Shift, functional: IntVec) -> None:
         space = self.space[shift]
         dots = [vec_dot(row, functional) for row in space]
         pivot_idx = next((i for i, d in enumerate(dots) if d), None)
@@ -453,8 +485,7 @@ class ConstraintEngine:
             if row is pivot:
                 continue
             if d:
-                row = dict(row)
-                vec_axpy_inplace(row, -d / d0, pivot)
+                row = int_combine(d0, row, -d, pivot)
             new_space.append(row)
         self.space[shift] = new_space
 
@@ -463,7 +494,7 @@ class ConstraintEngine:
             target = self.ad_rref.get(shift, [])
             if len(space) != len(target):
                 return False
-            if rref(space)[0] != target:
+            if rref(as_fractions(space))[0] != target:
                 return False
         return True
 
@@ -474,7 +505,7 @@ class ConstraintEngine:
         rows = [
             self.blocks.lift(shift, row)
             for shift in sorted(self.space)
-            for row in self.space[shift]
+            for row in as_fractions(self.space[shift])
         ]
         return Subspace.from_vectors(rows, self.dim * self.dim)
 
@@ -485,9 +516,9 @@ def constrained_space(
     """Maps satisfying the per-shift slice-orbit condition at every probe.
 
     "blocks" solves each bigrade shift incrementally (the performance path);
-    "reference" pushes the identical constraint rows through one global
-    elimination over all of End(L), with no per-block bookkeeping or
-    early-out, and must agree with the block path.
+    "reference" pushes the identical constraint rows, as Fractions, through
+    one global elimination over all of End(L), with no per-block
+    bookkeeping or early-out, and must agree with the block path.
     """
     if not probes:
         raise ValueError("constrained_space requires at least one probe")
@@ -501,8 +532,9 @@ def constrained_space(
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
+        x = _integral(probe.vector)
         for shift in sorted(engine.space):
-            for row in engine.constraint_rows(probe.vector, shift):
+            for row in as_fractions(engine.constraint_rows(x, shift)):
                 rows.append(engine.blocks.lift(shift, row))
     return Subspace.from_vectors(kernel_of_rows(rows, dim * dim), dim * dim)
 
@@ -627,7 +659,9 @@ def certify_2local(
                 inner = Subspace.from_vectors(
                     engine.ad_rref.get(shift, []), len(engine.blocks.entries[shift])
                 )
-                outside = [r for r in engine.space[shift] if not inner.contains(r)]
+                outside = [
+                    r for r in as_fractions(engine.space[shift]) if not inner.contains(r)
+                ]
                 if outside:
                     witness = EndMap.from_flat(L.dim, engine.blocks.lift(shift, outside[0]))
                     break

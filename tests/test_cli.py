@@ -201,9 +201,25 @@ def _n_true(obj):
     return "family/n"
 
 
+def _n_float(obj):
+    obj["n"] = float(obj["n"])
+    return "family/n"
+
+
+def _n_string(obj):
+    obj["n"] = str(obj["n"])
+    return "family/n"
+
+
+def _parity_strings(obj):
+    obj["parity"] = [str(p) for p in obj["parity"]]
+    return "parity[0]"
+
+
 @pytest.mark.parametrize("tamper", [
     _swap_basis, _flip_parity, _double_coefficient, _shift_weight,
-    _shift_degree, _edit_cartan, _n_12, _n_true,
+    _shift_degree, _edit_cartan, _n_12, _n_true, _n_float, _n_string,
+    _parity_strings,
 ])
 @pytest.mark.parametrize("command", ["certify", "check"])
 def test_tampered_model_exits_2_naming_the_field(tmp_path, w4_model, tamper, command):

@@ -152,6 +152,17 @@ def test_deserialization_rejects_garbage():
     obj["bracket"][0][2][0][1] = 1  # a number where "num/den" belongs
     with pytest.raises(ModelFormatError):
         model_from_json(json.dumps(obj))
+    # numbers inside strings written otherwise than `model_to_json` does
+    for path, text in [(("bracket", 0, 2, 0, 1), " 1/1"), (("basis", 3), "DH(x01)"),
+                       (("basis", 3), "DH(x1_0)")]:
+        obj = json.loads(model_to_json(build("H", 5)))
+        *head, last = path
+        node = obj
+        for key in head:
+            node = node[key]
+        node[last] = text
+        with pytest.raises(ModelFormatError, match=r"basis\[3\]|bracket \(0,"):
+            model_from_json(json.dumps(obj))
 
 
 H5_REF = build("H", 5)

@@ -13,6 +13,8 @@ from cartansuper.linalg import (
     Subspace,
     intersect,
     kernel,
+    int_combine,
+    kernel_of_int_rows,
     kernel_of_rows,
     kernel_of_rows_modp,
     member,
@@ -294,3 +296,39 @@ def test_modp_kernel_rejects_non_integer_rows():
 def test_modp_kernel_full_rank_and_empty_system():
     assert kernel_of_rows_modp([{0: 2}, {1: -1}, {0: 1, 1: 1}], 2) == []
     assert kernel_of_rows_modp([], 3) == kernel_of_rows([], 3)
+
+
+# -- the fraction-free integer kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+def test_int_kernel_is_the_exact_kernel_on_ints(case):
+    rows, ncols = case
+    rows = rows + [{}]  # a zero row, beside the repeated ones
+    exact = kernel_of_rows(as_fractions(rows), ncols)
+    got = kernel_of_int_rows(rows, ncols)
+    assert all(type(c) is int for v in got for c in v.values())
+    assert Subspace.from_vectors(as_fractions(got), ncols) == Subspace.from_vectors(
+        exact, ncols
+    )
+    # row by row, each vector is a positive multiple of the RREF row
+    assert len(got) == len(exact)
+    for v, e in zip(got, exact):
+        lead = min(e)
+        assert min(v) == lead and v[lead] > 0
+        assert {k: Fraction(c, v[lead]) for k, c in v.items()} == e
+
+
+def test_int_kernel_small_cases():
+    assert kernel_of_int_rows([], 2) == [{0: 1}, {1: 1}]
+    assert kernel_of_int_rows([{0: 2}, {1: -1}], 2) == []
+    # the RREF kernel of 2x - 4y + 6z = 0 is (1, 0, -1/3), (0, 1, 2/3)
+    assert kernel_of_int_rows([{0: 2, 1: -4, 2: 6}], 3) == [
+        {0: 3, 2: -1}, {1: 3, 2: 2}
+    ]
+
+
+def test_int_combine_divides_by_the_content():
+    assert int_combine(2, {0: 3, 1: 1}, -6, {0: 1}) == {1: 1}
+    assert int_combine(1, {0: 4}, 1, {1: -6}) == {0: 2, 1: -3}

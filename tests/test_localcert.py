@@ -33,6 +33,12 @@ def W4():
 
 
 @pytest.fixture(scope="module")
+def S4():
+    A = build("S", 4)
+    return A, build_lprime(A)
+
+
+@pytest.fixture(scope="module")
 def H5():
     A = build("H", 5)
     return A, build_lprime(A)
@@ -295,13 +301,44 @@ def test_single_cartan_probe_leaves_slack(W4):
     assert C.dim > ad_image(P).dim
 
 
-def test_blocks_and_reference_paths_agree(H5):
+def test_blocks_and_reference_paths_agree(W4, S4, St4, H5):
+    for _, P in (W4, S4, St4, H5):
+        sep = separating_t(P.ext)
+        for probes in (proof_probes(P, sep)[:25], random_probes(P, 20, seed=3)):
+            assert constrained_space(P, probes, method="blocks") == constrained_space(
+                P, probes, method="reference"
+            )
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-3)])
+def test_constrained_space_is_invariant_under_probe_scaling(H5, scale):
     _, P = H5
-    sep = separating_t(P.ext)
-    for probes in (proof_probes(P, sep)[:25], random_probes(P, 20, seed=3)):
-        assert constrained_space(P, probes, method="blocks") == constrained_space(
-            P, probes, method="reference"
-        )
+    probes = proof_probes(P, separating_t(P.ext))[:25] + random_probes(P, 10, seed=5)
+    scaled = [
+        Probe(p.label, {k: c * scale for k, c in p.vector.items()}) for p in probes
+    ]
+    assert constrained_space(P, scaled) == constrained_space(P, probes)
+
+
+def test_engine_runs_on_ints(H5):
+    _, P = H5
+    engine = certify(P).engine
+    assert engine.space and all(
+        type(c) is int for rows in engine.space.values() for r in rows for c in r.values()
+    )
+    assert all(
+        type(c) is int
+        for slices in engine.slice_ad.values()
+        for cols in slices
+        for col in cols.values()
+        for c in col.values()
+    )
+    x = {k: int(c) for k, c in proof_probes(P, separating_t(P.ext))[0].vector.items()}
+    rows = [
+        r for shift, pairs in engine.blocks.shifts_from(x).items()
+        for r in engine.constraint_rows(x, shift, pairs)
+    ]
+    assert rows and all(type(c) is int for r in rows for c in r.values())
 
 
 @pytest.mark.parametrize("model", ["W4", "H5"])
