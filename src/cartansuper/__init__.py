@@ -34,6 +34,7 @@ from .liesuper import (
     ModelFormatError,
     ad_matrix,
     check_axioms,
+    generators,
     model_from_json,
     model_to_json,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "derivation_space",
     "divergence",
     "ext_mul",
+    "generators",
     "ham",
     "intersect",
     "involution",

@@ -11,8 +11,20 @@ constraint touches exactly one such shift, so the global kernel decomposes
 into many small block kernels (the performance path).  The rows have int
 coefficients, and each block is solved mod p and then checked over Q; a
 block whose modular answer is not proved is solved again with Fractions.
-A reference path feeds the identical rows, as Fractions, through one global
-elimination without using the block structure or the modular kernel.
+
+The block path emits rows only for the pairs (g, y) with g in a generating
+set G of L (`liesuper.generators`), |G| * dim pairs instead of dim^2 / 2.
+That is exact once L passes `check_axioms`: for a homogeneous D, the
+homogeneous x with D([x, y]) = [D(x), y] + (-1)^{|D||x|} [x, D(y)] for all
+y form a subalgebra (expand [[x, x'], y] and D([x, x']) by Jacobi, and use
+parity additivity for homogeneity), so Leibniz on G x L gives Leibniz on
+the left-normed brackets of G, which span L.  Each block holds one
+homogeneous shift, so the argument applies block by block, and the pair
+(y, g) with y < g is covered by (g, y) through anticommutativity.
+
+A reference path feeds the rows of every pair, as Fractions, through one
+global elimination without using G, the block structure or the modular
+kernel.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L'.
 Their agreement, subspace equality inside End(L), is the machine-checkable
@@ -21,14 +33,14 @@ form of the classification of Der(L) for these families.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, ad_matrix
+from .liesuper import AlgebraModel, ad_matrix, generators, int_table
 from .linalg import (
     Echelon,
     IntVec,
@@ -81,9 +93,6 @@ class EndMap:
     @classmethod
     def identity(cls, dim: int) -> "EndMap":
         return cls(dim, {b: {b: Fraction(1)} for b in range(dim)}, parity=0)
-
-    def entry(self, a: int, b: int) -> Fraction:
-        return self.cols.get(b, {}).get(a, Fraction(0))
 
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
@@ -141,31 +150,18 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
 # the Leibniz linear system
 
 
-def table_denominator(A: AlgebraModel) -> int:
-    """The lcm of the bracket table's denominators; 1 for every built model.
-
-    Scaling every structure constant by this one constant leaves each span
-    built from them alone.
-    """
-    return lcm(*(c.denominator for w in A.table.values() for c in w.values()))
-
-
 def _bracket_tables(A: AlgebraModel):
-    """The bracket table times `table_denominator`, as int views: the table
-    itself and its column/row views indexed by output coordinate.
+    """The int bracket table of `int_table` and its column/row views indexed
+    by output coordinate.
 
     Every Leibniz coefficient is linear in the structure constants, so the
     scaling multiplies each row by one nonzero constant and leaves the row
     space alone.
     """
-    den = table_denominator(A)
-    table: Dict[Tuple[int, int], IntVec] = {}
+    table = int_table(A)
     by_col: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
     by_row: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
-    for (i, j), w in A.table.items():
-        ints = table[(i, j)] = {
-            k: c.numerator * (den // c.denominator) for k, c in w.items()
-        }
+    for (i, j), ints in table.items():
         for k, c in ints.items():
             by_col[j].setdefault(k, []).append((i, c))
             by_row[i].setdefault(k, []).append((j, c))
@@ -173,25 +169,31 @@ def _bracket_tables(A: AlgebraModel):
 
 
 def leibniz_rows(
-    A: AlgebraModel, parity: Optional[int] = None
+    A: AlgebraModel,
+    parity: Optional[int] = None,
+    generating_set: Optional[Iterable[int]] = None,
 ) -> Iterator[Tuple[Shift, IntVec]]:
     """Yield (shift, constraint row) pairs over flattened End(L) coordinates.
 
     One row per (basis pair i <= j, output coordinate k); the pair (j, i) is
     dropped as anticommutativity makes it redundant, while i = j stays (odd
-    self-brackets are not trivial).  Each row touches entries of exactly one
+    self-brackets are not trivial).  With ``generating_set``, only the pairs
+    with i or j in it are kept.  Each row touches entries of exactly one
     bidegree shift, computed and attached for the block solver.  Rows have
     int coefficients: they are built from the denominator-free table of
-    `_bracket_tables`.
+    `int_table`.
     """
     dim = A.dim
     table, by_col, by_row = _bracket_tables(A)
     deg, wt = A.degree, A.weight
     cell_no = {cell: n for n, cell in enumerate(A.cells())}
     cell_of = [cell_no[A.cell_of(k)] for k in range(dim)]
+    in_gens = set(range(dim) if generating_set is None else generating_set)
+    gens = sorted(in_gens)
     for i in range(dim):
         pi = A.parity[i]
-        for j in range(i, dim):
+        partners = range(i, dim) if i in in_gens else gens[bisect_right(gens, i):]
+        for j in partners:
             w = table.get((i, j), {})
             rows: Dict[int, IntVec] = {}
             if w:
@@ -329,8 +331,11 @@ def derivation_space(
     """The space of parity-homogeneous superderivations inside End(L).
 
     parity None returns the direct sum of the even and odd parts.  The
-    "blocks" method solves one small kernel per bidegree shift; "reference"
-    pushes every row through a single global elimination and must agree.
+    "blocks" method keeps the rows of the pairs (g, y) with g in a
+    generating set G (see `generators`) and solves one small kernel per
+    bidegree shift; "reference" pushes the rows of every pair through a
+    single global elimination and must agree.  The blocks answer assumes
+    that A passes `check_axioms` (see the module docstring).
     """
     dim = A.dim
     flat_dim = dim * dim
@@ -356,7 +361,7 @@ def derivation_space(
 
     blocks = BlockSystem(A, parity)
     grouped: Dict[Shift, List[IntVec]] = {}
-    for shift, row in leibniz_rows(A, parity):
+    for shift, row in leibniz_rows(A, parity, generators(A)):
         grouped.setdefault(shift, []).append(row)
 
     out_rows: List[Vec] = []

@@ -14,8 +14,12 @@ Axioms checked by :func:`check_axioms`:
 
 * super anticommutativity  [x, y] = -(-1)^{|x||y|} [y, x]
 * super Jacobi  [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]]
+* parity additivity  [L_p, L_q] <= L_{p+q mod 2}
 * degree additivity  [L_i, L_j] <= L_{i+j}  (mod n for the Z_n-graded family)
 * weight additivity  [L_a, L_b] <= L_{a+b}
+
+Jacobi can be proved on a generating set: :func:`generators` picks basis
+elements whose closure under their own adjoint maps is all of L.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .exterior import mono_str, parse_mono
-from .linalg import Matrix, Vec, vec_axpy_inplace
+from .linalg import Echelon, IntVec, Matrix, Vec, vec_axpy_inplace
 
 SuperVec = Vec
 WeightVec = Tuple[int, ...]
@@ -241,9 +246,31 @@ class AxiomReport:
         }
 
 
-def _bracket_left(A: AlgebraModel, i: int, v: Vec) -> Vec:
+def table_denominator(A: AlgebraModel) -> int:
+    """The lcm of the bracket table's denominators; 1 for every built model.
+
+    Scaling every structure constant by this one constant leaves each span
+    built from them alone.
+    """
+    return lcm(*(c.denominator for w in A.table.values() for c in w.values()))
+
+
+def int_table(A: AlgebraModel) -> Dict[Tuple[int, int], IntVec]:
+    """The bracket table times `table_denominator`, with int entries.
+
+    Both sides of a Jacobi triple are sums of products of two structure
+    constants, so the scaling multiplies them alike and keeps every
+    violation; a Leibniz row is linear in them and keeps its row space.
+    """
+    den = table_denominator(A)
+    return {
+        key: {k: c.numerator * (den // c.denominator) for k, c in w.items()}
+        for key, w in A.table.items()
+    }
+
+
+def _bracket_left(table: dict, i: int, v: Vec) -> Vec:
     out: Vec = {}
-    table = A.table
     for m, c in v.items():
         w = table.get((i, m))
         if w:
@@ -251,9 +278,8 @@ def _bracket_left(A: AlgebraModel, i: int, v: Vec) -> Vec:
     return out
 
 
-def _bracket_right(A: AlgebraModel, v: Vec, k: int) -> Vec:
+def _bracket_right(table: dict, v: Vec, k: int) -> Vec:
     out: Vec = {}
-    table = A.table
     for m, c in v.items():
         w = table.get((m, k))
         if w:
@@ -261,17 +287,81 @@ def _bracket_right(A: AlgebraModel, v: Vec, k: int) -> Vec:
     return out
 
 
+# ---------------------------------------------------------------------------
+# generating sets
+
+
+def generators(
+    A: AlgebraModel, candidates: Optional[Iterable[int]] = None
+) -> Optional[List[int]]:
+    """Basis indices G whose closure under ad G is all of L, or None.
+
+    The closure of G is the smallest subspace that contains G and is closed
+    under ad g for every g in G.  Candidates (every basis index by default)
+    are taken in order of degree, then index; one joins G when it is not in
+    the closure of the G chosen so far, so from the default candidates G
+    always exists, the whole basis at worst.  None means the candidates ran
+    out before the closure was all of L.
+
+    The closure is computed exactly from the bracket table and uses no
+    Jacobi identity, so it can be trusted on a table not yet known to be a
+    Lie superalgebra.  Every vector in it is a left-normed bracket
+    [g_1, [g_2, ... [g_k, g]]] of generators or a sum of such.
+    """
+    if candidates is None:
+        candidates = range(A.dim)
+    one = Fraction(1)
+    ech = Echelon()
+    span: List[Vec] = []  # a basis of the closure, as found
+    applied: List[int] = []  # per span vector, how many generators it has met
+    G: List[int] = []
+    for g in sorted(set(candidates), key=lambda i: (A.degree[i], i)):
+        if ech.rank == A.dim:
+            break
+        if not ech.insert({g: one}):
+            continue
+        G.append(g)
+        span.append({g: one})
+        applied.append(0)
+        v = 0
+        while v < len(span):
+            for h in G[applied[v]:]:
+                w = _bracket_left(A.table, h, span[v])
+                if w and ech.insert(w):
+                    span.append(w)
+                    applied.append(0)
+            applied[v] = len(G)
+            v += 1
+    return G if ech.rank == A.dim else None
+
+
 def check_axioms(
     A: AlgebraModel,
     jacobi_triples: Optional[int] = None,
     seed: int = 0,
+    generating_set: Optional[Iterable[int]] = None,
 ) -> AxiomReport:
-    """Verify the superalgebra axioms plus degree and weight additivity.
+    """Verify the superalgebra axioms plus parity, degree and weight
+    additivity.
 
     Anticommutativity and the grading checks always run over every basis
-    pair.  Jacobi runs over all dim^3 ordered triples when ``jacobi_triples``
-    is None, otherwise over that many seeded random triples.  The first
-    violation, if any, is reported with the offending pair or triple.
+    pair.  Jacobi, in the form "ad x is a superderivation", runs in one of
+    three modes:
+
+    * generator mode, when ``generating_set`` is given and `generators`
+      confirms that (a subset G of) it generates L: every triple (g, y, z)
+      with g in G, |G| * dim^2 triples.  This proves Jacobi on all of L.
+      The x for which ad x is a superderivation form a subalgebra: for
+      homogeneous x and y among them, Jacobi at (x, y, .) says
+      ad [x, y] = [ad x, ad y], a supercommutator of superderivations, and
+      [x, y] is homogeneous by parity additivity.  That subalgebra contains
+      G, hence every left-normed bracket of G, hence all of L.  A set that
+      does not generate L is refused, and the mode below runs instead;
+    * full mode, when ``jacobi_triples`` is None: all dim^3 ordered triples;
+    * sampled mode: that many seeded random triples, which proves nothing.
+
+    The first violation, if any, is reported with the offending pair or
+    triple.
     """
     dim = A.dim
     pairs = 0
@@ -291,13 +381,19 @@ def check_axioms(
                 return fail(f"anticommutativity fails at pair ({i},{j})")
             dsum = A.deg_add(A.degree[i], A.degree[j])
             wsum = tuple(x + y for x, y in zip(A.weight[i], A.weight[j]))
+            psum = (pi + A.parity[j]) % 2
             for k in w:
                 if A.degree[k] != dsum:
                     return fail(f"degree additivity fails at pair ({i},{j})")
                 if A.weight[k] != wsum:
                     return fail(f"weight additivity fails at pair ({i},{j})")
+                if A.parity[k] != psum:
+                    return fail(f"parity additivity fails at pair ({i},{j})")
 
-    if jacobi_triples is None:
+    G = None if generating_set is None else generators(A, generating_set)
+    if G is not None:
+        triple_iter = ((i, j, k) for i in G for j in range(dim) for k in range(dim))
+    elif jacobi_triples is None:
         triple_iter = (
             (i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)
         )
@@ -308,17 +404,18 @@ def check_axioms(
             for _ in range(jacobi_triples)
         )
 
+    table, parity = int_table(A), A.parity
     triples = 0
     for i, j, k in triple_iter:
         triples += 1
-        inner = A.bracket_basis(j, k)
-        lhs = _bracket_left(A, i, inner) if inner else {}
-        left = _bracket_right(A, A.bracket_basis(i, j), k)
-        rhs = dict(left)
-        sign = 1 if (A.parity[i] * A.parity[j]) % 2 == 0 else -1
-        inner2 = A.bracket_basis(i, k)
+        inner = table.get((j, k))
+        lhs = _bracket_left(table, i, inner) if inner else {}
+        left = table.get((i, j))
+        rhs = _bracket_right(table, left, k) if left else {}
+        inner2 = table.get((i, k))
         if inner2:
-            vec_axpy_inplace(rhs, Fraction(sign), _bracket_left(A, j, inner2))
+            sign = -1 if parity[i] * parity[j] % 2 else 1
+            vec_axpy_inplace(rhs, sign, _bracket_left(table, j, inner2))
         if lhs != rhs:
             return fail(f"Jacobi fails at triple ({i},{j},{k})", triples)
 

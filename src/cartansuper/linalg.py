@@ -98,9 +98,6 @@ class Matrix:
                 data[i] = r
         return cls(nrows, ncols, data)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data.get(i, {}).get(j, Fraction(0))
-
     def matvec(self, v: Vec) -> Vec:
         out: Vec = {}
         for i, row in self.data.items():
@@ -161,18 +158,6 @@ class Echelon:
                 return True
             vec_axpy_inplace(v, -v[lead], prow)
         return False
-
-    def reduce(self, row: Vec) -> Vec:
-        """Remainder of row after full reduction (zero iff in the row space)."""
-        v = dict(row)
-        pivots = self.pivots
-        while v:
-            lead = min(v)
-            prow = pivots.get(lead)
-            if prow is None:
-                return v
-            vec_axpy_inplace(v, -v[lead], prow)
-        return v
 
     @property
     def rank(self) -> int:
@@ -477,10 +462,6 @@ class Subspace:
     def from_vectors(cls, vectors: Iterable[Vec], ambient: int) -> "Subspace":
         rows, piv = rref(vectors)
         return cls(ambient, rows, piv)
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [], [])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":

@@ -42,9 +42,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derivations import BlockSystem, Cell, EndMap, Shift, table_denominator
+from .derivations import BlockSystem, Cell, EndMap, Shift
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, ad_matrix
+from .liesuper import AlgebraModel, ad_matrix, table_denominator
 from .linalg import (
     IntVec,
     Matrix,

@@ -17,7 +17,7 @@ from cartansuper.derivations import (
     transitivity_check,
 )
 from cartansuper.families import LPrimeModel, build, build_lprime
-from cartansuper.liesuper import AlgebraModel, ad_matrix
+from cartansuper.liesuper import AlgebraModel, ad_matrix, generators
 from cartansuper.linalg import PRIME
 
 
@@ -117,6 +117,32 @@ def test_blockwise_agrees_with_reference_on_w4(pairs):
 def test_blockwise_agrees_with_reference(pairs, spec):
     A, _ = pairs[spec]
     assert derivation_space(A) == derivation_space(A, method="reference")
+
+
+@pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_blocks_solve_on_generators(pairs, spec, monkeypatch):
+    """The blocks path emits rows for the pairs (g, y) with g in G only; the
+    tests above compare its answer with the all-pairs reference."""
+    A, P = pairs[spec]
+    seen = []
+    rows = derivations.leibniz_rows
+
+    def recorded(model, parity=None, generating_set=None):
+        seen.append(generating_set)
+        return rows(model, parity, generating_set)
+
+    monkeypatch.setattr(derivations, "leibniz_rows", recorded)
+    assert derivation_space(A) == ad_image(P)
+    assert seen == [generators(A)]
+
+
+def test_generator_rows_are_the_rows_of_their_pairs(pairs):
+    A, _ = pairs[("H", 5)]
+    G = generators(A)
+    on_g = [(s, frozenset(r.items())) for s, r in derivations.leibniz_rows(A, None, G)]
+    every = [(s, frozenset(r.items())) for s, r in derivations.leibniz_rows(A)]
+    assert set(on_g) <= set(every)
+    assert len(on_g) < len(every)
 
 
 def test_members_of_derivation_space_satisfy_leibniz(pairs):

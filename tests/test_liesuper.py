@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from cartansuper.families import FamilyError, attach_derived, build
 from cartansuper.liesuper import (
+    AlgebraModel,
     ModelFormatError,
     ad_matrix,
     check_axioms,
+    generators,
     model_from_json,
     model_to_json,
 )
@@ -94,6 +96,80 @@ def test_check_axioms_detects_fault_injection(W4):
     rep = check_axioms(broken)
     assert not rep.ok
     assert rep.first_violation is not None
+
+
+def test_parity_additivity_is_checked():
+    # [e0, e1] = e2 with e0 even and e1 odd, so e2 must be odd.  Every other
+    # bracket vanishes and e2 is central, so only its parity label is wrong.
+    def model(parity):
+        one = Fraction(1)
+        table = {(0, 1): {2: one}, (1, 0): {2: -one}}
+        return AlgebraModel("W", 1, ["e0", "e1", "e2"], table, parity,
+                            [0, 0, 0], [(), (), ()], [])
+
+    rep = check_axioms(model([0, 1, 0]))
+    assert not rep.ok
+    assert rep.first_violation == "parity additivity fails at pair (0,1)"
+    assert check_axioms(model([0, 1, 1])).ok
+
+
+@pytest.mark.parametrize("spec, size", [
+    (("W", 4), 12), (("S", 4), 12), (("Stilde", 4), 4), (("H", 5), 12), (("H", 6), 17),
+])
+def test_generators_of_desk_models(spec, size):
+    A = build(*spec)
+    G = generators(A)
+    assert len(G) == size
+    assert G == sorted(G, key=lambda i: (A.degree[i], i))
+    # the chosen set is a generating set in its own right
+    assert generators(A, G) == G
+    rep = check_axioms(A, generating_set=G)
+    assert rep.ok
+    assert rep.triples_checked == size * A.dim**2
+
+
+def test_non_generating_set_is_refused(W4, H5):
+    for A in (W4, H5):
+        negative = [i for i in range(A.dim) if A.degree[i] == -1]
+        assert generators(A, negative) is None
+    negative = [i for i in range(H5.dim) if H5.degree[i] == -1]
+    rep = check_axioms(H5, generating_set=negative)
+    assert rep.ok
+    assert rep.triples_checked == H5.dim**3  # the full scan ran instead
+
+
+def test_generator_mode_catches_jacobi_only_faults(W4):
+    # scaling both orders of one bracket keeps anticommutativity and the
+    # gradings, so only Jacobi can see the edit
+    rng = random.Random(5)
+    keys = sorted((i, j) for (i, j), w in W4.table.items() if i < j and w)
+    for i, j in rng.sample(keys, 8):
+        broken = copy.copy(W4)
+        broken.table = dict(W4.table)
+        for key in ((i, j), (j, i)):
+            broken.table[key] = {k: 2 * c for k, c in W4.table[key].items()}
+        assert check_axioms(broken, jacobi_triples=0).ok  # the pair scan passes
+        G = generators(broken)
+        rep = check_axioms(broken, generating_set=G)
+        assert not rep.ok, (i, j)
+        g = int(rep.first_violation.split("(")[1].split(",")[0])
+        assert g in G
+        assert not check_axioms(broken).ok  # the full scan agrees
+
+
+def test_jacobi_is_checked_on_fractional_structure_constants(H5):
+    # [x, y]' = [x, y] / 3 is isomorphic to H(5) through x -> x / 3; the
+    # Jacobi scans run on the table times the lcm of its denominators
+    third = copy.copy(H5)
+    third.table = {key: {k: c / 3 for k, c in w.items()} for key, w in H5.table.items()}
+    G = generators(third)
+    assert check_axioms(third).ok
+    assert check_axioms(third, generating_set=G).ok
+    key = min(k for k, w in third.table.items() if w)
+    third.table[key] = {k: c / 2 for k, c in third.table[key].items()}
+    third.table[key[::-1]] = {k: c / 2 for k, c in third.table[key[::-1]].items()}
+    assert not check_axioms(third).ok
+    assert not check_axioms(third, generating_set=G).ok
 
 
 def test_bigrade_blocks_w4(W4):
