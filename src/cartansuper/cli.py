@@ -99,7 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["text", "json"],
             default=_env_default("FORMAT", "text"),
         )
-        p.add_argument("--seed", type=int, default=_int_env("SEED", 0))
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=_int_env("SEED", 0),
+            help="seed of certify's random probes and 2-local pairs; "
+            "only certify reads it, the other commands ignore it",
+        )
 
     p_build = sub.add_parser("build", help="construct an algebra and emit its model")
     common(p_build, with_model=False)

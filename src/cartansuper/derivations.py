@@ -265,9 +265,11 @@ class BlockSystem:
             entries.sort()
             self.local[shift] = {key: i for i, key in enumerate(entries)}
         # source cells and answer of the last shifts_from call, and the
-        # (shift, target cell) pairs of each source cell
+        # (shift, target cell) pairs of each source cell, which hold the
+        # blocks' own keys instead of a fresh tuple per pair
         self._reach: tuple = ((), {})
         self._cell_reach: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
+        self._keys: Dict[Shift, Shift] = {shift: shift for shift in self.entries}
 
     @staticmethod
     def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
@@ -313,9 +315,12 @@ class BlockSystem:
             for cb in sources:
                 targets = self._cell_reach.get(cb)
                 if targets is None:
-                    shifts = ((self.cell_shift(self.A, ca, cb), ca) for ca in self.cells)
+                    keys = self._keys
+                    shifts = (
+                        (keys.get(self.cell_shift(self.A, ca, cb)), ca) for ca in self.cells
+                    )
                     targets = self._cell_reach[cb] = [
-                        (shift, ca) for shift, ca in shifts if shift in self.entries
+                        (shift, ca) for shift, ca in shifts if shift is not None
                     ]
                 for shift, ca in targets:
                     reach.setdefault(shift, []).append((ca, cb))

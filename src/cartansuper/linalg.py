@@ -12,10 +12,11 @@ There are two exceptions, both on integer rows (``{index: int}``):
 - `kernel_of_rows_modp`, the fast path for the Leibniz block kernels,
   eliminates mod p = 2^31 - 1 and returns a kernel only after checking it
   exactly over Q, so its answer is either the Fraction answer or None;
-- `kernel_of_int_rows` and `int_combine`, the certifier's engine,
-  eliminate fraction-free over Z.  Every row is kept as a primitive
-  integer multiple of the row Fraction elimination would hold, so the
-  answer is the Fraction answer, scaled, with nothing to check.
+- `kernel_of_int_rows`, `int_reduce` and `int_combine`, the certifier's
+  engine and its 2-local check, eliminate fraction-free over Z.  Every
+  row is kept as a primitive integer multiple of the row Fraction
+  elimination would hold, so the answer is the Fraction answer, scaled,
+  with nothing to check.
 
 Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros.
 Subspaces are kept in reduced row echelon form (RREF), which is unique per
@@ -105,13 +106,6 @@ class Matrix:
             if s:
                 out[i] = s
         return out
-
-    def transpose(self) -> "Matrix":
-        data: Dict[int, Vec] = {}
-        for i, row in self.data.items():
-            for j, x in row.items():
-                data.setdefault(j, {})[i] = x
-        return Matrix(self.cols, self.rows, data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,6 +248,23 @@ def int_combine(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:
     return out
 
 
+def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
+    """v reduced fraction-free against echelon rows keyed by their last
+    column (the pivot loop of `kernel_of_int_rows`).
+
+    The result is {} exactly when v lies in the span of the rows; otherwise
+    it is v times a nonzero integer minus a combination of the rows, and
+    its last column is not a key of `pivots`.
+    """
+    while v:
+        lead = max(v)
+        prow = pivots.get(lead)
+        if prow is None:
+            break
+        v = int_combine(prow[lead], v, -v[lead], prow)
+    return v
+
+
 def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
     """`kernel_of_rows` for integer rows, on ints: its RREF basis with each
     vector scaled to a primitive integer vector with a positive lead.
@@ -266,14 +277,10 @@ def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
     """
     pivots: Dict[int, IntVec] = {}
     for row in rows:
-        v = row
-        while v:
+        v = int_reduce(pivots, row)
+        if v:
             lead = max(v)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
-                break
-            v = int_combine(prow[lead], v, -v[lead], prow)
+            pivots[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
         if len(pivots) == ncols:
             return []
     # back-reduce left to right; each pivot row used is already reduced
@@ -485,14 +492,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def annihilator_rows(self) -> List[Vec]:
-        """RREF rows spanning {w : w·u = 0 for all u in the subspace}.
-
-        Over Q the standard dot product is anisotropic, so v is a member
-        iff every annihilator row kills it.
-        """
-        return kernel_of_rows(self.rows, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection; requires matching ambient dimension."""

@@ -31,31 +31,39 @@ certificate of LDer(L) = Der(L).  When the proof list leaves a residual
 can see), deterministic degree-0-anchored probes and then basis/random
 stages escalate.  INCONCLUSIVE only means this probe budget did not
 collapse the space; it never claims the theorem fails.
+
+The 2-local spot checks of `certify_2local` run on ints too:
+`is_2local_at` scales x and y to integer vectors, builds the columns
+[u, x] + [u, y] from the bracket table times its denominator (taken once
+per L' model), reduces them fraction-free, and calls the pair feasible
+exactly when the scaled right-hand side (phi(x), phi(y)) reduces to zero.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+from weakref import WeakKeyDictionary
 
 from .derivations import BlockSystem, Cell, EndMap, Shift
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix, table_denominator
 from .linalg import (
     IntVec,
-    Matrix,
     Subspace,
     Vec,
     as_fractions,
     int_combine,
+    int_reduce,
     kernel_of_int_rows,
     kernel_of_rows,
     rref,
-    solve,
+    solve,  # not called here; perfbench/child.py wraps localcert.solve
     vec_axpy_inplace,
     vec_dot,
     vec_scale,
@@ -138,21 +146,67 @@ def is_local_at(phi: EndMap, x: Vec, P: LPrimeModel) -> bool:
     return orbit(x, P).contains(phi.apply(x))
 
 
+# L' -> (dim L, `_ad_columns` of it)
+_AD_COLUMNS: "WeakKeyDictionary[AlgebraModel, Tuple[int, List[Dict[int, IntVec]]]]" = (
+    WeakKeyDictionary()
+)
+
+
+def _ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
+    """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
+    zero brackets left out.
+
+    The brackets are the table's times `table_denominator`, so they have int
+    entries and the denominator is taken once per L' model: the columns are
+    kept for as long as the model lives.  The constraint engine's slices
+    and `is_2local_at` share them.
+    """
+    ext, m = P.ext, P.dim_l
+    got = _AD_COLUMNS.get(ext)
+    if got is None or got[0] != m:
+        den = table_denominator(ext)
+        ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
+        for (u, b), w in ext.table.items():
+            if b < m and w:
+                if max(w) >= m:
+                    raise ValueError("ad(L') does not preserve L")
+                ad[u][b] = {a: c.numerator * (den // c.denominator) for a, c in w.items()}
+        got = _AD_COLUMNS[ext] = (m, ad)
+    return got[1]
+
+
 def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
-    """Joint feasibility of [u, x] = phi(x), [u, y] = phi(y) for one u in L'."""
+    """Joint feasibility of [u, x] = phi(x), [u, y] = phi(y) for one u in L'.
+
+    Exact on ints: with X, Y the integer multiples of x, y (`_integral`),
+    the system reads sum_u a_u ([u, X] + [u, Y]) = phi(X) + phi(Y) in
+    L + L.  Its columns come from the integer bracket table, they are
+    reduced fraction-free (`int_reduce`), and the system is feasible iff
+    the right-hand side, scaled to ints, reduces to zero.
+    """
     m = P.dim_l
-    ext = P.ext
-    data: Dict[int, Vec] = {}
-    for u in range(ext.dim):
-        for offset, point in ((0, x), (m, y)):
-            w = ext.bracket({u: Fraction(1)}, point)
-            for k, c in w.items():
-                data.setdefault(offset + k, {})[u] = c
-    system = Matrix(2 * m, ext.dim, data)
-    b = dict(phi.apply(x))
-    for k, c in phi.apply(y).items():
-        b[m + k] = c
-    return solve(system, b) is not None
+    X, Y = _integral(x), _integral(y)
+    pivots: Dict[int, IntVec] = {}
+    for ad_u in _ad_columns(P):
+        col: IntVec = {}
+        for offset, point in ((0, X), (m, Y)):
+            for b, c in point.items():
+                w = ad_u.get(b)
+                if w:
+                    for k, v in w.items():
+                        k += offset
+                        s = col.get(k, 0) + c * v
+                        if s:
+                            col[k] = s
+                        else:
+                            del col[k]
+        col = int_reduce(pivots, col)
+        if col:
+            pivots[max(col)] = col
+    rhs = dict(phi.apply(X))
+    for k, c in phi.apply(Y).items():
+        rhs[m + k] = c
+    return not int_reduce(pivots, _integral(rhs))
 
 
 def bigrade_decompose(phi: EndMap, A: AlgebraModel) -> Dict[Shift, EndMap]:
@@ -347,7 +401,23 @@ class ConstraintEngine:
 
     For every shift the engine keeps the current solution space of that
     block (starting from the whole block) and cuts it with one linear
-    functional per constraint row.  Everything runs on Python ints: probes
+    functional per constraint row.  A cut takes as pivot the first row with
+    a nonzero dot against the functional, drops it, and clears the dot of
+    every later row with it.
+
+    The rows obey a home-column invariant.  Row j starts as the unit vector
+    at its home column j.  The pivot is zero at every other live home (a
+    home whose row is still in the space), so each live row stays the only
+    row that is nonzero at its home, and its other entries all sit at the
+    homes of removed rows.  The rows updated by a pivot come after it, so
+    the home of a row is its last column and row order is home order.  A
+    cut therefore dots only the candidate rows: the live homes in the
+    functional's support, and the rows that an index of each removed home
+    lists as nonzero there (`_support`).  Every other row has a zero dot,
+    so the pivot and the new rows are those of dotting every row.  The
+    index of a block is dropped once the block empties or converges.
+
+    Everything runs on Python ints: probes
     are scaled to integer vectors (the orbit condition is invariant under
     scaling the probe), the slice ad columns come from the denominator-free
     table, the annihilator is a fraction-free integer kernel, and a cut
@@ -372,21 +442,16 @@ class ConstraintEngine:
             shift: [{i: 1} for i in range(len(entries))]
             for shift, entries in self.blocks.entries.items()
         }
+        # per cut block: `_support`'s live homes and removed-home index
+        self._index: Dict[Shift, Tuple[List[int], Dict[int, List[int]]]] = {}
 
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
-        den = table_denominator(ext)
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
         self.ad_rref: Dict[Shift, List[Vec]] = {}
         ad_rows: Dict[Shift, List[IntVec]] = {}
-        for u in range(ext.dim):
+        for u, cols in enumerate(_ad_columns(P)):
             shift = (ext.degree[u], ext.weight[u])
-            cols: Dict[int, IntVec] = {}
-            for b in range(dim):
-                for a, c in ext.bracket_basis(u, b).items():
-                    if a >= dim:
-                        raise ValueError("ad(L') does not preserve L")
-                    cols.setdefault(b, {})[a] = c.numerator * (den // c.denominator)
             if not cols:
                 raise ValueError(f"ad is not injective on L' (basis {u})")
             if shift not in self.blocks.entries:
@@ -467,27 +532,82 @@ class ConstraintEngine:
             for shift, pairs in self.blocks.shifts_from(x).items():
                 if not self.space[shift] or self._converged(shift):
                     continue
+                target = len(self.ad_rref.get(shift, ()))
                 for row in self.constraint_rows(x, shift, pairs):
                     self._cut(shift, row)
-                    if not self.space[shift]:
-                        break
+                    if len(self.space[shift]) <= target:
+                        break  # empty, or converged: no further row cuts
+
+    def _support(self, shift: Shift) -> Tuple[List[int], Dict[int, List[int]]]:
+        """The block's live homes in row order, and for each removed home
+        the live homes of the rows that are nonzero there.
+
+        Built from the rows on a block's first cut (a row's home is its
+        last column) and kept up to date by `_cut`.
+        """
+        got = self._index.get(shift)
+        if got is None:
+            space = self.space[shift]
+            homes = [max(row) for row in space]
+            index: Dict[int, List[int]] = {}
+            for h, row in zip(homes, space):
+                for c in row:
+                    if c != h:
+                        index.setdefault(c, []).append(h)
+            got = self._index[shift] = (homes, index)
+        return got
+
+    @staticmethod
+    def _unindex(index: Dict[int, List[int]], c: int, h: int) -> None:
+        hit = index[c]
+        hit.remove(h)
+        if not hit:
+            del index[c]
 
     def _cut(self, shift: Shift, functional: IntVec) -> None:
         space = self.space[shift]
-        dots = [vec_dot(row, functional) for row in space]
-        pivot_idx = next((i for i, d in enumerate(dots) if d), None)
-        if pivot_idx is None:
-            return
-        pivot = space[pivot_idx]
-        d0 = dots[pivot_idx]
-        new_space = []
-        for row, d in zip(space, dots):
-            if row is pivot:
+        homes, index = self._support(shift)
+        # only rows sharing a column with the functional can have a nonzero
+        # dot: a live home's own row, and the rows indexed under a removed one
+        candidates: Set[int] = set()
+        for c in functional:
+            hit = index.get(c)
+            if hit is not None:
+                candidates.update(hit)
+            else:
+                i = bisect_left(homes, c)
+                if i < len(homes) and homes[i] == c:
+                    candidates.add(c)
+        pivot = None
+        hits = []
+        for h in sorted(candidates):
+            i = bisect_left(homes, h)
+            d = vec_dot(space[i], functional)
+            if not d:
                 continue
-            if d:
-                row = int_combine(d0, row, -d, pivot)
-            new_space.append(row)
-        self.space[shift] = new_space
+            if pivot is None:
+                pivot, pivot_at, home, d0 = space[i], i, h, d
+            else:
+                hits.append((i, h, d))
+        if pivot is None:
+            return
+        # the pivot is zero at every other live home, so only its own
+        # columns change in the rows it updates
+        for i, h, d in hits:
+            old = space[i]
+            row = space[i] = int_combine(d0, old, -d, pivot)
+            for c in pivot:
+                if c not in row:
+                    self._unindex(index, c, h)
+                elif c not in old:
+                    index.setdefault(c, []).append(h)
+        for c in pivot:
+            if c != home:
+                self._unindex(index, c, home)
+        del space[pivot_at], homes[pivot_at]
+        if not space or self._converged(shift):
+            # add_probes cuts this block no more
+            del self._index[shift]
 
     def matches_ad(self) -> bool:
         for shift, space in self.space.items():

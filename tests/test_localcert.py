@@ -4,11 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartansuper.derivations import EndMap, ad_image
 from cartansuper.families import build, build_lprime, w_basis
 from cartansuper.liesuper import ad_matrix
-from cartansuper.linalg import Matrix, kernel, rank, vec_axpy_inplace
+from cartansuper.linalg import (
+    Matrix,
+    int_combine,
+    kernel,
+    rank,
+    solve,
+    vec_axpy_inplace,
+    vec_dot,
+)
 from cartansuper.localcert import (
     ConstraintEngine,
     Probe,
@@ -482,3 +492,192 @@ def test_forcing_t_one_breaks_h0_collapsing_power(W4):
     C_good = constrained_space(P, h0_family(good))
     C_bad = constrained_space(P, h0_family(SeparatingScalar(1)))
     assert C_bad.dim > C_good.dim
+
+
+# -- the support-indexed cut against the all-rows cut
+
+
+class AllRowsEngine(ConstraintEngine):
+    """The engine with the cut that dots every row of the block: the oracle
+    for the support-indexed `ConstraintEngine._cut`."""
+
+    def _cut(self, shift, functional):
+        space = self.space[shift]
+        dots = [vec_dot(row, functional) for row in space]
+        pivot_idx = next((i for i, d in enumerate(dots) if d), None)
+        if pivot_idx is None:
+            return
+        pivot = space[pivot_idx]
+        d0 = dots[pivot_idx]
+        new_space = []
+        for row, d in zip(space, dots):
+            if row is pivot:
+                continue
+            if d:
+                row = int_combine(d0, row, -d, pivot)
+            new_space.append(row)
+        self.space[shift] = new_space
+
+
+def certify_with(engine_class, P, monkeypatch, **kwargs):
+    import cartansuper.localcert as localcert
+
+    with monkeypatch.context() as m:
+        m.setattr(localcert, "ConstraintEngine", engine_class)
+        cert = certify(P, **kwargs)
+    assert type(cert.engine) is engine_class
+    return cert
+
+
+def assert_home_invariant(engine):
+    """Each row is the only one nonzero at its home, its last column; the
+    homes increase in row order; a block's index lists exactly the rows
+    nonzero at each removed home."""
+    for shift, rows in engine.space.items():
+        homes = [max(row) for row in rows]
+        assert homes == sorted(set(homes))
+        live = set(homes)
+        for h, row in zip(homes, rows):
+            assert live.intersection(row) == {h}
+        if shift in engine._index:
+            kept, index = engine._index[shift]
+            assert kept == homes
+            rebuilt = {}
+            for h, row in zip(homes, rows):
+                for c in row:
+                    if c != h:
+                        rebuilt.setdefault(c, set()).add(h)
+            assert {c: set(hs) for c, hs in index.items()} == rebuilt
+            assert all(len(hs) == len(set(hs)) for hs in index.values())
+
+
+@pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_indexed_cut_equals_all_rows_cut(family, n, monkeypatch):
+    P = build_lprime(build(family, n))
+    fast = certify(P)
+    slow = certify_with(AllRowsEngine, P, monkeypatch)
+    assert fast.verdict == slow.verdict == "CERTIFIED"
+    assert fast.probe_labels == slow.probe_labels
+    assert list(fast.engine.space) == list(slow.engine.space)
+    for shift, rows in fast.engine.space.items():
+        assert rows == slow.engine.space[shift], shift
+    assert_home_invariant(fast.engine)
+    # a certified engine has dropped the index of every block
+    assert not fast.engine._index
+
+
+def test_indexed_cut_keeps_its_index_on_open_blocks(H5, monkeypatch):
+    _, P = H5
+    fast = certify(P, budget=67)
+    slow = certify_with(AllRowsEngine, P, monkeypatch, budget=67)
+    assert fast.verdict == slow.verdict == "INCONCLUSIVE"
+    assert fast.engine.space == slow.engine.space
+    assert fast.engine._index
+    assert_home_invariant(fast.engine)
+
+
+def small_block(engine):
+    # at most 24 columns, with a nonzero inner target, so random cuts can
+    # pass through convergence, where the block's index is dropped
+    space, target = engine.space, engine.ad_rref
+    return max(space, key=lambda s: (len(space[s]) <= 24, s in target, len(space[s])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_functionals_cut_alike(H5, data):
+    _, P = H5
+    fast, slow = ConstraintEngine(P), AllRowsEngine(P)
+    shift = small_block(fast)
+    size = len(fast.space[shift])
+    assert size == 24 and fast.ad_rref[shift]
+    entry = st.one_of(st.integers(-3, -1), st.integers(1, 3), st.sampled_from([40000, -7 * 40000]))
+    functional = st.dictionaries(st.integers(0, size - 1), entry, min_size=1, max_size=5)
+    # enough cuts to pass through the inner target's dimension, where the
+    # index is dropped and the next cut rebuilds it from the rows
+    for f in data.draw(st.lists(functional, min_size=size, max_size=2 * size)):
+        fast._cut(shift, f)
+        slow._cut(shift, f)
+        assert fast.space[shift] == slow.space[shift]
+        assert_home_invariant(fast)
+
+
+# -- the integer 2-local check against the Fraction system
+
+
+def is_2local_at_reference(phi, x, y, P):
+    """Joint feasibility as one Fraction system over all of L', solved by
+    `solve`: the oracle for the integer `is_2local_at`."""
+    m = P.dim_l
+    ext = P.ext
+    data = {}
+    for u in range(ext.dim):
+        for offset, point in ((0, x), (m, y)):
+            w = ext.bracket({u: Fraction(1)}, point)
+            for k, c in w.items():
+                data.setdefault(offset + k, {})[u] = c
+    system = Matrix(2 * m, ext.dim, data)
+    b = dict(phi.apply(x))
+    for k, c in phi.apply(y).items():
+        b[m + k] = c
+    return solve(system, b) is not None
+
+
+def random_fraction_vector(rng, dim):
+    v = {}
+    for _ in range(rng.randint(1, 4)):
+        v[rng.randrange(dim)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return {k: c for k, c in v.items() if c}
+
+
+@pytest.mark.parametrize("model", ["W4", "H5"])
+def test_2local_agrees_with_fraction_solve(model, request):
+    A, P = request.getfixturevalue(model)
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(30):
+        u = random_fraction_vector(rng, P.ext.dim)
+        inner = inner_map(P, u)
+        # an inner map plus a random column: feasible for some pairs only
+        mixed = EndMap(A.dim, {b: dict(col) for b, col in inner.cols.items()})
+        noise = random_fraction_vector(rng, A.dim)
+        vec_axpy_inplace(mixed.cols.setdefault(rng.randrange(A.dim), {}), Fraction(1), noise)
+        x, y = random_fraction_vector(rng, A.dim), random_fraction_vector(rng, A.dim)
+        for phi in (inner, mixed):
+            got = is_2local_at(phi, x, y, P)
+            assert got == is_2local_at_reference(phi, x, y, P)
+            verdicts.append(got)
+        assert is_2local_at(inner, x, y, P)
+    assert True in verdicts and False in verdicts
+    ident = EndMap.identity(A.dim)
+    h1, h2 = A.cartan_chain[0], A.cartan_chain[1]
+    assert not is_2local_at(ident, h1, h2, P)
+    assert not is_2local_at_reference(ident, h1, h2, P)
+
+
+@pytest.mark.parametrize("model, budget", [("W4", None), ("H5", 67)])
+def test_certify_2local_agrees_with_fraction_solve(model, budget, request, monkeypatch):
+    # every pair certify_2local checks, the residual-map path included
+    import cartansuper.localcert as localcert
+
+    _, P = request.getfixturevalue(model)
+    real = localcert.is_2local_at
+    verdicts = []
+
+    def both(phi, x, y, P_):
+        got = real(phi, x, y, P_)
+        assert got == is_2local_at_reference(phi, x, y, P_)
+        verdicts.append(got)
+        return got
+
+    cert = certify(P, budget=budget)
+    monkeypatch.setattr(localcert, "is_2local_at", both)
+    cert = certify_2local(P, cert, seed=5, pairs=20)
+    if budget is None:
+        assert cert.twolocal_verdict == "CERTIFIED"
+        assert verdicts == [True] * 20
+    else:
+        assert cert.verdict == cert.twolocal_verdict == "INCONCLUSIVE"
+        # 20 inner pairs, then the residual map until a pair fails
+        assert len(verdicts) > 20 and verdicts[-1] is False
+        assert cert.twolocal_failure == "residual map fails joint feasibility"

@@ -8,6 +8,7 @@ These take minutes and are deselected by default; run them with
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,10 +44,18 @@ def test_check_far_models(family, n, dim):
     assert payload["dim_Der"] == payload["dim_Lprime"] == dim
 
 
-@pytest.mark.parametrize("family, n", [("H", 8), ("W", 6)])
+# certify reports that must stay byte-identical: probe labels, dim_C and
+# both verdicts
+CERTIFY_GOLDEN = {("Stilde", 6): "certify_stilde6.json"}
+
+
+@pytest.mark.parametrize("family, n", [("H", 8), ("W", 6), ("Stilde", 6)])
 def test_certify_far_models(family, n):
     res = run_cli("certify", "--family", family, "--n", str(n), "--format", "json", "--seed", "0")
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["verdict"] == "CERTIFIED"
     assert payload["twolocal_verdict"] == "CERTIFIED"
+    golden = CERTIFY_GOLDEN.get((family, n))
+    if golden is not None:
+        assert res.stdout == (Path(__file__).parent / "golden" / golden).read_text()
