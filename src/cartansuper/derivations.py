@@ -9,8 +9,8 @@ along the bigrading: a basis-homogeneous derivation component of bidegree
 shift (d, a) maps the cell (j, b) into (j+d, b+a), and every scalar Leibniz
 constraint touches exactly one such shift, so the global kernel decomposes
 into many small block kernels (the performance path).  The rows have int
-coefficients, and each block is solved mod p and then checked over Q; a
-block whose modular answer is not proved is solved again with Fractions.
+coefficients, and each block is solved by fraction-free elimination over Z,
+which gives the rational kernel exactly, scaled to integer vectors.
 
 The block path emits rows only for the pairs (g, y) with g in a generating
 set G of L (`liesuper.generators`), |G| * dim pairs instead of dim^2 / 2.
@@ -23,7 +23,7 @@ homogeneous shift, so the argument applies block by block, and the pair
 (y, g) with y < g is covered by (g, y) through anticommutativity.
 
 A reference path feeds the rows of every pair, as Fractions, through one
-global elimination without using G, the block structure or the modular
+global elimination without using G, the block structure or the integer
 kernel.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L'.
@@ -48,8 +48,8 @@ from .linalg import (
     Subspace,
     Vec,
     as_fractions,
+    kernel_of_int_rows,
     kernel_of_rows,
-    kernel_of_rows_modp,
     vec_axpy_inplace,
 )
 
@@ -289,16 +289,14 @@ class BlockSystem:
         """Flat basis of the maps in one block annihilated by the flat
         integer rows.
 
-        The block is solved mod p first (`kernel_of_rows_modp`, checked over
-        Q); only when that is not proved does it fall back to the Fraction
-        `kernel_of_rows`.  Both give the same RREF basis.
+        Duplicate rows are dropped and the rest are solved fraction-free
+        (`kernel_of_int_rows`): the basis is the RREF basis of
+        `kernel_of_rows`, each vector scaled to a primitive integer vector.
         """
-        local_rows = [self.localize(shift, row) for row in rows]
-        ncols = len(self.entries[shift])
-        kern = kernel_of_rows_modp(local_rows, ncols)
-        if kern is None:
-            kern = kernel_of_rows(as_fractions(local_rows), ncols)
-        return [self.lift(shift, v) for v in kern]
+        distinct = {frozenset(row.items()): row for row in rows}.values()
+        local_rows = [self.localize(shift, row) for row in distinct]
+        kern = kernel_of_int_rows(local_rows, len(self.entries[shift]))
+        return [self.lift(shift, v) for v in as_fractions(kern)]
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,

@@ -7,16 +7,12 @@ a rational solution space has the same dimension as its complex counterpart,
 which is what lets integer structure constants stand in for the complex
 field.
 
-There are two exceptions, both on integer rows (``{index: int}``):
-
-- `kernel_of_rows_modp`, the fast path for the Leibniz block kernels,
-  eliminates mod p = 2^31 - 1 and returns a kernel only after checking it
-  exactly over Q, so its answer is either the Fraction answer or None;
-- `kernel_of_int_rows`, `int_reduce` and `int_combine`, the certifier's
-  engine and its 2-local check, eliminate fraction-free over Z.  Every
-  row is kept as a primitive integer multiple of the row Fraction
-  elimination would hold, so the answer is the Fraction answer, scaled,
-  with nothing to check.
+The hot paths are the exception: `kernel_of_int_rows`, `int_reduce` and
+`int_combine` eliminate integer rows (``{index: int}``) fraction-free over
+Z.  They serve the Leibniz block kernels, the certifier's engine and its
+2-local check.  Every row is kept as a primitive integer multiple of the
+row Fraction elimination would hold, so the answer is the Fraction answer,
+scaled, with nothing to check and nothing to fall back to.
 
 Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros.
 Subspaces are kept in reduced row echelon form (RREF), which is unique per
@@ -27,7 +23,7 @@ are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Vec = Dict[int, Fraction]
@@ -304,124 +300,6 @@ def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
         g = gcd(*v.values())
         out.append({k: x // g for k, x in v.items()} if g > 1 else v)
     return out
-
-
-# ---------------------------------------------------------------------------
-# one-sided modular kernel
-#
-# The modular method of von zur Gathen & Gerhard, Modern Computer Algebra,
-# ch. 5: eliminate over F_p, lift the answer to Q by rational reconstruction,
-# and keep it only if it checks exactly over Z.
-
-PRIME = 2**31 - 1
-# 2 * _RR_BOUND**2 < PRIME, so a reconstruction within the bound is unique
-_RR_BOUND = isqrt(PRIME // 2)
-
-
-def rational_reconstruct(x: int) -> Optional[Fraction]:
-    """The a/b with |a|, b <= sqrt(p/2) and a = b x (mod p), or None."""
-    if x <= _RR_BOUND:
-        return Fraction(x)
-    if x >= PRIME - _RR_BOUND:
-        return Fraction(x - PRIME)
-    r0, r1, t0, t1 = PRIME, x, 0, 1
-    while r1 > _RR_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _RR_BOUND or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def rref_modp(rows: Iterable[IntVec], ncols: int) -> Dict[int, IntVec]:
-    """RREF mod PRIME of integer rows, as {pivot column: monic row}.
-
-    Stops early once every column is a pivot.
-    """
-    p = PRIME
-    pivots: Dict[int, IntVec] = {}
-    for row in rows:
-        v = {}
-        for k, c in row.items():
-            c %= p
-            if c:
-                v[k] = c
-        while v:
-            lead = min(v)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(v[lead], -1, p)
-                pivots[lead] = {k: x * inv % p for k, x in v.items()}
-                break
-            c = v[lead]
-            for k, x in prow.items():
-                s = (v.get(k, 0) - c * x) % p
-                if s:
-                    v[k] = s
-                else:
-                    del v[k]
-        if len(pivots) == ncols:
-            break
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for k in sorted(row):
-            if k != lead and k in pivots:
-                c = row[k]
-                for j, x in pivots[k].items():
-                    s = (row.get(j, 0) - c * x) % p
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-    return pivots
-
-
-def kernel_of_rows_modp(rows: Iterable[IntVec], ncols: int) -> Optional[List[Vec]]:
-    """`kernel_of_rows` for integer rows, eliminated mod p; None if unproved.
-
-    Duplicate rows are dropped and the rest are brought to RREF mod
-    p = 2^31 - 1.  Each kernel vector (unit on its free column) is lifted to
-    Q by rational reconstruction and then checked against every row exactly
-    over Z.  The answer is exact because:
-
-    - the rows are integral, so every minor that vanishes over Q vanishes
-      mod p, and rank_p <= rank_Q;
-    - so the lifted vectors, ncols - rank_p of them, are at least
-      dim ker_Q in number;
-    - they are independent (each is the only one that is nonzero on its
-      free column), and the check puts every one of them in ker_Q, so they
-      span ker_Q exactly;
-    - their RREF is the unique RREF basis of ker_Q, the very answer of
-      `kernel_of_rows`.
-
-    When reconstruction or the check fails (an unlucky prime, or entries
-    beyond the reconstruction bound sqrt(p/2)), the result is None and the
-    caller solves over Q instead: a bad prime costs time, never a wrong
-    kernel.  Rows must have int entries; a non-int entry also gives None.
-    """
-    distinct = list({frozenset(row.items()): row for row in rows if row}.values())
-    if any(type(c) is not int for row in distinct for c in row.values()):
-        return None
-    pivots = rref_modp(distinct, ncols)
-    if len(pivots) == ncols:
-        return []
-    # kernel vector of free column f: 1 at f, -row[f] at each pivot's column
-    lifted: Dict[int, Vec] = {f: {f: _ONE} for f in range(ncols) if f not in pivots}
-    for lead, row in pivots.items():
-        for f, x in row.items():
-            if f != lead:
-                c = rational_reconstruct(PRIME - x)
-                if c is None:
-                    return None
-                lifted[f][lead] = c
-    for v in lifted.values():
-        den = lcm(*(c.denominator for c in v.values()))
-        w = {k: int(c * den) for k, c in v.items()}
-        for row in distinct:
-            if sum(c * w.get(k, 0) for k, c in row.items()):
-                return None
-    return rref(lifted.values())[0]
 
 
 def solve(m: Matrix, b) -> Optional[Vec]:

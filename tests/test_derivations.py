@@ -18,7 +18,6 @@ from cartansuper.derivations import (
 )
 from cartansuper.families import LPrimeModel, build, build_lprime
 from cartansuper.liesuper import AlgebraModel, ad_matrix, generators
-from cartansuper.linalg import PRIME
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +275,7 @@ def test_cell_shift_agrees_with_bigrade_decompose(pairs, spec):
                     assert a * A.dim + b in blocks.local[shift]
 
 
-# -- the modular block kernels
+# -- the integer block kernels
 
 
 def rescaled_model(A: AlgebraModel, r: int, lam: Fraction) -> AlgebraModel:
@@ -295,45 +294,23 @@ def rescaled_model(A: AlgebraModel, r: int, lam: Fraction) -> AlgebraModel:
     return out
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the blocks that `derivation_space` solves with Fractions."""
-    calls = []
-    exact = derivations.kernel_of_rows
-
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return exact(rows, ncols)
-
-    monkeypatch.setattr(derivations, "kernel_of_rows", counted)
-    return calls
-
-
-def test_desk_blocks_need_no_fallback(pairs, fallbacks):
-    for spec in [("H", 5), ("Stilde", 4)]:
-        A, P = pairs[spec]
-        assert derivation_space(A) == ad_image(P)
-    assert fallbacks == []
-
-
-def test_unlucky_prime_falls_back_to_fractions(pairs, fallbacks):
+def test_large_structure_constants_solve_exactly(pairs):
+    P = 2**31 - 1
     A, _ = pairs[("H", 5)]
-    B = rescaled_model(A, 0, Fraction(PRIME))
+    B = rescaled_model(A, 0, Fraction(P))
     constants = {c for w in B.table.values() for c in w.values()}
-    assert any(c.denominator == PRIME for c in constants)
-    assert any(c.numerator % PRIME == 0 for c in constants)
+    assert any(c.denominator == P for c in constants)
+    assert any(c.numerator % P == 0 for c in constants)
     blocks = derivation_space(B)
-    assert fallbacks
     assert blocks.dim == 32
     assert blocks == derivation_space(B, method="reference")
 
 
-def test_denominators_are_cleared_once(pairs, fallbacks):
+def test_denominators_are_cleared_once(pairs):
     A, _ = pairs[("H", 5)]
     B = rescaled_model(A, 0, Fraction(1, 2))
     assert any(c.denominator == 2 for w in B.table.values() for c in w.values())
     blocks = derivation_space(B)
-    assert fallbacks == []
     assert blocks.dim == 32
     assert blocks == derivation_space(B, method="reference")
 
