@@ -26,6 +26,15 @@ gl(n), sl(n), so(n):
 
 Weights are the exact ad-eigenvalue vectors against those chains; the
 constructors verify the eigenvector property entry by entry.
+
+The bracket table is computed by one output-sensitive kernel over integer
+rows (`_row_brackets`).  Every term of the basis rows is indexed by the
+generators of its monomial and by its d-index; a term f d_a then visits
+only the partner terms g d_b with x_a in g or x_b in f, the ones a
+derivative can hit, and looks up the result's index and sign in flat
+per-n tables.  Only nonzero brackets come out, and `SpanSolver` writes
+each in the basis on Python ints; the table's entries become `Fraction`s
+once, at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from .exterior import (
     ExtElem,
     check_n,
     mono_degree,
-    mono_mul,
     mono_partial,
 )
 from .liesuper import (
@@ -128,43 +136,99 @@ def w_unit(n: int, mask: int, j: int, coeff=1) -> Vec:
     return {w_index(n)[(mask, j)]: Fraction(coeff)}
 
 
-def w_bracket_pair(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> Vec:
-    """Closed-form bracket of two monomial fields, over the W(n) index."""
-    f, i = a
-    g, j = b
-    idx = w_index(n)
-    out: Vec = {}
-    hit = mono_partial(i, g)
-    if hit is not None:
-        s1, g1 = hit
-        s2, m = mono_mul(f, g1)
-        if s2:
-            out[idx[(m, j)]] = s1 * s2
-    hit = mono_partial(j, f)
-    if hit is not None:
-        s1, f1 = hit
-        s2, m = mono_mul(g, f1)
-        if s2:
-            sign = -1 if ((mono_degree(f) + 1) * (mono_degree(g) + 1)) % 2 == 0 else 1
-            k = idx[(m, i)]
-            c = out.get(k, 0) + sign * s1 * s2
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-    return out
+@lru_cache(maxsize=None)
+def _w_tables(n: int) -> Tuple[List[int], List[int], List[int]]:
+    """Flat lookup tables of the W(n) bracket kernel.
+
+    pos[mask*n + j-1] is the W(n) index of (mask, j); par[x] is the parity of
+    popcount(x); sp[a] has bit p set when a has an odd number of generators
+    above p, so the monomial product a*b has sign (-1)^par[sp[a] & b].
+    """
+    pos = [0] * (n << n)
+    for k, (mask, j) in enumerate(w_basis(n)):
+        pos[mask * n + j - 1] = k
+    par = [x.bit_count() & 1 for x in range(1 << n)]
+    sp = [0] * (1 << n)
+    for a in range(1 << n):
+        for p in range(n):
+            if par[a >> (p + 1)]:
+                sp[a] |= 1 << p
+    return pos, par, sp
+
+
+# A term index over rows j >= first: for each generator a, the terms g d_b
+# with x_a in g, as (j*n*2^n, g without x_a, b-1, c * sign of d_a(g)); for
+# each b, the terms g d_b as (j*n*2^n, g, c, parity of g).
+_TermIndex = Tuple[List[list], List[list]]
+
+
+def _term_index(n: int, rows: List[Vec], first: int = 0) -> _TermIndex:
+    basis = w_basis(n)
+    par = _w_tables(n)[1]
+    stride = n << n
+    by_gen: List[list] = [[] for _ in range(n)]
+    by_d: List[list] = [[] for _ in range(n)]
+    for j in range(first, len(rows)):
+        key = j * stride
+        for k, c in rows[j].items():
+            g, b = basis[k]
+            by_d[b - 1].append((key, g, c, par[g]))
+            for a in range(n):
+                bit = 1 << a
+                if g & bit:
+                    s = -c if par[g & (bit - 1)] else c
+                    by_gen[a].append((key, g ^ bit, b - 1, s))
+    return by_gen, by_d
+
+
+def _row_brackets(n: int, row: Vec, index: _TermIndex) -> Dict[int, object]:
+    """[row, row_j] for every indexed row j, as a dict keyed j*n*2^n + k
+    holding the coefficient of W(n) basis vector k (zeros included).
+
+    With f d_a a term of row and g d_b a term of row j, the closed form
+
+        [f d_a, g d_b] = f d_a(g) d_b - (-1)^((|f|+1)(|g|+1)) g d_b(f) d_a
+
+    is nonzero only where x_a divides g or x_b divides f, so each term of
+    row visits only those partners.
+    """
+    pos, par, sp = _w_tables(n)
+    basis = w_basis(n)
+    by_gen, by_d = index
+    acc: Dict[int, object] = {}
+    get = acc.get
+    for k, c1 in row.items():
+        f, a = basis[k]
+        spf = sp[f]
+        for key, g1, b, c2 in by_gen[a - 1]:
+            if g1 & f:
+                continue
+            t = key + pos[(f | g1) * n + b]
+            v = c1 * c2
+            acc[t] = get(t, 0) + (-v if par[spf & g1] else v)
+        # -(-1)^((|f|+1)(|g|+1)) is -1 for odd f and (-1)^|g| for even f
+        fodd = par[f]
+        feven = fodd ^ 1
+        col = a - 1
+        for b in range(n):
+            bit = 1 << b
+            if not f & bit:
+                continue
+            f1 = f ^ bit
+            c = -c1 if par[f & (bit - 1)] ^ fodd else c1
+            for key, g, c2, gpar in by_d[b]:
+                if g & f1:
+                    continue
+                t = key + pos[(g | f1) * n + col]
+                v = c * c2
+                acc[t] = get(t, 0) + (-v if par[sp[g] & f1] ^ (gpar & feven) else v)
+    return acc
 
 
 def w_bracket(n: int, a: Vec, b: Vec) -> Vec:
     """Bilinear bracket of two fields given in W(n) coordinates."""
-    basis = w_basis(n)
-    out: Vec = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            w = w_bracket_pair(n, basis[ia], basis[ib])
-            if w:
-                vec_axpy_inplace(out, ca * cb, w)
-    return out
+    acc = _row_brackets(n, a, _term_index(n, [b]))
+    return {k: c for k, c in acc.items() if c}
 
 
 def divergence(n: int, v: Vec) -> ExtElem:
@@ -230,9 +294,9 @@ def euler(n: int) -> Vec:
 
 
 def cartan_chain_w(family: str, n: int) -> List[Vec]:
-    """The standard Cartan basis h_1..h_l in W(n) coordinates."""
+    """The standard Cartan basis h_1..h_l in W(n) coordinates, over ints."""
     def diag(i: int, c: int = 1) -> Vec:
-        return w_unit(n, 1 << (i - 1), i, c)
+        return {w_index(n)[(1 << (i - 1), i)]: c}
 
     if family == "W":
         return [diag(i) for i in range(1, n + 1)]
@@ -300,15 +364,15 @@ def _graded(
     weight: List[WeightVec] = []
     for row in rows:
         wt = []
+        lead = min(row)
         for h in chain_w:
             z = w_bracket(n, h, row)
-            lead = min(row)
-            lam = z.get(lead, Fraction(0)) / row[lead]
-            if z != {k: lam * c for k, c in row.items() if lam * c}:
-                raise AssertionError(f"{family}({n}): basis row not a weight vector")
-            if lam.denominator != 1:
-                raise AssertionError(f"{family}({n}): non-integer weight")
-            wt.append(int(lam))
+            lam, rem = divmod(z.get(lead, 0), row[lead])
+            if rem or z != {k: lam * c for k, c in row.items() if lam * c}:
+                raise AssertionError(
+                    f"{family}({n}): basis row not a weight vector of integer weight"
+                )
+            wt.append(lam)
         weight.append(tuple(wt))
 
     span = SpanSolver()
@@ -321,7 +385,7 @@ def _graded(
         coords = span.express(h)
         if coords is None:
             raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
-        chain_model.append(coords)
+        chain_model.append({k: Fraction(c) for k, c in coords.items()})
 
     zero_wt = tuple([0] * len(chain_w))
     cartan = [
@@ -343,12 +407,28 @@ def _graded(
 def _bracket_rows(
     n: int, rows: List[Vec], first: int = 0
 ) -> Iterator[Tuple[int, int, Vec]]:
-    """Yield (i, j, [row i, row j]) over W(n) for every pair of basis rows
-    with i >= first or j >= first.  The one place that brackets basis rows."""
-    dim = len(rows)
-    for i in range(dim):
-        for j in range(0 if i >= first else first, dim):
-            yield i, j, w_bracket(n, rows[i], rows[j])
+    """Yield (i, j, [row i, row j]) over W(n), in row-major order, for every
+    pair of basis rows with i >= first or j >= first whose bracket is
+    nonzero.  The one place that brackets basis rows."""
+    stride = n << n
+    full = _term_index(n, rows)
+    tail = _term_index(n, rows, first) if first else full
+    for i, row in enumerate(rows):
+        acc = _row_brackets(n, row, full if i >= first else tail)
+        z: Vec = {}
+        last = -1
+        for t in sorted(acc):
+            c = acc[t]
+            if not c:
+                continue
+            j, k = divmod(t, stride)
+            if j != last:
+                if z:
+                    yield i, last, z
+                z, last = {}, j
+            z[k] = c
+        if z:
+            yield i, last, z
 
 
 def _finish_model(
@@ -367,15 +447,20 @@ def _finish_model(
     model, span = _graded(family, n, rows, descs, base)
     table = dict(base.table) if base is not None else {}
     first = base.dim if base is not None else 0
+    fractions: Dict[object, Fraction] = {}  # each distinct coefficient, made once
     for i, j, z in _bracket_rows(n, model.w_coords, first):
-        if not z:
-            continue
         coords = span.express(z)
         if coords is None:
             raise AssertionError(
                 f"{family}({n}): bracket of basis {i},{j} leaves the span"
             )
-        table[(i, j)] = coords
+        entry = {}
+        for k, c in coords.items():
+            x = fractions.get(c)
+            if x is None:
+                x = fractions[c] = Fraction(c)
+            entry[k] = x
+        table[(i, j)] = entry
     model.table = table
     return model
 
@@ -485,9 +570,9 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
 
     Any difference raises ModelFormatError naming the first differing field
     or bracket pair.  The dimension is checked before anything is built.
-    The table is compared in place: for every pair (i, j), the W(n) bracket
-    of rows i and j must equal sum_k c_k row_k over the model's entry, which
-    is equality of the structure constants, as the rows are independent.
+    The table must equal the constructor's entry by entry: the sorted union
+    of both key sets is walked in row-major order, so an extra entry, a
+    missing one and a zero coefficient are each named at their pair.
     """
     spec = FamilySpec(A.family, A.n)
     try:
@@ -498,7 +583,7 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
         raise ModelFormatError(
             f"basis: {A.dim} entries, but {spec} has dimension {spec.dim}"
         )
-    C, _ = _graded(spec.family, spec.n, *_family_rows(spec))
+    C = _finish_model(spec.family, spec.n, *_family_rows(spec))
     for name in ("basis", "parity", "degree", "weight", "cartan"):
         got, want = getattr(A, name), getattr(C, name)
         if got != want:
@@ -507,15 +592,10 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
                 min(len(got), len(want)),
             )
             raise ModelFormatError(f"{name}[{i}] differs from the {spec} constructor")
-    rows = C.w_coords
-    for i, j, z in _bracket_rows(spec.n, rows):
-        w = A.table.get((i, j), {})
-        combo: Vec = {}
-        for k, c in w.items():
-            vec_axpy_inplace(combo, c, rows[k])
-        if combo != z or not all(w.values()):
+    for i, j in sorted(A.table.keys() | C.table.keys()):
+        if A.table.get((i, j)) != C.table.get((i, j)):
             raise ModelFormatError(
                 f"bracket ({i},{j}) differs from the {spec} constructor"
             )
-    A.w_coords, A.cartan_chain = rows, C.cartan_chain
+    A.w_coords, A.cartan_chain = C.w_coords, C.cartan_chain
     return A

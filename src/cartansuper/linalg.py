@@ -427,6 +427,9 @@ class SpanSolver:
 
     Rows are added once; ``express`` then writes any vector of the span as a
     coordinate dict over the original row indices (None if outside the span).
+    Integer rows stay on Python ints while every pivot lead is +-1; a pivot
+    is divided by a Fraction only when its lead is some other value, so the
+    answer is exact either way.
     """
 
     def __init__(self):
@@ -435,14 +438,17 @@ class SpanSolver:
 
     def add(self, row: Vec) -> bool:
         v = dict(row)
-        coeffs: Vec = {self.count: _ONE}
+        coeffs: Vec = {self.count: 1}
         self.count += 1
         while v:
             lead = min(v)
             hit = self.pivots.get(lead)
             if hit is None:
                 c = v[lead]
-                if c != 1:
+                if c == -1:
+                    v = {k: -x for k, x in v.items()}
+                    coeffs = {k: -x for k, x in coeffs.items()}
+                elif c != 1:
                     inv = _ONE / c
                     v = {k: x * inv for k, x in v.items()}
                     coeffs = {k: x * inv for k, x in coeffs.items()}

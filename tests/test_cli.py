@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report schemas, byte-reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -48,6 +49,26 @@ def test_build_is_byte_identical_across_runs(tmp_path):
     run_cli("build", "--family", "S", "--n", "4", "--format", "json", "--out", str(a))
     run_cli("build", "--family", "S", "--n", "4", "--format", "json", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `build --format json --out` on the desk models, recorded before
+# the bracket table moved onto the integer kernel: model bytes never change
+DESK_MODEL_SHA256 = {
+    ("W", 4): "d9610c4f12ae8ed2c4572f33f43eb01ae3f7d91907a0fccfac63c07c16b10032",
+    ("S", 4): "58eb86ec2b3f0f567c34094b121e8a5bb41db51d4f37d28003f1e4be573be72e",
+    ("Stilde", 4): "18d6f4d536e18760b0ffc4349079d40ced6a9245808769fc6f0b4c7eddaba36a",
+    ("H", 5): "cca9d5b7530cfc13e4995cce168c997a85b4be14b25c7980cac7519bd22c7697",
+    ("H", 6): "ded56ba3d6c7cd9230682b214b6f3ddd215ea2b05ae9fd16103873fcd752491e",
+}
+
+
+@pytest.mark.parametrize("family,n", list(DESK_MODEL_SHA256))
+def test_desk_model_bytes_are_pinned(tmp_path, family, n):
+    out = tmp_path / "model.json"
+    res = run_cli("build", "--family", family, "--n", str(n), "--format", "json",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_MODEL_SHA256[(family, n)]
 
 
 def test_build_rejects_odd_stilde():
@@ -176,6 +197,26 @@ def _double_coefficient(obj):
     raise AssertionError("no unit coefficient in W(4)")
 
 
+def _extra_zero_bracket(obj):
+    present = {(i, j) for i, j, _ in obj["bracket"]}
+    dim = len(obj["basis"])
+    i, j = next((i, j) for i in range(dim) for j in range(dim) if (i, j) not in present)
+    obj["bracket"].append([i, j, [[0, "1/1"]]])
+    return f"bracket ({i},{j})"
+
+
+def _zero_coefficient(obj):
+    i, j, entries = obj["bracket"][0]
+    k = next(k for k in range(len(obj["basis"])) if k not in {e[0] for e in entries})
+    entries.append([k, "0/1"])
+    return f"bracket ({i},{j})"
+
+
+def _drop_bracket(obj):
+    i, j, _ = obj["bracket"].pop(len(obj["bracket"]) // 2)
+    return f"bracket ({i},{j})"
+
+
 def _shift_weight(obj):
     obj["weight"][9][0] += 1
     return "weight[9]"
@@ -217,7 +258,8 @@ def _parity_strings(obj):
 
 
 @pytest.mark.parametrize("tamper", [
-    _swap_basis, _flip_parity, _double_coefficient, _shift_weight,
+    _swap_basis, _flip_parity, _double_coefficient, _extra_zero_bracket,
+    _drop_bracket, _zero_coefficient, _shift_weight,
     _shift_degree, _edit_cartan, _n_12, _n_true, _n_float, _n_string,
     _parity_strings,
 ])

@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cartansuper.exterior import ExtElem, mono_mask
+from cartansuper.exterior import ExtElem, mono_degree, mono_mask, mono_mul, mono_partial
 from cartansuper.families import (
     FamilyError,
     FamilySpec,
+    _bracket_rows,
     _divergence_kernel,
+    attach_derived,
     build,
     build_lprime,
     divergence,
@@ -21,8 +25,8 @@ from cartansuper.families import (
     w_unit,
     xi,
 )
-from cartansuper.liesuper import check_axioms
-from cartansuper.linalg import Matrix, rank
+from cartansuper.liesuper import ModelFormatError, check_axioms, model_from_json, model_to_json
+from cartansuper.linalg import Matrix, SpanSolver, rank, vec_axpy_inplace
 
 
 # -- spec validation
@@ -162,6 +166,107 @@ def test_xi_examples():
     for idx in out:
         mask, j = basis[idx]
         assert bin(mask).count("1") - 1 == 2
+
+
+# -- the bracket kernel against the per-pair closed form
+
+
+def w_bracket_pair(n, a, b):
+    """[f d_i, g d_j] = f d_i(g) d_j - (-1)^((|f|+1)(|g|+1)) g d_j(f) d_i,
+    one monomial pair at a time, over the W(n) index."""
+    f, i = a
+    g, j = b
+    idx = w_index(n)
+    out = {}
+    hit = mono_partial(i, g)
+    if hit is not None:
+        s1, g1 = hit
+        s2, m = mono_mul(f, g1)
+        if s2:
+            out[idx[(m, j)]] = s1 * s2
+    hit = mono_partial(j, f)
+    if hit is not None:
+        s1, f1 = hit
+        s2, m = mono_mul(g, f1)
+        if s2:
+            sign = -1 if ((mono_degree(f) + 1) * (mono_degree(g) + 1)) % 2 == 0 else 1
+            vec_axpy_inplace(out, sign * s1 * s2, {idx[(m, i)]: 1})
+    return out
+
+
+def w_bracket_oracle(n, a, b):
+    basis = w_basis(n)
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            vec_axpy_inplace(out, ca * cb, w_bracket_pair(n, basis[ia], basis[ib]))
+    return out
+
+
+@st.composite
+def sparse_field_pairs(draw):
+    n = draw(st.integers(1, 7))
+    field = st.dictionaries(
+        st.integers(0, (n << n) - 1), st.integers(-3, 3).filter(bool), max_size=6
+    )
+    return n, draw(field), draw(field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_field_pairs())
+def test_w_bracket_is_the_per_pair_closed_form(case):
+    n, a, b = case
+    assert w_bracket(n, a, b) == w_bracket_oracle(n, a, b)
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n):
+    rows = build(family, n).w_coords
+    dim = len(rows)
+    for first in (0, dim - 2):
+        want = []
+        for i in range(dim):
+            for j in range(0 if i >= first else first, dim):
+                z = w_bracket_oracle(n, rows[i], rows[j])
+                if z:
+                    want.append((i, j, z))
+        assert list(_bracket_rows(n, rows, first)) == want
+
+
+def test_span_solver_stays_on_ints_for_unit_leads():
+    span = SpanSolver()
+    assert span.add({0: 1, 1: 2})
+    assert span.add({1: -1, 2: 3})
+    assert not span.add({0: 1, 1: 1, 2: 3})
+    coords = span.express({0: 2, 1: 1, 2: 9})
+    assert coords == {0: 2, 1: 3}
+    assert all(type(c) is int for c in coords.values())
+
+
+def test_span_solver_divides_exactly_for_a_lead_of_2():
+    span = SpanSolver()
+    assert span.add({0: 2, 1: 1})
+    assert span.add({1: 1, 2: 2})
+    coords = span.express({0: 1, 1: 1, 2: 1})
+    assert coords == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in coords.values())
+    assert span.express({2: 1}) is None
+
+
+@pytest.mark.parametrize("late", ["extra", "dropped"])
+def test_attach_derived_names_the_first_differing_pair(late):
+    text = model_to_json(build("W", 4))
+    B = model_from_json(text)
+    keys = sorted(B.table)
+    zeros = [(i, j) for i in range(B.dim) for j in range(B.dim) if (i, j) not in B.table]
+    # one extra entry at a pair whose bracket is zero and one dropped entry;
+    # the one earlier in row-major order is named
+    extra, dropped = (zeros[0], keys[-1]) if late == "dropped" else (zeros[-1], keys[0])
+    del B.table[dropped]
+    B.table[extra] = {0: Fraction(1)}
+    first = min(extra, dropped)
+    with pytest.raises(ModelFormatError, match=rf"bracket \({first[0]},{first[1]}\)"):
+        attach_derived(B)
 
 
 # -- full builds

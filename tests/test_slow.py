@@ -1,10 +1,11 @@
-"""Far tier: `check` and `certify` end to end on the largest models.
+"""Far tier: `build`, `check` and `certify` end to end on the largest models.
 
 These take minutes and are deselected by default; run them with
 
     PYTHONPATH=src python -m pytest -m slow
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,3 +60,24 @@ def test_certify_far_models(family, n):
     golden = CERTIFY_GOLDEN.get((family, n))
     if golden is not None:
         assert res.stdout == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+# sha256 of `build --format json --out` on the far models, as stored for the
+# benchmark's `build` jobs
+FAR_MODEL_SHA256 = {
+    ("W", 5): "0e970c160a6e44d051a6cc91dc570d827a330e725f9c343c2b58bc6b6d3a638c",
+    ("S", 5): "4f9b9e53a63ce9cc7c774a7b1954eb472827306ed442cf9572039f5a6c04a565",
+    ("H", 7): "335b3279149249a7f8a76cb2c45e6720570b1f8c0df1db2544993b4ca7444fc3",
+    ("Stilde", 6): "ba7ca40538bd720b49ac5f257466d71f747da06b1b902ea9634eda50267ba106",
+    ("H", 8): "4230cb1e4348bcbfdb381cad10189951479ebf5283cccd6b49dcc4479931fcf0",
+    ("W", 6): "7f6f5c2288c12c7ec8d5e8d45d4f0f5befbdea441386cc23cd0a367f6fc7fc0d",
+}
+
+
+@pytest.mark.parametrize("family, n", list(FAR_MODEL_SHA256))
+def test_far_model_bytes_are_pinned(tmp_path, family, n):
+    out = tmp_path / "model.json"
+    res = run_cli("build", "--family", family, "--n", str(n), "--format", "json",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FAR_MODEL_SHA256[(family, n)]
