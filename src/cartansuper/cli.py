@@ -34,6 +34,7 @@ from . import __version__
 from .derivations import derivation_report
 from .families import FamilyError, FamilySpec, attach_derived, build, build_lprime
 from .liesuper import (
+    FAMILIES,
     AlgebraModel,
     ModelFormatError,
     check_axioms,
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_model: bool) -> None:
         p.add_argument(
             "--family",
-            choices=["W", "S", "Stilde", "H"],
+            choices=FAMILIES,
             default=_env_default("FAMILY"),
             help="algebra family",
         )

@@ -9,8 +9,9 @@ along the bigrading: a basis-homogeneous derivation component of bidegree
 shift (d, a) maps the cell (j, b) into (j+d, b+a), and every scalar Leibniz
 constraint touches exactly one such shift, so the global kernel decomposes
 into many small block kernels (the performance path).  The rows have int
-coefficients, and each block is solved by fraction-free elimination over Z,
-which gives the rational kernel exactly, scaled to integer vectors.
+coefficients, the integer structure constants of the table, and each block
+is solved by fraction-free elimination over Z, which gives the rational
+kernel exactly, scaled to integer vectors.
 
 The block path emits rows only for the pairs (g, y) with g in a generating
 set G of L (`liesuper.generators`), |G| * dim pairs instead of dim^2 / 2.
@@ -26,9 +27,11 @@ A reference path feeds the rows of every pair, as Fractions, through one
 global elimination without using G, the block structure or the integer
 kernel.
 
-Route two spans the inner maps ad(u) for u in the extension algebra L'.
-Their agreement, subspace equality inside End(L), is the machine-checkable
-form of the classification of Der(L) for these families.
+Route two spans the inner maps ad(u) for u in the extension algebra L',
+read as int columns straight from its bracket table (`ad_columns`, which
+the certifier shares).  Their agreement, subspace equality inside End(L),
+is the machine-checkable form of the classification of Der(L) for these
+families.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, ad_matrix, generators, int_table
+from .liesuper import AlgebraModel, generators
 from .linalg import (
     Echelon,
     IntVec,
@@ -151,21 +155,15 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
 
 
 def _bracket_tables(A: AlgebraModel):
-    """The int bracket table of `int_table` and its column/row views indexed
-    by output coordinate.
-
-    Every Leibniz coefficient is linear in the structure constants, so the
-    scaling multiplies each row by one nonzero constant and leaves the row
-    space alone.
-    """
-    table = int_table(A)
+    """The bracket table's column and row views, indexed by output
+    coordinate."""
     by_col: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
     by_row: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
-    for (i, j), ints in table.items():
-        for k, c in ints.items():
+    for (i, j), w in A.table.items():
+        for k, c in w.items():
             by_col[j].setdefault(k, []).append((i, c))
             by_row[i].setdefault(k, []).append((j, c))
-    return table, by_col, by_row
+    return by_col, by_row
 
 
 def leibniz_rows(
@@ -180,11 +178,11 @@ def leibniz_rows(
     self-brackets are not trivial).  With ``generating_set``, only the pairs
     with i or j in it are kept.  Each row touches entries of exactly one
     bidegree shift, computed and attached for the block solver.  Rows have
-    int coefficients: they are built from the denominator-free table of
-    `int_table`.
+    int coefficients, the structure constants of the table.
     """
     dim = A.dim
-    table, by_col, by_row = _bracket_tables(A)
+    table = A.table
+    by_col, by_row = _bracket_tables(A)
     deg, wt = A.degree, A.weight
     cell_no = {cell: n for n, cell in enumerate(A.cells())}
     cell_of = [cell_no[A.cell_of(k)] for k in range(dim)]
@@ -326,6 +324,34 @@ class BlockSystem:
         return self._reach[1]
 
 
+# L' -> (dim L, `ad_columns` of it)
+_AD_COLUMNS: "WeakKeyDictionary[AlgebraModel, Tuple[int, List[Dict[int, IntVec]]]]" = (
+    WeakKeyDictionary()
+)
+
+
+def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
+    """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
+    zero brackets left out; a bracket escaping L raises, since ad(L') must
+    preserve L.
+
+    The columns are the bracket table's own int entries, to be read and not
+    changed, and are kept for as long as the L' model lives: `ad_image`,
+    the certifier's constraint engine and its 2-local check share them.
+    """
+    ext, m = P.ext, P.dim_l
+    got = _AD_COLUMNS.get(ext)
+    if got is None or got[0] != m:
+        ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
+        for (u, b), w in ext.table.items():
+            if b < m and w:
+                if max(w) >= m:
+                    raise ValueError("ad(L') does not preserve L")
+                ad[u][b] = w
+        got = _AD_COLUMNS[ext] = (m, ad)
+    return got[1]
+
+
 def derivation_space(
     A: AlgebraModel,
     parity: Optional[int] = None,
@@ -381,10 +407,10 @@ def ad_image(P: LPrimeModel) -> Subspace:
     """span{ad(u)|_L : u in L'} inside End(L); ad is injective here, so the
     dimension equals dim L'."""
     m = P.dim_l
-    rows = []
-    for u in range(P.ext.dim):
-        mat = ad_matrix(P.ext, {u: Fraction(1)}, restrict=m)
-        rows.append(EndMap.from_matrix(mat).to_flat())
+    rows = [
+        {a * m + b: c for b, col in cols.items() for a, c in col.items()}
+        for cols in ad_columns(P)
+    ]
     return Subspace.from_vectors(rows, m * m)
 
 

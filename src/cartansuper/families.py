@@ -33,8 +33,8 @@ generators of its monomial and by its d-index; a term f d_a then visits
 only the partner terms g d_b with x_a in g or x_b in f, the ones a
 derivative can hit, and looks up the result's index and sign in flat
 per-n tables.  Only nonzero brackets come out, and `SpanSolver` writes
-each in the basis on Python ints; the table's entries become `Fraction`s
-once, at the end.
+each in the basis on Python ints, which the table stores as they come:
+every structure constant of the four families is an integer.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exterior import (
     ExtElem,
+    all_monomials,
     check_n,
     mono_degree,
     mono_partial,
 )
 from .liesuper import (
+    FAMILIES,
     AlgebraModel,
     BasisDesc,
     Combo,
@@ -73,7 +75,7 @@ class FamilySpec:
 
     def validate(self) -> None:
         f, n = self.family, self.n
-        if f not in ("W", "S", "Stilde", "H"):
+        if f not in FAMILIES:
             raise FamilyError(f"unknown family {f!r} (expected W, S, Stilde or H)")
         try:
             check_n(n)
@@ -123,8 +125,7 @@ def involution(i: int, n: int) -> int:
 def w_basis(n: int) -> Tuple[Tuple[int, int], ...]:
     """Ambient basis (mask, j) of W(n), ordered by (deg f, mask, j)."""
     check_n(n)
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    return tuple((m, j) for m in masks for j in range(1, n + 1))
+    return tuple((m, j) for m in all_monomials(n) for j in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -442,25 +443,23 @@ def _finish_model(
 
     With ``base``, whose rows are the leading rows here, the table starts as
     a copy of base's and only the pairs involving the extra rows are
-    bracketed.
+    bracketed.  Every structure constant must come out of `SpanSolver` as
+    an int.
     """
     model, span = _graded(family, n, rows, descs, base)
     table = dict(base.table) if base is not None else {}
     first = base.dim if base is not None else 0
-    fractions: Dict[object, Fraction] = {}  # each distinct coefficient, made once
     for i, j, z in _bracket_rows(n, model.w_coords, first):
         coords = span.express(z)
         if coords is None:
             raise AssertionError(
                 f"{family}({n}): bracket of basis {i},{j} leaves the span"
             )
-        entry = {}
-        for k, c in coords.items():
-            x = fractions.get(c)
-            if x is None:
-                x = fractions[c] = Fraction(c)
-            entry[k] = x
-        table[(i, j)] = entry
+        if any(type(c) is not int for c in coords.values()):
+            raise AssertionError(
+                f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
+            )
+        table[(i, j)] = coords
     model.table = table
     return model
 
@@ -468,7 +467,7 @@ def _finish_model(
 def _divergence_kernel(n: int) -> Subspace:
     """ker(div) inside W(n), echelonized over the monomial-ordered basis."""
     basis = w_basis(n)
-    idx_l = {m: i for i, m in enumerate(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))}
+    idx_l = {m: i for i, m in enumerate(all_monomials(n))}
     data: Dict[int, Vec] = {}
     for col, (mask, j) in enumerate(basis):
         hit = mono_partial(j, mask)

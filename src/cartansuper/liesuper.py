@@ -8,7 +8,10 @@ Cartan subalgebra.
 
 The bracket table is populated once by the constructors in
 :mod:`cartansuper.families` and then only read; downstream solvers consult it
-on the order of dim^2 times, so lookups have to stay O(1).
+on the order of dim^2 times, so lookups have to stay O(1).  Every structure
+constant of the four families is an integer, and the table holds them as
+Python ints: the Jacobi scan, the Leibniz rows and the certifier read it
+as it is, and rational dimensions computed from it are the complex ones.
 
 Axioms checked by :func:`check_axioms`:
 
@@ -29,13 +32,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .exterior import mono_str, parse_mono
 from .linalg import Echelon, IntVec, Matrix, Vec, vec_axpy_inplace
 
-SuperVec = Vec
 WeightVec = Tuple[int, ...]
 
 FAMILIES = ("W", "S", "Stilde", "H")
@@ -128,7 +129,7 @@ class AlgebraModel:
         family: str,
         n: int,
         basis: List[BasisDesc],
-        table: Dict[Tuple[int, int], Vec],
+        table: Dict[Tuple[int, int], IntVec],
         parity: List[int],
         degree: List[int],
         weight: List[WeightVec],
@@ -244,29 +245,6 @@ class AxiomReport:
             "triples_checked": self.triples_checked,
             "first_violation": self.first_violation,
         }
-
-
-def table_denominator(A: AlgebraModel) -> int:
-    """The lcm of the bracket table's denominators; 1 for every built model.
-
-    Scaling every structure constant by this one constant leaves each span
-    built from them alone.
-    """
-    return lcm(*(c.denominator for w in A.table.values() for c in w.values()))
-
-
-def int_table(A: AlgebraModel) -> Dict[Tuple[int, int], IntVec]:
-    """The bracket table times `table_denominator`, with int entries.
-
-    Both sides of a Jacobi triple are sums of products of two structure
-    constants, so the scaling multiplies them alike and keeps every
-    violation; a Leibniz row is linear in them and keeps its row space.
-    """
-    den = table_denominator(A)
-    return {
-        key: {k: c.numerator * (den // c.denominator) for k, c in w.items()}
-        for key, w in A.table.items()
-    }
 
 
 def _bracket_left(table: dict, i: int, v: Vec) -> Vec:
@@ -404,7 +382,7 @@ def check_axioms(
             for _ in range(jacobi_triples)
         )
 
-    table, parity = int_table(A), A.parity
+    table, parity = A.table, A.parity
     triples = 0
     for i, j, k in triple_iter:
         triples += 1
@@ -425,9 +403,10 @@ def check_axioms(
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Format (one JSON object, canonical key order, fractions as "num/den"):
+# Format (one JSON object, canonical key order, structure constants as
+# "k/1", the "num/den" form of an integer):
 #   {family, n, basis: ["x1*d2", ...],
-#    bracket: [[i, j, [[k, "num/den"], ...]], ...],
+#    bracket: [[i, j, [[k, "k/1"], ...]], ...],
 #    parity: [...], degree: [...], weight: [[...], ...], cartan: [...]}
 
 
@@ -464,7 +443,7 @@ _MONO = r"(1|(x[1-9][0-9]*)+)"
 _FIELD = rf"{_MONO}\*d[1-9][0-9]*"
 _TERM = rf"{_INT}(/[1-9][0-9]*)?\*{_FIELD}"
 _DESC = re.compile(rf"C|DH\({_MONO}\)|{_FIELD}|{_TERM}( \+ {_TERM})+")
-_NUM_DEN = re.compile(rf"{_INT}/[1-9][0-9]*")
+_COEFF = re.compile(rf"{_INT}/1")
 
 
 def _not_int(x, name: str) -> ValueError:
@@ -490,7 +469,8 @@ def from_json_dict(obj: dict) -> AlgebraModel:
     """Parse a model object; every malformed field is named in the error.
 
     Integer fields must be JSON integers, and the integers and fractions
-    inside strings must be written as `model_to_json` writes them.
+    inside strings must be written as `model_to_json` writes them; a
+    structure constant is an integer k, written "k/1", and is read as an int.
     """
     try:
         family = obj["family"]
@@ -502,15 +482,15 @@ def from_json_dict(obj: dict) -> AlgebraModel:
             for i, s in enumerate(obj["basis"])
         ]
         dim = len(basis)
-        table: Dict[Tuple[int, int], Vec] = {}
-        coeffs: Dict[str, Fraction] = {}  # each distinct coefficient text, parsed once
+        table: Dict[Tuple[int, int], IntVec] = {}
+        coeffs: Dict[str, int] = {}  # each distinct coefficient text, parsed once
         for e, (i, j, entries) in enumerate(obj["bracket"]):
             i, j = _ints((i, j), f"bracket[{e}]")
             w = {}
             for k, c in entries:
                 x = coeffs.get(c) if type(c) is str else None
                 if x is None:
-                    x = coeffs[c] = Fraction(_written(c, _NUM_DEN, f"bracket ({i},{j})"))
+                    x = coeffs[c] = int(_written(c, _COEFF, f"bracket ({i},{j})")[:-2])
                 if type(k) is not int:
                     raise _not_int(k, f"bracket ({i},{j})")
                 w[k] = x

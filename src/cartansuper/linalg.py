@@ -14,7 +14,9 @@ Z.  They serve the Leibniz block kernels, the certifier's engine and its
 row Fraction elimination would hold, so the answer is the Fraction answer,
 scaled, with nothing to check and nothing to fall back to.
 
-Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros.
+Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros; the
+helpers and the echelon machinery take int entries as well, since a
+model's bracket table holds its integer structure constants as ints.
 Subspaces are kept in reduced row echelon form (RREF), which is unique per
 row space, so subspace equality is plain row-list equality and all outputs
 are deterministic.

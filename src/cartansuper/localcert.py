@@ -34,9 +34,10 @@ collapse the space; it never claims the theorem fails.
 
 The 2-local spot checks of `certify_2local` run on ints too:
 `is_2local_at` scales x and y to integer vectors, builds the columns
-[u, x] + [u, y] from the bracket table times its denominator (taken once
-per L' model), reduces them fraction-free, and calls the pair feasible
-exactly when the scaled right-hand side (phi(x), phi(y)) reduces to zero.
+[u, x] + [u, y] from the integer structure constants of L' (the columns
+of `derivations.ad_columns`), reduces them fraction-free, and calls the
+pair feasible exactly when the scaled right-hand side (phi(x), phi(y))
+reduces to zero.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-from weakref import WeakKeyDictionary
 
-from .derivations import BlockSystem, Cell, EndMap, Shift
+from .derivations import BlockSystem, Cell, EndMap, Shift, ad_columns
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, ad_matrix, table_denominator
+from .liesuper import AlgebraModel, ad_matrix
 from .linalg import (
     IntVec,
     Subspace,
@@ -146,35 +146,6 @@ def is_local_at(phi: EndMap, x: Vec, P: LPrimeModel) -> bool:
     return orbit(x, P).contains(phi.apply(x))
 
 
-# L' -> (dim L, `_ad_columns` of it)
-_AD_COLUMNS: "WeakKeyDictionary[AlgebraModel, Tuple[int, List[Dict[int, IntVec]]]]" = (
-    WeakKeyDictionary()
-)
-
-
-def _ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
-    """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
-    zero brackets left out.
-
-    The brackets are the table's times `table_denominator`, so they have int
-    entries and the denominator is taken once per L' model: the columns are
-    kept for as long as the model lives.  The constraint engine's slices
-    and `is_2local_at` share them.
-    """
-    ext, m = P.ext, P.dim_l
-    got = _AD_COLUMNS.get(ext)
-    if got is None or got[0] != m:
-        den = table_denominator(ext)
-        ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
-        for (u, b), w in ext.table.items():
-            if b < m and w:
-                if max(w) >= m:
-                    raise ValueError("ad(L') does not preserve L")
-                ad[u][b] = {a: c.numerator * (den // c.denominator) for a, c in w.items()}
-        got = _AD_COLUMNS[ext] = (m, ad)
-    return got[1]
-
-
 def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
     """Joint feasibility of [u, x] = phi(x), [u, y] = phi(y) for one u in L'.
 
@@ -187,7 +158,7 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
     m = P.dim_l
     X, Y = _integral(x), _integral(y)
     pivots: Dict[int, IntVec] = {}
-    for ad_u in _ad_columns(P):
+    for ad_u in ad_columns(P):
         col: IntVec = {}
         for offset, point in ((0, X), (m, Y)):
             for b, c in point.items():
@@ -419,8 +390,8 @@ class ConstraintEngine:
 
     Everything runs on Python ints: probes
     are scaled to integer vectors (the orbit condition is invariant under
-    scaling the probe), the slice ad columns come from the denominator-free
-    table, the annihilator is a fraction-free integer kernel, and a cut
+    scaling the probe), the slice ad columns are the integer bracket table's
+    (`ad_columns`), the annihilator is a fraction-free integer kernel, and a cut
     keeps each row a primitive integer multiple of the row exact rational
     elimination would keep.  So the result is exact and independent of the
     probe order; Fractions appear only where spaces are compared with or
@@ -450,7 +421,7 @@ class ConstraintEngine:
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
         self.ad_rref: Dict[Shift, List[Vec]] = {}
         ad_rows: Dict[Shift, List[IntVec]] = {}
-        for u, cols in enumerate(_ad_columns(P)):
+        for u, cols in enumerate(ad_columns(P)):
             shift = (ext.degree[u], ext.weight[u])
             if not cols:
                 raise ValueError(f"ad is not injective on L' (basis {u})")

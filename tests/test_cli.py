@@ -155,6 +155,20 @@ def test_check_zero_denominator_exits_2(tmp_path):
     assert "internal error" not in res.stderr
 
 
+def test_coefficient_not_written_as_build_writes_it_exits_2(tmp_path):
+    model = tmp_path / "h5.json"
+    run_cli("build", "--family", "H", "--n", "5", "--format", "json",
+            "--out", str(model))
+    obj = json.loads(model.read_text())
+    i, j, entries = next(e for e in obj["bracket"] if any(c == "1/1" for _, c in e[2]))
+    next(entry for entry in entries if entry[1] == "1/1")[1] = "2/2"
+    model.write_text(json.dumps(obj))
+    res = run_cli("info", "--model", str(model))
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert f"bracket ({i},{j})" in res.stderr
+    assert "internal error" not in res.stderr
+
+
 def test_model_must_match_family_and_n_flags(tmp_path):
     model = tmp_path / "h5.json"
     run_cli("build", "--family", "H", "--n", "5", "--format", "json",

@@ -12,6 +12,8 @@ from cartansuper.families import (
     FamilySpec,
     _bracket_rows,
     _divergence_kernel,
+    _family_rows,
+    _finish_model,
     attach_derived,
     build,
     build_lprime,
@@ -267,6 +269,25 @@ def test_attach_derived_names_the_first_differing_pair(late):
     first = min(extra, dropped)
     with pytest.raises(ModelFormatError, match=rf"bracket \({first[0]},{first[1]}\)"):
         attach_derived(B)
+
+
+DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
+
+
+@pytest.mark.parametrize("family,n", DESK)
+def test_bracket_tables_hold_ints_when_built_and_when_loaded(family, n):
+    A = build(family, n)
+    B = attach_derived(model_from_json(model_to_json(A)))
+    for model in (A, build_lprime(A).ext, B, build_lprime(B).ext):
+        assert all(type(c) is int for w in model.table.values() for c in w.values())
+
+
+def test_a_non_integer_structure_constant_is_refused():
+    # with d_1 replaced by 2 d_1, [d_2, x_2 d_1] = d_1 has coordinate 1/2
+    rows, descs = _family_rows(FamilySpec("W", 4))
+    rows[0] = {k: 2 * c for k, c in rows[0].items()}
+    with pytest.raises(AssertionError, match="non-integer coefficient"):
+        _finish_model("W", 4, rows, descs)
 
 
 # -- full builds

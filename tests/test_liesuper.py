@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cartansuper.families import FamilyError, attach_derived, build
@@ -159,7 +159,7 @@ def test_generator_mode_catches_jacobi_only_faults(W4):
 
 def test_jacobi_is_checked_on_fractional_structure_constants(H5):
     # [x, y]' = [x, y] / 3 is isomorphic to H(5) through x -> x / 3; the
-    # Jacobi scans run on the table times the lcm of its denominators
+    # Jacobi scans read the table as it is, Fractions included
     third = copy.copy(H5)
     third.table = {key: {k: c / 3 for k, c in w.items()} for key, w in H5.table.items()}
     G = generators(third)
@@ -260,6 +260,17 @@ H5_INTS = [p for p, v in H5_NODES if type(v) is int]
 H5_COEFFS = [p for p, v in H5_NODES if isinstance(v, str) and p[0] == "bracket"]
 
 
+def coefficient_texts(obj):
+    return {(i, j, k, c) for i, j, entries in obj["bracket"] for k, c in entries}
+
+
+def h5_with_first_unit_written(text):
+    obj = copy.deepcopy(H5_OBJ)
+    entry = next(e for _, _, entries in obj["bracket"] for e in entries if e[1] == "1/1")
+    entry[1] = text
+    return json.dumps(obj)
+
+
 @st.composite
 def single_edits(draw):
     """The H(5) model JSON with one random edit applied."""
@@ -283,7 +294,8 @@ def single_edits(draw):
     elif kind == "coeff":
         *head, last = draw(st.sampled_from(H5_COEFFS))
         at(head)[last] = draw(
-            st.sampled_from(["0/1", "1/1", "-1/1", "2/1", "1/2", "1/0", "x", ""])
+            st.sampled_from(["0/1", "1/1", "-1/1", "2/1", "1/2", "1/0", "2/2", "-3/3",
+                             "4/2", "x", ""])
         )
     elif kind == "drop":
         del obj[draw(st.sampled_from(sorted(obj)))]
@@ -296,11 +308,14 @@ def single_edits(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(single_edits())
+@example(h5_with_first_unit_written("2/2"))
 def test_single_edits_load_as_h5_or_exit_as_input_errors(text):
     try:
         B = attach_derived(model_from_json(text))
     except (ModelFormatError, FamilyError):
         return
+    # what loads carries H(5)'s coefficients exactly as `build` writes them
+    assert coefficient_texts(json.loads(text)) == coefficient_texts(H5_OBJ)
     assert model_to_json(B) == model_to_json(H5_REF)
     assert B.table == H5_REF.table
     assert B.w_coords == H5_REF.w_coords
