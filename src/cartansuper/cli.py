@@ -9,10 +9,11 @@ pairs (g, y), and compares the result with ad L'.  Only `certify` uses
 seed.
 
 Exit codes: 0 success / certified, 1 check failure or internal error,
-2 input error (bad family spec or environment value, an unwritable --out,
-a model file that is unreadable, malformed, differs in any field or
-bracket from the constructor of its family and n, or names another family
-or n than --family/--n), 3 inconclusive certification.
+2 input error (bad family spec or environment value, a --budget below 1,
+an unwritable --out, a model file that is unreadable, malformed, differs
+in any field or bracket from the constructor of its family and n, or
+names another family or n than --family/--n), 3 inconclusive
+certification.
 
 Every flag has an environment override with prefix CARTANSUPER_
 (e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.
@@ -246,6 +247,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        print(
+            f"error: --budget (or CARTANSUPER_BUDGET) must be at least 1, got {args.budget}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
     model = _load_or_build(args)
     P = build_lprime(model)
     cert = certify(P, budget=args.budget, seed=args.seed)

@@ -7,12 +7,13 @@ a rational solution space has the same dimension as its complex counterpart,
 which is what lets integer structure constants stand in for the complex
 field.
 
-The hot paths are the exception: `kernel_of_int_rows`, `int_reduce` and
-`int_combine` eliminate integer rows (``{index: int}``) fraction-free over
-Z.  They serve the Leibniz block kernels, the certifier's engine and its
-2-local check.  Every row is kept as a primitive integer multiple of the
-row Fraction elimination would hold, so the answer is the Fraction answer,
-scaled, with nothing to check and nothing to fall back to.
+The hot paths are the exception: `IntKernel` (with `kernel_of_int_rows`
+on top of it), `int_reduce` and `int_combine` eliminate integer rows
+(``{index: int}``) fraction-free over Z.  They serve the Leibniz block
+kernels, the certifier's engine and its 2-local check.  Every row is kept
+as a primitive integer multiple of the row Fraction elimination would
+hold, so the answer is the Fraction answer, scaled, with nothing to check
+and nothing to fall back to.
 
 Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros; the
 helpers and the echelon machinery take int entries as well, since a
@@ -248,7 +249,7 @@ def int_combine(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:
 
 def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
     """v reduced fraction-free against echelon rows keyed by their last
-    column (the pivot loop of `kernel_of_int_rows`).
+    column (the pivot loop of `IntKernel.cut`).
 
     The result is {} exactly when v lies in the span of the rows; otherwise
     it is v times a nonzero integer minus a combination of the rows, and
@@ -263,45 +264,73 @@ def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
     return v
 
 
-def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
-    """`kernel_of_rows` for integer rows, on ints: its RREF basis with each
-    vector scaled to a primitive integer vector with a positive lead.
+class IntKernel:
+    """The kernel in Q^ncols of the integer rows cut into it.
 
-    The rows are brought to reduced echelon form with each pivot at a row's
-    last column.  The kernel vector of a free column f is then nonzero only
-    at f and at pivot columns right of f, so f is its lead and every other
-    kernel vector vanishes there: these vectors, in order of f, are the RREF
-    of the kernel up to positive scalars.
+    The rows are kept in fraction-free echelon form, keyed by their last
+    column (`rows`), each with a positive entry there.  `len` is the
+    kernel's dimension, ncols minus the rank.
     """
-    pivots: Dict[int, IntVec] = {}
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: Dict[int, IntVec] = {}
+
+    def __len__(self) -> int:
+        return self.ncols - len(self.rows)
+
+    def cut(self, row: IntVec) -> bool:
+        """Impose row . v = 0; True when that shrank the kernel."""
+        v = int_reduce(self.rows, row)
+        if not v:
+            return False
+        lead = max(v)
+        self.rows[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
+        return True
+
+    def basis(self) -> List[IntVec]:
+        """`kernel_of_rows`'s RREF basis of the kernel, each vector scaled to
+        a primitive integer vector with a positive lead.
+
+        The rows are brought to reduced echelon form (on a copy: the stored
+        rows stay as they are).  The kernel vector of a free column f is
+        then nonzero only at f and at pivot columns right of f, so f is its
+        lead and every other kernel vector vanishes there: these vectors, in
+        order of f, are the RREF of the kernel up to positive scalars.
+        """
+        pivots = dict(self.rows)
+        # back-reduce left to right; each pivot row used is already reduced
+        for lead in sorted(pivots):
+            row = pivots[lead]
+            for k in [k for k in row if k != lead and k in pivots]:
+                row = int_combine(pivots[k][k], row, -row[k], pivots[k])
+            pivots[lead] = row
+        kern: Dict[int, IntVec] = {f: {} for f in range(self.ncols) if f not in pivots}
+        for lead, row in pivots.items():
+            for f, x in row.items():
+                if f != lead:
+                    kern[f][lead] = x
+        out = []
+        for f, hits in kern.items():
+            # f + sum_p (-row_p[f] / row_p[p]) p, scaled by the lcm of the row_p[p]
+            m = lcm(*(pivots[p][p] for p in hits))
+            v = {f: m}
+            for p, x in hits.items():
+                v[p] = -x * (m // pivots[p][p])
+            g = gcd(*v.values())
+            out.append({k: x // g for k, x in v.items()} if g > 1 else v)
+        return out
+
+
+def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
+    """`kernel_of_rows` for integer rows, on ints (`IntKernel.basis`)."""
+    kern = IntKernel(ncols)
     for row in rows:
-        v = int_reduce(pivots, row)
-        if v:
-            lead = max(v)
-            pivots[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
-        if len(pivots) == ncols:
-            return []
-    # back-reduce left to right; each pivot row used is already reduced
-    for lead in sorted(pivots):
-        row = pivots[lead]
-        for k in [k for k in row if k != lead and k in pivots]:
-            row = int_combine(pivots[k][k], row, -row[k], pivots[k])
-        pivots[lead] = row
-    kern: Dict[int, IntVec] = {f: {} for f in range(ncols) if f not in pivots}
-    for lead, row in pivots.items():
-        for f, x in row.items():
-            if f != lead:
-                kern[f][lead] = x
-    out = []
-    for f, hits in kern.items():
-        # f + sum_p (-row_p[f] / row_p[p]) p, scaled by the lcm of the row_p[p]
-        m = lcm(*(pivots[p][p] for p in hits))
-        v = {f: m}
-        for p, x in hits.items():
-            v[p] = -x * (m // pivots[p][p])
-        g = gcd(*v.values())
-        out.append({k: x // g for k, x in v.items()} if g > 1 else v)
-    return out
+        if kern.cut(row) and not kern:
+            break
+    return kern.basis()
 
 
 def solve(m: Matrix, b) -> Optional[Vec]:

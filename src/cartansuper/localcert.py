@@ -23,14 +23,18 @@ of L', so the certified space may soundly be computed one shift at a time,
 and a probe only constrains the blocks its cells reach.  The engine runs
 on Python ints, eliminating fraction-free (cross multiplication, then
 division by the content), so it is exact over Q with no modular step and
-no fallback; Fractions appear only at its edges.  The space
-always contains ad L'; when it collapses to exactly ad L' = Der L, every
-map that is locally inner at all points is inner, which is the per-n
-certificate of LDer(L) = Der(L).  When the proof list leaves a residual
-(the weight-zero depth slice of H(odd n), whose witness no Cartan anchor
-can see), deterministic degree-0-anchored probes and then basis/random
-stages escalate.  INCONCLUSIVE only means this probe budget did not
-collapse the space; it never claims the theorem fails.
+no fallback; Fractions appear only at its edges.  Each block is kept as
+the kernel of its cut rows, and the space always contains ad L'.  The
+verdict checks that containment on ints (every cut row vanishes on
+ad L'_s) together with dim = dim ad L'_s per block: a kernel of that
+dimension containing ad L'_s equals it.  When the space collapses to
+exactly ad L' = Der L this way, every map that is locally inner at all
+points is inner, which is the per-n certificate of LDer(L) = Der(L).
+When the proof list leaves a residual (the weight-zero depth slice of
+H(odd n), whose witness no Cartan anchor can see), deterministic
+degree-0-anchored probes and then basis/random stages escalate.
+INCONCLUSIVE only means this probe budget did not collapse the space; it
+never claims the theorem fails.
 
 The 2-local spot checks of `certify_2local` run on ints too:
 `is_2local_at` scales x and y to integer vectors, builds the columns
@@ -44,21 +48,20 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derivations import BlockSystem, Cell, EndMap, Shift, ad_columns
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, ad_matrix
 from .linalg import (
+    IntKernel,
     IntVec,
     Subspace,
     Vec,
     as_fractions,
-    int_combine,
     int_reduce,
     kernel_of_int_rows,
     kernel_of_rows,
@@ -370,34 +373,26 @@ class ConstraintEngine:
     which is far tighter than the full orbit and is what lets the finite
     probe list collapse each block onto ad(L'_shift).
 
-    For every shift the engine keeps the current solution space of that
-    block (starting from the whole block) and cuts it with one linear
-    functional per constraint row.  A cut takes as pivot the first row with
-    a nonzero dot against the functional, drops it, and clears the dot of
-    every later row with it.
+    For every shift the engine keeps the block's constrained space as the
+    kernel of the constraint rows cut into it (`IntKernel`): a cut reduces
+    the row fraction-free against the rows kept so far and keeps what is
+    left, so the space shrinks exactly when the row is independent of them.
 
-    The rows obey a home-column invariant.  Row j starts as the unit vector
-    at its home column j.  The pivot is zero at every other live home (a
-    home whose row is still in the space), so each live row stays the only
-    row that is nonzero at its home, and its other entries all sit at the
-    homes of removed rows.  The rows updated by a pivot come after it, so
-    the home of a row is its last column and row order is home order.  A
-    cut therefore dots only the candidate rows: the live homes in the
-    functional's support, and the rows that an index of each removed home
-    lists as nonzero there (`_support`).  Every other row has a zero dot,
-    so the pivot and the new rows are those of dotting every row.  The
-    index of a block is dropped once the block empties or converges.
+    Everything runs on Python ints: probes are scaled to integer vectors
+    (the orbit condition is invariant under scaling the probe), the slice
+    ad columns are the integer bracket table's (`ad_columns`), and the
+    annihilator and the cuts are fraction-free integer eliminations.  So
+    the result is exact and independent of the probe order; Fractions
+    appear only where spaces are handed out as subspaces over Q.
 
-    Everything runs on Python ints: probes
-    are scaled to integer vectors (the orbit condition is invariant under
-    scaling the probe), the slice ad columns are the integer bracket table's
-    (`ad_columns`), the annihilator is a fraction-free integer kernel, and a cut
-    keeps each row a primitive integer multiple of the row exact rational
-    elimination would keep.  So the result is exact and independent of the
-    probe order; Fractions appear only where spaces are compared with or
-    handed out as subspaces over Q.  A block that has shrunk onto its inner
-    target is skipped from then on: the target is contained in every
-    further cut, so no more shrinking is possible.
+    `matches_ad` decides the subspace equation space_s = ad L'_s for every
+    block by dimension and containment: every kept row must vanish on every
+    row of ad L'_s, so ad L'_s lies in the kernel, and a kernel of dimension
+    dim ad L'_s that contains ad L'_s equals it.  The containment holds by
+    construction; checking it keeps a slip in the constraint rows from
+    passing as a certificate.  Because it holds, a block that has shrunk
+    onto its inner target is skipped from then on: the target is contained
+    in every further cut, so no more shrinking is possible.
     """
 
     def __init__(self, P: LPrimeModel):
@@ -408,18 +403,17 @@ class ConstraintEngine:
         self.dim = dim
         self.blocks = BlockSystem(L)
 
-        # current solution spaces: shift -> list of int rows over local ids
-        self.space: Dict[Shift, List[IntVec]] = {
-            shift: [{i: 1} for i in range(len(entries))]
+        # the constrained space of each block, over its local ids
+        self.space: Dict[Shift, IntKernel] = {
+            shift: IntKernel(len(entries))
             for shift, entries in self.blocks.entries.items()
         }
-        # per cut block: `_support`'s live homes and removed-home index
-        self._index: Dict[Shift, Tuple[List[int], Dict[int, List[int]]]] = {}
 
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
-        self.ad_rref: Dict[Shift, List[Vec]] = {}
+        # the RREF rows of ad L'_shift, each scaled to integers
+        self.ad_rref: Dict[Shift, List[IntVec]] = {}
         ad_rows: Dict[Shift, List[IntVec]] = {}
         for u, cols in enumerate(ad_columns(P)):
             shift = (ext.degree[u], ext.weight[u])
@@ -431,7 +425,7 @@ class ConstraintEngine:
             row = self.blocks.localize(shift, EndMap(dim, cols).to_flat())
             ad_rows.setdefault(shift, []).append(row)
         for shift, rows in ad_rows.items():
-            self.ad_rref[shift] = rref(as_fractions(rows))[0]
+            self.ad_rref[shift] = [_integral(r) for r in rref(as_fractions(rows))[0]]
         self.probe_labels: List[str] = []
 
     def dim_ad(self) -> int:
@@ -509,85 +503,23 @@ class ConstraintEngine:
                     if len(self.space[shift]) <= target:
                         break  # empty, or converged: no further row cuts
 
-    def _support(self, shift: Shift) -> Tuple[List[int], Dict[int, List[int]]]:
-        """The block's live homes in row order, and for each removed home
-        the live homes of the rows that are nonzero there.
-
-        Built from the rows on a block's first cut (a row's home is its
-        last column) and kept up to date by `_cut`.
-        """
-        got = self._index.get(shift)
-        if got is None:
-            space = self.space[shift]
-            homes = [max(row) for row in space]
-            index: Dict[int, List[int]] = {}
-            for h, row in zip(homes, space):
-                for c in row:
-                    if c != h:
-                        index.setdefault(c, []).append(h)
-            got = self._index[shift] = (homes, index)
-        return got
-
-    @staticmethod
-    def _unindex(index: Dict[int, List[int]], c: int, h: int) -> None:
-        hit = index[c]
-        hit.remove(h)
-        if not hit:
-            del index[c]
-
     def _cut(self, shift: Shift, functional: IntVec) -> None:
-        space = self.space[shift]
-        homes, index = self._support(shift)
-        # only rows sharing a column with the functional can have a nonzero
-        # dot: a live home's own row, and the rows indexed under a removed one
-        candidates: Set[int] = set()
-        for c in functional:
-            hit = index.get(c)
-            if hit is not None:
-                candidates.update(hit)
-            else:
-                i = bisect_left(homes, c)
-                if i < len(homes) and homes[i] == c:
-                    candidates.add(c)
-        pivot = None
-        hits = []
-        for h in sorted(candidates):
-            i = bisect_left(homes, h)
-            d = vec_dot(space[i], functional)
-            if not d:
-                continue
-            if pivot is None:
-                pivot, pivot_at, home, d0 = space[i], i, h, d
-            else:
-                hits.append((i, h, d))
-        if pivot is None:
-            return
-        # the pivot is zero at every other live home, so only its own
-        # columns change in the rows it updates
-        for i, h, d in hits:
-            old = space[i]
-            row = space[i] = int_combine(d0, old, -d, pivot)
-            for c in pivot:
-                if c not in row:
-                    self._unindex(index, c, h)
-                elif c not in old:
-                    index.setdefault(c, []).append(h)
-        for c in pivot:
-            if c != home:
-                self._unindex(index, c, home)
-        del space[pivot_at], homes[pivot_at]
-        if not space or self._converged(shift):
-            # add_probes cuts this block no more
-            del self._index[shift]
+        self.space[shift].cut(functional)
 
     def matches_ad(self) -> bool:
-        for shift, space in self.space.items():
-            target = self.ad_rref.get(shift, [])
-            if len(space) != len(target):
-                return False
-            if rref(as_fractions(space))[0] != target:
-                return False
-        return True
+        """space_s = ad L'_s on every block: equal dimensions, and every cut
+        row vanishes on ad L'_s."""
+        if any(
+            len(space) != len(self.ad_rref.get(shift, ()))
+            for shift, space in self.space.items()
+        ):
+            return False
+        return not any(
+            vec_dot(row, ad_row)
+            for shift, space in self.space.items()
+            for ad_row in self.ad_rref.get(shift, ())
+            for row in space.rows.values()
+        )
 
     def residual_dim(self) -> int:
         return sum(len(s) for s in self.space.values()) - self.dim_ad()
@@ -596,7 +528,7 @@ class ConstraintEngine:
         rows = [
             self.blocks.lift(shift, row)
             for shift in sorted(self.space)
-            for row in as_fractions(self.space[shift])
+            for row in as_fractions(self.space[shift].basis())
         ]
         return Subspace.from_vectors(rows, self.dim * self.dim)
 
@@ -747,11 +679,14 @@ def certify_2local(
             engine = cert.engine
             witness = None
             for shift in sorted(engine.space):
-                inner = Subspace.from_vectors(
-                    engine.ad_rref.get(shift, []), len(engine.blocks.entries[shift])
-                )
+                target = engine.ad_rref.get(shift, [])
+                if len(engine.space[shift]) == len(target):
+                    continue  # the block equals ad L'_shift
+                inner = Subspace.from_vectors(target, len(engine.blocks.entries[shift]))
                 outside = [
-                    r for r in as_fractions(engine.space[shift]) if not inner.contains(r)
+                    r
+                    for r in as_fractions(engine.space[shift].basis())
+                    if not inner.contains(r)
                 ]
                 if outside:
                     witness = EndMap.from_flat(L.dim, engine.blocks.lift(shift, outside[0]))

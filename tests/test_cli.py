@@ -327,6 +327,18 @@ def test_certify_budget_one_exits_3():
     assert "INCONCLUSIVE" in res.stdout
 
 
+@pytest.mark.parametrize("args, env", [
+    (("--budget", "-3"), None),
+    (("--budget", "0"), None),
+    ((), {"CARTANSUPER_BUDGET": "-1"}),
+], ids=["flag-negative", "flag-zero", "env-negative"])
+def test_certify_budget_below_one_exits_2(args, env):
+    res = run_cli("certify", "--family", "H", "--n", "5", *args, env_extra=env)
+    assert res.returncode == 2
+    assert "--budget" in res.stderr
+    assert res.stdout == ""
+
+
 def test_env_overrides():
     res = run_cli("info", "--format", "json",
                   env_extra={"CARTANSUPER_FAMILY": "H", "CARTANSUPER_N": "5"})
@@ -362,10 +374,15 @@ def test_golden_info_report():
     assert res.stdout.strip() == golden.read_text().strip()
 
 
-def test_golden_certify_report():
+# the desk models and H(7); each golden is the stdout that
+# perfbench/expected.json stores for the same certify job
+@pytest.mark.parametrize("family,n", [
+    ("H", 5), ("W", 4), ("S", 4), ("Stilde", 4), ("H", 6), ("H", 7),
+])
+def test_golden_certify_report(family, n):
     from pathlib import Path
 
-    golden = Path(__file__).parent / "golden" / "certify_h5.json"
-    res = run_cli("certify", "--family", "H", "--n", "5", "--seed", "0",
+    golden = Path(__file__).parent / "golden" / f"certify_{family.lower()}{n}.json"
+    res = run_cli("certify", "--family", family, "--n", str(n), "--seed", "0",
                   "--format", "json")
     assert res.stdout.strip() == golden.read_text().strip()

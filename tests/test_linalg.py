@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cartansuper.linalg import (
+    IntKernel,
     Matrix,
     Subspace,
     as_fractions,
@@ -278,6 +279,39 @@ def test_int_kernel_small_cases():
     assert kernel_of_int_rows([{0: 2, 1: -4, 2: 6}], 3) == [
         {0: 3, 2: -1}, {1: 3, 2: 2}
     ]
+
+
+def test_int_kernel_dependent_cut_changes_nothing():
+    kern = IntKernel(3)
+    assert len(kern) == 3
+    assert kern.cut({0: 2, 1: -4, 2: 6})
+    assert len(kern) == 2
+    rows = dict(kern.rows)
+    # a multiple of a kept row, a zero row, and a combination of kept rows
+    assert not kern.cut({0: -1, 1: 2, 2: -3})
+    assert not kern.cut({})
+    assert len(kern) == 2 and kern.rows == rows
+    assert kern.cut({1: 1})
+    assert not kern.cut({0: 1, 1: 5, 2: 3})
+    assert len(kern) == 1
+    assert rows.items() <= kern.rows.items()
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows())
+def test_int_kernel_basis_is_the_exact_kernel_after_every_cut(case):
+    rows, ncols = case
+    kern, untouched = IntKernel(ncols), IntKernel(ncols)
+    for i, row in enumerate(rows):
+        assert kern.cut(row) == untouched.cut(row)
+        # reading the basis leaves the kept rows, and so later cuts, alone
+        kept = {lead: dict(r) for lead, r in kern.rows.items()}
+        got = kern.basis()
+        assert kern.rows == kept == untouched.rows
+        exact = kernel_of_rows(as_fractions(rows[: i + 1]), ncols)
+        assert len(kern) == len(got) == len(exact)
+        for v, e in zip(got, exact):
+            assert {k: Fraction(c, v[min(v)]) for k, c in v.items()} == e
 
 
 def test_int_combine_divides_by_the_content():

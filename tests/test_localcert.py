@@ -11,10 +11,14 @@ from cartansuper.derivations import EndMap, ad_image
 from cartansuper.families import build, build_lprime, w_basis
 from cartansuper.liesuper import ad_matrix
 from cartansuper.linalg import (
+    IntKernel,
     Matrix,
+    Subspace,
+    as_fractions,
     int_combine,
     kernel,
     rank,
+    rref,
     solve,
     vec_axpy_inplace,
     vec_dot,
@@ -333,9 +337,9 @@ def test_constrained_space_is_invariant_under_probe_scaling(H5, scale):
 def test_engine_runs_on_ints(H5):
     _, P = H5
     engine = certify(P).engine
-    assert engine.space and all(
-        type(c) is int for rows in engine.space.values() for r in rows for c in r.values()
-    )
+    kept = [r for space in engine.space.values() for r in space.rows.values()]
+    inner = [r for rows in engine.ad_rref.values() for r in rows]
+    assert kept and all(type(c) is int for r in kept + inner for c in r.values())
     assert all(
         type(c) is int
         for slices in engine.slice_ad.values()
@@ -494,19 +498,25 @@ def test_forcing_t_one_breaks_h0_collapsing_power(W4):
     assert C_bad.dim > C_good.dim
 
 
-# -- the support-indexed cut against the all-rows cut
+# -- the kernel of cut rows against the all-rows cut of an explicit basis
 
 
-class AllRowsEngine(ConstraintEngine):
-    """The engine with the cut that dots every row of the block: the oracle
-    for the support-indexed `ConstraintEngine._cut`."""
+class AllRowsSpace:
+    """A block's solution space kept as an explicit basis in `solutions`,
+    starting from the unit vectors, and cut by dotting every row of it."""
 
-    def _cut(self, shift, functional):
-        space = self.space[shift]
+    def __init__(self, ncols):
+        self.solutions = [{i: 1} for i in range(ncols)]
+
+    def __len__(self):
+        return len(self.solutions)
+
+    def cut(self, functional):
+        space = self.solutions
         dots = [vec_dot(row, functional) for row in space]
         pivot_idx = next((i for i, d in enumerate(dots) if d), None)
         if pivot_idx is None:
-            return
+            return False
         pivot = space[pivot_idx]
         d0 = dots[pivot_idx]
         new_space = []
@@ -516,7 +526,28 @@ class AllRowsEngine(ConstraintEngine):
             if d:
                 row = int_combine(d0, row, -d, pivot)
             new_space.append(row)
-        self.space[shift] = new_space
+        self.solutions = new_space
+        return True
+
+    def basis(self):
+        return self.solutions
+
+
+class AllRowsEngine(ConstraintEngine):
+    """The engine with an `AllRowsSpace` per block, whose verdict compares
+    RREFs over Q: the oracle for the blocks kept as `IntKernel`s and for
+    `matches_ad`."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.space = {shift: AllRowsSpace(space.ncols) for shift, space in self.space.items()}
+
+    def matches_ad(self):
+        return all(
+            rref(as_fractions(space.solutions))[0]
+            == rref(as_fractions(self.ad_rref.get(shift, [])))[0]
+            for shift, space in self.space.items()
+        )
 
 
 def certify_with(engine_class, P, monkeypatch, **kwargs):
@@ -529,26 +560,15 @@ def certify_with(engine_class, P, monkeypatch, **kwargs):
     return cert
 
 
-def assert_home_invariant(engine):
-    """Each row is the only one nonzero at its home, its last column; the
-    homes increase in row order; a block's index lists exactly the rows
-    nonzero at each removed home."""
-    for shift, rows in engine.space.items():
-        homes = [max(row) for row in rows]
-        assert homes == sorted(set(homes))
-        live = set(homes)
-        for h, row in zip(homes, rows):
-            assert live.intersection(row) == {h}
-        if shift in engine._index:
-            kept, index = engine._index[shift]
-            assert kept == homes
-            rebuilt = {}
-            for h, row in zip(homes, rows):
-                for c in row:
-                    if c != h:
-                        rebuilt.setdefault(c, set()).add(h)
-            assert {c: set(hs) for c, hs in index.items()} == rebuilt
-            assert all(len(hs) == len(set(hs)) for hs in index.values())
+def assert_same_spaces(fast, slow, shifts=None):
+    """Each block of the kernel engine spans the oracle's explicit basis."""
+    assert list(fast.space) == list(slow.space)
+    for shift in shifts or fast.space:
+        kern, oracle = fast.space[shift], slow.space[shift]
+        assert len(kern) == len(oracle), shift
+        assert Subspace.from_vectors(as_fractions(kern.basis()), kern.ncols) == (
+            Subspace.from_vectors(as_fractions(oracle.solutions), kern.ncols)
+        ), shift
 
 
 @pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
@@ -558,27 +578,40 @@ def test_indexed_cut_equals_all_rows_cut(family, n, monkeypatch):
     slow = certify_with(AllRowsEngine, P, monkeypatch)
     assert fast.verdict == slow.verdict == "CERTIFIED"
     assert fast.probe_labels == slow.probe_labels
-    assert list(fast.engine.space) == list(slow.engine.space)
-    for shift, rows in fast.engine.space.items():
-        assert rows == slow.engine.space[shift], shift
-    assert_home_invariant(fast.engine)
-    # a certified engine has dropped the index of every block
-    assert not fast.engine._index
+    assert_same_spaces(fast.engine, slow.engine)
 
 
-def test_indexed_cut_keeps_its_index_on_open_blocks(H5, monkeypatch):
+def test_indexed_cut_equals_all_rows_cut_on_open_blocks(H5, monkeypatch):
     _, P = H5
     fast = certify(P, budget=67)
     slow = certify_with(AllRowsEngine, P, monkeypatch, budget=67)
     assert fast.verdict == slow.verdict == "INCONCLUSIVE"
-    assert fast.engine.space == slow.engine.space
-    assert fast.engine._index
-    assert_home_invariant(fast.engine)
+    assert fast.dim_constrained == slow.dim_constrained > fast.dim_ad
+    assert_same_spaces(fast.engine, slow.engine)
+
+
+def test_matches_ad_checks_containment_not_only_dimension(H5):
+    # a block cut down to the dimension of ad L'_s by rows that do not
+    # vanish on ad L'_s has the right size but is another subspace
+    _, P = H5
+    engine = certify(P).engine
+    assert engine.matches_ad()
+    shift = next(s for s, rows in engine.ad_rref.items() if rows)
+    target = engine.ad_rref[shift]
+    kern = engine.space[shift] = IntKernel(engine.space[shift].ncols)
+    on_ad = sorted({k for row in target for k in row})
+    for k in on_ad + [k for k in range(kern.ncols) if k not in on_ad]:
+        if len(kern) == len(target):
+            break
+        kern.cut({k: 1})
+    assert engine.residual_dim() == 0
+    assert any(vec_dot(row, a) for row in kern.rows.values() for a in target)
+    assert not engine.matches_ad()
 
 
 def small_block(engine):
     # at most 24 columns, with a nonzero inner target, so random cuts can
-    # pass through convergence, where the block's index is dropped
+    # pass through convergence
     space, target = engine.space, engine.ad_rref
     return max(space, key=lambda s: (len(space[s]) <= 24, s in target, len(space[s])))
 
@@ -593,13 +626,11 @@ def test_random_functionals_cut_alike(H5, data):
     assert size == 24 and fast.ad_rref[shift]
     entry = st.one_of(st.integers(-3, -1), st.integers(1, 3), st.sampled_from([40000, -7 * 40000]))
     functional = st.dictionaries(st.integers(0, size - 1), entry, min_size=1, max_size=5)
-    # enough cuts to pass through the inner target's dimension, where the
-    # index is dropped and the next cut rebuilds it from the rows
+    # enough cuts to pass through the inner target's dimension
     for f in data.draw(st.lists(functional, min_size=size, max_size=2 * size)):
         fast._cut(shift, f)
         slow._cut(shift, f)
-        assert fast.space[shift] == slow.space[shift]
-        assert_home_invariant(fast)
+        assert_same_spaces(fast, slow, [shift])
 
 
 # -- the integer 2-local check against the Fraction system
