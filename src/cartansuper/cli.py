@@ -144,9 +144,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT_ERROR) from None
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone (`| head`): drop the rest
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_or_build(args) -> AlgebraModel:

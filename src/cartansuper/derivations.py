@@ -9,9 +9,9 @@ along the bigrading: a basis-homogeneous derivation component of bidegree
 shift (d, a) maps the cell (j, b) into (j+d, b+a), and every scalar Leibniz
 constraint touches exactly one such shift, so the global kernel decomposes
 into many small block kernels (the performance path).  The rows have int
-coefficients, the integer structure constants of the table, and each block
-is solved by fraction-free elimination over Z, which gives the rational
-kernel exactly, scaled to integer vectors.
+coefficients, the integer structure constants of the table, and each one
+is cut into its block's `IntKernel` as it is emitted (`leibniz_kernels`):
+fraction-free elimination over Z, exact over Q.
 
 The block path emits rows only for the pairs (g, y) with g in a generating
 set G of L (`liesuper.generators`), |G| * dim pairs instead of dim^2 / 2.
@@ -29,9 +29,11 @@ kernel.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L',
 read as int columns straight from its bracket table (`ad_columns`, which
-the certifier shares).  Their agreement, subspace equality inside End(L),
-is the machine-checkable form of the classification of Der(L) for these
-families.
+the certifier shares), as integer echelon rows per block (`ad_blocks`).
+The two routes are compared block by block, on ints, by dimension and
+containment (`blocks_equal_ad`, the test the certifier's verdict makes
+too): Der_s = ad L'_s on every block is the machine-checkable form of the
+classification of Der(L) for these families.
 """
 
 from __future__ import annotations
@@ -46,15 +48,15 @@ from weakref import WeakKeyDictionary
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators
 from .linalg import (
-    Echelon,
+    IntKernel,
     IntVec,
     Matrix,
     Subspace,
     Vec,
     as_fractions,
-    kernel_of_int_rows,
     kernel_of_rows,
     vec_axpy_inplace,
+    vec_dot,
 )
 
 WeightTuple = Tuple[int, ...]
@@ -283,18 +285,15 @@ class BlockSystem:
         entries = self.entries[shift]
         return {entries[k]: c for k, c in row.items()}
 
-    def kernel(self, shift: Shift, rows: List[IntVec]) -> List[Vec]:
-        """Flat basis of the maps in one block annihilated by the flat
-        integer rows.
-
-        Duplicate rows are dropped and the rest are solved fraction-free
-        (`kernel_of_int_rows`): the basis is the RREF basis of
-        `kernel_of_rows`, each vector scaled to a primitive integer vector.
-        """
-        distinct = {frozenset(row.items()): row for row in rows}.values()
-        local_rows = [self.localize(shift, row) for row in distinct]
-        kern = kernel_of_int_rows(local_rows, len(self.entries[shift]))
-        return [self.lift(shift, v) for v in as_fractions(kern)]
+    def subspace(self, space: Dict[Shift, IntKernel]) -> Subspace:
+        """The direct sum of the blocks' kernels as a subspace of End(L), the
+        one place where a block becomes Fractions."""
+        rows = [
+            self.lift(shift, v)
+            for shift in sorted(space)
+            for v in as_fractions(space[shift].basis())
+        ]
+        return Subspace.from_vectors(rows, self.A.dim ** 2)
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,
@@ -352,6 +351,57 @@ def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
     return got[1]
 
 
+def leibniz_kernels(
+    A: AlgebraModel, parity: Optional[int] = None
+) -> Tuple[BlockSystem, Dict[Shift, IntKernel]]:
+    """Der L block by block: each Leibniz row of the pairs (g, y), g in
+    `generators(A)`, is cut into its block's `IntKernel` as it is emitted
+    (a block whose kernel is zero takes no more rows).  Exact once A
+    passes `check_axioms` (see the module docstring)."""
+    blocks = BlockSystem(A, parity)
+    space = {shift: IntKernel(len(entries)) for shift, entries in blocks.entries.items()}
+    for shift, row in leibniz_rows(A, parity, generators(A)):
+        if space[shift]:
+            space[shift].cut(blocks.localize(shift, row))
+    return blocks, space
+
+
+def ad_blocks(P: LPrimeModel, blocks: BlockSystem) -> Dict[Shift, Dict[int, IntVec]]:
+    """ad L'_s for every block s it meets, as integer echelon rows over the
+    block's local ids keyed by their last column (what `int_reduce` reads):
+    the rows cut into a kernel are an echelon basis of their span, so
+    there are dim ad L'_s of them.  Each ad(u) must be nonzero and must lie
+    in a block of the pattern."""
+    ext = P.ext
+    span: Dict[Shift, IntKernel] = {}
+    for u, cols in enumerate(ad_columns(P)):
+        shift = (ext.degree[u], ext.weight[u])
+        if not cols:
+            raise ValueError(f"ad is not injective on L' (basis {u})")
+        if shift not in blocks.entries:
+            raise ValueError("ad(u) hits a shift outside the block pattern")
+        kern = span.setdefault(shift, IntKernel(len(blocks.entries[shift])))
+        kern.cut(blocks.localize(shift, EndMap(P.dim_l, cols).to_flat()))
+    return {shift: kern.rows for shift, kern in span.items()}
+
+
+def blocks_equal_ad(
+    space: Dict[Shift, IntKernel], ad: Dict[Shift, Dict[int, IntVec]]
+) -> bool:
+    """space_s = ad L'_s for every block s, decided on ints: every row cut
+    into the kernel vanishes on every row of ad L'_s, so ad L'_s lies in
+    the kernel, and the kernel has dimension dim ad L'_s; a subspace of
+    that dimension containing ad L'_s equals it."""
+    if any(len(kern) != len(ad.get(shift, ())) for shift, kern in space.items()):
+        return False
+    return not any(
+        vec_dot(row, ad_row)
+        for shift, kern in space.items()
+        for ad_row in ad.get(shift, {}).values()
+        for row in kern.rows.values()
+    )
+
+
 def derivation_space(
     A: AlgebraModel,
     parity: Optional[int] = None,
@@ -360,11 +410,10 @@ def derivation_space(
     """The space of parity-homogeneous superderivations inside End(L).
 
     parity None returns the direct sum of the even and odd parts.  The
-    "blocks" method keeps the rows of the pairs (g, y) with g in a
-    generating set G (see `generators`) and solves one small kernel per
-    bidegree shift; "reference" pushes the rows of every pair through a
-    single global elimination and must agree.  The blocks answer assumes
-    that A passes `check_axioms` (see the module docstring).
+    "blocks" method is `leibniz_kernels`, read out as one subspace;
+    "reference" pushes the rows of every pair through a single global
+    elimination and must agree.  The blocks answer assumes that A passes
+    `check_axioms` (see the module docstring).
     """
     dim = A.dim
     flat_dim = dim * dim
@@ -387,16 +436,8 @@ def derivation_space(
         return Subspace.from_vectors(lifted, flat_dim)
     if method != "blocks":
         raise ValueError(f"unknown method {method!r}")
-
-    blocks = BlockSystem(A, parity)
-    grouped: Dict[Shift, List[IntVec]] = {}
-    for shift, row in leibniz_rows(A, parity, generators(A)):
-        grouped.setdefault(shift, []).append(row)
-
-    out_rows: List[Vec] = []
-    for shift in sorted(blocks.entries):
-        out_rows.extend(blocks.kernel(shift, grouped.get(shift, [])))
-    return Subspace.from_vectors(out_rows, flat_dim)
+    blocks, space = leibniz_kernels(A, parity)
+    return blocks.subspace(space)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +456,21 @@ def ad_image(P: LPrimeModel) -> Subspace:
 
 
 def transitivity_check(P: LPrimeModel) -> bool:
-    """No nonzero element of nonnegative degree annihilates L'_{-1}."""
+    """No nonzero element of nonnegative degree annihilates L'_{-1}: the
+    rows ([a, v] for v in L'_{-1}), one per basis vector a of nonnegative
+    degree, are independent, so each one shrinks the kernel they cut."""
     ext = P.ext
     neg = [i for i in range(ext.dim) if ext.degree[i] == -1]
     nonneg = [i for i in range(ext.dim) if ext.degree[i] >= 0]
-    ech = Echelon()
-    ranked = 0
+    kern = IntKernel(len(neg) * ext.dim)
     for a in nonneg:
-        row: Vec = {}
+        row: IntVec = {}
         for slot, v in enumerate(neg):
-            w = ext.bracket_basis(a, v)
-            for k, c in w.items():
+            for k, c in ext.bracket_basis(a, v).items():
                 row[slot * ext.dim + k] = c
-        if ech.insert(row):
-            ranked += 1
-    return ranked == len(nonneg)
+        if not kern.cut(row):
+            return False
+    return True
 
 
 @dataclass
@@ -455,14 +496,13 @@ class DerivationReport:
 
 
 def derivation_report(P: LPrimeModel) -> DerivationReport:
-    der = derivation_space(P.base)
-    inner = ad_image(P)
+    blocks, space = leibniz_kernels(P.base)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
-        dim_der=der.dim,
-        lemma_der_holds=der == inner,
+        dim_der=sum(len(kern) for kern in space.values()),
+        lemma_der_holds=blocks_equal_ad(space, ad_blocks(P, blocks)),
         transitive=transitivity_check(P),
     )

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .exterior import mono_str, parse_mono
-from .linalg import Echelon, IntVec, Matrix, Vec, vec_axpy_inplace
+from .linalg import IntKernel, IntVec, Matrix, Vec, int_multiple, vec_axpy_inplace
 
 WeightVec = Tuple[int, ...]
 
@@ -288,29 +288,30 @@ def generators(
     """
     if candidates is None:
         candidates = range(A.dim)
-    one = Fraction(1)
-    ech = Echelon()
-    span: List[Vec] = []  # a basis of the closure, as found
+    # the closure is the span of the rows cut into kern: a vector is new to
+    # it exactly when its cut shrinks kern, and it is all of L once kern is 0
+    kern = IntKernel(A.dim)
+    span: List[IntVec] = []  # a basis of the closure, as found
     applied: List[int] = []  # per span vector, how many generators it has met
     G: List[int] = []
     for g in sorted(set(candidates), key=lambda i: (A.degree[i], i)):
-        if ech.rank == A.dim:
+        if not kern:
             break
-        if not ech.insert({g: one}):
+        if not kern.cut({g: 1}):
             continue
         G.append(g)
-        span.append({g: one})
+        span.append({g: 1})
         applied.append(0)
         v = 0
         while v < len(span):
             for h in G[applied[v]:]:
-                w = _bracket_left(A.table, h, span[v])
-                if w and ech.insert(w):
+                w = int_multiple(_bracket_left(A.table, h, span[v]))
+                if w and kern.cut(w):
                     span.append(w)
                     applied.append(0)
             applied[v] = len(G)
             v += 1
-    return G if ech.rank == A.dim else None
+    return G if not kern else None
 
 
 def check_axioms(

@@ -9,11 +9,11 @@ field.
 
 The hot paths are the exception: `IntKernel` (with `kernel_of_int_rows`
 on top of it), `int_reduce` and `int_combine` eliminate integer rows
-(``{index: int}``) fraction-free over Z.  They serve the Leibniz block
-kernels, the certifier's engine and its 2-local check.  Every row is kept
-as a primitive integer multiple of the row Fraction elimination would
-hold, so the answer is the Fraction answer, scaled, with nothing to check
-and nothing to fall back to.
+(``{index: int}``) fraction-free over Z.  They serve all of `check`'s
+derivation layer, the certifier's engine and its 2-local check.  Every
+row is kept as a primitive integer multiple of the row Fraction
+elimination would hold, so the answer is the Fraction answer, scaled,
+with nothing to check and nothing to fall back to.
 
 Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros; the
 helpers and the echelon machinery take int entries as well, since a
@@ -226,6 +226,12 @@ def kernel_of_rows(rows: Iterable[Vec], ncols: int) -> List[Vec]:
 
 def as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
     return [{k: Fraction(c) for k, c in row.items()} for row in rows]
+
+
+def int_multiple(v: Vec) -> IntVec:
+    """v times the lcm of its denominators: the same direction, on ints."""
+    den = lcm(*(c.denominator for c in v.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
 def int_combine(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:

@@ -24,10 +24,8 @@ and a probe only constrains the blocks its cells reach.  The engine runs
 on Python ints, eliminating fraction-free (cross multiplication, then
 division by the content), so it is exact over Q with no modular step and
 no fallback; Fractions appear only at its edges.  Each block is kept as
-the kernel of its cut rows, and the space always contains ad L'.  The
-verdict checks that containment on ints (every cut row vanishes on
-ad L'_s) together with dim = dim ad L'_s per block: a kernel of that
-dimension containing ad L'_s equals it.  When the space collapses to
+the kernel of its cut rows, and the verdict is `check`'s block test
+(`derivations.blocks_equal_ad`) against ad L'.  When the space collapses to
 exactly ad L' = Der L this way, every map that is locally inner at all
 points is inner, which is the per-n certificate of LDer(L) = Der(L).
 When the proof list leaves a residual (the weight-zero depth slice of
@@ -50,25 +48,25 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derivations import BlockSystem, Cell, EndMap, Shift, ad_columns
+from .derivations import BlockSystem, Cell, EndMap, Shift
+from .derivations import ad_blocks, ad_columns, blocks_equal_ad
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, ad_matrix
+from .liesuper import AlgebraModel
 from .linalg import (
     IntKernel,
     IntVec,
     Subspace,
     Vec,
     as_fractions,
+    int_multiple,
     int_reduce,
     kernel_of_int_rows,
     kernel_of_rows,
-    rref,
+    rref,  # not called here; perfbench/child.py wraps localcert.rref
     solve,  # not called here; perfbench/child.py wraps localcert.solve
     vec_axpy_inplace,
-    vec_dot,
     vec_scale,
 )
 
@@ -152,14 +150,14 @@ def is_local_at(phi: EndMap, x: Vec, P: LPrimeModel) -> bool:
 def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
     """Joint feasibility of [u, x] = phi(x), [u, y] = phi(y) for one u in L'.
 
-    Exact on ints: with X, Y the integer multiples of x, y (`_integral`),
+    Exact on ints: with X, Y the integer multiples of x, y (`int_multiple`),
     the system reads sum_u a_u ([u, X] + [u, Y]) = phi(X) + phi(Y) in
     L + L.  Its columns come from the integer bracket table, they are
     reduced fraction-free (`int_reduce`), and the system is feasible iff
     the right-hand side, scaled to ints, reduces to zero.
     """
     m = P.dim_l
-    X, Y = _integral(x), _integral(y)
+    X, Y = int_multiple(x), int_multiple(y)
     pivots: Dict[int, IntVec] = {}
     for ad_u in ad_columns(P):
         col: IntVec = {}
@@ -180,7 +178,7 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
     rhs = dict(phi.apply(X))
     for k, c in phi.apply(Y).items():
         rhs[m + k] = c
-    return not int_reduce(pivots, _integral(rhs))
+    return not int_reduce(pivots, int_multiple(rhs))
 
 
 def bigrade_decompose(phi: EndMap, A: AlgebraModel) -> Dict[Shift, EndMap]:
@@ -224,12 +222,6 @@ def separating_t(A: AlgebraModel) -> SeparatingScalar:
 
 # ---------------------------------------------------------------------------
 # the probe list
-
-
-def _integral(v: Vec) -> IntVec:
-    """v times the lcm of its denominators: the same direction, on ints."""
-    den = lcm(*(c.denominator for c in v.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
 def _normalize_direction(v: Vec) -> Tuple[Tuple[int, Fraction], ...]:
@@ -380,61 +372,41 @@ class ConstraintEngine:
 
     Everything runs on Python ints: probes are scaled to integer vectors
     (the orbit condition is invariant under scaling the probe), the slice
-    ad columns are the integer bracket table's (`ad_columns`), and the
-    annihilator and the cuts are fraction-free integer eliminations.  So
-    the result is exact and independent of the probe order; Fractions
-    appear only where spaces are handed out as subspaces over Q.
+    ad columns are the integer bracket table's (`ad_columns`), the targets
+    ad L'_s are integer echelon rows (`ad_blocks`), and the annihilator and
+    the cuts are fraction-free integer eliminations.  So the result is
+    exact and independent of the probe order; Fractions appear only where
+    spaces are handed out as subspaces over Q.
 
-    `matches_ad` decides the subspace equation space_s = ad L'_s for every
-    block by dimension and containment: every kept row must vanish on every
-    row of ad L'_s, so ad L'_s lies in the kernel, and a kernel of dimension
-    dim ad L'_s that contains ad L'_s equals it.  The containment holds by
-    construction; checking it keeps a slip in the constraint rows from
+    `matches_ad` decides space_s = ad L'_s for every block with
+    `derivations.blocks_equal_ad`, the dimension-and-containment test that
+    `check` makes on the Leibniz blocks too.  Containment holds here by
+    construction, and testing it keeps a slip in the constraint rows from
     passing as a certificate.  Because it holds, a block that has shrunk
-    onto its inner target is skipped from then on: the target is contained
-    in every further cut, so no more shrinking is possible.
+    to the dimension of its inner target equals it, and no further cut can
+    shrink it: it is skipped from then on.
     """
 
     def __init__(self, P: LPrimeModel):
         self.P = P
-        L = P.base
-        self.L = L
-        dim = L.dim
-        self.dim = dim
+        self.L = L = P.base
+        self.dim = L.dim
         self.blocks = BlockSystem(L)
-
         # the constrained space of each block, over its local ids
         self.space: Dict[Shift, IntKernel] = {
-            shift: IntKernel(len(entries))
-            for shift, entries in self.blocks.entries.items()
+            shift: IntKernel(len(entries)) for shift, entries in self.blocks.entries.items()
         }
-
+        # ad L'_shift as integer echelon rows, the target of each block
+        self.ad_pivots = ad_blocks(P, self.blocks)
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
-        # the RREF rows of ad L'_shift, each scaled to integers
-        self.ad_rref: Dict[Shift, List[IntVec]] = {}
-        ad_rows: Dict[Shift, List[IntVec]] = {}
         for u, cols in enumerate(ad_columns(P)):
-            shift = (ext.degree[u], ext.weight[u])
-            if not cols:
-                raise ValueError(f"ad is not injective on L' (basis {u})")
-            if shift not in self.blocks.entries:
-                raise ValueError("ad(u) hits a shift outside the block pattern")
-            self.slice_ad.setdefault(shift, []).append(cols)
-            row = self.blocks.localize(shift, EndMap(dim, cols).to_flat())
-            ad_rows.setdefault(shift, []).append(row)
-        for shift, rows in ad_rows.items():
-            self.ad_rref[shift] = [_integral(r) for r in rref(as_fractions(rows))[0]]
+            self.slice_ad.setdefault((ext.degree[u], ext.weight[u]), []).append(cols)
         self.probe_labels: List[str] = []
 
     def dim_ad(self) -> int:
-        return sum(len(rows) for rows in self.ad_rref.values())
-
-    def _converged(self, shift: Shift) -> bool:
-        # containment ad(L'_shift) <= space is structural, so dimension
-        # equality already means equality
-        return len(self.space[shift]) == len(self.ad_rref.get(shift, []))
+        return sum(len(rows) for rows in self.ad_pivots.values())
 
     def constraint_rows(
         self,
@@ -493,44 +465,26 @@ class ConstraintEngine:
     def add_probes(self, probes: Sequence[Probe]) -> None:
         for probe in probes:
             self.probe_labels.append(probe.label)
-            x = _integral(probe.vector)
+            x = int_multiple(probe.vector)
             for shift, pairs in self.blocks.shifts_from(x).items():
-                if not self.space[shift] or self._converged(shift):
-                    continue
-                target = len(self.ad_rref.get(shift, ()))
+                space = self.space[shift]
+                target = len(self.ad_pivots.get(shift, ()))
+                if len(space) <= target:
+                    continue  # empty, or converged: no row cuts it further
                 for row in self.constraint_rows(x, shift, pairs):
                     self._cut(shift, row)
-                    if len(self.space[shift]) <= target:
-                        break  # empty, or converged: no further row cuts
+                    if len(space) <= target:
+                        break
 
     def _cut(self, shift: Shift, functional: IntVec) -> None:
         self.space[shift].cut(functional)
 
     def matches_ad(self) -> bool:
-        """space_s = ad L'_s on every block: equal dimensions, and every cut
-        row vanishes on ad L'_s."""
-        if any(
-            len(space) != len(self.ad_rref.get(shift, ()))
-            for shift, space in self.space.items()
-        ):
-            return False
-        return not any(
-            vec_dot(row, ad_row)
-            for shift, space in self.space.items()
-            for ad_row in self.ad_rref.get(shift, ())
-            for row in space.rows.values()
-        )
+        """space_s = ad L'_s on every block (`blocks_equal_ad`)."""
+        return blocks_equal_ad(self.space, self.ad_pivots)
 
     def residual_dim(self) -> int:
         return sum(len(s) for s in self.space.values()) - self.dim_ad()
-
-    def as_subspace(self) -> Subspace:
-        rows = [
-            self.blocks.lift(shift, row)
-            for shift in sorted(self.space)
-            for row in as_fractions(self.space[shift].basis())
-        ]
-        return Subspace.from_vectors(rows, self.dim * self.dim)
 
 
 def constrained_space(
@@ -548,14 +502,14 @@ def constrained_space(
     if method == "blocks":
         engine = ConstraintEngine(P)
         engine.add_probes(probes)
-        return engine.as_subspace()
+        return engine.blocks.subspace(engine.space)
     if method != "reference":
         raise ValueError(f"unknown method {method!r}")
     engine = ConstraintEngine(P)
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
-        x = _integral(probe.vector)
+        x = int_multiple(probe.vector)
         for shift in sorted(engine.space):
             for row in as_fractions(engine.constraint_rows(x, shift)):
                 rows.append(engine.blocks.lift(shift, row))
@@ -628,10 +582,10 @@ def certify(
     )
 
 
-def _random_vector(rng: random.Random, dim: int, max_terms: int = 4) -> Vec:
+def _random_vector(rng: random.Random, dim: int, max_terms: int = 4) -> IntVec:
     while True:
         v = {
-            rng.randrange(dim): Fraction(rng.randint(-2, 2))
+            rng.randrange(dim): rng.randint(-2, 2)
             for _ in range(rng.randint(1, max_terms))
         }
         v = {k: c for k, c in v.items() if c}
@@ -657,12 +611,14 @@ def certify_2local(
     """
     rng = random.Random(seed)
     L = P.base
-    ext = P.ext
+    ad = ad_columns(P)
     checked = 0
     failure = None
     for _ in range(pairs):
-        u = _random_vector(rng, ext.dim)
-        phi = EndMap.from_matrix(ad_matrix(ext, u, restrict=L.dim))
+        phi = EndMap(L.dim)
+        for w, c in _random_vector(rng, P.ext.dim).items():
+            for b, col in ad[w].items():
+                vec_axpy_inplace(phi.cols.setdefault(b, {}), c, col)
         x = _random_vector(rng, L.dim)
         y = _random_vector(rng, L.dim)
         checked += 1
@@ -679,15 +635,10 @@ def certify_2local(
             engine = cert.engine
             witness = None
             for shift in sorted(engine.space):
-                target = engine.ad_rref.get(shift, [])
+                target = engine.ad_pivots.get(shift, {})
                 if len(engine.space[shift]) == len(target):
                     continue  # the block equals ad L'_shift
-                inner = Subspace.from_vectors(target, len(engine.blocks.entries[shift]))
-                outside = [
-                    r
-                    for r in as_fractions(engine.space[shift].basis())
-                    if not inner.contains(r)
-                ]
+                outside = [r for r in engine.space[shift].basis() if int_reduce(target, r)]
                 if outside:
                     witness = EndMap.from_flat(L.dim, engine.blocks.lift(shift, outside[0]))
                     break

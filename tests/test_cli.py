@@ -374,6 +374,42 @@ def test_golden_info_report():
     assert res.stdout.strip() == golden.read_text().strip()
 
 
+# the desk models; each golden is the stdout that perfbench/expected.json
+# stores for the same check job
+@pytest.mark.parametrize("family,n", [
+    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6),
+])
+def test_golden_check_report(family, n):
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden" / f"check_{family.lower()}{n}.json"
+    res = run_cli("check", "--family", family, "--n", str(n), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == golden.read_text()
+
+
+@pytest.mark.parametrize("args, head", [
+    # 161 KB of model, far more than a pipe holds: the writer is still
+    # writing when the reader goes away after its first bytes
+    (("build", "--family", "W", "--n", "5", "--format", "json"), b'{"family":"W"'),
+    # the reader goes away before the report is written
+    (("check", "--family", "H", "--n", "5"), b""),
+])
+def test_closed_stdout_is_not_an_error(args, head):
+    # `cartansuper ... | head -1`: the command keeps its own exit code and
+    # writes nothing to stderr
+    import os
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", PKG, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ),
+    )
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=300) == 0
+
+
 # the desk models and H(7); each golden is the stdout that
 # perfbench/expected.json stores for the same certify job
 @pytest.mark.parametrize("family,n", [

@@ -195,6 +195,54 @@ def test_derivation_report_payload(pairs):
     }
 
 
+@pytest.mark.parametrize("spec", [("H", 5), ("S", 4)])
+def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
+    from cartansuper import linalg
+
+    A, P = pairs[spec]
+    expected = derivation_report(P).as_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction subspace route used")
+
+    monkeypatch.setattr(linalg.Subspace, "from_vectors", refuse)
+    monkeypatch.setattr(linalg.Echelon, "insert", refuse)
+    for name in ("as_fractions", "derivation_space", "ad_image"):
+        monkeypatch.setattr(derivations, name, refuse)
+    report = derivation_report(P)
+    assert report.as_dict() == expected
+    assert report.lemma_der_holds and report.dim_der == P.dim_lprime
+
+
+def test_check_and_certify_share_the_block_test(pairs, monkeypatch):
+    from cartansuper import localcert
+
+    _, P = pairs[("H", 5)]
+    real = derivations.blocks_equal_ad
+    calls = []
+
+    def spy(space, ad):
+        calls.append(space)
+        return real(space, ad)
+
+    monkeypatch.setattr(derivations, "blocks_equal_ad", spy)
+    monkeypatch.setattr(localcert, "blocks_equal_ad", spy)
+    assert derivation_report(P).lemma_der_holds and len(calls) == 1
+    cert = localcert.certify(P)
+    assert cert.verdict == "CERTIFIED" and calls[-1] is cert.engine.space
+
+
+@pytest.mark.parametrize("spec, dim_der", [(("H", 5), 32), (("S", 4), 50)])
+def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der):
+    # ad L is a proper subspace of Der L for H(5) and S(4): the outer
+    # derivations of L' are missing
+    A, _ = pairs[spec]
+    report = derivation_report(LPrimeModel(A, A, []))
+    assert not report.lemma_der_holds
+    assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
+    assert report.dim_lprime == A.dim < dim_der
+
+
 def test_bigrade_decompose_reconstructs(pairs):
     from cartansuper.localcert import bigrade_decompose
 

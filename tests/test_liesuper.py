@@ -161,7 +161,9 @@ def test_jacobi_is_checked_on_fractional_structure_constants(H5):
     # [x, y]' = [x, y] / 3 is isomorphic to H(5) through x -> x / 3; the
     # Jacobi scans read the table as it is, Fractions included
     third = copy.copy(H5)
-    third.table = {key: {k: c / 3 for k, c in w.items()} for key, w in H5.table.items()}
+    third.table = {
+        key: {k: Fraction(c, 3) for k, c in w.items()} for key, w in H5.table.items()
+    }
     G = generators(third)
     assert check_axioms(third).ok
     assert check_axioms(third, generating_set=G).ok

@@ -338,7 +338,7 @@ def test_engine_runs_on_ints(H5):
     _, P = H5
     engine = certify(P).engine
     kept = [r for space in engine.space.values() for r in space.rows.values()]
-    inner = [r for rows in engine.ad_rref.values() for r in rows]
+    inner = [r for rows in engine.ad_pivots.values() for r in rows.values()]
     assert kept and all(type(c) is int for r in kept + inner for c in r.values())
     assert all(
         type(c) is int
@@ -545,7 +545,7 @@ class AllRowsEngine(ConstraintEngine):
     def matches_ad(self):
         return all(
             rref(as_fractions(space.solutions))[0]
-            == rref(as_fractions(self.ad_rref.get(shift, [])))[0]
+            == rref(as_fractions(self.ad_pivots.get(shift, {}).values()))[0]
             for shift, space in self.space.items()
         )
 
@@ -596,8 +596,8 @@ def test_matches_ad_checks_containment_not_only_dimension(H5):
     _, P = H5
     engine = certify(P).engine
     assert engine.matches_ad()
-    shift = next(s for s, rows in engine.ad_rref.items() if rows)
-    target = engine.ad_rref[shift]
+    shift = next(s for s, rows in engine.ad_pivots.items() if rows)
+    target = list(engine.ad_pivots[shift].values())
     kern = engine.space[shift] = IntKernel(engine.space[shift].ncols)
     on_ad = sorted({k for row in target for k in row})
     for k in on_ad + [k for k in range(kern.ncols) if k not in on_ad]:
@@ -612,7 +612,7 @@ def test_matches_ad_checks_containment_not_only_dimension(H5):
 def small_block(engine):
     # at most 24 columns, with a nonzero inner target, so random cuts can
     # pass through convergence
-    space, target = engine.space, engine.ad_rref
+    space, target = engine.space, engine.ad_pivots
     return max(space, key=lambda s: (len(space[s]) <= 24, s in target, len(space[s])))
 
 
@@ -623,7 +623,7 @@ def test_random_functionals_cut_alike(H5, data):
     fast, slow = ConstraintEngine(P), AllRowsEngine(P)
     shift = small_block(fast)
     size = len(fast.space[shift])
-    assert size == 24 and fast.ad_rref[shift]
+    assert size == 24 and fast.ad_pivots[shift]
     entry = st.one_of(st.integers(-3, -1), st.integers(1, 3), st.sampled_from([40000, -7 * 40000]))
     functional = st.dictionaries(st.integers(0, size - 1), entry, min_size=1, max_size=5)
     # enough cuts to pass through the inner target's dimension
