@@ -23,9 +23,24 @@ the left-normed brackets of G, which span L.  Each block holds one
 homogeneous shift, so the argument applies block by block, and the pair
 (y, g) with y < g is covered by (g, y) through anticommutativity.
 
+`check` stops each block at a rank target instead of reducing all its
+rows.  Block s of Der L contains ad L'_s once every ad(u), u in L', is a
+superderivation of L.  For u in L that is the Jacobi identity on
+G x L x L, which `check_axioms` proves and the pairs (g, y) already
+assume.  For the dim L' - dim L outer elements u of L' it is
+`outer_ads_are_derivations`: L' must bracket L x L as L's own table does,
+and every Jacobi triple (u, g, y) with g in G must hold, which is ad(u)
+meeting the rows of the pair (g, y).  With that guard passed, a block
+whose kernel has come down to dim ad L'_s holds Der_s = ad L'_s, since
+Der_s lies between the two, and `leibniz_rows` builds none of its
+remaining rows.  When the guard fails, no block stops early: each one
+takes its rows until they run out or its kernel is zero, and
+`blocks_equal_ad` decides.  A block that never reaches its target takes
+every row, so dim Der L is exact either way.
+
 A reference path feeds the rows of every pair, as Fractions, through one
 global elimination without using G, the block structure or the integer
-kernel.
+kernel, and emits every row.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L',
 read as int columns straight from its bracket table (`ad_columns`, which
@@ -41,12 +56,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import add, sub
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, generators
+from .liesuper import AlgebraModel, generators, jacobi_violation
 from .linalg import (
     IntKernel,
     IntVec,
@@ -172,6 +187,7 @@ def leibniz_rows(
     A: AlgebraModel,
     parity: Optional[int] = None,
     generating_set: Optional[Iterable[int]] = None,
+    live: Optional[Set[Shift]] = None,
 ) -> Iterator[Tuple[Shift, IntVec]]:
     """Yield (shift, constraint row) pairs over flattened End(L) coordinates.
 
@@ -181,25 +197,55 @@ def leibniz_rows(
     with i or j in it are kept.  Each row touches entries of exactly one
     bidegree shift, computed and attached for the block solver.  Rows have
     int coefficients, the structure constants of the table.
+
+    With ``live``, a set of shifts the caller may shrink while it reads, a
+    row is built only when its shift is in the set, a pair none of whose
+    rows can land in it is skipped, and the generator returns once the set
+    is empty.
     """
     dim = A.dim
     table = A.table
     by_col, by_row = _bracket_tables(A)
     deg, wt = A.degree, A.weight
-    cell_no = {cell: n for n, cell in enumerate(A.cells())}
+    cells = list(A.cells())
+    cell_no = {cell: n for n, cell in enumerate(cells)}
     cell_of = [cell_no[A.cell_of(k)] for k in range(dim)]
     in_gens = set(range(dim) if generating_set is None else generating_set)
     gens = sorted(in_gens)
+    every_cell = [True] * len(cells)
+    # the shift of row k depends on the pair only through the cell of its
+    # bracket, and on k only through k's cell: per bracket cell, the shift
+    # of each cell's rows, each shift stored once
+    shifts_into: Dict[Cell, List[Shift]] = {}
+    one_copy: Dict[Shift, Shift] = {}
     for i in range(dim):
         pi = A.parity[i]
         partners = range(i, dim) if i in in_gens else gens[bisect_right(gens, i):]
         for j in partners:
+            top = (A.deg_add(deg[i], deg[j]), tuple(map(add, wt[i], wt[j])))
+            shifts = shifts_into.get(top)
+            if shifts is None:
+                shifts = shifts_into[top] = [
+                    one_copy.setdefault(shift, shift)
+                    for shift in (BlockSystem.cell_shift(A, c, top) for c in cells)
+                ]
+            if live is None:
+                wanted = every_cell
+            elif not live:
+                return
+            elif live.isdisjoint(shifts):
+                continue
+            else:
+                wanted = [shift in live for shift in shifts]
             w = table.get((i, j), {})
             rows: Dict[int, IntVec] = {}
             if w:
                 for k in range(dim):
-                    rows[k] = {k * dim + m: c for m, c in w.items()}
+                    if wanted[cell_of[k]]:
+                        rows[k] = {k * dim + m: c for m, c in w.items()}
             for k, hits in by_col[j].items():
+                if not wanted[cell_of[k]]:
+                    continue
                 row = rows.setdefault(k, {})
                 for a, c in hits:
                     key = a * dim + i
@@ -208,16 +254,9 @@ def leibniz_rows(
                         row[key] = s
                     else:
                         row.pop(key, None)
-            # the shift of row k depends on k only through its cell
-            d0 = A.deg_sub(A.deg_sub(0, deg[i]), deg[j])
-            w0 = [-y - z for y, z in zip(wt[i], wt[j])]
-            shifts: Dict[int, Shift] = {}
-            for k in rows.keys() | by_row[i].keys():
-                if cell_of[k] not in shifts:
-                    shifts[cell_of[k]] = (
-                        A.deg_add(deg[k], d0), tuple(map(add, wt[k], w0))
-                    )
             for k, hits in by_row[i].items():
+                if not wanted[cell_of[k]]:
+                    continue
                 row = rows.setdefault(k, {})
                 p_k = shifts[cell_of[k]][0] % 2
                 sgn = -1 if (p_k * pi) % 2 == 0 else 1
@@ -275,7 +314,7 @@ class BlockSystem:
     def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
         """The (degree, weight) shift of a map sending cell cb into cell ca."""
         (da, wa), (db, wb) = ca, cb
-        return (A.deg_sub(da, db), tuple(x - y for x, y in zip(wa, wb)))
+        return (A.deg_sub(da, db), tuple(map(sub, wa, wb)))
 
     def localize(self, shift: Shift, row: Vec) -> Vec:
         local = self.local[shift]
@@ -352,18 +391,32 @@ def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
 
 
 def leibniz_kernels(
-    A: AlgebraModel, parity: Optional[int] = None
-) -> Tuple[BlockSystem, Dict[Shift, IntKernel]]:
-    """Der L block by block: each Leibniz row of the pairs (g, y), g in
-    `generators(A)`, is cut into its block's `IntKernel` as it is emitted
-    (a block whose kernel is zero takes no more rows).  Exact once A
-    passes `check_axioms` (see the module docstring)."""
-    blocks = BlockSystem(A, parity)
+    blocks: BlockSystem, targets: Optional[Dict[Shift, int]] = None
+) -> Dict[Shift, IntKernel]:
+    """Der L on each block of ``blocks``: each Leibniz row of the pairs
+    (g, y), g in `generators(A)`, is cut into its block's `IntKernel` as it
+    is emitted.  Exact once A passes `check_axioms` (see the module
+    docstring).
+
+    A block takes rows only while its kernel is larger than its target
+    (``targets``, 0 where none is given), and `leibniz_rows` builds no row
+    for a block that has stopped.  A zero kernel can shrink no more, so
+    with no targets every kernel is Der_s.  A block that stops at a target
+    t_s holds Der_s when Der_s is known to have a subspace of dimension
+    t_s: `derivation_report` passes t_s = dim ad L'_s only once ad L'_s
+    lies in Der_s, and then Der_s, squeezed between ad L'_s and the kernel
+    reached, equals both.  A block that never reaches its target takes
+    every row, so its kernel is Der_s either way.
+    """
+    targets = targets or {}
     space = {shift: IntKernel(len(entries)) for shift, entries in blocks.entries.items()}
-    for shift, row in leibniz_rows(A, parity, generators(A)):
-        if space[shift]:
-            space[shift].cut(blocks.localize(shift, row))
-    return blocks, space
+    live = {shift for shift, kern in space.items() if len(kern) > targets.get(shift, 0)}
+    for shift, row in leibniz_rows(blocks.A, None, generators(blocks.A), live):
+        if shift in live:
+            kern = space[shift]
+            if kern.cut(blocks.localize(shift, row)) and len(kern) <= targets.get(shift, 0):
+                live.discard(shift)
+    return space
 
 
 def ad_blocks(P: LPrimeModel, blocks: BlockSystem) -> Dict[Shift, Dict[int, IntVec]]:
@@ -436,8 +489,8 @@ def derivation_space(
         return Subspace.from_vectors(lifted, flat_dim)
     if method != "blocks":
         raise ValueError(f"unknown method {method!r}")
-    blocks, space = leibniz_kernels(A, parity)
-    return blocks.subspace(space)
+    blocks = BlockSystem(A, parity)
+    return blocks.subspace(leibniz_kernels(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +548,40 @@ class DerivationReport:
         }
 
 
+def outer_ads_are_derivations(P: LPrimeModel) -> bool:
+    """ad(u) lies in Der L for every u of L' outside L, checked on ints.
+
+    L' must bracket L x L exactly as L's own table does, and every Jacobi
+    triple (u, g, y) with g in `generators(L)` and y in L must hold in L'.
+    That triple is the Leibniz row of the pair (g, y) applied to ad(u); the
+    pair (y, g) follows by anticommutativity, and Leibniz on G x L gives
+    Leibniz on L x L once L passes `check_axioms` (see the module
+    docstring).  At most (dim L' - dim L) * |G| * dim L triples."""
+    base, ext, m = P.base, P.ext, P.dim_l
+    on_l = {key: w for key, w in ext.table.items() if key[0] < m and key[1] < m and w}
+    if on_l != {key: w for key, w in base.table.items() if w}:
+        return False
+    G = generators(base)
+    triples = ((u, g, y) for u in range(m, ext.dim) for g in G for y in range(m))
+    return jacobi_violation(ext, triples)[1] is None
+
+
 def derivation_report(P: LPrimeModel) -> DerivationReport:
-    blocks, space = leibniz_kernels(P.base)
+    """`check`'s comparison of Der L with ad L'.  Each block of Der L stops
+    at dim ad L'_s once `outer_ads_are_derivations` has shown ad L' to lie
+    in Der L; otherwise it stops only at a zero kernel (`leibniz_kernels`)."""
+    blocks = BlockSystem(P.base)
+    ad = ad_blocks(P, blocks)
+    targets = None
+    if outer_ads_are_derivations(P):
+        targets = {shift: len(rows) for shift, rows in ad.items()}
+    space = leibniz_kernels(blocks, targets)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
         dim_der=sum(len(kern) for kern in space.values()),
-        lemma_der_holds=blocks_equal_ad(space, ad_blocks(P, blocks)),
+        lemma_der_holds=blocks_equal_ad(space, ad),
         transitive=transitivity_check(P),
     )

@@ -383,10 +383,22 @@ def check_axioms(
             for _ in range(jacobi_triples)
         )
 
+    triples, bad = jacobi_violation(A, triple_iter)
+    if bad is not None:
+        return fail("Jacobi fails at triple ({},{},{})".format(*bad), triples)
+    return AxiomReport(True, pairs, triples)
+
+
+def jacobi_violation(
+    A: AlgebraModel, triples: Iterable[Tuple[int, int, int]]
+) -> Tuple[int, Optional[Tuple[int, int, int]]]:
+    """Test [i, [j, k]] = [[i, j], k] + (-1)^{|i||j|} [j, [i, k]] on each
+    basis triple in turn, from A's table.  Returns the number of triples
+    tested and the first failing one, or None when all hold."""
     table, parity = A.table, A.parity
-    triples = 0
-    for i, j, k in triple_iter:
-        triples += 1
+    count = 0
+    for i, j, k in triples:
+        count += 1
         inner = table.get((j, k))
         lhs = _bracket_left(table, i, inner) if inner else {}
         left = table.get((i, j))
@@ -396,9 +408,8 @@ def check_axioms(
             sign = -1 if parity[i] * parity[j] % 2 else 1
             vec_axpy_inplace(rhs, sign, _bracket_left(table, j, inner2))
         if lhs != rhs:
-            return fail(f"Jacobi fails at triple ({i},{j},{k})", triples)
-
-    return AxiomReport(True, pairs, triples)
+            return count, (i, j, k)
+    return count, None
 
 
 # ---------------------------------------------------------------------------

@@ -374,10 +374,10 @@ def test_golden_info_report():
     assert res.stdout.strip() == golden.read_text().strip()
 
 
-# the desk models; each golden is the stdout that perfbench/expected.json
-# stores for the same check job
+# the desk models, whose goldens are the stdout that perfbench/expected.json
+# stores for the same check job, and H(7)
 @pytest.mark.parametrize("family,n", [
-    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6),
+    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), ("H", 7),
 ])
 def test_golden_check_report(family, n):
     from pathlib import Path

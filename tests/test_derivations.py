@@ -126,9 +126,9 @@ def test_blocks_solve_on_generators(pairs, spec, monkeypatch):
     seen = []
     rows = derivations.leibniz_rows
 
-    def recorded(model, parity=None, generating_set=None):
+    def recorded(model, parity=None, generating_set=None, *rest):
         seen.append(generating_set)
-        return rows(model, parity, generating_set)
+        return rows(model, parity, generating_set, *rest)
 
     monkeypatch.setattr(derivations, "leibniz_rows", recorded)
     assert derivation_space(A) == ad_image(P)
@@ -241,6 +241,91 @@ def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der):
     assert not report.lemma_der_holds
     assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
     assert report.dim_lprime == A.dim < dim_der
+
+
+# -- the rank target and its guard
+
+
+def with_table(P: LPrimeModel, entries) -> LPrimeModel:
+    """A copy of P whose L' table has the given entries replaced."""
+    ext = copy.copy(P.ext)
+    ext.table = {**P.ext.table, **entries}
+    return LPrimeModel(P.base, ext, list(P.extra))
+
+
+def outer_bracket_changed(P: LPrimeModel) -> LPrimeModel:
+    # [E, b] = deg(b) b for the grading element E, the last basis vector of
+    # L'; one eigenvalue moved by 1 leaves ad E in its block, not in Der L
+    u = P.dim_lprime - 1
+    b = next(b for b in range(P.dim_l) if P.ext.table.get((u, b)))
+    (k, c), = P.ext.table[(u, b)].items()
+    return with_table(P, {(u, b): {k: c + 1}})
+
+
+def l_bracket_changed(P: LPrimeModel) -> LPrimeModel:
+    # L' brackets one pair of L otherwise than L does
+    (i, j), w = next((key, w) for key, w in P.base.table.items() if w)
+    return with_table(P, {(i, j): {k: 2 * c for k, c in w.items()}})
+
+
+def rows_pulled(monkeypatch, run):
+    """How many rows `run()` reads from `derivations.leibniz_rows`."""
+    rows = derivations.leibniz_rows
+    count = [0]
+
+    def counted(*args):
+        for item in rows(*args):
+            count[0] += 1
+            yield item
+
+    monkeypatch.setattr(derivations, "leibniz_rows", counted)
+    run()
+    monkeypatch.setattr(derivations, "leibniz_rows", rows)
+    return count[0]
+
+
+@pytest.mark.parametrize("spec, dim_der", [(("S", 4), 50), (("H", 5), 32)])
+@pytest.mark.parametrize("broken", [outer_bracket_changed, l_bracket_changed])
+def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch):
+    A, P = pairs[spec]
+    bad = broken(P)
+    assert derivations.outer_ads_are_derivations(P)
+    assert not derivations.outer_ads_are_derivations(bad)
+    report = derivation_report(bad)
+    assert not report.lemma_der_holds
+    assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
+    # no block stopped at dim ad L'_s: the rows read are those of the
+    # targetless solve, which stops only at a zero kernel
+    every = rows_pulled(monkeypatch, lambda: derivations.leibniz_kernels(BlockSystem(A)))
+    assert rows_pulled(monkeypatch, lambda: derivation_report(bad)) == every
+    assert rows_pulled(monkeypatch, lambda: derivation_report(P)) < every
+
+
+def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
+    # ad L' one larger than Der L on the block of E: with that target, the
+    # block would stop one dimension short of Der_s
+    A, P = pairs[("W", 4)]
+    ext = copy.copy(P.ext)
+    u = ext.dim
+    b = next(b for b in range(A.dim) if A.degree[b] == 1)
+    ext.basis = list(ext.basis) + [ext.basis[0]]
+    ext.parity = list(ext.parity) + [0]
+    ext.degree = list(ext.degree) + [0]
+    ext.weight = list(ext.weight) + [ext.zero_weight()]
+    ext.table = {**ext.table, (u, b): {b: 1}}
+    bad = LPrimeModel(A, ext, ["e_bb"])
+    assert not derivations.outer_ads_are_derivations(bad)
+    report = derivation_report(bad)
+    assert not report.lemma_der_holds
+    assert report.dim_der == 64 and report.dim_lprime == 65
+
+
+@pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_report_stops_each_block_at_its_target(pairs, spec, monkeypatch):
+    # a regression to reducing every row fails here, not only in the benchmark
+    A, P = pairs[spec]
+    every = sum(1 for _ in derivations.leibniz_rows(A, None, generators(A)))
+    assert rows_pulled(monkeypatch, lambda: derivation_report(P)) < every
 
 
 def test_bigrade_decompose_reconstructs(pairs):

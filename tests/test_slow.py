@@ -35,7 +35,12 @@ def test_check_h7_does_not_depend_on_the_seed():
     assert json.loads(out0)["axioms_ok"] is True
 
 
-@pytest.mark.parametrize("family, n, dim", [("Stilde", 6, 321), ("H", 8, 256), ("W", 6, 384)])
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("family, n, dim", [
+    ("S", 5, 130), ("W", 5, 160), ("Stilde", 6, 321), ("H", 8, 256), ("W", 6, 384),
+])
 def test_check_far_models(family, n, dim):
     rc, out = check_json(family, n)
     assert rc == 0
@@ -43,6 +48,7 @@ def test_check_far_models(family, n, dim):
     assert payload["axioms_ok"] is True
     assert payload["lemma_der_holds"] is True
     assert payload["dim_Der"] == payload["dim_Lprime"] == dim
+    assert out == (GOLDEN / f"check_{family.lower()}{n}.json").read_text()
 
 
 # certify reports that must stay byte-identical: probe labels, dim_C and
@@ -59,7 +65,7 @@ def test_certify_far_models(family, n):
     assert payload["twolocal_verdict"] == "CERTIFIED"
     golden = CERTIFY_GOLDEN.get((family, n))
     if golden is not None:
-        assert res.stdout == (Path(__file__).parent / "golden" / golden).read_text()
+        assert res.stdout == (GOLDEN / golden).read_text()
 
 
 # sha256 of `build --format json --out` on the far models, as stored for the
