@@ -422,3 +422,36 @@ def test_golden_certify_report(family, n):
     res = run_cli("certify", "--family", family, "--n", str(n), "--seed", "0",
                   "--format", "json")
     assert res.stdout.strip() == golden.read_text().strip()
+
+
+def test_golden_inconclusive_certify_report():
+    # budget 67 on H(5): its 66 proof probes and one anchored probe leave a
+    # residual, so the report pins the INCONCLUSIVE path and the probe
+    # labels of a stage cut at the budget
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden" / "certify_h5_budget67.json"
+    res = run_cli("certify", "--family", "H", "--n", "5", "--budget", "67", "--seed", "0",
+                  "--format", "json")
+    assert res.returncode == 3, res.stderr
+    assert json.loads(res.stdout)["dim_C"] == 42
+    assert res.stdout == golden.read_text()
+
+
+def test_certify_builds_no_stage_it_does_not_reach():
+    # H(5) certifies in stage 2; stage 4 would hold 10**9 random probes if
+    # it were built up front
+    import os
+    import time
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden" / "certify_h5.json"
+    start = time.monotonic()
+    res = subprocess.run(
+        [sys.executable, "-m", PKG, "certify", "--family", "H", "--n", "5",
+         "--budget", str(10**9), "--seed", "0", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ), timeout=20,
+    )
+    assert res.returncode == 0, res.stderr
+    assert time.monotonic() - start < 10
+    assert res.stdout == golden.read_text()

@@ -16,7 +16,9 @@ from cartansuper.linalg import (
     Subspace,
     as_fractions,
     int_combine,
+    int_multiple,
     kernel,
+    kernel_of_int_rows,
     rank,
     rref,
     solve,
@@ -28,6 +30,7 @@ from cartansuper.localcert import (
     Probe,
     SeparatingScalar,
     anchored_probes,
+    basis_probes,
     certify,
     certify_2local,
     constrained_space,
@@ -37,6 +40,7 @@ from cartansuper.localcert import (
     proof_probes,
     random_probes,
     separating_t,
+    visit_order,
 )
 
 
@@ -382,6 +386,168 @@ def test_constrained_space_requires_probes(H5):
         constrained_space(P, [])
 
 
+DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
+
+
+def per_call_constraint_rows(engine, x, shift):
+    """The constraint rows with all the per-probe work done inside the call:
+    x is split into cells, the value space laid out over every entry of
+    each target cell, the annihilator always solved, and the rows built
+    over flat ids and then localized.  The oracle for the engine's rows."""
+    L, dim, cells = engine.L, engine.dim, engine.blocks.cells
+    pairs = engine.blocks.shifts_from(x).get(shift)
+    if not pairs:
+        return []
+    comps = {}
+    for b, c in x.items():
+        comps.setdefault(L.cell_of(b), {})[b] = c
+    targets = [(ca, comps[cb]) for ca, cb in pairs]
+    v_ids = sorted(a for ca, _ in targets for a in cells[ca])
+    v_local = {a: i for i, a in enumerate(v_ids)}
+    span_rows = []
+    for cols in engine.slice_ad.get(shift, []):
+        w = {}
+        for b, c in x.items():
+            if b in cols:
+                vec_axpy_inplace(w, c, cols[b])
+        if w:
+            span_rows.append({v_local[a]: c for a, c in w.items()})
+    rows = []
+    for kappa in kernel_of_int_rows(span_rows, len(v_ids)):
+        row = {}
+        for ca, sub in targets:
+            for a in cells[ca]:
+                ka = kappa.get(v_local[a])
+                if ka:
+                    for b, xb in sub.items():
+                        if xb:
+                            row[a * dim + b] = ka * xb
+        if row:
+            rows.append(engine.blocks.localize(shift, row))
+    return rows
+
+
+@pytest.mark.parametrize("family, n", DESK)
+def test_constraint_rows_span_the_per_call_rows(family, n):
+    P = build_lprime(build(family, n))
+    engine = ConstraintEngine(P)
+    compared = 0
+    for probe in proof_probes(P, separating_t(P.ext)):
+        x = int_multiple(probe.vector)
+        comps = engine.split(x)
+        for shift, pairs in engine.blocks.shifts_from(x).items():
+            got = engine.constraint_rows(x, shift, pairs, comps)
+            assert engine.constraint_rows(x, shift) == got
+            want = per_call_constraint_rows(engine, x, shift)
+            ncols = engine.space[shift].ncols
+            assert Subspace.from_vectors(as_fractions(got), ncols) == (
+                Subspace.from_vectors(as_fractions(want), ncols)
+            ), (probe.label, shift)
+            compared += bool(want)
+    assert compared
+
+
+def feed(P, probes):
+    engine = ConstraintEngine(P)
+    engine.add_probes(probes)
+    return engine
+
+
+def assert_same_blocks(engine, oracle):
+    assert list(engine.space) == list(oracle.space)
+    for shift, kern in oracle.space.items():
+        assert len(engine.space[shift]) == len(kern), shift
+        assert engine.space[shift].basis() == kern.basis(), shift
+
+
+@pytest.mark.parametrize("family, n", DESK)
+def test_stage1_visit_order_cannot_change_the_certificate(family, n, monkeypatch):
+    import cartansuper.localcert as localcert
+
+    P = build_lprime(build(family, n))
+    stage1 = proof_probes(P, separating_t(P.ext))
+    rng = random.Random(1414)
+    orders = {
+        "report": list,
+        "visit": visit_order,
+        "shuffled": lambda probes: rng.sample(list(probes), len(probes)),
+    }
+    engines = {name: feed(P, order(stage1)) for name, order in orders.items()}
+    certs = {}
+    for name, order in orders.items():
+        monkeypatch.setattr(localcert, "visit_order", order)
+        certs[name] = certify(P)
+    report = certs["report"]
+    assert report.verdict == "CERTIFIED"
+    for name in orders:
+        assert_same_blocks(engines[name], engines["report"])
+        assert_same_blocks(certs[name].engine, report.engine)
+        assert certs[name].as_dict() == report.as_dict()
+
+
+def test_certify_feeds_each_stage_once_and_stage1_in_visit_order(H5, monkeypatch):
+    _, P = H5
+    stage1 = proof_probes(P, separating_t(P.ext))
+    fed = []
+    real = ConstraintEngine.add_probes
+
+    def spy(engine, probes):
+        probes = list(probes)
+        fed.append([p.label for p in probes])
+        real(engine, probes)
+
+    monkeypatch.setattr(ConstraintEngine, "add_probes", spy)
+    cert = certify(P)
+    assert cert.verdict == "CERTIFIED"
+    assert len(fed) == 2  # H(odd n) certifies in the anchored stage
+    assert fed[0] == [p.label for p in visit_order(stage1)] != [p.label for p in stage1]
+    assert fed[0][0].startswith("x+dsum[")
+    assert cert.probe_labels == [p.label for p in stage1] + fed[1]
+
+
+@pytest.mark.parametrize("budget", [1, 20, 45])
+def test_certify_truncates_stage1_to_the_budget_before_reordering(H5, budget):
+    _, P = H5
+    stage1 = proof_probes(P, separating_t(P.ext))
+    assert budget < len(stage1)
+    cert = certify(P, budget=budget)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.probe_labels == [p.label for p in stage1[:budget]]
+    assert_same_blocks(cert.engine, feed(P, stage1[:budget]))
+
+
+@pytest.mark.parametrize("budget", [180, 240, None, 300])
+def test_escalation_draws_each_stage_within_the_budget(W4, budget, monkeypatch):
+    # with the verdict held back, every stage runs: the labels are those of
+    # the stages built whole, each probe deduplicated by direction against
+    # everything before it, and cut at the budget
+    _, P = W4
+    monkeypatch.setattr(ConstraintEngine, "matches_ad", lambda engine: False)
+    limit = 4 * P.dim_l if budget is None else budget
+    seen, labels = set(), []
+
+    def push(batch):
+        for p in batch:
+            lead = p.vector[min(p.vector)]
+            key = frozenset((k, c / lead) for k, c in p.vector.items())
+            if key not in seen:
+                seen.add(key)
+                labels.append(p.label)
+
+    push(proof_probes(P, separating_t(P.ext)))
+    push(anchored_probes(P))
+    push(basis_probes(P))
+    push(random_probes(P, max(0, limit - len(labels)), seed=3))
+    cert = certify(P, budget=budget, seed=3)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.probe_labels == labels[:limit]
+    stages = {l.split("[")[0] for l in cert.probe_labels}
+    assert ("deg0sum+x" in stages, "basis" in stages, "rand" in stages) == {
+        180: (True, False, False), 240: (True, True, False),
+        None: (True, True, True), 300: (True, True, True),
+    }[budget]
+
+
 # -- certification
 
 
@@ -400,6 +566,15 @@ def test_certify_insufficient_budget_is_inconclusive(W4):
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.dim_constrained > cert.dim_ad
     assert len(cert.probe_labels) == 1
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_certify_without_budget_feeds_no_probe(W4, budget):
+    _, P = W4
+    cert = certify(P, budget=budget)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.probe_labels == []
+    assert cert.dim_constrained == sum(len(e) for e in cert.engine.blocks.entries.values())
 
 
 def test_certified_w4_uses_proof_probes_only(W4):

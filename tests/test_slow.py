@@ -53,19 +53,14 @@ def test_check_far_models(family, n, dim):
 
 # certify reports that must stay byte-identical: probe labels, dim_C and
 # both verdicts
-CERTIFY_GOLDEN = {("Stilde", 6): "certify_stilde6.json"}
-
-
-@pytest.mark.parametrize("family, n", [("H", 8), ("W", 6), ("Stilde", 6)])
+@pytest.mark.parametrize("family, n", [("S", 5), ("W", 5), ("H", 8), ("W", 6), ("Stilde", 6)])
 def test_certify_far_models(family, n):
     res = run_cli("certify", "--family", family, "--n", str(n), "--format", "json", "--seed", "0")
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["verdict"] == "CERTIFIED"
     assert payload["twolocal_verdict"] == "CERTIFIED"
-    golden = CERTIFY_GOLDEN.get((family, n))
-    if golden is not None:
-        assert res.stdout == (GOLDEN / golden).read_text()
+    assert res.stdout == (GOLDEN / f"certify_{family.lower()}{n}.json").read_text()
 
 
 # sha256 of `build --format json --out` on the far models, as stored for the
