@@ -46,6 +46,7 @@ from .liesuper import (
 from .localcert import certify, certify_2local
 
 SCHEMA_VERSION = "1"
+FORMATS = ("text", "json")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,22 +54,24 @@ EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(f"CARTANSUPER_{name}", fallback)
-
-
-def _int_env(name: str, fallback=None):
-    raw = _env_default(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        print(
-            f"error: CARTANSUPER_{name} must be an integer, got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_INPUT_ERROR) from None
+def _env(name: str, fallback=None, kind=None):
+    """CARTANSUPER_<name>, or fallback when it is unset.  With kind int the
+    value must be an integer, with a tuple of choices one of them (argparse
+    checks neither on a default); otherwise it exits 2 naming the variable."""
+    raw = os.environ.get(f"CARTANSUPER_{name}")
+    if raw is None or kind is None:
+        return fallback if raw is None else raw
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            expected = "an integer"
+    elif raw in kind:
+        return raw
+    else:
+        expected = "one of " + ", ".join(kind)
+    print(f"error: CARTANSUPER_{name} must be {expected}, got {raw!r}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT_ERROR)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,27 +87,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--family",
             choices=FAMILIES,
-            default=_env_default("FAMILY"),
+            default=_env("FAMILY", kind=FAMILIES),
             help="algebra family",
         )
-        p.add_argument("--n", type=int, default=_int_env("N"))
+        p.add_argument("--n", type=int, default=_env("N", kind=int))
         if with_model:
             p.add_argument(
                 "--model",
-                default=_env_default("MODEL"),
+                default=_env("MODEL"),
                 help="read the algebra from a serialized model file instead "
                 "of building it",
             )
-        p.add_argument("--out", default=_env_default("OUT"), help="output path (default stdout)")
+        p.add_argument("--out", default=_env("OUT"), help="output path (default stdout)")
         p.add_argument(
             "--format",
-            choices=["text", "json"],
-            default=_env_default("FORMAT", "text"),
+            choices=FORMATS,
+            default=_env("FORMAT", "text", FORMATS),
         )
         p.add_argument(
             "--seed",
             type=int,
-            default=_int_env("SEED", 0),
+            default=_env("SEED", 0, int),
             help="seed of certify's random probes and 2-local pairs; "
             "only certify reads it, the other commands ignore it",
         )
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="certify the local and 2-local superderivation theorems"
     )
     common(p_cert, with_model=True)
-    p_cert.add_argument("--budget", type=int, default=_int_env("BUDGET"))
+    p_cert.add_argument("--budget", type=int, default=_env("BUDGET", kind=int))
     p_cert.add_argument(
         "--timings",
         action="store_true",
@@ -169,7 +172,7 @@ def _load_or_build(args) -> AlgebraModel:
         attach_derived(model)
         return model
     if args.family is None or args.n is None:
-        raise FamilyError("missing --family/--n (or --model)")
+        raise FamilyError("missing --family/--n" + (" (or --model)" if "model" in args else ""))
     return build(FamilySpec(args.family, args.n))
 
 
@@ -178,7 +181,7 @@ def _report_json(payload: dict) -> str:
 
 
 def cmd_build(args) -> int:
-    model = build(FamilySpec(args.family, args.n))
+    model = _load_or_build(args)
     if args.format == "json":
         _emit(model_to_json(model), args.out)
     else:
@@ -293,7 +296,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # internal failure, distinct from input errors
-        print(f"internal error: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
@@ -113,7 +112,7 @@ class EndMap:
 
     @classmethod
     def identity(cls, dim: int) -> "EndMap":
-        return cls(dim, {b: {b: Fraction(1)} for b in range(dim)}, parity=0)
+        return cls(dim, {b: {b: 1} for b in range(dim)}, parity=0)
 
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
@@ -157,11 +156,11 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
     dim = A.dim
     for i in range(dim):
         di = D.cols.get(i, {})
-        sign = Fraction(1 if (p * A.parity[i]) % 2 == 0 else -1)
+        sign = 1 if (p * A.parity[i]) % 2 == 0 else -1
         for j in range(dim):
             lhs = D.apply(A.bracket_basis(i, j))
-            rhs = A.bracket(di, {j: Fraction(1)})
-            vec_axpy_inplace(rhs, sign, A.bracket({i: Fraction(1)}, D.cols.get(j, {})))
+            rhs = A.bracket(di, {j: 1})
+            vec_axpy_inplace(rhs, sign, A.bracket({i: 1}, D.cols.get(j, {})))
             if lhs != rhs:
                 return False
     return True

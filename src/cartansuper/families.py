@@ -34,13 +34,14 @@ only the partner terms g d_b with x_a in g or x_b in f, the ones a
 derivative can hit, and looks up the result's index and sign in flat
 per-n tables.  Only nonzero brackets come out, and `SpanSolver` writes
 each in the basis on Python ints, which the table stores as they come:
-every structure constant of the four families is an integer.
+every structure constant of the four families is an integer.  So are the
+basis rows, the Cartan chain and the divergence kernel: a build makes no
+Fraction, which only `ExtElem`'s helpers (`divergence`, `ham`) return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -62,7 +63,7 @@ from .liesuper import (
     VectorField,
     WeightVec,
 )
-from .linalg import Matrix, SpanSolver, Subspace, Vec, kernel, vec_axpy_inplace
+from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
 
 class FamilyError(ValueError):
     """A family/n combination outside the defined range."""
@@ -133,8 +134,8 @@ def w_index(n: int) -> Dict[Tuple[int, int], int]:
     return {fj: i for i, fj in enumerate(w_basis(n))}
 
 
-def w_unit(n: int, mask: int, j: int, coeff=1) -> Vec:
-    return {w_index(n)[(mask, j)]: Fraction(coeff)}
+def w_unit(n: int, mask: int, j: int, coeff: int = 1) -> IntVec:
+    return {w_index(n)[(mask, j)]: coeff}
 
 
 @lru_cache(maxsize=None)
@@ -235,66 +236,59 @@ def w_bracket(n: int, a: Vec, b: Vec) -> Vec:
 def divergence(n: int, v: Vec) -> ExtElem:
     """sum_i d_i(f_i) of a field sum_i f_i d_i given in W(n) coordinates."""
     basis = w_basis(n)
-    out = ExtElem.zero(n)
-    terms: Dict[int, Fraction] = {}
+    terms: Dict[int, object] = {}
     for i, c in v.items():
         mask, j = basis[i]
         hit = mono_partial(j, mask)
-        if hit is None:
-            continue
-        sign, m = hit
-        s = terms.get(m, Fraction(0)) + (c if sign > 0 else -c)
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
-    out.terms = terms
+        if hit is not None:
+            vec_axpy_inplace(terms, hit[0], {hit[1]: c})
+    return ExtElem(n, terms)
+
+
+def _ham_mono(n: int, mask: int) -> IntVec:
+    """D_H of the monomial x^mask, (-1)^|mask| sum_i d_i(x^mask) d_{i'}, in W
+    coords.  Its terms sit at distinct fields (mask without x_i, i')."""
+    idx = w_index(n)
+    pref = -1 if mono_degree(mask) % 2 else 1
+    out: IntVec = {}
+    for i in range(1, n + 1):
+        hit = mono_partial(i, mask)
+        if hit is not None:
+            sign, m = hit
+            out[idx[(m, involution(i, n))]] = pref * sign
     return out
 
 
 def ham(f: ExtElem) -> Vec:
-    """The Hamiltonian field D_H(f) = (-1)^|f| sum_i d_i(f) d_{i'}, in W coords.
+    """The Hamiltonian field D_H(f) = (-1)^|f| sum_i d_i(f) d_{i'}, in W coords:
+    the sum of c * `_ham_mono` over the terms c x^mask of f.
 
     f must be parity-homogeneous; the sign prefactor is undefined otherwise.
     """
-    p = f.parity()
-    if p is None:
+    if f.parity() is None:
         raise ValueError("ham requires a parity-homogeneous element")
-    n = f.n
-    idx = w_index(n)
-    pref = -1 if p else 1
     out: Vec = {}
     for mask, c in f.terms.items():
-        for i in range(1, n + 1):
-            hit = mono_partial(i, mask)
-            if hit is None:
-                continue
-            sign, m = hit
-            k = idx[(m, involution(i, n))]
-            s = out.get(k, Fraction(0)) + c * pref * sign
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        vec_axpy_inplace(out, c, _ham_mono(f.n, mask))
     return out
 
 
-def xi(i: int, n: int) -> Vec:
+def xi(i: int, n: int) -> IntVec:
     """The top-monomial field x_1...x_n d_i."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of 1..{n}")
     return w_unit(n, (1 << n) - 1, i)
 
 
-def euler(n: int) -> Vec:
+def euler(n: int) -> IntVec:
     """The grading field sum_i x_i d_i."""
-    out: Vec = {}
+    out: IntVec = {}
     for i in range(1, n + 1):
         out.update(w_unit(n, 1 << (i - 1), i))
     return out
 
 
-def cartan_chain_w(family: str, n: int) -> List[Vec]:
+def cartan_chain_w(family: str, n: int) -> List[IntVec]:
     """The standard Cartan basis h_1..h_l in W(n) coordinates, over ints."""
     def diag(i: int, c: int = 1) -> Vec:
         return {w_index(n)[(1 << (i - 1), i)]: c}
@@ -321,16 +315,13 @@ def _row_desc(n: int, row: Vec) -> BasisDesc:
         if c == 1:
             mask, j = basis[i]
             return VectorField(mask, j)
-    terms = tuple(
-        (row[i], basis[i][0], basis[i][1]) for i in sorted(row)
-    )
-    return Combo(terms)
+    return Combo(tuple((row[i], *basis[i]) for i in sorted(row)))
 
 
 def _graded(
     family: str,
     n: int,
-    rows: List[Vec],
+    rows: List[IntVec],
     descs: List[BasisDesc],
     base: Optional[AlgebraModel] = None,
 ) -> Tuple[AlgebraModel, SpanSolver]:
@@ -346,9 +337,8 @@ def _graded(
     chain_family = family.rstrip("'")
     modulus = n if chain_family == "Stilde" else None
     basis_w = w_basis(n)
-    if any(c.denominator != 1 for row in rows for c in row.values()):
+    if any(type(c) is not int for row in rows for c in row.values()):
         raise AssertionError(f"{family}({n}): non-integer basis row")
-    rows = [{k: int(c) for k, c in row.items()} for row in rows]
 
     period = modulus or n + 1  # field degree = deg f - 1, and deg f <= n
     parity: List[int] = []
@@ -381,23 +371,28 @@ def _graded(
         if not span.add(row):
             raise AssertionError(f"{family}({n}): dependent basis rows")
 
-    chain_model: List[Vec] = []
+    chain_model: List[IntVec] = []
     for h in chain_w:
         coords = span.express(h)
         if coords is None:
             raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
-        chain_model.append({k: Fraction(c) for k, c in coords.items()})
+        chain_model.append(coords)
 
     zero_wt = tuple([0] * len(chain_w))
     cartan = [
         i for i in range(len(rows)) if degree[i] == 0 and weight[i] == zero_wt
     ]
-    cartan_space = Subspace.from_vectors([rows[i] for i in cartan], len(basis_w))
-    chain_space = Subspace.from_vectors(chain_w, len(basis_w))
+    # the cell and the chain as integer echelon rows of their spans
+    cell, chain = IntKernel(len(basis_w)), IntKernel(len(basis_w))
+    for i in cartan:
+        cell.cut(rows[i])
+    for h in chain_w:
+        chain.cut(h)
+    inside = not any(int_reduce(cell.rows, h) for h in chain_w)
     if base is not None:
-        if not cartan_space.contains_subspace(chain_space):
+        if not inside:
             raise AssertionError(f"{family}({n}): chain escapes the Cartan cell")
-    elif cartan_space != chain_space:
+    elif not inside or len(cell) != len(chain):
         raise AssertionError(f"{family}({n}): Cartan cell does not match the chain")
 
     model = AlgebraModel(family, n, descs, {}, parity, degree, weight, cartan,
@@ -435,7 +430,7 @@ def _bracket_rows(
 def _finish_model(
     family: str,
     n: int,
-    rows: List[Vec],
+    rows: List[IntVec],
     descs: List[BasisDesc],
     base: Optional[AlgebraModel] = None,
 ) -> AlgebraModel:
@@ -464,22 +459,23 @@ def _finish_model(
     return model
 
 
-def _divergence_kernel(n: int) -> Subspace:
-    """ker(div) inside W(n), echelonized over the monomial-ordered basis."""
+def _divergence_kernel(n: int) -> List[IntVec]:
+    """ker(div) inside W(n), echelonized over the monomial-ordered basis:
+    its RREF basis, whose rows are integer with lead 1 (`IntKernel.basis`)."""
     basis = w_basis(n)
-    idx_l = {m: i for i, m in enumerate(all_monomials(n))}
-    data: Dict[int, Vec] = {}
+    div: Dict[int, IntVec] = {}
     for col, (mask, j) in enumerate(basis):
         hit = mono_partial(j, mask)
-        if hit is None:
-            continue
-        sign, m = hit
-        data.setdefault(idx_l[m], {})[col] = Fraction(sign)
-    div = Matrix(1 << n, len(basis), data)
-    return kernel(div)
+        if hit is not None:
+            sign, m = hit
+            div.setdefault(m, {})[col] = sign
+    kern = IntKernel(len(basis))
+    for row in div.values():
+        kern.cut(row)
+    return kern.basis()
 
 
-def _family_rows(spec: FamilySpec) -> Tuple[List[Vec], List[BasisDesc]]:
+def _family_rows(spec: FamilySpec) -> Tuple[List[IntVec], List[BasisDesc]]:
     """The basis rows, in W(n) coordinates, and descriptors of a valid spec."""
     family, n = spec.family, spec.n
     if family == "W":
@@ -487,26 +483,26 @@ def _family_rows(spec: FamilySpec) -> Tuple[List[Vec], List[BasisDesc]]:
         return rows, [VectorField(mask, j) for mask, j in w_basis(n)]
 
     if family == "S":
-        rows = [dict(r) for r in _divergence_kernel(n).rows]
+        rows = _divergence_kernel(n)
         return rows, [_row_desc(n, r) for r in rows]
 
     if family == "Stilde":
         rows = []
         for i in range(1, n + 1):
             row = w_unit(n, 0, i)
-            vec_axpy_inplace(row, Fraction(-1), xi(i, n))
+            vec_axpy_inplace(row, -1, xi(i, n))
             rows.append(row)
         basis_w = w_basis(n)
-        for r in _divergence_kernel(n).rows:
+        for r in _divergence_kernel(n):
             if mono_degree(basis_w[min(r)][0]) - 1 >= 0:
-                rows.append(dict(r))
+                rows.append(r)
         return rows, [_row_desc(n, r) for r in rows]
 
     rows = []
     descs: List[BasisDesc] = []
     for mask, j in w_basis(n):
         if j == 1 and 1 <= mono_degree(mask) <= n - 1:
-            rows.append(ham(ExtElem.monomial(n, mask)))
+            rows.append(_ham_mono(n, mask))
             descs.append(Ham(mask))
     return rows, descs
 
@@ -554,7 +550,7 @@ def build_lprime(A: AlgebraModel) -> LPrimeModel:
     extra: List[BasisDesc] = []
     if family == "H":
         top = (1 << n) - 1
-        rows.append(ham(ExtElem.monomial(n, top)))
+        rows.append(_ham_mono(n, top))
         extra.append(Ham(top))
     rows.append(euler(n))
     extra.append(GradingElement())

@@ -135,8 +135,8 @@ class AlgebraModel:
         weight: List[WeightVec],
         cartan: List[int],
         grading_modulus: Optional[int] = None,
-        w_coords: Optional[List[Vec]] = None,
-        cartan_chain: Optional[List[Vec]] = None,
+        w_coords: Optional[List[IntVec]] = None,
+        cartan_chain: Optional[List[IntVec]] = None,
     ):
         self.family = family
         self.n = n

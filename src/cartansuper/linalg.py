@@ -1,26 +1,25 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (algebra constructors, derivation solvers, the
-certifier) runs on the primitives in this module.  Scalars are
-`fractions.Fraction`, so every rank / kernel / membership decision is exact:
-a rational solution space has the same dimension as its complex counterpart,
-which is what lets integer structure constants stand in for the complex
-field.
+The trusted path (`build`, `check`, `certify`) runs on Python ints:
+`IntKernel` (with `kernel_of_int_rows` on top of it), `int_reduce` and
+`int_combine` eliminate integer rows (``{index: int}``) fraction-free over
+Z, and `SpanSolver` writes vectors in a spanning set the same way.  They
+serve the constructors' divergence kernel and Cartan-cell check, the
+generating-set closure, all of `check`'s derivation layer, the certifier's
+engine and its 2-local check.  Every row is kept as a primitive integer
+multiple of the row Fraction elimination would hold, so the answer is the
+Fraction answer, scaled, with nothing to check and nothing to fall back
+to: a rational solution space has the same dimension as its complex
+counterpart, which is what lets integer structure constants stand in for
+the complex field.
 
-The hot paths are the exception: `IntKernel` (with `kernel_of_int_rows`
-on top of it), `int_reduce` and `int_combine` eliminate integer rows
-(``{index: int}``) fraction-free over Z.  They serve all of `check`'s
-derivation layer, the certifier's engine and its 2-local check.  Every
-row is kept as a primitive integer multiple of the row Fraction
-elimination would hold, so the answer is the Fraction answer, scaled,
-with nothing to check and nothing to fall back to.
-
-Vectors are sparse dicts ``{index: Fraction}`` with no stored zeros; the
-helpers and the echelon machinery take int entries as well, since a
-model's bracket table holds its integer structure constants as ints.
-Subspaces are kept in reduced row echelon form (RREF), which is unique per
-row space, so subspace equality is plain row-list equality and all outputs
-are deterministic.
+The `fractions.Fraction` machinery (`Matrix`, `Echelon`, `rref`, `kernel`,
+`kernel_of_rows`, `solve`, `Subspace`) serves the reference oracles and the
+public helpers.  Its vectors are sparse dicts ``{index: Fraction}`` with no
+stored zeros, and it takes int entries as well.  Subspaces are kept in
+reduced row echelon form (RREF), which is unique per row space, so
+subspace equality is plain row-list equality and all outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -37,12 +36,6 @@ _ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
-
-
-def vec_scale(v: Vec, c: Fraction) -> Vec:
-    if not c:
-        return {}
-    return {k: x * c for k, x in v.items()}
 
 
 def vec_axpy_inplace(u: Vec, c: Fraction, v: Vec) -> None:
@@ -464,49 +457,56 @@ class SpanSolver:
 
     Rows are added once; ``express`` then writes any vector of the span as a
     coordinate dict over the original row indices (None if outside the span).
-    Integer rows stay on Python ints while every pivot lead is +-1; a pivot
-    is divided by a Fraction only when its lead is some other value, so the
-    answer is exact either way.
+    Integer rows stay on Python ints: each pivot is an integer row kept with
+    the integer combination of the added rows that gives it, and a
+    reduction cross-multiplies where a pivot's lead is not 1.  A coordinate
+    of ``express`` is a Fraction only when it is not an integer.
     """
 
     def __init__(self):
-        self.pivots: Dict[int, Tuple[Vec, Vec]] = {}  # lead -> (row, coeffs)
+        # lead -> (row, coeffs), row = sum_k coeffs[k] row_k with row_k the
+        # k-th row added, and row[lead] > 0
+        self.pivots: Dict[int, Tuple[IntVec, IntVec]] = {}
         self.count = 0
 
-    def add(self, row: Vec) -> bool:
-        v = dict(row)
-        coeffs: Vec = {self.count: 1}
-        self.count += 1
+    def _reduce(self, v: IntVec, coeffs: IntVec) -> Tuple[IntVec, IntVec, int]:
+        # reduce v against the pivots, keeping s t = v + sum_k coeffs[k] row_k
+        # for the t the caller started from with s = 1
+        v, s = dict(v), 1
         while v:
             lead = min(v)
             hit = self.pivots.get(lead)
             if hit is None:
-                c = v[lead]
-                if c == -1:
-                    v = {k: -x for k, x in v.items()}
-                    coeffs = {k: -x for k, x in coeffs.items()}
-                elif c != 1:
-                    inv = _ONE / c
-                    v = {k: x * inv for k, x in v.items()}
-                    coeffs = {k: x * inv for k, x in coeffs.items()}
-                self.pivots[lead] = (v, coeffs)
-                return True
+                break
             prow, pcoef = hit
-            c = v[lead]
-            vec_axpy_inplace(v, -c, prow)
-            vec_axpy_inplace(coeffs, -c, pcoef)
-        return False
+            a, c = v[lead], prow[lead]
+            if c != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                s *= c
+                v = {k: c * x for k, x in v.items()}
+                coeffs = {k: c * x for k, x in coeffs.items()}
+            vec_axpy_inplace(v, -a, prow)
+            vec_axpy_inplace(coeffs, a, pcoef)
+        return v, coeffs, s
 
-    def express(self, v: Vec) -> Optional[Vec]:
-        v = dict(v)
-        coeffs: Vec = {}
-        while v:
-            lead = min(v)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return None
-            prow, pcoef = hit
-            c = v[lead]
-            vec_axpy_inplace(v, -c, prow)
-            vec_axpy_inplace(coeffs, c, pcoef)
-        return coeffs
+    def add(self, row: IntVec) -> bool:
+        # t = 0: the reduced row v satisfies v = -sum_k coeffs[k] * row_k
+        v, coeffs, _ = self._reduce(row, {self.count: -1})
+        self.count += 1
+        if not v:
+            return False
+        lead = min(v)
+        g = gcd(*v.values(), *coeffs.values())
+        if v[lead] < 0:
+            g = -g
+        self.pivots[lead] = ({k: x // g for k, x in v.items()}, {k: -x // g for k, x in coeffs.items()})
+        return True
+
+    def express(self, v: IntVec) -> Optional[Vec]:
+        v, coeffs, s = self._reduce(v, {})
+        if v:
+            return None
+        if s == 1:
+            return coeffs
+        return {k: c // s if c % s == 0 else Fraction(c, s) for k, c in coeffs.items()}

@@ -23,11 +23,12 @@ of L', so the certified space may soundly be computed one shift at a time,
 and a probe only constrains the blocks its cells reach.  The engine runs
 on Python ints, eliminating fraction-free (cross multiplication, then
 division by the content), so it is exact over Q with no modular step and
-no fallback; Fractions appear only at its edges.  Each block is kept as
-the kernel of its cut rows, and the verdict is `check`'s block test
-(`derivations.blocks_equal_ad`) against ad L'.  When the space collapses to
-exactly ad L' = Der L this way, every map that is locally inner at all
-points is inner, which is the per-n certificate of LDer(L) = Der(L).
+no fallback.  Every probe `certify` builds is an integer vector, so it
+makes no Fraction; only the public helpers take or return Fractions.  Each
+block is kept as the kernel of its cut rows, and the verdict is `check`'s
+block test (`derivations.blocks_equal_ad`) against ad L'.  When the space
+collapses to exactly ad L' = Der L this way, every map that is locally
+inner at all points is inner, the per-n certificate of LDer(L) = Der(L).
 When the proof list leaves a residual (the weight-zero depth slice of
 H(odd n), whose witness no Cartan anchor can see), deterministic
 degree-0-anchored probes and then basis/random stages escalate, each
@@ -58,7 +59,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,7 +80,6 @@ from .linalg import (
     rref,  # not called here; perfbench/child.py wraps localcert.rref
     solve,  # not called here; perfbench/child.py wraps localcert.solve
     vec_axpy_inplace,
-    vec_scale,
 )
 
 
@@ -147,7 +147,7 @@ def orbit(x: Vec, P: LPrimeModel) -> Subspace:
     ext = P.ext
     rows = []
     for u in range(ext.dim):
-        w = ext.bracket({u: Fraction(1)}, x)
+        w = ext.bracket({u: 1}, x)
         if any(k >= m for k in w):
             raise ValueError("orbit vector escapes L")
         if w:
@@ -236,10 +236,14 @@ def separating_t(A: AlgebraModel) -> SeparatingScalar:
 # the probe list
 
 
-def _normalize_direction(v: Vec) -> Tuple[Tuple[int, Fraction], ...]:
-    lead = min(v)
-    inv = Fraction(1) / v[lead]
-    return tuple(sorted((k, c * inv) for k, c in v.items()))
+def _normalize_direction(v: IntVec) -> Tuple[Tuple[int, int], ...]:
+    """The direction of an integer vector: its primitive multiple with a
+    positive lead, so two vectors share a key exactly when one is a scalar
+    multiple of the other."""
+    g = gcd(*v.values())
+    if v[min(v)] < 0:
+        g = -g
+    return tuple(sorted((k, c // g) for k, c in v.items()))
 
 
 def proof_probes(P: LPrimeModel, t: SeparatingScalar) -> List[Probe]:
@@ -254,7 +258,7 @@ def proof_probes(P: LPrimeModel, t: SeparatingScalar) -> List[Probe]:
     probes: List[Probe] = []
     seen = set()
 
-    def push(label: str, v: Vec) -> None:
+    def push(label: str, v: IntVec) -> None:
         if not v:
             return
         key = _normalize_direction(v)
@@ -263,9 +267,9 @@ def proof_probes(P: LPrimeModel, t: SeparatingScalar) -> List[Probe]:
         seen.add(key)
         probes.append(Probe(label, v))
 
-    h0: Vec = {}
+    h0: IntVec = {}
     for i, h in enumerate(chain, start=1):
-        vec_axpy_inplace(h0, Fraction(t.t ** i), h)
+        vec_axpy_inplace(h0, t.t ** i, h)
     push("h0", h0)
     for i, h in enumerate(chain, start=1):
         push(f"h[{i}]", dict(h))
@@ -276,31 +280,27 @@ def proof_probes(P: LPrimeModel, t: SeparatingScalar) -> List[Probe]:
         for i in range(1, l + 1):
             if i == k or alpha[i - 1] == 0:
                 continue
-            v = vec_scale(chain[i - 1], Fraction(alpha[k - 1]))
-            vec_axpy_inplace(v, Fraction(-alpha[i - 1]), chain[k - 1])
+            v = {b: alpha[k - 1] * c for b, c in chain[i - 1].items()}
+            vec_axpy_inplace(v, -alpha[i - 1], chain[k - 1])
             push(f"h_ik[{alpha[k - 1]}h{i}{-alpha[i - 1]:+d}h{k}]", v)
 
+    def plus(v: IntVec, b: int) -> IntVec:
+        out = dict(v)
+        vec_axpy_inplace(out, 1, {b: 1})
+        return out
+
     depth = [i for i in range(L.dim) if L.degree[i] == -1]
-    dsum: Vec = {}
+    dsum: IntVec = {}
     for idx, b in enumerate(depth, start=1):
-        unit = {b: Fraction(1)}
-        push(f"dminus[{idx}]", unit)
-        shifted = dict(h0)
-        vec_axpy_inplace(shifted, Fraction(1), unit)
-        push(f"h0+dminus[{idx}]", shifted)
-        vec_axpy_inplace(dsum, Fraction(1), unit)
+        push(f"dminus[{idx}]", {b: 1})
+        push(f"h0+dminus[{idx}]", plus(h0, b))
+        dsum[b] = 1
     push("dsum", dsum)
 
     for b in range(L.dim):
-        if L.degree[b] < 0:
-            continue
-        v = {b: Fraction(1)}
-        shifted = dict(dsum)
-        vec_axpy_inplace(shifted, Fraction(1), v)
-        push(f"x+dsum[{b}]", shifted)
-        shifted = dict(h0)
-        vec_axpy_inplace(shifted, Fraction(1), v)
-        push(f"h0+x[{b}]", shifted)
+        if L.degree[b] >= 0:
+            push(f"x+dsum[{b}]", plus(dsum, b))
+            push(f"h0+x[{b}]", plus(h0, b))
 
     return probes
 
@@ -328,21 +328,14 @@ def anchored_probes(P: LPrimeModel) -> List[Probe]:
     redundant and cheap (their blocks have already collapsed).
     """
     L = P.base
-    anchor: Vec = {
-        b: Fraction(1) for b in range(L.dim) if L.degree[b] == 0
-    }
-    out = []
-    for b in range(L.dim):
-        if L.degree[b] == 0:
-            continue
-        v = dict(anchor)
-        vec_axpy_inplace(v, Fraction(1), {b: Fraction(1)})
-        out.append(Probe(f"deg0sum+x[{b}]", v))
-    return out
+    anchor: IntVec = {b: 1 for b in range(L.dim) if L.degree[b] == 0}
+    return [
+        Probe(f"deg0sum+x[{b}]", {**anchor, b: 1}) for b in range(L.dim) if L.degree[b] != 0
+    ]
 
 
 def basis_probes(P: LPrimeModel) -> List[Probe]:
-    return [Probe(f"basis[{b}]", {b: Fraction(1)}) for b in range(P.dim_l)]
+    return [Probe(f"basis[{b}]", {b: 1}) for b in range(P.dim_l)]
 
 
 def random_probes(P: LPrimeModel, count: int, seed: int) -> List[Probe]:
@@ -363,7 +356,7 @@ def _random_probe_stream(P: LPrimeModel, seed: int) -> Iterator[Probe]:
     for j in itertools.count():
         while True:
             v = {
-                rng.randrange(dim): Fraction(rng.randint(-3, 3))
+                rng.randrange(dim): rng.randint(-3, 3)
                 for _ in range(rng.randint(2, 6))
             }
             v = {b: c for b, c in v.items() if c}
@@ -395,8 +388,9 @@ class ConstraintEngine:
     the row fraction-free against the rows kept so far and keeps what is
     left, so the space shrinks exactly when the row is independent of them.
 
-    Everything runs on Python ints: probes are scaled to integer vectors
-    (the orbit condition is invariant under scaling the probe), the slice
+    Everything runs on Python ints: probes are integer vectors (the orbit
+    condition is invariant under scaling the probe, so `constrained_space`
+    scales a caller's rational probes to ints), the slice
     ad columns are the integer bracket table's (`ad_columns`), the targets
     ad L'_s are integer echelon rows (`ad_blocks`), and the annihilator and
     the cuts are fraction-free integer eliminations.  So the result is
@@ -507,8 +501,9 @@ class ConstraintEngine:
         return rows
 
     def add_probes(self, probes: Iterable[Probe]) -> None:
+        """Impose the condition at each probe, an integer vector."""
         for probe in probes:
-            x = int_multiple(probe.vector)
+            x = probe.vector
             comps = self.split(x)
             for shift, pairs in self.blocks.shifts_from(x).items():
                 space = self.space[shift]
@@ -539,10 +534,12 @@ def constrained_space(
     "blocks" solves each bigrade shift incrementally (the performance path);
     "reference" pushes the identical constraint rows, as Fractions, through
     one global elimination over all of End(L), with no per-block
-    bookkeeping or early-out, and must agree with the block path.
+    bookkeeping or early-out, and must agree with the block path.  Probes
+    may have rational coefficients: each is scaled to ints first.
     """
     if not probes:
         raise ValueError("constrained_space requires at least one probe")
+    probes = [Probe(p.label, int_multiple(p.vector)) for p in probes]
     if method == "blocks":
         engine = ConstraintEngine(P)
         engine.add_probes(probes)
@@ -553,9 +550,8 @@ def constrained_space(
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
-        x = int_multiple(probe.vector)
         for shift in sorted(engine.space):
-            for row in as_fractions(engine.constraint_rows(x, shift)):
+            for row in as_fractions(engine.constraint_rows(probe.vector, shift)):
                 rows.append(engine.blocks.lift(shift, row))
     return Subspace.from_vectors(kernel_of_rows(rows, dim * dim), dim * dim)
 

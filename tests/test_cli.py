@@ -455,3 +455,59 @@ def test_certify_builds_no_stage_it_does_not_reach():
     assert res.returncode == 0, res.stderr
     assert time.monotonic() - start < 10
     assert res.stdout == golden.read_text()
+
+
+@pytest.mark.parametrize("args", [("--family", "H"), ("--n", "5")])
+def test_build_missing_flag_exits_2(args):
+    res = run_cli("build", *args)
+    assert res.returncode == 2
+    assert "missing --family/--n" in res.stderr
+    assert "internal error" not in res.stderr
+
+
+@pytest.mark.parametrize("name, value", [("FORMAT", "xml"), ("FAMILY", "Q")])
+def test_env_value_outside_the_choices_exits_2(name, value):
+    # argparse checks choices on flags only, not on defaults from the environment
+    res = run_cli("info", "--family", "H", "--n", "5",
+                  env_extra={f"CARTANSUPER_{name}": value})
+    assert res.returncode == 2
+    assert f"CARTANSUPER_{name}" in res.stderr and repr(value) in res.stderr
+    assert res.stdout == ""
+
+
+def test_internal_error_names_the_exception_type(monkeypatch, capsys):
+    from cartansuper import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build", out_of_memory)
+    assert cli.main(["info", "--family", "H", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
+def test_build_check_and_certify_make_no_fraction_call():
+    # the trusted path runs on ints: no call into fractions.py while the
+    # commands run on the desk models
+    import contextlib
+    import fractions
+    import io
+
+    from cartansuper import cli
+
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    for command in (["build"], ["check", "--format", "json"], ["certify", "--format", "json"]):
+        for family, n in (("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)):
+            sys.setprofile(record)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*command, "--family", family, "--n", str(n)])
+            finally:
+                sys.setprofile(None)
+            assert code == 0
+            assert not calls, (command[0], family, n, sorted(set(calls)))

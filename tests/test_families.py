@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartansuper.exterior import ExtElem, mono_degree, mono_mask, mono_mul, mono_partial
+from cartansuper.exterior import (
+    ExtElem,
+    all_monomials,
+    mono_degree,
+    mono_mask,
+    mono_mul,
+    mono_partial,
+)
 from cartansuper.families import (
     FamilyError,
     FamilySpec,
@@ -28,7 +35,7 @@ from cartansuper.families import (
     xi,
 )
 from cartansuper.liesuper import ModelFormatError, check_axioms, model_from_json, model_to_json
-from cartansuper.linalg import Matrix, SpanSolver, rank, vec_axpy_inplace
+from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplace
 
 
 # -- spec validation
@@ -104,8 +111,30 @@ def test_every_s_basis_row_is_divergence_free():
 
 def test_s_kernel_is_echelonized():
     ker = _divergence_kernel(4)
-    assert ker.pivots == sorted(ker.pivots)
-    assert ker.dim == 49
+    leads = [min(row) for row in ker]
+    assert leads == sorted(set(leads))
+    assert all(row[lead] == 1 for row, lead in zip(ker, leads))
+    assert not any(lead in row for lead in leads for row in ker if min(row) != lead)
+    assert len(ker) == 49
+
+
+def fraction_divergence_kernel(n):
+    """ker(div) by the Fraction route: the RREF rows of `linalg.kernel`."""
+    idx_l = {m: i for i, m in enumerate(all_monomials(n))}
+    data = {}
+    for col, (mask, j) in enumerate(w_basis(n)):
+        hit = mono_partial(j, mask)
+        if hit is not None:
+            sign, m = hit
+            data.setdefault(idx_l[m], {})[col] = Fraction(sign)
+    return kernel(Matrix(1 << n, len(w_basis(n)), data)).rows
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_divergence_kernel_matches_the_fraction_kernel(n):
+    ker = _divergence_kernel(n)
+    assert ker == fraction_divergence_kernel(n)
+    assert all(type(c) is int for row in ker for c in row.values())
 
 
 # -- the Hamiltonian family
@@ -243,6 +272,24 @@ def test_span_solver_stays_on_ints_for_unit_leads():
     coords = span.express({0: 2, 1: 1, 2: 9})
     assert coords == {0: 2, 1: 3}
     assert all(type(c) is int for c in coords.values())
+
+
+def test_span_solver_stays_on_ints_through_a_lead_of_2():
+    # the second row reduces to {1: -2}: an integral answer stays an int
+    span = SpanSolver()
+    assert span.add({0: 1, 1: 1})
+    assert span.add({0: 1, 1: -1})
+    coords = span.express({0: 1, 1: 3})
+    assert coords == {0: 2, 1: -1}
+    assert all(type(c) is int for c in coords.values())
+
+
+@pytest.mark.parametrize("family, n", [("S", 4), ("H", 5)])
+def test_lprime_chain_and_table_are_ints(family, n):
+    # euler reduces to a lead of 4 in S(4)' and of 2 in H(5)'
+    ext = build_lprime(build(family, n)).ext
+    assert all(type(c) is int for h in ext.cartan_chain for c in h.values())
+    assert all(type(c) is int for w in ext.table.values() for c in w.values())
 
 
 def test_span_solver_divides_exactly_for_a_lead_of_2():

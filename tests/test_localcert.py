@@ -529,7 +529,7 @@ def test_escalation_draws_each_stage_within_the_budget(W4, budget, monkeypatch):
     def push(batch):
         for p in batch:
             lead = p.vector[min(p.vector)]
-            key = frozenset((k, c / lead) for k, c in p.vector.items())
+            key = frozenset((k, Fraction(c, lead)) for k, c in p.vector.items())
             if key not in seen:
                 seen.add(key)
                 labels.append(p.label)
