@@ -16,7 +16,8 @@ names another family or n than --family/--n), 3 inconclusive
 certification.
 
 Every flag has an environment override with prefix CARTANSUPER_
-(e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.
+(e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.  Only
+the variables of the running command's flags are read and checked.
 JSON output is the stable contract (reports carry schema_version and are
 byte-identical for a fixed seed and configuration); text output is a human
 summary.  Timings are printed only with --timings so that default reports
@@ -74,6 +75,14 @@ def _env(name: str, fallback=None, kind=None):
     raise SystemExit(EXIT_INPUT_ERROR)
 
 
+def _env_flag(p: argparse.ArgumentParser, name: str, *flags: str,
+              fallback=None, kind=None, **kwargs) -> None:
+    """Add a flag to p whose default is CARTANSUPER_<name>.  The variable is
+    read and checked by `parse_args`, and only for the command that runs."""
+    dest = p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs).dest
+    p.get_default("env_flags").append((dest, name, fallback, kind))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cartansuper",
@@ -84,33 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_model: bool) -> None:
-        p.add_argument(
-            "--family",
-            choices=FAMILIES,
-            default=_env("FAMILY", kind=FAMILIES),
-            help="algebra family",
-        )
-        p.add_argument("--n", type=int, default=_env("N", kind=int))
+        p.set_defaults(env_flags=[])
+        _env_flag(p, "FAMILY", "--family", kind=FAMILIES, choices=FAMILIES,
+                  help="algebra family")
+        _env_flag(p, "N", "--n", kind=int, type=int)
         if with_model:
-            p.add_argument(
-                "--model",
-                default=_env("MODEL"),
-                help="read the algebra from a serialized model file instead "
-                "of building it",
-            )
-        p.add_argument("--out", default=_env("OUT"), help="output path (default stdout)")
-        p.add_argument(
-            "--format",
-            choices=FORMATS,
-            default=_env("FORMAT", "text", FORMATS),
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=_env("SEED", 0, int),
-            help="seed of certify's random probes and 2-local pairs; "
-            "only certify reads it, the other commands ignore it",
-        )
+            _env_flag(p, "MODEL", "--model",
+                      help="read the algebra from a serialized model file "
+                      "instead of building it")
+        _env_flag(p, "OUT", "--out", help="output path (default stdout)")
+        _env_flag(p, "FORMAT", "--format", fallback="text", kind=FORMATS, choices=FORMATS)
+        _env_flag(p, "SEED", "--seed", fallback=0, kind=int, type=int,
+                  help="seed of certify's random probes and 2-local pairs; "
+                  "only certify reads it, the other commands ignore it")
 
     p_build = sub.add_parser("build", help="construct an algebra and emit its model")
     common(p_build, with_model=False)
@@ -127,13 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="certify the local and 2-local superderivation theorems"
     )
     common(p_cert, with_model=True)
-    p_cert.add_argument("--budget", type=int, default=_env("BUDGET", kind=int))
+    _env_flag(p_cert, "BUDGET", "--budget", kind=int, type=int)
     p_cert.add_argument(
         "--timings",
         action="store_true",
         help="include elapsed_ms in the report (breaks byte-reproducibility)",
     )
     return parser
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parsed command line.  Each flag of the command that runs and that
+    was not given takes its CARTANSUPER_ value; a malformed value of any of
+    that command's variables exits 2, given flag or not."""
+    args = build_parser().parse_args(argv)
+    for dest, name, fallback, kind in args.env_flags:
+        value = _env(name, fallback, kind)
+        if dest not in args:
+            setattr(args, dest, value)
+    return args
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -229,9 +236,10 @@ def cmd_info(args) -> int:
 
 def cmd_check(args) -> int:
     model = _load_or_build(args)
-    axioms = check_axioms(model, generating_set=generators(model))
+    G = generators(model)
+    axioms = check_axioms(model, generating_set=G)
     P = build_lprime(model)
-    report = derivation_report(P)
+    report = derivation_report(P, G)
     ok = axioms.ok and report.lemma_der_holds and report.transitive
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(report.as_dict())
@@ -282,8 +290,7 @@ def cmd_certify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     handlers = {
         "build": cmd_build,
         "info": cmd_info,

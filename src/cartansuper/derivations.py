@@ -390,12 +390,12 @@ def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
 
 
 def leibniz_kernels(
-    blocks: BlockSystem, targets: Optional[Dict[Shift, int]] = None
+    blocks: BlockSystem, G: List[int], targets: Optional[Dict[Shift, int]] = None
 ) -> Dict[Shift, IntKernel]:
     """Der L on each block of ``blocks``: each Leibniz row of the pairs
-    (g, y), g in `generators(A)`, is cut into its block's `IntKernel` as it
-    is emitted.  Exact once A passes `check_axioms` (see the module
-    docstring).
+    (g, y), g in G, a generating set of L (`generators`), is cut into its
+    block's `IntKernel` as it is emitted.  Exact once A passes
+    `check_axioms` (see the module docstring).
 
     A block takes rows only while its kernel is larger than its target
     (``targets``, 0 where none is given), and `leibniz_rows` builds no row
@@ -410,7 +410,7 @@ def leibniz_kernels(
     targets = targets or {}
     space = {shift: IntKernel(len(entries)) for shift, entries in blocks.entries.items()}
     live = {shift for shift, kern in space.items() if len(kern) > targets.get(shift, 0)}
-    for shift, row in leibniz_rows(blocks.A, None, generators(blocks.A), live):
+    for shift, row in leibniz_rows(blocks.A, None, G, live):
         if shift in live:
             kern = space[shift]
             if kern.cut(blocks.localize(shift, row)) and len(kern) <= targets.get(shift, 0):
@@ -489,7 +489,7 @@ def derivation_space(
     if method != "blocks":
         raise ValueError(f"unknown method {method!r}")
     blocks = BlockSystem(A, parity)
-    return blocks.subspace(leibniz_kernels(blocks))
+    return blocks.subspace(leibniz_kernels(blocks, generators(A)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +547,12 @@ class DerivationReport:
         }
 
 
-def outer_ads_are_derivations(P: LPrimeModel) -> bool:
+def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
     """ad(u) lies in Der L for every u of L' outside L, checked on ints.
 
     L' must bracket L x L exactly as L's own table does, and every Jacobi
-    triple (u, g, y) with g in `generators(L)` and y in L must hold in L'.
+    triple (u, g, y) with g in G, a generating set of L (`generators`), and
+    y in L must hold in L'.
     That triple is the Leibniz row of the pair (g, y) applied to ad(u); the
     pair (y, g) follows by anticommutativity, and Leibniz on G x L gives
     Leibniz on L x L once L passes `check_axioms` (see the module
@@ -560,21 +561,22 @@ def outer_ads_are_derivations(P: LPrimeModel) -> bool:
     on_l = {key: w for key, w in ext.table.items() if key[0] < m and key[1] < m and w}
     if on_l != {key: w for key, w in base.table.items() if w}:
         return False
-    G = generators(base)
-    triples = ((u, g, y) for u in range(m, ext.dim) for g in G for y in range(m))
-    return jacobi_violation(ext, triples)[1] is None
+    groups = ((u, g, range(m)) for u in range(m, ext.dim) for g in G)
+    return jacobi_violation(ext, groups)[1] is None
 
 
-def derivation_report(P: LPrimeModel) -> DerivationReport:
-    """`check`'s comparison of Der L with ad L'.  Each block of Der L stops
-    at dim ad L'_s once `outer_ads_are_derivations` has shown ad L' to lie
-    in Der L; otherwise it stops only at a zero kernel (`leibniz_kernels`)."""
+def derivation_report(P: LPrimeModel, G: List[int]) -> DerivationReport:
+    """`check`'s comparison of Der L with ad L', on the Leibniz rows of the
+    pairs (g, y), g in G, a generating set of L (`generators`).  Each block
+    of Der L stops at dim ad L'_s once `outer_ads_are_derivations` has
+    shown ad L' to lie in Der L; otherwise it stops only at a zero kernel
+    (`leibniz_kernels`)."""
     blocks = BlockSystem(P.base)
     ad = ad_blocks(P, blocks)
     targets = None
-    if outer_ads_are_derivations(P):
+    if outer_ads_are_derivations(P, G):
         targets = {shift: len(rows) for shift, rows in ad.items()}
-    space = leibniz_kernels(blocks, targets)
+    space = leibniz_kernels(blocks, G, targets)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,

@@ -475,6 +475,22 @@ def test_env_value_outside_the_choices_exits_2(name, value):
     assert res.stdout == ""
 
 
+def test_env_value_of_another_commands_flag_is_ignored():
+    # info has no --budget, so CARTANSUPER_BUDGET is not read
+    res = run_cli("info", "--family", "H", "--n", "5", "--format", "json",
+                  env_extra={"CARTANSUPER_BUDGET": "x"})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["dim_L"] == 30
+
+
+def test_bad_env_value_of_the_running_commands_flag_exits_2():
+    res = run_cli("certify", "--family", "H", "--n", "5",
+                  env_extra={"CARTANSUPER_BUDGET": "x"})
+    assert res.returncode == 2
+    assert "CARTANSUPER_BUDGET" in res.stderr and "'x'" in res.stderr
+    assert res.stdout == ""
+
+
 def test_internal_error_names_the_exception_type(monkeypatch, capsys):
     from cartansuper import cli
 

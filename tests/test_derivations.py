@@ -182,7 +182,7 @@ def test_transitivity_fails_with_injected_center(pairs):
 
 def test_derivation_report_payload(pairs):
     A, P = pairs[("H", 5)]
-    rep = derivation_report(P)
+    rep = derivation_report(P, generators(P.base))
     d = rep.as_dict()
     assert d == {
         "family": "H",
@@ -200,7 +200,7 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
     from cartansuper import linalg
 
     A, P = pairs[spec]
-    expected = derivation_report(P).as_dict()
+    expected = derivation_report(P, generators(P.base)).as_dict()
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction subspace route used")
@@ -209,7 +209,7 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
     monkeypatch.setattr(linalg.Echelon, "insert", refuse)
     for name in ("as_fractions", "derivation_space", "ad_image"):
         monkeypatch.setattr(derivations, name, refuse)
-    report = derivation_report(P)
+    report = derivation_report(P, generators(P.base))
     assert report.as_dict() == expected
     assert report.lemma_der_holds and report.dim_der == P.dim_lprime
 
@@ -227,7 +227,7 @@ def test_check_and_certify_share_the_block_test(pairs, monkeypatch):
 
     monkeypatch.setattr(derivations, "blocks_equal_ad", spy)
     monkeypatch.setattr(localcert, "blocks_equal_ad", spy)
-    assert derivation_report(P).lemma_der_holds and len(calls) == 1
+    assert derivation_report(P, generators(P.base)).lemma_der_holds and len(calls) == 1
     cert = localcert.certify(P)
     assert cert.verdict == "CERTIFIED" and calls[-1] is cert.engine.space
 
@@ -237,7 +237,7 @@ def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der):
     # ad L is a proper subspace of Der L for H(5) and S(4): the outer
     # derivations of L' are missing
     A, _ = pairs[spec]
-    report = derivation_report(LPrimeModel(A, A, []))
+    report = derivation_report(LPrimeModel(A, A, []), generators(A))
     assert not report.lemma_der_holds
     assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
     assert report.dim_lprime == A.dim < dim_der
@@ -288,17 +288,17 @@ def rows_pulled(monkeypatch, run):
 @pytest.mark.parametrize("broken", [outer_bracket_changed, l_bracket_changed])
 def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch):
     A, P = pairs[spec]
-    bad = broken(P)
-    assert derivations.outer_ads_are_derivations(P)
-    assert not derivations.outer_ads_are_derivations(bad)
-    report = derivation_report(bad)
+    bad, G = broken(P), generators(A)
+    assert derivations.outer_ads_are_derivations(P, G)
+    assert not derivations.outer_ads_are_derivations(bad, G)
+    report = derivation_report(bad, G)
     assert not report.lemma_der_holds
     assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
     # no block stopped at dim ad L'_s: the rows read are those of the
     # targetless solve, which stops only at a zero kernel
-    every = rows_pulled(monkeypatch, lambda: derivations.leibniz_kernels(BlockSystem(A)))
-    assert rows_pulled(monkeypatch, lambda: derivation_report(bad)) == every
-    assert rows_pulled(monkeypatch, lambda: derivation_report(P)) < every
+    every = rows_pulled(monkeypatch, lambda: derivations.leibniz_kernels(BlockSystem(A), G))
+    assert rows_pulled(monkeypatch, lambda: derivation_report(bad, G)) == every
+    assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
 
 
 def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
@@ -314,8 +314,9 @@ def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
     ext.weight = list(ext.weight) + [ext.zero_weight()]
     ext.table = {**ext.table, (u, b): {b: 1}}
     bad = LPrimeModel(A, ext, ["e_bb"])
-    assert not derivations.outer_ads_are_derivations(bad)
-    report = derivation_report(bad)
+    G = generators(A)
+    assert not derivations.outer_ads_are_derivations(bad, G)
+    report = derivation_report(bad, G)
     assert not report.lemma_der_holds
     assert report.dim_der == 64 and report.dim_lprime == 65
 
@@ -324,8 +325,9 @@ def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
 def test_report_stops_each_block_at_its_target(pairs, spec, monkeypatch):
     # a regression to reducing every row fails here, not only in the benchmark
     A, P = pairs[spec]
-    every = sum(1 for _ in derivations.leibniz_rows(A, None, generators(A)))
-    assert rows_pulled(monkeypatch, lambda: derivation_report(P)) < every
+    G = generators(A)
+    every = sum(1 for _ in derivations.leibniz_rows(A, None, G))
+    assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
 
 
 def test_bigrade_decompose_reconstructs(pairs):

@@ -16,9 +16,12 @@ from cartansuper.liesuper import (
     ad_matrix,
     check_axioms,
     generators,
+    jacobi_violation,
     model_from_json,
     model_to_json,
 )
+
+DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,11 @@ def W4():
 @pytest.fixture(scope="module")
 def H5():
     return build("H", 5)
+
+
+def halved(A):
+    """The (y, z) a proving Jacobi scan visits per x: y < z, and y = z odd."""
+    return A.dim * (A.dim - 1) // 2 + sum(A.parity)
 
 
 def unit(A, desc_str):
@@ -125,7 +133,7 @@ def test_generators_of_desk_models(spec, size):
     assert generators(A, G) == G
     rep = check_axioms(A, generating_set=G)
     assert rep.ok
-    assert rep.triples_checked == size * A.dim**2
+    assert rep.triples_checked == size * halved(A)
 
 
 def test_non_generating_set_is_refused(W4, H5):
@@ -135,7 +143,7 @@ def test_non_generating_set_is_refused(W4, H5):
     negative = [i for i in range(H5.dim) if H5.degree[i] == -1]
     rep = check_axioms(H5, generating_set=negative)
     assert rep.ok
-    assert rep.triples_checked == H5.dim**3  # the full scan ran instead
+    assert rep.triples_checked == H5.dim * halved(H5)  # the full scan ran instead
 
 
 def test_generator_mode_catches_jacobi_only_faults(W4):
@@ -172,6 +180,126 @@ def test_jacobi_is_checked_on_fractional_structure_constants(H5):
     third.table[key[::-1]] = {k: c / 2 for k, c in third.table[key[::-1]].items()}
     assert not check_axioms(third).ok
     assert not check_axioms(third, generating_set=G).ok
+
+
+def jacobi_oracle(A, G):
+    """Jacobi on every triple of G x L x L, one triple at a time through the
+    bilinear bracket, with no halving and no row index."""
+    for x in G:
+        for y in range(A.dim):
+            for z in range(A.dim):
+                s = -1 if A.parity[x] and A.parity[y] else 1
+                lhs = A.bracket({x: 1}, A.bracket_basis(y, z))
+                rhs = A.bracket(A.bracket_basis(x, y), {z: 1})
+                for k, c in A.bracket({y: 1}, A.bracket_basis(x, z)).items():
+                    rhs[k] = rhs.get(k, 0) + s * c
+                if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
+                    return False
+    return True
+
+
+def edited(A, entries):
+    """A copy of A whose table has the given entries replaced."""
+    B = copy.copy(A)
+    B.table = {**A.table, **entries}
+    return B
+
+
+def jacobi_only_fault(A, rng):
+    """[j, k] and [k, j] for some j < k both moved by the same basis vector
+    of their cell: anticommutativity and the gradings still hold."""
+    while True:
+        j, k = sorted(rng.sample(range(A.dim), 2))
+        cell = (A.deg_add(A.degree[j], A.degree[k]),
+                tuple(a + b for a, b in zip(A.weight[j], A.weight[k])))
+        parity = (A.parity[j] + A.parity[k]) % 2
+        targets = [t for t in range(A.dim) if A.cell_of(t) == cell and A.parity[t] == parity]
+        if targets:
+            break
+    t = rng.choice(targets)
+    sign = 1 if A.parity[j] and A.parity[k] else -1  # [k, j] = sign * [j, k]
+    jk = dict(A.bracket_basis(j, k))
+    jk[t] = jk.get(t, 0) + 1
+    return j, k, edited(A, {(j, k): jk, (k, j): {m: sign * c for m, c in jk.items()}})
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_halved_scan_catches_faults_seen_at_j_above_k(spec):
+    # a fault seen at (g, k, j), j < k, a triple the scan skips, is caught
+    # through its mirror (g, j, k)
+    A = build(*spec)
+    rng = random.Random(16)
+    caught = 0
+    while caught < 2:
+        j, k, B = jacobi_only_fault(A, rng)
+        assert check_axioms(B, jacobi_triples=0).ok  # the pair scan passes
+        G = generators(B)
+        if not any(jacobi_violation(B, [(g, k, (j,))])[1] for g in G):
+            continue
+        assert not check_axioms(B, generating_set=G).ok, (j, k)
+        assert not check_axioms(B).ok, (j, k)
+        caught += 1
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_halved_scan_catches_odd_self_bracket_faults(spec):
+    # [j, j] for an odd j is symmetric, so the pair scan cannot see an edit
+    # to it, and the triples (g, j, j) stay in the scan.  Twice the weight
+    # of an odd j is no weight of W, S or H, so the edit is made on a copy
+    # that forgets the weights, which the Jacobi scan never reads.
+    A = edited(build(*spec), {})
+    A.weight = [()] * A.dim
+    planted = 0
+    for j in range(A.dim):
+        if not A.parity[j]:
+            continue
+        cell = (A.deg_add(A.degree[j], A.degree[j]), ())
+        t = next((t for t in range(A.dim) if A.cell_of(t) == cell and not A.parity[t]), None)
+        if t is None:
+            continue
+        jj = dict(A.bracket_basis(j, j))
+        jj[t] = jj.get(t, 0) + 1
+        B = edited(A, {(j, j): jj})
+        assert check_axioms(B, jacobi_triples=0).ok
+        G = generators(B)
+        assert jacobi_violation(B, [(g, j, (j,)) for g in G])[1] is not None
+        assert not check_axioms(B, generating_set=G).ok, j
+        assert not check_axioms(B).ok, j
+        planted += 1
+        if planted == 3:
+            break
+    assert planted == 3
+
+
+def test_odd_self_bracket_fault_seen_only_at_y_y_y():
+    # y odd, v even, w odd in degrees 1, 2, 3, with [y, v] = w: a Lie
+    # superalgebra.  With [y, y] = v added, J(y, y, y) = 3 [y, v] = 3 w is
+    # the only nonzero Jacobi value, at a triple with j = k.
+    def model(yy):
+        table = {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 0): yy}
+        return AlgebraModel("W", 1, ["y", "v", "w"], table, [1, 0, 1],
+                            [1, 2, 3], [(), (), ()], [])
+
+    assert check_axioms(model({})).ok
+    assert check_axioms(model({}), generating_set=[0, 1]).ok
+    broken = model({1: 1})
+    assert generators(broken) == [0]
+    assert jacobi_oracle(broken, range(1, 3))
+    assert jacobi_violation(broken, [(0, 0, (1, 2)), (0, 1, range(3)), (0, 2, range(3))])[1] is None
+    for rep in (check_axioms(broken, generating_set=[0]), check_axioms(broken)):
+        assert rep.first_violation == "Jacobi fails at triple (0,0,0)"
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_halved_scan_agrees_with_the_per_triple_oracle(spec):
+    A = build(*spec)
+    G = generators(A)
+    assert jacobi_oracle(A, G) and check_axioms(A, generating_set=G).ok
+    rng = random.Random(sum(map(ord, spec[0])) + spec[1])
+    for _ in range(8):
+        _, _, B = jacobi_only_fault(A, rng)
+        G = generators(B)
+        assert check_axioms(B, generating_set=G).ok == jacobi_oracle(B, G)
 
 
 def test_bigrade_blocks_w4(W4):
