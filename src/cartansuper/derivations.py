@@ -302,9 +302,8 @@ class BlockSystem:
         for shift, entries in self.entries.items():
             entries.sort()
             self.local[shift] = {key: i for i, key in enumerate(entries)}
-        # source cells and answer of the last shifts_from call, and the
-        # (shift, target cell) pairs of each source cell, which hold the
-        # blocks' own keys instead of a fresh tuple per pair
+        # source cells and answer of the last shifts_from call, and each
+        # source cell's `reach` list
         self._reach: tuple = ((), {})
         self._cell_reach: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
         self._keys: Dict[Shift, Shift] = {shift: shift for shift in self.entries}
@@ -333,29 +332,32 @@ class BlockSystem:
         ]
         return Subspace.from_vectors(rows, self.A.dim ** 2)
 
+    def reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
+        """The (shift, target cell) pairs of the blocks with entries in the
+        columns of cell cb, in cell order, built once per cell.  The shifts
+        are the blocks' own keys, not a fresh tuple per pair."""
+        targets = self._cell_reach.get(cb)
+        if targets is None:
+            keys = self._keys
+            shifts = ((keys.get(self.cell_shift(self.A, ca, cb)), ca) for ca in self.cells)
+            targets = self._cell_reach[cb] = [
+                (shift, ca) for shift, ca in shifts if shift is not None
+            ]
+        return targets
+
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,
         each with its (target cell, source cell) pairs.
 
         Callers ask for one vector many times in a row, so the answer for
-        the last set of source cells is kept, and so is each source cell's
-        list of shifts.
+        the last set of source cells is kept.
         """
         cell_of = self.A.cell_of
         sources = tuple(dict.fromkeys(cell_of(b) for b in x))
         if sources != self._reach[0]:
             reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
             for cb in sources:
-                targets = self._cell_reach.get(cb)
-                if targets is None:
-                    keys = self._keys
-                    shifts = (
-                        (keys.get(self.cell_shift(self.A, ca, cb)), ca) for ca in self.cells
-                    )
-                    targets = self._cell_reach[cb] = [
-                        (shift, ca) for shift, ca in shifts if shift is not None
-                    ]
-                for shift, ca in targets:
+                for shift, ca in self.reach(cb):
                     reach.setdefault(shift, []).append((ca, cb))
             self._reach = (sources, reach)
         return self._reach[1]

@@ -45,6 +45,16 @@ stage imposes, a block that reaches its target equals ad L'_s whatever
 the order, and `IntKernel.basis()` is the RREF, so even the residual
 witness of an INCONCLUSIVE run is the same.
 
+The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
+block that has reached its target takes no more probes, and a block takes
+no probe whose parts in its source cells equal the last probe's there.
+The second rests on two facts: `constraint_rows` reads x only through
+those parts, since [L'_s, x_c] lies in cell c + s; and a row once cut
+into an `IntKernel` never shrinks it again.  Rows that read more of x,
+such as the full-orbit rows [L', x] at a probe spread over several cells
+(ROADMAP.md, "A local certificate that rests on nothing unproven"), must
+widen the key to all that they read.
+
 The 2-local spot checks of `certify_2local` run on ints too:
 `is_2local_at` scales x and y to integer vectors, builds the columns
 [u, x] + [u, y] from the integer structure constants of L' (the columns
@@ -398,11 +408,25 @@ class ConstraintEngine:
     kernel of all the rows cut into it); Fractions appear only where
     spaces are handed out as subspaces over Q.
 
-    `add_probes` splits each probe into its cells (`split`) and finds the
-    shifts it reaches (`BlockSystem.shifts_from`) once.  Per shift,
-    `constraint_rows` solves the small system on the target cells (the unit
-    annihilator when the slice orbit is empty) and builds each row straight
-    in the block's local ids.
+    `add_probes` splits each probe into its cells (`split`) once and groups
+    the (shift, target cell) pairs of the blocks still open in each of them
+    (`open`; each cell's list is `BlockSystem.reach`, pruned lazily once a
+    block has closed).  Per shift, `constraint_rows` solves the small
+    system on the target cells (the unit annihilator when the slice orbit
+    is empty) and builds each row straight in the block's local ids.
+
+    A block's constraint at x depends on x only through its key, the
+    parts x_c in the source cells c of the block's pairs: [L'_s, x_c] lies
+    in cell c + s, so the parts in other cells add nothing to the slice
+    orbit, and every row entry (a, b) has b in a source cell.  Each open
+    block keeps the key of its last call (`last_key`, one per block,
+    dropped when the block closes), and a probe with the same key is
+    skipped there.  Its rows would be the last call's, all of them cut
+    (the call stops early only when the block closes), and a row once cut
+    lies in the span of the kernel's kept rows, so it cannot shrink the
+    kernel again.  The kept rows are therefore exactly those of imposing
+    every probe on every open block it reaches.  Rows that read more of x
+    must widen the key to all that they read (see the module docstring).
 
     `matches_ad` decides space_s = ad L'_s for every block with
     `derivations.blocks_equal_ad`, the dimension-and-containment test that
@@ -410,7 +434,7 @@ class ConstraintEngine:
     construction, and testing it keeps a slip in the constraint rows from
     passing as a certificate.  Because it holds, a block that has shrunk
     to the dimension of its inner target equals it, and no further cut can
-    shrink it: it is skipped from then on.
+    shrink it: it leaves `open` and is skipped from then on.
     """
 
     def __init__(self, P: LPrimeModel):
@@ -424,6 +448,15 @@ class ConstraintEngine:
         }
         # ad L'_shift as integer echelon rows, the target of each block
         self.ad_pivots = ad_blocks(P, self.blocks)
+        # the blocks still above their target, and each source cell's
+        # `_open_reach` list with the size of `open` it was pruned at
+        self.open = {
+            shift for shift, kern in self.space.items()
+            if len(kern) > len(self.ad_pivots.get(shift, ()))
+        }
+        self._open_lists: Dict[Cell, Tuple[int, List[Tuple[Shift, Cell]]]] = {}
+        # the key of the last constraint_rows call on each open block
+        self.last_key: Dict[Shift, Tuple[IntVec, ...]] = {}
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
@@ -453,9 +486,9 @@ class ConstraintEngine:
         phi_shift(x) in [L'_shift, x].
 
         x has int coefficients.  pairs are the shift's (target, source)
-        cells from `BlockSystem.shifts_from(x)` and comps is `split(x)`;
-        `add_probes` computes both once per probe, and they are computed
-        here when not given.
+        cells, as `BlockSystem.shifts_from(x)` gives them, and comps is
+        `split(x)`; `add_probes` computes both once per probe, and they are
+        computed here when not given.
         """
         if pairs is None:
             pairs = self.blocks.shifts_from(x).get(shift)
@@ -501,19 +534,37 @@ class ConstraintEngine:
         return rows
 
     def add_probes(self, probes: Iterable[Probe]) -> None:
-        """Impose the condition at each probe, an integer vector."""
+        """Impose the condition at each probe, an integer vector, on the
+        open blocks whose key it changes (see the class docstring)."""
+        space, last = self.space, self.last_key
         for probe in probes:
             x = probe.vector
             comps = self.split(x)
-            for shift, pairs in self.blocks.shifts_from(x).items():
-                space = self.space[shift]
-                target = len(self.ad_pivots.get(shift, ()))
-                if len(space) <= target:
-                    continue  # empty, or converged: no row cuts it further
+            reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
+            for cb in comps:
+                for shift, ca in self._open_reach(cb):
+                    reach.setdefault(shift, []).append((ca, cb))
+            for shift, pairs in reach.items():
+                key = tuple([comps[cb] for _, cb in pairs])
+                if key == last.get(shift):
+                    continue  # the rows of the last call, cut already
+                last[shift] = key
+                kern, target = space[shift], len(self.ad_pivots.get(shift, ()))
                 for row in self.constraint_rows(x, shift, pairs, comps):
                     self._cut(shift, row)
-                    if len(space) <= target:
+                    if len(kern) <= target:
+                        self.open.discard(shift)
+                        del last[shift]
                         break
+
+    def _open_reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
+        """`BlockSystem.reach(cb)` without the blocks that have closed, pruned
+        when a block has closed since the last call for cb."""
+        got = self._open_lists.get(cb)
+        if got is None or got[0] != len(self.open):
+            pairs = self.blocks.reach(cb) if got is None else got[1]
+            got = self._open_lists[cb] = (len(self.open), [p for p in pairs if p[0] in self.open])
+        return got[1]
 
     def _cut(self, shift: Shift, functional: IntVec) -> None:
         self.space[shift].cut(functional)

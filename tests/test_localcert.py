@@ -808,6 +808,162 @@ def test_random_functionals_cut_alike(H5, data):
         assert_same_spaces(fast, slow, [shift])
 
 
+# -- the open-block lists and the last-key skip against every probe on every block
+
+
+class CountingEngine(ConstraintEngine):
+    """The engine, recording the shift of each `constraint_rows` call and
+    counting the cuts that shrink a block."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.calls = []
+        self.effective = 0
+
+    def constraint_rows(self, x, shift, pairs=None, comps=None):
+        self.calls.append(shift)
+        return super().constraint_rows(x, shift, pairs, comps)
+
+    def _cut(self, shift, functional):
+        before = len(self.space[shift])
+        super()._cut(shift, functional)
+        self.effective += len(self.space[shift]) < before
+
+
+class EveryProbeEngine(CountingEngine):
+    """`add_probes` imposing each probe on every block it reaches that is
+    still above its target, with no open-block list and no key: the oracle
+    for both skips."""
+
+    def add_probes(self, probes):
+        for probe in probes:
+            x = probe.vector
+            comps = self.split(x)
+            for shift, pairs in self.blocks.shifts_from(x).items():
+                space = self.space[shift]
+                target = len(self.ad_pivots.get(shift, ()))
+                if len(space) <= target:
+                    continue
+                for row in self.constraint_rows(x, shift, pairs, comps):
+                    self._cut(shift, row)
+                    if len(space) <= target:
+                        break
+
+
+def assert_same_rows(fast, slow):
+    """The same kept rows in every block, from the same effective cuts and
+    fewer constraint_rows calls."""
+    assert fast.effective == slow.effective > 0
+    assert len(fast.calls) < len(slow.calls)
+    assert list(fast.space) == list(slow.space)
+    for shift, kern in slow.space.items():
+        assert fast.space[shift].rows == kern.rows, shift
+
+
+@pytest.mark.parametrize("family, n", DESK)
+def test_skips_keep_the_rows_of_every_probe_on_every_block(family, n):
+    P = build_lprime(build(family, n))
+    stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
+    fast, slow = CountingEngine(P), EveryProbeEngine(P)
+    fast.add_probes(stage1)
+    slow.add_probes(stage1)
+    assert_same_rows(fast, slow)
+
+
+def test_skips_keep_the_rows_of_every_probe_on_open_blocks(H5, monkeypatch):
+    _, P = H5
+    fast = certify_with(CountingEngine, P, monkeypatch, budget=67)
+    slow = certify_with(EveryProbeEngine, P, monkeypatch, budget=67)
+    assert fast.verdict == slow.verdict == "INCONCLUSIVE"
+    assert fast.as_dict() == slow.as_dict()
+    assert_same_rows(fast.engine, slow.engine)
+
+
+def depth_probe(A, b, first=1):
+    """dsum + b, with ``first`` on the first depth-one vector."""
+    depth = [d for d in range(A.dim) if A.degree[d] == -1]
+    x = {d: 1 for d in depth}
+    x[depth[0]] = first
+    x[b] = 1
+    return Probe(f"x+dsum[{b}]", x)
+
+
+def reached(engine, cell):
+    return {shift for shift, _ in engine.blocks.reach(cell)}
+
+
+def test_repeated_probe_makes_no_call(H5):
+    A, P = H5
+    engine = CountingEngine(P)
+    x = depth_probe(A, next(b for b in range(A.dim) if A.degree[b] == 0))
+    engine.add_probes([x])
+    assert engine.calls
+    assert engine.open & set(engine.blocks.shifts_from(x.vector))
+    engine.calls.clear()
+    engine.add_probes([Probe("again", dict(x.vector))])
+    assert engine.calls == []
+
+
+def test_key_reads_only_the_source_cells(H5):
+    A, P = H5
+    engine = CountingEngine(P)
+    b1 = next(b for b in range(A.dim) if A.degree[b] == 0)
+    b2 = next(b for b in range(A.dim) if A.degree[b] == 1)
+    c1, c2 = A.cell_of(b1), A.cell_of(b2)
+    engine.add_probes([depth_probe(A, b1)])
+
+    # a probe that differs from the last only in cells that are no source
+    # of s makes no call at s
+    open_before = set(engine.open)
+    engine.calls.clear()
+    x2 = depth_probe(A, b2)
+    engine.add_probes([x2])
+    beside = (
+        open_before & set(engine.blocks.shifts_from(x2.vector))
+    ) - reached(engine, c1) - reached(engine, c2)
+    assert beside
+    assert not beside & set(engine.calls)
+    assert set(engine.calls) <= reached(engine, c1) | reached(engine, c2)
+
+    # a changed coefficient in a source cell makes the call there
+    d = next(d for d in range(A.dim) if A.degree[d] == -1)
+    open_before = set(engine.open)
+    engine.calls.clear()
+    engine.add_probes([depth_probe(A, b2, first=2)])
+    changed = open_before & reached(engine, A.cell_of(d))
+    assert changed
+    assert changed <= set(engine.calls)
+
+
+def test_closed_blocks_get_no_call(H5):
+    A, P = H5
+    engine = CountingEngine(P)
+    stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
+    engine.add_probes(stage1)
+    closed = set(engine.space) - engine.open
+    assert closed and engine.open
+    # the same probes scaled by 2: every key differs, so only the closed
+    # blocks are skipped
+    engine.calls.clear()
+    engine.add_probes([Probe(p.label, {b: 2 * c for b, c in p.vector.items()}) for p in stage1])
+    assert engine.calls
+    assert not closed & set(engine.calls)
+    dim_ad = {s: len(engine.ad_pivots.get(s, ())) for s in engine.space}
+    assert all(len(engine.space[s]) <= dim_ad[s] for s in closed)
+    assert all(len(engine.space[s]) > dim_ad[s] for s in engine.open)
+
+
+def test_memo_holds_one_key_per_open_block(H5):
+    _, P = H5
+    engine = ConstraintEngine(P)
+    engine.add_probes(visit_order(proof_probes(P, separating_t(P.ext))))
+    assert engine.last_key and set(engine.last_key) <= engine.open
+    for key in engine.last_key.values():
+        assert type(key) is tuple and key
+        assert all(type(part) is dict and part for part in key)
+    assert certify(P).engine.last_key == {}
+
+
 # -- the integer 2-local check against the Fraction system
 
 
