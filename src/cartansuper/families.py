@@ -32,11 +32,20 @@ rows (`_row_brackets`).  Every term of the basis rows is indexed by the
 generators of its monomial and by its d-index; a term f d_a then visits
 only the partner terms g d_b with x_a in g or x_b in f, the ones a
 derivative can hit, and looks up the result's index and sign in flat
-per-n tables.  Only nonzero brackets come out, and `SpanSolver` writes
-each in the basis on Python ints, which the table stores as they come:
-every structure constant of the four families is an integer.  So are the
-basis rows, the Cartan chain and the divergence kernel: a build makes no
-Fraction, which only `ExtElem`'s helpers (`divergence`, `ham`) return.
+per-n tables.  Only nonzero brackets come out.  The same kernel, run once
+per Cartan chain element over all rows, gives the weights.
+
+`SpanSolver` writes each bracket in the basis with no elimination: every
+basis row has a *home*, a column where no other row is nonzero (W: the
+row's unit; H: the Hamiltonian rows have disjoint supports; S and S~: the
+free column of the divergence-kernel basis), so a coordinate is read off
+the bracket at its row's home.  In L' the Euler field and the top
+Hamiltonian take a few rows' homes, and what those rows carry goes
+through fraction-free elimination.  The table stores the coordinates as
+they come, on Python ints: every structure constant of the four families
+is an integer.  So are the basis rows, the Cartan chain and the
+divergence kernel: a build makes no Fraction, which only `ExtElem`'s
+helpers (`divergence`, `ham`) return.
 """
 
 from __future__ import annotations
@@ -352,19 +361,25 @@ def _graded(
         parity.append(pars.pop())
 
     chain_w = cartan_chain_w(chain_family, n)
-    weight: List[WeightVec] = []
-    for row in rows:
-        wt = []
-        lead = min(row)
-        for h in chain_w:
-            z = w_bracket(n, h, row)
+    stride = n << n
+    index = _term_index(n, rows)
+    weights: List[List[int]] = [[] for _ in rows]
+    for h in chain_w:
+        # [h, row j] for every j at once, split by j
+        hits: List[Vec] = [{} for _ in rows]
+        for t, c in _row_brackets(n, h, index).items():
+            if c:
+                j, k = divmod(t, stride)
+                hits[j][k] = c
+        for row, z, wt in zip(rows, hits, weights):
+            lead = min(row)
             lam, rem = divmod(z.get(lead, 0), row[lead])
             if rem or z != {k: lam * c for k, c in row.items() if lam * c}:
                 raise AssertionError(
                     f"{family}({n}): basis row not a weight vector of integer weight"
                 )
             wt.append(lam)
-        weight.append(tuple(wt))
+    weight: List[WeightVec] = [tuple(wt) for wt in weights]
 
     span = SpanSolver()
     for row in rows:
@@ -450,11 +465,13 @@ def _finish_model(
             raise AssertionError(
                 f"{family}({n}): bracket of basis {i},{j} leaves the span"
             )
-        if any(type(c) is not int for c in coords.values()):
-            raise AssertionError(
-                f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
-            )
         table[(i, j)] = coords
+    if {type(c) for w in table.values() for c in w.values()} - {int}:
+        i, j = next(key for key, w in table.items()
+                    if any(type(c) is not int for c in w.values()))
+        raise AssertionError(
+            f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
+        )
     model.table = table
     return model
 
@@ -565,9 +582,10 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
 
     Any difference raises ModelFormatError naming the first differing field
     or bracket pair.  The dimension is checked before anything is built.
-    The table must equal the constructor's entry by entry: the sorted union
-    of both key sets is walked in row-major order, so an extra entry, a
-    missing one and a zero coefficient are each named at their pair.
+    The table must equal the constructor's entry by entry; when it does not,
+    the sorted union of both key sets is walked in row-major order, so an
+    extra entry, a missing one and a zero coefficient are each named at
+    their pair.
     """
     spec = FamilySpec(A.family, A.n)
     try:
@@ -587,10 +605,11 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
                 min(len(got), len(want)),
             )
             raise ModelFormatError(f"{name}[{i}] differs from the {spec} constructor")
-    for i, j in sorted(A.table.keys() | C.table.keys()):
-        if A.table.get((i, j)) != C.table.get((i, j)):
-            raise ModelFormatError(
-                f"bracket ({i},{j}) differs from the {spec} constructor"
-            )
+    if A.table != C.table:
+        i, j = next(
+            key for key in sorted(A.table.keys() | C.table.keys())
+            if A.table.get(key) != C.table.get(key)
+        )
+        raise ModelFormatError(f"bracket ({i},{j}) differs from the {spec} constructor")
     A.w_coords, A.cartan_chain = C.w_coords, C.cartan_chain
     return A

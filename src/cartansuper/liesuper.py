@@ -454,11 +454,19 @@ def _frac_str(c: Fraction) -> str:
 
 def to_json_dict(A: AlgebraModel) -> dict:
     bracket = []
+    text: Dict[Fraction, str] = {}  # each distinct coefficient, formatted once
     for (i, j) in sorted(A.table):
         w = A.table[(i, j)]
         if not w:
             continue
-        bracket.append([i, j, [[k, _frac_str(w[k])] for k in sorted(w)]])
+        entries = []
+        for k in sorted(w):
+            c = w[k]
+            t = text.get(c)
+            if t is None:
+                t = text[c] = _frac_str(c)
+            entries.append([k, t])
+        bracket.append([i, j, entries])
     return {
         "family": A.family,
         "n": A.n,
@@ -509,6 +517,8 @@ def from_json_dict(obj: dict) -> AlgebraModel:
     Integer fields must be JSON integers, and the integers and fractions
     inside strings must be written as `model_to_json` writes them; a
     structure constant is an integer k, written "k/1", and is read as an int.
+    Every index must be a basis index, and a bracket entry must be nonempty,
+    name its pair once and each k in it once, as `model_to_json` writes it.
     """
     try:
         family = obj["family"]
@@ -523,32 +533,38 @@ def from_json_dict(obj: dict) -> AlgebraModel:
         table: Dict[Tuple[int, int], IntVec] = {}
         coeffs: Dict[str, int] = {}  # each distinct coefficient text, parsed once
         for e, (i, j, entries) in enumerate(obj["bracket"]):
-            i, j = _ints((i, j), f"bracket[{e}]")
-            w = {}
+            if type(i) is not int or type(j) is not int:
+                _ints((i, j), f"bracket[{e}]")  # raises, naming the entry
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ModelFormatError(f"bracket index out of range at ({i},{j})")
+            if (i, j) in table:
+                raise ModelFormatError(f"bracket ({i},{j}) is listed twice")
+            w = table[(i, j)] = {}
             for k, c in entries:
                 x = coeffs.get(c) if type(c) is str else None
                 if x is None:
                     x = coeffs[c] = int(_written(c, _COEFF, f"bracket ({i},{j})")[:-2])
                 if type(k) is not int:
                     raise _not_int(k, f"bracket ({i},{j})")
+                if not 0 <= k < dim:
+                    raise ModelFormatError(f"bracket index out of range at ({i},{j})")
+                if k in w:
+                    raise ModelFormatError(f"bracket ({i},{j}) lists k = {k} twice")
                 w[k] = x
-            if w:
-                table[(i, j)] = w
+            if not w:
+                raise ModelFormatError(f"bracket ({i},{j}) is empty")
         parity = _ints(obj["parity"], "parity")
         degree = _ints(obj["degree"], "degree")
         weight = [tuple(_ints(w, f"weight[{i}]")) for i, w in enumerate(obj["weight"])]
         cartan = _ints(obj["cartan"], "cartan")
+    except ModelFormatError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model data: {exc}") from exc
     if family not in FAMILIES:
         raise ModelFormatError(f"unknown family {family!r}")
     if not (len(parity) == len(degree) == len(weight) == dim):
         raise ModelFormatError("basis/parity/degree/weight length mismatch")
-    for (i, j), w in table.items():
-        if not (0 <= i < dim and 0 <= j < dim) or any(
-            not 0 <= k < dim for k in w
-        ):
-            raise ModelFormatError(f"bracket index out of range at ({i},{j})")
     if any(not 0 <= c < dim for c in cartan):
         raise ModelFormatError("cartan index out of range")
     modulus = n if family == "Stilde" else None

@@ -3,7 +3,9 @@
 The trusted path (`build`, `check`, `certify`) runs on Python ints:
 `IntKernel` (with `kernel_of_int_rows` on top of it), `int_reduce` and
 `int_combine` eliminate integer rows (``{index: int}``) fraction-free over
-Z, and `SpanSolver` writes vectors in a spanning set the same way.  They
+Z, and `SpanSolver` writes vectors in a set of rows, reading coordinates
+at columns that only one row touches and eliminating the rest the same
+way.  They
 serve the constructors' divergence kernel and Cartan-cell check, the
 generating-set closure, all of `check`'s derivation layer, the certifier's
 engine and its 2-local check.  Every row is kept as a primitive integer
@@ -453,21 +455,38 @@ def member(s: Subspace, v) -> bool:
 
 
 class SpanSolver:
-    """Echelon with transform tracking: express vectors in a fixed spanning set.
+    """Express vectors in a fixed set of independent rows.
 
     Rows are added once; ``express`` then writes any vector of the span as a
     coordinate dict over the original row indices (None if outside the span).
-    Integer rows stay on Python ints: each pivot is an integer row kept with
-    the integer combination of the added rows that gives it, and a
-    reduction cross-multiplies where a pivot's lead is not 1.  A coordinate
-    of ``express`` is a Fraction only when it is not an integer.
+
+    ``express`` reads most coordinates off the vector.  A row's *home* is a
+    column where no other added row is nonzero; the index of homes is built
+    after the last ``add``.  If z = sum_i c_i row_i, then z[h] = c_i row_i[h]
+    at the home h of row i, because no other row touches h; so c_i is read
+    there, sum_i c_i row_i is subtracted, and what is left lies in the span
+    of the rows without a home (and is 0 when every row has one).  A vector
+    outside the span leaves a remainder outside that span, which the
+    echelon below refuses.  A division at a home that is not exact (a
+    coordinate that is not an integer) sends the whole vector to the
+    echelon instead.
+
+    The echelon: each pivot is an integer row kept with the integer
+    combination of the added rows that gives it, built by ``add``, which
+    also tells a dependent row.  A reduction cross-multiplies where a
+    pivot's lead is not 1, so integer rows stay on Python ints.  A
+    coordinate of ``express`` is a Fraction only when it is not an integer.
     """
 
     def __init__(self):
         # lead -> (row, coeffs), row = sum_k coeffs[k] row_k with row_k the
         # k-th row added, and row[lead] > 0
         self.pivots: Dict[int, Tuple[IntVec, IntVec]] = {}
-        self.count = 0
+        self.count = 0  # rows offered to add, dependent ones included
+        self.rows: Dict[int, IntVec] = {}  # the independent ones, by index
+        # home h of row i -> (i, row_i[h], the other terms of row_i); built by
+        # the first express after an add
+        self._homes: Optional[Dict[int, Tuple[int, int, List[Tuple[int, int]]]]] = None
 
     def _reduce(self, v: IntVec, coeffs: IntVec) -> Tuple[IntVec, IntVec, int]:
         # reduce v against the pivots, keeping s t = v + sum_k coeffs[k] row_k
@@ -491,11 +510,15 @@ class SpanSolver:
         return v, coeffs, s
 
     def add(self, row: IntVec) -> bool:
+        """Add a row, which takes the next index; False when it depends on
+        the rows added before, and then it is never used."""
         # t = 0: the reduced row v satisfies v = -sum_k coeffs[k] * row_k
         v, coeffs, _ = self._reduce(row, {self.count: -1})
         self.count += 1
         if not v:
             return False
+        self.rows[self.count - 1] = row
+        self._homes = None
         lead = min(v)
         g = gcd(*v.values(), *coeffs.values())
         if v[lead] < 0:
@@ -503,10 +526,56 @@ class SpanSolver:
         self.pivots[lead] = ({k: x // g for k, x in v.items()}, {k: -x // g for k, x in coeffs.items()})
         return True
 
-    def express(self, v: IntVec) -> Optional[Vec]:
+    def _home_index(self) -> Dict[int, Tuple[int, int, List[Tuple[int, int]]]]:
+        seen: Dict[int, int] = {}
+        for row in self.rows.values():
+            for k in row:
+                seen[k] = seen.get(k, 0) + 1
+        homes = {}
+        for i, row in self.rows.items():
+            for h, d in row.items():
+                if seen[h] == 1:
+                    homes[h] = (i, d, [(k, x) for k, x in row.items() if k != h])
+                    break
+        self._homes = homes
+        return homes
+
+    def _solve(self, v: IntVec) -> Optional[Vec]:
         v, coeffs, s = self._reduce(v, {})
         if v:
             return None
         if s == 1:
             return coeffs
         return {k: c // s if c % s == 0 else Fraction(c, s) for k, c in coeffs.items()}
+
+    def express(self, v: IntVec) -> Optional[Vec]:
+        homes = self._homes
+        if homes is None:
+            homes = self._home_index()
+        rest = dict(v)
+        coords: Vec = {}
+        for h, x in v.items():
+            hit = homes.get(h)
+            if hit is None:
+                continue
+            i, d, others = hit
+            if d == 1:
+                c = x
+            else:
+                c, r = divmod(x, d)
+                if r:
+                    return self._solve(v)
+            coords[i] = c
+            del rest[h]  # x - c d = 0: no other row touches h
+            for k, y in others:
+                y = rest.get(k, 0) - c * y
+                if y:
+                    rest[k] = y
+                else:
+                    del rest[k]
+        if rest:
+            more = self._solve(rest)
+            if more is None:
+                return None
+            coords.update(more)
+        return coords

@@ -169,6 +169,22 @@ def test_coefficient_not_written_as_build_writes_it_exits_2(tmp_path):
     assert "internal error" not in res.stderr
 
 
+def test_duplicated_bracket_entry_exits_2(tmp_path):
+    # the first copy is bogus and the second true: taking the last copy
+    # would pass the constructor's check
+    model = tmp_path / "h5.json"
+    run_cli("build", "--family", "H", "--n", "5", "--format", "json",
+            "--out", str(model))
+    obj = json.loads(model.read_text())
+    i, j, entries = obj["bracket"][0]
+    obj["bracket"].insert(0, [i, j, [[entries[0][0], "7/1"]]])
+    model.write_text(json.dumps(obj))
+    res = run_cli("info", "--model", str(model))
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert f"bracket ({i},{j}) is listed twice" in res.stderr
+    assert "internal error" not in res.stderr
+
+
 def test_model_must_match_family_and_n_flags(tmp_path):
     model = tmp_path / "h5.json"
     run_cli("build", "--family", "H", "--n", "5", "--format", "json",

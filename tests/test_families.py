@@ -302,6 +302,75 @@ def test_span_solver_divides_exactly_for_a_lead_of_2():
     assert span.express({2: 1}) is None
 
 
+def test_span_solver_refuses_a_stray_column_after_exact_home_reads():
+    # the homes 0 and 2 read 3 and -1 exactly; column 3 is on no row
+    span = SpanSolver()
+    assert span.add({0: 1, 1: 2})
+    assert span.add({1: 1, 2: 1})
+    assert span.express({0: 3, 1: 5, 2: -1}) == {0: 3, 1: -1}
+    assert span.express({0: 3, 1: 5, 2: -1, 3: 7}) is None
+    assert span.express({3: 7}) is None
+
+
+def test_span_solver_rereads_homes_after_a_later_add():
+    span = SpanSolver()
+    assert span.add({0: 1, 1: 1})
+    assert span.express({0: 2, 1: 2}) == {0: 2}  # home 0 read
+    assert span.add({0: 1, 2: 1})  # takes column 0: row 0's home is now 1
+    assert span.express({0: 2, 1: 2}) == {0: 2}
+    assert span.express({0: 3, 1: 1, 2: 2}) == {0: 1, 1: 2}
+    assert span.express({0: 1}) is None
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_every_basis_row_has_a_home(family, n, monkeypatch):
+    # so the table is read off at the homes, with no elimination per bracket
+    calls = []
+    solve = SpanSolver._solve
+    monkeypatch.setattr(SpanSolver, "_solve", lambda span, v: calls.append(v) or solve(span, v))
+    A = build(family, n)
+    assert calls == []
+    build_lprime(A)  # the extra rows of L' take some homes: a few calls, all solved
+    assert len(calls) < A.dim
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_table_times_rows_is_the_bracket_of_rows(family, n):
+    # sum_k T[(i, j)]_k row_k = [row i, row j] over W(n), for L and L', from
+    # the per-pair closed form alone
+    A = build(family, n)
+    for M in {id(m): m for m in (A, build_lprime(A).ext)}.values():
+        rows = M.w_coords
+        for i in range(M.dim):
+            for j in range(M.dim):
+                got = {}
+                for k, c in M.table.get((i, j), {}).items():
+                    vec_axpy_inplace(got, c, rows[k])
+                assert got == w_bracket_oracle(n, rows[i], rows[j]), (M, i, j)
+
+
+def test_constructor_refuses_dependent_rows():
+    rows, descs = _family_rows(FamilySpec("W", 4))
+    with pytest.raises(AssertionError, match="dependent basis rows"):
+        _finish_model("W", 4, rows + [rows[5]], descs + [descs[5]])
+
+
+def test_constructor_refuses_a_row_that_is_not_a_weight_vector():
+    # x1 d1 + x1 d2: one degree and parity, two weights
+    rows, descs = _family_rows(FamilySpec("W", 4))
+    i, k = w_index(4)[(1, 1)], w_index(4)[(1, 2)]
+    rows[k] = {i: 1, k: 1}
+    with pytest.raises(AssertionError, match="not a weight vector"):
+        _finish_model("W", 4, rows, descs)
+
+
+def test_constructor_refuses_a_bracket_that_leaves_the_span():
+    # without d_1, [d_2, x_2 d_1] = d_1 has nowhere to go
+    rows, descs = _family_rows(FamilySpec("W", 4))
+    with pytest.raises(AssertionError, match="leaves the span"):
+        _finish_model("W", 4, rows[1:], descs[1:])
+
+
 @pytest.mark.parametrize("late", ["extra", "dropped"])
 def test_attach_derived_names_the_first_differing_pair(late):
     text = model_to_json(build("W", 4))

@@ -371,6 +371,39 @@ def test_deserialization_rejects_garbage():
             model_from_json(json.dumps(obj))
 
 
+def _repeat_pair(obj):
+    # a bogus first copy of a pair, followed by the true one
+    i, j, entries = obj["bracket"][5]
+    obj["bracket"].insert(5, [i, j, [[entries[0][0], "7/1"]]])
+    return rf"bracket \({i},{j}\) is listed twice"
+
+
+def _repeat_k(obj):
+    i, j, entries = obj["bracket"][5]
+    entries.insert(0, [entries[0][0], "7/1"])
+    return rf"bracket \({i},{j}\) lists k = {entries[0][0]} twice"
+
+
+def _empty_entry(obj):
+    i, j, entries = obj["bracket"][5]
+    entries.clear()
+    return rf"bracket \({i},{j}\) is empty"
+
+
+def _k_out_of_range(obj):
+    i, j, entries = obj["bracket"][5]
+    entries[0][0] = len(obj["basis"])
+    return rf"bracket index out of range at \({i},{j}\)"
+
+
+@pytest.mark.parametrize("edit", [_repeat_pair, _repeat_k, _empty_entry, _k_out_of_range])
+def test_deserialization_refuses_an_entry_not_written_as_model_to_json_writes_it(edit):
+    obj = json.loads(model_to_json(build("H", 5)))
+    message = edit(obj)
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_json(json.dumps(obj))
+
+
 H5_REF = build("H", 5)
 H5_OBJ = json.loads(model_to_json(H5_REF))
 
