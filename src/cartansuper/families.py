@@ -35,6 +35,17 @@ derivative can hit, and looks up the result's index and sign in flat
 per-n tables.  Only nonzero brackets come out.  The same kernel, run once
 per Cartan chain element over all rows, gives the weights.
 
+Each unordered pair of basis rows is bracketed once, as (i, j) with
+i <= j.  The other order follows from super anticommutativity,
+
+    [j, i] = -(-1)^(|i||j|) [i, j],
+
+which holds for any two parity-homogeneous fields (the closed form above
+is super antisymmetric term by term).  `_graded` checks that every row
+is homogeneous in parity, so [j, i] is stored as +[i, j] when both rows
+are odd and -[i, j] otherwise, exactly, with no second bracket and no
+second `SpanSolver.express`.
+
 `SpanSolver` writes each bracket in the basis with no elimination: every
 basis row has a *home*, a column where no other row is nonzero (W: the
 row's unit; H: the Hamiltonian rows have disjoint supports; S and S~: the
@@ -169,7 +180,8 @@ def _w_tables(n: int) -> Tuple[List[int], List[int], List[int]]:
 
 # A term index over rows j >= first: for each generator a, the terms g d_b
 # with x_a in g, as (j*n*2^n, g without x_a, b-1, c * sign of d_a(g)); for
-# each b, the terms g d_b as (j*n*2^n, g, c, parity of g).
+# each b, the terms g d_b as (j*n*2^n, g, c, parity of g).  Each list runs
+# from the last row down, so the lowest rows' terms sit at its end.
 _TermIndex = Tuple[List[list], List[list]]
 
 
@@ -179,7 +191,7 @@ def _term_index(n: int, rows: List[Vec], first: int = 0) -> _TermIndex:
     stride = n << n
     by_gen: List[list] = [[] for _ in range(n)]
     by_d: List[list] = [[] for _ in range(n)]
-    for j in range(first, len(rows)):
+    for j in range(len(rows) - 1, first - 1, -1):
         key = j * stride
         for k, c in rows[j].items():
             g, b = basis[k]
@@ -419,13 +431,23 @@ def _bracket_rows(
     n: int, rows: List[Vec], first: int = 0
 ) -> Iterator[Tuple[int, int, Vec]]:
     """Yield (i, j, [row i, row j]) over W(n), in row-major order, for every
-    pair of basis rows with i >= first or j >= first whose bracket is
-    nonzero.  The one place that brackets basis rows."""
+    pair of basis rows with i <= j and j >= first whose bracket is nonzero.
+    The one place that brackets basis rows; `_finish_model` fills in the
+    other order.
+
+    One term index over the rows j >= first serves every i: before row i
+    is bracketed, the terms of the rows below i are popped off the ends of
+    its lists.
+    """
     stride = n << n
-    full = _term_index(n, rows)
-    tail = _term_index(n, rows, first) if first else full
+    index = _term_index(n, rows, first)
+    lists = index[0] + index[1]
     for i, row in enumerate(rows):
-        acc = _row_brackets(n, row, full if i >= first else tail)
+        low = i * stride
+        for terms in lists:
+            while terms and terms[-1][0] < low:
+                terms.pop()
+        acc = _row_brackets(n, row, index)
         z: Vec = {}
         last = -1
         for t in sorted(acc):
@@ -451,27 +473,39 @@ def _finish_model(
 ) -> AlgebraModel:
     """The model of `_graded` with its bracket table filled in.
 
-    With ``base``, whose rows are the leading rows here, the table starts as
-    a copy of base's and only the pairs involving the extra rows are
-    bracketed.  Every structure constant must come out of `SpanSolver` as
-    an int.
+    Each unordered pair is bracketed and expressed once, as (i, j) with
+    i <= j (`_bracket_rows`), and [j, i] is stored as
+
+        [j, i] = -(-1)^(|i||j|) [i, j],
+
+    +[i, j] when both rows are odd and -[i, j] otherwise.  The rows are
+    super vector fields, whose bracket is super anticommutative, and
+    `_graded` has checked that each row is homogeneous in parity, so the
+    sign is exact and the mirrored coordinates are the ones `SpanSolver`
+    would return for [j, i].  With ``base``, whose rows are the leading
+    rows here, the table starts as a copy of base's and only the pairs
+    involving the extra rows are bracketed.  Every expressed structure
+    constant must be an int; the mirror of an int is one, and base's were
+    checked when base was built.
     """
     model, span = _graded(family, n, rows, descs, base)
     table = dict(base.table) if base is not None else {}
     first = base.dim if base is not None else 0
+    parity = model.parity
     for i, j, z in _bracket_rows(n, model.w_coords, first):
         coords = span.express(z)
         if coords is None:
             raise AssertionError(
                 f"{family}({n}): bracket of basis {i},{j} leaves the span"
             )
+        if any(type(c) is not int for c in coords.values()):
+            raise AssertionError(
+                f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
+            )
         table[(i, j)] = coords
-    if {type(c) for w in table.values() for c in w.values()} - {int}:
-        i, j = next(key for key, w in table.items()
-                    if any(type(c) is not int for c in w.values()))
-        raise AssertionError(
-            f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
-        )
+        if j != i:
+            table[(j, i)] = (dict(coords) if parity[i] and parity[j]
+                             else {k: -c for k, c in coords.items()})
     model.table = table
     return model
 

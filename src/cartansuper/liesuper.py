@@ -317,9 +317,10 @@ def check_axioms(
     """Verify the superalgebra axioms plus parity, degree and weight
     additivity.
 
-    Anticommutativity and the grading checks always run over every basis
-    pair.  Jacobi, in the form "ad x is a superderivation", runs in one of
-    three modes:
+    Anticommutativity and the grading checks decide every basis pair, but
+    only the pairs with a table entry are visited: a pair with neither
+    order in the table has a zero bracket, which passes both.  Jacobi, in
+    the form "ad x is a superderivation", runs in one of three modes:
 
     * generator mode, when ``generating_set`` is given and `generators`
       confirms that (a subset G of) it generates L: the triples (g, y, z)
@@ -341,34 +342,31 @@ def check_axioms(
     for an even y.
 
     The first violation, if any, is reported with the offending pair or
-    triple.
+    triple; a pair fault is the first in row-major order over the pairs
+    (i, j), i <= j, and ``pairs_checked`` counts the pairs up to it.
     """
     dim = A.dim
-    pairs = 0
+    pairs = dim * (dim + 1) // 2
 
     def fail(msg: str, triples: int = 0) -> AxiomReport:
         return AxiomReport(False, pairs, triples, msg)
 
-    for i in range(dim):
-        pi = A.parity[i]
-        for j in range(i, dim):
-            pairs += 1
-            w = A.bracket_basis(i, j)
-            back = A.bracket_basis(j, i)
-            sign = -1 if (pi * A.parity[j]) % 2 == 0 else 1
-            expect = {k: sign * c for k, c in w.items()}
-            if back != expect:
-                return fail(f"anticommutativity fails at pair ({i},{j})")
-            dsum = A.deg_add(A.degree[i], A.degree[j])
-            wsum = tuple(x + y for x, y in zip(A.weight[i], A.weight[j]))
-            psum = (pi + A.parity[j]) % 2
-            for k in w:
-                if A.degree[k] != dsum:
-                    return fail(f"degree additivity fails at pair ({i},{j})")
-                if A.weight[k] != wsum:
-                    return fail(f"weight additivity fails at pair ({i},{j})")
-                if A.parity[k] != psum:
-                    return fail(f"parity additivity fails at pair ({i},{j})")
+    # walk the keys, not the dim^2 pairs, keeping the first faulty pair
+    table = A.table
+    first: Optional[Tuple[int, int]] = None
+    for i, j in table:
+        if i > j:
+            if (j, i) in table:
+                continue  # the key (j, i) compares the two
+            i, j = j, i
+        if first is None or (i, j) < first:
+            fault = _pair_fault(A, i, j)
+            if fault:
+                first, first_fault = (i, j), fault
+    if first is not None:
+        i, j = first
+        pairs = i * dim - i * (i - 1) // 2 + j - i + 1
+        return fail(first_fault)
 
     G = None if generating_set is None else generators(A, generating_set)
     if G is not None or jacobi_triples is None:
@@ -390,6 +388,30 @@ def check_axioms(
     if bad is not None:
         return fail("Jacobi fails at triple ({},{},{})".format(*bad), triples)
     return AxiomReport(True, pairs, triples)
+
+
+def _pair_fault(A: AlgebraModel, i: int, j: int) -> Optional[str]:
+    """What fails at the basis pair (i, j), i <= j, or None: super
+    anticommutativity first, then the gradings of [i, j] term by term."""
+    table = A.table
+    w = table.get((i, j), {})
+    back = table.get((j, i), {})
+    odd = (A.parity[i] * A.parity[j]) % 2
+    if len(back) != len(w) or any(
+        back.get(k) != (c if odd else -c) for k, c in w.items()
+    ):
+        return f"anticommutativity fails at pair ({i},{j})"
+    dsum = A.deg_add(A.degree[i], A.degree[j])
+    wsum = tuple(x + y for x, y in zip(A.weight[i], A.weight[j]))
+    psum = (A.parity[i] + A.parity[j]) % 2
+    for k in w:
+        if A.degree[k] != dsum:
+            return f"degree additivity fails at pair ({i},{j})"
+        if A.weight[k] != wsum:
+            return f"weight additivity fails at pair ({i},{j})"
+        if A.parity[k] != psum:
+            return f"parity additivity fails at pair ({i},{j})"
+    return None
 
 
 def jacobi_violation(

@@ -252,16 +252,36 @@ def test_w_bracket_is_the_per_pair_closed_form(case):
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
 def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n):
+    # one order of each unordered pair, i <= j, with j >= first for the
+    # extension; `_finish_model` mirrors the other
     rows = build(family, n).w_coords
     dim = len(rows)
     for first in (0, dim - 2):
         want = []
         for i in range(dim):
-            for j in range(0 if i >= first else first, dim):
+            for j in range(max(i, first), dim):
                 z = w_bracket_oracle(n, rows[i], rows[j])
                 if z:
                     want.append((i, j, z))
         assert list(_bracket_rows(n, rows, first)) == want
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_table_is_closed_under_swap_with_the_super_sign(family, n):
+    # [j, i] = -(-1)^(|i||j|) [i, j] on every key of L and of L'
+    A = build(family, n)
+    ext = build_lprime(A).ext
+    odd_odd = 0
+    for M in (A, ext):
+        for (i, j), w in M.table.items():
+            sign = 1 if M.parity[i] and M.parity[j] else -1
+            assert M.table.get((j, i)) == {k: sign * c for k, c in w.items()}, (M, i, j)
+            odd_odd += i != j and M.parity[i] and M.parity[j]
+    assert odd_odd  # pairs where the sign is +1
+    m = A.dim
+    extension = [(i, j) for i, j in ext.table if i < m <= j]
+    assert (ext is A) == (not extension)  # L' adds rows for S and H only
+    assert all((j, i) in ext.table for i, j in extension)
 
 
 def test_span_solver_stays_on_ints_for_unit_leads():

@@ -121,6 +121,71 @@ def test_parity_additivity_is_checked():
     assert check_axioms(model([0, 1, 1])).ok
 
 
+def pair_scan_oracle(A):
+    """The first pair fault over all dim(dim+1)/2 pairs (i, j), i <= j, in
+    row-major order, and the number of pairs up to it: the scan over every
+    pair, zero brackets included."""
+    pairs = 0
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            pairs += 1
+            w = A.bracket_basis(i, j)
+            sign = 1 if A.parity[i] * A.parity[j] % 2 else -1
+            if A.bracket_basis(j, i) != {k: sign * c for k, c in w.items()}:
+                return f"anticommutativity fails at pair ({i},{j})", pairs
+            for k in w:
+                if A.degree[k] != A.deg_add(A.degree[i], A.degree[j]):
+                    return f"degree additivity fails at pair ({i},{j})", pairs
+                if A.weight[k] != tuple(map(sum, zip(A.weight[i], A.weight[j]))):
+                    return f"weight additivity fails at pair ({i},{j})", pairs
+                if A.parity[k] != (A.parity[i] + A.parity[j]) % 2:
+                    return f"parity additivity fails at pair ({i},{j})", pairs
+    return None, pairs
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_pair_scan_names_each_planted_fault(spec):
+    # the scan walks the table's keys: a missing mirror, a wrong sign on an
+    # odd-odd pair and a lone entry below the diagonal are each named at
+    # (min, max), and together the first of them in row-major order is
+    A = build(*spec)
+    rng = random.Random(19)
+    upper = sorted(key for key in A.table if key[0] < key[1])
+    zeros = [(i, j) for i in range(A.dim) for j in range(i + 1, A.dim)
+             if (i, j) not in A.table]
+    odd = [(i, j) for i, j in upper if A.parity[i] and A.parity[j]]
+    missing, flipped, lone = rng.choice(upper), rng.choice(odd), rng.choice(zeros)
+    faults = {
+        missing: lambda t: t.pop(missing[::-1]),
+        flipped: lambda t: t.update({flipped[::-1]: {k: -c for k, c in t[flipped].items()}}),
+        lone: lambda t: t.update({lone[::-1]: {0: 1}}),
+    }
+    assert len(faults) == 3
+    for pair, plant in faults.items():
+        B = edited(A, {})
+        plant(B.table)
+        rep = check_axioms(B, jacobi_triples=0)
+        assert rep.first_violation == "anticommutativity fails at pair ({},{})".format(*pair)
+        assert (rep.first_violation, rep.pairs_checked) == pair_scan_oracle(B)
+    B = edited(A, {})
+    for plant in faults.values():
+        plant(B.table)
+    rep = check_axioms(B)
+    assert rep.first_violation == "anticommutativity fails at pair ({},{})".format(*min(faults))
+    assert (rep.first_violation, rep.pairs_checked) == pair_scan_oracle(B)
+    # a term of the wrong degree in both orders, under the super sign
+    i, j = rng.choice(upper)
+    k = next(k for k in range(A.dim) if A.degree[k] != A.deg_add(A.degree[i], A.degree[j]))
+    sign = 1 if A.parity[i] and A.parity[j] else -1
+    w = {**A.table[(i, j)], k: 1}
+    B = edited(A, {(i, j): w, (j, i): {m: sign * c for m, c in w.items()}})
+    rep = check_axioms(B, jacobi_triples=0)
+    assert rep.first_violation == f"degree additivity fails at pair ({i},{j})"
+    assert (rep.first_violation, rep.pairs_checked) == pair_scan_oracle(B)
+    assert (None, A.dim * (A.dim + 1) // 2) == pair_scan_oracle(A)
+    assert check_axioms(A, jacobi_triples=0).pairs_checked == A.dim * (A.dim + 1) // 2
+
+
 @pytest.mark.parametrize("spec, size", [
     (("W", 4), 12), (("S", 4), 12), (("Stilde", 4), 4), (("H", 5), 12), (("H", 6), 17),
 ])
