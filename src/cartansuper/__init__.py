@@ -3,7 +3,8 @@
 Builds the four families W(n), S(n), Stilde(n), H(n) inside the
 superderivation algebra of the exterior algebra on n generators, computes
 their superderivation algebras two independent ways, and certifies at
-concrete n that every local (and 2-local) superderivation is inner.
+concrete n that every local superderivation is inner (and, by reduction,
+every 2-local one that is linear).
 """
 
 __version__ = "0.1.0"

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         _env_flag(p, "OUT", "--out", help="output path (default stdout)")
         _env_flag(p, "FORMAT", "--format", fallback="text", kind=FORMATS, choices=FORMATS)
         _env_flag(p, "SEED", "--seed", fallback=0, kind=int, type=int,
-                  help="seed of certify's random probes and 2-local pairs; "
+                  help="seed of certify's random probes; "
                   "only certify reads it, the other commands ignore it")
 
     p_build = sub.add_parser("build", help="construct an algebra and emit its model")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check, with_model=True)
 
     p_cert = sub.add_parser(
-        "certify", help="certify the local and 2-local superderivation theorems"
+        "certify", help="certify the local theorem and, by reduction, the linear 2-local one"
     )
     common(p_cert, with_model=True)
     _env_flag(p_cert, "BUDGET", "--budget", kind=int, type=int)
@@ -269,7 +269,7 @@ def cmd_certify(args) -> int:
     model = _load_or_build(args)
     P = build_lprime(model)
     cert = certify(P, budget=args.budget, seed=args.seed)
-    cert = certify_2local(P, cert, seed=args.seed)
+    cert = certify_2local(cert)
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(cert.as_dict(with_timing=args.timings))
     if args.format == "json":

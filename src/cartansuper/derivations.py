@@ -57,7 +57,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-from weakref import WeakKeyDictionary
 
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators, jacobi_violation
@@ -363,32 +362,15 @@ class BlockSystem:
         return self._reach[1]
 
 
-# L' -> (dim L, `ad_columns` of it)
-_AD_COLUMNS: "WeakKeyDictionary[AlgebraModel, Tuple[int, List[Dict[int, IntVec]]]]" = (
-    WeakKeyDictionary()
-)
-
-
 def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
-    """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
-    zero brackets left out; a bracket escaping L raises, since ad(L') must
-    preserve L.
+    """For each basis vector u of L', ad(u) on L as {b: [u, b]}
+    (`LPrimeModel.ad_columns`).
 
     The columns are the bracket table's own int entries, to be read and not
-    changed, and are kept for as long as the L' model lives: `ad_image`,
-    the certifier's constraint engine and its 2-local check share them.
+    changed, and P keeps them for as long as it lives: `ad_image`, the
+    certifier's constraint engine and `is_2local_at` share them.
     """
-    ext, m = P.ext, P.dim_l
-    got = _AD_COLUMNS.get(ext)
-    if got is None or got[0] != m:
-        ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
-        for (u, b), w in ext.table.items():
-            if b < m and w:
-                if max(w) >= m:
-                    raise ValueError("ad(L') does not preserve L")
-                ad[u][b] = w
-        got = _AD_COLUMNS[ext] = (m, ad)
-    return got[1]
+    return P.ad_columns
 
 
 def leibniz_kernels(

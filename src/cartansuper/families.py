@@ -62,7 +62,7 @@ helpers (`divergence`, `ham`) return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exterior import (
@@ -84,6 +84,10 @@ from .liesuper import (
     WeightVec,
 )
 from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
+
+# the largest dim L a spec may have; W(7), dim 896, is the largest model run
+MAX_DIM = 4096
+
 
 class FamilyError(ValueError):
     """A family/n combination outside the defined range."""
@@ -111,6 +115,8 @@ class FamilySpec:
                 raise FamilyError("Stilde requires even n")
         if f == "H" and n <= 4:
             raise FamilyError("H requires n > 4")
+        if self.dim > MAX_DIM:
+            raise FamilyError(f"{self} has dimension {self.dim}, above the limit {MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -590,6 +596,20 @@ class LPrimeModel:
     @property
     def dim_lprime(self) -> int:
         return self.ext.dim
+
+    @cached_property
+    def ad_columns(self) -> List[Dict[int, IntVec]]:
+        """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
+        zero brackets left out; a bracket escaping L raises, since ad(L')
+        must preserve L.  Read through `derivations.ad_columns`."""
+        ext, m = self.ext, self.dim_l
+        ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
+        for (u, b), w in ext.table.items():
+            if b < m and w:
+                if max(w) >= m:
+                    raise ValueError("ad(L') does not preserve L")
+                ad[u][b] = w
+        return ad
 
 
 def build_lprime(A: AlgebraModel) -> LPrimeModel:

@@ -8,7 +8,7 @@ at columns that only one row touches and eliminating the rest the same
 way.  They
 serve the constructors' divergence kernel and Cartan-cell check, the
 generating-set closure, all of `check`'s derivation layer, the certifier's
-engine and its 2-local check.  Every row is kept as a primitive integer
+engine and `localcert.is_2local_at`.  Every row is kept as a primitive integer
 multiple of the row Fraction elimination would hold, so the answer is the
 Fraction answer, scaled, with nothing to check and nothing to fall back
 to: a rational solution space has the same dimension as its complex

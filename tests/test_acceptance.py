@@ -170,8 +170,7 @@ def test_criterion_6_local_theorem_instances(certificates, lprimes):
 
 def test_criterion_7_two_local_corollary(models, lprimes, certificates):
     for spec, (cert, _) in certificates.items():
-        cert2 = certify_2local(lprimes[spec], cert, seed=17, pairs=25)
-        assert cert2.twolocal_verdict == "CERTIFIED", spec
+        assert certify_2local(cert).twolocal_verdict == "CERTIFIED", spec
 
     # 100 seeded random pairs with inner maps stay jointly feasible
     A, P = models[("W", 4)], lprimes[("W", 4)]

@@ -267,6 +267,12 @@ def _n_12(obj):
     return "W(12) has dimension 49152"
 
 
+def _n_40(obj):
+    # refused by the closed-form dimension, before anything is built
+    obj["n"] = 40
+    return "family/n: W(40) has dimension 43980465111040, above the limit"
+
+
 def _n_true(obj):
     obj["n"] = True
     return "family/n"
@@ -290,7 +296,7 @@ def _parity_strings(obj):
 @pytest.mark.parametrize("tamper", [
     _swap_basis, _flip_parity, _double_coefficient, _extra_zero_bracket,
     _drop_bracket, _zero_coefficient, _shift_weight,
-    _shift_degree, _edit_cartan, _n_12, _n_true, _n_float, _n_string,
+    _shift_degree, _edit_cartan, _n_12, _n_40, _n_true, _n_float, _n_string,
     _parity_strings,
 ])
 @pytest.mark.parametrize("command", ["certify", "check"])
@@ -452,6 +458,32 @@ def test_golden_inconclusive_certify_report():
     assert res.returncode == 3, res.stderr
     assert json.loads(res.stdout)["dim_C"] == 42
     assert res.stdout == golden.read_text()
+
+
+@pytest.mark.parametrize("extra, golden, verdict, code", [
+    ((), "certify_h5.json", "CERTIFIED", 0),
+    (("--budget", "67", "--seed", "0"), "certify_h5_budget67.json", "INCONCLUSIVE", 3),
+], ids=["default", "budget67"])
+def test_certify_makes_no_2local_spot_checks(extra, golden, verdict, code, monkeypatch, capsys):
+    # the 2-local verdict is the local one by reduction; no pair is checked
+    from pathlib import Path
+
+    from cartansuper import cli, localcert
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("certify called is_2local_at")
+
+    monkeypatch.setattr(localcert, "is_2local_at", spy)
+    code_got = cli.main(["certify", "--family", "H", "--n", "5", *extra, "--format", "json"])
+    out = capsys.readouterr().out
+    assert not calls
+    assert code_got == code
+    payload = json.loads(out)
+    assert payload["twolocal_verdict"] == payload["verdict"] == verdict
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_certify_builds_no_stage_it_does_not_reach():

@@ -15,6 +15,7 @@ from cartansuper.exterior import (
     mono_partial,
 )
 from cartansuper.families import (
+    MAX_DIM,
     FamilyError,
     FamilySpec,
     _bracket_rows,
@@ -51,10 +52,19 @@ from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplac
         ("Q", 4, "unknown family"),
         ("W", 0, "n must be in 1..63"),
         ("H", 64, "n must be in 1..63"),
+        # refused by the closed-form dimension, before anything is built
+        ("W", 40, f"W\\(40\\) has dimension 43980465111040, above the limit {MAX_DIM}"),
+        ("H", 13, f"H\\(13\\) has dimension 8190, above the limit {MAX_DIM}"),
     ],
 )
 def test_family_spec_rejections(family, n, message):
     with pytest.raises(FamilyError, match=message):
+        FamilySpec(family, n).validate()
+
+
+def test_dimension_limit_admits_the_largest_models():
+    # W(7), dim 896, is the largest model run; H(12), dim 4094, the largest H below the limit
+    for family, n in (("W", 7), ("H", 12)):
         FamilySpec(family, n).validate()
 
 
