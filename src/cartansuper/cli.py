@@ -239,7 +239,7 @@ def cmd_check(args) -> int:
     G = generators(model)
     axioms = check_axioms(model, generating_set=G)
     P = build_lprime(model)
-    report = derivation_report(P, G)
+    report = derivation_report(P, G, axioms.ok)
     ok = axioms.ok and report.lemma_der_holds and report.transitive
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(report.as_dict())

@@ -38,6 +38,39 @@ takes its rows until they run out or its kernel is zero, and
 `blocks_equal_ad` decides.  A block that never reaches its target takes
 every row, so dim Der L is exact either way.
 
+`check` solves one block per symmetry orbit (`block_orbits`).  Each family
+is unchanged by permuting the odd generators xi_i: for W and S any
+permutation, for Stilde one composed with xi_1 -> -xi_1 when it is odd
+(an odd permutation multiplies xi_1...xi_n by -1), for H one that commutes
+with i -> i'.  Such a sigma acts on the W(n) basis by a signed permutation
+(`w_action`), an automorphism of W(n), and on L and L' through their rows
+(`symmetry_maps`).  Nothing of this is taken on trust; for each generator
+sigma of the group the run checks:
+
+* sigma[g, y] = [sigma g, sigma y] for g in G and y in L
+  (`preserves_brackets`).  That gives it on all of L once L passes
+  `check_axioms`: the x with sigma[x, y] = [sigma x, sigma y] for all y
+  form a subspace T.  For homogeneous x, x' in T, Jacobi (twice, with
+  sigma keeping parity) gives sigma[[x, x'], y]
+  = sigma([x, [x', y]] -+ [x', [x, y]]) = [[sigma x, sigma x'], sigma y],
+  and [sigma x, sigma x'] = sigma[x, x'] as x is in T; so T is a
+  subalgebra, and it contains G, which generates L.  For S and H the same
+  is checked for the outer elements of L' against L, with L' bracketing
+  L x L as L does;
+* sigma maps each cell (d, w) of L into the cell (d, M w) for one integer
+  matrix M (`weight_map`), and the shift map (d, a) -> (d, M a) permutes
+  the blocks, keeping their sizes.
+
+Then sigma, which is injective, is an automorphism of L, so D -> sigma D
+sigma^-1 maps Der_s into Der_{sigma s} and ad(u) to ad(sigma u): both
+inject block s into block sigma s, and as sigma permutes the finitely many
+blocks, Der_{sigma s} = sigma Der_s sigma^-1 and ad L'_{sigma s} =
+sigma ad L'_s sigma^-1, equal in dimension.  So Der_s = ad L'_s on a
+representative r of each orbit gives it on the whole orbit, and
+dim Der L = sum over r of |orbit of r| * dim Der_r.  If any check fails,
+every block is its own representative and every block is solved, as when
+`check_axioms` has not passed.
+
 A reference path feeds the rows of every pair, as Fractions, through one
 global elimination without using G, the block structure or the integer
 kernel, and emits every row.
@@ -54,16 +87,18 @@ classification of Der(L) for these families.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .families import LPrimeModel
+from .families import LPrimeModel, involution, w_basis, w_index
 from .liesuper import AlgebraModel, generators, jacobi_violation
 from .linalg import (
     IntKernel,
     IntVec,
     Matrix,
+    SpanSolver,
     Subspace,
     Vec,
     as_fractions,
@@ -213,20 +248,31 @@ def leibniz_rows(
     every_cell = [True] * len(cells)
     # the shift of row k depends on the pair only through the cell of its
     # bracket, and on k only through k's cell: per bracket cell, the shift
-    # of each cell's rows, each shift stored once
-    shifts_into: Dict[Cell, List[Shift]] = {}
-    one_copy: Dict[Shift, Shift] = {}
+    # of each cell's rows.  A cell is coded as the int sum_p x_p base^p
+    # over its entries x = (d, *w), which is linear in them, and base is
+    # more than twice any entry of c - c' - c'' for cells c, c', c'', so
+    # code(c) - code(c') - code(c'') tells that difference apart: the
+    # shift of the rows in cell c of the pair (i, j) is computed once per
+    # value of code(c) - code(i) - code(j)
+    base = 6 * max(abs(x) for d, w in cells for x in (d, *w)) + 1
+    code = [sum(x * base ** p for p, x in enumerate((d, *w))) for d, w in cells]
+    shifts_into: Dict[int, List[Shift]] = {}
+    named: Dict[int, Shift] = {}
     for i in range(dim):
         pi = A.parity[i]
+        code_i = code[cell_of[i]]
         partners = range(i, dim) if i in in_gens else gens[bisect_right(gens, i):]
         for j in partners:
-            top = (A.deg_add(deg[i], deg[j]), tuple(map(add, wt[i], wt[j])))
-            shifts = shifts_into.get(top)
+            code_top = code_i + code[cell_of[j]]
+            shifts = shifts_into.get(code_top)
             if shifts is None:
-                shifts = shifts_into[top] = [
-                    one_copy.setdefault(shift, shift)
-                    for shift in (BlockSystem.cell_shift(A, c, top) for c in cells)
-                ]
+                top = (A.deg_add(deg[i], deg[j]), tuple(map(add, wt[i], wt[j])))
+                shifts = shifts_into[code_top] = []
+                for c, code_c in zip(cells, code):
+                    shift = named.get(code_c - code_top)
+                    if shift is None:
+                        shift = named[code_c - code_top] = BlockSystem.cell_shift(A, c, top)
+                    shifts.append(shift)
             if live is None:
                 wanted = every_cell
             elif not live:
@@ -374,25 +420,32 @@ def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
 
 
 def leibniz_kernels(
-    blocks: BlockSystem, G: List[int], targets: Optional[Dict[Shift, int]] = None
+    blocks: BlockSystem,
+    G: List[int],
+    targets: Optional[Dict[Shift, int]] = None,
+    shifts: Optional[Iterable[Shift]] = None,
 ) -> Dict[Shift, IntKernel]:
-    """Der L on each block of ``blocks``: each Leibniz row of the pairs
-    (g, y), g in G, a generating set of L (`generators`), is cut into its
-    block's `IntKernel` as it is emitted.  Exact once A passes
-    `check_axioms` (see the module docstring).
+    """Der L on each block of ``blocks`` (only on those in ``shifts`` when it
+    is given): each Leibniz row of the pairs (g, y), g in G, a generating
+    set of L (`generators`), is cut into its block's `IntKernel` as it is
+    emitted.  Exact once A passes `check_axioms` (see the module docstring).
 
     A block takes rows only while its kernel is larger than its target
     (``targets``, 0 where none is given), and `leibniz_rows` builds no row
-    for a block that has stopped.  A zero kernel can shrink no more, so
-    with no targets every kernel is Der_s.  A block that stops at a target
-    t_s holds Der_s when Der_s is known to have a subspace of dimension
-    t_s: `derivation_report` passes t_s = dim ad L'_s only once ad L'_s
-    lies in Der_s, and then Der_s, squeezed between ad L'_s and the kernel
-    reached, equals both.  A block that never reaches its target takes
-    every row, so its kernel is Der_s either way.
+    for a block that has stopped or is not solved.  A zero kernel can
+    shrink no more, so with no targets every kernel is Der_s.  A block that
+    stops at a target t_s holds Der_s when Der_s is known to have a
+    subspace of dimension t_s: `derivation_report` passes t_s = dim ad L'_s
+    only once ad L'_s lies in Der_s, and then Der_s, squeezed between
+    ad L'_s and the kernel reached, equals both.  A block that never
+    reaches its target takes every row, so its kernel is Der_s either way.
     """
     targets = targets or {}
-    space = {shift: IntKernel(len(entries)) for shift, entries in blocks.entries.items()}
+    solved = blocks.entries if shifts is None else set(shifts)
+    space = {
+        shift: IntKernel(len(entries))
+        for shift, entries in blocks.entries.items() if shift in solved
+    }
     live = {shift for shift, kern in space.items() if len(kern) > targets.get(shift, 0)}
     for shift, row in leibniz_rows(blocks.A, None, G, live):
         if shift in live:
@@ -402,13 +455,16 @@ def leibniz_kernels(
     return space
 
 
-def ad_blocks(P: LPrimeModel, blocks: BlockSystem) -> Dict[Shift, Dict[int, IntVec]]:
-    """ad L'_s for every block s it meets, as integer echelon rows over the
-    block's local ids keyed by their last column (what `int_reduce` reads):
-    the rows cut into a kernel are an echelon basis of their span, so
-    there are dim ad L'_s of them.  Each ad(u) must be nonzero and must lie
-    in a block of the pattern."""
+def ad_blocks(
+    P: LPrimeModel, blocks: BlockSystem, shifts: Iterable[Shift]
+) -> Dict[Shift, Dict[int, IntVec]]:
+    """ad L'_s for every block s in ``shifts`` that it meets, as integer
+    echelon rows over the block's local ids keyed by their last column
+    (what `int_reduce` reads): the rows cut into a kernel are an echelon
+    basis of their span, so there are dim ad L'_s of them.  Each ad(u) must
+    be nonzero and must lie in a block of the pattern."""
     ext = P.ext
+    solved = set(shifts)
     span: Dict[Shift, IntKernel] = {}
     for u, cols in enumerate(ad_columns(P)):
         shift = (ext.degree[u], ext.weight[u])
@@ -416,6 +472,8 @@ def ad_blocks(P: LPrimeModel, blocks: BlockSystem) -> Dict[Shift, Dict[int, IntV
             raise ValueError(f"ad is not injective on L' (basis {u})")
         if shift not in blocks.entries:
             raise ValueError("ad(u) hits a shift outside the block pattern")
+        if shift not in solved:
+            continue
         kern = span.setdefault(shift, IntKernel(len(blocks.entries[shift])))
         kern.cut(blocks.localize(shift, EndMap(P.dim_l, cols).to_flat()))
     return {shift: kern.rows for shift, kern in span.items()}
@@ -436,6 +494,201 @@ def blocks_equal_ad(
         for ad_row in ad.get(shift, {}).values()
         for row in kern.rows.values()
     )
+
+
+# ---------------------------------------------------------------------------
+# the symmetry of the odd generators
+
+
+def xi_permutations(family: str, n: int) -> List[Tuple[Tuple[int, ...], bool]]:
+    """Generators of the family's index symmetry, each as (pi, flip): xi_i
+    goes to xi_{pi[i-1]}, after xi_1 -> -xi_1 when flip is set.
+
+    W and S: the adjacent transpositions.  Stilde: the same, each with the
+    flip, because an odd pi multiplies xi_1...xi_n by -1.  H: the swap
+    1 <-> 1' and the swaps of the pairs (i, i') and (i+1, (i+1)'), which
+    commute with `involution`.
+    """
+    def swapping(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
+        pi = list(range(1, n + 1))
+        for a, b in pairs:
+            pi[a - 1], pi[b - 1] = b, a
+        return tuple(pi)
+
+    family = family.rstrip("'")
+    if family == "H":
+        prime = [0] + [involution(i, n) for i in range(1, n + 1)]
+        return [(swapping((1, prime[1])), False)] + [
+            (swapping((i, i + 1), (prime[i], prime[i + 1])), False) for i in range(1, n // 2)
+        ]
+    return [(swapping((i, i + 1)), family == "Stilde") for i in range(1, n)]
+
+
+def w_action(n: int, pi: Tuple[int, ...], flip: bool) -> List[Tuple[int, int]]:
+    """The signed permutation of the W(n) basis induced by (pi, flip), as
+    (image index, sign) per basis index: f d_j goes to +-f' d_{pi(j)}, f' the
+    monomial of the images of f's generators, with the sign of putting them
+    in increasing order, and with the flip, -1 for x_1 in f and -1 for
+    j = 1."""
+    monos = {}
+    for mask in range(1 << n):
+        gens = [pi[i] for i in range(n) if mask >> i & 1]
+        odd = sum(a > b for k, a in enumerate(gens) for b in gens[k + 1:]) & 1
+        monos[mask] = (sum(1 << (g - 1) for g in gens), odd ^ (flip and mask & 1))
+    index = w_index(n)
+    out = []
+    for mask, j in w_basis(n):
+        image, odd = monos[mask]
+        out.append((index[(image, pi[j - 1])], -1 if odd ^ (flip and j == 1) else 1))
+    return out
+
+
+def symmetry_maps(P: LPrimeModel) -> Optional[List[List[IntVec]]]:
+    """Each generator of the index symmetry (`xi_permutations`) as the
+    images of L''s basis vectors, written in L''s basis by a `SpanSolver`
+    over its rows in W(n) coordinates; None when an image leaves L'."""
+    ext = P.ext
+    if ext.w_coords is None:
+        return None
+    span = SpanSolver()
+    if not all(span.add(row) for row in ext.w_coords):
+        return None
+    maps = []
+    for pi, flip in xi_permutations(ext.family, ext.n):
+        act = w_action(ext.n, pi, flip)
+        sigma = []
+        for row in ext.w_coords:
+            image: IntVec = {}
+            for k, c in row.items():
+                t, s = act[k]
+                image[t] = s * c
+            coords = span.express(image)
+            if coords is None:
+                return None
+            sigma.append(coords)
+        maps.append(sigma)
+    return maps
+
+
+def _apply(sigma: List[IntVec], v: IntVec) -> IntVec:
+    out: IntVec = {}
+    for k, c in v.items():
+        vec_axpy_inplace(out, c, sigma[k])
+    return out
+
+
+def weight_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[List[IntVec]]:
+    """The integer matrix M, as sparse rows, with sigma(L_(d, w)) inside
+    L_(d, M w) for every cell (d, w) of L, or None when there is none.
+
+    Each sigma(b) must lie in L, in one cell, with b's degree and parity,
+    the same cell for every b of a cell; M is then read off the cells'
+    weights by a `SpanSolver`, which refuses a cell map that is not linear.
+    """
+    m = A.dim
+    cells = A.cells()
+    rows: List[IntVec] = [{} for _ in A.zero_weight()]
+    images: List[IntVec] = [{} for _ in rows]
+    for no, ((d, w), members) in enumerate(cells.items()):
+        target = None
+        for b in members:
+            image = sigma[b]
+            if not image or max(image) >= m:
+                return None
+            for k in image:
+                if target is None:
+                    target = A.cell_of(k)
+                if A.cell_of(k) != target or A.parity[k] != A.parity[b]:
+                    return None
+        if target[0] != d:
+            return None
+        for k, (x, y) in enumerate(zip(w, target[1])):
+            if x:
+                rows[k][no] = x
+            if y:
+                images[k][no] = y
+    span = SpanSolver()
+    if not all(span.add(row) for row in rows):
+        return None
+    M = [span.express(image) for image in images]
+    return None if None in M else M
+
+
+def preserves_brackets(P: LPrimeModel, G: List[int], sigma: List[IntVec]) -> bool:
+    """sigma[x, y] = [sigma x, sigma y] for x in G and y in L, and, when L'
+    is larger than L, for every x of L' outside L and y in L.
+
+    Once L passes `check_axioms`, the first part gives it on all of L:
+    T = {x : sigma[x, y] = [sigma x, sigma y] for all y} is a subalgebra
+    (see the module docstring) that contains G, which generates L.  The
+    second part speaks for L' only where L' brackets L x L as L's own table
+    does (`lprime_extends_l`, which `block_orbits` checks).
+    """
+    base, ext, m = P.base, P.ext, P.dim_l
+    pairs = [(base, x) for x in G] + [(ext, x) for x in range(m, ext.dim)]
+    for A, x in pairs:
+        sx = sigma[x]
+        for y in range(m):
+            if _apply(sigma, A.table.get((x, y), {})) != A.bracket(sx, sigma[y]):
+                return False
+    return True
+
+
+def block_orbits(P: LPrimeModel, G: List[int], blocks: BlockSystem) -> Dict[Shift, Shift]:
+    """The representative of every block of ``blocks``: the least shift of
+    its orbit under the index symmetry.
+
+    L' must bracket L x L as L's own table does (`lprime_extends_l`).  Each
+    generator sigma (`symmetry_maps`) must pass `weight_map` and
+    `preserves_brackets`, and its shift map (d, a) -> (d, M a) must permute
+    the blocks, keeping their sizes.  If anything fails, every block is its
+    own representative.  Sound once L passes `check_axioms` and G generates
+    L (see the module docstring).
+    """
+    entries = blocks.entries
+    own = {shift: shift for shift in entries}
+    maps = symmetry_maps(P) if lprime_extends_l(P) else None
+    if maps is None:
+        return own
+    # the shifts by number, and each generator's shift map on the numbers
+    shifts = list(entries)
+    number = {shift: i for i, shift in enumerate(shifts)}
+    size = [len(entries[shift]) for shift in shifts]
+    moves: List[List[int]] = []
+    for sigma in maps:
+        M = weight_map(P.base, sigma)
+        if M is None or not preserves_brackets(P, G, sigma):
+            return own
+        rows = [list(row.items()) for row in M]
+        moved: Dict[WeightTuple, WeightTuple] = {}
+        move: List[int] = []
+        for d, a in shifts:
+            ma = moved.get(a)
+            if ma is None:
+                ma = moved[a] = tuple([sum([c * a[k] for k, c in row]) for row in rows])
+            t = number.get((d, ma))
+            if t is None or size[t] != size[len(move)]:
+                return own
+            move.append(t)
+        if len(set(move)) != len(shifts):
+            return own
+        moves.append(move)
+    rep: List[int] = [-1] * len(shifts)
+    for i in range(len(shifts)):
+        if rep[i] >= 0:
+            continue
+        orbit = [i]
+        rep[i] = i
+        for s in orbit:  # grows as the orbit is found
+            for move in moves:
+                t = move[s]
+                if rep[t] < 0:
+                    rep[t] = i
+                    orbit.append(t)
+        least = min(orbit, key=shifts.__getitem__)
+        for s in orbit:
+            rep[s] = least
+    return {shift: shifts[r] for shift, r in zip(shifts, rep)}
 
 
 def derivation_space(
@@ -531,6 +784,15 @@ class DerivationReport:
         }
 
 
+def lprime_extends_l(P: LPrimeModel) -> bool:
+    """L' brackets L x L exactly as L's own table does."""
+    base, ext, m = P.base, P.ext, P.dim_l
+    if ext is base:
+        return True
+    on_l = {key: w for key, w in ext.table.items() if key[0] < m and key[1] < m and w}
+    return on_l == {key: w for key, w in base.table.items() if w}
+
+
 def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
     """ad(u) lies in Der L for every u of L' outside L, checked on ints.
 
@@ -541,32 +803,39 @@ def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
     pair (y, g) follows by anticommutativity, and Leibniz on G x L gives
     Leibniz on L x L once L passes `check_axioms` (see the module
     docstring).  At most (dim L' - dim L) * |G| * dim L triples."""
-    base, ext, m = P.base, P.ext, P.dim_l
-    on_l = {key: w for key, w in ext.table.items() if key[0] < m and key[1] < m and w}
-    if on_l != {key: w for key, w in base.table.items() if w}:
+    ext, m = P.ext, P.dim_l
+    if not lprime_extends_l(P):
         return False
     groups = ((u, g, range(m)) for u in range(m, ext.dim) for g in G)
     return jacobi_violation(ext, groups)[1] is None
 
 
-def derivation_report(P: LPrimeModel, G: List[int]) -> DerivationReport:
+def derivation_report(P: LPrimeModel, G: List[int], axioms_ok: bool = False) -> DerivationReport:
     """`check`'s comparison of Der L with ad L', on the Leibniz rows of the
     pairs (g, y), g in G, a generating set of L (`generators`).  Each block
     of Der L stops at dim ad L'_s once `outer_ads_are_derivations` has
     shown ad L' to lie in Der L; otherwise it stops only at a zero kernel
-    (`leibniz_kernels`)."""
+    (`leibniz_kernels`).
+
+    With ``axioms_ok``, which says that L has passed `check_axioms`, only
+    one block per symmetry orbit is solved (`block_orbits`), and dim Der L
+    is the sum over the representatives r of |orbit of r| * dim Der_r.
+    Otherwise every block is solved.
+    """
     blocks = BlockSystem(P.base)
-    ad = ad_blocks(P, blocks)
+    orbit = block_orbits(P, G, blocks) if axioms_ok else {s: s for s in blocks.entries}
+    size = Counter(orbit.values())
+    ad = ad_blocks(P, blocks, size)
     targets = None
     if outer_ads_are_derivations(P, G):
         targets = {shift: len(rows) for shift, rows in ad.items()}
-    space = leibniz_kernels(blocks, G, targets)
+    space = leibniz_kernels(blocks, G, targets, size)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
-        dim_der=sum(len(kern) for kern in space.values()),
+        dim_der=sum(size[shift] * len(kern) for shift, kern in space.items()),
         lemma_der_holds=blocks_equal_ad(space, ad),
         transitive=transitivity_check(P),
     )

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exterior import mono_str, parse_mono
-from .linalg import IntKernel, IntVec, Matrix, Vec, int_multiple, vec_axpy_inplace
+from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
 
 WeightVec = Tuple[int, ...]
 
@@ -278,7 +278,9 @@ def generators(
     The closure is computed exactly from the bracket table and uses no
     Jacobi identity, so it can be trusted on a table not yet known to be a
     Lie superalgebra.  Every vector in it is a left-normed bracket
-    [g_1, [g_2, ... [g_k, g]]] of generators or a sum of such.
+    [g_1, [g_2, ... [g_k, g]]] of generators or a sum of such.  The table
+    must hold ints, as every table the constructors build does: the
+    closure is kept in an `IntKernel`.
     """
     if candidates is None:
         candidates = range(A.dim)
@@ -299,7 +301,7 @@ def generators(
         v = 0
         while v < len(span):
             for h in G[applied[v]:]:
-                w = int_multiple(_bracket_left(A.table, h, span[v]))
+                w = _bracket_left(A.table, h, span[v])
                 if w and kern.cut(w):
                     span.append(w)
                     applied.append(0)

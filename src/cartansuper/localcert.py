@@ -45,6 +45,28 @@ stage imposes, a block that reaches its target equals ad L'_s whatever
 the order, and `IntKernel.basis()` is the RREF, so even the residual
 witness of an INCONCLUSIVE run is the same.
 
+`certify` opens one block per symmetry orbit (`derivations.block_orbits`,
+whose checks make each generator sigma of the index symmetry an
+automorphism of L and of L' acting on L).  Local maps transport: if phi
+is local, then at any x, with u a witness of phi at sigma^-1 x,
+
+    sigma phi sigma^-1 (x) = sigma [u, sigma^-1 x] = [sigma u, x]
+                           in [sigma L', x] = [L', x],
+
+and the same with u in L'_s and sigma u in L'_{sigma s} for the slice
+condition.  So the local maps of block sigma s are sigma Loc_s sigma^-1,
+and ad L'_{sigma s} = sigma ad L'_s sigma^-1: a representative r whose
+constrained space equals ad L'_r settles its whole orbit, and CERTIFIED
+on the representatives is CERTIFIED.  `dim_ad` and `residual_dim` count
+each block with the size of its orbit.  The constrained space itself is
+not transported (the probes are not symmetric), so when the run on the
+representatives ends INCONCLUSIVE, `certify` runs again on every block
+and reports that run; a block that fails on its own fails in both runs,
+so the second run reaches the same stages and draws the same probes.  This
+rests on the premises that `check` proves: the Jacobi identity of L (for
+the sigma check) and Der L = ad L' (for CERTIFIED to speak of every
+superderivation).
+
 The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
 block that has reached its target takes no more probes, and a block takes
 no probe whose parts in its source cells equal the last probe's there.
@@ -69,15 +91,16 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .derivations import BlockSystem, Cell, EndMap, Shift
-from .derivations import ad_blocks, ad_columns, blocks_equal_ad
+from .derivations import ad_blocks, ad_columns, block_orbits, blocks_equal_ad
 from .families import LPrimeModel
-from .liesuper import AlgebraModel
+from .liesuper import AlgebraModel, generators
 from .linalg import (
     IntKernel,
     IntVec,
@@ -436,19 +459,28 @@ class ConstraintEngine:
     passing as a certificate.  Because it holds, a block that has shrunk
     to the dimension of its inner target equals it, and no further cut can
     shrink it: it leaves `open` and is skipped from then on.
+
+    Given G, a generating set of L, the engine solves only the
+    representative of each symmetry orbit of blocks (`block_orbits`, see
+    the module docstring) and keeps each one's orbit size (`orbit_size`);
+    without G it solves every block, as `constrained_space` needs.
     """
 
-    def __init__(self, P: LPrimeModel):
+    def __init__(self, P: LPrimeModel, G: Optional[List[int]] = None):
         self.P = P
         self.L = L = P.base
         self.dim = L.dim
-        self.blocks = BlockSystem(L)
-        # the constrained space of each block, over its local ids
+        self.blocks = blocks = BlockSystem(L)
+        # the blocks solved, each with the size of the orbit it stands for
+        reps = block_orbits(P, G, blocks).values() if G is not None else blocks.entries.keys()
+        self.orbit_size = Counter(reps)
+        # the constrained space of each block solved, over its local ids
         self.space: Dict[Shift, IntKernel] = {
-            shift: IntKernel(len(entries)) for shift, entries in self.blocks.entries.items()
+            shift: IntKernel(len(entries))
+            for shift, entries in blocks.entries.items() if shift in self.orbit_size
         }
         # ad L'_shift as integer echelon rows, the target of each block
-        self.ad_pivots = ad_blocks(P, self.blocks)
+        self.ad_pivots = ad_blocks(P, blocks, self.space)
         # the blocks still above their target, and each source cell's
         # `_open_reach` list with the size of `open` it was pruned at
         self.open = {
@@ -465,7 +497,9 @@ class ConstraintEngine:
             self.slice_ad.setdefault((ext.degree[u], ext.weight[u]), []).append(cols)
 
     def dim_ad(self) -> int:
-        return sum(len(rows) for rows in self.ad_pivots.values())
+        """dim ad L', each block counted with the size of its orbit."""
+        size = self.orbit_size
+        return sum(size[shift] * len(rows) for shift, rows in self.ad_pivots.items())
 
     def split(self, x: IntVec) -> Dict[Cell, IntVec]:
         """The nonzero part of x in each cell of L."""
@@ -575,7 +609,10 @@ class ConstraintEngine:
         return blocks_equal_ad(self.space, self.ad_pivots)
 
     def residual_dim(self) -> int:
-        return sum(len(s) for s in self.space.values()) - self.dim_ad()
+        """The blocks' dimensions above ad L', each block counted with the
+        size of its orbit."""
+        size = self.orbit_size
+        return sum(size[shift] * len(kern) for shift, kern in self.space.items()) - self.dim_ad()
 
 
 def constrained_space(
@@ -626,6 +663,9 @@ def certify(
     built, when the earlier ones leave a gap.  Each stage is one
     `add_probes` call; stage 1 is cut to the budget and then fed in
     `visit_order`, and `probe_labels` lists every probe in the order above.
+    The engine solves one block per symmetry orbit; when that ends
+    INCONCLUSIVE, the stages run again on every block, and the report is
+    that run's (see the module docstring).
     """
     start = time.monotonic()
     L = P.base
@@ -633,6 +673,32 @@ def certify(
         budget = 4 * L.dim
     sep = separating_t(P.ext)
     proof = proof_probes(P, sep)
+    engine = ConstraintEngine(P, generators(L))
+    labels, verdict = _run_stages(P, engine, proof, budget, seed)
+    if verdict != "CERTIFIED" and len(engine.space) < len(engine.blocks.entries):
+        # a residual is reported on every block, as the full run finds it
+        engine = ConstraintEngine(P)
+        labels, verdict = _run_stages(P, engine, proof, budget, seed)
+
+    elapsed = int((time.monotonic() - start) * 1000)
+    return Certificate(
+        family=L.family,
+        n=L.n,
+        t=sep.t,
+        probe_labels=labels,
+        dim_constrained=engine.dim_ad() + engine.residual_dim(),
+        dim_ad=engine.dim_ad(),
+        verdict=verdict,
+        elapsed_ms=elapsed,
+        engine=engine,
+    )
+
+
+def _run_stages(
+    P: LPrimeModel, engine: ConstraintEngine, proof: List[Probe], budget: int, seed: int
+) -> Tuple[List[str], str]:
+    """Feed `certify`'s stages to the engine until it matches ad L' or the
+    budget is spent; the probe labels fed and the verdict."""
     seen = {_normalize_direction(p.vector) for p in proof}
     stage1 = proof[: max(budget, 0)]
 
@@ -658,7 +724,6 @@ def certify(
         lambda: fresh(basis_probes(P)),
         lambda: fresh(itertools.islice(_random_probe_stream(P, seed), budget - len(labels))),
     )
-    engine = ConstraintEngine(P)
     engine.add_probes(visit_order(stage1))
     verdict = "CERTIFIED" if engine.matches_ad() else "INCONCLUSIVE"
     for stage in escalation:
@@ -667,19 +732,7 @@ def certify(
         engine.add_probes(logged(itertools.islice(stage(), budget - len(labels))))
         if engine.matches_ad():
             verdict = "CERTIFIED"
-
-    elapsed = int((time.monotonic() - start) * 1000)
-    return Certificate(
-        family=L.family,
-        n=L.n,
-        t=sep.t,
-        probe_labels=labels,
-        dim_constrained=engine.dim_ad() + engine.residual_dim(),
-        dim_ad=engine.dim_ad(),
-        verdict=verdict,
-        elapsed_ms=elapsed,
-        engine=engine,
-    )
+    return labels, verdict
 
 
 def certify_2local(cert: Certificate) -> Certificate:

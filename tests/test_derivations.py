@@ -1,7 +1,11 @@
 """Superderivation computation: Leibniz solver vs the inner route."""
 
+import contextlib
 import copy
+import io
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,7 @@ from cartansuper.derivations import (
     is_superderivation,
     transitivity_check,
 )
-from cartansuper.families import LPrimeModel, build, build_lprime
+from cartansuper.families import LPrimeModel, build, build_lprime, involution, w_basis, w_bracket
 from cartansuper.liesuper import AlgebraModel, ad_matrix, generators
 
 
@@ -215,9 +219,11 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
 
 
 def test_check_and_certify_share_the_block_test(pairs, monkeypatch):
+    # on one block per orbit, then with every block solved
     from cartansuper import localcert
 
     _, P = pairs[("H", 5)]
+    G = generators(P.base)
     real = derivations.blocks_equal_ad
     calls = []
 
@@ -227,9 +233,20 @@ def test_check_and_certify_share_the_block_test(pairs, monkeypatch):
 
     monkeypatch.setattr(derivations, "blocks_equal_ad", spy)
     monkeypatch.setattr(localcert, "blocks_equal_ad", spy)
-    assert derivation_report(P, generators(P.base)).lemma_der_holds and len(calls) == 1
-    cert = localcert.certify(P)
-    assert cert.verdict == "CERTIFIED" and calls[-1] is cert.engine.space
+    for reduced in (True, False):
+        with monkeypatch.context() as m:
+            if not reduced:
+                m.setattr(derivations, "block_orbits", trivial_orbits)
+                m.setattr(localcert, "block_orbits", trivial_orbits)
+            blocks = BlockSystem(P.base)
+            solved = set(derivations.block_orbits(P, G, blocks).values())
+            assert (len(solved) < len(blocks.entries)) == reduced
+            calls.clear()
+            assert derivation_report(P, G, True).lemma_der_holds and len(calls) == 1
+            cert = localcert.certify(P)
+            assert cert.verdict == "CERTIFIED" and calls[-1] is cert.engine.space
+            # both test the blocks they solve
+            assert set(calls[0]) == set(calls[-1]) == solved
 
 
 @pytest.mark.parametrize("spec, dim_der", [(("H", 5), 32), (("S", 4), 50)])
@@ -439,3 +456,188 @@ def test_leibniz_rows_are_integral(pairs):
     for model in (A, scaled_model(A, 2**31 - 1)):
         for _, row in derivations.leibniz_rows(model):
             assert all(type(c) is int and c for c in row.values())
+
+
+# -- one block per symmetry orbit
+
+
+STRETCH = [
+    pytest.param(spec, marks=pytest.mark.slow) for spec in [("H", 7), ("S", 5), ("W", 5)]
+]
+
+
+def trivial_orbits(P, G, blocks):
+    """`block_orbits` as it answers when a symmetry fails its check."""
+    return {shift: shift for shift in blocks.entries}
+
+
+def model_pair(pairs, spec):
+    if spec in pairs:
+        return pairs[spec]
+    A = build(*spec)
+    return A, build_lprime(A)
+
+
+def with_one_sign_wrong(maps):
+    """The symmetry maps with the image of basis vector 0 under the first
+    one negated."""
+    first = list(maps[0])
+    first[0] = {k: -c for k, c in first[0].items()}
+    return [first] + maps[1:]
+
+
+def solved_blocks(monkeypatch):
+    """The number of blocks each `leibniz_kernels` call solves, as a list
+    that fills in while the test runs."""
+    real = derivations.leibniz_kernels
+    solved = []
+
+    def spy(*args):
+        space = real(*args)
+        solved.append(len(space))
+        return space
+
+    monkeypatch.setattr(derivations, "leibniz_kernels", spy)
+    return solved
+
+
+@pytest.mark.parametrize("family, n", [("W", 4), ("S", 5), ("Stilde", 6), ("H", 5), ("H", 6)])
+def test_symmetry_generators(family, n):
+    perms = derivations.xi_permutations(family, n)
+    assert all(sorted(pi) == list(range(1, n + 1)) for pi, _ in perms)
+    assert all(flip == (family == "Stilde") for _, flip in perms)
+    if family == "H":
+        prime = {i: involution(i, n) for i in range(1, n + 1)}
+        assert len(perms) == n // 2
+        for pi, _ in perms:
+            assert all(pi[prime[i] - 1] == prime[pi[i - 1]] for i in prime)
+    else:
+        assert [pi for pi, _ in perms] == [
+            tuple(i + 1 if i == k else i - 1 if i == k + 1 else i for i in range(1, n + 1))
+            for k in range(1, n)
+        ]
+
+
+@pytest.mark.parametrize("family", ["W", "Stilde", "H"])
+def test_w_action_is_an_automorphism_of_w(family):
+    n = 4 if family != "H" else 5
+    rng = random.Random(37)
+    dim = len(w_basis(n))
+    for pi, flip in derivations.xi_permutations(family, n):
+        act = derivations.w_action(n, pi, flip)
+        assert sorted(t for t, _ in act) == list(range(dim))
+
+        def sigma(v):
+            return {act[k][0]: act[k][1] * c for k, c in v.items()}
+
+        for _ in range(20):
+            a = {rng.randrange(dim): rng.choice([-2, -1, 1, 3]) for _ in range(3)}
+            b = {rng.randrange(dim): rng.choice([-2, -1, 1, 3]) for _ in range(3)}
+            assert w_bracket(n, sigma(a), sigma(b)) == sigma(w_bracket(n, a, b))
+
+
+@pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), *STRETCH])
+def test_reduced_der_agrees_with_every_block(pairs, spec):
+    A, P = model_pair(pairs, spec)
+    G = generators(A)
+    blocks = BlockSystem(A)
+    orbit = derivations.block_orbits(P, G, blocks)
+    size = Counter(orbit.values())
+    assert len(size) < len(blocks.entries)
+    # Der_s on every block, each solved to a zero kernel or to its last row
+    every = derivations.leibniz_kernels(blocks, G)
+    reduced = derivations.leibniz_kernels(blocks, G, None, size)
+    assert list(reduced) == [shift for shift in every if shift in size]
+    for rep, kern in reduced.items():
+        assert kern.basis() == every[rep].basis(), rep
+    # dim Der_s is constant on each orbit, so the transported sum is dim Der
+    for shift, rep in orbit.items():
+        assert len(every[shift]) == len(every[rep]), shift
+    assert sum(size[rep] * len(kern) for rep, kern in reduced.items()) == sum(
+        len(kern) for kern in every.values()
+    )
+    assert derivation_report(P, G, True).as_dict() == derivation_report(P, G).as_dict()
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_one_wrong_sign_is_refused_and_every_block_solved(pairs, spec, monkeypatch):
+    A, P = pairs[spec]
+    G = generators(A)
+    blocks = BlockSystem(A)
+    bad = with_one_sign_wrong(derivations.symmetry_maps(P))
+    assert derivations.weight_map(A, bad[0]) is not None
+    assert not derivations.preserves_brackets(P, G, bad[0])
+    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: bad)
+    assert derivations.block_orbits(P, G, blocks) == trivial_orbits(P, G, blocks)
+    solved = solved_blocks(monkeypatch)
+    report = derivation_report(P, G, True)
+    assert solved == [len(blocks.entries)]
+    assert report.lemma_der_holds and report.dim_der == P.dim_lprime
+
+
+def run_check(monkeypatch, A):
+    """`cartansuper check` on the model A in place of the constructor's."""
+    from cartansuper import cli
+
+    monkeypatch.setattr(cli, "build", lambda spec: A)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["check", "--family", A.family, "--n", str(A.n), "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_table_edited_in_one_non_representative_block_fails_check(pairs, spec, monkeypatch):
+    # [i, j] changed at one coefficient, in both orders, for an i whose
+    # cell, the block of ad(i), is not its orbit's representative
+    A, P = pairs[spec]
+    orbit = derivations.block_orbits(P, generators(A), BlockSystem(A))
+    i, j = next(
+        (i, j) for (i, j), w in sorted(A.table.items())
+        if w and orbit[A.cell_of(i)] != A.cell_of(i)
+    )
+    B = copy.copy(A)
+    B.table = dict(A.table)
+    k = min(A.table[(i, j)])
+    for key in ((i, j), (j, i)):
+        w = B.table[key] = dict(A.table[key])
+        w[k] += 1 if w[k] == A.table[(i, j)][k] else -1
+    called = []
+    real = derivations.block_orbits
+
+    def spy(*args):
+        called.append(real(*args))
+        return called[-1]
+
+    monkeypatch.setattr(derivations, "block_orbits", spy)
+    solved = solved_blocks(monkeypatch)
+    code, report = run_check(monkeypatch, B)
+    assert code == 1
+    assert not (report["axioms_ok"] and report["lemma_der_holds"])
+    # the axiom scan refuses the table, or the symmetry check refuses sigma:
+    # either way every block is solved
+    if report["axioms_ok"]:
+        assert called == [trivial_orbits(None, None, BlockSystem(B))]
+    else:
+        assert called == []
+    assert solved == [len(BlockSystem(B).entries)]
+
+
+def test_sigma_refused_on_an_isomorphic_table(pairs, monkeypatch):
+    # W(4) with one basis vector negated is a Lie superalgebra isomorphic to
+    # W(4), so `check` passes; but sigma, read from the W(n) rows, is no
+    # longer an automorphism of its table, and every block is solved
+    A, _ = pairs[("W", 4)]
+    b = next(b for b in range(A.dim) if A.degree[b] == -1)
+    sign = [-1 if x == b else 1 for x in range(A.dim)]
+    B = copy.copy(A)
+    B.table = {
+        (x, y): {k: sign[x] * sign[y] * sign[k] * c for k, c in w.items()}
+        for (x, y), w in A.table.items()
+    }
+    G = generators(B)
+    maps = derivations.symmetry_maps(build_lprime(B))
+    assert not all(derivations.preserves_brackets(build_lprime(B), G, m) for m in maps)
+    solved = solved_blocks(monkeypatch)
+    code, report = run_check(monkeypatch, B)
+    assert code == 0 and report["dim_Der"] == 64
+    assert solved == [len(BlockSystem(B).entries)]

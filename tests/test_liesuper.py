@@ -232,19 +232,29 @@ def test_generator_mode_catches_jacobi_only_faults(W4):
 
 def test_jacobi_is_checked_on_fractional_structure_constants(H5):
     # [x, y]' = [x, y] / 3 is isomorphic to H(5) through x -> x / 3; the
-    # Jacobi scans read the table as it is, Fractions included
+    # Jacobi scans read the table as it is, Fractions included.  The
+    # isomorphism also keeps the closure under ad G, so G is taken from the
+    # integer table, and the generator-mode scan is run on its triples
+    # (g, y, z), y < z or y = z odd, as `check_axioms` runs it
     third = copy.copy(H5)
     third.table = {
         key: {k: Fraction(c, 3) for k, c in w.items()} for key, w in H5.table.items()
     }
-    G = generators(third)
+    G = generators(H5)
+
+    def on_g():
+        return (
+            (g, y, range(y + 1 - third.parity[y], third.dim))
+            for g in G for y in range(third.dim)
+        )
+
     assert check_axioms(third).ok
-    assert check_axioms(third, generating_set=G).ok
+    assert jacobi_violation(third, on_g())[1] is None
     key = min(k for k, w in third.table.items() if w)
     third.table[key] = {k: c / 2 for k, c in third.table[key].items()}
     third.table[key[::-1]] = {k: c / 2 for k, c in third.table[key[::-1]].items()}
     assert not check_axioms(third).ok
-    assert not check_axioms(third, generating_set=G).ok
+    assert jacobi_violation(third, on_g())[1] is not None
 
 
 def jacobi_oracle(A, G):

@@ -1,15 +1,17 @@
 """Probe machinery, separating scalar, and the certification pipeline."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartansuper.derivations import EndMap, ad_image
+from cartansuper import derivations, localcert
+from cartansuper.derivations import BlockSystem, EndMap, ad_image
 from cartansuper.families import build, build_lprime, w_basis
-from cartansuper.liesuper import ad_matrix
+from cartansuper.liesuper import ad_matrix, generators
 from cartansuper.linalg import (
     IntKernel,
     Matrix,
@@ -70,6 +72,19 @@ def St4():
 
 def inner_map(P, u):
     return EndMap.from_matrix(ad_matrix(P.ext, u, restrict=P.dim_l))
+
+
+def trivial_orbits(P, G, blocks):
+    """`block_orbits` as it answers when a symmetry fails its check."""
+    return {shift: shift for shift in blocks.entries}
+
+
+def orbit_modes(monkeypatch):
+    """Yield twice: as `certify` runs, on one block per orbit, and then
+    with every block solved, which lasts to the end of the test."""
+    yield "one block per orbit"
+    monkeypatch.setattr(localcert, "block_orbits", trivial_orbits)
+    yield "every block"
 
 
 # -- orbits
@@ -462,8 +477,6 @@ def assert_same_blocks(engine, oracle):
 
 @pytest.mark.parametrize("family, n", DESK)
 def test_stage1_visit_order_cannot_change_the_certificate(family, n, monkeypatch):
-    import cartansuper.localcert as localcert
-
     P = build_lprime(build(family, n))
     stage1 = proof_probes(P, separating_t(P.ext))
     rng = random.Random(1414)
@@ -473,16 +486,18 @@ def test_stage1_visit_order_cannot_change_the_certificate(family, n, monkeypatch
         "shuffled": lambda probes: rng.sample(list(probes), len(probes)),
     }
     engines = {name: feed(P, order(stage1)) for name, order in orders.items()}
-    certs = {}
-    for name, order in orders.items():
-        monkeypatch.setattr(localcert, "visit_order", order)
-        certs[name] = certify(P)
-    report = certs["report"]
-    assert report.verdict == "CERTIFIED"
     for name in orders:
         assert_same_blocks(engines[name], engines["report"])
-        assert_same_blocks(certs[name].engine, report.engine)
-        assert certs[name].as_dict() == report.as_dict()
+    for mode in orbit_modes(monkeypatch):
+        certs = {}
+        for name, order in orders.items():
+            monkeypatch.setattr(localcert, "visit_order", order)
+            certs[name] = certify(P)
+        report = certs["report"]
+        assert report.verdict == "CERTIFIED", mode
+        for name in orders:
+            assert_same_blocks(certs[name].engine, report.engine)
+            assert certs[name].as_dict() == report.as_dict()
 
 
 def test_certify_feeds_each_stage_once_and_stage1_in_visit_order(H5, monkeypatch):
@@ -598,8 +613,6 @@ def test_h5_needs_the_anchored_stage(H5):
 def test_certify_2local_reduction(W4, monkeypatch):
     # the 2-local verdict is the local one: no pair is checked and no
     # random number is drawn
-    import cartansuper.localcert as localcert
-
     _, P = W4
 
     def refuse(*args, **kwargs):
@@ -690,8 +703,8 @@ class AllRowsEngine(ConstraintEngine):
     RREFs over Q: the oracle for the blocks kept as `IntKernel`s and for
     `matches_ad`."""
 
-    def __init__(self, P):
-        super().__init__(P)
+    def __init__(self, P, G=None):
+        super().__init__(P, G)
         self.space = {shift: AllRowsSpace(space.ncols) for shift, space in self.space.items()}
 
     def matches_ad(self):
@@ -703,8 +716,6 @@ class AllRowsEngine(ConstraintEngine):
 
 
 def certify_with(engine_class, P, monkeypatch, **kwargs):
-    import cartansuper.localcert as localcert
-
     with monkeypatch.context() as m:
         m.setattr(localcert, "ConstraintEngine", engine_class)
         cert = certify(P, **kwargs)
@@ -726,11 +737,12 @@ def assert_same_spaces(fast, slow, shifts=None):
 @pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
 def test_indexed_cut_equals_all_rows_cut(family, n, monkeypatch):
     P = build_lprime(build(family, n))
-    fast = certify(P)
-    slow = certify_with(AllRowsEngine, P, monkeypatch)
-    assert fast.verdict == slow.verdict == "CERTIFIED"
-    assert fast.probe_labels == slow.probe_labels
-    assert_same_spaces(fast.engine, slow.engine)
+    for mode in orbit_modes(monkeypatch):
+        fast = certify(P)
+        slow = certify_with(AllRowsEngine, P, monkeypatch)
+        assert fast.verdict == slow.verdict == "CERTIFIED", mode
+        assert fast.probe_labels == slow.probe_labels
+        assert_same_spaces(fast.engine, slow.engine)
 
 
 def test_indexed_cut_equals_all_rows_cut_on_open_blocks(H5, monkeypatch):
@@ -792,8 +804,8 @@ class CountingEngine(ConstraintEngine):
     """The engine, recording the shift of each `constraint_rows` call and
     counting the cuts that shrink a block."""
 
-    def __init__(self, P):
-        super().__init__(P)
+    def __init__(self, P, G=None):
+        super().__init__(P, G)
         self.calls = []
         self.effective = 0
 
@@ -808,15 +820,17 @@ class CountingEngine(ConstraintEngine):
 
 
 class EveryProbeEngine(CountingEngine):
-    """`add_probes` imposing each probe on every block it reaches that is
-    still above its target, with no open-block list and no key: the oracle
-    for both skips."""
+    """`add_probes` imposing each probe on every block it reaches that the
+    engine solves and that is still above its target, with no open-block
+    list and no key: the oracle for both skips."""
 
     def add_probes(self, probes):
         for probe in probes:
             x = probe.vector
             comps = self.split(x)
             for shift, pairs in self.blocks.shifts_from(x).items():
+                if shift not in self.space:
+                    continue
                 space = self.space[shift]
                 target = len(self.ad_pivots.get(shift, ()))
                 if len(space) <= target:
@@ -839,12 +853,14 @@ def assert_same_rows(fast, slow):
 
 @pytest.mark.parametrize("family, n", DESK)
 def test_skips_keep_the_rows_of_every_probe_on_every_block(family, n):
+    # on every block, and on one block per orbit as `certify` opens them
     P = build_lprime(build(family, n))
     stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
-    fast, slow = CountingEngine(P), EveryProbeEngine(P)
-    fast.add_probes(stage1)
-    slow.add_probes(stage1)
-    assert_same_rows(fast, slow)
+    for G in (None, generators(P.base)):
+        fast, slow = CountingEngine(P, G), EveryProbeEngine(P, G)
+        fast.add_probes(stage1)
+        slow.add_probes(stage1)
+        assert_same_rows(fast, slow)
 
 
 def test_skips_keep_the_rows_of_every_probe_on_open_blocks(H5, monkeypatch):
@@ -992,3 +1008,67 @@ def test_2local_agrees_with_fraction_solve(model, request):
     h1, h2 = A.cartan_chain[0], A.cartan_chain[1]
     assert not is_2local_at(ident, h1, h2, P)
     assert not is_2local_at_reference(ident, h1, h2, P)
+
+
+# -- one block per symmetry orbit
+
+
+STRETCH = [
+    pytest.param(*spec, marks=pytest.mark.slow) for spec in [("H", 7), ("S", 5), ("W", 5)]
+]
+
+
+def certify_every_block(P, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(localcert, "block_orbits", trivial_orbits)
+        return certify(P, **kwargs)
+
+
+@pytest.mark.parametrize("family, n", DESK + STRETCH)
+def test_certify_on_representatives_agrees_with_every_block(family, n, monkeypatch):
+    P = build_lprime(build(family, n))
+    reduced = certify(P)
+    every = certify_every_block(P, monkeypatch)
+    assert reduced.verdict == "CERTIFIED"
+    assert reduced.as_dict() == every.as_dict()
+    orbit = derivations.block_orbits(P, generators(P.base), reduced.engine.blocks)
+    reps = set(orbit.values())
+    assert list(reduced.engine.space) == [s for s in every.engine.space if s in reps]
+    assert len(reps) < len(every.engine.space)
+    for rep, kern in reduced.engine.space.items():
+        assert kern.basis() == every.engine.space[rep].basis(), rep
+    assert reduced.engine.orbit_size == Counter(orbit.values())
+
+
+def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch):
+    _, P = H5
+    engines = []
+    real = ConstraintEngine.__init__
+
+    def spy(engine, *args):
+        real(engine, *args)
+        engines.append(engine)
+
+    with monkeypatch.context() as m:
+        m.setattr(ConstraintEngine, "__init__", spy)
+        cert = certify(P, budget=67)
+    # the run on the representatives, then the rerun on every block
+    assert [len(e.space) for e in engines] == [36, len(engines[0].blocks.entries)]
+    assert cert.engine is engines[1]
+    every = certify_every_block(P, monkeypatch, budget=67)
+    assert cert.verdict == every.verdict == "INCONCLUSIVE"
+    assert cert.as_dict() == every.as_dict()
+    assert cert.dim_constrained > cert.dim_ad
+
+
+def test_certify_solves_every_block_when_a_sigma_is_refused(H5, monkeypatch):
+    _, P = H5
+    maps = derivations.symmetry_maps(P)
+    first = list(maps[0])
+    first[0] = {k: -c for k, c in first[0].items()}
+    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: [first] + maps[1:])
+    cert = certify(P)
+    assert len(cert.engine.space) == len(cert.engine.blocks.entries)
+    assert set(cert.engine.orbit_size.values()) == {1}
+    assert cert.verdict == "CERTIFIED"
+    assert cert.as_dict() == certify_every_block(P, monkeypatch).as_dict()
