@@ -169,6 +169,8 @@ def _load_or_build(args) -> AlgebraModel:
                 text = fh.read()
         except OSError as exc:
             raise ModelFormatError(f"cannot read {model_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{model_path} is not UTF-8 text: {exc}") from None
         model = model_from_json(text)
         for flag, got in (("family", model.family), ("n", model.n)):
             value = getattr(args, flag)

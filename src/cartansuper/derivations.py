@@ -88,7 +88,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -762,15 +761,16 @@ def transitivity_check(P: LPrimeModel) -> bool:
     return True
 
 
-@dataclass
 class DerivationReport:
-    family: str
-    n: int
-    dim_l: int
-    dim_lprime: int
-    dim_der: int
-    lemma_der_holds: bool
-    transitive: bool
+    def __init__(self, family: str, n: int, dim_l: int, dim_lprime: int, dim_der: int,
+                 lemma_der_holds: bool, transitive: bool) -> None:
+        self.family = family
+        self.n = n
+        self.dim_l = dim_l
+        self.dim_lprime = dim_lprime
+        self.dim_der = dim_der
+        self.lemma_der_holds = lemma_der_holds
+        self.transitive = transitive
 
     def as_dict(self) -> dict:
         return {

@@ -61,9 +61,8 @@ helpers (`divergence`, `ham`) return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exterior import (
     ExtElem,
@@ -93,8 +92,10 @@ class FamilyError(ValueError):
     """A family/n combination outside the defined range."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
+    """A family name and n; a NamedTuple, not a dataclass (see the basis
+    descriptors in `liesuper`)."""
+
     family: str
     n: int
 
@@ -576,18 +577,20 @@ def build(spec, n: Optional[int] = None) -> AlgebraModel:
 # the extended algebra L'
 
 
-@dataclass
 class LPrimeModel:
     """L together with the extension L' acting on it by superderivations.
 
     L' = L for W and S~, L + C*euler for S, and Htilde + C*euler for H,
     where Htilde adds the Hamiltonian field of the top monomial.  The
-    embedding of L into L' is the identity on the first dim(L) indices.
+    embedding of L into L' is the identity on the first dim(L) indices;
+    `extra` names the basis vectors of L' outside L.
     """
 
-    base: AlgebraModel
-    ext: AlgebraModel
-    extra: List[str] = field(default_factory=list)
+    def __init__(self, base: AlgebraModel, ext: AlgebraModel,
+                 extra: Optional[List[str]] = None) -> None:
+        self.base = base
+        self.ext = ext
+        self.extra = [] if extra is None else extra
 
     @property
     def dim_l(self) -> int:

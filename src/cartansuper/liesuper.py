@@ -33,9 +33,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exterior import mono_str, parse_mono
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
@@ -51,10 +50,17 @@ class ModelFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # basis descriptors
+#
+# The value types of the package (these and `families.FamilySpec`) are
+# NamedTuples, and its records (`AxiomReport` and the like) plain classes,
+# not dataclasses: every CLI run is a fresh process, and importing
+# `dataclasses` (with `inspect`, `ast` and `dis`) and decorating the classes
+# would double the package's import time.  tests/test_liesuper.py tests
+# their equality, hash and immutability, and
+# tests/test_cli.py::test_cli_import_loads_no_dataclasses the import.
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """The monomial vector field f * d_j."""
 
     mono: int
@@ -64,8 +70,7 @@ class VectorField:
         return f"{mono_str(self.mono)}*d{self.j}"
 
 
-@dataclass(frozen=True)
-class Ham:
+class Ham(NamedTuple):
     """The Hamiltonian field obtained by applying D_H to a monomial."""
 
     mono: int
@@ -74,16 +79,14 @@ class Ham:
         return f"DH({mono_str(self.mono)})"
 
 
-@dataclass(frozen=True)
-class GradingElement:
+class GradingElement(NamedTuple):
     """The Euler field sum_i x_i d_i."""
 
     def __str__(self) -> str:
         return "C"
 
 
-@dataclass(frozen=True)
-class Combo:
+class Combo(NamedTuple):
     """A rational combination of monomial vector fields (kernel-basis rows)."""
 
     terms: Tuple[Tuple[Fraction, int, int], ...]  # (coeff, mono, j)
@@ -234,12 +237,13 @@ def ad_matrix(A: AlgebraModel, u: Vec, restrict: Optional[int] = None) -> Matrix
 # axiom checking
 
 
-@dataclass
 class AxiomReport:
-    ok: bool
-    pairs_checked: int
-    triples_checked: int
-    first_violation: Optional[str] = None
+    def __init__(self, ok: bool, pairs_checked: int, triples_checked: int,
+                 first_violation: Optional[str] = None) -> None:
+        self.ok = ok
+        self.pairs_checked = pairs_checked
+        self.triples_checked = triples_checked
+        self.first_violation = first_violation
 
     def as_dict(self) -> dict:
         return {
@@ -512,8 +516,10 @@ _INT = r"-?(0|[1-9][0-9]*)"
 _MONO = r"(1|(x[1-9][0-9]*)+)"
 _FIELD = rf"{_MONO}\*d[1-9][0-9]*"
 _TERM = rf"{_INT}(/[1-9][0-9]*)?\*{_FIELD}"
-_DESC = re.compile(rf"C|DH\({_MONO}\)|{_FIELD}|{_TERM}( \+ {_TERM})+")
-_COEFF = re.compile(rf"{_INT}/1")
+# patterns, not compiled here: only a model file read needs them, and
+# `re.fullmatch` compiles each once into `re`'s own cache
+_DESC = rf"C|DH\({_MONO}\)|{_FIELD}|{_TERM}( \+ {_TERM})+"
+_COEFF = rf"{_INT}/1"
 
 
 def _not_int(x, name: str) -> ValueError:
@@ -528,9 +534,10 @@ def _ints(xs, name: str) -> List[int]:
     return list(xs)
 
 
-def _written(x, form: re.Pattern, name: str) -> str:
-    """x itself if it is a string in the form `model_to_json` writes."""
-    if not (isinstance(x, str) and form.fullmatch(x)):
+def _written(x, form: str, name: str) -> str:
+    """x itself if it is a string that matches the pattern `form`, the form
+    in which `model_to_json` writes it."""
+    if not (isinstance(x, str) and re.fullmatch(form, x)):
         raise ValueError(f"{name}: malformed text {json.dumps(x, default=repr)}")
     return x
 
@@ -602,6 +609,8 @@ def model_from_json(text: str) -> AlgebraModel:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ModelFormatError("model JSON must be an object")
     return from_json_dict(obj)

@@ -92,7 +92,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -117,19 +116,16 @@ from .linalg import (
 )
 
 
-@dataclass
 class Probe:
     """A concrete element of L at which the local condition is imposed."""
 
-    label: str
-    vector: Vec
+    def __init__(self, label: str, vector: Vec) -> None:
+        if not vector:
+            raise ValueError(f"probe {label!r} is zero")
+        self.label = label
+        self.vector = vector
 
-    def __post_init__(self):
-        if not self.vector:
-            raise ValueError(f"probe {self.label!r} is zero")
 
-
-@dataclass
 class SeparatingScalar:
     """Integer t with sum_i t^i c_i != 0 for every realized nonzero weight c.
 
@@ -137,25 +133,40 @@ class SeparatingScalar:
     the hypothesis can be audited (and deliberately broken in tests).
     """
 
-    t: int
-    certificate: List[Tuple[Tuple[int, ...], int]] = field(default_factory=list)
+    def __init__(self, t: int,
+                 certificate: Optional[List[Tuple[Tuple[int, ...], int]]] = None) -> None:
+        self.t = t
+        self.certificate = [] if certificate is None else certificate
 
 
-@dataclass
 class Certificate:
-    family: str
-    n: int
-    t: int
-    probe_labels: List[str]
-    dim_constrained: int
-    dim_ad: int
-    verdict: str  # CERTIFIED | INCONCLUSIVE
-    twolocal_verdict: Optional[str] = None
-    # always 0: certify_2local checks no pairs; perfbench/child.py reads it
-    twolocal_pairs_checked: int = 0
-    elapsed_ms: Optional[int] = None
-    # the engine that reached the verdict
-    engine: Optional["ConstraintEngine"] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        t: int,
+        probe_labels: List[str],
+        dim_constrained: int,
+        dim_ad: int,
+        verdict: str,  # CERTIFIED | INCONCLUSIVE
+        twolocal_verdict: Optional[str] = None,
+        # always 0: certify_2local checks no pairs; perfbench/child.py reads it
+        twolocal_pairs_checked: int = 0,
+        elapsed_ms: Optional[int] = None,
+        # the engine that reached the verdict
+        engine: Optional["ConstraintEngine"] = None,
+    ) -> None:
+        self.family = family
+        self.n = n
+        self.t = t
+        self.probe_labels = probe_labels
+        self.dim_constrained = dim_constrained
+        self.dim_ad = dim_ad
+        self.verdict = verdict
+        self.twolocal_verdict = twolocal_verdict
+        self.twolocal_pairs_checked = twolocal_pairs_checked
+        self.elapsed_ms = elapsed_ms
+        self.engine = engine
 
     def as_dict(self, with_timing: bool = False) -> dict:
         return {

@@ -312,6 +312,28 @@ def test_tampered_model_exits_2_naming_the_field(tmp_path, w4_model, tamper, com
     assert "internal error" not in res.stderr
 
 
+def _not_utf8(text):
+    # one basis descriptor carries a Latin-1 byte
+    return text.encode().replace(b'"1*d1"', b'"1*d1\xe9"', 1), "is not UTF-8"
+
+
+def _nested_too_deeply(text):
+    return b'{"a":' * 100_000, "nested too deeply"
+
+
+@pytest.mark.parametrize("tamper", [_not_utf8, _nested_too_deeply])
+@pytest.mark.parametrize("command", ["certify", "check"])
+def test_unreadable_model_text_exits_2(tmp_path, w4_model, tamper, command):
+    data, message = tamper(json.dumps(w4_model))
+    assert data != json.dumps(w4_model).encode()
+    path = tmp_path / "tampered.json"
+    path.write_bytes(data)
+    res = run_cli(command, "--model", str(path))
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert message in res.stderr
+    assert "internal error" not in res.stderr
+
+
 def test_check_missing_model_exits_2(tmp_path):
     res = run_cli("check", "--model", str(tmp_path / "missing.json"))
     assert res.returncode == 2
@@ -575,3 +597,18 @@ def test_build_check_and_certify_make_no_fraction_call():
                 sys.setprofile(None)
             assert code == 0
             assert not calls, (command[0], family, n, sorted(set(calls)))
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI run is a fresh process that pays this import; the modules
+    # present before it (what site loads) are not counted
+    code = (
+        "import sys; before = set(sys.modules); import cartansuper.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    added = set(res.stdout.split())
+    assert "cartansuper.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

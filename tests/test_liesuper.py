@@ -9,16 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cartansuper.families import FamilyError, attach_derived, build
+from cartansuper.families import FamilyError, FamilySpec, attach_derived, build, build_lprime
 from cartansuper.liesuper import (
     AlgebraModel,
+    Combo,
+    GradingElement,
+    Ham,
     ModelFormatError,
+    VectorField,
     ad_matrix,
     check_axioms,
     generators,
     jacobi_violation,
     model_from_json,
     model_to_json,
+    parse_desc,
 )
 
 DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
@@ -422,6 +427,53 @@ def test_serialization_round_trip_bit_exact():
         assert B.cartan == A.cartan
         assert B.w_coords == A.w_coords
         assert B.cartan_chain == A.cartan_chain
+
+
+# The value types are NamedTuples, not frozen dataclasses (see the basis
+# descriptors in liesuper); these pin the semantics they must keep.
+VALUES = {
+    "VectorField": (lambda: VectorField(3, 1), "mono"),
+    "Ham": (lambda: Ham(3), "mono"),
+    "GradingElement": (lambda: GradingElement(), "mono"),
+    "Combo": (lambda: Combo(((Fraction(1, 2), 3, 1), (-1, 1, 2))), "terms"),
+    "FamilySpec": (lambda: FamilySpec("H", 5), "n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_value_types_are_immutable_values(kind):
+    make, field = VALUES[kind]
+    value, copy_ = make(), make()
+    assert value == copy_
+    assert hash(value) == hash(copy_)
+    assert str(value) == str(copy_)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    assert value == copy_
+
+
+def test_descriptors_of_different_kinds_never_compare_equal():
+    descs = [
+        VectorField(3, 1), VectorField(1, 3), Ham(3), Ham(1), GradingElement(),
+        Combo(((1, 3, 1),)), Combo(((3, 1, 1),)),
+    ]
+    for a in descs:
+        for b in descs:
+            assert (a == b) == (a is b), (a, b)
+
+
+@pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_every_descriptor_parses_back_to_itself(spec):
+    # L' covers the top Ham of H and the grading element C; S(4) has Combos
+    P = build_lprime(build(*spec))
+    for d in P.ext.basis:
+        back = parse_desc(str(d))
+        assert back == d and type(back) is type(d), d
+    kinds = {type(d) for d in P.ext.basis}
+    assert kinds == {
+        "W": {VectorField}, "S": {VectorField, Combo, GradingElement},
+        "Stilde": {VectorField, Combo}, "H": {Ham, GradingElement},
+    }[spec[0]]
 
 
 def test_deserialization_rejects_garbage():

@@ -46,6 +46,12 @@ from cartansuper.localcert import (
 )
 
 
+def test_separating_scalars_do_not_share_a_certificate():
+    a, b = SeparatingScalar(1), SeparatingScalar(1)
+    a.certificate.append(((1, 0), 1))
+    assert b.certificate == []
+
+
 @pytest.fixture(scope="module")
 def W4():
     A = build("W", 4)
