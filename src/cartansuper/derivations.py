@@ -23,20 +23,16 @@ the left-normed brackets of G, which span L.  Each block holds one
 homogeneous shift, so the argument applies block by block, and the pair
 (y, g) with y < g is covered by (g, y) through anticommutativity.
 
-`check` stops each block at a rank target instead of reducing all its
-rows.  Block s of Der L contains ad L'_s once every ad(u), u in L', is a
+`check` closes each block at a rank target instead of reducing all its
+rows (`BlockKernels`, which gives the argument).  The target dim ad L'_s
+needs ad L'_s inside block s of Der L: every ad(u), u in L', a
 superderivation of L.  For u in L that is the Jacobi identity on
 G x L x L, which `check_axioms` proves and the pairs (g, y) already
 assume.  For the dim L' - dim L outer elements u of L' it is
 `outer_ads_are_derivations`: L' must bracket L x L as L's own table does,
 and every Jacobi triple (u, g, y) with g in G must hold, which is ad(u)
-meeting the rows of the pair (g, y).  With that guard passed, a block
-whose kernel has come down to dim ad L'_s holds Der_s = ad L'_s, since
-Der_s lies between the two, and `leibniz_rows` builds none of its
-remaining rows.  When the guard fails, no block stops early: each one
-takes its rows until they run out or its kernel is zero, and
-`blocks_equal_ad` decides.  A block that never reaches its target takes
-every row, so dim Der L is exact either way.
+meeting the rows of the pair (g, y).  When that guard fails, the target
+is 0 and `blocks_equal_ad` decides.
 
 `check` solves one block per symmetry orbit (`block_orbits`).  Each family
 is unchanged by permuting the odd generators xi_i: for W and S any
@@ -76,8 +72,9 @@ global elimination without using G, the block structure or the integer
 kernel, and emits every row.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L',
-read as int columns straight from its bracket table (`ad_columns`, which
-the certifier shares), as integer echelon rows per block (`ad_blocks`).
+read as int columns straight from its bracket table
+(`LPrimeModel.ad_columns`, which the certifier shares), as integer
+echelon rows per block (`ad_blocks`).
 The two routes are compared block by block, on ints, by dimension and
 containment (`blocks_equal_ad`, the test the certifier's verdict makes
 too): Der_s = ad L'_s on every block is the machine-checkable form of the
@@ -346,9 +343,7 @@ class BlockSystem:
         for shift, entries in self.entries.items():
             entries.sort()
             self.local[shift] = {key: i for i, key in enumerate(entries)}
-        # source cells and answer of the last shifts_from call, and each
-        # source cell's `reach` list
-        self._reach: tuple = ((), {})
+        # each source cell's `reach` list
         self._cell_reach: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
         self._keys: Dict[Shift, Shift] = {shift: shift for shift in self.entries}
 
@@ -391,67 +386,104 @@ class BlockSystem:
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,
-        each with its (target cell, source cell) pairs.
-
-        Callers ask for one vector many times in a row, so the answer for
-        the last set of source cells is kept.
-        """
+        each with its (target cell, source cell) pairs."""
         cell_of = self.A.cell_of
-        sources = tuple(dict.fromkeys(cell_of(b) for b in x))
-        if sources != self._reach[0]:
-            reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
-            for cb in sources:
-                for shift, ca in self.reach(cb):
-                    reach.setdefault(shift, []).append((ca, cb))
-            self._reach = (sources, reach)
-        return self._reach[1]
+        reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
+        for cb in dict.fromkeys(cell_of(b) for b in x):
+            for shift, ca in self.reach(cb):
+                reach.setdefault(shift, []).append((ca, cb))
+        return reach
 
 
-def ad_columns(P: LPrimeModel) -> List[Dict[int, IntVec]]:
-    """For each basis vector u of L', ad(u) on L as {b: [u, b]}
-    (`LPrimeModel.ad_columns`).
+class BlockKernels:
+    """The block core that `check` and `certify` share: which blocks are
+    solved, their kernels and ad L'_s targets, when a block closes, the
+    orbit-weighted dimensions and the verdict.
 
-    The columns are the bracket table's own int entries, to be read and not
-    changed, and P keeps them for as long as it lives: `ad_image`, the
-    certifier's constraint engine and `is_2local_at` share them.
+    Given P and G, a generating set of L, one block per symmetry orbit is
+    solved (`block_orbits`, see the module docstring), each kept with the
+    size of its orbit (`orbit_size`); otherwise every block of ``blocks``
+    is.  `space` holds each solved block's kernel over its local ids, the
+    `IntKernel` of the rows cut into it: a cut reduces the row fraction-free
+    against the rows kept so far and keeps what is left, so the space
+    shrinks exactly when the row is independent of them.  Rows reach it
+    only through `_cut`.  Given P, `ad_pivots` holds ad L'_s on each solved
+    block as integer echelon rows (`ad_blocks`).
+
+    A block's target t_s is dim ad L'_s with ``stop_at_ad`` and 0 without,
+    and `_cut` takes the block out of `open` once its kernel has come down
+    to t_s; the callers feed a closed block no more rows.  That is exact
+    when the space the rows cut out is known to contain a subspace of
+    dimension t_s, as ad L'_s is for ``stop_at_ad`` (in Der_s once
+    `outer_ads_are_derivations` holds; in the probe-constrained space by
+    construction): the space, squeezed between that subspace and the
+    kernel reached, equals both, and no further row can shrink it.  A zero
+    kernel can shrink no more.  A block that never reaches its target
+    takes every row, so its kernel is exact either way.
+
+    `dim_ad`, `dim_space` and `residual_dim` count each block with the size
+    of its orbit.  `matches_ad` is the verdict, space_s = ad L'_s on every
+    block solved (`blocks_equal_ad`); it tests containment even where that
+    holds by construction, so that a slip in the rows cannot pass.
     """
-    return P.ad_columns
+
+    def __init__(self, blocks: BlockSystem, P: Optional[LPrimeModel] = None,
+                 G: Optional[List[int]] = None, stop_at_ad: bool = True):
+        self.blocks = blocks
+        self.orbit_size = Counter(
+            block_orbits(P, G, blocks).values() if G is not None else blocks.entries.keys()
+        )
+        self.space: Dict[Shift, IntKernel] = {
+            shift: IntKernel(len(entries))
+            for shift, entries in blocks.entries.items() if shift in self.orbit_size
+        }
+        self.ad_pivots = ad_blocks(P, blocks, self.space) if P is not None else {}
+        self._target = {
+            shift: len(self.ad_pivots.get(shift, ())) if stop_at_ad else 0
+            for shift in self.space
+        }
+        # the blocks still above their target
+        self.open = {shift for shift, kern in self.space.items() if len(kern) > self._target[shift]}
+
+    def _cut(self, shift: Shift, row: IntVec) -> None:
+        """Cut a row, over the block's local ids, into its kernel, and close
+        the block once the kernel is down to its target."""
+        kern = self.space[shift]
+        if kern.cut(row) and len(kern) <= self._target[shift]:
+            self.open.discard(shift)
+
+    def dim_ad(self) -> int:
+        """dim ad L', each block counted with the size of its orbit."""
+        size = self.orbit_size
+        return sum(size[shift] * len(rows) for shift, rows in self.ad_pivots.items())
+
+    def dim_space(self) -> int:
+        """The blocks' dimension, each block counted with the size of its orbit."""
+        size = self.orbit_size
+        return sum(size[shift] * len(kern) for shift, kern in self.space.items())
+
+    def residual_dim(self) -> int:
+        """`dim_space` above `dim_ad`."""
+        return self.dim_space() - self.dim_ad()
+
+    def matches_ad(self) -> bool:
+        """space_s = ad L'_s on every block solved (`blocks_equal_ad`)."""
+        return blocks_equal_ad(self.space, self.ad_pivots)
 
 
-def leibniz_kernels(
-    blocks: BlockSystem,
-    G: List[int],
-    targets: Optional[Dict[Shift, int]] = None,
-    shifts: Optional[Iterable[Shift]] = None,
-) -> Dict[Shift, IntKernel]:
-    """Der L on each block of ``blocks`` (only on those in ``shifts`` when it
-    is given): each Leibniz row of the pairs (g, y), g in G, a generating
-    set of L (`generators`), is cut into its block's `IntKernel` as it is
-    emitted.  Exact once A passes `check_axioms` (see the module docstring).
-
-    A block takes rows only while its kernel is larger than its target
-    (``targets``, 0 where none is given), and `leibniz_rows` builds no row
-    for a block that has stopped or is not solved.  A zero kernel can
-    shrink no more, so with no targets every kernel is Der_s.  A block that
-    stops at a target t_s holds Der_s when Der_s is known to have a
-    subspace of dimension t_s: `derivation_report` passes t_s = dim ad L'_s
-    only once ad L'_s lies in Der_s, and then Der_s, squeezed between
-    ad L'_s and the kernel reached, equals both.  A block that never
-    reaches its target takes every row, so its kernel is Der_s either way.
+def leibniz_kernels(core: BlockKernels, G: List[int]) -> Dict[Shift, IntKernel]:
+    """Der L on each block that ``core`` solves, its `space`: each Leibniz
+    row of the pairs (g, y), g in G, a generating set of L (`generators`),
+    is cut into its block as it is emitted, and `leibniz_rows` builds no
+    row for a block that is closed or not solved.  Exact once A passes
+    `check_axioms` (see the module docstring) and when ad L'_s lies in
+    Der_s wherever the core stops at it.
     """
-    targets = targets or {}
-    solved = blocks.entries if shifts is None else set(shifts)
-    space = {
-        shift: IntKernel(len(entries))
-        for shift, entries in blocks.entries.items() if shift in solved
-    }
-    live = {shift for shift, kern in space.items() if len(kern) > targets.get(shift, 0)}
+    blocks, live = core.blocks, core.open
     for shift, row in leibniz_rows(blocks.A, None, G, live):
         if shift in live:
-            kern = space[shift]
-            if kern.cut(blocks.localize(shift, row)) and len(kern) <= targets.get(shift, 0):
-                live.discard(shift)
-    return space
+            core._cut(shift, blocks.localize(shift, row))
+    return core.space
 
 
 def ad_blocks(
@@ -465,7 +497,7 @@ def ad_blocks(
     ext = P.ext
     solved = set(shifts)
     span: Dict[Shift, IntKernel] = {}
-    for u, cols in enumerate(ad_columns(P)):
+    for u, cols in enumerate(P.ad_columns):
         shift = (ext.degree[u], ext.weight[u])
         if not cols:
             raise ValueError(f"ad is not injective on L' (basis {u})")
@@ -701,8 +733,11 @@ def derivation_space(
     "blocks" method is `leibniz_kernels`, read out as one subspace;
     "reference" pushes the rows of every pair through a single global
     elimination and must agree.  The blocks answer assumes that A passes
-    `check_axioms` (see the module docstring).
+    `check_axioms` (see the module docstring).  Any other parity is a
+    ValueError.
     """
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity must be None, 0 or 1, not {parity!r}")
     dim = A.dim
     flat_dim = dim * dim
     if method == "reference":
@@ -724,8 +759,8 @@ def derivation_space(
         return Subspace.from_vectors(lifted, flat_dim)
     if method != "blocks":
         raise ValueError(f"unknown method {method!r}")
-    blocks = BlockSystem(A, parity)
-    return blocks.subspace(leibniz_kernels(blocks, generators(A)))
+    core = BlockKernels(BlockSystem(A, parity))
+    return core.blocks.subspace(leibniz_kernels(core, generators(A)))
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +773,7 @@ def ad_image(P: LPrimeModel) -> Subspace:
     m = P.dim_l
     rows = [
         {a * m + b: c for b, col in cols.items() for a, c in col.items()}
-        for cols in ad_columns(P)
+        for cols in P.ad_columns
     ]
     return Subspace.from_vectors(rows, m * m)
 
@@ -811,31 +846,25 @@ def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
 
 
 def derivation_report(P: LPrimeModel, G: List[int], axioms_ok: bool = False) -> DerivationReport:
-    """`check`'s comparison of Der L with ad L', on the Leibniz rows of the
-    pairs (g, y), g in G, a generating set of L (`generators`).  Each block
-    of Der L stops at dim ad L'_s once `outer_ads_are_derivations` has
-    shown ad L' to lie in Der L; otherwise it stops only at a zero kernel
-    (`leibniz_kernels`).
+    """`check`'s comparison of Der L with ad L' in one `BlockKernels`, fed
+    the Leibniz rows of the pairs (g, y), g in G, a generating set of L
+    (`generators`).  Its blocks stop at dim ad L'_s once
+    `outer_ads_are_derivations` has shown ad L' to lie in Der L.
 
     With ``axioms_ok``, which says that L has passed `check_axioms`, only
-    one block per symmetry orbit is solved (`block_orbits`), and dim Der L
-    is the sum over the representatives r of |orbit of r| * dim Der_r.
-    Otherwise every block is solved.
+    one block per symmetry orbit is solved (see the module docstring);
+    otherwise every block is.
     """
-    blocks = BlockSystem(P.base)
-    orbit = block_orbits(P, G, blocks) if axioms_ok else {s: s for s in blocks.entries}
-    size = Counter(orbit.values())
-    ad = ad_blocks(P, blocks, size)
-    targets = None
-    if outer_ads_are_derivations(P, G):
-        targets = {shift: len(rows) for shift, rows in ad.items()}
-    space = leibniz_kernels(blocks, G, targets, size)
+    core = BlockKernels(
+        BlockSystem(P.base), P, G if axioms_ok else None, outer_ads_are_derivations(P, G)
+    )
+    leibniz_kernels(core, G)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
-        dim_der=sum(size[shift] * len(kern) for shift, kern in space.items()),
-        lemma_der_holds=blocks_equal_ad(space, ad),
+        dim_der=core.dim_space(),
+        lemma_der_holds=core.matches_ad(),
         transitive=transitivity_check(P),
     )

@@ -604,7 +604,9 @@ class LPrimeModel:
     def ad_columns(self) -> List[Dict[int, IntVec]]:
         """For each basis vector u of L', ad(u) on L as {b: [u, b]} with the
         zero brackets left out; a bracket escaping L raises, since ad(L')
-        must preserve L.  Read through `derivations.ad_columns`."""
+        must preserve L.  The columns are the table's own int entries, to be
+        read and not changed: `ad_image`, `ad_blocks`, the certifier's
+        engine and `is_2local_at` share them."""
         ext, m = self.ext, self.dim_l
         ad: List[Dict[int, IntVec]] = [{} for _ in range(ext.dim)]
         for (u, b), w in ext.table.items():

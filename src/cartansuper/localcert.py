@@ -24,16 +24,17 @@ and a probe only constrains the blocks its cells reach.  The engine runs
 on Python ints, eliminating fraction-free (cross multiplication, then
 division by the content), so it is exact over Q with no modular step and
 no fallback.  Every probe `certify` builds is an integer vector, so it
-makes no Fraction; only the public helpers take or return Fractions.  Each
-block is kept as the kernel of its cut rows, and the verdict is `check`'s
-block test (`derivations.blocks_equal_ad`) against ad L'.  When the space
-collapses to exactly ad L' = Der L this way, every map that is locally
-inner at all points is inner, the per-n certificate of LDer(L) = Der(L).
-When the proof list leaves a residual (the weight-zero depth slice of
-H(odd n), whose witness no Cartan anchor can see), deterministic
-degree-0-anchored probes and then basis/random stages escalate, each
-built only when it is reached.  INCONCLUSIVE only means this probe
-budget did not collapse the space; it never claims the theorem fails.
+makes no Fraction; only the public helpers take or return Fractions.  The
+engine is `check`'s block core (`derivations.BlockKernels`): each block
+is kept as the kernel of its cut rows, and the verdict is `check`'s block
+test against ad L'.  When the space collapses to exactly ad L' = Der L
+this way, every map that is locally inner at all points is inner, the
+per-n certificate of LDer(L) = Der(L).  When the proof list leaves a
+residual (the weight-zero depth slice of H(odd n), whose witness no
+Cartan anchor can see), deterministic degree-0-anchored probes and then
+basis/random stages escalate, each built only when it is reached.
+INCONCLUSIVE only means this probe budget did not collapse the space; it
+never claims the theorem fails.
 
 `certify` cuts the proof list to the budget and then feeds it to the
 engine with its x+dsum probes first (`visit_order`): they make nearly all
@@ -45,9 +46,9 @@ stage imposes, a block that reaches its target equals ad L'_s whatever
 the order, and `IntKernel.basis()` is the RREF, so even the residual
 witness of an INCONCLUSIVE run is the same.
 
-`certify` opens one block per symmetry orbit (`derivations.block_orbits`,
-whose checks make each generator sigma of the index symmetry an
-automorphism of L and of L' acting on L).  Local maps transport: if phi
+`certify` opens one block per symmetry orbit (the core's
+`derivations.block_orbits`, whose checks make each generator sigma of the
+index symmetry an automorphism of L and of L' acting on L).  Local maps transport: if phi
 is local, then at any x, with u a witness of phi at sigma^-1 x,
 
     sigma phi sigma^-1 (x) = sigma [u, sigma^-1 x] = [sigma u, x]
@@ -68,8 +69,9 @@ the sigma check) and Der L = ad L' (for CERTIFIED to speak of every
 superderivation).
 
 The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
-block that has reached its target takes no more probes, and a block takes
-no probe whose parts in its source cells equal the last probe's there.
+block that the core has closed at its target takes no more probes, and a
+block takes no probe whose parts in its source cells equal the last
+probe's there.
 The second rests on two facts: `constraint_rows` reads x only through
 those parts, since [L'_s, x_c] lies in cell c + s; and a row once cut
 into an `IntKernel` never shrinks it again.  Rows that read more of x,
@@ -91,13 +93,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import Counter
 from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .derivations import BlockSystem, Cell, EndMap, Shift
-from .derivations import ad_blocks, ad_columns, block_orbits, blocks_equal_ad
+from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators
 from .linalg import (
@@ -216,7 +216,7 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
     m = P.dim_l
     X, Y = int_multiple(x), int_multiple(y)
     pivots: Dict[int, IntVec] = {}
-    for ad_u in ad_columns(P):
+    for ad_u in P.ad_columns:
         col: IntVec = {}
         for offset, point in ((0, X), (m, Y)):
             for b, c in point.items():
@@ -414,8 +414,12 @@ def _random_probe_stream(P: LPrimeModel, seed: int) -> Iterator[Probe]:
 # the constrained space, solved per bigrade shift
 
 
-class ConstraintEngine:
-    """Incremental per-shift solver for the probe-constrained space.
+class ConstraintEngine(BlockKernels):
+    """Incremental per-shift solver for the probe-constrained space, on the
+    block core `BlockKernels`, which owns the blocks, their targets ad L'_s,
+    `open`, the orbit-weighted dimensions and `matches_ad`.  The engine
+    adds the probe work: `split`, the open-block lists, the last-key skip
+    and `constraint_rows`.
 
     A shift-homogeneous local component admits witnesses inside the single
     bigraded slice of L' matching its shift (the decomposition lemma: write
@@ -426,29 +430,24 @@ class ConstraintEngine:
         phi_shift(x)  in  [L'_shift, x],
 
     which is far tighter than the full orbit and is what lets the finite
-    probe list collapse each block onto ad(L'_shift).
-
-    For every shift the engine keeps the block's constrained space as the
-    kernel of the constraint rows cut into it (`IntKernel`): a cut reduces
-    the row fraction-free against the rows kept so far and keeps what is
-    left, so the space shrinks exactly when the row is independent of them.
+    probe list collapse each block onto ad(L'_shift).  ad L'_shift meets
+    it at every x, so it lies in the constrained block.
 
     Everything runs on Python ints: probes are integer vectors (the orbit
     condition is invariant under scaling the probe, so `constrained_space`
-    scales a caller's rational probes to ints), the slice
-    ad columns are the integer bracket table's (`ad_columns`), the targets
-    ad L'_s are integer echelon rows (`ad_blocks`), and the annihilator and
-    the cuts are fraction-free integer eliminations.  So the result is
-    exact and independent of the probe order (each block ends as the
-    kernel of all the rows cut into it); Fractions appear only where
-    spaces are handed out as subspaces over Q.
+    scales a caller's rational probes to ints), the slice ad columns are
+    the integer bracket table's (`LPrimeModel.ad_columns`), and the
+    annihilator and the cuts are fraction-free integer eliminations.  So
+    the result is exact and independent of the probe order (each block
+    ends as the kernel of all the rows cut into it); Fractions appear only
+    where spaces are handed out as subspaces over Q.
 
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
-    (`open`; each cell's list is `BlockSystem.reach`, pruned lazily once a
-    block has closed).  Per shift, `constraint_rows` solves the small
-    system on the target cells (the unit annihilator when the slice orbit
-    is empty) and builds each row straight in the block's local ids.
+    (each cell's list is `BlockSystem.reach`, pruned lazily once a block
+    has closed).  Per shift, `constraint_rows` solves the small system on
+    the target cells (the unit annihilator when the slice orbit is empty)
+    and builds each row straight in the block's local ids.
 
     A block's constraint at x depends on x only through its key, the
     parts x_c in the source cells c of the block's pairs: [L'_s, x_c] lies
@@ -463,54 +462,24 @@ class ConstraintEngine:
     every probe on every open block it reaches.  Rows that read more of x
     must widen the key to all that they read (see the module docstring).
 
-    `matches_ad` decides space_s = ad L'_s for every block with
-    `derivations.blocks_equal_ad`, the dimension-and-containment test that
-    `check` makes on the Leibniz blocks too.  Containment holds here by
-    construction, and testing it keeps a slip in the constraint rows from
-    passing as a certificate.  Because it holds, a block that has shrunk
-    to the dimension of its inner target equals it, and no further cut can
-    shrink it: it leaves `open` and is skipped from then on.
-
-    Given G, a generating set of L, the engine solves only the
-    representative of each symmetry orbit of blocks (`block_orbits`, see
-    the module docstring) and keeps each one's orbit size (`orbit_size`);
-    without G it solves every block, as `constrained_space` needs.
+    Given G, a generating set of L, the core solves one block per symmetry
+    orbit; without G every block, as `constrained_space` needs.
     """
 
     def __init__(self, P: LPrimeModel, G: Optional[List[int]] = None):
-        self.P = P
+        super().__init__(BlockSystem(P.base), P, G)
         self.L = L = P.base
         self.dim = L.dim
-        self.blocks = blocks = BlockSystem(L)
-        # the blocks solved, each with the size of the orbit it stands for
-        reps = block_orbits(P, G, blocks).values() if G is not None else blocks.entries.keys()
-        self.orbit_size = Counter(reps)
-        # the constrained space of each block solved, over its local ids
-        self.space: Dict[Shift, IntKernel] = {
-            shift: IntKernel(len(entries))
-            for shift, entries in blocks.entries.items() if shift in self.orbit_size
-        }
-        # ad L'_shift as integer echelon rows, the target of each block
-        self.ad_pivots = ad_blocks(P, blocks, self.space)
-        # the blocks still above their target, and each source cell's
-        # `_open_reach` list with the size of `open` it was pruned at
-        self.open = {
-            shift for shift, kern in self.space.items()
-            if len(kern) > len(self.ad_pivots.get(shift, ()))
-        }
+        # each source cell's `_open_reach` list with the size of `open` it
+        # was pruned at
         self._open_lists: Dict[Cell, Tuple[int, List[Tuple[Shift, Cell]]]] = {}
         # the key of the last constraint_rows call on each open block
         self.last_key: Dict[Shift, Tuple[IntVec, ...]] = {}
         # the bigraded slices of L' and their ad matrices (column-sparse)
         ext = P.ext
         self.slice_ad: Dict[Shift, List[Dict[int, IntVec]]] = {}
-        for u, cols in enumerate(ad_columns(P)):
+        for u, cols in enumerate(P.ad_columns):
             self.slice_ad.setdefault((ext.degree[u], ext.weight[u]), []).append(cols)
-
-    def dim_ad(self) -> int:
-        """dim ad L', each block counted with the size of its orbit."""
-        size = self.orbit_size
-        return sum(size[shift] * len(rows) for shift, rows in self.ad_pivots.items())
 
     def split(self, x: IntVec) -> Dict[Cell, IntVec]:
         """The nonzero part of x in each cell of L."""
@@ -525,23 +494,16 @@ class ConstraintEngine:
         self,
         x: IntVec,
         shift: Shift,
-        pairs: Optional[List[Tuple[Cell, Cell]]] = None,
-        comps: Optional[Dict[Cell, IntVec]] = None,
+        pairs: List[Tuple[Cell, Cell]],
+        comps: Dict[Cell, IntVec],
     ) -> List[IntVec]:
         """Rows over the shift block, in its local ids, expressing
         phi_shift(x) in [L'_shift, x].
 
         x has int coefficients.  pairs are the shift's (target, source)
-        cells, as `BlockSystem.shifts_from(x)` gives them, and comps is
-        `split(x)`; `add_probes` computes both once per probe, and they are
-        computed here when not given.
+        cells, as `BlockSystem.shifts_from(x)` gives them, at least one,
+        and comps is `split(x)`; the caller computes both once per probe.
         """
-        if pairs is None:
-            pairs = self.blocks.shifts_from(x).get(shift)
-        if not pairs:
-            return []
-        if comps is None:
-            comps = self.split(x)
         cells = self.blocks.cells
         # the value space V = sum of the target cells, in sorted coordinates,
         # each with the part of x its entries multiply: the target cell a
@@ -582,7 +544,7 @@ class ConstraintEngine:
     def add_probes(self, probes: Iterable[Probe]) -> None:
         """Impose the condition at each probe, an integer vector, on the
         open blocks whose key it changes (see the class docstring)."""
-        space, last = self.space, self.last_key
+        open_, last = self.open, self.last_key
         for probe in probes:
             x = probe.vector
             comps = self.split(x)
@@ -595,11 +557,9 @@ class ConstraintEngine:
                 if key == last.get(shift):
                     continue  # the rows of the last call, cut already
                 last[shift] = key
-                kern, target = space[shift], len(self.ad_pivots.get(shift, ()))
                 for row in self.constraint_rows(x, shift, pairs, comps):
                     self._cut(shift, row)
-                    if len(kern) <= target:
-                        self.open.discard(shift)
+                    if shift not in open_:
                         del last[shift]
                         break
 
@@ -611,19 +571,6 @@ class ConstraintEngine:
             pairs = self.blocks.reach(cb) if got is None else got[1]
             got = self._open_lists[cb] = (len(self.open), [p for p in pairs if p[0] in self.open])
         return got[1]
-
-    def _cut(self, shift: Shift, functional: IntVec) -> None:
-        self.space[shift].cut(functional)
-
-    def matches_ad(self) -> bool:
-        """space_s = ad L'_s on every block (`blocks_equal_ad`)."""
-        return blocks_equal_ad(self.space, self.ad_pivots)
-
-    def residual_dim(self) -> int:
-        """The blocks' dimensions above ad L', each block counted with the
-        size of its orbit."""
-        size = self.orbit_size
-        return sum(size[shift] * len(kern) for shift, kern in self.space.items()) - self.dim_ad()
 
 
 def constrained_space(
@@ -650,8 +597,10 @@ def constrained_space(
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
-        for shift in sorted(engine.space):
-            for row in as_fractions(engine.constraint_rows(probe.vector, shift)):
+        x = probe.vector
+        reach, comps = engine.blocks.shifts_from(x), engine.split(x)
+        for shift in sorted(reach):
+            for row in as_fractions(engine.constraint_rows(x, shift, reach[shift], comps)):
                 rows.append(engine.blocks.lift(shift, row))
     return Subspace.from_vectors(kernel_of_rows(rows, dim * dim), dim * dim)
 
@@ -697,7 +646,7 @@ def certify(
         n=L.n,
         t=sep.t,
         probe_labels=labels,
-        dim_constrained=engine.dim_ad() + engine.residual_dim(),
+        dim_constrained=engine.dim_space(),
         dim_ad=engine.dim_ad(),
         verdict=verdict,
         elapsed_ms=elapsed,

@@ -12,6 +12,7 @@ import pytest
 
 from cartansuper import derivations
 from cartansuper.derivations import (
+    BlockKernels,
     BlockSystem,
     EndMap,
     ad_image,
@@ -107,6 +108,14 @@ def test_parity_split_sums_to_total(pairs):
     assert even.dim + odd.dim == total.dim
     for row in even.rows + odd.rows:
         assert total.contains(row)
+
+
+@pytest.mark.parametrize("method", ["blocks", "reference"])
+@pytest.mark.parametrize("parity", [2, -1, "odd"])
+def test_derivation_space_refuses_other_parities(pairs, parity, method):
+    A, _ = pairs[("H", 5)]
+    with pytest.raises(ValueError, match="parity"):
+        derivation_space(A, parity=parity, method=method)
 
 
 def test_blockwise_agrees_with_reference_on_w4(pairs):
@@ -218,35 +227,35 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
     assert report.lemma_der_holds and report.dim_der == P.dim_lprime
 
 
-def test_check_and_certify_share_the_block_test(pairs, monkeypatch):
-    # on one block per orbit, then with every block solved
+def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
+    # the engine is the core, check builds exactly one, and patching
+    # derivations.block_orbits alone decides the blocks that both solve
     from cartansuper import localcert
 
     _, P = pairs[("H", 5)]
     G = generators(P.base)
-    real = derivations.blocks_equal_ad
-    calls = []
+    assert isinstance(localcert.certify(P).engine, derivations.BlockKernels)
+    real = derivations.BlockKernels.__init__
+    cores = []
 
-    def spy(space, ad):
-        calls.append(space)
-        return real(space, ad)
+    def spy(core, *args):
+        real(core, *args)
+        cores.append(core)
 
-    monkeypatch.setattr(derivations, "blocks_equal_ad", spy)
-    monkeypatch.setattr(localcert, "blocks_equal_ad", spy)
+    blocks = BlockSystem(P.base)
     for reduced in (True, False):
         with monkeypatch.context() as m:
             if not reduced:
                 m.setattr(derivations, "block_orbits", trivial_orbits)
-                m.setattr(localcert, "block_orbits", trivial_orbits)
-            blocks = BlockSystem(P.base)
             solved = set(derivations.block_orbits(P, G, blocks).values())
             assert (len(solved) < len(blocks.entries)) == reduced
-            calls.clear()
-            assert derivation_report(P, G, True).lemma_der_holds and len(calls) == 1
+            m.setattr(derivations.BlockKernels, "__init__", spy)
+            cores.clear()
+            assert derivation_report(P, G, True).lemma_der_holds
+            assert len(cores) == 1 and set(cores[0].space) == solved
             cert = localcert.certify(P)
-            assert cert.verdict == "CERTIFIED" and calls[-1] is cert.engine.space
-            # both test the blocks they solve
-            assert set(calls[0]) == set(calls[-1]) == solved
+            assert cert.verdict == "CERTIFIED" and cores[1:] == [cert.engine]
+            assert set(cert.engine.space) == solved
 
 
 @pytest.mark.parametrize("spec, dim_der", [(("H", 5), 32), (("S", 4), 50)])
@@ -313,7 +322,9 @@ def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch)
     assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
     # no block stopped at dim ad L'_s: the rows read are those of the
     # targetless solve, which stops only at a zero kernel
-    every = rows_pulled(monkeypatch, lambda: derivations.leibniz_kernels(BlockSystem(A), G))
+    every = rows_pulled(
+        monkeypatch, lambda: derivations.leibniz_kernels(BlockKernels(BlockSystem(A)), G)
+    )
     assert rows_pulled(monkeypatch, lambda: derivation_report(bad, G)) == every
     assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
 
@@ -545,8 +556,8 @@ def test_reduced_der_agrees_with_every_block(pairs, spec):
     size = Counter(orbit.values())
     assert len(size) < len(blocks.entries)
     # Der_s on every block, each solved to a zero kernel or to its last row
-    every = derivations.leibniz_kernels(blocks, G)
-    reduced = derivations.leibniz_kernels(blocks, G, None, size)
+    every = derivations.leibniz_kernels(BlockKernels(blocks), G)
+    reduced = derivations.leibniz_kernels(BlockKernels(blocks, P, G, stop_at_ad=False), G)
     assert list(reduced) == [shift for shift in every if shift in size]
     for rep, kern in reduced.items():
         assert kern.basis() == every[rep].basis(), rep

@@ -1,6 +1,7 @@
 """Far tier: `build`, `check` and `certify` end to end on the largest models.
 
-These take minutes and are deselected by default; run them with
+Together they take about half a minute on a 2-core machine and are
+deselected by default; run them with
 
     PYTHONPATH=src python -m pytest -m slow
 """
