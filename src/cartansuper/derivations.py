@@ -837,7 +837,9 @@ def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
     That triple is the Leibniz row of the pair (g, y) applied to ad(u); the
     pair (y, g) follows by anticommutativity, and Leibniz on G x L gives
     Leibniz on L x L once L passes `check_axioms` (see the module
-    docstring).  At most (dim L' - dim L) * |G| * dim L triples."""
+    docstring).  Of the (dim L' - dim L) * |G| * dim L triples,
+    `jacobi_violation` evaluates only those at which a term can be
+    nonzero."""
     ext, m = P.ext, P.dim_l
     if not lprime_extends_l(P):
         return False

@@ -22,10 +22,14 @@ Axioms checked by :func:`check_axioms`:
 * weight additivity  [L_a, L_b] <= L_{a+b}
 
 Jacobi can be proved on a generating set: :func:`generators` picks basis
-elements whose closure under their own adjoint maps is all of L.  Once the
+elements whose closure under their own adjoint maps is all of L, taking
+candidates lowest degree first, then from the highest degree down.  Once the
 pair scan has passed, the proving scans test only half of the (y, z):
 y < z, and y = z for an odd y (see :func:`check_axioms`).  One kernel,
-:func:`jacobi_violation`, evaluates the triples on the table read as rows.
+:func:`jacobi_violation`, serves the proving scans, the sampled one and
+`derivations.outer_ads_are_derivations`.  For each (x, y) it visits only
+the z at which a term of J(x, y, z) can be nonzero, reached through the
+table's entries; at every other z all three terms are zero.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .exterior import mono_str, parse_mono
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
@@ -274,10 +278,17 @@ def generators(
 
     The closure of G is the smallest subspace that contains G and is closed
     under ad g for every g in G.  Candidates (every basis index by default)
-    are taken in order of degree, then index; one joins G when it is not in
-    the closure of the G chosen so far, so from the default candidates G
-    always exists, the whole basis at worst.  None means the candidates ran
-    out before the closure was all of L.
+    are taken lowest degree of L first, then from the highest degree down,
+    each degree by index; one joins G when it is not in the closure of the
+    G chosen so far, so from the default candidates G always exists, the
+    whole basis at worst.  None means the candidates ran out before the
+    closure was all of L.
+
+    The order is a rule on the grading, not on a family or an n.  For W(n),
+    G is the n vectors d_i of the lowest degree and the n of the top
+    degree: ad d_i applied again and again to x_1...x_n d_k gives every
+    x^S d_k.  A smaller G makes every scan on G x L smaller: Jacobi here,
+    and the Leibniz rows and the sigma checks in `derivations`.
 
     The closure is computed exactly from the bracket table and uses no
     Jacobi identity, so it can be trusted on a table not yet known to be a
@@ -294,7 +305,9 @@ def generators(
     span: List[IntVec] = []  # a basis of the closure, as found
     applied: List[int] = []  # per span vector, how many generators it has met
     G: List[int] = []
-    for g in sorted(set(candidates), key=lambda i: (A.degree[i], i)):
+    degree = A.degree
+    low = min(degree, default=0)
+    for g in sorted(set(candidates), key=lambda i: (degree[i] != low, -degree[i], i)):
         if not kern:
             break
         if not kern.cut({g: 1}):
@@ -345,11 +358,16 @@ def check_axioms(
     J(x, y, z) = [x, [y, z]] - [[x, y], z] - (-1)^{|x||y|} [y, [x, z]],
     anticommutativity and parity additivity, both checked on every pair
     first, give J(x, z, y) = -(-1)^{|y||z|} J(x, y, z), so J(x, y, y) = 0
-    for an even y.
+    for an even y.  Of these triples, `jacobi_violation` evaluates only
+    those at which a term of J can be nonzero (the proof is in its
+    docstring); the rest are zero, and ``triples_checked`` counts them all.
 
     The first violation, if any, is reported with the offending pair or
     triple; a pair fault is the first in row-major order over the pairs
-    (i, j), i <= j, and ``pairs_checked`` counts the pairs up to it.
+    (i, j), i <= j, and ``pairs_checked`` counts the pairs up to it.  A
+    Jacobi fault is the first failing triple in scan order, (x, y, z) with
+    x in the order of G (or of the samples), and ``triples_checked``
+    counts the triples of the scan up to it.
     """
     dim = A.dim
     pairs = dim * (dim + 1) // 2
@@ -385,10 +403,11 @@ def check_axioms(
         )
     else:
         rng = random.Random(seed)
-        groups = (
-            (rng.randrange(dim), rng.randrange(dim), (rng.randrange(dim),))
+        draws = (
+            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
             for _ in range(jacobi_triples)
         )
+        groups = ((i, j, range(k, k + 1)) for i, j, k in draws)
 
     triples, bad = jacobi_violation(A, groups)
     if bad is not None:
@@ -421,48 +440,78 @@ def _pair_fault(A: AlgebraModel, i: int, j: int) -> Optional[str]:
 
 
 def jacobi_violation(
-    A: AlgebraModel, groups: Iterable[Tuple[int, int, Sequence[int]]]
+    A: AlgebraModel, groups: Iterable[Tuple[int, int, range]]
 ) -> Tuple[int, Optional[Tuple[int, int, int]]]:
-    """Test J(i, j, k) = [i, [j, k]] - [[i, j], k] - (-1)^{|i||j|} [j, [i, k]]
-    = 0 on the basis triples (i, j, k), k in ks, of each group (i, j, ks)
-    in turn, from A's table read as rows, rows[a][b] = [a, b].  Returns the
-    number of triples tested and the first failing one, or None when all
-    hold."""
-    rows: List[Dict[int, Vec]] = [{} for _ in range(A.dim)]
+    """Test J(x, y, z) = [x, [y, z]] - [[x, y], z] - (-1)^{|x||y|} [y, [x, z]]
+    = 0 on the basis triples (x, y, z), z in zs, of each group (x, y, zs) in
+    turn, zs a range of step 1.  Returns the number of triples, in group
+    and then zs order, up to the first failing one, and that triple; or the
+    number of all of them and None when every triple holds.
+
+    Each group visits only the z at which a term of J(x, y, z) can be
+    nonzero, and adds up the terms of all three at once, from A's table
+    read as rows, rows[a][b] = [a, b]:
+
+    * [x, [y, z]]: the z with [y, z] a table entry, through each term m of
+      [y, z] at which ad x is nonzero;
+    * [[x, y], z]: through each term m of [x, y], the z with [m, z] nonzero;
+    * [y, [x, z]]: through each m with [y, m] nonzero, the z whose [x, z]
+      has a term m (the columns of ad x, built once per x).
+
+    At any other z all three terms are zero by bilinearity: [x, [y, z]]
+    needs a term m of [y, z] with [x, m] nonzero, [[x, y], z] a term m of
+    [x, y] with [m, z] nonzero, and [y, [x, z]] a term m of [x, z] with
+    [y, m] nonzero.  So J(x, y, z) = 0 there, and the sums at the visited z
+    are J itself.
+    """
+    dim = A.dim
+    rows: List[Dict[int, Vec]] = [{} for _ in range(dim)]
     for (a, b), w in A.table.items():
         if w:
             rows[a][b] = w
     parity = A.parity
+    # per x, the columns of ad x: m -> [(z, the m-term of [x, z])]
+    columns: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
     count = 0
-    for i, j, ks in groups:
-        ri, rj = rows[i], rows[j]
-        s = -1 if parity[i] and parity[j] else 1
-        ij = [(c, rows[m]) for m, c in ri.get(j, {}).items()]
-        for k in ks:
-            out: Vec = {}
-            jk = rj.get(k)
-            if jk:
-                for m, c in jk.items():
-                    w = ri.get(m)
-                    if w:
+    for x, y, zs in groups:
+        rx, ry = rows[x], rows[y]
+        cols = columns.get(x)
+        if cols is None:
+            cols = columns[x] = {}
+            for z, w in rx.items():
+                for m, c in w.items():
+                    cols.setdefault(m, []).append((z, c))
+        lo, hi = zs.start, zs.stop
+        out: Dict[int, int] = {}  # the t-term of J(x, y, z) at z * dim + t
+        get = out.get
+        for z, w in ry.items():
+            if lo <= z < hi:
+                for m, c in w.items():
+                    xm = rx.get(m)
+                    if xm:
+                        for t, d in xm.items():
+                            key = z * dim + t
+                            out[key] = get(key, 0) + c * d
+        xy = rx.get(y)
+        if xy:
+            for m, c in xy.items():
+                for z, w in rows[m].items():
+                    if lo <= z < hi:
                         for t, d in w.items():
-                            out[t] = out.get(t, 0) + c * d
-            for c, rm in ij:
-                w = rm.get(k)
-                if w:
+                            key = z * dim + t
+                            out[key] = get(key, 0) - c * d
+        s = -1 if parity[x] and parity[y] else 1
+        for m, w in ry.items():
+            for z, c in cols.get(m, ()):
+                if lo <= z < hi:
+                    c *= s
                     for t, d in w.items():
-                        out[t] = out.get(t, 0) - c * d
-            ik = ri.get(k)
-            if ik:
-                for m, c in ik.items():
-                    w = rj.get(m)
-                    if w:
-                        c *= s
-                        for t, d in w.items():
-                            out[t] = out.get(t, 0) - c * d
-            if any(out.values()):
-                return count + ks.index(k) + 1, (i, j, k)
-        count += len(ks)
+                        key = z * dim + t
+                        out[key] = get(key, 0) - c * d
+        if any(out.values()):
+            z = min(key for key, v in out.items() if v) // dim
+            return count + z - lo + 1, (x, y, z)
+        count += len(zs)
     return count, None
 
 

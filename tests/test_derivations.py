@@ -349,6 +349,52 @@ def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
     assert report.dim_der == 64 and report.dim_lprime == 65
 
 
+def outer_jacobi_fails(P: LPrimeModel, G) -> bool:
+    """Whether a Jacobi triple (u, g, y) of L', u outside L, g in G and y in
+    L, fails, one triple at a time through the bilinear bracket."""
+    ext = P.ext
+    for u in range(P.dim_l, P.dim_lprime):
+        for g in G:
+            for y in range(P.dim_l):
+                s = -1 if ext.parity[u] and ext.parity[g] else 1
+                lhs = ext.bracket({u: 1}, ext.bracket_basis(g, y))
+                rhs = ext.bracket(ext.bracket_basis(u, g), {y: 1})
+                for k, c in ext.bracket({g: 1}, ext.bracket_basis(u, y)).items():
+                    rhs[k] = rhs.get(k, 0) + s * c
+                if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("spec", [("S", 4), ("H", 5), ("H", 6)])
+def test_outer_ads_refuse_a_planted_outer_fault(pairs, spec):
+    # [u, b] and [b, u] for an outer u of L' and b in L, both moved by the
+    # same basis vector of L in their cell: L' still brackets L x L as L
+    # does, so only the triples (u, g, y) can see the edit
+    A, P = pairs[spec]
+    G = generators(A)
+    assert derivations.outer_ads_are_derivations(P, G) and not outer_jacobi_fails(P, G)
+    ext, rng = P.ext, random.Random(24)
+    refused = 0
+    while refused < 3:
+        u, b = rng.randrange(P.dim_l, P.dim_lprime), rng.randrange(P.dim_l)
+        cell = (ext.deg_add(ext.degree[u], ext.degree[b]),
+                tuple(p + q for p, q in zip(ext.weight[u], ext.weight[b])))
+        parity = (ext.parity[u] + ext.parity[b]) % 2
+        targets = [t for t in range(P.dim_l) if ext.cell_of(t) == cell and ext.parity[t] == parity]
+        if not targets:
+            continue
+        ub = dict(ext.bracket_basis(u, b))
+        t = rng.choice(targets)
+        ub[t] = ub.get(t, 0) + 1
+        sign = 1 if ext.parity[u] and ext.parity[b] else -1
+        bad = with_table(P, {(u, b): ub, (b, u): {k: sign * c for k, c in ub.items()}})
+        assert derivations.lprime_extends_l(bad)
+        assert outer_jacobi_fails(bad, G)
+        assert not derivations.outer_ads_are_derivations(bad, G)
+        refused += 1
+
+
 @pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
 def test_report_stops_each_block_at_its_target(pairs, spec, monkeypatch):
     # a regression to reducing every row fails here, not only in the benchmark

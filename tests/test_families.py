@@ -488,7 +488,10 @@ def test_lprime_models():
         if A.family in ("W", "Stilde"):
             assert P.ext is A
         else:
-            assert check_axioms(P.ext, jacobi_triples=3000, seed=2).ok
+            rep = check_axioms(P.ext)  # the full proving scan
+            assert rep.ok, rep.first_violation
+            dim = P.ext.dim
+            assert rep.triples_checked == dim * (dim * (dim - 1) // 2 + sum(P.ext.parity))
 
 
 def test_lprime_euler_acts_as_degree():

@@ -1,6 +1,7 @@
 """Algebra container: bracket table, axioms, bigrading, serialization."""
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -42,6 +43,11 @@ def H5():
 def halved(A):
     """The (y, z) a proving Jacobi scan visits per x: y < z, and y = z odd."""
     return A.dim * (A.dim - 1) // 2 + sum(A.parity)
+
+
+def halved_groups(A, xs):
+    """The groups (x, y, zs) of a proving scan over the x in xs."""
+    return ((x, y, range(y + 1 - A.parity[y], A.dim)) for x in xs for y in range(A.dim))
 
 
 def unit(A, desc_str):
@@ -192,13 +198,17 @@ def test_pair_scan_names_each_planted_fault(spec):
 
 
 @pytest.mark.parametrize("spec, size", [
-    (("W", 4), 12), (("S", 4), 12), (("Stilde", 4), 4), (("H", 5), 12), (("H", 6), 17),
+    (("W", 4), 8), (("S", 4), 8), (("Stilde", 4), 4), (("H", 5), 7), (("H", 6), 8),
 ])
 def test_generators_of_desk_models(spec, size):
+    # candidates lowest degree first, then from the highest degree down,
+    # each degree by index
     A = build(*spec)
     G = generators(A)
     assert len(G) == size
-    assert G == sorted(G, key=lambda i: (A.degree[i], i))
+    low = min(A.degree)
+    assert G == sorted(G, key=lambda i: (A.degree[i] != low, -A.degree[i], i))
+    assert A.degree[G[0]] == low
     # the chosen set is a generating set in its own right
     assert generators(A, G) == G
     rep = check_axioms(A, generating_set=G)
@@ -246,36 +256,49 @@ def test_jacobi_is_checked_on_fractional_structure_constants(H5):
         key: {k: Fraction(c, 3) for k, c in w.items()} for key, w in H5.table.items()
     }
     G = generators(H5)
-
-    def on_g():
-        return (
-            (g, y, range(y + 1 - third.parity[y], third.dim))
-            for g in G for y in range(third.dim)
-        )
-
     assert check_axioms(third).ok
-    assert jacobi_violation(third, on_g())[1] is None
+    assert jacobi_violation(third, halved_groups(third, G))[1] is None
     key = min(k for k, w in third.table.items() if w)
     third.table[key] = {k: c / 2 for k, c in third.table[key].items()}
     third.table[key[::-1]] = {k: c / 2 for k, c in third.table[key[::-1]].items()}
     assert not check_axioms(third).ok
-    assert jacobi_violation(third, on_g())[1] is not None
+    assert jacobi_violation(third, halved_groups(third, G))[1] is not None
+
+
+def jacobi_fails(A, x, y, z):
+    """Whether Jacobi fails at the basis triple (x, y, z), computed through
+    the bilinear bracket, with no row index and no skipped triple."""
+    s = -1 if A.parity[x] and A.parity[y] else 1
+    lhs = A.bracket({x: 1}, A.bracket_basis(y, z))
+    rhs = A.bracket(A.bracket_basis(x, y), {z: 1})
+    for k, c in A.bracket({y: 1}, A.bracket_basis(x, z)).items():
+        rhs[k] = rhs.get(k, 0) + s * c
+    return {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}
 
 
 def jacobi_oracle(A, G):
-    """Jacobi on every triple of G x L x L, one triple at a time through the
-    bilinear bracket, with no halving and no row index."""
-    for x in G:
+    """Jacobi on every triple of G x L x L, one triple at a time, with no
+    halving."""
+    return not any(
+        jacobi_fails(A, x, y, z) for x in G for y in range(A.dim) for z in range(A.dim)
+    )
+
+
+def scan_oracle(A, xs):
+    """The report of a proving scan over the x in xs, for a table whose
+    pair scan passes, one triple at a time: every triple (x, y, z) with
+    y < z, or y = z odd, in that order, up to the first at which Jacobi
+    fails."""
+    pairs, count = A.dim * (A.dim + 1) // 2, 0
+    for x in xs:
         for y in range(A.dim):
-            for z in range(A.dim):
-                s = -1 if A.parity[x] and A.parity[y] else 1
-                lhs = A.bracket({x: 1}, A.bracket_basis(y, z))
-                rhs = A.bracket(A.bracket_basis(x, y), {z: 1})
-                for k, c in A.bracket({y: 1}, A.bracket_basis(x, z)).items():
-                    rhs[k] = rhs.get(k, 0) + s * c
-                if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
-                    return False
-    return True
+            for z in range(y + 1 - A.parity[y], A.dim):
+                count += 1
+                if jacobi_fails(A, x, y, z):
+                    return {"ok": False, "pairs_checked": pairs, "triples_checked": count,
+                            "first_violation": f"Jacobi fails at triple ({x},{y},{z})"}
+    return {"ok": True, "pairs_checked": pairs, "triples_checked": count,
+            "first_violation": None}
 
 
 def edited(A, entries):
@@ -314,22 +337,20 @@ def test_halved_scan_catches_faults_seen_at_j_above_k(spec):
         j, k, B = jacobi_only_fault(A, rng)
         assert check_axioms(B, jacobi_triples=0).ok  # the pair scan passes
         G = generators(B)
-        if not any(jacobi_violation(B, [(g, k, (j,))])[1] for g in G):
+        if not any(jacobi_violation(B, [(g, k, range(j, j + 1))])[1] for g in G):
             continue
         assert not check_axioms(B, generating_set=G).ok, (j, k)
         assert not check_axioms(B).ok, (j, k)
         caught += 1
 
 
-@pytest.mark.parametrize("spec", DESK)
-def test_halved_scan_catches_odd_self_bracket_faults(spec):
-    # [j, j] for an odd j is symmetric, so the pair scan cannot see an edit
-    # to it, and the triples (g, j, j) stay in the scan.  Twice the weight
-    # of an odd j is no weight of W, S or H, so the edit is made on a copy
-    # that forgets the weights, which the Jacobi scan never reads.
-    A = edited(build(*spec), {})
+def odd_self_bracket_faults(A):
+    """(j, B) for each odd j of A that has an even t of twice its degree: B
+    is a copy of A with t added to [j, j].  [j, j] is symmetric, so the pair
+    scan cannot see the edit.  Twice the weight of an odd j is no weight of
+    W, S or H, so B forgets the weights, which the Jacobi scan never reads."""
+    A = edited(A, {})
     A.weight = [()] * A.dim
-    planted = 0
     for j in range(A.dim):
         if not A.parity[j]:
             continue
@@ -339,10 +360,17 @@ def test_halved_scan_catches_odd_self_bracket_faults(spec):
             continue
         jj = dict(A.bracket_basis(j, j))
         jj[t] = jj.get(t, 0) + 1
-        B = edited(A, {(j, j): jj})
+        yield j, edited(A, {(j, j): jj})
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_halved_scan_catches_odd_self_bracket_faults(spec):
+    # the triples (g, j, j) for an odd j stay in the scan
+    planted = 0
+    for j, B in odd_self_bracket_faults(build(*spec)):
         assert check_axioms(B, jacobi_triples=0).ok
         G = generators(B)
-        assert jacobi_violation(B, [(g, j, (j,)) for g in G])[1] is not None
+        assert jacobi_violation(B, [(g, j, range(j, j + 1)) for g in G])[1] is not None
         assert not check_axioms(B, generating_set=G).ok, j
         assert not check_axioms(B).ok, j
         planted += 1
@@ -365,21 +393,42 @@ def test_odd_self_bracket_fault_seen_only_at_y_y_y():
     broken = model({1: 1})
     assert generators(broken) == [0]
     assert jacobi_oracle(broken, range(1, 3))
-    assert jacobi_violation(broken, [(0, 0, (1, 2)), (0, 1, range(3)), (0, 2, range(3))])[1] is None
+    assert jacobi_violation(broken, [(0, 0, range(1, 3)), (0, 1, range(3)), (0, 2, range(3))])[1] is None
     for rep in (check_axioms(broken, generating_set=[0]), check_axioms(broken)):
         assert rep.first_violation == "Jacobi fails at triple (0,0,0)"
 
 
 @pytest.mark.parametrize("spec", DESK)
 def test_halved_scan_agrees_with_the_per_triple_oracle(spec):
+    # the whole report, the first violation and the triple count included,
+    # in generator and full mode: on the model, on Jacobi-only faults (two
+    # of them seen at a triple (g, k, j) with j < k, which the scan skips and
+    # reaches through its mirror) and on odd [j, j] edits
     A = build(*spec)
     G = generators(A)
-    assert jacobi_oracle(A, G) and check_axioms(A, generating_set=G).ok
+    assert jacobi_oracle(A, G)
+    assert check_axioms(A, generating_set=G).as_dict() == scan_oracle(A, G)
     rng = random.Random(sum(map(ord, spec[0])) + spec[1])
-    for _ in range(8):
-        _, _, B = jacobi_only_fault(A, rng)
+    faults, above = [], 0
+    while len(faults) < 8 or above < 2:
+        j, k, B = jacobi_only_fault(A, rng)
+        seen_above = any(jacobi_fails(B, g, k, j) for g in generators(B))
+        if len(faults) < 8 or seen_above:
+            faults.append(B)
+            above += seen_above
+    faults += [B for _, B in itertools.islice(odd_self_bracket_faults(A), 3)]
+    for B in faults:
         G = generators(B)
+        assert check_axioms(B, jacobi_triples=0).ok  # the pair scan passes
         assert check_axioms(B, generating_set=G).ok == jacobi_oracle(B, G)
+        assert check_axioms(B, generating_set=G).as_dict() == scan_oracle(B, G)
+        assert check_axioms(B).as_dict() == scan_oracle(B, range(B.dim))
+        # these faults are first seen at x = G[0]; with G reversed, the
+        # first failure is at another generator
+        rep = scan_oracle(B, G[::-1])
+        count, bad = jacobi_violation(B, halved_groups(B, G[::-1]))
+        assert count == rep["triples_checked"]
+        assert rep["first_violation"] == "Jacobi fails at triple ({},{},{})".format(*bad)
 
 
 def test_bigrade_blocks_w4(W4):
