@@ -54,8 +54,13 @@ sigma of the group the run checks:
   is checked for the outer elements of L' against L, with L' bracketing
   L x L as L does;
 * sigma maps each cell (d, w) of L into the cell (d, M w) for one integer
-  matrix M (`weight_map`), and the shift map (d, a) -> (d, M a) permutes
-  the blocks, keeping their sizes.
+  matrix M (`cell_map`), and the shift map it induces permutes the blocks,
+  keeping their sizes.  The check is made on cells, and it gives the
+  blocks: an entry (a, b) of block (d, a) pairs the cells (da, wa) and
+  (db, wb) with da - db = d (mod n for Stilde) and wa - wb = a; sigma
+  sends them to (da, M wa) and (db, M wb), whose shift is (d, M a) for
+  every such pair.  So sigma D sigma^-1 sends block s into the one block
+  sigma s, which `block_orbits` reads from a single pair of cells of s.
 
 Then sigma, which is injective, is an automorphism of L, so D -> sigma D
 sigma^-1 maps Der_s into Der_{sigma s} and ad(u) to ad(sigma u): both
@@ -66,6 +71,24 @@ representative r of each orbit gives it on the whole orbit, and
 dim Der L = sum over r of |orbit of r| * dim Der_r.  If any check fails,
 every block is its own representative and every block is solved, as when
 `check_axioms` has not passed.
+
+Blocks and cell pairs are named by ints (`cell_codes`, `BlockSystem`).  A
+cell (d, w) gets the code sum_p x_p base^p over x = (d, *w), and the pair
+of a target cell ca and a source cell cb the code difference
+code(ca) - code(cb).  The base exceeds the spread of every entry of such a
+difference (and of the differences c - c' - c'' of three cells that
+`leibniz_rows` names), and an expansion in it whose digits lie in one
+interval of base consecutive integers is unique, so two pairs have equal
+code differences exactly when their (da - db, wa - wb) are equal.  Each
+code difference is mapped once to its block's (degree, weight) key; for
+Stilde, whose degree lives in Z_n, the degree differences da - db and
+da - db -+ n give one block, and both code differences are mapped to it
+and merged there.  A `BlockSystem` learns every block's size from the
+code differences alone; it lays out a block's sorted flat ids and local
+ids only when the block is first used, so a run that solves one block per
+orbit lays out those blocks only, and one that falls back to every block
+(a refused sigma, no passed axiom scan, or `certify` run again after a
+reduced INCONCLUSIVE) lays out the rest then.
 
 A reference path feeds the rows of every pair, as Fractions, through one
 global elimination without using G, the block structure or the integer
@@ -85,6 +108,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -244,14 +268,10 @@ def leibniz_rows(
     every_cell = [True] * len(cells)
     # the shift of row k depends on the pair only through the cell of its
     # bracket, and on k only through k's cell: per bracket cell, the shift
-    # of each cell's rows.  A cell is coded as the int sum_p x_p base^p
-    # over its entries x = (d, *w), which is linear in them, and base is
-    # more than twice any entry of c - c' - c'' for cells c, c', c'', so
-    # code(c) - code(c') - code(c'') tells that difference apart: the
-    # shift of the rows in cell c of the pair (i, j) is computed once per
-    # value of code(c) - code(i) - code(j)
-    base = 6 * max(abs(x) for d, w in cells for x in (d, *w)) + 1
-    code = [sum(x * base ** p for p, x in enumerate((d, *w))) for d, w in cells]
+    # of each cell's rows.  code(c) - code(i) - code(j) tells the
+    # differences c - c' - c'' of cells apart (`cell_codes`), so the shift
+    # of the rows in cell c of the pair (i, j) is computed once per value
+    code = cell_codes(cells)
     shifts_into: Dict[int, List[Shift]] = {}
     named: Dict[int, Shift] = {}
     for i in range(dim):
@@ -316,36 +336,158 @@ def leibniz_rows(
                 yield shift, row
 
 
+def cell_codes(cells: List[Cell]) -> List[int]:
+    """Each cell's linear integer code, sum_p x_p base^p over its entries
+    x = (d, *w), with base = 3 (hi - lo) + 1 for the least and greatest
+    entries lo and hi of the cells.
+
+    The code tells apart the differences c - c' of two cells, and the
+    differences c - c' - c'' of three.  Each entry of the first kind lies in
+    [lo - hi, hi - lo], of the second in [lo - 2 hi, hi - 2 lo], intervals of
+    at most base consecutive integers, and an int has at most one expansion
+    sum_p y_p base^p with every digit y_p in a given such interval (at the
+    least p where two expansions differ, base would divide the difference of
+    their digits, which is smaller than base).  So two differences of the
+    same kind are equal exactly when their codes are.
+    """
+    entries = [x for d, w in cells for x in (d, *w)]
+    base = 3 * (max(entries) - min(entries)) + 1
+    return [sum(x * base ** p for p, x in enumerate((d, *w))) for d, w in cells]
+
+
+class _Layout(Mapping):
+    """A `BlockSystem` view keyed by every block, each block laid out on
+    first use."""
+
+    __slots__ = ("_blocks", "_data")
+
+    def __init__(self, blocks: "BlockSystem", data: dict):
+        self._blocks = blocks
+        self._data = data
+
+    def __getitem__(self, shift: Shift):
+        try:
+            return self._data[shift]
+        except KeyError:
+            self._blocks.lay_out((shift,))
+            return self._data[shift]
+
+    def __contains__(self, shift: object) -> bool:
+        return shift in self._blocks.size
+
+    def __iter__(self):
+        return iter(self._blocks.size)
+
+    def __len__(self) -> int:
+        return len(self._blocks.size)
+
+    # a walk over every block lays them all out at once, not one by one
+    def values(self):
+        self._blocks.lay_out(self._blocks.size)
+        return super().values()
+
+    def items(self):
+        self._blocks.lay_out(self._blocks.size)
+        return super().items()
+
+
 class BlockSystem:
     """The bigrade block layout of End(L), shared by both machine checks.
 
     The entry (a, b) of a map, flat id a * dim + b, sends the cell of b
     into the cell of a; its block is the shift between the two cells.
-    Each block lists its flat ids in sorted order, and an entry's local id
-    is its position there.  Parity 0 or 1 keeps only the blocks of that
-    Z_2-shift.
+    Each block lists its flat ids in sorted order (`entries`), and an
+    entry's local id is its position there (`local`).  Parity 0 or 1 keeps
+    only the blocks of that Z_2-shift.
+
+    A pair of cells (ca, cb) is named by the difference of their codes
+    (`cell_codes`), code(ca) - code(cb), which tells (da - db, wa - wb)
+    apart; `named` maps it to the pair's block, None for a block the
+    parity leaves out.  Under the Z_n degree of Stilde the block's degree
+    is da - db taken mod n, so up to two code differences name one block,
+    and they are merged there: the block's size counts the entries of
+    both, and its layout walks the pairs of both.  The blocks are keyed
+    (degree, weight) as `cell_shift` gives them, in the order in which the
+    pairs (source outer, target inner) first reach them.
+
+    Construction walks every pair of cells on ints only, to learn each
+    block's size (`size`) and one pair that realises it (`pair`, as the
+    codes of its target and source cells).  A
+    block's sorted flat ids and local ids are laid out on first use:
+    `BlockKernels` lays out the blocks it solves when it opens them, and
+    `entries` and `local` lay out any other block they are asked for.
     """
 
     def __init__(self, A: AlgebraModel, parity: Optional[int] = None):
         self.A = A
         self.cells = A.cells()
-        dim = A.dim
-        self.entries: Dict[Shift, List[int]] = {}
-        for cb, bs in self.cells.items():
-            for ca, as_ in self.cells.items():
-                shift = self.cell_shift(A, ca, cb)
-                if parity is not None and shift[0] % 2 != parity:
-                    continue
-                self.entries.setdefault(shift, []).extend(
-                    a * dim + b for a in as_ for b in bs
-                )
-        self.local: Dict[Shift, Dict[int, int]] = {}
-        for shift, entries in self.entries.items():
+        codes = cell_codes(list(self.cells))
+        self.code: Dict[Cell, int] = dict(zip(self.cells, codes))
+        # the basis indices of each cell, by code
+        self._members: Dict[int, List[int]] = dict(zip(codes, self.cells.values()))
+        # the entry count of each code difference, and the source code of
+        # the first pair that makes it
+        count: Dict[int, int] = {}
+        source: Dict[int, int] = {}
+        sized = [(code, len(members)) for code, members in self._members.items()]
+        for code_b, nb in sized:
+            for code_a, na in sized:
+                diff = code_a - code_b
+                if diff in count:
+                    count[diff] += na * nb
+                else:
+                    count[diff] = na * nb
+                    source[diff] = code_b
+        cell_at = dict(zip(codes, self.cells))
+        self.named: Dict[int, Optional[Shift]] = {}
+        self.size: Dict[Shift, int] = {}
+        self.pair: Dict[Shift, Tuple[int, int]] = {}
+        # the code differences that name each block
+        self._diffs: Dict[Shift, List[int]] = {}
+        for diff, n in count.items():
+            code_b = source[diff]
+            shift = self.cell_shift(A, cell_at[code_b + diff], cell_at[code_b])
+            if parity is not None and shift[0] % 2 != parity:
+                self.named[diff] = None
+                continue
+            diffs = self._diffs.setdefault(shift, [])
+            if diffs:
+                shift = self.named[diffs[0]]  # the block's own key
+            diffs.append(diff)
+            self.named[diff] = shift
+            self.size[shift] = self.size.get(shift, 0) + n
+            self.pair.setdefault(shift, (code_b + diff, code_b))
+        self._entries: Dict[Shift, List[int]] = {}
+        self._local: Dict[Shift, Dict[int, int]] = {}
+        self.entries: Mapping[Shift, List[int]] = _Layout(self, self._entries)
+        self.local: Mapping[Shift, Dict[int, int]] = _Layout(self, self._local)
+
+    def lay_out(self, shifts: Iterable[Shift]) -> None:
+        """Lay out the blocks of ``shifts`` that are not laid out yet: one
+        walk over the source cells, matching each to the target cells of
+        those blocks, through their code differences or through every cell,
+        whichever is fewer.  A KeyError for a shift that is no block."""
+        todo = {
+            diff: shift
+            for shift in shifts if shift not in self._entries
+            for diff in self._diffs[shift]
+        }
+        if not todo:
+            return
+        dim, members = self.A.dim, self._members
+        found: Dict[Shift, List[int]] = {shift: [] for shift in todo.values()}
+        for code_b, bs in members.items():
+            if len(todo) < len(members):
+                hits = [(shift, members.get(code_b + diff)) for diff, shift in todo.items()]
+            else:
+                hits = [(todo.get(code_a - code_b), as_) for code_a, as_ in members.items()]
+            for shift, as_ in hits:
+                if shift is not None and as_ is not None:
+                    found[shift].extend([a * dim + b for a in as_ for b in bs])
+        for shift, entries in found.items():
             entries.sort()
-            self.local[shift] = {key: i for i, key in enumerate(entries)}
-        # each source cell's `reach` list
-        self._cell_reach: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
-        self._keys: Dict[Shift, Shift] = {shift: shift for shift in self.entries}
+            self._entries[shift] = entries
+            self._local[shift] = {key: i for i, key in enumerate(entries)}
 
     @staticmethod
     def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
@@ -371,18 +513,16 @@ class BlockSystem:
         ]
         return Subspace.from_vectors(rows, self.A.dim ** 2)
 
-    def reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
+    def reach(self, cb: Cell, among: Optional[Set[Shift]] = None) -> List[Tuple[Shift, Cell]]:
         """The (shift, target cell) pairs of the blocks with entries in the
-        columns of cell cb, in cell order, built once per cell.  The shifts
-        are the blocks' own keys, not a fresh tuple per pair."""
-        targets = self._cell_reach.get(cb)
-        if targets is None:
-            keys = self._keys
-            shifts = ((keys.get(self.cell_shift(self.A, ca, cb)), ca) for ca in self.cells)
-            targets = self._cell_reach[cb] = [
-                (shift, ca) for shift, ca in shifts if shift is not None
-            ]
-        return targets
+        columns of cell cb, in cell order, read from the code differences;
+        with ``among``, only the blocks in it.  The shifts are the blocks'
+        own keys, not a fresh tuple per pair."""
+        named, code_b = self.named, self.code[cb]
+        pairs = ((named[code_a - code_b], ca) for ca, code_a in self.code.items())
+        if among is None:
+            return [(shift, ca) for shift, ca in pairs if shift is not None]
+        return [(shift, ca) for shift, ca in pairs if shift in among]
 
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,
@@ -403,10 +543,13 @@ class BlockKernels:
     Given P and G, a generating set of L, one block per symmetry orbit is
     solved (`block_orbits`, see the module docstring), each kept with the
     size of its orbit (`orbit_size`); otherwise every block of ``blocks``
-    is.  `space` holds each solved block's kernel over its local ids, the
-    `IntKernel` of the rows cut into it: a cut reduces the row fraction-free
-    against the rows kept so far and keeps what is left, so the space
-    shrinks exactly when the row is independent of them.  Rows reach it
+    is.  The solved blocks are laid out here, in one walk, and no other
+    (`BlockSystem.lay_out`); a core built later on the same ``blocks``
+    lays out only the blocks that are new to it.  `space` holds each solved
+    block's kernel over its local ids, the `IntKernel` of the rows cut into
+    it: a cut reduces the row fraction-free against the rows kept so far
+    and keeps what is left, so the space shrinks exactly when the row is
+    independent of them.  Rows reach it
     only through `_cut`.  Given P, `ad_pivots` holds ad L'_s on each solved
     block as integer echelon rows (`ad_blocks`).
 
@@ -431,12 +574,12 @@ class BlockKernels:
                  G: Optional[List[int]] = None, stop_at_ad: bool = True):
         self.blocks = blocks
         self.orbit_size = Counter(
-            block_orbits(P, G, blocks).values() if G is not None else blocks.entries.keys()
+            block_orbits(P, G, blocks).values() if G is not None else blocks.size.keys()
         )
         self.space: Dict[Shift, IntKernel] = {
-            shift: IntKernel(len(entries))
-            for shift, entries in blocks.entries.items() if shift in self.orbit_size
+            shift: IntKernel(n) for shift, n in blocks.size.items() if shift in self.orbit_size
         }
+        blocks.lay_out(self.space)
         self.ad_pivots = ad_blocks(P, blocks, self.space) if P is not None else {}
         self._target = {
             shift: len(self.ad_pivots.get(shift, ())) if stop_at_ad else 0
@@ -501,11 +644,11 @@ def ad_blocks(
         shift = (ext.degree[u], ext.weight[u])
         if not cols:
             raise ValueError(f"ad is not injective on L' (basis {u})")
-        if shift not in blocks.entries:
+        if shift not in blocks.size:
             raise ValueError("ad(u) hits a shift outside the block pattern")
         if shift not in solved:
             continue
-        kern = span.setdefault(shift, IntKernel(len(blocks.entries[shift])))
+        kern = span.setdefault(shift, IntKernel(blocks.size[shift]))
         kern.cut(blocks.localize(shift, EndMap(P.dim_l, cols).to_flat()))
     return {shift: kern.rows for shift, kern in span.items()}
 
@@ -535,24 +678,39 @@ def xi_permutations(family: str, n: int) -> List[Tuple[Tuple[int, ...], bool]]:
     """Generators of the family's index symmetry, each as (pi, flip): xi_i
     goes to xi_{pi[i-1]}, after xi_1 -> -xi_1 when flip is set.
 
-    W and S: the adjacent transpositions.  Stilde: the same, each with the
-    flip, because an odd pi multiplies xi_1...xi_n by -1.  H: the swap
-    1 <-> 1' and the swaps of the pairs (i, i') and (i+1, (i+1)'), which
-    commute with `involution`.
+    W and S: the transposition (1 2) and the cycle (1 2 ... n), which
+    generate every permutation.  Stilde: the same, each with the flip when
+    it is odd, because an odd pi multiplies xi_1...xi_n by -1.  H: the swap
+    1 <-> 1', the swap of the pairs (1, 1') and (2, 2'), and the cycle of
+    the pairs (i, i'), i = 1 .. n // 2, which generate every permutation
+    that commutes with `involution`.  A generator that repeats an earlier
+    one, as for small n, is left out.
     """
-    def swapping(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
+    def moving(*cycles: Tuple[int, ...]) -> Tuple[int, ...]:
         pi = list(range(1, n + 1))
-        for a, b in pairs:
-            pi[a - 1], pi[b - 1] = b, a
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                pi[a - 1] = b
         return tuple(pi)
 
     family = family.rstrip("'")
     if family == "H":
         prime = [0] + [involution(i, n) for i in range(1, n + 1)]
-        return [(swapping((1, prime[1])), False)] + [
-            (swapping((i, i + 1), (prime[i], prime[i + 1])), False) for i in range(1, n // 2)
+        m = n // 2
+        perms = [
+            moving((1, prime[1])),
+            moving((1, 2), (prime[1], prime[2])),
+            moving(tuple(range(1, m + 1)), tuple(prime[1:m + 1])),
         ]
-    return [(swapping((i, i + 1)), family == "Stilde") for i in range(1, n)]
+    else:
+        perms = [moving((1, 2)), moving(tuple(range(1, n + 1)))]
+    out: List[Tuple[Tuple[int, ...], bool]] = []
+    for pi in perms:
+        odd = sum(a > b for k, a in enumerate(pi) for b in pi[k + 1:]) & 1
+        gen = (pi, family == "Stilde" and odd == 1)
+        if pi != tuple(range(1, n + 1)) and gen not in out:
+            out.append(gen)
+    return out
 
 
 def w_action(n: int, pi: Tuple[int, ...], flip: bool) -> List[Tuple[int, int]]:
@@ -608,18 +766,20 @@ def _apply(sigma: List[IntVec], v: IntVec) -> IntVec:
     return out
 
 
-def weight_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[List[IntVec]]:
-    """The integer matrix M, as sparse rows, with sigma(L_(d, w)) inside
-    L_(d, M w) for every cell (d, w) of L, or None when there is none.
+def cell_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[Dict[Cell, Cell]]:
+    """The cell of L that sigma maps each cell of L into, or None when there
+    is none, or when the cell map is not (d, w) -> (d, M w) for one integer
+    matrix M.
 
     Each sigma(b) must lie in L, in one cell, with b's degree and parity,
-    the same cell for every b of a cell; M is then read off the cells'
-    weights by a `SpanSolver`, which refuses a cell map that is not linear.
+    the same cell for every b of a cell; a `SpanSolver` over the cells'
+    weights then looks for M, and refuses a cell map that is not linear.
     """
     m = A.dim
     cells = A.cells()
     rows: List[IntVec] = [{} for _ in A.zero_weight()]
     images: List[IntVec] = [{} for _ in rows]
+    image_of: Dict[Cell, Cell] = {}
     for no, ((d, w), members) in enumerate(cells.items()):
         target = None
         for b in members:
@@ -633,6 +793,7 @@ def weight_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[List[IntVec]]:
                     return None
         if target[0] != d:
             return None
+        image_of[d, w] = target
         for k, (x, y) in enumerate(zip(w, target[1])):
             if x:
                 rows[k][no] = x
@@ -641,8 +802,9 @@ def weight_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[List[IntVec]]:
     span = SpanSolver()
     if not all(span.add(row) for row in rows):
         return None
-    M = [span.express(image) for image in images]
-    return None if None in M else M
+    if any(span.express(image) is None for image in images):
+        return None
+    return image_of
 
 
 def preserves_brackets(P: LPrimeModel, G: List[int], sigma: List[IntVec]) -> bool:
@@ -670,38 +832,39 @@ def block_orbits(P: LPrimeModel, G: List[int], blocks: BlockSystem) -> Dict[Shif
     its orbit under the index symmetry.
 
     L' must bracket L x L as L's own table does (`lprime_extends_l`).  Each
-    generator sigma (`symmetry_maps`) must pass `weight_map` and
-    `preserves_brackets`, and its shift map (d, a) -> (d, M a) must permute
-    the blocks, keeping their sizes.  If anything fails, every block is its
-    own representative.  Sound once L passes `check_axioms` and G generates
-    L (see the module docstring).
+    generator sigma (`symmetry_maps`) must pass `cell_map` and
+    `preserves_brackets`, and its shift map must permute the blocks,
+    keeping their sizes.  If anything fails, every block is its own
+    representative.  Sound once L passes `check_axioms` and G generates L
+    (see the module docstring).
+
+    The cell map is computed once per cell.  It is (d, w) -> (d, M w) with
+    M linear, so a pair of cells (ca, cb) in block (d, a) goes to a pair in
+    block (d, M a), whichever pair of the block it is: the image of a block
+    is read from the one pair `BlockSystem.pair` keeps, as the block that
+    code(sigma ca) - code(sigma cb) names.
     """
-    entries = blocks.entries
-    own = {shift: shift for shift in entries}
+    size = blocks.size
+    own = {shift: shift for shift in size}
     maps = symmetry_maps(P) if lprime_extends_l(P) else None
     if maps is None:
         return own
     # the shifts by number, and each generator's shift map on the numbers
-    shifts = list(entries)
+    shifts = list(size)
     number = {shift: i for i, shift in enumerate(shifts)}
-    size = [len(entries[shift]) for shift in shifts]
+    sizes = list(size.values())
+    pairs = [blocks.pair[shift] for shift in shifts]
+    named, code = blocks.named, blocks.code
     moves: List[List[int]] = []
     for sigma in maps:
-        M = weight_map(P.base, sigma)
-        if M is None or not preserves_brackets(P, G, sigma):
+        image = cell_map(P.base, sigma)
+        if image is None or not preserves_brackets(P, G, sigma):
             return own
-        rows = [list(row.items()) for row in M]
-        moved: Dict[WeightTuple, WeightTuple] = {}
-        move: List[int] = []
-        for d, a in shifts:
-            ma = moved.get(a)
-            if ma is None:
-                ma = moved[a] = tuple([sum([c * a[k] for k, c in row]) for row in rows])
-            t = number.get((d, ma))
-            if t is None or size[t] != size[len(move)]:
-                return own
-            move.append(t)
-        if len(set(move)) != len(shifts):
+        to = {code[c]: code[t] for c, t in image.items()}
+        move = [number.get(named.get(to[code_a] - to[code_b])) for code_a, code_b in pairs]
+        if None in move or len(set(move)) != len(shifts):
+            return own
+        if any(sizes[t] != n for t, n in zip(move, sizes)):
             return own
         moves.append(move)
     rep: List[int] = [-1] * len(shifts)

@@ -61,8 +61,9 @@ constrained space equals ad L'_r settles its whole orbit, and CERTIFIED
 on the representatives is CERTIFIED.  `dim_ad` and `residual_dim` count
 each block with the size of its orbit.  The constrained space itself is
 not transported (the probes are not symmetric), so when the run on the
-representatives ends INCONCLUSIVE, `certify` runs again on every block
-and reports that run; a block that fails on its own fails in both runs,
+representatives ends INCONCLUSIVE, `certify` runs again on every block,
+on the first run's `BlockSystem`, which lays out the blocks not yet laid
+out, and reports that run; a block that fails on its own fails in both runs,
 so the second run reaches the same stages and draws the same probes.  This
 rests on the premises that `check` proves: the Jacobi identity of L (for
 the sigma check) and Der L = ad L' (for CERTIFIED to speak of every
@@ -444,10 +445,11 @@ class ConstraintEngine(BlockKernels):
 
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
-    (each cell's list is `BlockSystem.reach`, pruned lazily once a block
-    has closed).  Per shift, `constraint_rows` solves the small system on
-    the target cells (the unit annihilator when the slice orbit is empty)
-    and builds each row straight in the block's local ids.
+    (each cell's list is `BlockSystem.reach` cut to the open blocks when
+    the cell is first met, and pruned lazily once a block has closed).
+    Per shift, `constraint_rows` solves the small system on the target
+    cells (the unit annihilator when the slice orbit is empty) and builds
+    each row straight in the block's local ids.
 
     A block's constraint at x depends on x only through its key, the
     parts x_c in the source cells c of the block's pairs: [L'_s, x_c] lies
@@ -463,11 +465,13 @@ class ConstraintEngine(BlockKernels):
     must widen the key to all that they read (see the module docstring).
 
     Given G, a generating set of L, the core solves one block per symmetry
-    orbit; without G every block, as `constrained_space` needs.
+    orbit; without G every block, as `constrained_space` needs.  Given
+    ``blocks``, the engine runs on that layout instead of a new one.
     """
 
-    def __init__(self, P: LPrimeModel, G: Optional[List[int]] = None):
-        super().__init__(BlockSystem(P.base), P, G)
+    def __init__(self, P: LPrimeModel, G: Optional[List[int]] = None,
+                 blocks: Optional[BlockSystem] = None):
+        super().__init__(BlockSystem(P.base) if blocks is None else blocks, P, G)
         self.L = L = P.base
         self.dim = L.dim
         # each source cell's `_open_reach` list with the size of `open` it
@@ -567,9 +571,10 @@ class ConstraintEngine(BlockKernels):
         """`BlockSystem.reach(cb)` without the blocks that have closed, pruned
         when a block has closed since the last call for cb."""
         got = self._open_lists.get(cb)
-        if got is None or got[0] != len(self.open):
-            pairs = self.blocks.reach(cb) if got is None else got[1]
-            got = self._open_lists[cb] = (len(self.open), [p for p in pairs if p[0] in self.open])
+        if got is None:
+            got = self._open_lists[cb] = (len(self.open), self.blocks.reach(cb, self.open))
+        elif got[0] != len(self.open):
+            got = self._open_lists[cb] = (len(self.open), [p for p in got[1] if p[0] in self.open])
         return got[1]
 
 
@@ -635,9 +640,10 @@ def certify(
     proof = proof_probes(P, sep)
     engine = ConstraintEngine(P, generators(L))
     labels, verdict = _run_stages(P, engine, proof, budget, seed)
-    if verdict != "CERTIFIED" and len(engine.space) < len(engine.blocks.entries):
-        # a residual is reported on every block, as the full run finds it
-        engine = ConstraintEngine(P)
+    if verdict != "CERTIFIED" and len(engine.space) < len(engine.blocks.size):
+        # a residual is reported on every block, as the full run finds it,
+        # on the blocks laid out so far
+        engine = ConstraintEngine(P, None, engine.blocks)
         labels, verdict = _run_stages(P, engine, proof, budget, seed)
 
     elapsed = int((time.monotonic() - start) * 1000)

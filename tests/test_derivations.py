@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -560,19 +561,29 @@ def solved_blocks(monkeypatch):
 
 @pytest.mark.parametrize("family, n", [("W", 4), ("S", 5), ("Stilde", 6), ("H", 5), ("H", 6)])
 def test_symmetry_generators(family, n):
+    # two generators of all permutations, or three of those that commute
+    # with i -> i', each odd one flipped for Stilde
     perms = derivations.xi_permutations(family, n)
     assert all(sorted(pi) == list(range(1, n + 1)) for pi, _ in perms)
-    assert all(flip == (family == "Stilde") for _, flip in perms)
+    for pi, flip in perms:
+        odd = sum(a > b for k, a in enumerate(pi) for b in pi[k + 1:]) % 2
+        assert flip == (family == "Stilde" and odd == 1)
+    group = {tuple(range(1, n + 1))}
+    edge = list(group)
+    while edge:
+        edge = [
+            image for g in edge for pi, _ in perms
+            for image in [tuple(pi[x - 1] for x in g)] if image not in group
+        ]
+        group.update(edge)
     if family == "H":
         prime = {i: involution(i, n) for i in range(1, n + 1)}
-        assert len(perms) == n // 2
-        for pi, _ in perms:
-            assert all(pi[prime[i] - 1] == prime[pi[i - 1]] for i in prime)
+        assert len(perms) == min(n // 2, 3)
+        assert all(g[prime[i] - 1] == prime[g[i - 1]] for g in group for i in prime)
+        assert len(group) == 2 ** (n // 2) * math.factorial(n // 2)
     else:
-        assert [pi for pi, _ in perms] == [
-            tuple(i + 1 if i == k else i - 1 if i == k + 1 else i for i in range(1, n + 1))
-            for k in range(1, n)
-        ]
+        assert len(perms) == 2
+        assert len(group) == math.factorial(n)
 
 
 @pytest.mark.parametrize("family", ["W", "Stilde", "H"])
@@ -622,7 +633,7 @@ def test_one_wrong_sign_is_refused_and_every_block_solved(pairs, spec, monkeypat
     G = generators(A)
     blocks = BlockSystem(A)
     bad = with_one_sign_wrong(derivations.symmetry_maps(P))
-    assert derivations.weight_map(A, bad[0]) is not None
+    assert derivations.cell_map(A, bad[0]) is not None
     assert not derivations.preserves_brackets(P, G, bad[0])
     monkeypatch.setattr(derivations, "symmetry_maps", lambda P: bad)
     assert derivations.block_orbits(P, G, blocks) == trivial_orbits(P, G, blocks)
@@ -698,3 +709,192 @@ def test_sigma_refused_on_an_isomorphic_table(pairs, monkeypatch):
     code, report = run_check(monkeypatch, B)
     assert code == 0 and report["dim_Der"] == 64
     assert solved == [len(BlockSystem(B).entries)]
+
+
+# -- the code-keyed layout, and only the blocks a run solves
+
+
+LAYOUT = [*DESK, ("H", 6), ("Stilde", 6)]
+
+
+def reference_layout(A, parity=None):
+    """`BlockSystem`'s blocks and `reach` lists from a walk over every pair
+    of cells, one `cell_shift` tuple per pair."""
+    cells, dim = A.cells(), A.dim
+    entries = {}
+    for cb, bs in cells.items():
+        for ca, as_ in cells.items():
+            shift = BlockSystem.cell_shift(A, ca, cb)
+            if parity is not None and shift[0] % 2 != parity:
+                continue
+            entries.setdefault(shift, []).extend(a * dim + b for a in as_ for b in bs)
+    for keys in entries.values():
+        keys.sort()
+    reach = {
+        cb: [(shift, ca) for ca in cells
+             for shift in [BlockSystem.cell_shift(A, ca, cb)] if shift in entries]
+        for cb in cells
+    }
+    return entries, reach
+
+
+def reference_orbits(P, G):
+    """`block_orbits` with each generator's shift map taken, as tuples, from
+    every pair of cells, each pair's image checked against the block's."""
+    A = P.base
+    cells = A.cells()
+    entries, _ = reference_layout(A)
+    moves = []
+    for sigma in derivations.symmetry_maps(P):
+        assert derivations.preserves_brackets(P, G, sigma)
+        image = {cell: A.cell_of(min(sigma[members[0]])) for cell, members in cells.items()}
+        move = {}
+        for cb in cells:
+            for ca in cells:
+                to = BlockSystem.cell_shift(A, image[ca], image[cb])
+                assert move.setdefault(BlockSystem.cell_shift(A, ca, cb), to) == to
+        assert sorted(move.values()) == sorted(entries)
+        assert all(len(entries[t]) == len(entries[s]) for s, t in move.items())
+        moves.append(move)
+    rep = {}
+    for shift in entries:
+        if shift in rep:
+            continue
+        orbit = [shift]
+        for s in orbit:  # grows as the orbit is found
+            orbit.extend(t for t in (move[s] for move in moves) if t not in orbit)
+        for s in orbit:
+            rep[s] = min(orbit)
+    return {shift: rep[shift] for shift in entries}
+
+
+@pytest.mark.parametrize("spec", LAYOUT)
+def test_code_keyed_layout_matches_a_walk_over_every_pair(pairs, spec):
+    A, _ = model_pair(pairs, spec)
+    for parity in (None,) if spec == ("Stilde", 6) else (None, 0, 1):
+        entries, reach = reference_layout(A, parity)
+        blocks = BlockSystem(A, parity)
+        assert blocks.size == {shift: len(keys) for shift, keys in entries.items()}
+        assert list(blocks.size) == list(blocks.entries) == list(entries)
+        # one block at a time, then every block in one walk
+        for shift, keys in entries.items():
+            assert blocks.entries[shift] == keys
+            assert blocks.local[shift] == {k: i for i, k in enumerate(keys)}
+        every = BlockSystem(A, parity)
+        assert list(every.entries.items()) == list(entries.items())
+        assert all(every.local[shift] == blocks.local[shift] for shift in entries)
+        for cb in A.cells():
+            assert blocks.reach(cb) == every.reach(cb) == reach[cb]
+    # the Z_n degree of Stilde makes two code differences name one block
+    blocks = BlockSystem(A)
+    merged = len(blocks.named) - len(blocks.size)
+    assert (merged > 0) == (A.grading_modulus is not None)
+
+
+@pytest.mark.parametrize("spec", LAYOUT)
+def test_block_orbits_read_from_one_pair_match_every_pair(pairs, spec):
+    A, P = model_pair(pairs, spec)
+    G = generators(A)
+    orbit = derivations.block_orbits(P, G, BlockSystem(A))
+    assert list(orbit.items()) == list(reference_orbits(P, G).items())
+    assert len(set(orbit.values())) < len(orbit)
+
+
+@pytest.mark.parametrize("spec", [*DESK, ("H", 6)])
+def test_cell_codes_tell_differences_apart(pairs, spec):
+    # code(c) - code(c') and code(c) - code(c') - code(c'') are equal
+    # exactly when the differences of the cells' (d, *w) are
+    A, _ = model_pair(pairs, spec)
+    cells = list(A.cells())
+    vecs = [(d, *w) for d, w in cells]
+    codes = derivations.cell_codes(cells)
+    two = {}
+    for code, v in zip(codes, vecs):
+        for code2, v2 in zip(codes, vecs):
+            diff = tuple(x - y for x, y in zip(v, v2))
+            assert two.setdefault(code - code2, diff) == diff
+    sums = {code + code2: tuple(map(sum, zip(v, v2)))
+            for code, v in zip(codes, vecs) for code2, v2 in zip(codes, vecs)}
+    three = {}
+    for code, v in zip(codes, vecs):
+        for total, w in sums.items():
+            diff = tuple(x - y for x, y in zip(v, w))
+            assert three.setdefault(code - total, diff) == diff
+
+
+def laid_out(monkeypatch):
+    """The blocks that each `BlockSystem.lay_out` call is asked for, as a
+    list that fills in while the test runs."""
+    real = BlockSystem.lay_out
+    calls = []
+
+    def spy(blocks, shifts):
+        shifts = list(shifts)
+        calls.append((blocks, set(shifts)))
+        return real(blocks, shifts)
+
+    monkeypatch.setattr(BlockSystem, "lay_out", spy)
+    return calls
+
+
+def by_system(calls):
+    """Every block laid out, per `BlockSystem`, in the order of the systems."""
+    out = {}
+    for blocks, shifts in calls:
+        out.setdefault(blocks, set()).update(shifts)
+    return list(out.values())
+
+
+def golden(name):
+    from pathlib import Path
+
+    return (Path(__file__).parent / "golden" / name).read_text()
+
+
+def run_report(capsys, command, family, n, *extra):
+    from cartansuper import cli
+
+    code = cli.main([command, "--family", family, "--n", str(n), *extra, "--format", "json"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
+def test_reduced_runs_lay_out_only_the_representatives(family, n, monkeypatch, capsys):
+    A = build(family, n)
+    P = build_lprime(A)
+    reps = set(derivations.block_orbits(P, generators(A), BlockSystem(A)).values())
+    calls = laid_out(monkeypatch)
+    name = f"{family.lower()}{n}.json"
+    assert run_report(capsys, "check", family, n) == (0, golden(f"check_{name}"))
+    assert by_system(calls) == [reps]
+    calls.clear()
+    assert run_report(capsys, "certify", family, n) == (0, golden(f"certify_{name}"))
+    assert by_system(calls) == [reps]
+
+
+def test_fallbacks_lay_out_every_block(pairs, monkeypatch, capsys):
+    from cartansuper import cli
+
+    A, P = pairs[("H", 5)]
+    every = set(BlockSystem(A).size)
+    reps = set(derivations.block_orbits(P, generators(A), BlockSystem(A)).values())
+    assert len(reps) < len(every)
+    calls = laid_out(monkeypatch)
+    # certify's rerun on every block after a reduced INCONCLUSIVE lays out
+    # the rest of the first run's system
+    out = run_report(capsys, "certify", "H", 5, "--budget", "67", "--seed", "0")
+    assert out == (3, golden("certify_h5_budget67.json"))
+    assert by_system(calls) == [every] and calls[0][1] == reps
+    # check with no passed axiom scan
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "derivation_report", lambda P, G, ok: derivation_report(P, G))
+        assert run_report(capsys, "check", "H", 5) == (0, golden("check_h5.json"))
+    assert by_system(calls) == [every]
+    # a sigma with one wrong bracket
+    real = derivations.symmetry_maps
+    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: with_one_sign_wrong(real(P)))
+    for command in ("check", "certify"):
+        calls.clear()
+        assert run_report(capsys, command, "H", 5) == (0, golden(f"{command}_h5.json"))
+        assert by_system(calls) == [every]

@@ -35,7 +35,13 @@ from cartansuper.families import (
     w_unit,
     xi,
 )
-from cartansuper.liesuper import ModelFormatError, check_axioms, model_from_json, model_to_json
+from cartansuper.liesuper import (
+    ModelFormatError,
+    check_axioms,
+    generators,
+    model_from_json,
+    model_to_json,
+)
 from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplace
 
 
@@ -578,7 +584,7 @@ def test_euler_field_coordinates():
 
 
 def test_axioms_hold_for_every_family_at_n_4_5_6():
-    # full pair scans always; Jacobi sampled above desk scale
+    # full pair scans, and Jacobi proved from a generating set
     for spec in [
         ("W", 4),
         ("S", 4),
@@ -590,5 +596,8 @@ def test_axioms_hold_for_every_family_at_n_4_5_6():
         ("H", 6),
     ]:
         A = build(*spec)
-        samples = None if A.dim**3 <= 150_000 else 20_000
-        assert check_axioms(A, jacobi_triples=samples, seed=1).ok, spec
+        G = generators(A)
+        rep = check_axioms(A, generating_set=G)
+        assert rep.ok, spec
+        # the generator-mode count: (g, y, z) with y < z, or y = z odd
+        assert rep.triples_checked == len(G) * (A.dim * (A.dim - 1) // 2 + sum(A.parity)), spec

@@ -245,6 +245,23 @@ def test_generator_mode_catches_jacobi_only_faults(W4):
         assert not check_axioms(broken).ok  # the full scan agrees
 
 
+def test_sampled_mode_draws_seeded_triples_and_reports_the_first_fault(W4):
+    # the mode that proves nothing: so many seeded random triples, counted,
+    # stopping at the first that fails
+    rep = check_axioms(W4, jacobi_triples=5_000, seed=0)
+    assert rep.ok and rep.triples_checked == 5_000
+    i, j = 13, 26
+    broken = copy.copy(W4)
+    broken.table = dict(W4.table)
+    for key in ((i, j), (j, i)):
+        broken.table[key] = {k: 2 * c for k, c in W4.table[key].items()}
+    rep = check_axioms(broken, jacobi_triples=5_000, seed=0)
+    assert not rep.ok and 0 < rep.triples_checked < 5_000
+    assert check_axioms(broken, jacobi_triples=5_000, seed=0).as_dict() == rep.as_dict()
+    x, y, z = map(int, rep.first_violation.split("(")[1].rstrip(")").split(","))
+    assert jacobi_violation(broken, [(x, y, range(z, z + 1))])[1] == (x, y, z)
+
+
 def test_jacobi_is_checked_on_fractional_structure_constants(H5):
     # [x, y]' = [x, y] / 3 is isomorphic to H(5) through x -> x / 3; the
     # Jacobi scans read the table as it is, Fractions included.  The

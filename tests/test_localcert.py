@@ -707,8 +707,8 @@ class AllRowsEngine(ConstraintEngine):
     RREFs over Q: the oracle for the blocks kept as `IntKernel`s and for
     `matches_ad`."""
 
-    def __init__(self, P, G=None):
-        super().__init__(P, G)
+    def __init__(self, P, G=None, blocks=None):
+        super().__init__(P, G, blocks)
         self.space = {shift: AllRowsSpace(space.ncols) for shift, space in self.space.items()}
 
     def matches_ad(self):
@@ -808,8 +808,8 @@ class CountingEngine(ConstraintEngine):
     """The engine, recording the shift of each `constraint_rows` call and
     counting the cuts that shrink a block."""
 
-    def __init__(self, P, G=None):
-        super().__init__(P, G)
+    def __init__(self, P, G=None, blocks=None):
+        super().__init__(P, G, blocks)
         self.calls = []
         self.effective = 0
 
