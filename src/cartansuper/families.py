@@ -44,23 +44,36 @@ which holds for any two parity-homogeneous fields (the closed form above
 is super antisymmetric term by term).  `_graded` checks that every row
 is homogeneous in parity, so [j, i] is stored as +[i, j] when both rows
 are odd and -[i, j] otherwise, exactly, with no second bracket and no
-second `SpanSolver.express`.
+second readout.
 
-`SpanSolver` writes each bracket in the basis with no elimination: every
-basis row has a *home*, a column where no other row is nonzero (W: the
-row's unit; H: the Hamiltonian rows have disjoint supports; S and S~: the
-free column of the divergence-kernel basis), so a coordinate is read off
-the bracket at its row's home.  In L' the Euler field and the top
-Hamiltonian take a few rows' homes, and what those rows carry goes
-through fraction-free elimination.  The table stores the coordinates as
-they come, on Python ints: every structure constant of the four families
-is an integer.  So are the basis rows, the Cartan chain and the
+The table is built one basis row at a time (`_bracket_rows`): row i is
+bracketed with all its partners j >= i in one `_row_brackets` call, and
+each coordinate is read off that one accumulator at a *home*, with no
+elimination.  Every basis row has a home, a column where no other row is
+nonzero (W: the row's unit; H: the Hamiltonian rows have disjoint
+supports; S and S~: the free column of the divergence-kernel basis), so
+if [i, j] = sum_r c_r row_r then c_r = [i, j][h] / row_r[h] at the home h
+of row r.  The rows and the kernel are integer, so this is a quotient of
+ints, and an exact one gives an int.  In L' the Euler field and the top
+Hamiltonian take a few rows' homes.  A bracket that needs one of those
+rows leaves a remainder after the home reads (as does one whose division
+is not exact), and only such a bracket goes to the fraction-free echelon
+of `SpanSolver.express`, whose coordinates are checked to be ints.  So
+the table holds Python ints: every structure constant of the four
+families is an integer.  So are the basis rows, the Cartan chain and the
 divergence kernel: a build makes no Fraction, which only `ExtElem`'s
 helpers (`divergence`, `ham`) return.
+
+A model read from a file is checked against the same per-row pass as it
+runs (`attach_derived`): each (i, j) by equality, each (j, i) by the super
+sign, and the number of keys so matched against the size of the file's
+table.  The constructor's table is built only when they differ, to name
+the first differing pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -435,40 +448,86 @@ def _graded(
 
 
 def _bracket_rows(
-    n: int, rows: List[Vec], first: int = 0
-) -> Iterator[Tuple[int, int, Vec]]:
-    """Yield (i, j, [row i, row j]) over W(n), in row-major order, for every
-    pair of basis rows with i <= j and j >= first whose bracket is nonzero.
-    The one place that brackets basis rows; `_finish_model` fills in the
-    other order.
+    model: AlgebraModel, span: SpanSolver, first: int = 0
+) -> Iterator[Tuple[int, int, IntVec]]:
+    """Yield (i, j, the coordinates of [row i, row j] in the rows), in
+    row-major order, for every pair of the model's basis rows with i <= j
+    and j >= first whose bracket is nonzero; ``span`` holds the rows.  The
+    one place that brackets basis rows; `_finish_model` fills in the other
+    order.
 
     One term index over the rows j >= first serves every i: before row i
     is bracketed, the terms of the rows below i are popped off the ends of
-    its lists.
+    its lists.  `_row_brackets` brackets row i with all its partners at
+    once, and the coordinates are read off that one accumulator at the
+    partners' home columns (`SpanSolver.homes`): if z = sum_r c_r row_r,
+    then z[h] = c_r row_r[h] at the home h of row r, so c_r is read there,
+    and c_r times the row's other terms is subtracted from a remainder kept
+    for the whole of row i.  A partner whose remainder is not zero, or
+    whose division at a home is not exact, goes to `SpanSolver.express`,
+    whose echelon writes it in the rows without a home (in L', the rows
+    whose homes the Euler field and the top Hamiltonian take) or finds it
+    outside the span.  A home coordinate is an exact quotient of ints, so an
+    int; only the echelon can give a Fraction, so only its coordinates are
+    checked.  Raises AssertionError naming the pair when a bracket leaves
+    the span or has a non-integer coordinate.
     """
+    n, rows = model.n, model.w_coords
     stride = n << n
     index = _term_index(n, rows, first)
     lists = index[0] + index[1]
+    homes = span.homes()
     for i, row in enumerate(rows):
         low = i * stride
         for terms in lists:
             while terms and terms[-1][0] < low:
                 terms.pop()
         acc = _row_brackets(n, row, index)
-        z: Vec = {}
+        keys = sorted(acc)
+        pairs: List[Tuple[int, IntVec]] = []
+        rest: Dict[int, int] = {}  # t -> z[k] - sum_r c_r row_r[k], t = j*stride + k
+        echelon = set()
         last = -1
-        for t in sorted(acc):
-            c = acc[t]
-            if not c:
+        for t in keys:
+            x = acc[t]
+            if not x:
                 continue
             j, k = divmod(t, stride)
             if j != last:
-                if z:
-                    yield i, last, z
-                z, last = {}, j
-            z[k] = c
-        if z:
-            yield i, last, z
+                coords: IntVec = {}
+                pairs.append((j, coords))
+                last, base = j, t - k
+            hit = homes.get(k)
+            if hit is None:
+                rest[t] = rest.get(t, 0) + x
+                continue
+            r, d, others = hit
+            if d == 1:
+                c = x
+            else:
+                c, m = divmod(x, d)
+                if m:
+                    echelon.add(j)
+                    continue
+            coords[r] = c
+            for u, y in others:
+                u += base
+                rest[u] = rest.get(u, 0) - c * y
+        echelon.update(t // stride for t, x in rest.items() if x)
+        for j, coords in pairs:
+            if j in echelon:
+                lo = j * stride
+                mine = keys[bisect_left(keys, lo):bisect_left(keys, lo + stride)]
+                coords = span.express({t - lo: acc[t] for t in mine if acc[t]})
+                if coords is None:
+                    raise AssertionError(
+                        f"{model.family}({n}): bracket of basis {i},{j} leaves the span"
+                    )
+                if any(type(c) is not int for c in coords.values()):
+                    raise AssertionError(
+                        f"{model.family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
+                    )
+            yield i, j, coords
 
 
 def _finish_model(
@@ -481,7 +540,8 @@ def _finish_model(
     """The model of `_graded` with its bracket table filled in.
 
     Each unordered pair is bracketed and expressed once, as (i, j) with
-    i <= j (`_bracket_rows`), and [j, i] is stored as
+    i <= j, by the per-row pass of `_bracket_rows` (home readout, echelon
+    only where a home is taken), and [j, i] is stored as
 
         [j, i] = -(-1)^(|i||j|) [i, j],
 
@@ -491,24 +551,14 @@ def _finish_model(
     sign is exact and the mirrored coordinates are the ones `SpanSolver`
     would return for [j, i].  With ``base``, whose rows are the leading
     rows here, the table starts as a copy of base's and only the pairs
-    involving the extra rows are bracketed.  Every expressed structure
-    constant must be an int; the mirror of an int is one, and base's were
-    checked when base was built.
+    involving the extra rows are bracketed.  Every structure constant is
+    an int: `_bracket_rows` checks the ones the echelon gives, the mirror
+    of an int is one, and base's were checked when base was built.
     """
     model, span = _graded(family, n, rows, descs, base)
     table = dict(base.table) if base is not None else {}
-    first = base.dim if base is not None else 0
     parity = model.parity
-    for i, j, z in _bracket_rows(n, model.w_coords, first):
-        coords = span.express(z)
-        if coords is None:
-            raise AssertionError(
-                f"{family}({n}): bracket of basis {i},{j} leaves the span"
-            )
-        if any(type(c) is not int for c in coords.values()):
-            raise AssertionError(
-                f"{family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
-            )
+    for i, j, coords in _bracket_rows(model, span, base.dim if base is not None else 0):
         table[(i, j)] = coords
         if j != i:
             table[(j, i)] = (dict(coords) if parity[i] and parity[j]
@@ -641,10 +691,13 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
 
     Any difference raises ModelFormatError naming the first differing field
     or bracket pair.  The dimension is checked before anything is built.
-    The table must equal the constructor's entry by entry; when it does not,
-    the sorted union of both key sets is walked in row-major order, so an
-    extra entry, a missing one and a zero coefficient are each named at
-    their pair.
+    The table is checked against the per-row pass of `_bracket_rows` as it
+    runs, with no second table built: each (i, j) it yields must be A's
+    entry, each (j, i) its mirror by the super sign (see `_finish_model`),
+    and the keys matched so must be all of A's.  On the first difference
+    the constructor's table is built after all, and the sorted union of
+    both key sets is walked in row-major order, so an extra entry, a
+    missing one and a zero coefficient are each named at their pair.
     """
     spec = FamilySpec(A.family, A.n)
     try:
@@ -655,7 +708,8 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
         raise ModelFormatError(
             f"basis: {A.dim} entries, but {spec} has dimension {spec.dim}"
         )
-    C = _finish_model(spec.family, spec.n, *_family_rows(spec))
+    rows, descs = _family_rows(spec)
+    C, span = _graded(spec.family, spec.n, rows, descs)
     for name in ("basis", "parity", "degree", "weight", "cartan"):
         got, want = getattr(A, name), getattr(C, name)
         if got != want:
@@ -664,11 +718,23 @@ def attach_derived(A: AlgebraModel) -> AlgebraModel:
                 min(len(got), len(want)),
             )
             raise ModelFormatError(f"{name}[{i}] differs from the {spec} constructor")
-    if A.table != C.table:
-        i, j = next(
-            key for key in sorted(A.table.keys() | C.table.keys())
-            if A.table.get(key) != C.table.get(key)
-        )
-        raise ModelFormatError(f"bracket ({i},{j}) differs from the {spec} constructor")
-    A.w_coords, A.cartan_chain = C.w_coords, C.cartan_chain
-    return A
+    table, parity, matched = A.table, C.parity, 0
+    for i, j, coords in _bracket_rows(C, span):
+        if table.get((i, j)) != coords:
+            break
+        matched += 1
+        if j != i:
+            if table.get((j, i)) != (coords if parity[i] and parity[j]
+                                     else {k: -c for k, c in coords.items()}):
+                break
+            matched += 1
+    else:
+        if matched == len(table):
+            A.w_coords, A.cartan_chain = C.w_coords, C.cartan_chain
+            return A
+    C = _finish_model(spec.family, spec.n, rows, descs)
+    i, j = next(
+        key for key in sorted(table.keys() | C.table.keys())
+        if table.get(key) != C.table.get(key)
+    )
+    raise ModelFormatError(f"bracket ({i},{j}) differs from the {spec} constructor")

@@ -518,22 +518,26 @@ def jacobi_violation(
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Format (one JSON object, canonical key order, structure constants as
-# "k/1", the "num/den" form of an integer):
-#   {family, n, basis: ["x1*d2", ...],
-#    bracket: [[i, j, [[k, "k/1"], ...]], ...],
-#    parity: [...], degree: [...], weight: [[...], ...], cartan: [...]}
+# Format: one JSON object with no whitespace, in this key order, with each
+# structure constant c written as the string "num/den" of its value, which
+# for the integer c of every table is "c/1":
+#   {"family":..,"n":..,"basis":["x1*d2",...],
+#    "bracket":[[i,j,[[k,"c/1"],...]],...],
+#    "parity":[...],"degree":[...],"weight":[[...],...],"cartan":[...]}
+# The bracket entries are the nonzero (i, j) in row-major order, each with
+# its k ascending.  `model_to_json` writes this text directly, byte for byte
+# what `json.dumps(..., separators=(",", ":"))` gives for the same object.
 
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+def model_to_json(A: AlgebraModel) -> str:
+    def ints(xs) -> str:
+        return "[" + ",".join(map(str, xs)) + "]"
 
-
-def to_json_dict(A: AlgebraModel) -> dict:
+    text: Dict[Fraction, str] = {}  # c -> ',"num/den"]', formatted once per distinct c
+    table = A.table
     bracket = []
-    text: Dict[Fraction, str] = {}  # each distinct coefficient, formatted once
-    for (i, j) in sorted(A.table):
-        w = A.table[(i, j)]
+    for (i, j) in sorted(table):
+        w = table[(i, j)]
         if not w:
             continue
         entries = []
@@ -541,26 +545,22 @@ def to_json_dict(A: AlgebraModel) -> dict:
             c = w[k]
             t = text.get(c)
             if t is None:
-                t = text[c] = _frac_str(c)
-            entries.append([k, t])
-        bracket.append([i, j, entries])
-    return {
-        "family": A.family,
-        "n": A.n,
-        "basis": [str(d) for d in A.basis],
-        "bracket": bracket,
-        "parity": list(A.parity),
-        "degree": list(A.degree),
-        "weight": [list(w) for w in A.weight],
-        "cartan": list(A.cartan),
-    }
+                t = text[c] = f',"{c.numerator}/{c.denominator}"]'
+            entries.append(f"[{k}{t}")
+        bracket.append(f"[{i},{j},[{','.join(entries)}]]")
+    return "".join((
+        '{"family":', json.dumps(A.family),
+        ',"n":', str(A.n),
+        ',"basis":', json.dumps([str(d) for d in A.basis], separators=(",", ":")),
+        ',"bracket":[', ",".join(bracket),
+        '],"parity":', ints(A.parity),
+        ',"degree":', ints(A.degree),
+        ',"weight":[', ",".join(map(ints, A.weight)),
+        '],"cartan":', ints(A.cartan), "}",
+    ))
 
 
-def model_to_json(A: AlgebraModel) -> str:
-    return json.dumps(to_json_dict(A), separators=(",", ":"))
-
-
-# descriptors and coefficients exactly as `str` and `_frac_str` write them
+# descriptors and coefficients exactly as `str` and `model_to_json` write them
 _INT = r"-?(0|[1-9][0-9]*)"
 _MONO = r"(1|(x[1-9][0-9]*)+)"
 _FIELD = rf"{_MONO}\*d[1-9][0-9]*"

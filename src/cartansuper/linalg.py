@@ -484,8 +484,7 @@ class SpanSolver:
         self.pivots: Dict[int, Tuple[IntVec, IntVec]] = {}
         self.count = 0  # rows offered to add, dependent ones included
         self.rows: Dict[int, IntVec] = {}  # the independent ones, by index
-        # home h of row i -> (i, row_i[h], the other terms of row_i); built by
-        # the first express after an add
+        # the home index (see ``homes``); dropped by an add
         self._homes: Optional[Dict[int, Tuple[int, int, List[Tuple[int, int]]]]] = None
 
     def _reduce(self, v: IntVec, coeffs: IntVec) -> Tuple[IntVec, IntVec, int]:
@@ -526,7 +525,11 @@ class SpanSolver:
         self.pivots[lead] = ({k: x // g for k, x in v.items()}, {k: -x // g for k, x in coeffs.items()})
         return True
 
-    def _home_index(self) -> Dict[int, Tuple[int, int, List[Tuple[int, int]]]]:
+    def homes(self) -> Dict[int, Tuple[int, int, List[Tuple[int, int]]]]:
+        """The home index: home h of row i -> (i, row_i[h], the other terms
+        of row_i), built once after the last ``add``."""
+        if self._homes is not None:
+            return self._homes
         seen: Dict[int, int] = {}
         for row in self.rows.values():
             for k in row:
@@ -549,9 +552,7 @@ class SpanSolver:
         return {k: c // s if c % s == 0 else Fraction(c, s) for k, c in coeffs.items()}
 
     def express(self, v: IntVec) -> Optional[Vec]:
-        homes = self._homes
-        if homes is None:
-            homes = self._home_index()
+        homes = self.homes()
         rest = dict(v)
         coords: Vec = {}
         for h, x in v.items():

@@ -293,9 +293,32 @@ def _parity_strings(obj):
     return "parity[0]"
 
 
+def _negate(entries):
+    k, c = entries[0]
+    entries[0] = [k, c[1:] if c.startswith("-") else "-" + c]
+
+
+def _flip_odd_mirror(obj):
+    # [x1x2 d3, d1] with both rows odd, j > i: (i, j) stays as written
+    j, i = obj["basis"].index("x1x2*d3"), obj["basis"].index("1*d1")
+    assert j > i and obj["parity"][i] == obj["parity"][j] == 1
+    _negate(next(e for a, b, e in obj["bracket"] if (a, b) == (j, i)))
+    return f"bracket ({j},{i})"
+
+
+def _flip_even_mirror(obj):
+    # the first (j, i) with j > i and a row that is even
+    parity = obj["parity"]
+    j, i, entries = next(
+        (a, b, e) for a, b, e in obj["bracket"] if a > b and not (parity[a] and parity[b])
+    )
+    _negate(entries)
+    return f"bracket ({j},{i})"
+
+
 @pytest.mark.parametrize("tamper", [
     _swap_basis, _flip_parity, _double_coefficient, _extra_zero_bracket,
-    _drop_bracket, _zero_coefficient, _shift_weight,
+    _drop_bracket, _zero_coefficient, _flip_odd_mirror, _flip_even_mirror, _shift_weight,
     _shift_degree, _edit_cartan, _n_12, _n_40, _n_true, _n_float, _n_string,
     _parity_strings,
 ])

@@ -22,6 +22,7 @@ from cartansuper.families import (
     _divergence_kernel,
     _family_rows,
     _finish_model,
+    _graded,
     attach_derived,
     build,
     build_lprime,
@@ -266,12 +267,27 @@ def test_w_bracket_is_the_per_pair_closed_form(case):
     assert w_bracket(n, a, b) == w_bracket_oracle(n, a, b)
 
 
-@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
-def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n):
+@pytest.mark.parametrize("family,n", [
+    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), ("S'", 4), ("H'", 5), ("H'", 6),
+])
+def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n, monkeypatch):
     # one order of each unordered pair, i <= j, with j >= first for the
-    # extension; `_finish_model` mirrors the other
-    rows = build(family, n).w_coords
+    # extension; `_finish_model` mirrors the other.  The coordinates times
+    # the rows give the bracket, whether they were read at the homes or,
+    # for the rows of L' (family "S'", "H'") whose homes the extra rows
+    # take, by the echelon.
+    lprime = family.endswith("'")
+    A = build(family.rstrip("'"), n)
+    if lprime:
+        ext = build_lprime(A).ext
+        model, span = _graded(family, n, ext.w_coords, ext.basis, base=A)
+    else:
+        model, span = _graded(family, n, *_family_rows(FamilySpec(family, n)))
+    rows = model.w_coords
     dim = len(rows)
+    calls = []
+    express = SpanSolver.express
+    monkeypatch.setattr(SpanSolver, "express", lambda s, v: calls.append(v) or express(s, v))
     for first in (0, dim - 2):
         want = []
         for i in range(dim):
@@ -279,7 +295,16 @@ def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n):
                 z = w_bracket_oracle(n, rows[i], rows[j])
                 if z:
                     want.append((i, j, z))
-        assert list(_bracket_rows(n, rows, first)) == want
+        got = list(_bracket_rows(model, span, first))
+        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+        for (i, j, coords), (_, _, z) in zip(got, want):
+            assert all(type(c) is int and c for c in coords.values())
+            total = {}
+            for r, c in coords.items():
+                vec_axpy_inplace(total, c, rows[r])
+            assert total == z, (i, j)
+    # the echelon runs only where a home is taken
+    assert bool(calls) == lprime
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])

@@ -83,3 +83,23 @@ def test_far_model_bytes_are_pinned(tmp_path, family, n):
                   "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FAR_MODEL_SHA256[(family, n)]
+
+
+# sha256 of `build --format json --out` on the next rung, dim 510 and 896,
+# recorded before `model_to_json` wrote its text directly and the constructor
+# read its coordinates per basis row
+NEXT_MODEL_SHA256 = {
+    ("H", 9): "6fdd2fc6aca9476b9d27f43be12cb179fd2436fd9526d5b7b8a07deee786df09",
+    ("W", 7): "0f2fdac023b3c655121aabc6cd73741cbfd0d9fe063944fd0381ce4a862b737d",
+}
+
+
+@pytest.mark.parametrize("family, n", list(NEXT_MODEL_SHA256))
+def test_next_rung_model_bytes_are_pinned_and_load(tmp_path, family, n):
+    out = tmp_path / "model.json"
+    res = run_cli("build", "--family", family, "--n", str(n), "--format", "json",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NEXT_MODEL_SHA256[(family, n)]
+    res = run_cli("info", "--model", str(out))
+    assert res.returncode == 0, res.stderr
