@@ -206,14 +206,13 @@ def cmd_build(args) -> int:
 
 def cmd_info(args) -> int:
     model = _load_or_build(args)
-    P = build_lprime(model)
     roots = sorted({w for w in model.weight if any(w)})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": model.family,
         "n": model.n,
         "dim_L": model.dim,
-        "dim_Lprime": P.dim_lprime,
+        "dim_Lprime": FamilySpec(model.family, model.n).dim_lprime,
         "depth_min": min(model.degree),
         "depth_max": max(model.degree),
         "dim_L0": sum(1 for d in model.degree if d == 0),

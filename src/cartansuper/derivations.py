@@ -34,43 +34,29 @@ and every Jacobi triple (u, g, y) with g in G must hold, which is ad(u)
 meeting the rows of the pair (g, y).  When that guard fails, the target
 is 0 and `blocks_equal_ad` decides.
 
-`check` solves one block per symmetry orbit (`block_orbits`).  Each family
-is unchanged by permuting the odd generators xi_i: for W and S any
-permutation, for Stilde one composed with xi_1 -> -xi_1 when it is odd
-(an odd permutation multiplies xi_1...xi_n by -1), for H one that commutes
-with i -> i'.  Such a sigma acts on the W(n) basis by a signed permutation
-(`w_action`), an automorphism of W(n), and on L and L' through their rows
-(`symmetry_maps`).  Nothing of this is taken on trust; for each generator
-sigma of the group the run checks:
-
-* sigma[g, y] = [sigma g, sigma y] for g in G and y in L
-  (`preserves_brackets`).  That gives it on all of L once L passes
-  `check_axioms`: the x with sigma[x, y] = [sigma x, sigma y] for all y
-  form a subspace T.  For homogeneous x, x' in T, Jacobi (twice, with
-  sigma keeping parity) gives sigma[[x, x'], y]
-  = sigma([x, [x', y]] -+ [x', [x, y]]) = [[sigma x, sigma x'], sigma y],
-  and [sigma x, sigma x'] = sigma[x, x'] as x is in T; so T is a
-  subalgebra, and it contains G, which generates L.  For S and H the same
-  is checked for the outer elements of L' against L, with L' bracketing
-  L x L as L does;
-* sigma maps each cell (d, w) of L into the cell (d, M w) for one integer
-  matrix M (`cell_map`), and the shift map it induces permutes the blocks,
-  keeping their sizes.  The check is made on cells, and it gives the
-  blocks: an entry (a, b) of block (d, a) pairs the cells (da, wa) and
-  (db, wb) with da - db = d (mod n for Stilde) and wa - wb = a; sigma
-  sends them to (da, M wa) and (db, M wb), whose shift is (d, M a) for
-  every such pair.  So sigma D sigma^-1 sends block s into the one block
-  sigma s, which `block_orbits` reads from a single pair of cells of s.
-
-Then sigma, which is injective, is an automorphism of L, so D -> sigma D
-sigma^-1 maps Der_s into Der_{sigma s} and ad(u) to ad(sigma u): both
-inject block s into block sigma s, and as sigma permutes the finitely many
-blocks, Der_{sigma s} = sigma Der_s sigma^-1 and ad L'_{sigma s} =
-sigma ad L'_s sigma^-1, equal in dimension.  So Der_s = ad L'_s on a
-representative r of each orbit gives it on the whole orbit, and
-dim Der L = sum over r of |orbit of r| * dim Der_r.  If any check fails,
-every block is its own representative and every block is solved, as when
-`check_axioms` has not passed.
+`check` solves only the dominant blocks (`dominant_blocks`) once L has
+passed `check_axioms` and `outer_ads_are_derivations` holds.  Let
+R = Der L / ad L' and let b+ be the even elements of positive order:
+degree > 0, or degree 0 and a lexicographically positive weight (for
+Stilde, whose degree lives in Z_n, a lexicographically positive weight).
+The two premises make every ad(w), w in L', a superderivation of L, so
+[ad u, D] is one for u in L and D in Der L, and [ad u, ad w] = ad [u, w]:
+R is an L-module.  An element of b+ raises the order, by the grading
+additivity that `check_axioms` proves, so it acts on R by a nilpotent
+map.  If R != 0, Engel's theorem gives a nonzero r in R that all of b+
+kills.  R is the sum of its blocks Der_s / ad L'_s, and b+ is spanned by
+basis vectors, each of which maps block s into one block s + its shift,
+so b+ kills each block part of r too: take r in one block s.  For a
+root alpha with e_alpha in b+ and its sl2 triple (e, h, f), [h, e] = c e,
+ad h acts on block s by the scalar lambda_s(h) (`dominant_blocks` checks
+both on the table), and e r = 0 makes r a highest-weight vector of the
+finite-dimensional sl2-module R: c lambda_s(h) >= 0.  So a nonzero R has a nonzero part in a
+block with c lambda_s(h) >= 0 for every root, a dominant block, and
+Der_s = ad L'_s on the dominant blocks gives Der L = ad L', whose
+dimension `ad_rank` computes.  A verdict that fails on the dominant blocks
+says nothing of the rest, so `check` then runs again on every block; when
+a premise or a check of the filter fails, every block is solved from the
+start.
 
 Blocks and cell pairs are named by ints (`cell_codes`, `BlockSystem`).  A
 cell (d, w) gets the code sum_p x_p base^p over x = (d, *w), and the pair
@@ -85,10 +71,10 @@ Stilde, whose degree lives in Z_n, the degree differences da - db and
 da - db -+ n give one block, and both code differences are mapped to it
 and merged there.  A `BlockSystem` learns every block's size from the
 code differences alone; it lays out a block's sorted flat ids and local
-ids only when the block is first used, so a run that solves one block per
-orbit lays out those blocks only, and one that falls back to every block
-(a refused sigma, no passed axiom scan, or `certify` run again after a
-reduced INCONCLUSIVE) lays out the rest then.
+ids only when the block is first used, so a run that solves the dominant
+blocks lays out those blocks only, and one that falls back to every block
+(a failed premise or filter check, or a run again after a failed verdict
+on the dominant blocks) lays out the rest then.
 
 A reference path feeds the rows of every pair, as Fractions, through one
 global elimination without using G, the block structure or the integer
@@ -107,18 +93,16 @@ classification of Der(L) for these families.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Mapping
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .families import LPrimeModel, involution, w_basis, w_index
+from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators, jacobi_violation
 from .linalg import (
     IntKernel,
     IntVec,
     Matrix,
-    SpanSolver,
     Subspace,
     Vec,
     as_fractions,
@@ -535,14 +519,71 @@ class BlockSystem:
         return reach
 
 
+def dominant_blocks(blocks: BlockSystem) -> Optional[Set[Shift]]:
+    """The blocks s of ``blocks`` with c lambda_s(h) >= 0 for the sl2
+    triple (e, h, f) of every root of L, or None, which means every block,
+    when a check fails.
+
+    A root is a cell (0, alpha) of L with alpha > 0 lexicographically that
+    holds one basis vector e, even, while (0, -alpha) holds one, f, even
+    too.  With h = [e, f], read off the table, the checks are that
+    [h, x] = mu(x) x for every basis vector x, and that mu(x) =
+    <v, weight(x)> for one v (adding the column mu to the weights' columns
+    keeps their rank).  Then [h, e] = c e with c = mu(e), and [h, f] =
+    mu(-alpha) f = -c f, so (e, h, f) spans an sl2 when c != 0 (a root
+    with c = 0 keeps every block); and ad h acts on block s, all of whose
+    cell pairs differ by its weight a, by the one scalar lambda_s(h) =
+    <v, a> = mu(ca) - mu(cb), read from the pair (ca, cb) that
+    `BlockSystem.pair` keeps.  Why the other blocks may be left out is in
+    the module docstring.
+    """
+    A, cells = blocks.A, blocks.cells
+    zero = A.zero_weight()
+    roots = []
+    for (d, alpha), es in cells.items():
+        if d == 0 and alpha > zero:
+            fs = cells.get((0, tuple([-x for x in alpha])), ())
+            if len(es) == len(fs) == 1 and not A.parity[es[0]] and not A.parity[fs[0]]:
+                roots.append((es[0], fs[0]))
+    hs = [A.table.get(root, {}) for root in roots]
+    # the roots' mu at each weight, one tuple per weight
+    mu: Dict[WeightTuple, Tuple[int, ...]] = {}
+    for x in range(A.dim):
+        at_x = []
+        for h in hs:
+            hx = A.bracket(h, {x: 1})
+            m = hx.get(x, 0)
+            if len(hx) != (m != 0):
+                return None
+            at_x.append(m)
+        if mu.setdefault(A.weight[x], tuple(at_x)) != tuple(at_x):
+            return None
+    n = len(zero)
+    weights, with_mu = IntKernel(n), IntKernel(n + len(roots))
+    for w, m in mu.items():
+        row = {k: y for k, y in enumerate(w) if y}
+        weights.cut(row)
+        with_mu.cut({**row, **{n + r: y for r, y in enumerate(m) if y}})
+    if len(weights.rows) != len(with_mu.rows):
+        return None
+    c = [mu[A.weight[e]][r] for r, (e, _) in enumerate(roots)]
+    weight_at = {code: w for (_, w), code in blocks.code.items()}
+
+    def dominant(shift: Shift) -> bool:
+        ma, mb = (mu[weight_at[code]] for code in blocks.pair[shift])
+        return all(cr * (x - y) >= 0 for cr, x, y in zip(c, ma, mb))
+
+    return {shift for shift in blocks.size if dominant(shift)}
+
+
 class BlockKernels:
     """The block core that `check` and `certify` share: which blocks are
     solved, their kernels and ad L'_s targets, when a block closes, the
-    orbit-weighted dimensions and the verdict.
+    dimensions and the verdict.
 
-    Given P and G, a generating set of L, one block per symmetry orbit is
-    solved (`block_orbits`, see the module docstring), each kept with the
-    size of its orbit (`orbit_size`); otherwise every block of ``blocks``
+    With ``dominant``, only the dominant blocks are solved
+    (`dominant_blocks`, see the module docstring), or every block of
+    ``blocks`` when a check of the filter fails; without it, every block
     is.  The solved blocks are laid out here, in one walk, and no other
     (`BlockSystem.lay_out`); a core built later on the same ``blocks``
     lays out only the blocks that are new to it.  `space` holds each solved
@@ -564,20 +605,19 @@ class BlockKernels:
     kernel can shrink no more.  A block that never reaches its target
     takes every row, so its kernel is exact either way.
 
-    `dim_ad`, `dim_space` and `residual_dim` count each block with the size
-    of its orbit.  `matches_ad` is the verdict, space_s = ad L'_s on every
-    block solved (`blocks_equal_ad`); it tests containment even where that
-    holds by construction, so that a slip in the rows cannot pass.
+    `dim_ad`, `dim_space` and `residual_dim` sum over the blocks solved.
+    `matches_ad` is the verdict, space_s = ad L'_s on every block solved
+    (`blocks_equal_ad`); it tests containment even where that holds by
+    construction, so that a slip in the rows cannot pass.
     """
 
     def __init__(self, blocks: BlockSystem, P: Optional[LPrimeModel] = None,
-                 G: Optional[List[int]] = None, stop_at_ad: bool = True):
+                 dominant: bool = False, stop_at_ad: bool = True):
         self.blocks = blocks
-        self.orbit_size = Counter(
-            block_orbits(P, G, blocks).values() if G is not None else blocks.size.keys()
-        )
+        solved = dominant_blocks(blocks) if dominant else None
         self.space: Dict[Shift, IntKernel] = {
-            shift: IntKernel(n) for shift, n in blocks.size.items() if shift in self.orbit_size
+            shift: IntKernel(n) for shift, n in blocks.size.items()
+            if solved is None or shift in solved
         }
         blocks.lay_out(self.space)
         self.ad_pivots = ad_blocks(P, blocks, self.space) if P is not None else {}
@@ -595,15 +635,17 @@ class BlockKernels:
         if kern.cut(row) and len(kern) <= self._target[shift]:
             self.open.discard(shift)
 
+    def reduced(self) -> bool:
+        """Whether some block is not solved."""
+        return len(self.space) < len(self.blocks.size)
+
     def dim_ad(self) -> int:
-        """dim ad L', each block counted with the size of its orbit."""
-        size = self.orbit_size
-        return sum(size[shift] * len(rows) for shift, rows in self.ad_pivots.items())
+        """dim ad L'_s summed over the blocks solved."""
+        return sum(len(rows) for rows in self.ad_pivots.values())
 
     def dim_space(self) -> int:
-        """The blocks' dimension, each block counted with the size of its orbit."""
-        size = self.orbit_size
-        return sum(size[shift] * len(kern) for shift, kern in self.space.items())
+        """The solved blocks' dimension."""
+        return sum(len(kern) for kern in self.space.values())
 
     def residual_dim(self) -> int:
         """`dim_space` above `dim_ad`."""
@@ -653,6 +695,24 @@ def ad_blocks(
     return {shift: kern.rows for shift, kern in span.items()}
 
 
+def ad_rank(P: LPrimeModel, G: List[int]) -> int:
+    """dim ad L', on ints: the rank of u -> ([u, g] for g in G) on L'.
+
+    A superderivation of L is fixed by its values on G, which generates L,
+    so this is the rank of ad: L' -> End(L) once every ad(u) is a
+    superderivation of L (`check_axioms` proves it for u in L,
+    `outer_ads_are_derivations` for the rest).
+    """
+    ext, m = P.ext, P.dim_l
+    span = IntKernel(len(G) * m)
+    for u in range(ext.dim):
+        span.cut({
+            slot * m + k: c
+            for slot, g in enumerate(G) for k, c in ext.table.get((u, g), {}).items()
+        })
+    return len(span.rows)
+
+
 def blocks_equal_ad(
     space: Dict[Shift, IntKernel], ad: Dict[Shift, Dict[int, IntVec]]
 ) -> bool:
@@ -668,221 +728,6 @@ def blocks_equal_ad(
         for ad_row in ad.get(shift, {}).values()
         for row in kern.rows.values()
     )
-
-
-# ---------------------------------------------------------------------------
-# the symmetry of the odd generators
-
-
-def xi_permutations(family: str, n: int) -> List[Tuple[Tuple[int, ...], bool]]:
-    """Generators of the family's index symmetry, each as (pi, flip): xi_i
-    goes to xi_{pi[i-1]}, after xi_1 -> -xi_1 when flip is set.
-
-    W and S: the transposition (1 2) and the cycle (1 2 ... n), which
-    generate every permutation.  Stilde: the same, each with the flip when
-    it is odd, because an odd pi multiplies xi_1...xi_n by -1.  H: the swap
-    1 <-> 1', the swap of the pairs (1, 1') and (2, 2'), and the cycle of
-    the pairs (i, i'), i = 1 .. n // 2, which generate every permutation
-    that commutes with `involution`.  A generator that repeats an earlier
-    one, as for small n, is left out.
-    """
-    def moving(*cycles: Tuple[int, ...]) -> Tuple[int, ...]:
-        pi = list(range(1, n + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                pi[a - 1] = b
-        return tuple(pi)
-
-    family = family.rstrip("'")
-    if family == "H":
-        prime = [0] + [involution(i, n) for i in range(1, n + 1)]
-        m = n // 2
-        perms = [
-            moving((1, prime[1])),
-            moving((1, 2), (prime[1], prime[2])),
-            moving(tuple(range(1, m + 1)), tuple(prime[1:m + 1])),
-        ]
-    else:
-        perms = [moving((1, 2)), moving(tuple(range(1, n + 1)))]
-    out: List[Tuple[Tuple[int, ...], bool]] = []
-    for pi in perms:
-        odd = sum(a > b for k, a in enumerate(pi) for b in pi[k + 1:]) & 1
-        gen = (pi, family == "Stilde" and odd == 1)
-        if pi != tuple(range(1, n + 1)) and gen not in out:
-            out.append(gen)
-    return out
-
-
-def w_action(n: int, pi: Tuple[int, ...], flip: bool) -> List[Tuple[int, int]]:
-    """The signed permutation of the W(n) basis induced by (pi, flip), as
-    (image index, sign) per basis index: f d_j goes to +-f' d_{pi(j)}, f' the
-    monomial of the images of f's generators, with the sign of putting them
-    in increasing order, and with the flip, -1 for x_1 in f and -1 for
-    j = 1."""
-    monos = {}
-    for mask in range(1 << n):
-        gens = [pi[i] for i in range(n) if mask >> i & 1]
-        odd = sum(a > b for k, a in enumerate(gens) for b in gens[k + 1:]) & 1
-        monos[mask] = (sum(1 << (g - 1) for g in gens), odd ^ (flip and mask & 1))
-    index = w_index(n)
-    out = []
-    for mask, j in w_basis(n):
-        image, odd = monos[mask]
-        out.append((index[(image, pi[j - 1])], -1 if odd ^ (flip and j == 1) else 1))
-    return out
-
-
-def symmetry_maps(P: LPrimeModel) -> Optional[List[List[IntVec]]]:
-    """Each generator of the index symmetry (`xi_permutations`) as the
-    images of L''s basis vectors, written in L''s basis by a `SpanSolver`
-    over its rows in W(n) coordinates; None when an image leaves L'."""
-    ext = P.ext
-    if ext.w_coords is None:
-        return None
-    span = SpanSolver()
-    if not all(span.add(row) for row in ext.w_coords):
-        return None
-    maps = []
-    for pi, flip in xi_permutations(ext.family, ext.n):
-        act = w_action(ext.n, pi, flip)
-        sigma = []
-        for row in ext.w_coords:
-            image: IntVec = {}
-            for k, c in row.items():
-                t, s = act[k]
-                image[t] = s * c
-            coords = span.express(image)
-            if coords is None:
-                return None
-            sigma.append(coords)
-        maps.append(sigma)
-    return maps
-
-
-def _apply(sigma: List[IntVec], v: IntVec) -> IntVec:
-    out: IntVec = {}
-    for k, c in v.items():
-        vec_axpy_inplace(out, c, sigma[k])
-    return out
-
-
-def cell_map(A: AlgebraModel, sigma: List[IntVec]) -> Optional[Dict[Cell, Cell]]:
-    """The cell of L that sigma maps each cell of L into, or None when there
-    is none, or when the cell map is not (d, w) -> (d, M w) for one integer
-    matrix M.
-
-    Each sigma(b) must lie in L, in one cell, with b's degree and parity,
-    the same cell for every b of a cell; a `SpanSolver` over the cells'
-    weights then looks for M, and refuses a cell map that is not linear.
-    """
-    m = A.dim
-    cells = A.cells()
-    rows: List[IntVec] = [{} for _ in A.zero_weight()]
-    images: List[IntVec] = [{} for _ in rows]
-    image_of: Dict[Cell, Cell] = {}
-    for no, ((d, w), members) in enumerate(cells.items()):
-        target = None
-        for b in members:
-            image = sigma[b]
-            if not image or max(image) >= m:
-                return None
-            for k in image:
-                if target is None:
-                    target = A.cell_of(k)
-                if A.cell_of(k) != target or A.parity[k] != A.parity[b]:
-                    return None
-        if target[0] != d:
-            return None
-        image_of[d, w] = target
-        for k, (x, y) in enumerate(zip(w, target[1])):
-            if x:
-                rows[k][no] = x
-            if y:
-                images[k][no] = y
-    span = SpanSolver()
-    if not all(span.add(row) for row in rows):
-        return None
-    if any(span.express(image) is None for image in images):
-        return None
-    return image_of
-
-
-def preserves_brackets(P: LPrimeModel, G: List[int], sigma: List[IntVec]) -> bool:
-    """sigma[x, y] = [sigma x, sigma y] for x in G and y in L, and, when L'
-    is larger than L, for every x of L' outside L and y in L.
-
-    Once L passes `check_axioms`, the first part gives it on all of L:
-    T = {x : sigma[x, y] = [sigma x, sigma y] for all y} is a subalgebra
-    (see the module docstring) that contains G, which generates L.  The
-    second part speaks for L' only where L' brackets L x L as L's own table
-    does (`lprime_extends_l`, which `block_orbits` checks).
-    """
-    base, ext, m = P.base, P.ext, P.dim_l
-    pairs = [(base, x) for x in G] + [(ext, x) for x in range(m, ext.dim)]
-    for A, x in pairs:
-        sx = sigma[x]
-        for y in range(m):
-            if _apply(sigma, A.table.get((x, y), {})) != A.bracket(sx, sigma[y]):
-                return False
-    return True
-
-
-def block_orbits(P: LPrimeModel, G: List[int], blocks: BlockSystem) -> Dict[Shift, Shift]:
-    """The representative of every block of ``blocks``: the least shift of
-    its orbit under the index symmetry.
-
-    L' must bracket L x L as L's own table does (`lprime_extends_l`).  Each
-    generator sigma (`symmetry_maps`) must pass `cell_map` and
-    `preserves_brackets`, and its shift map must permute the blocks,
-    keeping their sizes.  If anything fails, every block is its own
-    representative.  Sound once L passes `check_axioms` and G generates L
-    (see the module docstring).
-
-    The cell map is computed once per cell.  It is (d, w) -> (d, M w) with
-    M linear, so a pair of cells (ca, cb) in block (d, a) goes to a pair in
-    block (d, M a), whichever pair of the block it is: the image of a block
-    is read from the one pair `BlockSystem.pair` keeps, as the block that
-    code(sigma ca) - code(sigma cb) names.
-    """
-    size = blocks.size
-    own = {shift: shift for shift in size}
-    maps = symmetry_maps(P) if lprime_extends_l(P) else None
-    if maps is None:
-        return own
-    # the shifts by number, and each generator's shift map on the numbers
-    shifts = list(size)
-    number = {shift: i for i, shift in enumerate(shifts)}
-    sizes = list(size.values())
-    pairs = [blocks.pair[shift] for shift in shifts]
-    named, code = blocks.named, blocks.code
-    moves: List[List[int]] = []
-    for sigma in maps:
-        image = cell_map(P.base, sigma)
-        if image is None or not preserves_brackets(P, G, sigma):
-            return own
-        to = {code[c]: code[t] for c, t in image.items()}
-        move = [number.get(named.get(to[code_a] - to[code_b])) for code_a, code_b in pairs]
-        if None in move or len(set(move)) != len(shifts):
-            return own
-        if any(sizes[t] != n for t, n in zip(move, sizes)):
-            return own
-        moves.append(move)
-    rep: List[int] = [-1] * len(shifts)
-    for i in range(len(shifts)):
-        if rep[i] >= 0:
-            continue
-        orbit = [i]
-        rep[i] = i
-        for s in orbit:  # grows as the orbit is found
-            for move in moves:
-                t = move[s]
-                if rep[t] < 0:
-                    rep[t] = i
-                    orbit.append(t)
-        least = min(orbit, key=shifts.__getitem__)
-        for s in orbit:
-            rep[s] = least
-    return {shift: shifts[r] for shift, r in zip(shifts, rep)}
 
 
 def derivation_space(
@@ -1016,20 +861,28 @@ def derivation_report(P: LPrimeModel, G: List[int], axioms_ok: bool = False) -> 
     (`generators`).  Its blocks stop at dim ad L'_s once
     `outer_ads_are_derivations` has shown ad L' to lie in Der L.
 
-    With ``axioms_ok``, which says that L has passed `check_axioms`, only
-    one block per symmetry orbit is solved (see the module docstring);
-    otherwise every block is.
+    With ``axioms_ok``, which says that L has passed `check_axioms`, and
+    that guard passed, only the dominant blocks are solved (see the module
+    docstring), and when the verdict holds there, dim Der L is dim ad L'
+    (`ad_rank`).  A verdict that fails there is reported from a run on
+    every block, on the same `BlockSystem`; without both premises every
+    block is solved from the start.
     """
-    core = BlockKernels(
-        BlockSystem(P.base), P, G if axioms_ok else None, outer_ads_are_derivations(P, G)
-    )
+    blocks = BlockSystem(P.base)
+    outer_ok = outer_ads_are_derivations(P, G)
+    core = BlockKernels(blocks, P, axioms_ok and outer_ok, outer_ok)
     leibniz_kernels(core, G)
+    holds = core.matches_ad()
+    if not holds and core.reduced():
+        core = BlockKernels(blocks, P, False, outer_ok)
+        leibniz_kernels(core, G)
+        holds = core.matches_ad()
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
-        dim_der=core.dim_space(),
-        lemma_der_holds=core.matches_ad(),
+        dim_der=ad_rank(P, G) if core.reduced() else core.dim_space(),
+        lemma_der_holds=holds,
         transitive=transitivity_check(P),
     )

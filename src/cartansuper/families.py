@@ -142,6 +142,12 @@ class FamilySpec(NamedTuple):
             return (1 << n) - 2
         return ((n - 1) << n) + 1
 
+    @property
+    def dim_lprime(self) -> int:
+        """dim of L' (`build_lprime`), from the closed form: dim L plus the
+        outer elements, none for W and Stilde, 1 for S and 2 for H."""
+        return self.dim + {"S": 1, "H": 2}.get(self.family, 0)
+
     def __str__(self) -> str:
         return f"{self.family}({self.n})"
 

@@ -288,7 +288,7 @@ def generators(
     G is the n vectors d_i of the lowest degree and the n of the top
     degree: ad d_i applied again and again to x_1...x_n d_k gives every
     x^S d_k.  A smaller G makes every scan on G x L smaller: Jacobi here,
-    and the Leibniz rows and the sigma checks in `derivations`.
+    and the Leibniz rows in `derivations`.
 
     The closure is computed exactly from the bracket table and uses no
     Jacobi identity, so it can be trusted on a table not yet known to be a

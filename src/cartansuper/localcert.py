@@ -46,28 +46,35 @@ stage imposes, a block that reaches its target equals ad L'_s whatever
 the order, and `IntKernel.basis()` is the RREF, so even the residual
 witness of an INCONCLUSIVE run is the same.
 
-`certify` opens one block per symmetry orbit (the core's
-`derivations.block_orbits`, whose checks make each generator sigma of the
-index symmetry an automorphism of L and of L' acting on L).  Local maps transport: if phi
-is local, then at any x, with u a witness of phi at sigma^-1 x,
-
-    sigma phi sigma^-1 (x) = sigma [u, sigma^-1 x] = [sigma u, x]
-                           in [sigma L', x] = [L', x],
-
-and the same with u in L'_s and sigma u in L'_{sigma s} for the slice
-condition.  So the local maps of block sigma s are sigma Loc_s sigma^-1,
-and ad L'_{sigma s} = sigma ad L'_s sigma^-1: a representative r whose
-constrained space equals ad L'_r settles its whole orbit, and CERTIFIED
-on the representatives is CERTIFIED.  `dim_ad` and `residual_dim` count
-each block with the size of its orbit.  The constrained space itself is
-not transported (the probes are not symmetric), so when the run on the
-representatives ends INCONCLUSIVE, `certify` runs again on every block,
-on the first run's `BlockSystem`, which lays out the blocks not yet laid
-out, and reports that run; a block that fails on its own fails in both runs,
-so the second run reaches the same stages and draws the same probes.  This
-rests on the premises that `check` proves: the Jacobi identity of L (for
-the sigma check) and Der L = ad L' (for CERTIFIED to speak of every
-superderivation).
+`certify` opens only the dominant blocks (`derivations.dominant_blocks`,
+whose sl2 checks on the table are what runs here).  The argument is
+`check`'s (the `derivations` docstring) with R = Loc / ad L', Loc the
+local maps.  For u in L with ad u nilpotent, as for every u in b+ and for
+the f of each sl2 triple, g = exp(t ad u) is an automorphism of L that
+also respects the bracket L' x L -> L, because every ad(w), w in L', is a
+superderivation of L; so g sends local maps to local maps (if
+phi(g^-1 x) = [w, g^-1 x], then g phi g^-1 (x) = [g w, x]), and the term
+of g phi g^-1 linear in t, [ad u, phi], lies in Loc.  With
+[ad u, ad w] = ad [u, w], R is a module over b+ and over each f, and ad h
+acts on its blocks, which the grading keeps apart in Loc, by the scalars
+lambda_s(h).  Engel's theorem and the sl2 argument then put a nonzero part
+of a nonzero R in a dominant block s; but there Loc_s lies in the
+constrained space, which equals ad L'_s when the run certifies, so R = 0:
+CERTIFIED on the dominant blocks is CERTIFIED, and `dim_C` and
+`dim_adLprime` are then dim ad L' (`derivations.ad_rank`).  The
+constrained space itself is not reduced this way (the probes are not
+b+-stable), so when the run on the dominant blocks ends INCONCLUSIVE,
+`certify` runs again on every block, on the first run's `BlockSystem`,
+which lays out the blocks not yet laid out, and reports that run; a block
+that fails on its own fails in both runs, so the second run reaches the
+same stages and draws the same probes.  This rests on the premises that
+`check` proves: the Jacobi identity and grading additivity of L, ad L'
+inside Der L (`outer_ads_are_derivations`), and Der L = ad L' (for
+CERTIFIED to speak of every superderivation); and, as a run on every
+block does, on Loc_s lying in the engine's slice-constrained space
+(`ConstraintEngine`), which for a probe spread over several cells is the
+open gap of ROADMAP.md, "A local certificate that rests on nothing
+unproven".
 
 The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
 block that the core has closed at its target takes no more probes, and a
@@ -98,11 +105,10 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift
+from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators
 from .linalg import (
-    IntKernel,
     IntVec,
     Subspace,
     Vec,
@@ -418,7 +424,7 @@ def _random_probe_stream(P: LPrimeModel, seed: int) -> Iterator[Probe]:
 class ConstraintEngine(BlockKernels):
     """Incremental per-shift solver for the probe-constrained space, on the
     block core `BlockKernels`, which owns the blocks, their targets ad L'_s,
-    `open`, the orbit-weighted dimensions and `matches_ad`.  The engine
+    `open`, the dimensions and `matches_ad`.  The engine
     adds the probe work: `split`, the open-block lists, the last-key skip
     and `constraint_rows`.
 
@@ -464,14 +470,14 @@ class ConstraintEngine(BlockKernels):
     every probe on every open block it reaches.  Rows that read more of x
     must widen the key to all that they read (see the module docstring).
 
-    Given G, a generating set of L, the core solves one block per symmetry
-    orbit; without G every block, as `constrained_space` needs.  Given
-    ``blocks``, the engine runs on that layout instead of a new one.
+    With ``dominant``, the core solves the dominant blocks only; without
+    it every block, as `constrained_space` needs.  Given ``blocks``, the
+    engine runs on that layout instead of a new one.
     """
 
-    def __init__(self, P: LPrimeModel, G: Optional[List[int]] = None,
+    def __init__(self, P: LPrimeModel, dominant: bool = False,
                  blocks: Optional[BlockSystem] = None):
-        super().__init__(BlockSystem(P.base) if blocks is None else blocks, P, G)
+        super().__init__(BlockSystem(P.base) if blocks is None else blocks, P, dominant)
         self.L = L = P.base
         self.dim = L.dim
         # each source cell's `_open_reach` list with the size of `open` it
@@ -628,7 +634,7 @@ def certify(
     built, when the earlier ones leave a gap.  Each stage is one
     `add_probes` call; stage 1 is cut to the budget and then fed in
     `visit_order`, and `probe_labels` lists every probe in the order above.
-    The engine solves one block per symmetry orbit; when that ends
+    The engine solves the dominant blocks only; when that ends
     INCONCLUSIVE, the stages run again on every block, and the report is
     that run's (see the module docstring).
     """
@@ -638,13 +644,18 @@ def certify(
         budget = 4 * L.dim
     sep = separating_t(P.ext)
     proof = proof_probes(P, sep)
-    engine = ConstraintEngine(P, generators(L))
+    engine = ConstraintEngine(P, True)
     labels, verdict = _run_stages(P, engine, proof, budget, seed)
-    if verdict != "CERTIFIED" and len(engine.space) < len(engine.blocks.size):
+    if verdict != "CERTIFIED" and engine.reduced():
         # a residual is reported on every block, as the full run finds it,
         # on the blocks laid out so far
-        engine = ConstraintEngine(P, None, engine.blocks)
+        engine = ConstraintEngine(P, False, engine.blocks)
         labels, verdict = _run_stages(P, engine, proof, budget, seed)
+    if engine.reduced():
+        # CERTIFIED on the dominant blocks: the constrained space is ad L'
+        dim_c = dim_ad = ad_rank(P, generators(L))
+    else:
+        dim_c, dim_ad = engine.dim_space(), engine.dim_ad()
 
     elapsed = int((time.monotonic() - start) * 1000)
     return Certificate(
@@ -652,8 +663,8 @@ def certify(
         n=L.n,
         t=sep.t,
         probe_labels=labels,
-        dim_constrained=engine.dim_space(),
-        dim_ad=engine.dim_ad(),
+        dim_constrained=dim_c,
+        dim_ad=dim_ad,
         verdict=verdict,
         elapsed_ms=elapsed,
         engine=engine,

@@ -116,6 +116,20 @@ def test_info_json_payload():
     assert payload["cartan_rank"] == 3
 
 
+def test_info_reads_dim_lprime_from_the_closed_form(monkeypatch, capsys):
+    from pathlib import Path
+
+    from cartansuper import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("info built L'")
+
+    monkeypatch.setattr(cli, "build_lprime", refuse)
+    golden = Path(__file__).parent / "golden" / "info_h5.json"
+    assert cli.main(["info", "--family", "H", "--n", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_check_passes_on_h5():
     res = run_cli("check", "--family", "H", "--n", "5", "--format", "json")
     assert res.returncode == 0

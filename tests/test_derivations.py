@@ -4,9 +4,7 @@ import contextlib
 import copy
 import io
 import json
-import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +20,9 @@ from cartansuper.derivations import (
     is_superderivation,
     transitivity_check,
 )
-from cartansuper.families import LPrimeModel, build, build_lprime, involution, w_basis, w_bracket
+from cartansuper.families import LPrimeModel, build, build_lprime
 from cartansuper.liesuper import AlgebraModel, ad_matrix, generators
+from cartansuper.localcert import ConstraintEngine
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +229,7 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
 
 def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
     # the engine is the core, check builds exactly one, and patching
-    # derivations.block_orbits alone decides the blocks that both solve
+    # derivations.dominant_blocks alone decides the blocks that both solve
     from cartansuper import localcert
 
     _, P = pairs[("H", 5)]
@@ -247,9 +246,9 @@ def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
     for reduced in (True, False):
         with monkeypatch.context() as m:
             if not reduced:
-                m.setattr(derivations, "block_orbits", trivial_orbits)
-            solved = set(derivations.block_orbits(P, G, blocks).values())
-            assert (len(solved) < len(blocks.entries)) == reduced
+                m.setattr(derivations, "dominant_blocks", every_block)
+            solved = derivations.dominant_blocks(blocks) or set(blocks.size)
+            assert (len(solved) < len(blocks.size)) == reduced
             m.setattr(derivations.BlockKernels, "__init__", spy)
             cores.clear()
             assert derivation_report(P, G, True).lemma_der_holds
@@ -260,14 +259,22 @@ def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, dim_der", [(("H", 5), 32), (("S", 4), 50)])
-def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der):
+def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der, monkeypatch):
     # ad L is a proper subspace of Der L for H(5) and S(4): the outer
-    # derivations of L' are missing
+    # derivations of L' are missing.  With the axioms passed, the verdict
+    # fails on the dominant blocks, and dim Der comes from the rerun on
+    # every block
     A, _ = pairs[spec]
-    report = derivation_report(LPrimeModel(A, A, []), generators(A))
-    assert not report.lemma_der_holds
-    assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
-    assert report.dim_lprime == A.dim < dim_der
+    P = LPrimeModel(A, A, [])
+    for axioms_ok in (False, True):
+        solved = solved_blocks(monkeypatch)
+        report = derivation_report(P, generators(A), axioms_ok)
+        assert not report.lemma_der_holds
+        assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
+        assert report.dim_lprime == A.dim < dim_der
+        every = len(BlockSystem(A).size)
+        assert solved == ([len(derivations.dominant_blocks(BlockSystem(A))), every]
+                          if axioms_ok else [every])
 
 
 # -- the rank target and its guard
@@ -326,7 +333,10 @@ def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch)
     every = rows_pulled(
         monkeypatch, lambda: derivations.leibniz_kernels(BlockKernels(BlockSystem(A)), G)
     )
-    assert rows_pulled(monkeypatch, lambda: derivation_report(bad, G)) == every
+    # with the axioms passed too: a failed guard solves every block from
+    # the start, not the dominant blocks first
+    for axioms_ok in (False, True):
+        assert rows_pulled(monkeypatch, lambda: derivation_report(bad, G, axioms_ok)) == every
     assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
 
 
@@ -516,7 +526,7 @@ def test_leibniz_rows_are_integral(pairs):
             assert all(type(c) is int and c for c in row.values())
 
 
-# -- one block per symmetry orbit
+# -- the dominant blocks
 
 
 STRETCH = [
@@ -524,9 +534,9 @@ STRETCH = [
 ]
 
 
-def trivial_orbits(P, G, blocks):
-    """`block_orbits` as it answers when a symmetry fails its check."""
-    return {shift: shift for shift in blocks.entries}
+def every_block(blocks):
+    """`dominant_blocks` as it answers when a check fails."""
+    return None
 
 
 def model_pair(pairs, spec):
@@ -536,12 +546,40 @@ def model_pair(pairs, spec):
     return A, build_lprime(A)
 
 
-def with_one_sign_wrong(maps):
-    """The symmetry maps with the image of basis vector 0 under the first
-    one negated."""
-    first = list(maps[0])
-    first[0] = {k: -c for k, c in first[0].items()}
-    return [first] + maps[1:]
+def roots(A):
+    """The (e, f) basis pairs of the roots that `dominant_blocks` uses."""
+    cells = A.cells()
+    out = []
+    for (d, alpha), es in cells.items():
+        fs = cells.get((0, tuple(-x for x in alpha)), [])
+        if d == 0 and alpha > A.zero_weight() and len(es) == len(fs) == 1:
+            if A.parity[es[0]] == A.parity[fs[0]] == 0:
+                out.append((es[0], fs[0]))
+    return out
+
+
+def with_one_sign_wrong(A):
+    """A copy of A whose [k, f] is negated, for the f of its first root and
+    a k in h = [e, f] with [k, f] != 0: [h, f] is then still a multiple of
+    f, but not -c f."""
+    e, f = roots(A)[0]
+    k = next(k for k in A.table[(e, f)] if A.table.get((k, f)))
+    B = copy.copy(A)
+    B.table = {**A.table, (k, f): {x: -c for x, c in A.table[(k, f)].items()}}
+    return B
+
+
+def filter_reads(monkeypatch, edit):
+    """Make `dominant_blocks` read the table of ``edit(A)`` in place of
+    the run's model A."""
+    real = derivations.dominant_blocks
+
+    def on_copy(blocks):
+        seen = copy.copy(blocks)
+        seen.A = edit(blocks.A)
+        return real(seen)
+
+    monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
 
 
 def solved_blocks(monkeypatch):
@@ -559,49 +597,39 @@ def solved_blocks(monkeypatch):
     return solved
 
 
-@pytest.mark.parametrize("family, n", [("W", 4), ("S", 5), ("Stilde", 6), ("H", 5), ("H", 6)])
-def test_symmetry_generators(family, n):
-    # two generators of all permutations, or three of those that commute
-    # with i -> i', each odd one flipped for Stilde
-    perms = derivations.xi_permutations(family, n)
-    assert all(sorted(pi) == list(range(1, n + 1)) for pi, _ in perms)
-    for pi, flip in perms:
-        odd = sum(a > b for k, a in enumerate(pi) for b in pi[k + 1:]) % 2
-        assert flip == (family == "Stilde" and odd == 1)
-    group = {tuple(range(1, n + 1))}
-    edge = list(group)
-    while edge:
-        edge = [
-            image for g in edge for pi, _ in perms
-            for image in [tuple(pi[x - 1] for x in g)] if image not in group
-        ]
-        group.update(edge)
-    if family == "H":
-        prime = {i: involution(i, n) for i in range(1, n + 1)}
-        assert len(perms) == min(n // 2, 3)
-        assert all(g[prime[i] - 1] == prime[g[i - 1]] for g in group for i in prime)
-        assert len(group) == 2 ** (n // 2) * math.factorial(n // 2)
-    else:
-        assert len(perms) == 2
-        assert len(group) == math.factorial(n)
+@pytest.mark.parametrize("n", [4, 5])
+def test_dominant_blocks_of_w_have_non_increasing_weights(n):
+    # the roots of W(n) are e_i - e_j, i < j, with h = x_i d_i - x_j d_j and
+    # c = 2, so a block (d, a) is dominant when a_i >= a_j for all i < j
+    blocks = BlockSystem(build("W", n))
+    dominant = derivations.dominant_blocks(blocks)
+    assert len(roots(blocks.A)) == n * (n - 1) // 2
+    assert dominant == {
+        (d, a) for d, a in blocks.size if all(x >= y for x, y in zip(a, a[1:]))
+    }
 
 
-@pytest.mark.parametrize("family", ["W", "Stilde", "H"])
-def test_w_action_is_an_automorphism_of_w(family):
-    n = 4 if family != "H" else 5
-    rng = random.Random(37)
-    dim = len(w_basis(n))
-    for pi, flip in derivations.xi_permutations(family, n):
-        act = derivations.w_action(n, pi, flip)
-        assert sorted(t for t, _ in act) == list(range(dim))
+# (blocks, entries) that `dominant_blocks` keeps; the blocks equal the number
+# of orbits of the odd-generator symmetry that `check` solved before, but
+# on H(6) (36 orbits, 551 entries) and H(8) (71 orbits, 3,863 entries)
+DOMINANT = {
+    ("W", 4): (39, 635), ("S", 4): (35, 347), ("Stilde", 4): (25, 347),
+    ("H", 5): (36, 296), ("H", 6): (46, 632), ("H", 7): (84, 2312),
+    ("S", 5): (55, 1139), ("W", 5): (59, 1902), ("W", 6): (83, 5203),
+    ("Stilde", 6): (61, 3331), ("H", 8): (86, 4200), ("H", 9): (159, 15688),
+    ("W", 7): (111, 13430),
+}
+FAR = {("W", 6), ("Stilde", 6), ("H", 8), ("H", 9), ("W", 7)}
 
-        def sigma(v):
-            return {act[k][0]: act[k][1] * c for k, c in v.items()}
 
-        for _ in range(20):
-            a = {rng.randrange(dim): rng.choice([-2, -1, 1, 3]) for _ in range(3)}
-            b = {rng.randrange(dim): rng.choice([-2, -1, 1, 3]) for _ in range(3)}
-            assert w_bracket(n, sigma(a), sigma(b)) == sigma(w_bracket(n, a, b))
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, marks=pytest.mark.slow) if spec in FAR else spec for spec in DOMINANT
+])
+def test_dominant_block_counts_are_pinned(pairs, spec):
+    A, _ = model_pair(pairs, spec)
+    blocks = BlockSystem(A)
+    dominant = derivations.dominant_blocks(blocks)
+    assert (len(dominant), sum(blocks.size[s] for s in dominant)) == DOMINANT[spec]
 
 
 @pytest.mark.parametrize("spec", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), *STRETCH])
@@ -609,38 +637,72 @@ def test_reduced_der_agrees_with_every_block(pairs, spec):
     A, P = model_pair(pairs, spec)
     G = generators(A)
     blocks = BlockSystem(A)
-    orbit = derivations.block_orbits(P, G, blocks)
-    size = Counter(orbit.values())
-    assert len(size) < len(blocks.entries)
+    dominant = derivations.dominant_blocks(blocks)
+    assert len(dominant) < len(blocks.size)
     # Der_s on every block, each solved to a zero kernel or to its last row
     every = derivations.leibniz_kernels(BlockKernels(blocks), G)
-    reduced = derivations.leibniz_kernels(BlockKernels(blocks, P, G, stop_at_ad=False), G)
-    assert list(reduced) == [shift for shift in every if shift in size]
-    for rep, kern in reduced.items():
-        assert kern.basis() == every[rep].basis(), rep
-    # dim Der_s is constant on each orbit, so the transported sum is dim Der
-    for shift, rep in orbit.items():
-        assert len(every[shift]) == len(every[rep]), shift
-    assert sum(size[rep] * len(kern) for rep, kern in reduced.items()) == sum(
-        len(kern) for kern in every.values()
-    )
+    reduced = derivations.leibniz_kernels(BlockKernels(blocks, P, True, stop_at_ad=False), G)
+    assert list(reduced) == [shift for shift in every if shift in dominant]
+    for shift, kern in reduced.items():
+        assert kern.basis() == every[shift].basis(), shift
+    # Der L = ad L' on every block, and dim ad L' on ints is its dimension
+    assert derivations.blocks_equal_ad(every, derivations.ad_blocks(P, blocks, every))
+    assert derivations.ad_rank(P, G) == sum(len(kern) for kern in every.values())
     assert derivation_report(P, G, True).as_dict() == derivation_report(P, G).as_dict()
 
 
-@pytest.mark.parametrize("spec", DESK)
-def test_one_wrong_sign_is_refused_and_every_block_solved(pairs, spec, monkeypatch):
-    A, P = pairs[spec]
+def test_ad_rank_is_a_rank(pairs):
+    # an outer element whose ad repeats that of basis vector 0 adds no rank
+    A, P = pairs[("H", 5)]
     G = generators(A)
+    ext = copy.copy(P.ext)
+    u = ext.dim
+    ext.table = {**ext.table, **{(u, y): w for (x, y), w in P.ext.table.items() if x == 0}}
+    ext.basis = list(ext.basis) + [ext.basis[0]]
+    twice = LPrimeModel(A, ext, [*P.extra, "copy of 0"])
+    assert derivations.ad_rank(P, G) == ad_image(P).dim == P.dim_lprime
+    assert derivations.ad_rank(twice, G) == P.dim_lprime
+
+
+@pytest.mark.parametrize("spec", DESK)
+def test_one_wrong_sign_is_refused_and_every_block_solved(pairs, spec, monkeypatch, capsys):
+    # the filter reads a table whose [h, f] is not -c f for one root: it
+    # refuses, and check and certify solve every block and print the goldens
+    A, P = pairs[spec]
     blocks = BlockSystem(A)
-    bad = with_one_sign_wrong(derivations.symmetry_maps(P))
-    assert derivations.cell_map(A, bad[0]) is not None
-    assert not derivations.preserves_brackets(P, G, bad[0])
-    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: bad)
-    assert derivations.block_orbits(P, G, blocks) == trivial_orbits(P, G, blocks)
+    seen = copy.copy(blocks)
+    seen.A = with_one_sign_wrong(A)
+    assert derivations.dominant_blocks(seen) is None
+    filter_reads(monkeypatch, with_one_sign_wrong)
     solved = solved_blocks(monkeypatch)
-    report = derivation_report(P, G, True)
-    assert solved == [len(blocks.entries)]
-    assert report.lemma_der_holds and report.dim_der == P.dim_lprime
+    engines = []
+    real = ConstraintEngine.__init__
+
+    def spy(engine, *args):
+        real(engine, *args)
+        engines.append(engine)
+
+    monkeypatch.setattr(ConstraintEngine, "__init__", spy)
+    name = f"{spec[0].lower()}{spec[1]}.json"
+    for command in ("check", "certify"):
+        assert run_report(capsys, command, *spec) == (0, golden(f"{command}_{name}"))
+    assert solved == [len(blocks.size)]
+    assert [len(engine.space) for engine in engines] == [len(blocks.size)]
+
+
+@pytest.mark.parametrize("family, n", [("W", 4), ("H", 5)])
+def test_off_diagonal_h_is_refused(family, n):
+    # [h, x] with a second term for one basis vector x of the root's
+    # cell: ad h is no longer diagonal
+    A = build(family, n)
+    e, f = roots(A)[0]
+    k = next(iter(A.table[(e, f)]))
+    B = copy.copy(A)
+    B.table = {**A.table, (k, e): {**A.table.get((k, e), {}), f: 1}}
+    seen = BlockSystem(A)
+    seen.A = B
+    assert derivations.dominant_blocks(BlockSystem(A)) is not None
+    assert derivations.dominant_blocks(seen) is None
 
 
 def run_check(monkeypatch, A):
@@ -656,12 +718,13 @@ def run_check(monkeypatch, A):
 @pytest.mark.parametrize("spec", DESK)
 def test_table_edited_in_one_non_representative_block_fails_check(pairs, spec, monkeypatch):
     # [i, j] changed at one coefficient, in both orders, for an i whose
-    # cell, the block of ad(i), is not its orbit's representative
+    # cell, the block of ad(i), is not dominant: a block the reduced run
+    # does not solve
     A, P = pairs[spec]
-    orbit = derivations.block_orbits(P, generators(A), BlockSystem(A))
+    dominant = derivations.dominant_blocks(BlockSystem(A))
     i, j = next(
         (i, j) for (i, j), w in sorted(A.table.items())
-        if w and orbit[A.cell_of(i)] != A.cell_of(i)
+        if w and A.cell_of(i) not in dominant
     )
     B = copy.copy(A)
     B.table = dict(A.table)
@@ -669,31 +732,18 @@ def test_table_edited_in_one_non_representative_block_fails_check(pairs, spec, m
     for key in ((i, j), (j, i)):
         w = B.table[key] = dict(A.table[key])
         w[k] += 1 if w[k] == A.table[(i, j)][k] else -1
-    called = []
-    real = derivations.block_orbits
-
-    def spy(*args):
-        called.append(real(*args))
-        return called[-1]
-
-    monkeypatch.setattr(derivations, "block_orbits", spy)
     solved = solved_blocks(monkeypatch)
     code, report = run_check(monkeypatch, B)
     assert code == 1
-    assert not (report["axioms_ok"] and report["lemma_der_holds"])
-    # the axiom scan refuses the table, or the symmetry check refuses sigma:
-    # either way every block is solved
-    if report["axioms_ok"]:
-        assert called == [trivial_orbits(None, None, BlockSystem(B))]
-    else:
-        assert called == []
-    assert solved == [len(BlockSystem(B).entries)]
+    # the axiom scan refuses the table, so every block is solved
+    assert not report["axioms_ok"]
+    assert solved == [len(BlockSystem(B).size)]
 
 
-def test_sigma_refused_on_an_isomorphic_table(pairs, monkeypatch):
+def test_isomorphic_table_keeps_the_dominant_blocks(pairs, monkeypatch):
     # W(4) with one basis vector negated is a Lie superalgebra isomorphic to
-    # W(4), so `check` passes; but sigma, read from the W(n) rows, is no
-    # longer an automorphism of its table, and every block is solved
+    # W(4): the filter, which reads the table alone, keeps the same blocks,
+    # and check passes on them
     A, _ = pairs[("W", 4)]
     b = next(b for b in range(A.dim) if A.degree[b] == -1)
     sign = [-1 if x == b else 1 for x in range(A.dim)]
@@ -702,13 +752,12 @@ def test_sigma_refused_on_an_isomorphic_table(pairs, monkeypatch):
         (x, y): {k: sign[x] * sign[y] * sign[k] * c for k, c in w.items()}
         for (x, y), w in A.table.items()
     }
-    G = generators(B)
-    maps = derivations.symmetry_maps(build_lprime(B))
-    assert not all(derivations.preserves_brackets(build_lprime(B), G, m) for m in maps)
+    dominant = derivations.dominant_blocks(BlockSystem(B))
+    assert dominant == derivations.dominant_blocks(BlockSystem(A))
     solved = solved_blocks(monkeypatch)
     code, report = run_check(monkeypatch, B)
     assert code == 0 and report["dim_Der"] == 64
-    assert solved == [len(BlockSystem(B).entries)]
+    assert solved == [len(dominant)]
 
 
 # -- the code-keyed layout, and only the blocks a run solves
@@ -738,34 +787,27 @@ def reference_layout(A, parity=None):
     return entries, reach
 
 
-def reference_orbits(P, G):
-    """`block_orbits` with each generator's shift map taken, as tuples, from
-    every pair of cells, each pair's image checked against the block's."""
-    A = P.base
+def reference_dominant(A):
+    """`dominant_blocks` from every pair of cells: the eigenvalues of each
+    root's ad h, read off the table on each basis vector, must be the same
+    tuple on every pair of a block, and a block is dominant when c times
+    each is >= 0."""
     cells = A.cells()
-    entries, _ = reference_layout(A)
-    moves = []
-    for sigma in derivations.symmetry_maps(P):
-        assert derivations.preserves_brackets(P, G, sigma)
-        image = {cell: A.cell_of(min(sigma[members[0]])) for cell, members in cells.items()}
-        move = {}
-        for cb in cells:
-            for ca in cells:
-                to = BlockSystem.cell_shift(A, image[ca], image[cb])
-                assert move.setdefault(BlockSystem.cell_shift(A, ca, cb), to) == to
-        assert sorted(move.values()) == sorted(entries)
-        assert all(len(entries[t]) == len(entries[s]) for s, t in move.items())
-        moves.append(move)
-    rep = {}
-    for shift in entries:
-        if shift in rep:
-            continue
-        orbit = [shift]
-        for s in orbit:  # grows as the orbit is found
-            orbit.extend(t for t in (move[s] for move in moves) if t not in orbit)
-        for s in orbit:
-            rep[s] = min(orbit)
-    return {shift: rep[shift] for shift in entries}
+    hs = [(A.table[(e, f)], e) for e, f in roots(A)]
+    mu = {}
+    for cell, members in cells.items():
+        for x in members:
+            hx = [A.bracket(h, {x: 1}) for h, _ in hs]
+            assert all(set(v) <= {x} for v in hx)
+            assert mu.setdefault(cell, [v.get(x, 0) for v in hx]) == [v.get(x, 0) for v in hx]
+    c = [mu[A.cell_of(e)][r] for r, (_, e) in enumerate(hs)]
+    lam = {}
+    for cb in cells:
+        for ca in cells:
+            shift = BlockSystem.cell_shift(A, ca, cb)
+            got = [x - y for x, y in zip(mu[ca], mu[cb])]
+            assert lam.setdefault(shift, got) == got, shift
+    return {shift for shift, ls in lam.items() if all(cr * x >= 0 for cr, x in zip(c, ls))}
 
 
 @pytest.mark.parametrize("spec", LAYOUT)
@@ -792,12 +834,11 @@ def test_code_keyed_layout_matches_a_walk_over_every_pair(pairs, spec):
 
 
 @pytest.mark.parametrize("spec", LAYOUT)
-def test_block_orbits_read_from_one_pair_match_every_pair(pairs, spec):
-    A, P = model_pair(pairs, spec)
-    G = generators(A)
-    orbit = derivations.block_orbits(P, G, BlockSystem(A))
-    assert list(orbit.items()) == list(reference_orbits(P, G).items())
-    assert len(set(orbit.values())) < len(orbit)
+def test_dominance_read_from_one_pair_matches_every_pair(pairs, spec):
+    A, _ = model_pair(pairs, spec)
+    dominant = derivations.dominant_blocks(BlockSystem(A))
+    assert dominant == reference_dominant(A)
+    assert len(dominant) < len(BlockSystem(A).size)
 
 
 @pytest.mark.parametrize("spec", [*DESK, ("H", 6)])
@@ -860,16 +901,15 @@ def run_report(capsys, command, family, n, *extra):
 
 @pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
 def test_reduced_runs_lay_out_only_the_representatives(family, n, monkeypatch, capsys):
-    A = build(family, n)
-    P = build_lprime(A)
-    reps = set(derivations.block_orbits(P, generators(A), BlockSystem(A)).values())
+    # the dominant blocks stand for every block, and only they are laid out
+    dominant = derivations.dominant_blocks(BlockSystem(build(family, n)))
     calls = laid_out(monkeypatch)
     name = f"{family.lower()}{n}.json"
     assert run_report(capsys, "check", family, n) == (0, golden(f"check_{name}"))
-    assert by_system(calls) == [reps]
+    assert by_system(calls) == [dominant]
     calls.clear()
     assert run_report(capsys, "certify", family, n) == (0, golden(f"certify_{name}"))
-    assert by_system(calls) == [reps]
+    assert by_system(calls) == [dominant]
 
 
 def test_fallbacks_lay_out_every_block(pairs, monkeypatch, capsys):
@@ -877,23 +917,22 @@ def test_fallbacks_lay_out_every_block(pairs, monkeypatch, capsys):
 
     A, P = pairs[("H", 5)]
     every = set(BlockSystem(A).size)
-    reps = set(derivations.block_orbits(P, generators(A), BlockSystem(A)).values())
-    assert len(reps) < len(every)
+    dominant = derivations.dominant_blocks(BlockSystem(A))
+    assert len(dominant) < len(every)
     calls = laid_out(monkeypatch)
     # certify's rerun on every block after a reduced INCONCLUSIVE lays out
     # the rest of the first run's system
     out = run_report(capsys, "certify", "H", 5, "--budget", "67", "--seed", "0")
     assert out == (3, golden("certify_h5_budget67.json"))
-    assert by_system(calls) == [every] and calls[0][1] == reps
+    assert by_system(calls) == [every] and calls[0][1] == dominant
     # check with no passed axiom scan
     calls.clear()
     with monkeypatch.context() as m:
         m.setattr(cli, "derivation_report", lambda P, G, ok: derivation_report(P, G))
         assert run_report(capsys, "check", "H", 5) == (0, golden("check_h5.json"))
     assert by_system(calls) == [every]
-    # a sigma with one wrong bracket
-    real = derivations.symmetry_maps
-    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: with_one_sign_wrong(real(P)))
+    # a root whose [h, f] is not -c f
+    filter_reads(monkeypatch, with_one_sign_wrong)
     for command in ("check", "certify"):
         calls.clear()
         assert run_report(capsys, command, "H", 5) == (0, golden(f"{command}_h5.json"))

@@ -75,6 +75,17 @@ def test_dimension_limit_admits_the_largest_models():
         FamilySpec(family, n).validate()
 
 
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in ("W", "S", "Stilde", "H") for n in (4, 5, 6)
+    if not (family == "Stilde" and n % 2 or family == "H" and n == 4)
+])
+def test_dim_lprime_closed_form_matches_the_built_lprime(family, n):
+    spec = FamilySpec(family, n)
+    P = build_lprime(build(spec))
+    assert spec.dim_lprime == P.dim_lprime
+    assert spec.dim == P.dim_l
+
+
 # -- involution
 
 

@@ -1,7 +1,7 @@
 """Probe machinery, separating scalar, and the certification pipeline."""
 
+import copy
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cartansuper import derivations, localcert
 from cartansuper.derivations import BlockSystem, EndMap, ad_image
 from cartansuper.families import build, build_lprime, w_basis
-from cartansuper.liesuper import ad_matrix, generators
+from cartansuper.liesuper import ad_matrix
 from cartansuper.linalg import (
     IntKernel,
     Matrix,
@@ -80,16 +80,16 @@ def inner_map(P, u):
     return EndMap.from_matrix(ad_matrix(P.ext, u, restrict=P.dim_l))
 
 
-def trivial_orbits(P, G, blocks):
-    """`block_orbits` as it answers when a symmetry fails its check."""
-    return {shift: shift for shift in blocks.entries}
+def every_block(blocks):
+    """`dominant_blocks` as it answers when a check fails."""
+    return None
 
 
-def orbit_modes(monkeypatch):
-    """Yield twice: as `certify` runs, on one block per orbit, and then
+def block_modes(monkeypatch):
+    """Yield twice: as `certify` runs, on the dominant blocks, and then
     with every block solved, which lasts to the end of the test."""
-    yield "one block per orbit"
-    monkeypatch.setattr(derivations, "block_orbits", trivial_orbits)
+    yield "dominant blocks"
+    monkeypatch.setattr(derivations, "dominant_blocks", every_block)
     yield "every block"
 
 
@@ -492,7 +492,7 @@ def test_stage1_visit_order_cannot_change_the_certificate(family, n, monkeypatch
     engines = {name: feed(P, order(stage1)) for name, order in orders.items()}
     for name in orders:
         assert_same_blocks(engines[name], engines["report"])
-    for mode in orbit_modes(monkeypatch):
+    for mode in block_modes(monkeypatch):
         certs = {}
         for name, order in orders.items():
             monkeypatch.setattr(localcert, "visit_order", order)
@@ -707,8 +707,8 @@ class AllRowsEngine(ConstraintEngine):
     RREFs over Q: the oracle for the blocks kept as `IntKernel`s and for
     `matches_ad`."""
 
-    def __init__(self, P, G=None, blocks=None):
-        super().__init__(P, G, blocks)
+    def __init__(self, P, dominant=False, blocks=None):
+        super().__init__(P, dominant, blocks)
         self.space = {shift: AllRowsSpace(space.ncols) for shift, space in self.space.items()}
 
     def matches_ad(self):
@@ -741,7 +741,7 @@ def assert_same_spaces(fast, slow, shifts=None):
 @pytest.mark.parametrize("family, n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])
 def test_indexed_cut_equals_all_rows_cut(family, n, monkeypatch):
     P = build_lprime(build(family, n))
-    for mode in orbit_modes(monkeypatch):
+    for mode in block_modes(monkeypatch):
         fast = certify(P)
         slow = certify_with(AllRowsEngine, P, monkeypatch)
         assert fast.verdict == slow.verdict == "CERTIFIED", mode
@@ -808,8 +808,8 @@ class CountingEngine(ConstraintEngine):
     """The engine, recording the shift of each `constraint_rows` call and
     counting the cuts that shrink a block."""
 
-    def __init__(self, P, G=None, blocks=None):
-        super().__init__(P, G, blocks)
+    def __init__(self, P, dominant=False, blocks=None):
+        super().__init__(P, dominant, blocks)
         self.calls = []
         self.effective = 0
 
@@ -857,11 +857,11 @@ def assert_same_rows(fast, slow):
 
 @pytest.mark.parametrize("family, n", DESK)
 def test_skips_keep_the_rows_of_every_probe_on_every_block(family, n):
-    # on every block, and on one block per orbit as `certify` opens them
+    # on every block, and on the dominant blocks as `certify` opens them
     P = build_lprime(build(family, n))
     stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
-    for G in (None, generators(P.base)):
-        fast, slow = CountingEngine(P, G), EveryProbeEngine(P, G)
+    for dominant in (False, True):
+        fast, slow = CountingEngine(P, dominant), EveryProbeEngine(P, dominant)
         fast.add_probes(stage1)
         slow.add_probes(stage1)
         assert_same_rows(fast, slow)
@@ -1014,7 +1014,7 @@ def test_2local_agrees_with_fraction_solve(model, request):
     assert not is_2local_at_reference(ident, h1, h2, P)
 
 
-# -- one block per symmetry orbit
+# -- the dominant blocks
 
 
 STRETCH = [
@@ -1024,24 +1024,24 @@ STRETCH = [
 
 def certify_every_block(P, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(derivations, "block_orbits", trivial_orbits)
+        m.setattr(derivations, "dominant_blocks", every_block)
         return certify(P, **kwargs)
 
 
 @pytest.mark.parametrize("family, n", DESK + STRETCH)
 def test_certify_on_representatives_agrees_with_every_block(family, n, monkeypatch):
+    # the dominant blocks stand for every block
     P = build_lprime(build(family, n))
     reduced = certify(P)
     every = certify_every_block(P, monkeypatch)
     assert reduced.verdict == "CERTIFIED"
     assert reduced.as_dict() == every.as_dict()
-    orbit = derivations.block_orbits(P, generators(P.base), reduced.engine.blocks)
-    reps = set(orbit.values())
-    assert list(reduced.engine.space) == [s for s in every.engine.space if s in reps]
-    assert len(reps) < len(every.engine.space)
-    for rep, kern in reduced.engine.space.items():
-        assert kern.basis() == every.engine.space[rep].basis(), rep
-    assert reduced.engine.orbit_size == Counter(orbit.values())
+    dominant = derivations.dominant_blocks(reduced.engine.blocks)
+    assert list(reduced.engine.space) == [s for s in every.engine.space if s in dominant]
+    assert len(dominant) < len(every.engine.space)
+    for shift, kern in reduced.engine.space.items():
+        assert kern.basis() == every.engine.space[shift].basis(), shift
+    assert reduced.dim_constrained == reduced.dim_ad == every.engine.dim_space()
 
 
 def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch):
@@ -1056,7 +1056,7 @@ def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(ConstraintEngine, "__init__", spy)
         cert = certify(P, budget=67)
-    # the run on the representatives, then the rerun on every block
+    # the run on the dominant blocks, then the rerun on every block
     assert [len(e.space) for e in engines] == [36, len(engines[0].blocks.entries)]
     assert cert.engine is engines[1]
     every = certify_every_block(P, monkeypatch, budget=67)
@@ -1065,14 +1065,28 @@ def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch)
     assert cert.dim_constrained > cert.dim_ad
 
 
-def test_certify_solves_every_block_when_a_sigma_is_refused(H5, monkeypatch):
-    _, P = H5
-    maps = derivations.symmetry_maps(P)
-    first = list(maps[0])
-    first[0] = {k: -c for k, c in first[0].items()}
-    monkeypatch.setattr(derivations, "symmetry_maps", lambda P: [first] + maps[1:])
+def test_certify_solves_every_block_when_a_root_is_refused(H5, monkeypatch):
+    # the filter reads a table whose [h, f] for the first root has one
+    # entry doubled, so that [h, f] is not -c f
+    A, P = H5
+    e, f = next(
+        (es[0], cells[(0, tuple(-x for x in alpha))][0])
+        for cells in [A.cells()] for (d, alpha), es in cells.items()
+        if d == 0 and alpha > A.zero_weight() and len(es) == 1
+    )
+    k = next(k for k in A.table[(e, f)] if A.table.get((k, f)))
+    B = copy.copy(A)
+    B.table = {**A.table, (k, f): {x: 2 * c for x, c in A.table[(k, f)].items()}}
+    real = derivations.dominant_blocks
+
+    def on_copy(blocks):
+        seen = copy.copy(blocks)
+        seen.A = B
+        return real(seen)
+
+    assert on_copy(BlockSystem(A)) is None
+    monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
     cert = certify(P)
     assert len(cert.engine.space) == len(cert.engine.blocks.entries)
-    assert set(cert.engine.orbit_size.values()) == {1}
     assert cert.verdict == "CERTIFIED"
     assert cert.as_dict() == certify_every_block(P, monkeypatch).as_dict()

@@ -103,3 +103,28 @@ def test_next_rung_model_bytes_are_pinned_and_load(tmp_path, family, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NEXT_MODEL_SHA256[(family, n)]
     res = run_cli("info", "--model", str(out))
     assert res.returncode == 0, res.stderr
+
+
+# `check` and `certify` on the next rung, dim 510 and 896, against reports
+# recorded before the dominance filter replaced the index symmetry: each
+# run must finish within 2 minutes and peak under 500 MB
+MEASURED = (
+    "import resource, sys\n"
+    "from cartansuper.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+@pytest.mark.parametrize("family, n", [("H", 9), ("W", 7)])
+def test_next_rung_reports_are_pinned(command, family, n):
+    res = subprocess.run(
+        [sys.executable, "-c", MEASURED, command, "--family", family, "--n", str(n),
+         "--seed", "0", "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / f"{command}_{family.lower()}{n}.json").read_text()
+    assert int(res.stderr) < 500 * 1024  # ru_maxrss is in KiB
