@@ -172,6 +172,7 @@ def _load_or_build(args) -> AlgebraModel:
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{model_path} is not UTF-8 text: {exc}") from None
         model = model_from_json(text)
+        del text  # not needed by the load check, which peaks higher than the parse
         for flag, got in (("family", model.family), ("n", model.n)):
             value = getattr(args, flag)
             if value is not None and value != got:

@@ -38,7 +38,9 @@ import json
 import random
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .exterior import mono_str, parse_mono
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
@@ -526,33 +528,42 @@ def jacobi_violation(
 #    "parity":[...],"degree":[...],"weight":[[...],...],"cartan":[...]}
 # The bracket entries are the nonzero (i, j) in row-major order, each with
 # its k ascending.  `model_to_json` writes this text directly, byte for byte
-# what `json.dumps(..., separators=(",", ":"))` gives for the same object.
+# what `json.dumps(..., separators=(",", ":"))` gives for the same object,
+# and joins the entries of one basis row at a time.  `model_from_json` reads
+# any JSON text of this object, in any key order and with any whitespace,
+# and decodes the bracket list one entry at a time (see `_ModelFields`), so
+# that neither side holds the bracket list as a tree of strings or lists
+# beside the table.
 
 
 def model_to_json(A: AlgebraModel) -> str:
     def ints(xs) -> str:
         return "[" + ",".join(map(str, xs)) + "]"
 
-    text: Dict[Fraction, str] = {}  # c -> ',"num/den"]', formatted once per distinct c
+    text: Dict[int, str] = {}  # c -> ',"num/den"]', formatted once per distinct c
     table = A.table
-    bracket = []
-    for (i, j) in sorted(table):
-        w = table[(i, j)]
-        if not w:
-            continue
-        entries = []
-        for k in sorted(w):
-            c = w[k]
-            t = text.get(c)
-            if t is None:
-                t = text[c] = f',"{c.numerator}/{c.denominator}"]'
-            entries.append(f"[{k}{t}")
-        bracket.append(f"[{i},{j},[{','.join(entries)}]]")
+    rows = []  # the entries of one basis row, joined
+    for i, pairs in groupby(sorted(table), key=itemgetter(0)):
+        row = []
+        for pair in pairs:
+            w = table[pair]
+            if not w:
+                continue
+            entries = []
+            for k in sorted(w):
+                c = w[k]
+                t = text.get(c)
+                if t is None:
+                    t = text[c] = f',"{c.numerator}/{c.denominator}"]'
+                entries.append(f"[{k}{t}")
+            row.append(f"[{i},{pair[1]},[{','.join(entries)}]]")
+        if row:
+            rows.append(",".join(row))
     return "".join((
         '{"family":', json.dumps(A.family),
         ',"n":', str(A.n),
         ',"basis":', json.dumps([str(d) for d in A.basis], separators=(",", ":")),
-        ',"bracket":[', ",".join(bracket),
+        ',"bracket":[', ",".join(rows),
         '],"parity":', ints(A.parity),
         ',"degree":', ints(A.degree),
         ',"weight":[', ",".join(map(ints, A.weight)),
@@ -591,9 +602,12 @@ def _written(x, form: str, name: str) -> str:
     return x
 
 
-def from_json_dict(obj: dict) -> AlgebraModel:
+def from_json_dict(obj) -> AlgebraModel:
     """Parse a model object; every malformed field is named in the error.
 
+    obj is a dict, or the `_ModelFields` of a model text, which this reads
+    in the order "basis", "bracket" and then the other six fields; its
+    "bracket" may be an iterator over the entries, read once.
     Integer fields must be JSON integers, and the integers and fractions
     inside strings must be written as `model_to_json` writes them; a
     structure constant is an integer k, written "k/1", and is read as an int.
@@ -601,10 +615,6 @@ def from_json_dict(obj: dict) -> AlgebraModel:
     name its pair once and each k in it once, as `model_to_json` writes it.
     """
     try:
-        family = obj["family"]
-        n = obj["n"]
-        if type(n) is not int:
-            raise _not_int(n, "family/n")
         basis = [
             parse_desc(_written(s, _DESC, f"basis[{i}]"))
             for i, s in enumerate(obj["basis"])
@@ -633,6 +643,10 @@ def from_json_dict(obj: dict) -> AlgebraModel:
                 w[k] = x
             if not w:
                 raise ModelFormatError(f"bracket ({i},{j}) is empty")
+        family = obj["family"]
+        n = obj["n"]
+        if type(n) is not int:
+            raise _not_int(n, "family/n")
         parity = _ints(obj["parity"], "parity")
         degree = _ints(obj["degree"], "degree")
         weight = [tuple(_ints(w, f"weight[{i}]")) for i, w in enumerate(obj["weight"])]
@@ -653,13 +667,133 @@ def from_json_dict(obj: dict) -> AlgebraModel:
     )
 
 
-def model_from_json(text: str) -> AlgebraModel:
+# json's own primitives, so that every value decodes as `json.loads` decodes it
+_scan_once = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
+
+FIELDS = ("family", "n", "basis", "bracket", "parity", "degree", "weight", "cartan")
+
+
+def _invalid(msg: str, text: str, pos: int) -> ModelFormatError:
+    return ModelFormatError(f"invalid JSON: {json.JSONDecodeError(msg, text, pos)}")
+
+
+def _decode(text: str, pos: int):
+    """The JSON value at text[pos], after any whitespace, and the index after it."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
+        return _scan_once(text, pos)
+    except StopIteration:
+        start = _space(text, pos).end()
+        if start == pos:
+            raise _invalid("Expecting value", text, pos) from None
+        return _decode(text, start)
     except RecursionError:
         raise ModelFormatError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ModelFormatError("model JSON must be an object")
-    return from_json_dict(obj)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
+        raise ModelFormatError(f"invalid JSON: {exc}") from None
+
+
+def _at_end(text: str, pos: int) -> None:
+    """Refuse anything but whitespace after the top-level value."""
+    pos = _space(text, pos).end()
+    if pos != len(text):
+        raise _invalid("Extra data", text, pos)
+
+
+class _ModelFields:
+    """The fields of a model text's top-level object, decoded in the order
+    the text gives them, as far as each `[key]` asks.
+
+    Every value is decoded with json's scanner, as `json.loads` decodes it,
+    but one: when "bracket" is asked for and the scan reaches it with a
+    list, the list is handed over as an iterator that decodes one entry at
+    a time, and the scan goes on where the list ends.  `from_json_dict`
+    reads "basis" and then "bracket", so in the written key order (and in
+    sorted order) the table is filled while the list never exists whole; a
+    "bracket" that the scan passes while it looks for another key is
+    decoded whole.  A key outside `FIELDS`, or one the object repeats, is
+    refused once its value is decoded.  `close` reads what no one asked for
+    and the end of the text.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.fields: dict = {}
+        pos = _space(text, 0).end()
+        if not text.startswith("{", pos):
+            _at_end(text, _decode(text, pos)[1])
+            raise ModelFormatError("model JSON must be an object")
+        pos = _space(text, pos + 1).end()
+        self.closed = text.startswith("}", pos)
+        # where the next key starts, or the end of the object once closed;
+        # None while the bracket entries are out, so that no field is read
+        # from the middle of the list
+        self.pos: Optional[int] = pos + 1 if self.closed else pos
+
+    def __getitem__(self, key: str):
+        while key not in self.fields and not self.closed:
+            self._next(key)
+        return self.fields[key]
+
+    def close(self) -> None:
+        while not self.closed:
+            self._next(None)
+        _at_end(self.text, self.pos)
+
+    def _next(self, wanted: Optional[str]) -> None:
+        text, pos = self.text, self.pos
+        if not text.startswith('"', pos):
+            raise _invalid("Expecting property name enclosed in double quotes", text, pos)
+        try:
+            key, pos = json.decoder.scanstring(text, pos + 1)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"invalid JSON: {exc}") from None
+        pos = _space(text, pos).end()
+        if not text.startswith(":", pos):
+            raise _invalid("Expecting ':' delimiter", text, pos)
+        pos = _space(text, pos + 1).end()
+        if key == wanted == "bracket" and text.startswith("[", pos):
+            self.pos = None
+            self.fields[key] = self._entries(pos + 1)
+            return
+        value, pos = _decode(text, pos)
+        if key in self.fields:
+            raise ModelFormatError(f"the model file repeats the key {json.dumps(key)}")
+        if key not in FIELDS:
+            raise ModelFormatError(f"the model file has a key outside its format: {json.dumps(key)}")
+        self.fields[key] = value
+        self._after(pos)
+
+    def _entries(self, pos: int) -> Iterator:
+        text = self.text
+        pos = _space(text, pos).end()
+        if not text.startswith("]", pos):
+            while True:
+                entry, pos = _decode(text, pos)
+                yield entry
+                if not text.startswith(",", pos):
+                    pos = _space(text, pos).end()
+                    if not text.startswith(",", pos):
+                        break
+                pos += 1
+            if not text.startswith("]", pos):
+                raise _invalid("Expecting ',' delimiter", text, pos)
+        self._after(pos + 1)
+
+    def _after(self, pos: int) -> None:
+        """Step over the comma or the closing brace after a value."""
+        text = self.text
+        pos = _space(text, pos).end()
+        if text.startswith(",", pos):
+            self.pos = _space(text, pos + 1).end()
+        elif text.startswith("}", pos):
+            self.pos, self.closed = pos + 1, True
+        else:
+            raise _invalid("Expecting ',' delimiter", text, pos)
+
+
+def model_from_json(text: str) -> AlgebraModel:
+    fields = _ModelFields(text)
+    model = from_json_dict(fields)
+    fields.close()
+    return model

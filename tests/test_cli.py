@@ -330,18 +330,32 @@ def _flip_even_mirror(obj):
     return f"bracket ({j},{i})"
 
 
+def _extra_key(obj):
+    obj["comment"] = "edited by hand"
+    return 'outside its format: "comment"'
+
+
+def _repeat_family(obj):
+    # the text starts {"family": "H", "n": 5, "family": "W", "n": 4, ...;
+    # `json.loads` keeps the last copy of a key, and would read W(4)
+    return 'repeats the key "family"', '{"family": "H", "n": 5, ' + json.dumps(obj)[1:]
+
+
 @pytest.mark.parametrize("tamper", [
     _swap_basis, _flip_parity, _double_coefficient, _extra_zero_bracket,
     _drop_bracket, _zero_coefficient, _flip_odd_mirror, _flip_even_mirror, _shift_weight,
     _shift_degree, _edit_cartan, _n_12, _n_40, _n_true, _n_float, _n_string,
-    _parity_strings,
+    _parity_strings, _extra_key, _repeat_family,
 ])
 @pytest.mark.parametrize("command", ["certify", "check"])
 def test_tampered_model_exits_2_naming_the_field(tmp_path, w4_model, tamper, command):
     obj = json.loads(json.dumps(w4_model))
     named = tamper(obj)
+    text = json.dumps(obj)
+    if isinstance(named, tuple):  # a tamper that no dict can show writes the text
+        named, text = named
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     res = run_cli(command, "--model", str(path))
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert named in res.stderr

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from cartansuper.families import FamilyError, FamilySpec, attach_derived, build, build_lprime
 from cartansuper.liesuper import (
+    FIELDS,
     AlgebraModel,
     Combo,
     GradingElement,
     Ham,
     ModelFormatError,
     VectorField,
+    _ModelFields,
     ad_matrix,
     check_axioms,
+    from_json_dict,
     generators,
     jacobi_violation,
     model_from_json,
@@ -599,6 +602,137 @@ def test_deserialization_refuses_an_entry_not_written_as_model_to_json_writes_it
 
 H5_REF = build("H", 5)
 H5_OBJ = json.loads(model_to_json(H5_REF))
+
+
+def whole_tree_reader(text):
+    """The reader before `model_from_json` decoded the text itself, kept as
+    the oracle: the whole tree from `json.loads`, then `from_json_dict`.
+    The rule on the top-level keys, which the tree cannot show, is written
+    here from the pairs of the last object the decoder closes."""
+    keys = []
+
+    def pairs(items):
+        keys.append([k for k, _ in items])
+        return dict(items)
+
+    try:
+        obj = json.loads(text, object_pairs_hook=pairs)
+    except (ValueError, RecursionError) as exc:
+        raise ModelFormatError(f"invalid JSON: {type(exc).__name__}") from None
+    if not isinstance(obj, dict):
+        raise ModelFormatError("not an object")
+    top = keys[-1]
+    if len(set(top)) < len(top) or not set(top) <= set(FIELDS):
+        raise ModelFormatError(f"top-level keys {top}")
+    return from_json_dict(obj)
+
+
+def model_fields(A):
+    return (A.family, A.n, A.basis, A.table, A.parity, A.degree, A.weight, A.cartan,
+            A.grading_modulus)
+
+
+def _with(**fields):
+    """The H(5) text with fields replaced by raw JSON text, in place."""
+    obj = {k: json.dumps(v, separators=(",", ":")) for k, v in H5_OBJ.items()}
+    obj.update(fields)
+    return "{" + ",".join(f'"{k}":{v}' for k, v in obj.items()) + "}"
+
+
+H5_TEXT = model_to_json(H5_REF)
+DEEP = "[" * 100_000 + "]" * 100_000
+# each form of the H(5) text, with whether it loads
+H5_FORMS = {
+    "as written": (H5_TEXT, True),
+    "indent 1, sorted keys": (json.dumps(H5_OBJ, indent=1, sort_keys=True), True),
+    "keys reversed": (json.dumps(dict(reversed(list(H5_OBJ.items())))), True),
+    "bracket last": (json.dumps({**{k: v for k, v in H5_OBJ.items() if k != "bracket"},
+                                 "bracket": H5_OBJ["bracket"]}), True),
+    "keys escaped": (H5_TEXT.replace('"bracket"', '"\\u0062racket"')
+                     .replace('"n"', '"\\u006e"'), True),
+    # no string of the H(5) text holds a comma or a bracket
+    "whitespace around every comma and bracket": (
+        H5_TEXT.replace(",", " ,\t").replace("[", "[\r\n ").replace("]", " ]"), True),
+    "bracket empty": (_with(bracket="[ ]"), True),
+    "bracket an empty object": (_with(bracket="{}"), True),
+    "bracket a string": (_with(bracket='"x"'), False),
+    "NaN coefficient": (H5_TEXT.replace('"1/1"', "NaN", 1), False),
+    "trailing data": (H5_TEXT + " {}", False),
+    "trailing whitespace": (H5_TEXT + " \n", True),
+    "second bracket": (H5_TEXT[:-1] + ',"bracket":'
+                       + json.dumps(H5_OBJ["bracket"], separators=(",", ":")) + "}", False),
+    "family and n repeated": ('{"family":"W","n":9,' + H5_TEXT[1:], False),
+    "extra key": (H5_TEXT[:-1] + ',"comment":"by hand"}', False),
+    "entry of two": (H5_TEXT.replace(']]]],"parity"', ']]],[0,1]],"parity"'), False),
+    "trailing comma in the bracket list": (H5_TEXT.replace(']]]],"parity"', ']]],],"parity"'),
+                                           False),
+    "nested 100,000 deep around the object": ('{"a":' * 100_000 + H5_TEXT + "}" * 100_000,
+                                              False),
+    "nested 100,000 deep in an entry": (H5_TEXT.replace("]]],", "]]]," + DEEP + ",", 1),
+                                        False),
+    "nested 100,000 deep in cartan": (_with(cartan=DEEP), False),
+    "integer of 5,000 digits in n": (_with(n="1" * 5000), False),
+    "integer of 5,000 digits after the fields": (H5_TEXT[:-1] + ',"x":' + "1" * 5000 + "}", False),
+    "bracket list closed by a brace": (H5_TEXT.replace(']]]],"parity"', ']]]},"parity"'), False),
+    "an array": ("[" + H5_TEXT + "]", False),
+    "empty object": ("{}", False),
+}
+
+
+@pytest.mark.parametrize("form", sorted(H5_FORMS))
+def test_model_from_json_agrees_with_the_whole_tree_reader(form):
+    text, loads = H5_FORMS[form]
+    if not loads:
+        with pytest.raises(ModelFormatError):
+            whole_tree_reader(text)
+        with pytest.raises(ModelFormatError):
+            model_from_json(text)
+        return
+    assert model_fields(model_from_json(text)) == model_fields(whole_tree_reader(text))
+
+
+def test_model_from_json_refuses_every_cut_where_the_whole_tree_reader_does():
+    for end in range(0, len(H5_TEXT), 97):
+        text = H5_TEXT[:end]
+        with pytest.raises(ModelFormatError):
+            whole_tree_reader(text)
+        with pytest.raises(ModelFormatError, match="invalid JSON|malformed model data"):
+            model_from_json(text)
+
+
+@pytest.mark.parametrize("form, streamed", [
+    ("as written", True), ("indent 1, sorted keys", True), ("keys reversed", False),
+])
+def test_bracket_list_is_read_one_entry_at_a_time_after_basis(form, streamed):
+    # a "bracket" that follows "basis" is never decoded whole
+    fields = _ModelFields(H5_FORMS[form][0])
+    fields["basis"]
+    assert isinstance(fields["bracket"], list) is not streamed
+
+
+def test_model_to_json_skips_empty_entries():
+    # every entry of row 0 and the entry (1, 0) emptied: written as if absent
+    table = dict(H5_REF.table)
+    emptied = {**table, **{key: {} for key in table if key[0] == 0}, (1, 0): {}}
+    dropped = {key: w for key, w in emptied.items() if w}
+    assert len(dropped) < len(table)
+
+    def with_table(t):
+        A = H5_REF
+        return AlgebraModel(A.family, A.n, A.basis, t, A.parity, A.degree, A.weight, A.cartan)
+
+    text = model_to_json(with_table(emptied))
+    assert text == model_to_json(with_table(dropped))
+    assert json.loads(text)["bracket"] == [e for e in H5_OBJ["bracket"] if e[0] != 0 and e[:2] != [1, 0]]
+
+
+def test_model_file_keys_are_named_when_refused():
+    with pytest.raises(ModelFormatError, match='repeats the key "family"'):
+        model_from_json(H5_FORMS["family and n repeated"][0])
+    with pytest.raises(ModelFormatError, match='outside its format: "comment"'):
+        model_from_json(H5_FORMS["extra key"][0])
+    with pytest.raises(ModelFormatError, match='repeats the key "bracket"'):
+        model_from_json(H5_FORMS["second bracket"][0])
 
 
 def _paths(value, path=()):
