@@ -143,19 +143,30 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     return args
 
 
+_SLICE = 1 << 16
+
+
+def _write(fh, text: str) -> None:
+    """text and a final newline if it lacks one, written in slices of
+    `_SLICE` characters: the stream encodes what it is given in one piece,
+    so a whole model text would be held twice, once as bytes."""
+    for start in range(0, len(text), _SLICE):
+        fh.write(text[start:start + _SLICE])
+    if not text.endswith("\n"):
+        fh.write("\n")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
+                _write(fh, text)
         except OSError as exc:
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT_ERROR) from None
     else:
         try:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            _write(sys.stdout, text)
             sys.stdout.flush()
         except BrokenPipeError:  # the reader has gone (`| head`): drop the rest
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -560,15 +560,28 @@ def _finish_model(
     involving the extra rows are bracketed.  Every structure constant is
     an int: `_bracket_rows` checks the ones the echelon gives, the mirror
     of an int is one, and base's were checked when base was built.
+
+    Equal entries are one dict (see `AlgebraModel`): each coordinate dict,
+    and each negated mirror, is stored through a map keyed on its items in
+    order, so an entry keeps the item order it was built with, and an
+    odd-odd mirror is the entry itself.  With ``base``, base's entries are
+    stored as they are, and the map shares the new ones.
     """
     model, span = _graded(family, n, rows, descs, base)
     table = dict(base.table) if base is not None else {}
     parity = model.parity
+    share = {}.setdefault
+    negated: Dict[int, IntVec] = {}  # id of a stored entry -> its stored negative
     for i, j, coords in _bracket_rows(model, span, base.dim if base is not None else 0):
-        table[(i, j)] = coords
+        table[(i, j)] = coords = share(tuple(coords.items()), coords)
         if j != i:
-            table[(j, i)] = (dict(coords) if parity[i] and parity[j]
-                             else {k: -c for k, c in coords.items()})
+            if not (parity[i] and parity[j]):
+                back = negated.get(id(coords))
+                if back is None:
+                    back = {k: -c for k, c in coords.items()}
+                    back = negated[id(coords)] = share(tuple(back.items()), back)
+                coords = back
+            table[(j, i)] = coords
     model.table = table
     return model
 

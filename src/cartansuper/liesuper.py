@@ -134,7 +134,15 @@ def parse_desc(s: str) -> BasisDesc:
 
 
 class AlgebraModel:
-    """Graded Lie superalgebra with an explicit sparse bracket table."""
+    """Graded Lie superalgebra with an explicit sparse bracket table.
+
+    ``table`` maps a basis pair (i, j) to the coordinates {k: c} of [i, j],
+    with the zero brackets left out.  Its entries are shared: every
+    producer (`families` and `from_json_dict`) stores one dict per distinct
+    coordinate vector, in the order of its items, and every equal entry is
+    that dict; an L' table built on L's holds L's entries themselves.  An
+    entry is read-only: a reader that wants to change one copies it first.
+    """
 
     def __init__(
         self,
@@ -197,6 +205,7 @@ class AlgebraModel:
     # -- bracket
 
     def bracket_basis(self, i: int, j: int) -> Vec:
+        """[i, j]: the table's shared entry itself, not to be written."""
         return self.table.get((i, j), {})
 
     def bracket(self, a: Vec, b: Vec) -> Vec:
@@ -533,7 +542,9 @@ def jacobi_violation(
 # any JSON text of this object, in any key order and with any whitespace,
 # and decodes the bracket list one entry at a time (see `_ModelFields`), so
 # that neither side holds the bracket list as a tree of strings or lists
-# beside the table.
+# beside the table.  The reader stores each distinct entry once, as the
+# constructors do (see `AlgebraModel`): the file lists every entry, and the
+# table shares the equal ones.
 
 
 def model_to_json(A: AlgebraModel) -> str:
@@ -613,6 +624,8 @@ def from_json_dict(obj) -> AlgebraModel:
     structure constant is an integer k, written "k/1", and is read as an int.
     Every index must be a basis index, and a bracket entry must be nonempty,
     name its pair once and each k in it once, as `model_to_json` writes it.
+    An entry that passes is stored through a map keyed on its items in
+    order, so the table's equal entries are one dict (see `AlgebraModel`).
     """
     try:
         basis = [
@@ -622,6 +635,7 @@ def from_json_dict(obj) -> AlgebraModel:
         dim = len(basis)
         table: Dict[Tuple[int, int], IntVec] = {}
         coeffs: Dict[str, int] = {}  # each distinct coefficient text, parsed once
+        share = {}.setdefault  # one dict per distinct entry (see `AlgebraModel`)
         for e, (i, j, entries) in enumerate(obj["bracket"]):
             if type(i) is not int or type(j) is not int:
                 _ints((i, j), f"bracket[{e}]")  # raises, naming the entry
@@ -629,7 +643,7 @@ def from_json_dict(obj) -> AlgebraModel:
                 raise ModelFormatError(f"bracket index out of range at ({i},{j})")
             if (i, j) in table:
                 raise ModelFormatError(f"bracket ({i},{j}) is listed twice")
-            w = table[(i, j)] = {}
+            w = {}
             for k, c in entries:
                 x = coeffs.get(c) if type(c) is str else None
                 if x is None:
@@ -643,6 +657,7 @@ def from_json_dict(obj) -> AlgebraModel:
                 w[k] = x
             if not w:
                 raise ModelFormatError(f"bracket ({i},{j}) is empty")
+            table[(i, j)] = share(tuple(w.items()), w)
         family = obj["family"]
         n = obj["n"]
         if type(n) is not int:
@@ -769,7 +784,10 @@ class _ModelFields:
         pos = _space(text, pos).end()
         if not text.startswith("]", pos):
             while True:
-                entry, pos = _decode(text, pos)
+                try:  # `_decode` inline, for an entry that starts at pos
+                    entry, pos = _scan_once(text, pos)
+                except (StopIteration, RecursionError, ValueError):
+                    entry, pos = _decode(text, pos)  # skips whitespace, or names the fault
                 yield entry
                 if not text.startswith(",", pos):
                     pos = _space(text, pos).end()

@@ -71,6 +71,30 @@ def test_desk_model_bytes_are_pinned(tmp_path, family, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_MODEL_SHA256[(family, n)]
 
 
+def test_model_text_is_written_in_slices(tmp_path, monkeypatch, capsys):
+    # the stream is never handed the whole text, and the bytes stay the pinned ones
+    import builtins
+
+    from cartansuper import cli
+
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda s: writes.append(len(s)) or write(s)
+        return fh
+
+    monkeypatch.setattr(cli, "_SLICE", 1000)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "h5.json"
+    assert cli.main(["build", "--family", "H", "--n", "5", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_MODEL_SHA256[("H", 5)]
+    assert len(writes) > 2 and max(writes) == 1000
+    assert cli.main(["build", "--family", "H", "--n", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_build_rejects_odd_stilde():
     res = run_cli("build", "--family", "Stilde", "--n", "5")
     assert res.returncode == 2
@@ -467,6 +491,53 @@ def test_golden_info_report():
     golden = Path(__file__).parent / "golden" / "info_h5.json"
     res = run_cli("info", "--family", "H", "--n", "5", "--format", "json")
     assert res.stdout.strip() == golden.read_text().strip()
+
+
+def test_w5_model_file_gives_the_golden_reports(tmp_path):
+    # a W model through the file reader, as CI runs it with the console script
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden"
+    model = tmp_path / "w5.json"
+    res = run_cli("build", "--family", "W", "--n", "5", "--format", "json", "--out", str(model))
+    assert res.returncode == 0, res.stderr
+    for command in ("info", "check"):
+        res = run_cli(command, "--model", str(model), "--format", "json")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (golden / f"{command}_w5.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+@pytest.mark.parametrize("family,n", [("W", 4), ("H", 5)])
+def test_check_and_certify_write_into_no_table_entry(family, n, command, monkeypatch, capsys):
+    # the entries of L's and L''s tables are shared (`AlgebraModel`): a run
+    # that wrote into one would change every bracket that shares it
+    from cartansuper import cli
+
+    def items(table):
+        return [(key, list(w.items())) for key, w in table.items()]
+
+    before = []
+    build, build_lprime = cli.build, cli.build_lprime
+
+    def build_spy(spec):
+        A = build(spec)
+        before.append((A.table, items(A.table)))
+        return A
+
+    def build_lprime_spy(A):
+        P = build_lprime(A)
+        before.append((P.ext.table, items(P.ext.table)))
+        return P
+
+    monkeypatch.setattr(cli, "build", build_spy)
+    monkeypatch.setattr(cli, "build_lprime", build_lprime_spy)
+    code = cli.main([command, "--family", family, "--n", str(n), "--format", "json"])
+    capsys.readouterr()
+    assert len(before) == 2
+    for table, snapshot in before:
+        assert items(table) == snapshot
+    assert code == 0
 
 
 # the desk models, whose goldens are the stdout that perfbench/expected.json

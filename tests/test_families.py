@@ -1,5 +1,6 @@
 """Family constructors: dimensions, gradings, roots, the extension L'."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -334,6 +335,51 @@ def test_table_is_closed_under_swap_with_the_super_sign(family, n):
     extension = [(i, j) for i, j in ext.table if i < m <= j]
     assert (ext is A) == (not extension)  # L' adds rows for S and H only
     assert all((j, i) in ext.table for i, j in extension)
+
+
+def unshared_table(model, span, base=None):
+    """The table as `_finish_model` filled it before equal entries were
+    shared: base's entries, then a new dict for every pair `_bracket_rows`
+    yields and for its mirror."""
+    table = dict(base.table) if base is not None else {}
+    for i, j, coords in _bracket_rows(model, span, base.dim if base is not None else 0):
+        table[(i, j)] = coords
+        if j != i:
+            table[(j, i)] = (dict(coords) if model.parity[i] and model.parity[j]
+                             else {k: -c for k, c in coords.items()})
+    return table
+
+
+def assert_shared_like(table, oracle, made=None):
+    # the oracle's keys in its order, each entry with its items in its
+    # order, and one dict for all the equal entries the producer made (all
+    # of them, or those at the keys in ``made``)
+    assert list(table) == list(oracle)
+    assert [list(w.items()) for w in table.values()] == [list(w.items()) for w in oracle.values()]
+    first = {}
+    entries = [w for key, w in table.items() if made is None or key in made]
+    for w in entries:
+        assert first.setdefault(tuple(sorted(w.items())), w) is w
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_equal_table_entries_are_one_dict(family, n):
+    A = build(family, n)
+    assert_shared_like(A.table, unshared_table(*_graded(family, n, *_family_rows(FamilySpec(family, n)))))
+    assert len({id(w) for w in A.table.values()}) < len(A.table) / 4
+    # L' holds L's entries themselves and shares the ones it adds
+    ext = build_lprime(A).ext
+    if ext is not A:
+        assert all(ext.table[key] is w for key, w in A.table.items())
+        model, span = _graded(ext.family, n, ext.w_coords, ext.basis, base=A)
+        assert_shared_like(ext.table, unshared_table(model, span, A), ext.table.keys() - A.table.keys())
+    # a model file lists every entry; the reader stores the equal ones once
+    text = model_to_json(A)
+    read = {
+        (i, j): {k: int(c[:-2]) for k, c in entries}
+        for i, j, entries in json.loads(text)["bracket"]
+    }
+    assert_shared_like(model_from_json(text).table, read)
 
 
 def test_span_solver_stays_on_ints_for_unit_leads():

@@ -107,9 +107,17 @@ def test_next_rung_model_bytes_are_pinned_and_load(tmp_path, family, n):
 
 # `check` and `certify` on the next rung, dim 510 and 896, against reports
 # recorded before the dominance filter replaced the index symmetry: each
-# run must finish within 2 minutes and peak under 500 MB.  The child prints
-# its peak RSS in KiB as VmHWM, not ru_maxrss: on Linux a child's ru_maxrss
-# starts from the RSS of the process that spawned it (this pytest process).
+# run must finish within 2 minutes and peak within its bound in MB.  The
+# child prints its peak RSS in KiB as VmHWM, not ru_maxrss: on Linux a
+# child's ru_maxrss starts from the RSS of the process that spawned it (this
+# pytest process).  With one dict per pair of the bracket table the peaks
+# were 77.6, 51.4, 148.4 and 82.8 MB; with one per distinct entry they are
+# 66.7, 40.4, 122.9 and 57.3 MB (Python 3.11), and the bounds keep 10-15%
+# above those.
+NEXT_RUNG_PEAK_MB = {
+    ("check", "H", 9): 76, ("certify", "H", 9): 46,
+    ("check", "W", 7): 138, ("certify", "W", 7): 66,
+}
 MEASURED = (
     "import sys\n"
     "from cartansuper.cli import main\n"
@@ -130,19 +138,21 @@ def test_next_rung_reports_are_pinned(command, family, n):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == (GOLDEN / f"{command}_{family.lower()}{n}.json").read_text()
-    assert int(res.stderr) < 500 * 1024
+    assert int(res.stderr) <= NEXT_RUNG_PEAK_MB[(command, family, n)] * 1024, int(res.stderr) / 1024
 
 
 # peak RSS of the model file round trip on W(7), dim 896: `build` writes the
 # 3.1 MB text one basis row at a time, and `info --model` reads its bracket
 # list one entry at a time into the table.  With the whole `json.loads` tree
 # beside the table `info` peaked at 112.8 MB, and `build` at 73.7 MB with one
-# string per entry.
+# string per entry; with one dict per pair of the table at 69.2 and 66.4 MB.
+# With one dict per distinct entry both peak at 41.4 MB (Python 3.11), and the
+# bounds keep 10% above that.
 def test_w7_model_file_round_trip_peaks_within_bounds(tmp_path):
     out = tmp_path / "w7.json"
     for argv, bound_mb in [
-        (["build", "--family", "W", "--n", "7", "--format", "json", "--out", str(out)], 68),
-        (["info", "--model", str(out)], 75),
+        (["build", "--family", "W", "--n", "7", "--format", "json", "--out", str(out)], 46),
+        (["info", "--model", str(out)], 46),
     ]:
         res = subprocess.run([sys.executable, "-c", MEASURED, *argv],
                              capture_output=True, text=True, timeout=120)
