@@ -111,9 +111,9 @@ def test_next_rung_model_bytes_are_pinned_and_load(tmp_path, family, n):
 # child prints its peak RSS in KiB as VmHWM, not ru_maxrss: on Linux a
 # child's ru_maxrss starts from the RSS of the process that spawned it (this
 # pytest process).  With one dict per pair of the bracket table the peaks
-# were 77.6, 51.4, 148.4 and 82.8 MB; with one per distinct entry they are
-# 66.7, 40.4, 122.9 and 57.3 MB (Python 3.11), and the bounds keep 10-15%
-# above those.
+# were 77.6, 51.4, 148.3 and 82.8 MB; with one per distinct entry they are
+# 66.7, 40.2, 122.8 and 57.3 MB (Python 3.11; a little lower on 3.10), and
+# the bounds keep 10-15% above those.
 NEXT_RUNG_PEAK_MB = {
     ("check", "H", 9): 76, ("certify", "H", 9): 46,
     ("check", "W", 7): 138, ("certify", "W", 7): 66,
@@ -146,8 +146,8 @@ def test_next_rung_reports_are_pinned(command, family, n):
 # list one entry at a time into the table.  With the whole `json.loads` tree
 # beside the table `info` peaked at 112.8 MB, and `build` at 73.7 MB with one
 # string per entry; with one dict per pair of the table at 69.2 and 66.4 MB.
-# With one dict per distinct entry both peak at 41.4 MB (Python 3.11), and the
-# bounds keep 10% above that.
+# With one dict per distinct entry they peak at 41.5 and 41.2 MB (Python 3.11;
+# a little lower on 3.10), and the bounds keep 10% above that.
 def test_w7_model_file_round_trip_peaks_within_bounds(tmp_path):
     out = tmp_path / "w7.json"
     for argv, bound_mb in [
