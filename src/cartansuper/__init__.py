@@ -27,6 +27,7 @@ from .families import (
     divergence,
     ham,
     involution,
+    model_from_json,
     xi,
 )
 from .liesuper import (
@@ -36,7 +37,6 @@ from .liesuper import (
     ad_matrix,
     check_axioms,
     generators,
-    model_from_json,
     model_to_json,
 )
 from .linalg import Matrix, Subspace, intersect, kernel, member, rank, solve

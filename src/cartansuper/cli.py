@@ -10,10 +10,10 @@ seed.
 
 Exit codes: 0 success / certified, 1 check failure or internal error,
 2 input error (bad family spec or environment value, a --budget below 1,
-an unwritable --out, a model file that is unreadable, malformed, differs
-in any field or bracket from the constructor of its family and n, or
-names another family or n than --family/--n), 3 inconclusive
-certification.
+an unwritable --out, a model file that is unreadable, that differs in
+any byte from what `build` writes for the family and n of its head, a
+trailing newline aside, or that names another family or n than
+--family/--n), 3 inconclusive certification.
 
 Every flag has an environment override with prefix CARTANSUPER_
 (e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.  Only
@@ -34,14 +34,15 @@ from typing import List, Optional
 
 from . import __version__
 from .derivations import derivation_report
-from .families import FamilyError, FamilySpec, attach_derived, build, build_lprime
+from .families import FamilyError, FamilySpec, build, build_lprime, model_from_json
+from .families import attach_derived  # not called here; perfbench/child.py wraps cli.attach_derived
 from .liesuper import (
     FAMILIES,
     AlgebraModel,
     ModelFormatError,
     check_axioms,
     generators,
-    model_from_json,
+    model_head,
     model_to_json,
 )
 from .localcert import certify, certify_2local
@@ -182,16 +183,13 @@ def _load_or_build(args) -> AlgebraModel:
             raise ModelFormatError(f"cannot read {model_path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{model_path} is not UTF-8 text: {exc}") from None
-        model = model_from_json(text)
-        del text  # not needed by the load check, which peaks higher than the parse
-        for flag, got in (("family", model.family), ("n", model.n)):
+        for flag, got in zip(("family", "n"), model_head(text)):  # before the build
             value = getattr(args, flag)
             if value is not None and value != got:
                 raise ModelFormatError(
                     f"--{flag} {value} does not match the model file's {flag} {got}"
                 )
-        attach_derived(model)
-        return model
+        return model_from_json(text)
     if args.family is None or args.n is None:
         raise FamilyError("missing --family/--n" + (" (or --model)" if "model" in args else ""))
     return build(FamilySpec(args.family, args.n))

@@ -59,22 +59,6 @@ def mono_str(mask: int) -> str:
     return "".join(f"x{i}" for i in mono_indices(mask))
 
 
-def parse_mono(s: str) -> int:
-    s = s.strip()
-    if s == "1":
-        return 0
-    if not s.startswith("x"):
-        raise ValueError(f"bad monomial {s!r}")
-    mask = 0
-    for part in s[1:].split("x"):
-        i = int(part)
-        bit = 1 << (i - 1)
-        if bit & mask:
-            raise ValueError(f"repeated generator x{i} in {s!r}")
-        mask |= bit
-    return mask
-
-
 def all_monomials(n: int) -> Iterator[int]:
     """All 2^n monomial masks, ordered by degree then mask value."""
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))

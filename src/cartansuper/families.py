@@ -64,11 +64,11 @@ families is an integer.  So are the basis rows, the Cartan chain and the
 divergence kernel: a build makes no Fraction, which only `ExtElem`'s
 helpers (`divergence`, `ham`) return.
 
-A model read from a file is checked against the same per-row pass as it
-runs (`attach_derived`): each (i, j) by equality, each (j, i) by the super
-sign, and the number of keys so matched against the size of the file's
-table.  The constructor's table is built only when they differ, to name
-the first differing pair.
+A model file is what `build` writes, byte for byte (`model_from_json`):
+only its head, the family and n, is read; the constructor builds that
+model, and the file is compared with the text `model_to_json` writes for
+it, one basis row of bracket entries at a time (`attach_derived`).  The
+first difference names a field with its index or a bracket pair.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ from .liesuper import (
     ModelFormatError,
     VectorField,
     WeightVec,
+    first_difference,
+    model_head,
 )
 from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
 
@@ -704,56 +706,28 @@ def build_lprime(A: AlgebraModel) -> LPrimeModel:
     return LPrimeModel(A, ext, [str(d) for d in extra])
 
 
-def attach_derived(A: AlgebraModel) -> AlgebraModel:
-    """Check a deserialized model against the constructor of its family and
-    n, then attach the constructor's w_coords and Cartan chain.
-
-    Any difference raises ModelFormatError naming the first differing field
-    or bracket pair.  The dimension is checked before anything is built.
-    The table is checked against the per-row pass of `_bracket_rows` as it
-    runs, with no second table built: each (i, j) it yields must be A's
-    entry, each (j, i) its mirror by the super sign (see `_finish_model`),
-    and the keys matched so must be all of A's.  On the first difference
-    the constructor's table is built after all, and the sorted union of
-    both key sets is walked in row-major order, so an extra entry, a
-    missing one and a zero coefficient are each named at their pair.
-    """
-    spec = FamilySpec(A.family, A.n)
+def model_from_json(text: str) -> AlgebraModel:
+    """The model whose file is text: the constructor's model for the family
+    and n of its head, once `attach_derived` has checked that text is that
+    model's file.  The head (`model_head`) is validated before anything is
+    built; any fault in it raises ModelFormatError starting "family/n:"."""
+    spec = FamilySpec(*model_head(text))
     try:
         spec.validate()
     except FamilyError as exc:
         raise ModelFormatError(f"family/n: {exc}") from None
-    if A.dim != spec.dim:
-        raise ModelFormatError(
-            f"basis: {A.dim} entries, but {spec} has dimension {spec.dim}"
-        )
-    rows, descs = _family_rows(spec)
-    C, span = _graded(spec.family, spec.n, rows, descs)
-    for name in ("basis", "parity", "degree", "weight", "cartan"):
-        got, want = getattr(A, name), getattr(C, name)
-        if got != want:
-            i = next(
-                (i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                min(len(got), len(want)),
-            )
-            raise ModelFormatError(f"{name}[{i}] differs from the {spec} constructor")
-    table, parity, matched = A.table, C.parity, 0
-    for i, j, coords in _bracket_rows(C, span):
-        if table.get((i, j)) != coords:
-            break
-        matched += 1
-        if j != i:
-            if table.get((j, i)) != (coords if parity[i] and parity[j]
-                                     else {k: -c for k, c in coords.items()}):
-                break
-            matched += 1
-    else:
-        if matched == len(table):
-            A.w_coords, A.cartan_chain = C.w_coords, C.cartan_chain
-            return A
-    C = _finish_model(spec.family, spec.n, rows, descs)
-    i, j = next(
-        key for key in sorted(table.keys() | C.table.keys())
-        if table.get(key) != C.table.get(key)
-    )
-    raise ModelFormatError(f"bracket ({i},{j}) differs from the {spec} constructor")
+    return attach_derived(build(spec), text)
+
+
+def attach_derived(A: AlgebraModel, text: str) -> AlgebraModel:
+    """A, once text is checked to be its model file: byte for byte what
+    `model_to_json` writes for A, alone or followed by the one newline that
+    `build --out` adds.  A is the constructor's model, so its derived data
+    (w_coords, the Cartan chain) are its own.  A difference raises
+    ModelFormatError naming what the written text holds at the first
+    differing offset, a field with its index or a bracket pair
+    (`first_difference`)."""
+    part = first_difference(A, text)
+    if part is not None:
+        raise ModelFormatError(f"{part} differs from the {A.family}({A.n}) constructor")
+    return A

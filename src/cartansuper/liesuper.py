@@ -40,9 +40,10 @@ import re
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from os.path import commonprefix
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .exterior import mono_str, parse_mono
+from .exterior import mono_str
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
 
 WeightVec = Tuple[int, ...]
@@ -51,7 +52,7 @@ FAMILIES = ("W", "S", "Stilde", "H")
 
 
 class ModelFormatError(ValueError):
-    """Raised when serialized model data does not parse or validate."""
+    """Raised when a model file is not what `build` writes for its head."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +107,6 @@ class Combo(NamedTuple):
 BasisDesc = Union[VectorField, Ham, GradingElement, Combo]
 
 
-def parse_desc(s: str) -> BasisDesc:
-    s = s.strip()
-    if s == "C":
-        return GradingElement()
-    if s.startswith("DH(") and s.endswith(")"):
-        return Ham(parse_mono(s[3:-1]))
-    if " + " in s:
-        terms = []
-        for part in s.split(" + "):
-            c, m, d = part.split("*")
-            if not d.startswith("d"):
-                raise ModelFormatError(f"bad combo term {part!r}")
-            terms.append((Fraction(c), parse_mono(m), int(d[1:])))
-        return Combo(tuple(terms))
-    try:
-        m, d = s.split("*")
-    except ValueError:
-        raise ModelFormatError(f"bad basis descriptor {s!r}") from None
-    if not d.startswith("d"):
-        raise ModelFormatError(f"bad basis descriptor {s!r}")
-    return VectorField(parse_mono(m), int(d[1:]))
-
-
 # ---------------------------------------------------------------------------
 # the algebra model
 
@@ -137,11 +115,12 @@ class AlgebraModel:
     """Graded Lie superalgebra with an explicit sparse bracket table.
 
     ``table`` maps a basis pair (i, j) to the coordinates {k: c} of [i, j],
-    with the zero brackets left out.  Its entries are shared: every
-    producer (`families` and `from_json_dict`) stores one dict per distinct
-    coordinate vector, in the order of its items, and every equal entry is
-    that dict; an L' table built on L's holds L's entries themselves.  An
-    entry is read-only: a reader that wants to change one copies it first.
+    with the zero brackets left out.  Its entries are shared: the
+    constructors in `families`, the one producer of a model (a model file
+    is checked against theirs), store one dict per distinct coordinate
+    vector, in the order of its items, and every equal entry is that dict;
+    an L' table built on L's holds L's entries themselves.  An entry is
+    read-only: a reader that wants to change one copies it first.
     """
 
     def __init__(
@@ -536,282 +515,142 @@ def jacobi_violation(
 #    "bracket":[[i,j,[[k,"c/1"],...]],...],
 #    "parity":[...],"degree":[...],"weight":[[...],...],"cartan":[...]}
 # The bracket entries are the nonzero (i, j) in row-major order, each with
-# its k ascending.  `model_to_json` writes this text directly, byte for byte
-# what `json.dumps(..., separators=(",", ":"))` gives for the same object,
-# and joins the entries of one basis row at a time.  `model_from_json` reads
-# any JSON text of this object, in any key order and with any whitespace,
-# and decodes the bracket list one entry at a time (see `_ModelFields`), so
-# that neither side holds the bracket list as a tree of strings or lists
-# beside the table.  The reader stores each distinct entry once, as the
-# constructors do (see `AlgebraModel`): the file lists every entry, and the
-# table shares the equal ones.
+# its k ascending.  The text is byte for byte what
+# `json.dumps(..., separators=(",", ":"))` gives for the same object.
+# `_pieces` writes it one basis row of entries at a time, and
+# `model_to_json` joins the pieces.  There is no reader: a model file is
+# the text `build` writes for its family and n, and
+# `families.model_from_json` builds that model and compares the file with
+# the pieces (`first_difference`), so the whole written text never exists
+# beside the file's.
+
+
+def _list_parts(key: str, items: List[str]) -> Iterator[Tuple[str, str]]:
+    """(name, text) of a written list field: its key, each item with the
+    comma before it, and the closing bracket, named as the item one past
+    the last."""
+    yield key, f',"{key}":['
+    for i, item in enumerate(items):
+        yield f"{key}[{i}]", "," + item if i else item
+    yield f"{key}[{len(items)}]", "]"
+
+
+def _head_parts(A: AlgebraModel) -> Iterator[Tuple[str, str]]:
+    yield "family/n", '{"family":' + json.dumps(A.family) + ',"n":' + str(A.n)
+    yield from _list_parts("basis", [json.dumps(str(d)) for d in A.basis])
+    yield "bracket", ',"bracket":['
+
+
+_LIST_END = "the end of the bracket list"
+
+
+def _tail_parts(A: AlgebraModel) -> Iterator[Tuple[str, str]]:
+    yield _LIST_END, "]"
+    yield from _list_parts("parity", list(map(str, A.parity)))
+    yield from _list_parts("degree", list(map(str, A.degree)))
+    yield from _list_parts("weight", ["[" + ",".join(map(str, w)) + "]" for w in A.weight])
+    yield from _list_parts("cartan", list(map(str, A.cartan)))
+    yield "the end of the object", "}"
+
+
+def _row_entries(
+    table: dict, keys: Iterable[Tuple[int, int]], coeffs: Dict[int, str]
+) -> List[str]:
+    """The written entries of the nonzero pairs among keys, in their order;
+    coeffs caches ',"num/den"]' per distinct coefficient."""
+    row = []
+    for i, j in keys:
+        w = table[(i, j)]
+        if not w:
+            continue
+        entries = []
+        for k in sorted(w):
+            c = w[k]
+            t = coeffs.get(c)
+            if t is None:
+                t = coeffs[c] = f',"{c.numerator}/{c.denominator}"]'
+            entries.append(f"[{k}{t}")
+        row.append(f"[{i},{j},[{','.join(entries)}]]")
+    return row
+
+
+def _pieces(A: AlgebraModel) -> Iterator[Tuple[int, str]]:
+    """The written text of A in pieces, each with what it holds: -1 and the
+    head with the basis, then row i and the entries of basis row i (after
+    a comma but for the first row), for each row that has one, then A.dim
+    and the tail."""
+    yield -1, "".join(t for _, t in _head_parts(A))
+    table = A.table
+    coeffs: Dict[int, str] = {}
+    sep = ""
+    for i, keys in groupby(sorted(table), key=itemgetter(0)):
+        row = _row_entries(table, keys, coeffs)
+        if row:
+            row[0] = sep + row[0]  # not sep + the joined row, a copy of it
+            yield i, ",".join(row)
+            sep = ","
+    yield A.dim, "".join(t for _, t in _tail_parts(A))
 
 
 def model_to_json(A: AlgebraModel) -> str:
-    def ints(xs) -> str:
-        return "[" + ",".join(map(str, xs)) + "]"
-
-    text: Dict[int, str] = {}  # c -> ',"num/den"]', formatted once per distinct c
-    table = A.table
-    rows = []  # the entries of one basis row, joined
-    for i, pairs in groupby(sorted(table), key=itemgetter(0)):
-        row = []
-        for pair in pairs:
-            w = table[pair]
-            if not w:
-                continue
-            entries = []
-            for k in sorted(w):
-                c = w[k]
-                t = text.get(c)
-                if t is None:
-                    t = text[c] = f',"{c.numerator}/{c.denominator}"]'
-                entries.append(f"[{k}{t}")
-            row.append(f"[{i},{pair[1]},[{','.join(entries)}]]")
-        if row:
-            rows.append(",".join(row))
-    return "".join((
-        '{"family":', json.dumps(A.family),
-        ',"n":', str(A.n),
-        ',"basis":', json.dumps([str(d) for d in A.basis], separators=(",", ":")),
-        ',"bracket":[', ",".join(rows),
-        '],"parity":', ints(A.parity),
-        ',"degree":', ints(A.degree),
-        ',"weight":[', ",".join(map(ints, A.weight)),
-        '],"cartan":', ints(A.cartan), "}",
-    ))
+    return "".join(piece for _, piece in _pieces(A))
 
 
-# descriptors and coefficients exactly as `str` and `model_to_json` write them
-_INT = r"-?(0|[1-9][0-9]*)"
-_MONO = r"(1|(x[1-9][0-9]*)+)"
-_FIELD = rf"{_MONO}\*d[1-9][0-9]*"
-_TERM = rf"{_INT}(/[1-9][0-9]*)?\*{_FIELD}"
-# patterns, not compiled here: only a model file read needs them, and
-# `re.fullmatch` compiles each once into `re`'s own cache
-_DESC = rf"C|DH\({_MONO}\)|{_FIELD}|{_TERM}( \+ {_TERM})+"
-_COEFF = rf"{_INT}/1"
+# the head as `_head_parts` writes it, with n of at most nine digits
+_HEAD = r'\{"family":"([^"\\]*)","n":(0|-?[1-9][0-9]{0,8}),'
 
 
-def _not_int(x, name: str) -> ValueError:
-    return ValueError(f"{name}: expected a JSON integer, got {json.dumps(x, default=repr)}")
+def model_head(text: str) -> Tuple[str, int]:
+    """The family and n of a model text, read from its head strictly as
+    `model_to_json` writes it."""
+    head = re.match(_HEAD, text)
+    if head is None:
+        raise ModelFormatError(
+            'family/n: the model file does not start {"family":"<F>","n":<n>, as build writes it'
+        )
+    return head[1], int(head[2])
 
 
-def _ints(xs, name: str) -> List[int]:
-    """The list xs if every entry is a JSON integer (not a bool, float or string)."""
-    for i, x in enumerate(xs):
-        if type(x) is not int:
-            raise _not_int(x, f"{name}[{i}]")
-    return list(xs)
+# an entry's pair, after the comma before the entry, with indices of at
+# most nine digits; a pattern, compiled into `re`'s cache on a difference
+_PAIR = r",?\[(0|[1-9][0-9]{0,8}),(0|[1-9][0-9]{0,8}),"
 
 
-def _written(x, form: str, name: str) -> str:
-    """x itself if it is a string that matches the pattern `form`, the form
-    in which `model_to_json` writes it."""
-    if not (isinstance(x, str) and re.fullmatch(form, x)):
-        raise ValueError(f"{name}: malformed text {json.dumps(x, default=repr)}")
-    return x
+def first_difference(A: AlgebraModel, text: str) -> Optional[str]:
+    """None if text is what `model_to_json` writes for A, alone or followed
+    by one "\\n"; otherwise what the written text holds where text first
+    differs from it: a field with its index ("parity[7]"; the index one
+    past the last where text goes on with the list), a bracket pair
+    ("bracket (3,5)"), another part of the layout, or "text after the
+    model".
 
-
-def from_json_dict(obj) -> AlgebraModel:
-    """Parse a model object; every malformed field is named in the error.
-
-    obj is a dict, or the `_ModelFields` of a model text, which this reads
-    in the order "basis", "bracket" and then the other six fields; its
-    "bracket" may be an iterator over the entries, read once.
-    Integer fields must be JSON integers, and the integers and fractions
-    inside strings must be written as `model_to_json` writes them; a
-    structure constant is an integer k, written "k/1", and is read as an int.
-    Every index must be a basis index, and a bracket entry must be nonempty,
-    name its pair once and each k in it once, as `model_to_json` writes it.
-    An entry that passes is stored through a map keyed on its items in
-    order, so the table's equal entries are one dict (see `AlgebraModel`).
+    The written text is compared piece by piece (`_pieces`), and never
+    held whole.  At a bracket entry the pair named is the first in
+    row-major order of the entry written there and the one text lists
+    there, so an extra pair, a missing one and a changed coefficient are
+    each named at their pair; at the end of the bracket list it is the
+    pair text lists on with.
     """
-    try:
-        basis = [
-            parse_desc(_written(s, _DESC, f"basis[{i}]"))
-            for i, s in enumerate(obj["basis"])
-        ]
-        dim = len(basis)
-        table: Dict[Tuple[int, int], IntVec] = {}
-        coeffs: Dict[str, int] = {}  # each distinct coefficient text, parsed once
-        share = {}.setdefault  # one dict per distinct entry (see `AlgebraModel`)
-        for e, (i, j, entries) in enumerate(obj["bracket"]):
-            if type(i) is not int or type(j) is not int:
-                _ints((i, j), f"bracket[{e}]")  # raises, naming the entry
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ModelFormatError(f"bracket index out of range at ({i},{j})")
-            if (i, j) in table:
-                raise ModelFormatError(f"bracket ({i},{j}) is listed twice")
-            w = {}
-            for k, c in entries:
-                x = coeffs.get(c) if type(c) is str else None
-                if x is None:
-                    x = coeffs[c] = int(_written(c, _COEFF, f"bracket ({i},{j})")[:-2])
-                if type(k) is not int:
-                    raise _not_int(k, f"bracket ({i},{j})")
-                if not 0 <= k < dim:
-                    raise ModelFormatError(f"bracket index out of range at ({i},{j})")
-                if k in w:
-                    raise ModelFormatError(f"bracket ({i},{j}) lists k = {k} twice")
-                w[k] = x
-            if not w:
-                raise ModelFormatError(f"bracket ({i},{j}) is empty")
-            table[(i, j)] = share(tuple(w.items()), w)
-        family = obj["family"]
-        n = obj["n"]
-        if type(n) is not int:
-            raise _not_int(n, "family/n")
-        parity = _ints(obj["parity"], "parity")
-        degree = _ints(obj["degree"], "degree")
-        weight = [tuple(_ints(w, f"weight[{i}]")) for i, w in enumerate(obj["weight"])]
-        cartan = _ints(obj["cartan"], "cartan")
-    except ModelFormatError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model data: {exc}") from exc
-    if family not in FAMILIES:
-        raise ModelFormatError(f"unknown family {family!r}")
-    if not (len(parity) == len(degree) == len(weight) == dim):
-        raise ModelFormatError("basis/parity/degree/weight length mismatch")
-    if any(not 0 <= c < dim for c in cartan):
-        raise ModelFormatError("cartan index out of range")
-    modulus = n if family == "Stilde" else None
-    return AlgebraModel(
-        family, n, basis, table, parity, degree, weight, cartan, modulus
-    )
-
-
-# json's own primitives, so that every value decodes as `json.loads` decodes it
-_scan_once = json.JSONDecoder().scan_once
-_space = json.decoder.WHITESPACE.match
-
-FIELDS = ("family", "n", "basis", "bracket", "parity", "degree", "weight", "cartan")
-
-
-def _invalid(msg: str, text: str, pos: int) -> ModelFormatError:
-    return ModelFormatError(f"invalid JSON: {json.JSONDecodeError(msg, text, pos)}")
-
-
-def _decode(text: str, pos: int):
-    """The JSON value at text[pos], after any whitespace, and the index after it."""
-    try:
-        return _scan_once(text, pos)
-    except StopIteration:
-        start = _space(text, pos).end()
-        if start == pos:
-            raise _invalid("Expecting value", text, pos) from None
-        return _decode(text, start)
-    except RecursionError:
-        raise ModelFormatError("invalid JSON: nested too deeply") from None
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
-        raise ModelFormatError(f"invalid JSON: {exc}") from None
-
-
-def _at_end(text: str, pos: int) -> None:
-    """Refuse anything but whitespace after the top-level value."""
-    pos = _space(text, pos).end()
-    if pos != len(text):
-        raise _invalid("Extra data", text, pos)
-
-
-class _ModelFields:
-    """The fields of a model text's top-level object, decoded in the order
-    the text gives them, as far as each `[key]` asks.
-
-    Every value is decoded with json's scanner, as `json.loads` decodes it,
-    but one: when "bracket" is asked for and the scan reaches it with a
-    list, the list is handed over as an iterator that decodes one entry at
-    a time, and the scan goes on where the list ends.  `from_json_dict`
-    reads "basis" and then "bracket", so in the written key order (and in
-    sorted order) the table is filled while the list never exists whole; a
-    "bracket" that the scan passes while it looks for another key is
-    decoded whole.  A key outside `FIELDS`, or one the object repeats, is
-    refused once its value is decoded.  `close` reads what no one asked for
-    and the end of the text.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.fields: dict = {}
-        pos = _space(text, 0).end()
-        if not text.startswith("{", pos):
-            _at_end(text, _decode(text, pos)[1])
-            raise ModelFormatError("model JSON must be an object")
-        pos = _space(text, pos + 1).end()
-        self.closed = text.startswith("}", pos)
-        # where the next key starts, or the end of the object once closed;
-        # None while the bracket entries are out, so that no field is read
-        # from the middle of the list
-        self.pos: Optional[int] = pos + 1 if self.closed else pos
-
-    def __getitem__(self, key: str):
-        while key not in self.fields and not self.closed:
-            self._next(key)
-        return self.fields[key]
-
-    def close(self) -> None:
-        while not self.closed:
-            self._next(None)
-        _at_end(self.text, self.pos)
-
-    def _next(self, wanted: Optional[str]) -> None:
-        text, pos = self.text, self.pos
-        if not text.startswith('"', pos):
-            raise _invalid("Expecting property name enclosed in double quotes", text, pos)
-        try:
-            key, pos = json.decoder.scanstring(text, pos + 1)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON: {exc}") from None
-        pos = _space(text, pos).end()
-        if not text.startswith(":", pos):
-            raise _invalid("Expecting ':' delimiter", text, pos)
-        pos = _space(text, pos + 1).end()
-        if key == wanted == "bracket" and text.startswith("[", pos):
-            self.pos = None
-            self.fields[key] = self._entries(pos + 1)
-            return
-        value, pos = _decode(text, pos)
-        if key in self.fields:
-            raise ModelFormatError(f"the model file repeats the key {json.dumps(key)}")
-        if key not in FIELDS:
-            raise ModelFormatError(f"the model file has a key outside its format: {json.dumps(key)}")
-        self.fields[key] = value
-        self._after(pos)
-
-    def _entries(self, pos: int) -> Iterator:
-        text = self.text
-        pos = _space(text, pos).end()
-        if not text.startswith("]", pos):
-            while True:
-                try:  # `_decode` inline, for an entry that starts at pos
-                    entry, pos = _scan_once(text, pos)
-                except (StopIteration, RecursionError, ValueError):
-                    entry, pos = _decode(text, pos)  # skips whitespace, or names the fault
-                yield entry
-                if not text.startswith(",", pos):
-                    pos = _space(text, pos).end()
-                    if not text.startswith(",", pos):
-                        break
-                pos += 1
-            if not text.startswith("]", pos):
-                raise _invalid("Expecting ',' delimiter", text, pos)
-        self._after(pos + 1)
-
-    def _after(self, pos: int) -> None:
-        """Step over the comma or the closing brace after a value."""
-        text = self.text
-        pos = _space(text, pos).end()
-        if text.startswith(",", pos):
-            self.pos = _space(text, pos + 1).end()
-        elif text.startswith("}", pos):
-            self.pos, self.closed = pos + 1, True
-        else:
-            raise _invalid("Expecting ',' delimiter", text, pos)
-
-
-def model_from_json(text: str) -> AlgebraModel:
-    fields = _ModelFields(text)
-    model = from_json_dict(fields)
-    fields.close()
-    return model
+    at = 0
+    for i, piece in _pieces(A):
+        if not text.startswith(piece, at):
+            d = len(commonprefix([piece, text[at:at + len(piece)]]))
+            if 0 <= i < A.dim:
+                keys = sorted(key for key, w in A.table.items() if key[0] == i and w)
+                spans = [("," if k or piece[0] == "," else "") + t
+                         for k, t in enumerate(_row_entries(A.table, keys, {}))]
+            else:
+                keys, spans = zip(*(_head_parts(A) if i < 0 else _tail_parts(A)))
+            for key, span in zip(keys, spans):
+                if d < len(span):
+                    break
+                at, d = at + len(span), d - len(span)
+            if isinstance(key, str) and key != _LIST_END:
+                return key
+            pair = re.compile(_PAIR).match(text, at)
+            if pair is not None:
+                theirs = (int(pair[1]), int(pair[2]))
+                key = theirs if key == _LIST_END else min(key, theirs)
+            return key if isinstance(key, str) else "bracket ({},{})".format(*key)
+        at += len(piece)
+    return None if text[at:] in ("", "\n") else "text after the model"

@@ -180,16 +180,22 @@ def test_check_corrupt_model_exits_2(tmp_path):
     assert "error" in res.stderr
 
 
+def compact(obj):
+    """obj as `build` writes it, so that an edit is met where it was made."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def test_check_zero_denominator_exits_2(tmp_path):
     model = tmp_path / "h5.json"
     run_cli("build", "--family", "H", "--n", "5", "--format", "json",
             "--out", str(model))
     obj = json.loads(model.read_text())
-    obj["bracket"][0][2][0][1] = "1/0"
-    model.write_text(json.dumps(obj))
+    i, j, entries = obj["bracket"][0]
+    entries[0][1] = "1/0"
+    model.write_text(compact(obj))
     res = run_cli("check", "--model", str(model))
     assert res.returncode == 2
-    assert "malformed model data" in res.stderr
+    assert f"bracket ({i},{j}) differs" in res.stderr
     assert "internal error" not in res.stderr
 
 
@@ -200,7 +206,7 @@ def test_coefficient_not_written_as_build_writes_it_exits_2(tmp_path):
     obj = json.loads(model.read_text())
     i, j, entries = next(e for e in obj["bracket"] if any(c == "1/1" for _, c in e[2]))
     next(entry for entry in entries if entry[1] == "1/1")[1] = "2/2"
-    model.write_text(json.dumps(obj))
+    model.write_text(compact(obj))
     res = run_cli("info", "--model", str(model))
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert f"bracket ({i},{j})" in res.stderr
@@ -216,10 +222,10 @@ def test_duplicated_bracket_entry_exits_2(tmp_path):
     obj = json.loads(model.read_text())
     i, j, entries = obj["bracket"][0]
     obj["bracket"].insert(0, [i, j, [[entries[0][0], "7/1"]]])
-    model.write_text(json.dumps(obj))
+    model.write_text(compact(obj))
     res = run_cli("info", "--model", str(model))
     assert res.returncode == 2, (res.stdout, res.stderr)
-    assert f"bracket ({i},{j}) is listed twice" in res.stderr
+    assert f"bracket ({i},{j}) differs" in res.stderr
     assert "internal error" not in res.stderr
 
 
@@ -311,6 +317,12 @@ def _n_40(obj):
     return "family/n: W(40) has dimension 43980465111040, above the limit"
 
 
+def _h4(obj):
+    # H(4) is outside H's range: its Der L is larger than ad L'
+    obj["family"] = "H"
+    return "family/n: H requires n > 4"
+
+
 def _n_true(obj):
     obj["n"] = True
     return "family/n"
@@ -355,27 +367,42 @@ def _flip_even_mirror(obj):
 
 
 def _extra_key(obj):
+    # met where the written object ends
     obj["comment"] = "edited by hand"
-    return 'outside its format: "comment"'
+    return "the end of the object differs"
 
 
 def _repeat_family(obj):
-    # the text starts {"family": "H", "n": 5, "family": "W", "n": 4, ...;
-    # `json.loads` keeps the last copy of a key, and would read W(4)
-    return 'repeats the key "family"', '{"family": "H", "n": 5, ' + json.dumps(obj)[1:]
+    # the text starts {"family":"H","n":5,"family":"W","n":4,...; only the
+    # first head is read, and the second is met where H(5)'s text has "basis"
+    return "basis differs from the H(5) constructor", '{"family":"H","n":5,' + compact(obj)[1:]
+
+
+# a model file is what `build` writes, byte for byte: the same object in
+# another layout is refused at its head, or after its end
+def _sorted_keys(obj):
+    return "family/n", json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _reversed_keys(obj):
+    return "family/n", json.dumps(dict(reversed(list(obj.items()))))
+
+
+def _two_newlines(obj):
+    return "text after the model differs", compact(obj) + "\n\n"
 
 
 @pytest.mark.parametrize("tamper", [
     _swap_basis, _flip_parity, _double_coefficient, _extra_zero_bracket,
     _drop_bracket, _zero_coefficient, _flip_odd_mirror, _flip_even_mirror, _shift_weight,
-    _shift_degree, _edit_cartan, _n_12, _n_40, _n_true, _n_float, _n_string,
-    _parity_strings, _extra_key, _repeat_family,
+    _shift_degree, _edit_cartan, _n_12, _n_40, _h4, _n_true, _n_float, _n_string,
+    _parity_strings, _extra_key, _repeat_family, _sorted_keys, _reversed_keys, _two_newlines,
 ])
 @pytest.mark.parametrize("command", ["certify", "check"])
 def test_tampered_model_exits_2_naming_the_field(tmp_path, w4_model, tamper, command):
     obj = json.loads(json.dumps(w4_model))
     named = tamper(obj)
-    text = json.dumps(obj)
+    text = compact(obj)
     if isinstance(named, tuple):  # a tamper that no dict can show writes the text
         named, text = named
     path = tmp_path / "tampered.json"
@@ -393,7 +420,7 @@ def _not_utf8(text):
 
 
 def _nested_too_deeply(text):
-    return b'{"a":' * 100_000, "nested too deeply"
+    return b'{"a":' * 100_000, "family/n"
 
 
 @pytest.mark.parametrize("tamper", [_not_utf8, _nested_too_deeply])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartansuper.derivations import derivation_report
 from cartansuper.exterior import (
     ExtElem,
     all_monomials,
@@ -31,6 +32,7 @@ from cartansuper.families import (
     euler,
     ham,
     involution,
+    model_from_json,
     w_basis,
     w_bracket,
     w_index,
@@ -38,10 +40,10 @@ from cartansuper.families import (
     xi,
 )
 from cartansuper.liesuper import (
+    AlgebraModel,
     ModelFormatError,
     check_axioms,
     generators,
-    model_from_json,
     model_to_json,
 )
 from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplace
@@ -68,6 +70,21 @@ from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplac
 def test_family_spec_rejections(family, n, message):
     with pytest.raises(FamilyError, match=message):
         FamilySpec(family, n).validate()
+
+
+def test_h4_stays_out_because_der_l_exceeds_ad_lprime():
+    # H(4) is the reason for H's range: built with `validate` bypassed, its
+    # Der L is one dimension larger than ad L', so Der L = ad L' fails there
+    # (and every superderivation is local, so that extra one is a local
+    # superderivation that is not inner)
+    with pytest.raises(FamilyError, match="H requires n > 4"):
+        FamilySpec("H", 4).validate()
+    A = _finish_model("H", 4, *_family_rows(FamilySpec("H", 4)))
+    G = generators(A)
+    report = derivation_report(build_lprime(A), G, check_axioms(A, generating_set=G).ok)
+    assert not report.lemma_der_holds
+    assert (report.dim_der, report.dim_lprime) == (17, 16)
+    # a model file with the head of H(4) exits 2 (tests/test_cli.py, `_h4`)
 
 
 def test_dimension_limit_admits_the_largest_models():
@@ -373,13 +390,16 @@ def test_equal_table_entries_are_one_dict(family, n):
         assert all(ext.table[key] is w for key, w in A.table.items())
         model, span = _graded(ext.family, n, ext.w_coords, ext.basis, base=A)
         assert_shared_like(ext.table, unshared_table(model, span, A), ext.table.keys() - A.table.keys())
-    # a model file lists every entry; the reader stores the equal ones once
+    # a model file lists every entry; the model loaded from it is built by
+    # the constructor, and holds the file's entries shared as A's are
     text = model_to_json(A)
     read = {
         (i, j): {k: int(c[:-2]) for k, c in entries}
         for i, j, entries in json.loads(text)["bracket"]
     }
-    assert_shared_like(model_from_json(text).table, read)
+    B = model_from_json(text)
+    assert B.table == read
+    assert_shared_like(B.table, unshared_table(*_graded(family, n, *_family_rows(FamilySpec(family, n)))))
 
 
 def test_span_solver_stays_on_ints_for_unit_leads():
@@ -491,18 +511,20 @@ def test_constructor_refuses_a_bracket_that_leaves_the_span():
 
 @pytest.mark.parametrize("late", ["extra", "dropped"])
 def test_attach_derived_names_the_first_differing_pair(late):
-    text = model_to_json(build("W", 4))
-    B = model_from_json(text)
-    keys = sorted(B.table)
-    zeros = [(i, j) for i in range(B.dim) for j in range(B.dim) if (i, j) not in B.table]
+    A = build("W", 4)
+    table = dict(A.table)
+    keys = sorted(table)
+    zeros = [(i, j) for i in range(A.dim) for j in range(A.dim) if (i, j) not in table]
     # one extra entry at a pair whose bracket is zero and one dropped entry;
-    # the one earlier in row-major order is named
+    # the one earlier in row-major order is named, whether the file or the
+    # constructor lists it
     extra, dropped = (zeros[0], keys[-1]) if late == "dropped" else (zeros[-1], keys[0])
-    del B.table[dropped]
-    B.table[extra] = {0: Fraction(1)}
+    del table[dropped]
+    table[extra] = {0: 1}
+    B = AlgebraModel(A.family, A.n, A.basis, table, A.parity, A.degree, A.weight, A.cartan)
     first = min(extra, dropped)
-    with pytest.raises(ModelFormatError, match=rf"bracket \({first[0]},{first[1]}\)"):
-        attach_derived(B)
+    with pytest.raises(ModelFormatError, match=rf"^bracket \({first[0]},{first[1]}\) differs"):
+        attach_derived(A, model_to_json(B))
 
 
 DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
@@ -511,7 +533,7 @@ DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
 @pytest.mark.parametrize("family,n", DESK)
 def test_bracket_tables_hold_ints_when_built_and_when_loaded(family, n):
     A = build(family, n)
-    B = attach_derived(model_from_json(model_to_json(A)))
+    B = model_from_json(model_to_json(A))
     for model in (A, build_lprime(A).ext, B, build_lprime(B).ext):
         assert all(type(c) is int for w in model.table.values() for c in w.values())
 

@@ -142,12 +142,14 @@ def test_next_rung_reports_are_pinned(command, family, n):
 
 
 # peak RSS of the model file round trip on W(7), dim 896: `build` writes the
-# 3.1 MB text one basis row at a time, and `info --model` reads its bracket
-# list one entry at a time into the table.  With the whole `json.loads` tree
-# beside the table `info` peaked at 112.8 MB, and `build` at 73.7 MB with one
-# string per entry; with one dict per pair of the table at 69.2 and 66.4 MB.
-# With one dict per distinct entry they peak at 41.5 and 41.2 MB (Python 3.11;
-# a little lower on 3.10), and the bounds keep 10% above that.
+# 3.1 MB text one basis row at a time, and `info --model` builds the model and
+# compares the file with that text one basis row at a time.  With the whole
+# `json.loads` tree beside the table `info` peaked at 112.8 MB, and `build` at
+# 73.7 MB with one string per entry; with one dict per pair of the table at
+# 69.2 and 66.4 MB.  With one dict per distinct entry they peak at 41.5 and
+# 41.2 MB (Python 3.11; a little lower on 3.10), and the bounds keep 10% above
+# that.  Building and comparing instead of reading the table from the file,
+# `info` peaks at 40.8 MB.
 def test_w7_model_file_round_trip_peaks_within_bounds(tmp_path):
     out = tmp_path / "w7.json"
     for argv, bound_mb in [
