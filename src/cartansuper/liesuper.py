@@ -38,8 +38,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from os.path import commonprefix
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -517,12 +515,12 @@ def jacobi_violation(
 # The bracket entries are the nonzero (i, j) in row-major order, each with
 # its k ascending.  The text is byte for byte what
 # `json.dumps(..., separators=(",", ":"))` gives for the same object.
-# `_pieces` writes it one basis row of entries at a time, and
-# `model_to_json` joins the pieces.  There is no reader: a model file is
-# the text `build` writes for its family and n, and
-# `families.model_from_json` builds that model and compares the file with
-# the pieces (`first_difference`), so the whole written text never exists
-# beside the file's.
+# `_pieces` writes it one basis row of entries at a time, each distinct
+# table entry formatted once, and `model_to_json` joins the pieces.  There
+# is no reader: a model file is the text `build` writes for its family and
+# n, and `families.model_from_json` builds that model and compares the file
+# with the pieces (`first_difference`), so the whole written text never
+# exists beside the file's.
 
 
 def _list_parts(key: str, items: List[str]) -> Iterator[Tuple[str, str]]:
@@ -553,47 +551,40 @@ def _tail_parts(A: AlgebraModel) -> Iterator[Tuple[str, str]]:
     yield "the end of the object", "}"
 
 
-def _row_entries(
-    table: dict, keys: Iterable[Tuple[int, int]], coeffs: Dict[int, str]
-) -> List[str]:
-    """The written entries of the nonzero pairs among keys, in their order;
-    coeffs caches ',"num/den"]' per distinct coefficient."""
-    row = []
-    for i, j in keys:
-        w = table[(i, j)]
-        if not w:
-            continue
-        entries = []
-        for k in sorted(w):
-            c = w[k]
-            t = coeffs.get(c)
-            if t is None:
-                t = coeffs[c] = f',"{c.numerator}/{c.denominator}"]'
-            entries.append(f"[{k}{t}")
-        row.append(f"[{i},{j},[{','.join(entries)}]]")
-    return row
-
-
-def _pieces(A: AlgebraModel) -> Iterator[Tuple[int, str]]:
-    """The written text of A in pieces, each with what it holds: -1 and the
-    head with the basis, then row i and the entries of basis row i (after
-    a comma but for the first row), for each row that has one, then A.dim
-    and the tail."""
-    yield -1, "".join(t for _, t in _head_parts(A))
-    table = A.table
-    coeffs: Dict[int, str] = {}
+def _pieces(A: AlgebraModel) -> Iterator[Tuple[int, List[str]]]:
+    """The written text of A in pieces, each a list of parts with what it
+    holds: -1 and the head with the basis, then row i and the entries of
+    basis row i, for each row that has one, then A.dim and the tail.  A
+    row's parts are three per nonzero pair (i, j), j ascending: "[i,"
+    (after a comma, but for the first pair of the first row), str(j) and
+    the entry's text ',[[k,"num/den"],...]]'.  Each distinct table entry is
+    formatted once, cached by the id of its dict: the table holds its dicts
+    while the pieces are written, so no id is reused."""
+    yield -1, [t for _, t in _head_parts(A)]
+    table, js, texts = A.table, list(map(str, range(A.dim))), {}
+    rows: List[List[int]] = [[] for _ in js]
+    for i, j in table:
+        rows[i].append(j)
     sep = ""
-    for i, keys in groupby(sorted(table), key=itemgetter(0)):
-        row = _row_entries(table, keys, coeffs)
-        if row:
-            row[0] = sep + row[0]  # not sep + the joined row, a copy of it
-            yield i, ",".join(row)
+    for i, cols in enumerate(rows):
+        pre, parts = f",[{i},", []
+        for j in sorted(cols):
+            w = table[i, j]
+            if w:
+                t = texts.get(id(w))
+                if t is None:
+                    t = texts[id(w)] = ",[" + ",".join(
+                        f'[{k},"{c.numerator}/{c.denominator}"]' for k, c in sorted(w.items())) + "]]"
+                parts += (pre, js[j], t)
+        if parts:
+            parts[0] = sep + pre[1:]
+            yield i, parts
             sep = ","
-    yield A.dim, "".join(t for _, t in _tail_parts(A))
+    yield A.dim, [t for _, t in _tail_parts(A)]
 
 
 def model_to_json(A: AlgebraModel) -> str:
-    return "".join(piece for _, piece in _pieces(A))
+    return "".join("".join(parts) for _, parts in _pieces(A))
 
 
 # the head as `_head_parts` writes it, with n of at most nine digits
@@ -632,13 +623,13 @@ def first_difference(A: AlgebraModel, text: str) -> Optional[str]:
     pair text lists on with.
     """
     at = 0
-    for i, piece in _pieces(A):
+    for i, parts in _pieces(A):
+        piece = "".join(parts)
         if not text.startswith(piece, at):
             d = len(commonprefix([piece, text[at:at + len(piece)]]))
             if 0 <= i < A.dim:
                 keys = sorted(key for key, w in A.table.items() if key[0] == i and w)
-                spans = [("," if k or piece[0] == "," else "") + t
-                         for k, t in enumerate(_row_entries(A.table, keys, {}))]
+                spans = ["".join(parts[k:k + 3]) for k in range(0, len(parts), 3)]
             else:
                 keys, spans = zip(*(_head_parts(A) if i < 0 else _tail_parts(A)))
             for key, span in zip(keys, spans):

@@ -43,6 +43,7 @@ from cartansuper.liesuper import (
     AlgebraModel,
     ModelFormatError,
     check_axioms,
+    first_difference,
     generators,
     model_to_json,
 )
@@ -402,6 +403,56 @@ def test_equal_table_entries_are_one_dict(family, n):
     assert_shared_like(B.table, unshared_table(*_graded(family, n, *_family_rows(FamilySpec(family, n)))))
 
 
+def with_table(M, table):
+    return AlgebraModel(M.family, M.n, M.basis, table, M.parity, M.degree, M.weight, M.cartan)
+
+
+def written(M):
+    # the layout of the serialization comment in `liesuper`, by json.dumps
+    return json.dumps({
+        "family": M.family, "n": M.n, "basis": [str(d) for d in M.basis],
+        "bracket": [[i, j, [[k, f"{c}/1"] for k, c in sorted(w.items())]]
+                    for (i, j), w in sorted(M.table.items()) if w],
+        "parity": M.parity, "degree": M.degree, "weight": M.weight, "cartan": M.cartan,
+    }, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_model_to_json_is_the_same_on_shared_and_unshared_tables(family, n):
+    # the writer formats an entry once per dict, keyed by the dict's
+    # identity; a table with one dict per pair gives the same bytes
+    A = build(family, n)
+    loose = with_table(A, unshared_table(*_graded(family, n, *_family_rows(FamilySpec(family, n)))))
+    models = [(A, loose)]
+    ext = build_lprime(A).ext
+    if ext is not A:
+        model, span = _graded(ext.family, n, ext.w_coords, ext.basis, base=loose)
+        models.append((ext, with_table(ext, unshared_table(model, span, loose))))
+    for M, N in models:
+        assert len({id(w) for w in N.table.values()}) == len(N.table) == len(M.table)
+        assert len({id(w) for w in M.table.values()}) < len(M.table) / 2
+        text = model_to_json(M)
+        assert model_to_json(N) == text == written(M)
+        assert first_difference(N, text) is None and first_difference(M, text) is None
+
+
+def test_model_to_json_writes_one_dict_held_at_several_pairs():
+    # one dict at a pair, its mirror (odd-odd, so the mirror is equal), a
+    # diagonal pair and a pair in another row; an equal dict and an empty
+    # one elsewhere, and other entries written between them
+    A = build("H", 5)
+    odd = [i for i in range(A.dim) if A.parity[i]]
+    a, b = odd[-2], odd[-1]
+    shared, other = {0: 3, 2: -1}, {1: 5}
+    table = {(a, b): shared, (b, a): shared, (a, a): shared, (0, 1): dict(shared),
+             (0, 2): other, (1, 0): {}, (2, 3): shared, (2, 0): other, (1, 1): {0: 3, 2: -2}}
+    B = with_table(A, table)
+    text = model_to_json(B)
+    assert text == written(B)
+    assert first_difference(B, text) is None
+    assert text.count('[[0,"3/1"],[2,"-1/1"]]') == 5
+
+
 def test_span_solver_stays_on_ints_for_unit_leads():
     span = SpanSolver()
     assert span.add({0: 1, 1: 2})
@@ -525,6 +576,25 @@ def test_attach_derived_names_the_first_differing_pair(late):
     first = min(extra, dropped)
     with pytest.raises(ModelFormatError, match=rf"^bracket \({first[0]},{first[1]}\) differs"):
         attach_derived(A, model_to_json(B))
+
+
+def test_attach_derived_names_the_second_holder_of_a_shared_entry():
+    # W(4)'s file with the coefficient changed at the second pair, in
+    # row-major order, that holds some dict; both pairs are in one row, so
+    # the row's written text holds the same entry text twice
+    A = build("W", 4)
+    holders = {}
+    for key in sorted(A.table):
+        holders.setdefault(id(A.table[key]), []).append(key)
+    first, second = next(keys[:2] for keys in holders.values()
+                         if len(keys) > 1 and keys[0][0] == keys[1][0])
+    assert A.table[first] is A.table[second]
+    obj = json.loads(model_to_json(A))
+    entry = next(e for e in obj["bracket"] if tuple(e[:2]) == second)
+    entry[2][0][1] = str(int(entry[2][0][1][:-2]) + 1) + "/1"
+    text = json.dumps(obj, separators=(",", ":"))
+    with pytest.raises(ModelFormatError, match=rf"^bracket \({second[0]},{second[1]}\) differs"):
+        attach_derived(A, text)
 
 
 DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
