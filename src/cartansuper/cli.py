@@ -22,11 +22,18 @@ JSON output is the stable contract (reports carry schema_version and are
 byte-identical for a fixed seed and configuration); text output is a human
 summary.  Timings are printed only with --timings so that default reports
 stay reproducible.
+
+`main` returns the exit code and is the entry for in-process callers.  A
+process started as `python -m cartansuper.cli` or as the `cartansuper`
+console script enters through `run`: it runs the `atexit` handlers,
+flushes stdout and stderr and ends with `os._exit`, without the
+interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -170,7 +177,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             _write(sys.stdout, text)
             sys.stdout.flush()
         except BrokenPipeError:  # the reader has gone (`| head`): drop the rest
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
+
+
+def _to_devnull(stream) -> None:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _load_or_build(args) -> AlgebraModel:
@@ -319,5 +330,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CHECK_FAILED
 
 
+def run(argv: Optional[List[str]] = None) -> None:
+    """The process entry (`python -m cartansuper.cli`, the `cartansuper`
+    console script): `main`, then the end of the process with its code.
+
+    The `atexit` handlers run, then stdout and stderr are flushed, the order
+    in which the interpreter itself ends; a stream whose reader has gone is
+    pointed at devnull, as `_emit` does, and the code stays.  Then
+    `os._exit` ends the process without tearing the interpreter down, which
+    a CLI run would pay for after its output is out.  A `SystemExit` from
+    argparse (usage errors, --help, --version) or the environment check,
+    and a KeyboardInterrupt, leave through the interpreter as usual.
+    """
+    code = main(argv)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            _to_devnull(stream)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,8 +11,10 @@ Gradings: |x_i| = 1 in Z_2, deg x_i = 1 in Z.  dim of the full algebra is
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_N = 63  # bitmask monomials; n beyond machine word size is out of range
 
@@ -109,6 +111,7 @@ class ExtElem:
         self.n = n
         self.terms: Dict[int, Fraction] = {}
         if terms:
+            from fractions import Fraction
             for m, c in terms.items():
                 c = Fraction(c)
                 if c:
@@ -120,17 +123,17 @@ class ExtElem:
 
     @classmethod
     def one(cls, n: int) -> "ExtElem":
-        return cls(n, {0: Fraction(1)})
+        return cls(n, {0: 1})
 
     @classmethod
     def monomial(cls, n: int, mask: int, coeff=1) -> "ExtElem":
-        return cls(n, {mask: Fraction(coeff)})
+        return cls(n, {mask: coeff})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "ExtElem":
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of 1..{n}")
-        return cls(n, {1 << (i - 1): Fraction(1)})
+        return cls(n, {1 << (i - 1): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -149,6 +152,7 @@ class ExtElem:
         return None if ds else 0
 
     def scale(self, c) -> "ExtElem":
+        from fractions import Fraction
         c = Fraction(c)
         if not c:
             return ExtElem(self.n)
@@ -158,7 +162,7 @@ class ExtElem:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -208,7 +212,7 @@ def ext_mul(f: ExtElem, g: ExtElem) -> ExtElem:
             if sign == 0:
                 continue
             c = cf * cg if sign > 0 else -cf * cg
-            s = terms.get(prod, Fraction(0)) + c
+            s = terms.get(prod, 0) + c
             if s:
                 terms[prod] = s
             else:
@@ -227,7 +231,7 @@ def partial(i: int, f: ExtElem) -> ExtElem:
             continue
         sign, m2 = hit
         x = c if sign > 0 else -c
-        s = terms.get(m2, Fraction(0)) + x
+        s = terms.get(m2, 0) + x
         if s:
             terms[m2] = s
         else:

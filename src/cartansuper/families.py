@@ -65,10 +65,12 @@ divergence kernel: a build makes no Fraction, which only `ExtElem`'s
 helpers (`divergence`, `ham`) return.
 
 A model file is what `build` writes, byte for byte (`model_from_json`):
-only its head, the family and n, is read; the constructor builds that
-model, and the file is compared with the text `model_to_json` writes for
-it, one basis row of bracket entries at a time (`attach_derived`).  The
-first difference names a field with its index or a bracket pair.
+only its head, the family and n, is read; the file's basis is compared
+with the constructor's descriptors, the constructor builds that model from
+the same rows, and the file is compared with the text `model_to_json`
+writes for it, one basis row of bracket entries at a time
+(`attach_derived`).  The first difference names a field with its index
+or a bracket pair.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from .liesuper import (
     VectorField,
     WeightVec,
     first_difference,
+    head_difference,
     model_head,
 )
 from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
@@ -122,8 +125,10 @@ class FamilySpec(NamedTuple):
             check_n(n)
         except ValueError as exc:
             raise FamilyError(str(exc)) from None
-        if f in ("W", "S") and n < 4:
-            raise FamilyError(f"{f} requires n >= 4")
+        if f == "W" and n < 3:
+            raise FamilyError("W requires n >= 3")
+        if f == "S" and n < 4:
+            raise FamilyError("S requires n >= 4")
         if f == "Stilde":
             if n < 4:
                 raise FamilyError("Stilde requires n >= 4")
@@ -710,13 +715,21 @@ def model_from_json(text: str) -> AlgebraModel:
     """The model whose file is text: the constructor's model for the family
     and n of its head, once `attach_derived` has checked that text is that
     model's file.  The head (`model_head`) is validated before anything is
-    built; any fault in it raises ModelFormatError starting "family/n:"."""
+    built; any fault in it raises ModelFormatError starting "family/n:".
+    The file's basis is compared with the constructor's descriptors
+    (`head_difference`) before the bracket table is built from the same
+    rows, so a file whose head names a larger model than its basis holds is
+    refused without building that model."""
     spec = FamilySpec(*model_head(text))
     try:
         spec.validate()
     except FamilyError as exc:
         raise ModelFormatError(f"family/n: {exc}") from None
-    return attach_derived(build(spec), text)
+    rows, descs = _family_rows(spec)
+    part = head_difference(spec.family, spec.n, descs, text)
+    if part is not None:
+        raise ModelFormatError(f"{part} differs from the {spec} constructor")
+    return attach_derived(_finish_model(spec.family, spec.n, rows, descs), text)
 
 
 def attach_derived(A: AlgebraModel, text: str) -> AlgebraModel:

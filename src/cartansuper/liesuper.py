@@ -37,12 +37,14 @@ from __future__ import annotations
 import json
 import random
 import re
-from fractions import Fraction
 from os.path import commonprefix
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .exterior import mono_str
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 WeightVec = Tuple[int, ...]
 
@@ -533,9 +535,9 @@ def _list_parts(key: str, items: List[str]) -> Iterator[Tuple[str, str]]:
     yield f"{key}[{len(items)}]", "]"
 
 
-def _head_parts(A: AlgebraModel) -> Iterator[Tuple[str, str]]:
-    yield "family/n", '{"family":' + json.dumps(A.family) + ',"n":' + str(A.n)
-    yield from _list_parts("basis", [json.dumps(str(d)) for d in A.basis])
+def _head_parts(family: str, n: int, basis: List[BasisDesc]) -> Iterator[Tuple[str, str]]:
+    yield "family/n", '{"family":' + json.dumps(family) + ',"n":' + str(n)
+    yield from _list_parts("basis", [json.dumps(str(d)) for d in basis])
     yield "bracket", ',"bracket":['
 
 
@@ -560,7 +562,7 @@ def _pieces(A: AlgebraModel) -> Iterator[Tuple[int, List[str]]]:
     the entry's text ',[[k,"num/den"],...]]'.  Each distinct table entry is
     formatted once, cached by the id of its dict: the table holds its dicts
     while the pieces are written, so no id is reused."""
-    yield -1, [t for _, t in _head_parts(A)]
+    yield -1, [t for _, t in _head_parts(A.family, A.n, A.basis)]
     table, js, texts = A.table, list(map(str, range(A.dim))), {}
     rows: List[List[int]] = [[] for _ in js]
     for i, j in table:
@@ -607,6 +609,20 @@ def model_head(text: str) -> Tuple[str, int]:
 _PAIR = r",?\[(0|[1-9][0-9]{0,8}),(0|[1-9][0-9]{0,8}),"
 
 
+def head_difference(family: str, n: int, basis: List[BasisDesc], text: str) -> Optional[str]:
+    """None if text starts as `model_to_json` writes a model of that family,
+    n and basis, up to the opening of the bracket list; otherwise the part
+    where it first differs, named as `first_difference` names it.  It needs
+    no bracket table, so a file can be refused on its head and basis before
+    one is built."""
+    at = 0
+    for key, part in _head_parts(family, n, basis):
+        if not text.startswith(part, at):
+            return key
+        at += len(part)
+    return None
+
+
 def first_difference(A: AlgebraModel, text: str) -> Optional[str]:
     """None if text is what `model_to_json` writes for A, alone or followed
     by one "\\n"; otherwise what the written text holds where text first
@@ -631,7 +647,8 @@ def first_difference(A: AlgebraModel, text: str) -> Optional[str]:
                 keys = sorted(key for key, w in A.table.items() if key[0] == i and w)
                 spans = ["".join(parts[k:k + 3]) for k in range(0, len(parts), 3)]
             else:
-                keys, spans = zip(*(_head_parts(A) if i < 0 else _tail_parts(A)))
+                keys, spans = zip(*(_head_parts(A.family, A.n, A.basis) if i < 0
+                                    else _tail_parts(A)))
             for key, span in zip(keys, spans):
                 if d < len(span):
                     break

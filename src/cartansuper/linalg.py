@@ -18,7 +18,9 @@ the complex field.
 The `fractions.Fraction` machinery (`Matrix`, `Echelon`, `rref`, `kernel`,
 `kernel_of_rows`, `solve`, `Subspace`) serves the reference oracles and the
 public helpers.  Its vectors are sparse dicts ``{index: Fraction}`` with no
-stored zeros, and it takes int entries as well.  Subspaces are kept in
+stored zeros, and it takes int entries as well.  `fractions` is imported
+where a Fraction is built, not with the module: every CLI run is a fresh
+process, and the trusted path builds none.  Subspaces are kept in
 reduced row echelon form (RREF), which is unique per row space, so
 subspace equality is plain row-list equality and all outputs are
 deterministic.
@@ -26,14 +28,14 @@ deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-Vec = Dict[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Vec = Dict[int, "Fraction"]
 IntVec = Dict[int, int]
-
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,7 @@ class Matrix:
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence]) -> "Matrix":
+        from fractions import Fraction
         nrows = len(dense)
         ncols = len(dense[0]) if nrows else 0
         data: Dict[int, Vec] = {}
@@ -140,7 +143,8 @@ class Echelon:
             if prow is None:
                 c = v[lead]
                 if c != 1:
-                    inv = _ONE / c
+                    from fractions import Fraction
+                    inv = Fraction(1) / c
                     v = {k: x * inv for k, x in v.items()}
                 pivots[lead] = v
                 return True
@@ -180,13 +184,14 @@ def rank(m: Matrix) -> int:
 
 
 def _kernel_rows(rref_rows: List[Vec], piv: List[int], ncols: int) -> List[Vec]:
+    from fractions import Fraction
     piv_set = set(piv)
     col_of_piv = {p: idx for idx, p in enumerate(piv)}
     out: List[Vec] = []
     for free in range(ncols):
         if free in piv_set:
             continue
-        v: Vec = {free: _ONE}
+        v: Vec = {free: Fraction(1)}
         for p in piv:
             c = rref_rows[col_of_piv[p]].get(free)
             if c:
@@ -220,6 +225,7 @@ def kernel_of_rows(rows: Iterable[Vec], ncols: int) -> List[Vec]:
 
 
 def as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
+    from fractions import Fraction
     return [{k: Fraction(c) for k, c in row.items()} for row in rows]
 
 
@@ -340,6 +346,7 @@ def solve(m: Matrix, b) -> Optional[Vec]:
     Deterministic: after echelonization the free variables are set to zero.
     """
     if isinstance(b, (list, tuple)):
+        from fractions import Fraction
         b = {i: Fraction(x) for i, x in enumerate(b) if x}
     aug_col = m.cols
     ech = Echelon()
@@ -382,7 +389,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        rows = [{i: _ONE} for i in range(ambient)]
+        from fractions import Fraction
+        rows = [{i: Fraction(1)} for i in range(ambient)]
         return cls(ambient, rows, list(range(ambient)))
 
     @property
@@ -450,6 +458,7 @@ def member(s: Subspace, v) -> bool:
     if isinstance(v, (list, tuple)):
         if len(v) != s.ambient:
             raise ValueError(f"vector length {len(v)} != ambient {s.ambient}")
+        from fractions import Fraction
         v = {i: Fraction(x) for i, x in enumerate(v) if x}
     return s.contains(v)
 
@@ -549,6 +558,7 @@ class SpanSolver:
             return None
         if s == 1:
             return coeffs
+        from fractions import Fraction
         return {k: c // s if c % s == 0 else Fraction(c, s) for k, c in coeffs.items()}
 
     def express(self, v: IntVec) -> Optional[Vec]:

@@ -638,7 +638,7 @@ def certify(
     INCONCLUSIVE, the stages run again on every block, and the report is
     that run's (see the module docstring).  CERTIFIED holds given `check`'s
     lemma Der L = ad L' for the same (family, n), which this does not
-    prove; the golden `check` reports pin it for W(4-7), S(4, 5),
+    prove; the golden `check` reports pin it for W(3-7), S(4, 5),
     Stilde(4, 6) and H(5-9).
     """
     start = time.monotonic()

@@ -10,6 +10,25 @@ import pytest
 PKG = "cartansuper.cli"
 
 
+def entry_env(unbuffered=None):
+    """The caller's environment with PYTHONUNBUFFERED unset, or set to
+    `unbuffered`."""
+    import os
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
+def run_entry(*args, prelude=""):
+    """`cli.run(args)` in a fresh interpreter with a buffered stdout, after
+    the Python statements of prelude."""
+    code = f"{prelude}\nfrom cartansuper.cli import run\nrun({list(args)!r})"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=entry_env(), timeout=300)
+
+
 def run_cli(*args, env_extra=None):
     import os
 
@@ -436,6 +455,24 @@ def test_unreadable_model_text_exits_2(tmp_path, w4_model, tamper, command):
     assert "internal error" not in res.stderr
 
 
+def test_model_file_of_a_larger_head_exits_2_before_the_bracket_pass(tmp_path, monkeypatch,
+                                                                     capsys):
+    # H(5)'s file with "n":5 edited to "n":11: its basis is compared with
+    # H(11)'s descriptors, and it is refused before H(11)'s table is built
+    from cartansuper import cli, families
+
+    def no_brackets(*args, **kwargs):
+        raise AssertionError("the bracket pass ran")
+
+    model = tmp_path / "h5.json"
+    assert cli.main(["build", "--family", "H", "--n", "5", "--format", "json",
+                     "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace('"n":5,', '"n":11,', 1))
+    monkeypatch.setattr(families, "_bracket_rows", no_brackets)
+    assert cli.main(["info", "--model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: basis[5] differs from the H(11) constructor\n"
+
+
 def test_check_missing_model_exits_2(tmp_path):
     res = run_cli("check", "--model", str(tmp_path / "missing.json"))
     assert res.returncode == 2
@@ -520,6 +557,16 @@ def test_golden_info_report():
     assert res.stdout.strip() == golden.read_text().strip()
 
 
+def test_golden_info_report_on_w3():
+    # W(3), dim 24, where Kac's list of the Cartan type superalgebras starts W
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "golden" / "info_w3.json"
+    res = run_cli("info", "--family", "W", "--n", "3", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == golden.read_text()
+
+
 def test_w5_model_file_gives_the_golden_reports(tmp_path):
     # a W model through the file reader, as CI runs it with the console script
     from pathlib import Path
@@ -568,9 +615,9 @@ def test_check_and_certify_write_into_no_table_entry(family, n, command, monkeyp
 
 
 # the desk models, whose goldens are the stdout that perfbench/expected.json
-# stores for the same check job, and H(7)
+# stores for the same check job, H(7) and W(3)
 @pytest.mark.parametrize("family,n", [
-    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), ("H", 7),
+    ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), ("H", 7), ("W", 3),
 ])
 def test_golden_check_report(family, n):
     from pathlib import Path
@@ -590,23 +637,23 @@ def test_golden_check_report(family, n):
 ])
 def test_closed_stdout_is_not_an_error(args, head):
     # `cartansuper ... | head -1`: the command keeps its own exit code and
-    # writes nothing to stderr
-    import os
+    # writes nothing to stderr, with a buffered stdout (whose rest `run`
+    # flushes at exit) and with an unbuffered one
+    for unbuffered in (None, "1"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", PKG, *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=entry_env(unbuffered),
+        )
+        assert proc.stdout.read(len(head)) == head, unbuffered
+        proc.stdout.close()
+        assert proc.stderr.read() == b"", unbuffered
+        assert proc.wait(timeout=300) == 0, unbuffered
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", PKG, *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ),
-    )
-    assert proc.stdout.read(len(head)) == head
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=300) == 0
 
-
-# the desk models and H(7); each golden is the stdout that
-# perfbench/expected.json stores for the same certify job
+# the desk models and H(7), each golden the stdout that
+# perfbench/expected.json stores for the same certify job, and W(3)
 @pytest.mark.parametrize("family,n", [
-    ("H", 5), ("W", 4), ("S", 4), ("Stilde", 4), ("H", 6), ("H", 7),
+    ("H", 5), ("W", 4), ("S", 4), ("Stilde", 4), ("H", 6), ("H", 7), ("W", 3),
 ])
 def test_golden_certify_report(family, n):
     from pathlib import Path
@@ -748,16 +795,73 @@ def test_build_check_and_certify_make_no_fraction_call():
             assert not calls, (command[0], family, n, sorted(set(calls)))
 
 
-def test_cli_import_loads_no_dataclasses():
+def test_cli_import_loads_no_dataclasses(tmp_path):
     # every CLI run is a fresh process that pays this import; the modules
-    # present before it (what site loads) are not counted
+    # present before it (what site loads) are not counted.  No Fraction is
+    # made on the trusted path, so neither the import nor a check or a
+    # certify run loads fractions, with its decimal and numbers
+    out = str(tmp_path / "report.json")
     code = (
-        "import sys; before = set(sys.modules); import cartansuper.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import cartansuper.cli as cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "for command in ('check', 'certify'):\n"
+        f"    assert cli.main([command, '--family', 'H', '--n', '5', '--out', {out!r}]) == 0\n"
+        "    print(' '.join(sorted(set(sys.modules) - before)))"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0, res.stderr
-    added = set(res.stdout.split())
-    assert "cartansuper.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    imported, after_check, after_certify = (set(line.split()) for line in res.stdout.splitlines())
+    assert "cartansuper.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    for added in (imported, after_check, after_certify):
+        assert not added & {"fractions", "decimal", "numbers"}
+
+
+def test_run_writes_the_pinned_model_to_a_buffered_pipe():
+    # the model through `run` to a buffered pipe: the pinned bytes (those of
+    # tests/test_slow.py's W(5) pin) and nothing on stderr
+    res = run_entry("build", "--family", "W", "--n", "5", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == b""
+    assert len(res.stdout) == 161640
+    assert hashlib.sha256(res.stdout).hexdigest() == (
+        "0e970c160a6e44d051a6cc91dc570d827a330e725f9c343c2b58bc6b6d3a638c"
+    )
+
+
+def test_run_calls_the_atexit_handlers():
+    # a handler registered before the run (a site hook, say) is not skipped,
+    # and what it prints to the buffered stdout gets out
+    prelude = "import atexit; atexit.register(print, 'atexit marker')"
+    res = run_entry("info", "--family", "H", "--n", "5", "--format", "json", prelude=prelude)
+    assert res.returncode == 0, res.stderr
+    report, marker = res.stdout.decode().splitlines()
+    assert json.loads(report)["dim_L"] == 30
+    assert marker == "atexit marker"
+
+
+RAISE_IN_BUILD = """
+import cartansuper.cli as cli
+def fail(*args, **kwargs):
+    raise RuntimeError("planted")
+cli.build = fail
+"""
+
+
+@pytest.mark.parametrize("args, prelude, code, err", [
+    (("info", "--family", "H", "--n", "5"), "", 0, ""),
+    # an internal error
+    (("info", "--family", "H", "--n", "5"), RAISE_IN_BUILD, 1,
+     "internal error: RuntimeError: planted\n"),
+    (("build", "--family", "H"), "", 2, "error: missing --family/--n\n"),
+    (("certify", "--family", "H", "--n", "5", "--budget", "67"), "", 3, ""),
+    # argparse's own SystemExit leaves through the interpreter
+    (("build", "--bogus"), "", 2, "unrecognized arguments: --bogus"),
+], ids=["ok", "internal-error", "input-error", "inconclusive", "usage-error"])
+def test_run_keeps_the_exit_codes(args, prelude, code, err):
+    res = run_entry(*args, prelude=prelude)
+    assert res.returncode == code, res.stderr
+    stderr = res.stderr.decode()
+    assert err in stderr if err else stderr == ""
+    assert bool(res.stdout) == (code in (0, 3))

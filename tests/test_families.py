@@ -56,7 +56,7 @@ from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplac
 @pytest.mark.parametrize(
     "family,n,message",
     [
-        ("W", 3, "n >= 4"),
+        ("W", 2, "n >= 3"),
         ("S", 2, "n >= 4"),
         ("Stilde", 5, "even"),
         ("H", 4, "n > 4"),

@@ -20,7 +20,9 @@ from cartansuper.liesuper import (
     VectorField,
     ad_matrix,
     check_axioms,
+    first_difference,
     generators,
+    head_difference,
     jacobi_violation,
     model_to_json,
 )
@@ -725,6 +727,29 @@ def test_model_file_keys_are_named_when_refused():
     for form in ("extra key", "second bracket"):
         with pytest.raises(ModelFormatError, match="^the end of the object differs"):
             model_from_json(H5_FORMS[form][0])
+
+
+def test_head_difference_names_what_first_difference_names():
+    # each one-character change or deletion up to the opening of the bracket
+    # list is named alike, so `model_from_json` refuses it before building
+    # a bracket table with the message the whole comparison gives
+    A = H5_REF
+    end = H5_TEXT.index('"bracket":[') + len('"bracket":[')
+    assert head_difference(A.family, A.n, A.basis, H5_TEXT) is None
+    names = set()
+    for at in range(end):
+        for text in (H5_TEXT[:at] + "x" + H5_TEXT[at + 1:], H5_TEXT[:at] + H5_TEXT[at + 1:]):
+            if text == H5_TEXT:
+                continue
+            name, full = head_difference(A.family, A.n, A.basis, text), first_difference(A, text)
+            if name is None:
+                # the bracket list's "[" deleted: the first entry's "[" stands in
+                # for it, and the text first differs inside the list
+                assert at == end - 1 and full.startswith("bracket ("), (at, full)
+                continue
+            assert name == full, (at, text[:end])
+            names.add(name.split("[")[0])
+    assert names == {"family/n", "basis", "bracket"}
 
 
 def _paths(value, path=()):
