@@ -57,8 +57,9 @@ of row r.  The rows and the kernel are integer, so this is a quotient of
 ints, and an exact one gives an int.  In L' the Euler field and the top
 Hamiltonian take a few rows' homes.  A bracket that needs one of those
 rows leaves a remainder after the home reads (as does one whose division
-is not exact), and only such a bracket goes to the fraction-free echelon
-of `SpanSolver.express`, whose coordinates are checked to be ints.  So
+is not exact), and only such a bracket is written in the rows by
+`SpanSolver.express`, on the fraction-free echelon of `linalg.int_reduce`,
+whose coordinates are checked to be ints.  So
 the table holds Python ints: every structure constant of the four
 families is an integer.  So are the basis rows, the Cartan chain and the
 divergence kernel: a build makes no Fraction, which only `ExtElem`'s
@@ -476,14 +477,15 @@ def _bracket_rows(
     partners' home columns (`SpanSolver.homes`): if z = sum_r c_r row_r,
     then z[h] = c_r row_r[h] at the home h of row r, so c_r is read there,
     and c_r times the row's other terms is subtracted from a remainder kept
-    for the whole of row i.  A partner whose remainder is not zero, or
-    whose division at a home is not exact, goes to `SpanSolver.express`,
-    whose echelon writes it in the rows without a home (in L', the rows
-    whose homes the Euler field and the top Hamiltonian take) or finds it
-    outside the span.  A home coordinate is an exact quotient of ints, so an
-    int; only the echelon can give a Fraction, so only its coordinates are
-    checked.  Raises AssertionError naming the pair when a bracket leaves
-    the span or has a non-integer coordinate.
+    for the whole of row i.  This is the only home readout.  A partner
+    whose remainder is not zero (in L', it needs a row whose home the
+    Euler field or the top Hamiltonian takes), or whose division at a home
+    is not exact, is written whole by `SpanSolver.express`, which
+    eliminates and finds it in the span or outside it.  A home coordinate
+    is an exact quotient of ints, so an int; only the echelon can give a
+    Fraction, so only its coordinates are checked.  Raises AssertionError
+    naming the pair when a bracket leaves the span or has a non-integer
+    coordinate.
     """
     n, rows = model.n, model.w_coords
     stride = n << n

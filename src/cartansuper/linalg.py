@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-The trusted path (`build`, `check`, `certify`) runs on Python ints:
-`IntKernel` (with `kernel_of_int_rows` on top of it), `int_reduce` and
-`int_combine` eliminate integer rows (``{index: int}``) fraction-free over
-Z, and `SpanSolver` writes vectors in a set of rows, reading coordinates
-at columns that only one row touches and eliminating the rest the same
-way.  They
-serve the constructors' divergence kernel and Cartan-cell check, the
+The trusted path (`build`, `check`, `certify`) runs on Python ints, and
+every elimination on it is `int_reduce`'s: integer rows (``{index: int}``)
+are reduced fraction-free over Z against an echelon keyed by last column.
+`IntKernel` (with `kernel_of_int_rows` on top of it) cuts rows into such
+an echelon, and `SpanSolver` writes vectors in a set of rows by carrying
+each row's combination in negative columns.  They serve the constructors'
+divergence kernel, Cartan-cell check and bracket coordinates, the
 generating-set closure, all of `check`'s derivation layer, the certifier's
 engine and `localcert.is_2local_at`.  Every row is kept as a primitive integer
 multiple of the row Fraction elimination would hold, so the answer is the
@@ -464,74 +464,45 @@ def member(s: Subspace, v) -> bool:
 
 
 class SpanSolver:
-    """Express vectors in a fixed set of independent rows.
+    """Express vectors in a fixed set of independent rows, on `int_reduce`'s
+    echelon.
 
-    Rows are added once; ``express`` then writes any vector of the span as a
-    coordinate dict over the original row indices (None if outside the span).
+    Columns must be >= 0: the negative ones carry the bookkeeping.  The
+    k-th row offered to ``add`` is reduced as {**row, -2 - k: 1}, so every
+    echelon row holds, in its negative columns, the integer combination of
+    added rows that gives its nonnegative part.  A row that reduces to
+    negative columns alone is a combination of the rows before it, and
+    ``add`` refuses it.
 
-    ``express`` reads most coordinates off the vector.  A row's *home* is a
-    column where no other added row is nonzero; the index of homes is built
-    after the last ``add``.  If z = sum_i c_i row_i, then z[h] = c_i row_i[h]
-    at the home h of row i, because no other row touches h; so c_i is read
-    there, sum_i c_i row_i is subtracted, and what is left lies in the span
-    of the rows without a home (and is 0 when every row has one).  A vector
-    outside the span leaves a remainder outside that span, which the
-    echelon below refuses.  A division at a home that is not exact (a
-    coordinate that is not an integer) sends the whole vector to the
-    echelon instead.
+    ``express(v)`` reduces {**v, -1: 1} to r.  A nonnegative column left in
+    r is a lead that no echelon row has, so v is outside the span (None).
+    Otherwise s v + sum_k c_k row_k = 0, with s = r[-1] and c_k = r[-2 - k],
+    and coordinate k is -c_k / s: an int when the division is exact, and a
+    Fraction only when it is not.
 
-    The echelon: each pivot is an integer row kept with the integer
-    combination of the added rows that gives it, built by ``add``, which
-    also tells a dependent row.  A reduction cross-multiplies where a
-    pivot's lead is not 1, so integer rows stay on Python ints.  A
-    coordinate of ``express`` is a Fraction only when it is not an integer.
+    ``homes`` indexes the columns that only one row touches;
+    `families._bracket_rows` reads a whole bracket row there.
     """
 
     def __init__(self):
-        # lead -> (row, coeffs), row = sum_k coeffs[k] row_k with row_k the
-        # k-th row added, and row[lead] > 0
-        self.pivots: Dict[int, Tuple[IntVec, IntVec]] = {}
+        self.pivots: Dict[int, IntVec] = {}  # the echelon, keyed by last column
         self.count = 0  # rows offered to add, dependent ones included
         self.rows: Dict[int, IntVec] = {}  # the independent ones, by index
         # the home index (see ``homes``); dropped by an add
         self._homes: Optional[Dict[int, Tuple[int, int, List[Tuple[int, int]]]]] = None
 
-    def _reduce(self, v: IntVec, coeffs: IntVec) -> Tuple[IntVec, IntVec, int]:
-        # reduce v against the pivots, keeping s t = v + sum_k coeffs[k] row_k
-        # for the t the caller started from with s = 1
-        v, s = dict(v), 1
-        while v:
-            lead = min(v)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            prow, pcoef = hit
-            a, c = v[lead], prow[lead]
-            if c != 1:
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                s *= c
-                v = {k: c * x for k, x in v.items()}
-                coeffs = {k: c * x for k, x in coeffs.items()}
-            vec_axpy_inplace(v, -a, prow)
-            vec_axpy_inplace(coeffs, a, pcoef)
-        return v, coeffs, s
-
     def add(self, row: IntVec) -> bool:
         """Add a row, which takes the next index; False when it depends on
         the rows added before, and then it is never used."""
-        # t = 0: the reduced row v satisfies v = -sum_k coeffs[k] * row_k
-        v, coeffs, _ = self._reduce(row, {self.count: -1})
+        k = self.count
         self.count += 1
-        if not v:
+        v = int_reduce(self.pivots, {**row, -2 - k: 1})
+        lead = max(v)
+        if lead < 0:
             return False
-        self.rows[self.count - 1] = row
+        self.pivots[lead] = v
+        self.rows[k] = row
         self._homes = None
-        lead = min(v)
-        g = gcd(*v.values(), *coeffs.values())
-        if v[lead] < 0:
-            g = -g
-        self.pivots[lead] = ({k: x // g for k, x in v.items()}, {k: -x // g for k, x in coeffs.items()})
         return True
 
     def homes(self) -> Dict[int, Tuple[int, int, List[Tuple[int, int]]]]:
@@ -552,41 +523,16 @@ class SpanSolver:
         self._homes = homes
         return homes
 
-    def _solve(self, v: IntVec) -> Optional[Vec]:
-        v, coeffs, s = self._reduce(v, {})
-        if v:
-            return None
-        if s == 1:
-            return coeffs
-        from fractions import Fraction
-        return {k: c // s if c % s == 0 else Fraction(c, s) for k, c in coeffs.items()}
-
     def express(self, v: IntVec) -> Optional[Vec]:
-        homes = self.homes()
-        rest = dict(v)
+        r = int_reduce(self.pivots, {**v, -1: 1})
+        if max(r) >= 0:
+            return None
+        s = r.pop(-1)
         coords: Vec = {}
-        for h, x in v.items():
-            hit = homes.get(h)
-            if hit is None:
-                continue
-            i, d, others = hit
-            if d == 1:
-                c = x
-            else:
-                c, r = divmod(x, d)
-                if r:
-                    return self._solve(v)
-            coords[i] = c
-            del rest[h]  # x - c d = 0: no other row touches h
-            for k, y in others:
-                y = rest.get(k, 0) - c * y
-                if y:
-                    rest[k] = y
-                else:
-                    del rest[k]
-        if rest:
-            more = self._solve(rest)
-            if more is None:
-                return None
-            coords.update(more)
+        for k, c in r.items():
+            q, m = divmod(-c, s)
+            if m:
+                from fractions import Fraction
+                q = Fraction(-c, s)
+            coords[-2 - k] = q
         return coords

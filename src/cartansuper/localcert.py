@@ -109,6 +109,7 @@ from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators
 from .linalg import (
+    IntKernel,
     IntVec,
     Subspace,
     Vec,
@@ -216,13 +217,14 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
 
     Exact on ints: with X, Y the integer multiples of x, y (`int_multiple`),
     the system reads sum_u a_u ([u, X] + [u, Y]) = phi(X) + phi(Y) in
-    L + L.  Its columns come from the integer bracket table, they are
-    reduced fraction-free (`int_reduce`), and the system is feasible iff
-    the right-hand side, scaled to ints, reduces to zero.
+    L + L.  Its columns come from the integer bracket table and are cut
+    into an `IntKernel`, whose echelon spans them, and the system is
+    feasible iff the right-hand side, scaled to ints, reduces to zero
+    against that echelon (`int_reduce`).
     """
     m = P.dim_l
     X, Y = int_multiple(x), int_multiple(y)
-    pivots: Dict[int, IntVec] = {}
+    kern = IntKernel(2 * m)
     for ad_u in P.ad_columns:
         col: IntVec = {}
         for offset, point in ((0, X), (m, Y)):
@@ -236,13 +238,11 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
                             col[k] = s
                         else:
                             del col[k]
-        col = int_reduce(pivots, col)
-        if col:
-            pivots[max(col)] = col
+        kern.cut(col)
     rhs = dict(phi.apply(X))
     for k, c in phi.apply(Y).items():
         rhs[m + k] = c
-    return not int_reduce(pivots, int_multiple(rhs))
+    return not int_reduce(kern.rows, int_multiple(rhs))
 
 
 def bigrade_decompose(phi: EndMap, A: AlgebraModel) -> Dict[Shift, EndMap]:

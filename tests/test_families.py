@@ -492,7 +492,7 @@ def test_span_solver_divides_exactly_for_a_lead_of_2():
 
 
 def test_span_solver_refuses_a_stray_column_after_exact_home_reads():
-    # the homes 0 and 2 read 3 and -1 exactly; column 3 is on no row
+    # columns 0-2 are 3 row 0 - row 1 exactly; column 3 is on no row
     span = SpanSolver()
     assert span.add({0: 1, 1: 2})
     assert span.add({1: 1, 2: 1})
@@ -504,8 +504,10 @@ def test_span_solver_refuses_a_stray_column_after_exact_home_reads():
 def test_span_solver_rereads_homes_after_a_later_add():
     span = SpanSolver()
     assert span.add({0: 1, 1: 1})
-    assert span.express({0: 2, 1: 2}) == {0: 2}  # home 0 read
+    assert span.homes() == {0: (0, 1, [(1, 1)])}
+    assert span.express({0: 2, 1: 2}) == {0: 2}
     assert span.add({0: 1, 2: 1})  # takes column 0: row 0's home is now 1
+    assert span.homes() == {1: (0, 1, [(0, 1)]), 2: (1, 1, [(0, 1)])}
     assert span.express({0: 2, 1: 2}) == {0: 2}
     assert span.express({0: 3, 1: 1, 2: 2}) == {0: 1, 1: 2}
     assert span.express({0: 1}) is None
@@ -513,14 +515,22 @@ def test_span_solver_rereads_homes_after_a_later_add():
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
 def test_every_basis_row_has_a_home(family, n, monkeypatch):
-    # so the table is read off at the homes, with no elimination per bracket
-    calls = []
-    solve = SpanSolver._solve
-    monkeypatch.setattr(SpanSolver, "_solve", lambda span, v: calls.append(v) or solve(span, v))
+    # so L's table is read off at the homes, with no elimination per bracket
     A = build(family, n)
+    model, span = _graded(family, n, *_family_rows(FamilySpec(family, n)))
+    assert len(span.homes()) == model.dim
+    calls = []
+    express = SpanSolver.express
+    monkeypatch.setattr(
+        SpanSolver, "express", lambda s, v: calls.append(express(s, v)) or calls[-1])
+    for _ in _bracket_rows(model, span):
+        pass
     assert calls == []
-    build_lprime(A)  # the extra rows of L' take some homes: a few calls, all solved
-    assert len(calls) < A.dim
+    # L' writes its Cartan chain in its rows, and the extra rows take some
+    # homes: a few vectors are eliminated, and each is in the span
+    build_lprime(A)
+    assert len(calls) < model.dim
+    assert all(coords is not None for coords in calls)
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cartansuper.linalg import (
     IntKernel,
     Matrix,
+    SpanSolver,
     Subspace,
     as_fractions,
     intersect,
@@ -317,3 +319,52 @@ def test_int_kernel_basis_is_the_exact_kernel_after_every_cut(case):
 def test_int_combine_divides_by_the_content():
     assert int_combine(2, {0: 3, 1: 1}, -6, {0: 1}) == {1: 1}
     assert int_combine(1, {0: 4}, 1, {1: -6}) == {0: 2, 1: -3}
+
+
+# -- the span solver, against the Fraction oracles
+
+
+def rank_of(rows, ncols):
+    return rank(Matrix(len(rows), ncols, dict(enumerate(as_fractions(rows)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows(), st.randoms(use_true_random=False))
+@example(([{0: 2, 1: 1}, {1: 1, 2: 2}], 3), random.Random(0))
+def test_span_solver_agrees_with_rank_and_solve(case, rnd):
+    rows, ncols = case
+    span, kept = SpanSolver(), []  # kept: the indices of the rows add keeps
+    for k, row in enumerate(rows):
+        rises = rank_of(rows[: k + 1], ncols) > rank_of(rows[:k], ncols)
+        assert span.add(row) == rises
+        if rises:
+            kept.append(k)
+    # the kept rows as the columns of a matrix, for solve
+    m = Matrix(ncols, len(kept), {})
+    for col, k in enumerate(kept):
+        for c, x in rows[k].items():
+            m.data.setdefault(c, {})[col] = Fraction(x)
+
+    def oracle(v):
+        sol = solve(m, as_fractions([v])[0])
+        return None if sol is None else {kept[col]: c for col, c in sol.items()}
+
+    # an integer combination of the rows, divided by an integer that keeps
+    # it integral, so some coordinates may be Fractions
+    z = {}
+    for k in kept:
+        a = rnd.randint(-3, 3)
+        for c, x in rows[k].items():
+            z[c] = z.get(c, 0) + a * x
+    z = {c: x for c, x in z.items() if x}
+    d = gcd(*z.values(), rnd.choice([1, 2, 3, 4, 6])) if z else 1
+    v = {c: x // d for c, x in z.items()}
+    got = span.express(v)
+    assert got is not None and got == oracle(v)
+    assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in got.values())
+    # any integer vector: None exactly when solve finds no solution
+    w = {c: rnd.randint(-2, 2) for c in range(ncols)}
+    w = {c: x for c, x in w.items() if x}
+    assert span.express(w) == oracle(w)
+    # a column that no row touches
+    assert span.express({**v, ncols: 1}) is None
