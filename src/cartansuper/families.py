@@ -56,14 +56,12 @@ if [i, j] = sum_r c_r row_r then c_r = [i, j][h] / row_r[h] at the home h
 of row r.  The rows and the kernel are integer, so this is a quotient of
 ints, and an exact one gives an int.  In L' the Euler field and the top
 Hamiltonian take a few rows' homes.  A bracket that needs one of those
-rows leaves a remainder after the home reads (as does one whose division
-is not exact), and only such a bracket is written in the rows by
-`SpanSolver.express`, on the fraction-free echelon of `linalg.int_reduce`,
-whose coordinates are checked to be ints.  So
-the table holds Python ints: every structure constant of the four
-families is an integer.  So are the basis rows, the Cartan chain and the
-divergence kernel: a build makes no Fraction, which only `ExtElem`'s
-helpers (`divergence`, `ham`) return.
+rows would be written by `SpanSolver.express`, but no build brackets one:
+`build_lprime` brackets only the pairs with j >= dim L, which need no
+such row (see `_bracket_rows`).  So the table holds Python ints: every
+structure constant of the four families is an integer.  So are the basis
+rows, the Cartan chain and the divergence kernel: a build makes no
+Fraction, which only `ExtElem`'s helpers (`divergence`, `ham`) return.
 
 A model file is what `build` writes, byte for byte (`model_from_json`):
 only its head, the family and n, is read; the file's basis is compared
@@ -481,11 +479,14 @@ def _bracket_rows(
     whose remainder is not zero (in L', it needs a row whose home the
     Euler field or the top Hamiltonian takes), or whose division at a home
     is not exact, is written whole by `SpanSolver.express`, which
-    eliminates and finds it in the span or outside it.  A home coordinate
-    is an exact quotient of ints, so an int; only the echelon can give a
-    Fraction, so only its coordinates are checked.  Raises AssertionError
-    naming the pair when a bracket leaves the span or has a non-integer
-    coordinate.
+    eliminates and finds it in the span or outside it.  Only first = 0
+    over an L' model reaches that branch, as
+    `test_bracket_rows_are_the_nonzero_pairs_in_row_major_order` does;
+    `build`, `build_lprime` and `model_from_json` never do.  A home
+    coordinate is an exact quotient of ints, so an int; only the echelon
+    can give a Fraction, so only its coordinates are checked.  Raises
+    AssertionError naming the pair when a bracket leaves the span or has a
+    non-integer coordinate.
     """
     n, rows = model.n, model.w_coords
     stride = n << n

@@ -3,17 +3,17 @@
 The trusted path (`build`, `check`, `certify`) runs on Python ints, and
 every elimination on it is `int_reduce`'s: integer rows (``{index: int}``)
 are reduced fraction-free over Z against an echelon keyed by last column.
-`IntKernel` (with `kernel_of_int_rows` on top of it) cuts rows into such
-an echelon, and `SpanSolver` writes vectors in a set of rows by carrying
-each row's combination in negative columns.  They serve the constructors'
-divergence kernel, Cartan-cell check and bracket coordinates, the
-generating-set closure, all of `check`'s derivation layer, the certifier's
-engine and `localcert.is_2local_at`.  Every row is kept as a primitive integer
-multiple of the row Fraction elimination would hold, so the answer is the
-Fraction answer, scaled, with nothing to check and nothing to fall back
-to: a rational solution space has the same dimension as its complex
-counterpart, which is what lets integer structure constants stand in for
-the complex field.
+`IntKernel` cuts rows into such an echelon, `kernel_terms` reads the
+kernel off one, and `SpanSolver` writes vectors in a set of rows by
+carrying each row's combination in negative columns.  They serve the
+constructors' divergence kernel, Cartan-cell check and bracket
+coordinates, the generating-set closure, all of `check`'s derivation
+layer, the certifier's engine and `localcert.is_2local_at`.  Every row is
+kept as a primitive integer multiple of the row Fraction elimination would
+hold, so the answer is the Fraction answer, scaled, with nothing to check
+and nothing to fall back to: a rational solution space has the same
+dimension as its complex counterpart, which is what lets integer
+structure constants stand in for the complex field.
 
 The `fractions.Fraction` machinery (`Matrix`, `Echelon`, `rref`, `kernel`,
 `kernel_of_rows`, `solve`, `Subspace`) serves the reference oracles and the
@@ -219,9 +219,14 @@ def kernel_of_rows(rows: Iterable[Vec], ncols: int) -> List[Vec]:
 # fraction-free integer elimination
 #
 # Bareiss-style (Math. Comp. 22, 1968): a row is eliminated by cross
-# multiplication, v <- a v - b w, and then divided by its content, so every
-# row stays a primitive integer multiple of the row that Fraction elimination
-# would hold.  Nothing is reduced modulo anything, so there is no fallback.
+# multiplication, v <- a v - b w with gcd(a, b) = 1, in place on one copy of
+# the row made at its first step.  Its content (the gcd of its entries) is
+# divided out once, at the end, or earlier once the multipliers since the
+# last division pass _GROWTH.  Dividing after every step would give the same
+# row up to a positive integer factor, so every row returned is the
+# primitive integer multiple of the row that Fraction elimination would
+# hold, with no modular step.  No argument and no stored row is written.
+_GROWTH = 1 << 64
 
 
 def as_fractions(rows: Iterable[IntVec]) -> List[Vec]:
@@ -235,48 +240,100 @@ def int_multiple(v: Vec) -> IntVec:
     return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
-def int_combine(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:
-    """a u + b v divided by its content (the gcd of its entries)."""
-    g = gcd(a, b)
-    if g > 1:
-        a //= g
-        b //= g
-    out = {k: a * x for k, x in u.items()} if a != 1 else dict(u)
-    for k, x in v.items():
-        s = out.get(k, 0) + b * x
+def _primitive(v: IntVec, sign: int = 1) -> IntVec:
+    """v divided by its content times sign, in place."""
+    g = gcd(*v.values()) * sign
+    if g and g != 1:
+        for k, x in v.items():
+            v[k] = x // g
+    return v
+
+
+def _eliminate(v: IntVec, k: int, prow: IntVec) -> int:
+    """v <- a v - b prow in place, a and b the least integers that cancel
+    column k (a has the sign of prow[k]); returns |a|.  Drops a stored 0."""
+    p, c = prow[k], v[k]
+    if not c:
+        del v[k]
+        return 1
+    g = gcd(p, c)
+    a, b = p // g, c // g
+    if a != 1:
+        for j, x in v.items():
+            v[j] = a * x
+    for j, x in prow.items():
+        s = v.get(j, 0) - b * x
         if s:
-            out[k] = s
+            v[j] = s
         else:
-            del out[k]
-    g = gcd(*out.values())
-    if g > 1:
-        out = {k: x // g for k, x in out.items()}
-    return out
+            del v[j]
+    return abs(a)
 
 
 def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
     """v reduced fraction-free against echelon rows keyed by their last
-    column (the pivot loop of `IntKernel.cut`).
-
-    The result is {} exactly when v lies in the span of the rows; otherwise
-    it is v times a nonzero integer minus a combination of the rows, and
-    its last column is not a key of `pivots`.
-    """
+    column: the one pivot loop.  The result is {} exactly when v lies in
+    the span of the rows; otherwise it is v times a nonzero integer minus a
+    combination of the rows, and its last column is no key of `pivots`.  It
+    is a primitive copy once a step is taken, and v itself before."""
+    grown = 0  # the multipliers' product since the last division; 0 before a step
     while v:
         lead = max(v)
         prow = pivots.get(lead)
         if prow is None:
             break
-        v = int_combine(prow[lead], v, -v[lead], prow)
-    return v
+        if not grown:
+            v, grown = dict(v), 1
+        grown *= _eliminate(v, lead, prow)
+        if grown > _GROWTH:
+            _primitive(v)
+            grown = 1
+    return _primitive(v) if grown else v
+
+
+def kernel_terms(pivots: Dict[int, IntVec], columns: Iterable[int]) -> List[List[Tuple[int, int]]]:
+    """The kernel of echelon rows keyed by their last column, in any scaling
+    (as `int_reduce` leaves them): one vector per column f of ``columns``
+    that is no key, in that order, as (column, entry) pairs, f first with a
+    positive entry, primitive.  Over sorted columns these are the RREF basis
+    of `kernel_of_rows`, scaled.  The rows are back-reduced on copies; the
+    vector of f, taken with 1 at f, is nonzero only at f and at the pivots
+    p > f whose reduced row has an entry x at f, where it is -x / row_p[p]."""
+    reduced: Dict[int, IntVec] = {}
+    hits: Dict[int, List[Tuple[int, int, int]]] = {}  # f -> (p, row_p[f], row_p[p])
+    for lead in sorted(pivots):  # back-reduce left to right
+        row = pivots[lead]
+        ks = [k for k in row if k in reduced] if reduced else None
+        if ks:
+            row = dict(row)
+            for k in ks:
+                _eliminate(row, k, reduced[k])
+            _primitive(row)
+        reduced[lead] = row
+        for f, x in row.items():
+            if f != lead:
+                hits.setdefault(f, []).append((lead, x, row[lead]))
+    out = []
+    for f in columns:  # a reduced row has no entry at another pivot
+        col = hits.get(f)
+        if col is None:
+            if f not in reduced:
+                out.append([(f, 1)])
+        else:
+            m = lcm(*[d for _, _, d in col])
+            terms = [(f, m)] + [(p, -x * (m // d)) for p, x, d in col]
+            g = gcd(*[c for _, c in terms]) if m > 1 else 1
+            out.append([(k, c // g) for k, c in terms] if g > 1 else terms)
+    return out
 
 
 class IntKernel:
     """The kernel in Q^ncols of the integer rows cut into it.
 
     The rows are kept in fraction-free echelon form, keyed by their last
-    column (`rows`), each with a positive entry there.  `len` is the
-    kernel's dimension, ncols minus the rank.
+    column (`rows`), each primitive with a positive entry there; a cut
+    stores a new dict and never writes its argument or a kept row.  `len`
+    is the kernel's dimension, ncols minus the rank.
     """
 
     __slots__ = ("ncols", "rows")
@@ -291,53 +348,15 @@ class IntKernel:
     def cut(self, row: IntVec) -> bool:
         """Impose row . v = 0; True when that shrank the kernel."""
         v = int_reduce(self.rows, row)
-        if not v:
-            return False
-        lead = max(v)
-        self.rows[lead] = int_combine(1 if v[lead] > 0 else -1, v, 0, {})
-        return True
+        if v:
+            lead = max(v)
+            self.rows[lead] = _primitive(dict(v) if v is row else v, -1 if v[lead] < 0 else 1)
+        return bool(v)
 
     def basis(self) -> List[IntVec]:
         """`kernel_of_rows`'s RREF basis of the kernel, each vector scaled to
-        a primitive integer vector with a positive lead.
-
-        The rows are brought to reduced echelon form (on a copy: the stored
-        rows stay as they are).  The kernel vector of a free column f is
-        then nonzero only at f and at pivot columns right of f, so f is its
-        lead and every other kernel vector vanishes there: these vectors, in
-        order of f, are the RREF of the kernel up to positive scalars.
-        """
-        pivots = dict(self.rows)
-        # back-reduce left to right; each pivot row used is already reduced
-        for lead in sorted(pivots):
-            row = pivots[lead]
-            for k in [k for k in row if k != lead and k in pivots]:
-                row = int_combine(pivots[k][k], row, -row[k], pivots[k])
-            pivots[lead] = row
-        kern: Dict[int, IntVec] = {f: {} for f in range(self.ncols) if f not in pivots}
-        for lead, row in pivots.items():
-            for f, x in row.items():
-                if f != lead:
-                    kern[f][lead] = x
-        out = []
-        for f, hits in kern.items():
-            # f + sum_p (-row_p[f] / row_p[p]) p, scaled by the lcm of the row_p[p]
-            m = lcm(*(pivots[p][p] for p in hits))
-            v = {f: m}
-            for p, x in hits.items():
-                v[p] = -x * (m // pivots[p][p])
-            g = gcd(*v.values())
-            out.append({k: x // g for k, x in v.items()} if g > 1 else v)
-        return out
-
-
-def kernel_of_int_rows(rows: Iterable[IntVec], ncols: int) -> List[IntVec]:
-    """`kernel_of_rows` for integer rows, on ints (`IntKernel.basis`)."""
-    kern = IntKernel(ncols)
-    for row in rows:
-        if kern.cut(row) and not kern:
-            break
-    return kern.basis()
+        a primitive integer vector with a positive lead (`kernel_terms`)."""
+        return [dict(terms) for terms in kernel_terms(self.rows, range(self.ncols))]
 
 
 def solve(m: Matrix, b) -> Optional[Vec]:

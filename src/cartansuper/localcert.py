@@ -21,15 +21,13 @@ runs on: a local superderivation splits into (degree, weight)-homogeneous
 components that are themselves local with witnesses in the matching slice
 of L', so the certified space may soundly be computed one shift at a time,
 and a probe only constrains the blocks its cells reach.  The engine runs
-on Python ints, eliminating fraction-free (cross multiplication, then
-division by the content), so it is exact over Q with no modular step and
-no fallback.  Every probe `certify` builds is an integer vector, so it
-makes no Fraction; only the public helpers take or return Fractions.  The
-engine is `check`'s block core (`derivations.BlockKernels`): each block
-is kept as the kernel of its cut rows, and the verdict is `check`'s block
-test against ad L'.  When the space collapses to exactly ad L' = Der L
-this way, every map that is locally inner at all points is inner, the
-per-n certificate of LDer(L) = Der(L).  When the proof list leaves a
+on Python ints (`ConstraintEngine`); only the public helpers take or
+return Fractions.  The engine is `check`'s block core
+(`derivations.BlockKernels`): each block is kept as the kernel of its cut
+rows, and the verdict is `check`'s block test against ad L'.  When the
+space collapses to exactly ad L' = Der L this way, every map that is
+locally inner at all points is inner, the per-n certificate of
+LDer(L) = Der(L).  When the proof list leaves a
 residual (the weight-zero depth slice of H(odd n), whose witness no
 Cartan anchor can see), deterministic degree-0-anchored probes and then
 basis/random stages escalate, each built only when it is reached.
@@ -79,13 +77,7 @@ unproven".
 The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
 block that the core has closed at its target takes no more probes, and a
 block takes no probe whose parts in its source cells equal the last
-probe's there.
-The second rests on two facts: `constraint_rows` reads x only through
-those parts, since [L'_s, x_c] lies in cell c + s; and a row once cut
-into an `IntKernel` never shrinks it again.  Rows that read more of x,
-such as the full-orbit rows [L', x] at a probe spread over several cells
-(ROADMAP.md, "A local certificate that rests on nothing unproven"), must
-widen the key to all that they read.
+probe's there, which is all that its rows read.
 
 `certify_2local` reports the 2-local verdict as the local one, by
 reduction: a 2-local map is local (take the pair (x, x)), and the local
@@ -102,7 +94,6 @@ import itertools
 import random
 import time
 from math import gcd
-from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank
@@ -116,8 +107,8 @@ from .linalg import (
     as_fractions,
     int_multiple,
     int_reduce,
-    kernel_of_int_rows,
     kernel_of_rows,
+    kernel_terms,
     rref,  # not called here; perfbench/child.py wraps localcert.rref
     solve,  # not called here; perfbench/child.py wraps localcert.solve
     vec_axpy_inplace,
@@ -229,15 +220,7 @@ def is_2local_at(phi: EndMap, x: Vec, y: Vec, P: LPrimeModel) -> bool:
         col: IntVec = {}
         for offset, point in ((0, X), (m, Y)):
             for b, c in point.items():
-                w = ad_u.get(b)
-                if w:
-                    for k, v in w.items():
-                        k += offset
-                        s = col.get(k, 0) + c * v
-                        if s:
-                            col[k] = s
-                        else:
-                            del col[k]
+                vec_axpy_inplace(col, c, {k + offset: v for k, v in ad_u.get(b, {}).items()})
         kern.cut(col)
     rhs = dict(phi.apply(X))
     for k, c in phi.apply(Y).items():
@@ -444,18 +427,22 @@ class ConstraintEngine(BlockKernels):
     condition is invariant under scaling the probe, so `constrained_space`
     scales a caller's rational probes to ints), the slice ad columns are
     the integer bracket table's (`LPrimeModel.ad_columns`), and the
-    annihilator and the cuts are fraction-free integer eliminations.  So
-    the result is exact and independent of the probe order (each block
-    ends as the kernel of all the rows cut into it); Fractions appear only
-    where spaces are handed out as subspaces over Q.
+    annihilator and the cuts are fraction-free integer eliminations, with
+    no modular step and no fallback.  So the result is exact and
+    independent of the probe order (each block ends as the kernel of all
+    the rows cut into it); Fractions appear only where spaces are handed
+    out as subspaces over Q.
 
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
     (each cell's list is `BlockSystem.reach` cut to the open blocks when
     the cell is first met, and pruned lazily once a block has closed).
-    Per shift, `constraint_rows` solves the small system on the target
-    cells (the unit annihilator when the slice orbit is empty) and builds
-    each row straight in the block's local ids.
+    Per shift, `constraint_rows` reduces the slice orbit [L'_shift, x] on
+    the value space V, the sum of the target cells, with `int_reduce`, and
+    reads its annihilator off that echelon, back-reduced (`kernel_terms`):
+    one row per coordinate of V that is not a pivot, built straight in the
+    block's local ids (the unit rows when the orbit is 0, none when it is
+    all of V).
 
     A block's constraint at x depends on x only through its key, the
     parts x_c in the source cells c of the block's pairs: [L'_s, x_c] lies
@@ -467,8 +454,10 @@ class ConstraintEngine(BlockKernels):
     (the call stops early only when the block closes), and a row once cut
     lies in the span of the kernel's kept rows, so it cannot shrink the
     kernel again.  The kept rows are therefore exactly those of imposing
-    every probe on every open block it reaches.  Rows that read more of x
-    must widen the key to all that they read (see the module docstring).
+    every probe on every open block it reaches.  Rows that read more of x,
+    such as the full-orbit rows [L', x] at a probe spread over several
+    cells (ROADMAP.md, "A local certificate that rests on nothing
+    unproven"), must widen the key to all that they read.
 
     With ``dominant``, the core solves the dominant blocks only; without
     it every block, as `constrained_space` needs.  Given ``blocks``, the
@@ -514,42 +503,30 @@ class ConstraintEngine(BlockKernels):
         cells, as `BlockSystem.shifts_from(x)` gives them, at least one,
         and comps is `split(x)`; the caller computes both once per probe.
         """
-        cells = self.blocks.cells
-        # the value space V = sum of the target cells, in sorted coordinates,
-        # each with the part of x its entries multiply: the target cell a
-        # lies in comes from one source cell
-        coords = sorted(
-            ((a, comps.get(cb, {})) for ca, cb in pairs for a in cells[ca]), key=itemgetter(0)
-        )
-        v_local = {a: i for i, (a, _) in enumerate(coords)}
-        # the slice orbit [L'_shift, x], localized to V
-        span_rows: List[IntVec] = []
+        # the value space V = sum of the target cells, each coordinate with
+        # the part of x its entries multiply: the target cell a lies in
+        # comes from one source cell
+        sub = {a: comps.get(cb, {}) for ca, cb in pairs for a in self.blocks.cells[ca]}
+        # the slice orbit [L'_shift, x], reduced to an echelon on V
+        pivots: Dict[int, IntVec] = {}
         for cols in self.slice_ad.get(shift, ()):
             w: IntVec = {}
             for b, c in x.items():
                 col = cols.get(b)
                 if col:
                     vec_axpy_inplace(w, c, col)
+            w = int_reduce(pivots, w)
             if w:
-                span_rows.append({v_local[a]: c for a, c in w.items()})
-        if span_rows:
-            ann = kernel_of_int_rows(span_rows, len(coords))
-        else:
-            ann = [{i: 1} for i in range(len(coords))]
-        # kappa . phi(x) = sum_a kappa_a sum_b phi_ab x_b: the entry (a, b)
-        # gets kappa_a x_b, written straight to its local id
+                pivots[max(w)] = w
+                if len(pivots) == len(sub):
+                    return []
+        # one row kappa . phi(x) per free coordinate, kappa its kernel
+        # vector: the entry (a, b) gets kappa_a x_b, written to its local id
         dim, local = self.dim, self.blocks.local[shift]
-        rows: List[IntVec] = []
-        for kappa in ann:
-            row: IntVec = {}
-            for i, ka in kappa.items():
-                a, sub = coords[i]
-                base = a * dim
-                for b, xb in sub.items():
-                    row[local[base + b]] = ka * xb
-            if row:
-                rows.append(row)
-        return rows
+        return [
+            {local[a * dim + b]: ka * xb for a, ka in kappa for b, xb in sub[a].items()}
+            for kappa in kernel_terms(pivots, sorted(sub))
+        ]
 
     def add_probes(self, probes: Iterable[Probe]) -> None:
         """Impose the condition at each probe, an integer vector, on the

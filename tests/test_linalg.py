@@ -1,5 +1,6 @@
 """Exact linear algebra: spec examples plus randomized invariants."""
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,11 +15,12 @@ from cartansuper.linalg import (
     SpanSolver,
     Subspace,
     as_fractions,
+    int_multiple,
+    int_reduce,
     intersect,
     kernel,
-    int_combine,
-    kernel_of_int_rows,
     kernel_of_rows,
+    kernel_terms,
     member,
     rank,
     rref,
@@ -251,6 +253,14 @@ def test_rref_is_unique_per_row_space(case, rnd):
 # -- the fraction-free integer kernel
 
 
+def kernel_of_int_rows(rows, ncols):
+    """The kernel basis of integer rows, cut into an `IntKernel`."""
+    kern = IntKernel(ncols)
+    for row in rows:
+        kern.cut(row)
+    return kern.basis()
+
+
 @settings(max_examples=300, deadline=None)
 @given(int_rows())
 @example(([{0: P, 1: 1}], 2))
@@ -316,9 +326,82 @@ def test_int_kernel_basis_is_the_exact_kernel_after_every_cut(case):
             assert {k: Fraction(c, v[min(v)]) for k, c in v.items()} == e
 
 
-def test_int_combine_divides_by_the_content():
-    assert int_combine(2, {0: 3, 1: 1}, -6, {0: 1}) == {1: 1}
-    assert int_combine(1, {0: 4}, 1, {1: -6}) == {0: 2, 1: -3}
+def test_int_reduce_divides_by_the_content():
+    # {0: 4, 1: 2} - 2 {0: 1, 1: 1} = {0: 2}, whose content is 2
+    assert int_reduce({1: {0: 1, 1: 1}}, {0: 4, 1: 2}) == {0: 1}
+    # -{0: 1, 1: 1} - {0: 3, 1: -1} = {0: -4}: a lead of -1 flips the sign
+    assert int_reduce({1: {0: 3, 1: -1}}, {0: 1, 1: 1}) == {0: -1}
+    # with nothing to eliminate, the argument itself comes back
+    row = {0: 4, 1: 2}
+    assert int_reduce({0: {0: 1}}, row) is row
+
+
+def fraction_reduce(pivots, v):
+    """v reduced over Q against rows keyed by their last column."""
+    v = {k: Fraction(c) for k, c in v.items()}
+    while v:
+        lead = max(v)
+        prow = pivots.get(lead)
+        if prow is None:
+            break
+        f = v[lead] / prow[lead]
+        for k, c in prow.items():
+            s = v.get(k, 0) - f * c
+            if s:
+                v[k] = s
+            else:
+                del v[k]
+    return v
+
+
+def primitive_positive(v):
+    """The primitive integer multiple of v with a positive last entry."""
+    w = int_multiple(v)
+    g = gcd(*w.values())
+    return {k: c // (g if w[max(w)] > 0 else -g) for k, c in w.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+# multipliers of about 2**62 at two steps: the content is divided mid-reduction
+@example(([{0: 1, 1: P * P}, {0: 1, 2: (P + 1) ** 2}, {0: 1, 1: 1, 2: 1}], 3))
+# a row kept in raw with a lead of -1, as constraint_rows keeps the orbit
+@example(([{0: 3, 1: -1}, {0: 1, 1: 1}, {1: 2, 2: 2}, {0: 1, 2: 5}], 3))
+def test_int_reduce_and_cut_keep_the_fraction_rows_and_write_nothing(case):
+    """The in-place pivot step writes only its own copy: `_graded` cuts the
+    model's `w_coords` rows and `generators` keeps every vector it cuts.
+    Every kept row is the primitive, positive-lead multiple of the row that
+    Fraction elimination keeps for that lead, and the kernel read off rows
+    kept as `int_reduce` returns them, unscaled, is `basis()`."""
+    rows, ncols = case
+    kern, kept, raw = IntKernel(ncols), {}, {}
+    for row in rows:
+        arg, stored = copy.deepcopy(row), copy.deepcopy(kern.rows)
+        want = fraction_reduce(kept, row)
+        got = int_reduce(kern.rows, row)
+        assert row == arg and kern.rows == stored
+        assert bool(got) == bool(want)
+        if got:
+            lead = max(got)
+            assert lead == max(want) and lead not in kern.rows
+            assert got is row or gcd(*got.values()) == 1
+            # got is a nonzero multiple of want
+            ratio = Fraction(got[lead]) / want[lead]
+            assert {k: Fraction(c) for k, c in got.items()} == {
+                k: c * ratio for k, c in want.items()
+            }
+        assert kern.cut(row) == bool(want)
+        assert row == arg
+        assert all(kern.rows[lead] == r for lead, r in stored.items())
+        if want:
+            kept[max(want)] = want
+        assert kern.rows == {lead: primitive_positive(v) for lead, v in kept.items()}
+        v = int_reduce(raw, row)
+        if v:
+            raw[max(v)] = v
+    raw_rows = copy.deepcopy(raw)
+    assert [dict(t) for t in kernel_terms(raw, range(ncols))] == kern.basis()
+    assert raw == raw_rows
 
 
 # -- the span solver, against the Fraction oracles

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,9 @@ from cartansuper.linalg import (
     Matrix,
     Subspace,
     as_fractions,
-    int_combine,
     int_multiple,
     kernel,
-    kernel_of_int_rows,
+    kernel_of_rows,
     rank,
     rref,
     solve,
@@ -412,8 +412,9 @@ DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)]
 def per_call_constraint_rows(engine, x, shift):
     """The constraint rows with all the per-probe work done inside the call:
     x is split into cells, the value space laid out over every entry of
-    each target cell, the annihilator always solved, and the rows built
-    over flat ids and then localized.  The oracle for the engine's rows."""
+    each target cell, the annihilator always solved, over Q by the Fraction
+    `kernel_of_rows` and not by the integer core, and the rows built over
+    flat ids and then localized.  The oracle for the engine's rows."""
     L, dim, cells = engine.L, engine.dim, engine.blocks.cells
     pairs = engine.blocks.shifts_from(x).get(shift)
     if not pairs:
@@ -433,7 +434,7 @@ def per_call_constraint_rows(engine, x, shift):
         if w:
             span_rows.append({v_local[a]: c for a, c in w.items()})
     rows = []
-    for kappa in kernel_of_int_rows(span_rows, len(v_ids)):
+    for kappa in kernel_of_rows(as_fractions(span_rows), len(v_ids)):
         row = {}
         for ca, sub in targets:
             for a in cells[ca]:
@@ -670,6 +671,14 @@ def test_forcing_t_one_breaks_h0_collapsing_power(W4):
 # -- the kernel of cut rows against the all-rows cut of an explicit basis
 
 
+def combine(a, u, b, v):
+    """a u + b v divided by its content."""
+    out = {k: a * u.get(k, 0) + b * v.get(k, 0) for k in u.keys() | v.keys()}
+    out = {k: c for k, c in out.items() if c}
+    g = gcd(*out.values())
+    return {k: c // g for k, c in out.items()} if g > 1 else out
+
+
 class AllRowsSpace:
     """A block's solution space kept as an explicit basis in `solutions`,
     starting from the unit vectors, and cut by dotting every row of it."""
@@ -693,7 +702,7 @@ class AllRowsSpace:
             if row is pivot:
                 continue
             if d:
-                row = int_combine(d0, row, -d, pivot)
+                row = combine(d0, row, -d, pivot)
             new_space.append(row)
         self.solutions = new_space
         return True
