@@ -11,7 +11,9 @@ constraint touches exactly one such shift, so the global kernel decomposes
 into many small block kernels (the performance path).  The rows have int
 coefficients, the integer structure constants of the table, and each one
 is cut into its block's `IntKernel` as it is emitted (`leibniz_kernels`):
-fraction-free elimination over Z, exact over Q.
+fraction-free elimination over Z, exact over Q.  `leibniz_rows` builds a
+row only in a block that is still open, each of its three terms read from
+the table's own entries at the target cells that block reaches.
 
 The block path emits rows only for the pairs (g, y) with g in a generating
 set G of L (`liesuper.generators`), |G| * dim pairs instead of dim^2 / 2.
@@ -62,10 +64,9 @@ Blocks and cell pairs are named by ints (`cell_codes`, `BlockSystem`).  A
 cell (d, w) gets the code sum_p x_p base^p over x = (d, *w), and the pair
 of a target cell ca and a source cell cb the code difference
 code(ca) - code(cb).  The base exceeds the spread of every entry of such a
-difference (and of the differences c - c' - c'' of three cells that
-`leibniz_rows` names), and an expansion in it whose digits lie in one
-interval of base consecutive integers is unique, so two pairs have equal
-code differences exactly when their (da - db, wa - wb) are equal.  Each
+difference, and an expansion in it whose digits lie in one interval of
+base consecutive integers is unique, so two pairs have equal code
+differences exactly when their (da - db, wa - wb) are equal.  Each
 code difference is mapped once to its block's (degree, weight) key; for
 Stilde, whose degree lives in Z_n, the degree differences da - db and
 da - db -+ n give one block, and both code differences are mapped to it
@@ -76,9 +77,10 @@ blocks lays out those blocks only, and one that falls back to every block
 (a failed premise or filter check, or a run again after a failed verdict
 on the dominant blocks) lays out the rest then.
 
-A reference path feeds the rows of every pair, as Fractions, through one
-global elimination without using G, the block structure or the integer
-kernel, and emits every row.
+A reference path takes the rows of every pair, not only those of G, from
+`leibniz_rows` over a core that never stops, lifts them to flat ids and
+pushes them, as Fractions, through one global elimination, without the
+block kernels or the integer kernel.
 
 Route two spans the inner maps ad(u) for u in the extension algebra L',
 read as int columns straight from its bracket table
@@ -94,7 +96,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from operator import add, sub
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .families import LPrimeModel
@@ -208,134 +210,21 @@ def is_superderivation(D: EndMap, A: AlgebraModel) -> bool:
 # the Leibniz linear system
 
 
-def _bracket_tables(A: AlgebraModel):
-    """The bracket table's column and row views, indexed by output
-    coordinate."""
-    by_col: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
-    by_row: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(A.dim)]
-    for (i, j), w in A.table.items():
-        for k, c in w.items():
-            by_col[j].setdefault(k, []).append((i, c))
-            by_row[i].setdefault(k, []).append((j, c))
-    return by_col, by_row
-
-
-def leibniz_rows(
-    A: AlgebraModel,
-    parity: Optional[int] = None,
-    generating_set: Optional[Iterable[int]] = None,
-    live: Optional[Set[Shift]] = None,
-) -> Iterator[Tuple[Shift, IntVec]]:
-    """Yield (shift, constraint row) pairs over flattened End(L) coordinates.
-
-    One row per (basis pair i <= j, output coordinate k); the pair (j, i) is
-    dropped as anticommutativity makes it redundant, while i = j stays (odd
-    self-brackets are not trivial).  With ``generating_set``, only the pairs
-    with i or j in it are kept.  Each row touches entries of exactly one
-    bidegree shift, computed and attached for the block solver.  Rows have
-    int coefficients, the structure constants of the table.
-
-    With ``live``, a set of shifts the caller may shrink while it reads, a
-    row is built only when its shift is in the set, a pair none of whose
-    rows can land in it is skipped, and the generator returns once the set
-    is empty.
-    """
-    dim = A.dim
-    table = A.table
-    by_col, by_row = _bracket_tables(A)
-    deg, wt = A.degree, A.weight
-    cells = list(A.cells())
-    cell_no = {cell: n for n, cell in enumerate(cells)}
-    cell_of = [cell_no[A.cell_of(k)] for k in range(dim)]
-    in_gens = set(range(dim) if generating_set is None else generating_set)
-    gens = sorted(in_gens)
-    every_cell = [True] * len(cells)
-    # the shift of row k depends on the pair only through the cell of its
-    # bracket, and on k only through k's cell: per bracket cell, the shift
-    # of each cell's rows.  code(c) - code(i) - code(j) tells the
-    # differences c - c' - c'' of cells apart (`cell_codes`), so the shift
-    # of the rows in cell c of the pair (i, j) is computed once per value
-    code = cell_codes(cells)
-    shifts_into: Dict[int, List[Shift]] = {}
-    named: Dict[int, Shift] = {}
-    for i in range(dim):
-        pi = A.parity[i]
-        code_i = code[cell_of[i]]
-        partners = range(i, dim) if i in in_gens else gens[bisect_right(gens, i):]
-        for j in partners:
-            code_top = code_i + code[cell_of[j]]
-            shifts = shifts_into.get(code_top)
-            if shifts is None:
-                top = (A.deg_add(deg[i], deg[j]), tuple(map(add, wt[i], wt[j])))
-                shifts = shifts_into[code_top] = []
-                for c, code_c in zip(cells, code):
-                    shift = named.get(code_c - code_top)
-                    if shift is None:
-                        shift = named[code_c - code_top] = BlockSystem.cell_shift(A, c, top)
-                    shifts.append(shift)
-            if live is None:
-                wanted = every_cell
-            elif not live:
-                return
-            elif live.isdisjoint(shifts):
-                continue
-            else:
-                wanted = [shift in live for shift in shifts]
-            w = table.get((i, j), {})
-            rows: Dict[int, IntVec] = {}
-            if w:
-                for k in range(dim):
-                    if wanted[cell_of[k]]:
-                        rows[k] = {k * dim + m: c for m, c in w.items()}
-            for k, hits in by_col[j].items():
-                if not wanted[cell_of[k]]:
-                    continue
-                row = rows.setdefault(k, {})
-                for a, c in hits:
-                    key = a * dim + i
-                    s = row.get(key, 0) - c
-                    if s:
-                        row[key] = s
-                    else:
-                        row.pop(key, None)
-            for k, hits in by_row[i].items():
-                if not wanted[cell_of[k]]:
-                    continue
-                row = rows.setdefault(k, {})
-                p_k = shifts[cell_of[k]][0] % 2
-                sgn = -1 if (p_k * pi) % 2 == 0 else 1
-                for a, c in hits:
-                    key = a * dim + j
-                    s = row.get(key, 0) + sgn * c
-                    if s:
-                        row[key] = s
-                    else:
-                        row.pop(key, None)
-            for k, row in rows.items():
-                if not row:
-                    continue
-                shift = shifts[cell_of[k]]
-                if parity is not None and shift[0] % 2 != parity:
-                    continue
-                yield shift, row
-
-
 def cell_codes(cells: List[Cell]) -> List[int]:
     """Each cell's linear integer code, sum_p x_p base^p over its entries
-    x = (d, *w), with base = 3 (hi - lo) + 1 for the least and greatest
+    x = (d, *w), with base = 2 (hi - lo) + 1 for the least and greatest
     entries lo and hi of the cells.
 
-    The code tells apart the differences c - c' of two cells, and the
-    differences c - c' - c'' of three.  Each entry of the first kind lies in
-    [lo - hi, hi - lo], of the second in [lo - 2 hi, hi - 2 lo], intervals of
-    at most base consecutive integers, and an int has at most one expansion
-    sum_p y_p base^p with every digit y_p in a given such interval (at the
-    least p where two expansions differ, base would divide the difference of
-    their digits, which is smaller than base).  So two differences of the
-    same kind are equal exactly when their codes are.
+    The code tells apart the differences c - c' of two cells.  Each entry of
+    one lies in [lo - hi, hi - lo], an interval of base consecutive
+    integers, and an int has at most one expansion sum_p y_p base^p with
+    every digit y_p in a given such interval (at the least p where two
+    expansions differ, base would divide the difference of their digits,
+    which is smaller than base).  So two differences are equal exactly when
+    their codes are.
     """
     entries = [x for d, w in cells for x in (d, *w)]
-    base = 3 * (max(entries) - min(entries)) + 1
+    base = 2 * (max(entries) - min(entries)) + 1
     return [sum(x * base ** p for p, x in enumerate((d, *w))) for d, w in cells]
 
 
@@ -422,7 +311,7 @@ class BlockSystem:
                 else:
                     count[diff] = na * nb
                     source[diff] = code_b
-        cell_at = dict(zip(codes, self.cells))
+        self._cell_at = cell_at = dict(zip(codes, self.cells))
         self.named: Dict[int, Optional[Shift]] = {}
         self.size: Dict[Shift, int] = {}
         self.pair: Dict[Shift, Tuple[int, int]] = {}
@@ -500,9 +389,17 @@ class BlockSystem:
     def reach(self, cb: Cell, among: Optional[Set[Shift]] = None) -> List[Tuple[Shift, Cell]]:
         """The (shift, target cell) pairs of the blocks with entries in the
         columns of cell cb, in cell order, read from the code differences;
-        with ``among``, only the blocks in it.  The shifts are the blocks'
-        own keys, not a fresh tuple per pair."""
+        with ``among``, only the blocks in it, found from their own code
+        differences when they are fewer than the cells.  The shifts are the
+        blocks' own keys, not a fresh tuple per pair."""
         named, code_b = self.named, self.code[cb]
+        if among is not None and len(among) < len(self.code):
+            at = self._cell_at
+            hits = sorted(
+                (at[code_b + diff], shift)
+                for shift in among for diff in self._diffs[shift] if code_b + diff in at
+            )
+            return [(shift, ca) for ca, shift in hits]
         pairs = ((named[code_a - code_b], ca) for ca, code_a in self.code.items())
         if among is None:
             return [(shift, ca) for shift, ca in pairs if shift is not None]
@@ -603,7 +500,10 @@ class BlockKernels:
     construction): the space, squeezed between that subspace and the
     kernel reached, equals both, and no further row can shrink it.  A zero
     kernel can shrink no more.  A block that never reaches its target
-    takes every row, so its kernel is exact either way.
+    takes every row, so its kernel is exact either way.  `_open_reach`
+    gives, per source cell, the (block, target cell) pairs of the open
+    blocks, the one list both callers read: `leibniz_rows` builds its terms
+    there, and the certifier's engine finds the blocks a probe reaches.
 
     `dim_ad`, `dim_space` and `residual_dim` sum over the blocks solved.
     `matches_ad` is the verdict, space_s = ad L'_s on every block solved
@@ -627,6 +527,9 @@ class BlockKernels:
         }
         # the blocks still above their target
         self.open = {shift for shift, kern in self.space.items() if len(kern) > self._target[shift]}
+        # each source cell's `_open_reach` list with the size of `open` it
+        # was pruned at
+        self._open_lists: Dict[Cell, Tuple[int, List[Tuple[Shift, Cell]]]] = {}
 
     def _cut(self, shift: Shift, row: IntVec) -> None:
         """Cut a row, over the block's local ids, into its kernel, and close
@@ -634,6 +537,17 @@ class BlockKernels:
         kern = self.space[shift]
         if kern.cut(row) and len(kern) <= self._target[shift]:
             self.open.discard(shift)
+
+    def _open_reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
+        """`BlockSystem.reach(cb)` cut to the open blocks: built when cb is
+        first met, and pruned when a block has closed since the last call
+        for cb."""
+        got = self._open_lists.get(cb)
+        if got is None:
+            got = self._open_lists[cb] = (len(self.open), self.blocks.reach(cb, self.open))
+        elif got[0] != len(self.open):
+            got = self._open_lists[cb] = (len(self.open), [p for p in got[1] if p[0] in self.open])
+        return got[1]
 
     def reduced(self) -> bool:
         """Whether some block is not solved."""
@@ -656,6 +570,77 @@ class BlockKernels:
         return blocks_equal_ad(self.space, self.ad_pivots)
 
 
+def leibniz_rows(core: BlockKernels, G: Iterable[int]) -> Iterator[Tuple[Shift, IntVec]]:
+    """Yield (shift, constraint row over the block's local ids) for the
+    Leibniz rows of the pairs (i, j), i <= j, with i or j in G, that land in
+    a block ``core`` has open.
+
+    The row of a pair at an output coordinate k reads
+
+        D([i, j])_k - [D(i), j]_k - (-1)^{|D||i|} [i, D(j)]_k = 0,
+
+    one row per k; the pair (j, i) is dropped as anticommutativity makes it
+    redundant, while i = j stays (odd self-brackets are not trivial).  The
+    row's entries all lie in the block of the shift cell(k) - cell(i) -
+    cell(j), so each term is built only where that block is open, from the
+    table's own entries: D([i, j]) at the k in the target cells that the
+    core reaches from the cell of [i, j]; [D(i), j] at the entries (a, i),
+    a in a target cell it reaches from i's cell, read as [a, j]; and
+    [i, D(j)] at the entries (a, j) likewise, read as [i, a].  The three
+    reaches of a pair are read before any of its rows is yielded, so each
+    row holds all its terms, and the generator returns once no block is
+    open.  Rows have int coefficients, the structure constants of the
+    table.
+    """
+    blocks, open_ = core.blocks, core.open
+    A, reach = blocks.A, core._open_reach
+    dim, table, parity, members = A.dim, A.table, A.parity, blocks.cells
+    cell_of = [A.cell_of(k) for k in range(dim)]
+    local = blocks.local
+    in_gens = set(G)
+    gens = sorted(in_gens)
+    for i in range(dim):
+        ci, odd_i = cell_of[i], parity[i]
+        partners = range(i, dim) if i in in_gens else gens[bisect_right(gens, i):]
+        for j in partners:
+            if not open_:
+                return
+            w = table.get((i, j))
+            top = reach(cell_of[next(iter(w))]) if w else ()
+            left, right = reach(ci), reach(cell_of[j])
+            rows: Dict[int, Tuple[Shift, IntVec]] = {}
+            for shift, ca in top:
+                loc = local[shift]
+                for k in members[ca]:
+                    base = k * dim
+                    rows[k] = (shift, {loc[base + m]: c for m, c in w.items()})
+            for third, terms in ((False, left), (True, right)):
+                for shift, ca in terms:
+                    loc = local[shift]
+                    # -1 on [D(i), j]; -(-1)^{|D||i|} on [i, D(j)]
+                    s = 1 if third and odd_i and shift[0] % 2 else -1
+                    for a in members[ca]:
+                        v = table.get((i, a) if third else (a, j))
+                        if not v:
+                            continue
+                        key = loc[a * dim + (j if third else i)]
+                        for k, c in v.items():
+                            got = rows.get(k)
+                            if got is None:
+                                row = {}
+                                rows[k] = (shift, row)
+                            else:
+                                row = got[1]
+                            x = row.get(key, 0) + s * c
+                            if x:
+                                row[key] = x
+                            else:
+                                row.pop(key, None)
+            for shift, row in rows.values():
+                if row:
+                    yield shift, row
+
+
 def leibniz_kernels(core: BlockKernels, G: List[int]) -> Dict[Shift, IntKernel]:
     """Der L on each block that ``core`` solves, its `space`: each Leibniz
     row of the pairs (g, y), g in G, a generating set of L (`generators`),
@@ -664,10 +649,10 @@ def leibniz_kernels(core: BlockKernels, G: List[int]) -> Dict[Shift, IntKernel]:
     `check_axioms` (see the module docstring) and when ad L'_s lies in
     Der_s wherever the core stops at it.
     """
-    blocks, live = core.blocks, core.open
-    for shift, row in leibniz_rows(blocks.A, None, G, live):
+    live = core.open
+    for shift, row in leibniz_rows(core, G):
         if shift in live:
-            core._cut(shift, blocks.localize(shift, row))
+            core._cut(shift, row)
     return core.space
 
 
@@ -739,36 +724,30 @@ def derivation_space(
 
     parity None returns the direct sum of the even and odd parts.  The
     "blocks" method is `leibniz_kernels`, read out as one subspace;
-    "reference" pushes the rows of every pair through a single global
-    elimination and must agree.  The blocks answer assumes that A passes
-    `check_axioms` (see the module docstring).  Any other parity is a
-    ValueError.
+    "reference" takes the rows of every pair from `leibniz_rows`, over a
+    core on the same `BlockSystem` that never stops, lifts them to flat ids
+    and pushes them as Fractions through one global elimination over the
+    parity's entries, and must agree.  The blocks answer assumes that A
+    passes `check_axioms` (see the module docstring).  Any other parity is
+    a ValueError.
     """
     if parity not in (None, 0, 1):
         raise ValueError(f"parity must be None, 0 or 1, not {parity!r}")
-    dim = A.dim
-    flat_dim = dim * dim
-    if method == "reference":
-        rows = as_fractions(row for _, row in leibniz_rows(A, parity))
-        if parity is None:
-            return Subspace.from_vectors(kernel_of_rows(rows, flat_dim), flat_dim)
-        support = [
-            a * dim + b
-            for a in range(dim)
-            for b in range(dim)
-            if (A.parity[a] + A.parity[b]) % 2 == parity
-        ]
-        local = {key: idx for idx, key in enumerate(support)}
-        local_rows = []
-        for row in rows:
-            local_rows.append({local[k]: c for k, c in row.items()})
-        kern = kernel_of_rows(local_rows, len(support))
-        lifted = [{support[k]: c for k, c in v.items()} for v in kern]
-        return Subspace.from_vectors(lifted, flat_dim)
-    if method != "blocks":
+    if method not in ("blocks", "reference"):
         raise ValueError(f"unknown method {method!r}")
     core = BlockKernels(BlockSystem(A, parity))
-    return core.blocks.subspace(leibniz_kernels(core, generators(A)))
+    if method == "blocks":
+        return core.blocks.subspace(leibniz_kernels(core, generators(A)))
+    blocks = core.blocks
+    support = sorted(k for entries in blocks.entries.values() for k in entries)
+    index = {key: idx for idx, key in enumerate(support)}
+    rows = as_fractions(
+        {index[k]: c for k, c in blocks.lift(shift, row).items()}
+        for shift, row in leibniz_rows(core, range(A.dim))
+    )
+    kern = kernel_of_rows(rows, len(support))
+    lifted = [{support[k]: c for k, c in v.items()} for v in kern]
+    return Subspace.from_vectors(lifted, A.dim ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,10 @@ if [i, j] = sum_r c_r row_r then c_r = [i, j][h] / row_r[h] at the home h
 of row r.  The rows and the kernel are integer, so this is a quotient of
 ints, and an exact one gives an int.  In L' the Euler field and the top
 Hamiltonian take a few rows' homes.  A bracket that needs one of those
-rows would be written by `SpanSolver.express`, but no build brackets one:
-`build_lprime` brackets only the pairs with j >= dim L, which need no
-such row (see `_bracket_rows`).  So the table holds Python ints: every
+rows raises, but no build brackets one: `build_lprime` brackets only the
+pairs with j >= dim L, which need no such row (see `_bracket_rows`).  A
+bracket read at the homes is an exact quotient of ints, and one that is
+not raises too.  So the table holds Python ints: every
 structure constant of the four families is an integer.  So are the basis
 rows, the Cartan chain and the divergence kernel: a build makes no
 Fraction, which only `ExtElem`'s helpers (`divergence`, `ham`) return.
@@ -74,7 +75,6 @@ or a bracket pair.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -475,18 +475,16 @@ def _bracket_rows(
     partners' home columns (`SpanSolver.homes`): if z = sum_r c_r row_r,
     then z[h] = c_r row_r[h] at the home h of row r, so c_r is read there,
     and c_r times the row's other terms is subtracted from a remainder kept
-    for the whole of row i.  This is the only home readout.  A partner
-    whose remainder is not zero (in L', it needs a row whose home the
-    Euler field or the top Hamiltonian takes), or whose division at a home
-    is not exact, is written whole by `SpanSolver.express`, which
-    eliminates and finds it in the span or outside it.  Only first = 0
-    over an L' model reaches that branch, as
-    `test_bracket_rows_are_the_nonzero_pairs_in_row_major_order` does;
-    `build`, `build_lprime` and `model_from_json` never do.  A home
-    coordinate is an exact quotient of ints, so an int; only the echelon
-    can give a Fraction, so only its coordinates are checked.  Raises
-    AssertionError naming the pair when a bracket leaves the span or has a
-    non-integer coordinate.
+    for the whole of row i.  This is the only home readout.  A bracket in
+    the span whose coordinates are ints leaves a zero remainder and exact
+    divisions, so a nonzero remainder or an inexact division raises
+    AssertionError naming the pair: the bracket leaves the span, has a
+    non-integer coordinate, or needs a row whose home another row takes.
+    In L' the Euler field and the top Hamiltonian take a few homes:
+    `build_lprime` passes first = dim L and brackets only the pairs with
+    j >= dim L, none of which needs such a row, while first = 0 over an L'
+    model meets one and raises.  A home coordinate is an exact quotient of
+    ints, so an int.
     """
     n, rows = model.n, model.w_coords
     stride = n << n
@@ -499,12 +497,10 @@ def _bracket_rows(
             while terms and terms[-1][0] < low:
                 terms.pop()
         acc = _row_brackets(n, row, index)
-        keys = sorted(acc)
         pairs: List[Tuple[int, IntVec]] = []
         rest: Dict[int, int] = {}  # t -> z[k] - sum_r c_r row_r[k], t = j*stride + k
-        echelon = set()
         last = -1
-        for t in keys:
+        for t in sorted(acc):
             x = acc[t]
             if not x:
                 continue
@@ -523,26 +519,17 @@ def _bracket_rows(
             else:
                 c, m = divmod(x, d)
                 if m:
-                    echelon.add(j)
-                    continue
+                    raise AssertionError(f"{model.family}({n}): bracket of basis {i},{j} "
+                                         "has a non-integer coefficient at a home")
             coords[r] = c
             for u, y in others:
                 u += base
                 rest[u] = rest.get(u, 0) - c * y
-        echelon.update(t // stride for t, x in rest.items() if x)
+        for t, x in rest.items():
+            if x:
+                raise AssertionError(f"{model.family}({n}): bracket of basis {i},{t // stride} "
+                                     "leaves the span read at the homes")
         for j, coords in pairs:
-            if j in echelon:
-                lo = j * stride
-                mine = keys[bisect_left(keys, lo):bisect_left(keys, lo + stride)]
-                coords = span.express({t - lo: acc[t] for t in mine if acc[t]})
-                if coords is None:
-                    raise AssertionError(
-                        f"{model.family}({n}): bracket of basis {i},{j} leaves the span"
-                    )
-                if any(type(c) is not int for c in coords.values()):
-                    raise AssertionError(
-                        f"{model.family}({n}): bracket of basis {i},{j} has a non-integer coefficient"
-                    )
             yield i, j, coords
 
 
@@ -556,8 +543,8 @@ def _finish_model(
     """The model of `_graded` with its bracket table filled in.
 
     Each unordered pair is bracketed and expressed once, as (i, j) with
-    i <= j, by the per-row pass of `_bracket_rows` (home readout, echelon
-    only where a home is taken), and [j, i] is stored as
+    i <= j, by the per-row pass of `_bracket_rows` (home readout), and
+    [j, i] is stored as
 
         [j, i] = -(-1)^(|i||j|) [i, j],
 
@@ -568,8 +555,8 @@ def _finish_model(
     would return for [j, i].  With ``base``, whose rows are the leading
     rows here, the table starts as a copy of base's and only the pairs
     involving the extra rows are bracketed.  Every structure constant is
-    an int: `_bracket_rows` checks the ones the echelon gives, the mirror
-    of an int is one, and base's were checked when base was built.
+    an int: `_bracket_rows` reads them as exact quotients of ints, the
+    mirror of an int is one, and base's were checked when base was built.
 
     Equal entries are one dict (see `AlgebraModel`): each coordinate dict,
     and each negated mirror, is stored through a map keyed on its items in

@@ -249,12 +249,14 @@ class AxiomReport:
 
 
 def _bracket_left(table: dict, i: int, v: Vec) -> Vec:
+    """[i, v] from the table, without the zeros that an entry's stored 0
+    leaves (`vec_axpy_inplace` keeps a term it sets to 0)."""
     out: Vec = {}
     for m, c in v.items():
         w = table.get((i, m))
         if w:
             vec_axpy_inplace(out, c, w)
-    return out
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

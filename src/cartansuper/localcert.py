@@ -407,9 +407,9 @@ def _random_probe_stream(P: LPrimeModel, seed: int) -> Iterator[Probe]:
 class ConstraintEngine(BlockKernels):
     """Incremental per-shift solver for the probe-constrained space, on the
     block core `BlockKernels`, which owns the blocks, their targets ad L'_s,
-    `open`, the dimensions and `matches_ad`.  The engine
-    adds the probe work: `split`, the open-block lists, the last-key skip
-    and `constraint_rows`.
+    `open`, the open-block lists, the dimensions and `matches_ad`.  The
+    engine adds the probe work: `split`, the last-key skip and
+    `constraint_rows`.
 
     A shift-homogeneous local component admits witnesses inside the single
     bigraded slice of L' matching its shift (the decomposition lemma: write
@@ -436,7 +436,8 @@ class ConstraintEngine(BlockKernels):
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
     (each cell's list is `BlockSystem.reach` cut to the open blocks when
-    the cell is first met, and pruned lazily once a block has closed).
+    the cell is first met, and pruned lazily once a block has closed:
+    the core's `_open_reach`, which `check`'s Leibniz rows read too).
     Per shift, `constraint_rows` reduces the slice orbit [L'_shift, x] on
     the value space V, the sum of the target cells, with `int_reduce`, and
     reads its annihilator off that echelon, back-reduced (`kernel_terms`):
@@ -469,9 +470,6 @@ class ConstraintEngine(BlockKernels):
         super().__init__(BlockSystem(P.base) if blocks is None else blocks, P, dominant)
         self.L = L = P.base
         self.dim = L.dim
-        # each source cell's `_open_reach` list with the size of `open` it
-        # was pruned at
-        self._open_lists: Dict[Cell, Tuple[int, List[Tuple[Shift, Cell]]]] = {}
         # the key of the last constraint_rows call on each open block
         self.last_key: Dict[Shift, Tuple[IntVec, ...]] = {}
         # the bigraded slices of L' and their ad matrices (column-sparse)
@@ -549,16 +547,6 @@ class ConstraintEngine(BlockKernels):
                     if shift not in open_:
                         del last[shift]
                         break
-
-    def _open_reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
-        """`BlockSystem.reach(cb)` without the blocks that have closed, pruned
-        when a block has closed since the last call for cb."""
-        got = self._open_lists.get(cb)
-        if got is None:
-            got = self._open_lists[cb] = (len(self.open), self.blocks.reach(cb, self.open))
-        elif got[0] != len(self.open):
-            got = self._open_lists[cb] = (len(self.open), [p for p in got[1] if p[0] in self.open])
-        return got[1]
 
 
 def constrained_space(

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -139,22 +140,71 @@ def test_blocks_solve_on_generators(pairs, spec, monkeypatch):
     seen = []
     rows = derivations.leibniz_rows
 
-    def recorded(model, parity=None, generating_set=None, *rest):
-        seen.append(generating_set)
-        return rows(model, parity, generating_set, *rest)
+    def recorded(core, G):
+        seen.append(G)
+        return rows(core, G)
 
     monkeypatch.setattr(derivations, "leibniz_rows", recorded)
     assert derivation_space(A) == ad_image(P)
     assert seen == [generators(A)]
 
 
+def every_row(A, G, parity=None):
+    """The rows `leibniz_rows` yields for the pairs with an index in G, over
+    a core on every block of the parity that never stops: none is cut."""
+    return derivations.leibniz_rows(BlockKernels(BlockSystem(A, parity)), G)
+
+
 def test_generator_rows_are_the_rows_of_their_pairs(pairs):
     A, _ = pairs[("H", 5)]
     G = generators(A)
-    on_g = [(s, frozenset(r.items())) for s, r in derivations.leibniz_rows(A, None, G)]
-    every = [(s, frozenset(r.items())) for s, r in derivations.leibniz_rows(A)]
+    on_g = [(s, frozenset(r.items())) for s, r in every_row(A, G)]
+    every = [(s, frozenset(r.items())) for s, r in every_row(A, range(A.dim))]
     assert set(on_g) <= set(every)
     assert len(on_g) < len(every)
+
+
+def brute_force_rows(A, parity):
+    """Every nonzero Leibniz row of the parity, counted, as (shift, flat
+    row): per pair i <= j and output k, D([i, j])_k - [D(i), j]_k -
+    (-1)^{|D||i|} [i, D(j)]_k read term by term off the table."""
+    dim, table = A.dim, A.table
+    out = Counter()
+    for i in range(dim):
+        for j in range(i, dim):
+            rows = [Counter() for _ in range(dim)]
+            # D has parity |k| - |i| - |j| on the row of k
+            odd = [(A.parity[k] - A.parity[i] - A.parity[j]) % 2 for k in range(dim)]
+            for m, c in table.get((i, j), {}).items():
+                for k in range(dim):
+                    rows[k][k * dim + m] += c
+            for a in range(dim):
+                for k, c in table.get((a, j), {}).items():
+                    rows[k][a * dim + i] -= c
+                for k, c in table.get((i, a), {}).items():
+                    rows[k][a * dim + j] -= -c if odd[k] and A.parity[i] else c
+            for k, row in enumerate(rows):
+                row = frozenset((key, c) for key, c in row.items() if c)
+                if odd[k] == parity and row:
+                    degree = A.deg_sub(A.degree[k], A.deg_add(A.degree[i], A.degree[j]))
+                    weight = zip(A.weight[k], A.weight[i], A.weight[j])
+                    shift = (degree, tuple(x - y - z for x, y, z in weight))
+                    out[(shift, row)] += 1
+    return out
+
+
+@pytest.mark.parametrize("spec", [("W", 3), ("H", 5), ("S", 4), ("Stilde", 4)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_leibniz_rows_are_the_brute_force_rows(pairs, spec, parity):
+    # the rows over a core on every block of the parity that never stops,
+    # with every index as G, lifted to flat ids
+    A = pairs[spec][0] if spec in pairs else build(*spec)
+    core = BlockKernels(BlockSystem(A, parity))
+    got = Counter(
+        (shift, frozenset(core.blocks.lift(shift, row).items()))
+        for shift, row in derivations.leibniz_rows(core, range(A.dim))
+    )
+    assert got == brute_force_rows(A, parity)
 
 
 def test_members_of_derivation_space_satisfy_leibniz(pairs):
@@ -307,8 +357,8 @@ def rows_pulled(monkeypatch, run):
     rows = derivations.leibniz_rows
     count = [0]
 
-    def counted(*args):
-        for item in rows(*args):
+    def counted(core, G):
+        for item in rows(core, G):
             count[0] += 1
             yield item
 
@@ -411,7 +461,7 @@ def test_report_stops_each_block_at_its_target(pairs, spec, monkeypatch):
     # a regression to reducing every row fails here, not only in the benchmark
     A, P = pairs[spec]
     G = generators(A)
-    every = sum(1 for _ in derivations.leibniz_rows(A, None, G))
+    every = sum(1 for _ in every_row(A, G))
     assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
 
 
@@ -522,7 +572,7 @@ def test_large_structure_constants_solve_exactly(pairs):
 def test_leibniz_rows_are_integral(pairs):
     A, _ = pairs[("H", 5)]
     for model in (A, scaled_model(A, 2**31 - 1)):
-        for _, row in derivations.leibniz_rows(model):
+        for _, row in every_row(model, range(model.dim)):
             assert all(type(c) is int and c for c in row.values())
 
 
@@ -825,8 +875,13 @@ def test_code_keyed_layout_matches_a_walk_over_every_pair(pairs, spec):
         every = BlockSystem(A, parity)
         assert list(every.entries.items()) == list(entries.items())
         assert all(every.local[shift] == blocks.local[shift] for shift in entries)
+        # with ``among``, walked through the blocks' code differences when
+        # they are fewer than the cells, through the cells otherwise
+        few = set(list(blocks.size)[::7][:len(A.cells()) - 1])
         for cb in A.cells():
             assert blocks.reach(cb) == every.reach(cb) == reach[cb]
+            for among in (few, set(blocks.size)):
+                assert blocks.reach(cb, among) == [p for p in reach[cb] if p[0] in among]
     # the Z_n degree of Stilde makes two code differences name one block
     blocks = BlockSystem(A)
     merged = len(blocks.named) - len(blocks.size)
@@ -843,8 +898,8 @@ def test_dominance_read_from_one_pair_matches_every_pair(pairs, spec):
 
 @pytest.mark.parametrize("spec", [*DESK, ("H", 6)])
 def test_cell_codes_tell_differences_apart(pairs, spec):
-    # code(c) - code(c') and code(c) - code(c') - code(c'') are equal
-    # exactly when the differences of the cells' (d, *w) are
+    # two code differences code(c) - code(c') are equal exactly when the
+    # differences of the cells' (d, *w) are
     A, _ = model_pair(pairs, spec)
     cells = list(A.cells())
     vecs = [(d, *w) for d, w in cells]
@@ -854,13 +909,6 @@ def test_cell_codes_tell_differences_apart(pairs, spec):
         for code2, v2 in zip(codes, vecs):
             diff = tuple(x - y for x, y in zip(v, v2))
             assert two.setdefault(code - code2, diff) == diff
-    sums = {code + code2: tuple(map(sum, zip(v, v2)))
-            for code, v in zip(codes, vecs) for code2, v2 in zip(codes, vecs)}
-    three = {}
-    for code, v in zip(codes, vecs):
-        for total, w in sums.items():
-            diff = tuple(x - y for x, y in zip(v, w))
-            assert three.setdefault(code - total, diff) == diff
 
 
 def laid_out(monkeypatch):

@@ -297,28 +297,30 @@ def test_w_bracket_is_the_per_pair_closed_form(case):
     assert w_bracket(n, a, b) == w_bracket_oracle(n, a, b)
 
 
+def lprime_rows(family, n):
+    """`_graded`'s model and solver for the rows of L' over L = family(n)."""
+    A = build(family, n)
+    ext = build_lprime(A).ext
+    return A, *_graded(family + "'", n, ext.w_coords, ext.basis, base=A)
+
+
 @pytest.mark.parametrize("family,n", [
     ("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6), ("S'", 4), ("H'", 5), ("H'", 6),
 ])
-def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n, monkeypatch):
+def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n):
     # one order of each unordered pair, i <= j, with j >= first for the
-    # extension; `_finish_model` mirrors the other.  The coordinates times
-    # the rows give the bracket, whether they were read at the homes or,
-    # for the rows of L' (family "S'", "H'") whose homes the extra rows
-    # take, by the echelon.
-    lprime = family.endswith("'")
-    A = build(family.rstrip("'"), n)
-    if lprime:
-        ext = build_lprime(A).ext
-        model, span = _graded(family, n, ext.w_coords, ext.basis, base=A)
+    # extension, as `build_lprime` passes first = dim L; `_finish_model`
+    # mirrors the other.  The coordinates, read at the homes, times the
+    # rows give the bracket.
+    if family.endswith("'"):
+        A, model, span = lprime_rows(family.rstrip("'"), n)
+        firsts = (A.dim, model.dim - 2)
     else:
         model, span = _graded(family, n, *_family_rows(FamilySpec(family, n)))
+        firsts = (0, model.dim - 2)
     rows = model.w_coords
     dim = len(rows)
-    calls = []
-    express = SpanSolver.express
-    monkeypatch.setattr(SpanSolver, "express", lambda s, v: calls.append(v) or express(s, v))
-    for first in (0, dim - 2):
+    for first in firsts:
         want = []
         for i in range(dim):
             for j in range(max(i, first), dim):
@@ -333,8 +335,16 @@ def test_bracket_rows_are_the_nonzero_pairs_in_row_major_order(family, n, monkey
             for r, c in coords.items():
                 vec_axpy_inplace(total, c, rows[r])
             assert total == z, (i, j)
-    # the echelon runs only where a home is taken
-    assert bool(calls) == lprime
+
+
+@pytest.mark.parametrize("family,n", [("S", 4), ("H", 5), ("H", 6)])
+def test_bracket_rows_of_lprime_from_zero_raise(family, n):
+    # first = 0 over L' brackets pairs of L that need a row whose home the
+    # Euler field or the top Hamiltonian takes: no home readout gives them
+    _, model, span = lprime_rows(family, n)
+    with pytest.raises(AssertionError, match=rf"{family}'\({n}\): bracket of basis \d+,\d+ "):
+        for _ in _bracket_rows(model, span):
+            pass
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5), ("H", 6)])

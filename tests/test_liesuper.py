@@ -325,6 +325,37 @@ def edited(A, entries):
     return B
 
 
+def with_stored_zeros(A, j, k):
+    """A with a stored 0 at a basis vector t of the cell of [j, k], in both
+    [j, k] and [k, j]: the same bracket, one more table entry or term."""
+    cell = (A.deg_add(A.degree[j], A.degree[k]),
+            tuple(a + b for a, b in zip(A.weight[j], A.weight[k])))
+    parity = (A.parity[j] + A.parity[k]) % 2
+    jk = A.bracket_basis(j, k)
+    t = next((t for t in range(A.dim)
+              if A.cell_of(t) == cell and A.parity[t] == parity and t not in jk), None)
+    if t is None:
+        return None
+    return edited(A, {(j, k): {**jk, t: 0}, (k, j): {**A.bracket_basis(k, j), t: 0}})
+
+
+def test_stored_zeros_change_no_generating_set_or_axiom_report(H5):
+    # a zero entry of a bracket is no bracket term: the closure kernel must
+    # not count it as rank, nor a nonzero entry's stored 0 as a lead
+    G = generators(H5)
+    report = check_axioms(H5, generating_set=range(H5.dim)).as_dict()
+    edits = 0
+    for j in range(H5.dim):
+        for k in range(j + 1, H5.dim):
+            B = with_stored_zeros(H5, j, k)
+            if B is None:
+                continue
+            edits += 1
+            assert generators(B) == G, (j, k)
+            assert check_axioms(B, generating_set=range(H5.dim)).as_dict() == report, (j, k)
+    assert edits > 50
+
+
 def jacobi_only_fault(A, rng):
     """[j, k] and [k, j] for some j < k both moved by the same basis vector
     of their cell: anticommutativity and the gradings still hold."""
