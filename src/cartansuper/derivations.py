@@ -71,11 +71,12 @@ code difference is mapped once to its block's (degree, weight) key; for
 Stilde, whose degree lives in Z_n, the degree differences da - db and
 da - db -+ n give one block, and both code differences are mapped to it
 and merged there.  A `BlockSystem` learns every block's size from the
-code differences alone; it lays out a block's sorted flat ids and local
-ids only when the block is first used, so a run that solves the dominant
-blocks lays out those blocks only, and one that falls back to every block
-(a failed premise or filter check, or a run again after a failed verdict
-on the dominant blocks) lays out the rest then.
+code differences alone.  Its `lay_out` is the one walk that finds a
+block's cell pairs, and a block is laid out only when a core solves it:
+a run that solves the dominant blocks lays out those blocks only, and one
+that falls back to every block (a failed premise or filter check, or a
+run again after a failed verdict on the dominant blocks) lays out the
+rest then.
 
 A reference path takes the rows of every pair, not only those of G, from
 `leibniz_rows` over a core that never stops, lifts them to flat ids and
@@ -95,7 +96,6 @@ classification of Der(L) for these families.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping
 from operator import sub
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -228,81 +228,42 @@ def cell_codes(cells: List[Cell]) -> List[int]:
     return [sum(x * base ** p for p, x in enumerate((d, *w))) for d, w in cells]
 
 
-class _Layout(Mapping):
-    """A `BlockSystem` view keyed by every block, each block laid out on
-    first use."""
-
-    __slots__ = ("_blocks", "_data")
-
-    def __init__(self, blocks: "BlockSystem", data: dict):
-        self._blocks = blocks
-        self._data = data
-
-    def __getitem__(self, shift: Shift):
-        try:
-            return self._data[shift]
-        except KeyError:
-            self._blocks.lay_out((shift,))
-            return self._data[shift]
-
-    def __contains__(self, shift: object) -> bool:
-        return shift in self._blocks.size
-
-    def __iter__(self):
-        return iter(self._blocks.size)
-
-    def __len__(self) -> int:
-        return len(self._blocks.size)
-
-    # a walk over every block lays them all out at once, not one by one
-    def values(self):
-        self._blocks.lay_out(self._blocks.size)
-        return super().values()
-
-    def items(self):
-        self._blocks.lay_out(self._blocks.size)
-        return super().items()
-
-
 class BlockSystem:
     """The bigrade block layout of End(L), shared by both machine checks.
 
     The entry (a, b) of a map, flat id a * dim + b, sends the cell of b
     into the cell of a; its block is the shift between the two cells.
-    Each block lists its flat ids in sorted order (`entries`), and an
-    entry's local id is its position there (`local`).  Parity 0 or 1 keeps
-    only the blocks of that Z_2-shift.
 
     A pair of cells (ca, cb) is named by the difference of their codes
     (`cell_codes`), code(ca) - code(cb), which tells (da - db, wa - wb)
-    apart; `named` maps it to the pair's block, None for a block the
-    parity leaves out.  Under the Z_n degree of Stilde the block's degree
-    is da - db taken mod n, so up to two code differences name one block,
-    and they are merged there: the block's size counts the entries of
-    both, and its layout walks the pairs of both.  The blocks are keyed
-    (degree, weight) as `cell_shift` gives them, in the order in which the
-    pairs (source outer, target inner) first reach them.
+    apart.  Under the Z_n degree of Stilde the block's degree is da - db
+    taken mod n, so up to two code differences name one block, and they
+    are merged there: the block's size counts the entries of both, and its
+    layout walks the pairs of both.  The blocks are keyed (degree, weight)
+    as `cell_shift` gives them, in the order in which the pairs (source
+    outer, target inner) first reach them.
 
     Construction walks every pair of cells on ints only, to learn each
     block's size (`size`) and one pair that realises it (`pair`, as the
-    codes of its target and source cells).  A
-    block's sorted flat ids and local ids are laid out on first use:
-    `BlockKernels` lays out the blocks it solves when it opens them, and
-    `entries` and `local` lay out any other block they are asked for.
+    codes of its target and source cells).  `lay_out` is the one walk that
+    finds a block's cell pairs: it lists the block's flat ids in sorted
+    order (`entries`), gives each its position there as its local id
+    (`local`), and records, for each source cell, the (block, target cell)
+    pairs of every block laid out so far (`targets`).  `BlockKernels` lays
+    out the blocks it solves when it opens them, so `entries`, `local` and
+    `targets` hold those blocks only.
     """
 
-    def __init__(self, A: AlgebraModel, parity: Optional[int] = None):
+    def __init__(self, A: AlgebraModel):
         self.A = A
         self.cells = A.cells()
         codes = cell_codes(list(self.cells))
         self.code: Dict[Cell, int] = dict(zip(self.cells, codes))
-        # the basis indices of each cell, by code
-        self._members: Dict[int, List[int]] = dict(zip(codes, self.cells.values()))
         # the entry count of each code difference, and the source code of
         # the first pair that makes it
         count: Dict[int, int] = {}
         source: Dict[int, int] = {}
-        sized = [(code, len(members)) for code, members in self._members.items()]
+        sized = [(code, len(members)) for code, members in zip(codes, self.cells.values())]
         for code_b, nb in sized:
             for code_a, na in sized:
                 diff = code_a - code_b
@@ -312,7 +273,8 @@ class BlockSystem:
                     count[diff] = na * nb
                     source[diff] = code_b
         self._cell_at = cell_at = dict(zip(codes, self.cells))
-        self.named: Dict[int, Optional[Shift]] = {}
+        # each code difference's block, as the block's own key
+        named: Dict[int, Shift] = {}
         self.size: Dict[Shift, int] = {}
         self.pair: Dict[Shift, Tuple[int, int]] = {}
         # the code differences that name each block
@@ -320,47 +282,48 @@ class BlockSystem:
         for diff, n in count.items():
             code_b = source[diff]
             shift = self.cell_shift(A, cell_at[code_b + diff], cell_at[code_b])
-            if parity is not None and shift[0] % 2 != parity:
-                self.named[diff] = None
-                continue
             diffs = self._diffs.setdefault(shift, [])
             if diffs:
-                shift = self.named[diffs[0]]  # the block's own key
+                shift = named[diffs[0]]  # the block's own key
             diffs.append(diff)
-            self.named[diff] = shift
+            named[diff] = shift
             self.size[shift] = self.size.get(shift, 0) + n
             self.pair.setdefault(shift, (code_b + diff, code_b))
-        self._entries: Dict[Shift, List[int]] = {}
-        self._local: Dict[Shift, Dict[int, int]] = {}
-        self.entries: Mapping[Shift, List[int]] = _Layout(self, self._entries)
-        self.local: Mapping[Shift, Dict[int, int]] = _Layout(self, self._local)
+        self.entries: Dict[Shift, List[int]] = {}
+        self.local: Dict[Shift, Dict[int, int]] = {}
+        self.targets: Dict[Cell, List[Tuple[Shift, Cell]]] = {}
 
     def lay_out(self, shifts: Iterable[Shift]) -> None:
         """Lay out the blocks of ``shifts`` that are not laid out yet: one
         walk over the source cells, matching each to the target cells of
         those blocks, through their code differences or through every cell,
-        whichever is fewer.  A KeyError for a shift that is no block."""
+        whichever is fewer.  Each source cell's new pairs join its
+        `targets` list, sorted by target cell.  A KeyError for a shift that
+        is no block."""
         todo = {
             diff: shift
-            for shift in shifts if shift not in self._entries
+            for shift in shifts if shift not in self.entries
             for diff in self._diffs[shift]
         }
         if not todo:
             return
-        dim, members = self.A.dim, self._members
+        dim, cells, code, at = self.A.dim, self.cells, self.code, self._cell_at
         found: Dict[Shift, List[int]] = {shift: [] for shift in todo.values()}
-        for code_b, bs in members.items():
-            if len(todo) < len(members):
-                hits = [(shift, members.get(code_b + diff)) for diff, shift in todo.items()]
+        for cb, bs in cells.items():
+            code_b = code[cb]
+            if len(todo) < len(cells):
+                hits = ((shift, at.get(code_b + diff)) for diff, shift in todo.items())
             else:
-                hits = [(todo.get(code_a - code_b), as_) for code_a, as_ in members.items()]
-            for shift, as_ in hits:
-                if shift is not None and as_ is not None:
-                    found[shift].extend([a * dim + b for a in as_ for b in bs])
+                hits = ((todo.get(code_a - code_b), ca) for ca, code_a in code.items())
+            pairs = [(shift, ca) for shift, ca in hits if shift is not None and ca is not None]
+            for shift, ca in pairs:
+                found[shift].extend([a * dim + b for a in cells[ca] for b in bs])
+            if pairs:
+                self.targets[cb] = sorted(self.targets.get(cb, []) + pairs, key=lambda p: p[1])
         for shift, entries in found.items():
             entries.sort()
-            self._entries[shift] = entries
-            self._local[shift] = {key: i for i, key in enumerate(entries)}
+            self.entries[shift] = entries
+            self.local[shift] = {key: i for i, key in enumerate(entries)}
 
     @staticmethod
     def cell_shift(A: AlgebraModel, ca: Cell, cb: Cell) -> Shift:
@@ -386,32 +349,15 @@ class BlockSystem:
         ]
         return Subspace.from_vectors(rows, self.A.dim ** 2)
 
-    def reach(self, cb: Cell, among: Optional[Set[Shift]] = None) -> List[Tuple[Shift, Cell]]:
-        """The (shift, target cell) pairs of the blocks with entries in the
-        columns of cell cb, in cell order, read from the code differences;
-        with ``among``, only the blocks in it, found from their own code
-        differences when they are fewer than the cells.  The shifts are the
-        blocks' own keys, not a fresh tuple per pair."""
-        named, code_b = self.named, self.code[cb]
-        if among is not None and len(among) < len(self.code):
-            at = self._cell_at
-            hits = sorted(
-                (at[code_b + diff], shift)
-                for shift in among for diff in self._diffs[shift] if code_b + diff in at
-            )
-            return [(shift, ca) for ca, shift in hits]
-        pairs = ((named[code_a - code_b], ca) for ca, code_a in self.code.items())
-        if among is None:
-            return [(shift, ca) for shift, ca in pairs if shift is not None]
-        return [(shift, ca) for shift, ca in pairs if shift in among]
-
     def shifts_from(self, x: Vec) -> Dict[Shift, List[Tuple[Cell, Cell]]]:
         """The shifts that move some cell of x's support onto a cell of L,
-        each with its (target cell, source cell) pairs."""
+        each with its (target cell, source cell) pairs, read from `targets`
+        once every block is laid out."""
+        self.lay_out(self.size)
         cell_of = self.A.cell_of
         reach: Dict[Shift, List[Tuple[Cell, Cell]]] = {}
         for cb in dict.fromkeys(cell_of(b) for b in x):
-            for shift, ca in self.reach(cb):
+            for shift, ca in self.targets[cb]:
                 reach.setdefault(shift, []).append((ca, cb))
         return reach
 
@@ -478,17 +424,17 @@ class BlockKernels:
     solved, their kernels and ad L'_s targets, when a block closes, the
     dimensions and the verdict.
 
-    With ``dominant``, only the dominant blocks are solved
-    (`dominant_blocks`, see the module docstring), or every block of
-    ``blocks`` when a check of the filter fails; without it, every block
-    is.  The solved blocks are laid out here, in one walk, and no other
-    (`BlockSystem.lay_out`); a core built later on the same ``blocks``
-    lays out only the blocks that are new to it.  `space` holds each solved
-    block's kernel over its local ids, the `IntKernel` of the rows cut into
-    it: a cut reduces the row fraction-free against the rows kept so far
-    and keeps what is left, so the space shrinks exactly when the row is
-    independent of them.  Rows reach it
-    only through `_cut`.  Given P, `ad_pivots` holds ad L'_s on each solved
+    ``solved`` is the set of blocks to solve, and None means every block
+    of ``blocks``: `check` and `certify` pass the dominant blocks
+    (`dominant_blocks`, see the module docstring), `derivation_space` the
+    blocks of one parity.  The solved blocks are laid out here, in one
+    walk, and no other (`BlockSystem.lay_out`); a core built later on the
+    same ``blocks`` lays out only the blocks that are new to it.  `space`
+    holds each solved block's kernel over its local ids, the `IntKernel`
+    of the rows cut into it: a cut reduces the row fraction-free against
+    the rows kept so far and keeps what is left, so the space shrinks
+    exactly when the row is independent of them.  Rows reach it only
+    through `_cut`.  Given P, `ad_pivots` holds ad L'_s on each solved
     block as integer echelon rows (`ad_blocks`).
 
     A block's target t_s is dim ad L'_s with ``stop_at_ad`` and 0 without,
@@ -502,8 +448,10 @@ class BlockKernels:
     kernel can shrink no more.  A block that never reaches its target
     takes every row, so its kernel is exact either way.  `_open_reach`
     gives, per source cell, the (block, target cell) pairs of the open
-    blocks, the one list both callers read: `leibniz_rows` builds its terms
-    there, and the certifier's engine finds the blocks a probe reaches.
+    blocks, cut from the record that `BlockSystem.lay_out` keeps
+    (`targets`), the one list both callers read: `leibniz_rows` builds its
+    terms there, and the certifier's engine finds the blocks a probe
+    reaches.
 
     `dim_ad`, `dim_space` and `residual_dim` sum over the blocks solved.
     `matches_ad` is the verdict, space_s = ad L'_s on every block solved
@@ -512,9 +460,8 @@ class BlockKernels:
     """
 
     def __init__(self, blocks: BlockSystem, P: Optional[LPrimeModel] = None,
-                 dominant: bool = False, stop_at_ad: bool = True):
+                 solved: Optional[Set[Shift]] = None, stop_at_ad: bool = True):
         self.blocks = blocks
-        solved = dominant_blocks(blocks) if dominant else None
         self.space: Dict[Shift, IntKernel] = {
             shift: IntKernel(n) for shift, n in blocks.size.items()
             if solved is None or shift in solved
@@ -539,14 +486,13 @@ class BlockKernels:
             self.open.discard(shift)
 
     def _open_reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
-        """`BlockSystem.reach(cb)` cut to the open blocks: built when cb is
-        first met, and pruned when a block has closed since the last call
-        for cb."""
+        """`BlockSystem.targets[cb]` cut to the open blocks: cut when cb is
+        first met, and pruned again when a block has closed since the last
+        call for cb."""
         got = self._open_lists.get(cb)
-        if got is None:
-            got = self._open_lists[cb] = (len(self.open), self.blocks.reach(cb, self.open))
-        elif got[0] != len(self.open):
-            got = self._open_lists[cb] = (len(self.open), [p for p in got[1] if p[0] in self.open])
+        if got is None or got[0] != len(self.open):
+            pairs = self.blocks.targets.get(cb, ()) if got is None else got[1]
+            got = self._open_lists[cb] = (len(self.open), [p for p in pairs if p[0] in self.open])
         return got[1]
 
     def reduced(self) -> bool:
@@ -664,7 +610,7 @@ def ad_blocks(
     (what `int_reduce` reads): the rows cut into a kernel are an echelon
     basis of their span, so there are dim ad L'_s of them.  Each ad(u) must
     be nonzero and must lie in a block of the pattern."""
-    ext = P.ext
+    ext, dim = P.ext, P.dim_l
     solved = set(shifts)
     span: Dict[Shift, IntKernel] = {}
     for u, cols in enumerate(P.ad_columns):
@@ -676,7 +622,8 @@ def ad_blocks(
         if shift not in solved:
             continue
         kern = span.setdefault(shift, IntKernel(blocks.size[shift]))
-        kern.cut(blocks.localize(shift, EndMap(P.dim_l, cols).to_flat()))
+        local = blocks.local[shift]
+        kern.cut({local[a * dim + b]: c for b, col in cols.items() for a, c in col.items()})
     return {shift: kern.rows for shift, kern in span.items()}
 
 
@@ -722,12 +669,13 @@ def derivation_space(
 ) -> Subspace:
     """The space of parity-homogeneous superderivations inside End(L).
 
-    parity None returns the direct sum of the even and odd parts.  The
+    parity None returns the direct sum of the even and odd parts; parity
+    0 or 1 solves the blocks whose degree shift has that parity.  The
     "blocks" method is `leibniz_kernels`, read out as one subspace;
     "reference" takes the rows of every pair from `leibniz_rows`, over a
-    core on the same `BlockSystem` that never stops, lifts them to flat ids
-    and pushes them as Fractions through one global elimination over the
-    parity's entries, and must agree.  The blocks answer assumes that A
+    core on the same blocks that never stops, lifts them to flat ids and
+    pushes them as Fractions through one global elimination over those
+    blocks' entries, and must agree.  The blocks answer assumes that A
     passes `check_axioms` (see the module docstring).  Any other parity is
     a ValueError.
     """
@@ -735,11 +683,12 @@ def derivation_space(
         raise ValueError(f"parity must be None, 0 or 1, not {parity!r}")
     if method not in ("blocks", "reference"):
         raise ValueError(f"unknown method {method!r}")
-    core = BlockKernels(BlockSystem(A, parity))
+    blocks = BlockSystem(A)
+    solved = None if parity is None else {s for s in blocks.size if s[0] % 2 == parity}
+    core = BlockKernels(blocks, solved=solved)
     if method == "blocks":
-        return core.blocks.subspace(leibniz_kernels(core, generators(A)))
-    blocks = core.blocks
-    support = sorted(k for entries in blocks.entries.values() for k in entries)
+        return blocks.subspace(leibniz_kernels(core, generators(A)))
+    support = sorted(k for shift in core.space for k in blocks.entries[shift])
     index = {key: idx for idx, key in enumerate(support)}
     rows = as_fractions(
         {index[k]: c for k, c in blocks.lift(shift, row).items()}
@@ -849,11 +798,12 @@ def derivation_report(P: LPrimeModel, G: List[int], axioms_ok: bool = False) -> 
     """
     blocks = BlockSystem(P.base)
     outer_ok = outer_ads_are_derivations(P, G)
-    core = BlockKernels(blocks, P, axioms_ok and outer_ok, outer_ok)
+    solved = dominant_blocks(blocks) if axioms_ok and outer_ok else None
+    core = BlockKernels(blocks, P, solved, outer_ok)
     leibniz_kernels(core, G)
     holds = core.matches_ad()
     if not holds and core.reduced():
-        core = BlockKernels(blocks, P, False, outer_ok)
+        core = BlockKernels(blocks, P, None, outer_ok)
         leibniz_kernels(core, G)
         holds = core.matches_ad()
     return DerivationReport(

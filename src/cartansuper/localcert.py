@@ -63,16 +63,16 @@ CERTIFIED on the dominant blocks is CERTIFIED, and `dim_C` and
 constrained space itself is not reduced this way (the probes are not
 b+-stable), so when the run on the dominant blocks ends INCONCLUSIVE,
 `certify` runs again on every block, on the first run's `BlockSystem`,
-which lays out the blocks not yet laid out, and reports that run; a block
-that fails on its own fails in both runs, so the second run reaches the
-same stages and draws the same probes.  This rests on the premises that
-`check` proves: the Jacobi identity and grading additivity of L, ad L'
-inside Der L (`outer_ads_are_derivations`), and Der L = ad L' (for
-CERTIFIED to speak of every superderivation); and, as a run on every
-block does, on Loc_s lying in the engine's slice-constrained space
-(`ConstraintEngine`), which for a probe spread over several cells is the
-open gap of ROADMAP.md, "A local certificate that rests on nothing
-unproven".
+whose layout walk then takes only the blocks the first run left out, and
+reports that run; a block that fails on its own fails in both runs, so
+the second run reaches the same stages and draws the same probes.  This
+rests on the premises that `check` proves: the Jacobi identity and
+grading additivity of L, ad L' inside Der L (`outer_ads_are_derivations`),
+and Der L = ad L' (for CERTIFIED to speak of every superderivation); and,
+as a run on every block does, on Loc_s lying in the engine's
+slice-constrained space (`ConstraintEngine`), which for a probe spread
+over several cells is the open gap of ROADMAP.md, "A local certificate
+that rests on nothing unproven".
 
 The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
 block that the core has closed at its target takes no more probes, and a
@@ -96,7 +96,7 @@ import time
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank
+from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank, dominant_blocks
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators
 from .linalg import (
@@ -435,9 +435,10 @@ class ConstraintEngine(BlockKernels):
 
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
-    (each cell's list is `BlockSystem.reach` cut to the open blocks when
-    the cell is first met, and pruned lazily once a block has closed:
-    the core's `_open_reach`, which `check`'s Leibniz rows read too).
+    (each cell's list is the one `BlockSystem.lay_out` records for it,
+    `targets`, cut to the open blocks when the cell is first met, and
+    pruned lazily once a block has closed: the core's `_open_reach`, which
+    `check`'s Leibniz rows read too).
     Per shift, `constraint_rows` reduces the slice orbit [L'_shift, x] on
     the value space V, the sum of the target cells, with `int_reduce`, and
     reads its annihilator off that echelon, back-reduced (`kernel_terms`):
@@ -460,14 +461,16 @@ class ConstraintEngine(BlockKernels):
     cells (ROADMAP.md, "A local certificate that rests on nothing
     unproven"), must widen the key to all that they read.
 
-    With ``dominant``, the core solves the dominant blocks only; without
-    it every block, as `constrained_space` needs.  Given ``blocks``, the
-    engine runs on that layout instead of a new one.
+    With ``dominant``, the core solves the dominant blocks only
+    (`dominant_blocks`); without it every block, as `constrained_space`
+    needs.  Given ``blocks``, the engine runs on that layout instead of a
+    new one.
     """
 
     def __init__(self, P: LPrimeModel, dominant: bool = False,
                  blocks: Optional[BlockSystem] = None):
-        super().__init__(BlockSystem(P.base) if blocks is None else blocks, P, dominant)
+        blocks = BlockSystem(P.base) if blocks is None else blocks
+        super().__init__(blocks, P, dominant_blocks(blocks) if dominant else None)
         self.L = L = P.base
         self.dim = L.dim
         # the key of the last constraint_rows call on each open block

@@ -149,10 +149,18 @@ def test_blocks_solve_on_generators(pairs, spec, monkeypatch):
     assert seen == [generators(A)]
 
 
+def parity_core(A, parity=None):
+    """A core with no target on the blocks of A whose degree shift has the
+    parity, or on every block for None, as `derivation_space` builds it."""
+    blocks = BlockSystem(A)
+    solved = None if parity is None else {s for s in blocks.size if s[0] % 2 == parity}
+    return BlockKernels(blocks, solved=solved)
+
+
 def every_row(A, G, parity=None):
     """The rows `leibniz_rows` yields for the pairs with an index in G, over
     a core on every block of the parity that never stops: none is cut."""
-    return derivations.leibniz_rows(BlockKernels(BlockSystem(A, parity)), G)
+    return derivations.leibniz_rows(parity_core(A, parity), G)
 
 
 def test_generator_rows_are_the_rows_of_their_pairs(pairs):
@@ -199,7 +207,7 @@ def test_leibniz_rows_are_the_brute_force_rows(pairs, spec, parity):
     # the rows over a core on every block of the parity that never stops,
     # with every index as G, lifted to flat ids
     A = pairs[spec][0] if spec in pairs else build(*spec)
-    core = BlockKernels(BlockSystem(A, parity))
+    core = parity_core(A, parity)
     got = Counter(
         (shift, frozenset(core.blocks.lift(shift, row).items()))
         for shift, row in derivations.leibniz_rows(core, range(A.dim))
@@ -279,7 +287,8 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
 
 def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
     # the engine is the core, check builds exactly one, and patching
-    # derivations.dominant_blocks alone decides the blocks that both solve
+    # dominant_blocks where each caller reads it decides the blocks that
+    # both solve
     from cartansuper import localcert
 
     _, P = pairs[("H", 5)]
@@ -297,6 +306,7 @@ def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
         with monkeypatch.context() as m:
             if not reduced:
                 m.setattr(derivations, "dominant_blocks", every_block)
+                m.setattr(localcert, "dominant_blocks", every_block)
             solved = derivations.dominant_blocks(blocks) or set(blocks.size)
             assert (len(solved) < len(blocks.size)) == reduced
             m.setattr(derivations.BlockKernels, "__init__", spy)
@@ -502,6 +512,7 @@ DESK = [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]
 def test_block_system_partitions_end_l(pairs, spec):
     A, _ = pairs[spec]
     blocks = BlockSystem(A)
+    blocks.lay_out(blocks.size)
     ids = sorted(k for entries in blocks.entries.values() for k in entries)
     assert ids == list(range(A.dim * A.dim))
     for shift, entries in blocks.entries.items():
@@ -513,6 +524,7 @@ def test_block_system_partitions_end_l(pairs, spec):
 def test_block_system_localize_lift_round_trip(pairs, spec):
     A, _ = pairs[spec]
     blocks = BlockSystem(A)
+    blocks.lay_out(blocks.size)
     rng = random.Random(35)
     for shift in rng.sample(sorted(blocks.entries), 20):
         entries = blocks.entries[shift]
@@ -531,6 +543,7 @@ def test_cell_shift_agrees_with_bigrade_decompose(pairs, spec):
 
     A, _ = pairs[spec]
     blocks = BlockSystem(A)
+    blocks.lay_out(blocks.size)
     rng = random.Random(36)
     for _ in range(5):
         flat = {
@@ -621,7 +634,9 @@ def with_one_sign_wrong(A):
 
 def filter_reads(monkeypatch, edit):
     """Make `dominant_blocks` read the table of ``edit(A)`` in place of
-    the run's model A."""
+    the run's model A, in `check` and in `certify`."""
+    from cartansuper import localcert
+
     real = derivations.dominant_blocks
 
     def on_copy(blocks):
@@ -630,6 +645,7 @@ def filter_reads(monkeypatch, edit):
         return real(seen)
 
     monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
+    monkeypatch.setattr(localcert, "dominant_blocks", on_copy)
 
 
 def solved_blocks(monkeypatch):
@@ -691,7 +707,7 @@ def test_reduced_der_agrees_with_every_block(pairs, spec):
     assert len(dominant) < len(blocks.size)
     # Der_s on every block, each solved to a zero kernel or to its last row
     every = derivations.leibniz_kernels(BlockKernels(blocks), G)
-    reduced = derivations.leibniz_kernels(BlockKernels(blocks, P, True, stop_at_ad=False), G)
+    reduced = derivations.leibniz_kernels(BlockKernels(blocks, P, dominant, stop_at_ad=False), G)
     assert list(reduced) == [shift for shift in every if shift in dominant]
     for shift, kern in reduced.items():
         assert kern.basis() == every[shift].basis(), shift
@@ -816,25 +832,22 @@ def test_isomorphic_table_keeps_the_dominant_blocks(pairs, monkeypatch):
 LAYOUT = [*DESK, ("H", 6), ("Stilde", 6)]
 
 
-def reference_layout(A, parity=None):
-    """`BlockSystem`'s blocks and `reach` lists from a walk over every pair
-    of cells, one `cell_shift` tuple per pair."""
+def reference_layout(A):
+    """`BlockSystem`'s blocks, the (degree, weight) differences of each
+    block's cell pairs, and each source cell's (block, target cell) list,
+    from a walk over every pair of cells, one `cell_shift` tuple per pair."""
     cells, dim = A.cells(), A.dim
-    entries = {}
+    entries, diffs = {}, {}
     for cb, bs in cells.items():
         for ca, as_ in cells.items():
             shift = BlockSystem.cell_shift(A, ca, cb)
-            if parity is not None and shift[0] % 2 != parity:
-                continue
             entries.setdefault(shift, []).extend(a * dim + b for a in as_ for b in bs)
+            diff = (ca[0] - cb[0], *(x - y for x, y in zip(ca[1], cb[1])))
+            diffs.setdefault(shift, set()).add(diff)
     for keys in entries.values():
         keys.sort()
-    reach = {
-        cb: [(shift, ca) for ca in cells
-             for shift in [BlockSystem.cell_shift(A, ca, cb)] if shift in entries]
-        for cb in cells
-    }
-    return entries, reach
+    targets = {cb: [(BlockSystem.cell_shift(A, ca, cb), ca) for ca in cells] for cb in cells}
+    return entries, diffs, targets
 
 
 def reference_dominant(A):
@@ -860,32 +873,54 @@ def reference_dominant(A):
     return {shift for shift, ls in lam.items() if all(cr * x >= 0 for cr, x in zip(c, ls))}
 
 
+def assert_laid_out(blocks, reference, shifts):
+    """``blocks`` has laid out exactly the blocks in ``shifts``, as the walk
+    over every pair of cells finds them: their flat ids, their local ids,
+    and each source cell's (block, target cell) pairs in target-cell
+    order."""
+    entries, _, targets = reference
+    assert blocks.entries == {shift: entries[shift] for shift in shifts}
+    assert blocks.local == {
+        shift: {k: i for i, k in enumerate(entries[shift])} for shift in shifts
+    }
+    expected = {cb: [p for p in pairs if p[0] in shifts] for cb, pairs in targets.items()}
+    assert blocks.targets == {cb: pairs for cb, pairs in expected.items() if pairs}
+
+
 @pytest.mark.parametrize("spec", LAYOUT)
 def test_code_keyed_layout_matches_a_walk_over_every_pair(pairs, spec):
-    A, _ = model_pair(pairs, spec)
-    for parity in (None,) if spec == ("Stilde", 6) else (None, 0, 1):
-        entries, reach = reference_layout(A, parity)
-        blocks = BlockSystem(A, parity)
-        assert blocks.size == {shift: len(keys) for shift, keys in entries.items()}
-        assert list(blocks.size) == list(blocks.entries) == list(entries)
-        # one block at a time, then every block in one walk
-        for shift, keys in entries.items():
-            assert blocks.entries[shift] == keys
-            assert blocks.local[shift] == {k: i for i, k in enumerate(keys)}
-        every = BlockSystem(A, parity)
-        assert list(every.entries.items()) == list(entries.items())
-        assert all(every.local[shift] == blocks.local[shift] for shift in entries)
-        # with ``among``, walked through the blocks' code differences when
-        # they are fewer than the cells, through the cells otherwise
-        few = set(list(blocks.size)[::7][:len(A.cells()) - 1])
-        for cb in A.cells():
-            assert blocks.reach(cb) == every.reach(cb) == reach[cb]
-            for among in (few, set(blocks.size)):
-                assert blocks.reach(cb, among) == [p for p in reach[cb] if p[0] in among]
-    # the Z_n degree of Stilde makes two code differences name one block
+    A, P = model_pair(pairs, spec)
+    reference = entries, diffs, _ = reference_layout(A)
+    cells = A.cells()
     blocks = BlockSystem(A)
-    merged = len(blocks.named) - len(blocks.size)
-    assert (merged > 0) == (A.grading_modulus is not None)
+    assert blocks.size == {shift: len(keys) for shift, keys in entries.items()}
+    assert list(blocks.size) == list(entries)
+    assert blocks.entries == blocks.local == blocks.targets == {}
+    # the Z_n degree of Stilde makes two code differences name one block
+    merged = [shift for shift, ds in diffs.items() if len(ds) > 1]
+    assert bool(merged) == (A.grading_modulus is not None)
+    assert all(len(ds) <= 2 for ds in diffs.values())
+    # a few blocks, merged ones among them, with fewer code differences than
+    # there are cells: the walk through the code differences; then every
+    # block, the walk through every cell, merged into the record of the few
+    few = list(dict.fromkeys(merged[:2] + list(entries)[::7]))[: len(cells) // 3]
+    assert sum(len(diffs[shift]) for shift in few) < len(cells)
+    blocks.lay_out(few)
+    assert_laid_out(blocks, reference, set(few))
+    blocks.lay_out(blocks.size)
+    assert_laid_out(blocks, reference, set(entries))
+    # cores on one system: the dominant blocks, then every block, then the
+    # dominant blocks again, which lays out nothing and reads the record of
+    # every block; each core reads the record cut to its open blocks
+    blocks = BlockSystem(A)
+    dominant, seen = derivations.dominant_blocks(blocks), set()
+    for solved in (dominant, None, dominant):
+        core = BlockKernels(blocks, P, solved)
+        seen |= set(core.space)
+        assert_laid_out(blocks, reference, seen)
+        assert set(core.space) == (solved or set(entries)) and core.open <= set(core.space)
+        for cb, pairs in blocks.targets.items():
+            assert core._open_reach(cb) == [p for p in pairs if p[0] in core.open]
 
 
 @pytest.mark.parametrize("spec", LAYOUT)

@@ -89,7 +89,7 @@ def block_modes(monkeypatch):
     """Yield twice: as `certify` runs, on the dominant blocks, and then
     with every block solved, which lasts to the end of the test."""
     yield "dominant blocks"
-    monkeypatch.setattr(derivations, "dominant_blocks", every_block)
+    monkeypatch.setattr(localcert, "dominant_blocks", every_block)
     yield "every block"
 
 
@@ -594,7 +594,7 @@ def test_certify_without_budget_feeds_no_probe(W4, budget):
     cert = certify(P, budget=budget)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.probe_labels == []
-    assert cert.dim_constrained == sum(len(e) for e in cert.engine.blocks.entries.values())
+    assert cert.dim_constrained == sum(cert.engine.blocks.size.values())
 
 
 def test_certified_w4_uses_proof_probes_only(W4):
@@ -895,7 +895,8 @@ def depth_probe(A, b, first=1):
 
 
 def reached(engine, cell):
-    return {shift for shift, _ in engine.blocks.reach(cell)}
+    engine.blocks.lay_out(engine.blocks.size)
+    return {shift for shift, _ in engine.blocks.targets[cell]}
 
 
 def test_repeated_probe_makes_no_call(H5):
@@ -1033,8 +1034,10 @@ STRETCH = [
 
 def certify_every_block(P, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(derivations, "dominant_blocks", every_block)
-        return certify(P, **kwargs)
+        m.setattr(localcert, "dominant_blocks", every_block)
+        cert = certify(P, **kwargs)
+    assert not cert.engine.reduced()
+    return cert
 
 
 @pytest.mark.parametrize("family, n", DESK + STRETCH)
@@ -1066,7 +1069,7 @@ def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch)
         m.setattr(ConstraintEngine, "__init__", spy)
         cert = certify(P, budget=67)
     # the run on the dominant blocks, then the rerun on every block
-    assert [len(e.space) for e in engines] == [36, len(engines[0].blocks.entries)]
+    assert [len(e.space) for e in engines] == [36, len(engines[0].blocks.size)]
     assert cert.engine is engines[1]
     every = certify_every_block(P, monkeypatch, budget=67)
     assert cert.verdict == every.verdict == "INCONCLUSIVE"
@@ -1094,8 +1097,8 @@ def test_certify_solves_every_block_when_a_root_is_refused(H5, monkeypatch):
         return real(seen)
 
     assert on_copy(BlockSystem(A)) is None
-    monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
+    monkeypatch.setattr(localcert, "dominant_blocks", on_copy)
     cert = certify(P)
-    assert len(cert.engine.space) == len(cert.engine.blocks.entries)
+    assert len(cert.engine.space) == len(cert.engine.blocks.size)
     assert cert.verdict == "CERTIFIED"
     assert cert.as_dict() == certify_every_block(P, monkeypatch).as_dict()
