@@ -15,9 +15,12 @@ any byte from what `build` writes for the family and n of its head, a
 trailing newline aside, or that names another family or n than
 --family/--n), 3 inconclusive certification.
 
-Every flag has an environment override with prefix CARTANSUPER_
-(e.g. CARTANSUPER_SEED=7); explicit flags win over the environment.  Only
-the variables of the running command's flags are read and checked.
+Every flag but the switch --timings has an environment override with
+prefix CARTANSUPER_ (e.g. CARTANSUPER_SEED=7); explicit flags win over the
+environment.  Only the variables of the running command's flags are read
+and checked.  Flags, variables and commands are one table (FLAGS,
+COMMANDS) that `parse_args` reads the command line against, without
+argparse, whose import and parser set-up every CLI process would pay.
 JSON output is the stable contract (reports carry schema_version and are
 byte-identical for a fixed seed and configuration); text output is a human
 summary.  Timings are printed only with --timings so that default reports
@@ -32,11 +35,12 @@ interpreter's teardown.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import __version__
@@ -63,92 +67,135 @@ EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _env(name: str, fallback=None, kind=None):
-    """CARTANSUPER_<name>, or fallback when it is unset.  With kind int the
-    value must be an integer, with a tuple of choices one of them (argparse
-    checks neither on a default); otherwise it exits 2 naming the variable."""
-    raw = os.environ.get(f"CARTANSUPER_{name}")
-    if raw is None or kind is None:
-        return fallback if raw is None else raw
+# The command line.  Each flag: its CARTANSUPER_ variable, its kind (int, a
+# tuple of choices, str, or bool for a switch, which has no variable), its
+# fallback and its help.  Each command: its help and its flags.
+FLAGS = {
+    "family": ("FAMILY", FAMILIES, None, "algebra family"),
+    "n": ("N", int, None, "the family's n"),
+    "model": ("MODEL", str, None, "read the algebra from a model file instead of building it"),
+    "out": ("OUT", str, None, "output path (default stdout)"),
+    "format": ("FORMAT", FORMATS, "text", "report format"),
+    "seed": ("SEED", int, 0, "seed of certify's random probes; the other commands ignore it"),
+    "budget": ("BUDGET", int, None, "cap on certify's probes (default 4 dim L)"),
+    "timings": (None, bool, False, "include elapsed_ms (breaks byte-reproducibility)"),
+}
+_WITH_MODEL = ("family", "n", "model", "out", "format", "seed")
+COMMANDS = {
+    "build": ("construct an algebra and emit its model", ("family", "n", "out", "format", "seed")),
+    "info": ("structural summary of an algebra", _WITH_MODEL),
+    "check": ("axioms, derivation cross-check and transitivity", _WITH_MODEL),
+    "certify": ("certify the local theorem and, by reduction, the linear 2-local one",
+                _WITH_MODEL + ("budget", "timings")),
+}
+
+
+def _read(kind, raw: str):
+    """raw as a value of kind, or a ValueError that says why it is not one."""
     if kind is int:
         try:
             return int(raw)
         except ValueError:
-            expected = "an integer"
-    elif raw in kind:
-        return raw
-    else:
-        expected = "one of " + ", ".join(kind)
+            raise ValueError(f"invalid int value: {raw!r}") from None
+    if kind is not str and raw not in kind:
+        raise ValueError(f"invalid choice: {raw!r} (choose from {', '.join(map(repr, kind))})")
+    return raw
+
+
+def _env(name: Optional[str], kind, fallback):
+    """CARTANSUPER_<name>, or fallback when it is unset or name is None; a
+    value not of the flag's kind exits 2 naming the variable."""
+    raw = os.environ.get(f"CARTANSUPER_{name}") if name else None
+    try:
+        return fallback if raw is None else _read(kind, raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "one of " + ", ".join(kind)
     print(f"error: CARTANSUPER_{name} must be {expected}, got {raw!r}", file=sys.stderr)
     raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def _env_flag(p: argparse.ArgumentParser, name: str, *flags: str,
-              fallback=None, kind=None, **kwargs) -> None:
-    """Add a flag to p whose default is CARTANSUPER_<name>.  The variable is
-    read and checked by `parse_args`, and only for the command that runs."""
-    dest = p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs).dest
-    p.get_default("env_flags").append((dest, name, fallback, kind))
+def _help(prog: str, command: Optional[str]) -> List[str]:
+    """The help text's lines, the usage line first."""
+    if command is None:
+        usage = f"[-h] [--version] {{{','.join(COMMANDS)}}} ..."
+        head = ("Exact kernel for Cartan type Lie superalgebras: construction, "
+                "derivations, local-superderivation certification.")
+        rows = [(name, about) for name, (about, _) in COMMANDS.items()]
+        rows.append(("--version", "show program's version number and exit"))
+    else:
+        head, rows = COMMANDS[command][0], []
+        for flag in COMMANDS[command][1]:
+            name, kind, _, about = FLAGS[flag]
+            meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag.upper()
+            shape = f"--{flag}" if kind is bool else f"--{flag} {meta}"
+            rows.append((shape, about + (f" (CARTANSUPER_{name})" if name else "")))
+        usage = " ".join(["[-h]"] + [f"[{left}]" for left, _ in rows])
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    return [f"usage: {prog} {usage}", "", head, ""] + [
+        f"  {left:<{width}}  {about}" for left, about in rows]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cartansuper",
-        description="Exact kernel for Cartan type Lie superalgebras: "
-        "construction, derivations, local-superderivation certification.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_model: bool) -> None:
-        p.set_defaults(env_flags=[])
-        _env_flag(p, "FAMILY", "--family", kind=FAMILIES, choices=FAMILIES,
-                  help="algebra family")
-        _env_flag(p, "N", "--n", kind=int, type=int)
-        if with_model:
-            _env_flag(p, "MODEL", "--model",
-                      help="read the algebra from a serialized model file "
-                      "instead of building it")
-        _env_flag(p, "OUT", "--out", help="output path (default stdout)")
-        _env_flag(p, "FORMAT", "--format", fallback="text", kind=FORMATS, choices=FORMATS)
-        _env_flag(p, "SEED", "--seed", fallback=0, kind=int, type=int,
-                  help="seed of certify's random probes; "
-                  "only certify reads it, the other commands ignore it")
-
-    p_build = sub.add_parser("build", help="construct an algebra and emit its model")
-    common(p_build, with_model=False)
-
-    p_info = sub.add_parser("info", help="structural summary of an algebra")
-    common(p_info, with_model=True)
-
-    p_check = sub.add_parser(
-        "check", help="axioms, derivation cross-check and transitivity"
-    )
-    common(p_check, with_model=True)
-
-    p_cert = sub.add_parser(
-        "certify", help="certify the local theorem and, by reduction, the linear 2-local one"
-    )
-    common(p_cert, with_model=True)
-    _env_flag(p_cert, "BUDGET", "--budget", kind=int, type=int)
-    p_cert.add_argument(
-        "--timings",
-        action="store_true",
-        help="include elapsed_ms in the report (breaks byte-reproducibility)",
-    )
-    return parser
+def _is_flag(token: str) -> bool:
+    """Whether token is a flag, not a value, as argparse tells them apart:
+    "-", a negative number and a token with a space are values."""
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and re.fullmatch(r"-\d+|-\d*\.\d+", token) is None)
 
 
-def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
-    """The parsed command line.  Each flag of the command that runs and that
-    was not given takes its CARTANSUPER_ value; a malformed value of any of
-    that command's variables exits 2, given flag or not."""
-    args = build_parser().parse_args(argv)
-    for dest, name, fallback, kind in args.env_flags:
-        value = _env(name, fallback, kind)
-        if dest not in args:
-            setattr(args, dest, value)
-    return args
+def parse_args(argv: Optional[List[str]] = None) -> SimpleNamespace:
+    """The command line read against COMMANDS and FLAGS: `--flag value`,
+    `--flag=value` or a prefix of the flag that no other flag of the
+    command shares, the last of a repeated flag winning.  A usage error
+    exits 2 with `usage:` and `error:` lines on stderr; -h, --help and
+    --version print to stdout and exit 0.  A flag not given takes its
+    CARTANSUPER_ value; a malformed value of any of the running command's
+    variables exits 2, given flag or not."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    prog, command, names, given, extra = "cartansuper", None, ("help", "version"), {}, []
+
+    def fail(message: str):
+        print(f"{_help(prog, command)[0]}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+    while argv:
+        token = argv.pop(0)
+        if command is None and not _is_flag(token):
+            try:
+                command = _read(tuple(COMMANDS), token)
+            except ValueError as exc:
+                fail(f"argument command: {exc}")
+            names, prog = COMMANDS[command][1] + ("help",), f"{prog} {command}"
+            continue
+        option, eq, value = token.partition("=")
+        stem = "help" if option == "-h" else option[2:] if option[:2] == "--" else None
+        hits = [stem] if stem in names else [f for f in names if stem and f.startswith(stem)]
+        if len(hits) > 1:
+            fail(f"ambiguous option: {option} could match " + ", ".join("--" + f for f in hits))
+        if not hits:
+            extra.append(token)
+            continue
+        flag = hits[0]
+        if flag in ("help", "version"):
+            print("\n".join(_help(prog, command)) if flag == "help" else __version__)
+            raise SystemExit(EXIT_OK)
+        kind = FLAGS[flag][1]
+        if eq and kind is bool:
+            fail(f"argument --{flag}: ignored explicit argument {value!r}")
+        if not eq and kind is not bool:
+            if not argv or _is_flag(argv[0]):
+                fail(f"argument --{flag}: expected one argument")
+            value = argv.pop(0)
+        try:
+            given[flag] = True if kind is bool else _read(kind, value)
+        except ValueError as exc:
+            fail(f"argument --{flag}: {exc}")
+    if command is None:
+        fail("the following arguments are required: command")
+    if extra:
+        fail("unrecognized arguments: " + " ".join(extra))
+    found = {flag: _env(*FLAGS[flag][:3]) for flag in COMMANDS[command][1]}
+    return SimpleNamespace(command=command, **{**found, **given})
 
 
 _SLICE = 1 << 16
@@ -202,7 +249,7 @@ def _load_or_build(args) -> AlgebraModel:
                 )
         return model_from_json(text)
     if args.family is None or args.n is None:
-        raise FamilyError("missing --family/--n" + (" (or --model)" if "model" in args else ""))
+        raise FamilyError("missing --family/--n" + (" (or --model)" if hasattr(args, "model") else ""))
     return build(FamilySpec(args.family, args.n))
 
 
@@ -339,8 +386,8 @@ def run(argv: Optional[List[str]] = None) -> None:
     pointed at devnull, as `_emit` does, and the code stays.  Then
     `os._exit` ends the process without tearing the interpreter down, which
     a CLI run would pay for after its output is out.  A `SystemExit` from
-    argparse (usage errors, --help, --version) or the environment check,
-    and a KeyboardInterrupt, leave through the interpreter as usual.
+    `parse_args` (usage errors, --help, --version, a malformed environment
+    value) and a KeyboardInterrupt leave through the interpreter as usual.
     """
     code = main(argv)
     atexit._run_exitfuncs()

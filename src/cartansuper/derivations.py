@@ -331,10 +331,6 @@ class BlockSystem:
         (da, wa), (db, wb) = ca, cb
         return (A.deg_sub(da, db), tuple(map(sub, wa, wb)))
 
-    def localize(self, shift: Shift, row: Vec) -> Vec:
-        local = self.local[shift]
-        return {local[k]: c for k, c in row.items()}
-
     def lift(self, shift: Shift, row: Vec) -> Vec:
         entries = self.entries[shift]
         return {entries[k]: c for k, c in row.items()}
@@ -488,11 +484,16 @@ class BlockKernels:
     def _open_reach(self, cb: Cell) -> List[Tuple[Shift, Cell]]:
         """`BlockSystem.targets[cb]` cut to the open blocks: cut when cb is
         first met, and pruned again when a block has closed since the last
-        call for cb."""
+        call for cb.  A list with no closed block in it is kept as it is,
+        the record's own list too: `lay_out` rebinds `targets[cb]` and
+        never changes a list in place."""
+        live = self.open
         got = self._open_lists.get(cb)
-        if got is None or got[0] != len(self.open):
-            pairs = self.blocks.targets.get(cb, ()) if got is None else got[1]
-            got = self._open_lists[cb] = (len(self.open), [p for p in pairs if p[0] in self.open])
+        if got is None or got[0] != len(live):
+            pairs = self.blocks.targets.get(cb, []) if got is None else got[1]
+            if not all(shift in live for shift, _ in pairs):
+                pairs = [p for p in pairs if p[0] in live]
+            got = self._open_lists[cb] = (len(live), pairs)
         return got[1]
 
     def reduced(self) -> bool:

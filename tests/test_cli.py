@@ -757,6 +757,83 @@ def test_bad_env_value_of_the_running_commands_flag_exits_2():
     assert res.stdout == ""
 
 
+# The flags each command line parses to, or the exit code and a phrase of
+# the message (stderr on an error, stdout for help and --version); recorded
+# from the argparse front end that the flag table replaced, with no
+# CARTANSUPER_ variable set but the case's own.
+FLAG_NAMES = {"command", "family", "n", "model", "out", "format", "seed", "budget", "timings"}
+INFO = {"command": "info", "family": None, "n": None, "model": None, "out": None,
+        "format": "text", "seed": 0}
+PARSE_CASES = [
+    ((), {}, 2, "the following arguments are required: command"),
+    (("frob",), {}, 2, "argument command: invalid choice: 'frob'"),
+    (("build", "--bogus"), {}, 2, "unrecognized arguments: --bogus"),
+    (("build", "--model", "x"), {}, 2, "unrecognized arguments: --model x"),
+    (("info", "--budget", "3"), {}, 2, "unrecognized arguments: --budget 3"),
+    (("check", "--timings"), {}, 2, "unrecognized arguments: --timings"),
+    (("info", "x"), {}, 2, "unrecognized arguments: x"),
+    (("info", "--family", "X"), {}, 2, "argument --family: invalid choice: 'X'"),
+    (("info", "--format", "xml"), {}, 2, "argument --format: invalid choice: 'xml'"),
+    (("info", "--n", "four"), {}, 2, "argument --n: invalid int value: 'four'"),
+    (("certify", "--seed", "x"), {}, 2, "argument --seed: invalid int value: 'x'"),
+    (("certify", "--budget", "x"), {}, 2, "argument --budget: invalid int value: 'x'"),
+    (("certify", "--timings=1"), {}, 2, "argument --timings: ignored explicit argument '1'"),
+    (("info", "--n"), {}, 2, "argument --n: expected one argument"),
+    (("info", "--out", "--n", "4"), {}, 2, "argument --out: expected one argument"),
+    (("info", "--out", "-x"), {}, 2, "argument --out: expected one argument"),
+    (("info", "--out=-x"), {}, 0, {**INFO, "out": "-x"}),
+    (("info", "--out", "-"), {}, 0, {**INFO, "out": "-"}),
+    (("info", "--n=5"), {}, 0, {**INFO, "n": 5}),
+    (("info", "--n", "4", "--n", "5"), {}, 0, {**INFO, "n": 5}),
+    (("info", "--fam", "W"), {}, 0, {**INFO, "family": "W"}),
+    (("info", "--fo=json"), {}, 0, {**INFO, "format": "json"}),
+    (("info", "--f", "W"), {}, 2, "ambiguous option: --f could match --family, --format"),
+    (("build", "--family", "W", "--n", "-1"), {}, 2, "n must be in 1..63"),
+    (("info", "--n", "4"), {"CARTANSUPER_N": "5", "CARTANSUPER_FAMILY": "H"}, 0,
+     {**INFO, "family": "H", "n": 4}),
+    (("build",), {}, 0,
+     {"command": "build", "family": None, "n": None, "out": None, "format": "text", "seed": 0}),
+    (("certify", "--family", "H", "--n", "5", "--timings", "--budget", "9", "--seed", "3",
+      "--format", "json", "--out", "o", "--model", "m"), {}, 0,
+     {"command": "certify", "family": "H", "n": 5, "model": "m", "out": "o", "format": "json",
+      "seed": 3, "budget": 9, "timings": True}),
+    (("--help",), {}, 0, "usage: cartansuper [-h] [--version] {build,info,check,certify} ..."),
+    (("check", "--help"), {}, 0, "usage: cartansuper check [-h] [--family {W,S,Stilde,H}]"),
+    (("info", "-h"), {}, 0, "usage: cartansuper info [-h]"),
+    (("--version",), {}, 0, "0.1.0"),
+    (("--vers",), {}, 0, "0.1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, env, code, expected", PARSE_CASES, ids=[
+    " ".join(argv) + (" +env" if env else "") or "(none)" for argv, env, _, _ in PARSE_CASES
+])
+def test_command_line_parses_as_recorded(argv, env, code, expected, monkeypatch, capsys):
+    import os
+
+    from cartansuper import cli
+
+    for name in [name for name in os.environ if name.startswith("CARTANSUPER_")]:
+        monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    exited = False
+    try:
+        args = cli.parse_args(list(argv))
+        got = code if isinstance(expected, dict) else cli.main(list(argv))
+    except SystemExit as exc:
+        exited, got = True, exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if isinstance(expected, dict):
+        assert {k: v for k, v in vars(args).items() if k in FLAG_NAMES} == expected
+        assert out == err == ""
+    else:
+        assert expected in (out if code == 0 else err)
+    if exited and code == 2:  # a usage error
+        assert err.startswith("usage: cartansuper") and ": error: " in err
+
+
 def test_internal_error_names_the_exception_type(monkeypatch, capsys):
     from cartansuper import cli
 
@@ -816,6 +893,8 @@ def test_cli_import_loads_no_dataclasses(tmp_path):
     assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     for added in (imported, after_check, after_certify):
         assert not added & {"fractions", "decimal", "numbers"}
+        # the command line is read from cli's own flag table
+        assert not added & {"argparse", "gettext", "locale"}
 
 
 def test_run_writes_the_pinned_model_to_a_buffered_pipe():
@@ -856,7 +935,7 @@ cli.build = fail
      "internal error: RuntimeError: planted\n"),
     (("build", "--family", "H"), "", 2, "error: missing --family/--n\n"),
     (("certify", "--family", "H", "--n", "5", "--budget", "67"), "", 3, ""),
-    # argparse's own SystemExit leaves through the interpreter
+    # a usage error's SystemExit leaves through the interpreter
     (("build", "--bogus"), "", 2, "unrecognized arguments: --bogus"),
 ], ids=["ok", "internal-error", "input-error", "inconclusive", "usage-error"])
 def test_run_keeps_the_exit_codes(args, prelude, code, err):

@@ -532,7 +532,7 @@ def test_block_system_localize_lift_round_trip(pairs, spec):
             k: Fraction(rng.choice([-3, -1, 1, 2]))
             for k in rng.sample(entries, min(len(entries), 5))
         }
-        local = blocks.localize(shift, row)
+        local = {blocks.local[shift][k]: c for k, c in row.items()}
         assert set(local) <= set(range(len(entries)))
         assert blocks.lift(shift, local) == row
 
@@ -921,6 +921,29 @@ def test_code_keyed_layout_matches_a_walk_over_every_pair(pairs, spec):
         assert set(core.space) == (solved or set(entries)) and core.open <= set(core.space)
         for cb, pairs in blocks.targets.items():
             assert core._open_reach(cb) == [p for p in pairs if p[0] in core.open]
+
+
+@pytest.mark.parametrize("spec", [("W", 4), ("H", 5)])
+def test_open_reach_keeps_the_record_until_a_block_closes(pairs, spec):
+    # a core that never stops at ad L' opens every block: each cell's list is
+    # the record's own; a block cut down to a zero kernel closes, and the
+    # lists that held it are pruned into new lists, the record untouched
+    A, P = pairs[spec]
+    blocks = BlockSystem(A)
+    core = BlockKernels(blocks, P, stop_at_ad=False)
+    assert core.open == set(blocks.size)
+    record = dict(blocks.targets)
+    for cb, pairs_b in record.items():
+        assert core._open_reach(cb) is pairs_b
+    shift = record[next(iter(record))][0][0]
+    for i in range(blocks.size[shift]):
+        core._cut(shift, {i: 1})
+    assert shift not in core.open
+    assert blocks.targets == record
+    for cb, pairs_b in record.items():
+        got = core._open_reach(cb)
+        assert got == [p for p in pairs_b if p[0] != shift]
+        assert (got is pairs_b) == all(p[0] != shift for p in pairs_b)
 
 
 @pytest.mark.parametrize("spec", LAYOUT)

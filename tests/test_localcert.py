@@ -444,7 +444,8 @@ def per_call_constraint_rows(engine, x, shift):
                         if xb:
                             row[a * dim + b] = ka * xb
         if row:
-            rows.append(engine.blocks.localize(shift, row))
+            local = engine.blocks.local[shift]
+            rows.append({local[k]: c for k, c in row.items()})
     return rows
 
 
