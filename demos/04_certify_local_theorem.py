@@ -9,7 +9,7 @@ follows by reduction.
 
 from fractions import Fraction
 
-from cartansuper.derivations import EndMap
+from cartansuper.derivations import EndMap, ProofContext
 from cartansuper.families import build, build_lprime
 from cartansuper.localcert import (
     certify,
@@ -24,7 +24,7 @@ for family, n in [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]:
     P = build_lprime(A)
     sep = separating_t(P.ext)
     probes = proof_probes(P, sep)
-    cert = certify(P)
+    cert = certify(ProofContext(P))
     cert = certify_2local(cert)
     print(f"{family}({n}):  t = {cert.t}, proof probes = {len(probes)}, "
           f"probes consumed = {len(cert.probe_labels)}")
@@ -39,6 +39,6 @@ h1 = A.cartan_chain[0]
 print(f"   identity local at h_1? {is_local_at(ident, h1, P)}")
 
 print("\nStarving the certifier (budget 1) leaves it INCONCLUSIVE, not wrong:")
-cert = certify(P, budget=1)
+cert = certify(ProofContext(P), budget=1)
 print(f"   verdict = {cert.verdict}, residual dim = "
       f"{cert.dim_constrained - cert.dim_ad}")

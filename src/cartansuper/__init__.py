@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .derivations import (
     EndMap,
+    ProofContext,
     ad_image,
     derivation_report,
     derivation_space,
@@ -67,6 +68,7 @@ __all__ = [
     "Matrix",
     "ModelFormatError",
     "Probe",
+    "ProofContext",
     "SeparatingScalar",
     "Subspace",
     "ad_image",

@@ -44,7 +44,7 @@ from types import SimpleNamespace
 from typing import List, Optional
 
 from . import __version__
-from .derivations import derivation_report
+from .derivations import ProofContext, derivation_report
 from .families import FamilyError, FamilySpec, build, build_lprime, model_from_json
 from .families import attach_derived  # not called here; perfbench/child.py wraps cli.attach_derived
 from .liesuper import (
@@ -52,7 +52,6 @@ from .liesuper import (
     AlgebraModel,
     ModelFormatError,
     check_axioms,
-    generators,
     model_head,
     model_to_json,
 )
@@ -305,10 +304,9 @@ def cmd_info(args) -> int:
 
 def cmd_check(args) -> int:
     model = _load_or_build(args)
-    G = generators(model)
-    axioms = check_axioms(model, generating_set=G)
-    P = build_lprime(model)
-    report = derivation_report(P, G, axioms.ok)
+    ctx = ProofContext(build_lprime(model))
+    axioms = check_axioms(model, generating_set=ctx.G)
+    report = derivation_report(ctx, axioms.ok)
     ok = axioms.ok and report.lemma_der_holds and report.transitive
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(report.as_dict())
@@ -336,8 +334,7 @@ def cmd_certify(args) -> int:
         )
         return EXIT_INPUT_ERROR
     model = _load_or_build(args)
-    P = build_lprime(model)
-    cert = certify(P, budget=args.budget, seed=args.seed)
+    cert = certify(ProofContext(build_lprime(model)), budget=args.budget, seed=args.seed)
     cert = certify_2local(cert)
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(cert.as_dict(with_timing=args.timings))

@@ -31,10 +31,8 @@ needs ad L'_s inside block s of Der L: every ad(u), u in L', a
 superderivation of L.  For u in L that is the Jacobi identity on
 G x L x L, which `check_axioms` proves and the pairs (g, y) already
 assume.  For the dim L' - dim L outer elements u of L' it is
-`outer_ads_are_derivations`: L' must bracket L x L as L's own table does,
-and every Jacobi triple (u, g, y) with g in G must hold, which is ad(u)
-meeting the rows of the pair (g, y).  When that guard fails, the target
-is 0 and `blocks_equal_ad` decides.
+`outer_ads_are_derivations`.  When that guard fails, the target is 0 and
+`blocks_equal_ad` decides.
 
 `check` solves only the dominant blocks (`dominant_blocks`) once L has
 passed `check_axioms` and `outer_ads_are_derivations` holds.  Let
@@ -52,13 +50,11 @@ so b+ kills each block part of r too: take r in one block s.  For a
 root alpha with e_alpha in b+ and its sl2 triple (e, h, f), [h, e] = c e,
 ad h acts on block s by the scalar lambda_s(h) (`dominant_blocks` checks
 both on the table), and e r = 0 makes r a highest-weight vector of the
-finite-dimensional sl2-module R: c lambda_s(h) >= 0.  So a nonzero R has a nonzero part in a
-block with c lambda_s(h) >= 0 for every root, a dominant block, and
-Der_s = ad L'_s on the dominant blocks gives Der L = ad L', whose
-dimension `ad_rank` computes.  A verdict that fails on the dominant blocks
-says nothing of the rest, so `check` then runs again on every block; when
-a premise or a check of the filter fails, every block is solved from the
-start.
+finite-dimensional sl2-module R: c lambda_s(h) >= 0.  So a nonzero R has
+a nonzero part in a block with c lambda_s(h) >= 0 for every root, a
+dominant block, and Der_s = ad L'_s on the dominant blocks gives
+Der L = ad L', whose dimension `ad_rank` computes.  `ProofContext` says
+what a run does when the verdict or a premise fails.
 
 Blocks and cell pairs are named by ints (`cell_codes`, `BlockSystem`).  A
 cell (d, w) gets the code sum_p x_p base^p over x = (d, *w), and the pair
@@ -74,9 +70,8 @@ and merged there.  A `BlockSystem` learns every block's size from the
 code differences alone.  Its `lay_out` is the one walk that finds a
 block's cell pairs, and a block is laid out only when a core solves it:
 a run that solves the dominant blocks lays out those blocks only, and one
-that falls back to every block (a failed premise or filter check, or a
-run again after a failed verdict on the dominant blocks) lays out the
-rest then.
+that falls back to every block (`ProofContext.solve`) lays out the rest
+then.
 
 A reference path takes the rows of every pair, not only those of G, from
 `leibniz_rows` over a core that never stops, lifts them to flat ids and
@@ -96,8 +91,9 @@ classification of Der(L) for these families.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from operator import sub
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .families import LPrimeModel
 from .liesuper import AlgebraModel, generators, jacobi_violation
@@ -421,17 +417,17 @@ class BlockKernels:
     dimensions and the verdict.
 
     ``solved`` is the set of blocks to solve, and None means every block
-    of ``blocks``: `check` and `certify` pass the dominant blocks
-    (`dominant_blocks`, see the module docstring), `derivation_space` the
-    blocks of one parity.  The solved blocks are laid out here, in one
-    walk, and no other (`BlockSystem.lay_out`); a core built later on the
-    same ``blocks`` lays out only the blocks that are new to it.  `space`
-    holds each solved block's kernel over its local ids, the `IntKernel`
-    of the rows cut into it: a cut reduces the row fraction-free against
-    the rows kept so far and keeps what is left, so the space shrinks
-    exactly when the row is independent of them.  Rows reach it only
-    through `_cut`.  Given P, `ad_pivots` holds ad L'_s on each solved
-    block as integer echelon rows (`ad_blocks`).
+    of ``blocks``: `check` and `certify` pass the dominant blocks first
+    (`ProofContext.solve`), `derivation_space` the blocks of one parity.
+    The solved blocks are laid out here, in one walk, and no other
+    (`BlockSystem.lay_out`); a core built later on the same ``blocks``
+    lays out only the blocks that are new to it.  `space` holds each
+    solved block's kernel over its local ids, the `IntKernel` of the rows
+    cut into it: a cut reduces the row fraction-free against the rows kept
+    so far and keeps what is left, so the space shrinks exactly when the
+    row is independent of them.  Rows reach it only through `_cut`.  Given
+    P, `ad_pivots` holds ad L'_s on each solved block as integer echelon
+    rows (`ad_blocks`).
 
     A block's target t_s is dim ad L'_s with ``stop_at_ad`` and 0 without,
     and `_cut` takes the block out of `open` once its kernel has come down
@@ -784,35 +780,64 @@ def outer_ads_are_derivations(P: LPrimeModel, G: List[int]) -> bool:
     return jacobi_violation(ext, groups)[1] is None
 
 
-def derivation_report(P: LPrimeModel, G: List[int], axioms_ok: bool = False) -> DerivationReport:
-    """`check`'s comparison of Der L with ad L' in one `BlockKernels`, fed
-    the Leibniz rows of the pairs (g, y), g in G, a generating set of L
-    (`generators`).  Its blocks stop at dim ad L'_s once
-    `outer_ads_are_derivations` has shown ad L' to lie in Der L.
+class ProofContext:
+    """One model's proof objects, shared by `check` (`derivation_report`)
+    and `certify`, each built on first use and then kept: L, its
+    generating set G (`generators`), one `BlockSystem`, its dominant set
+    (`dominant_blocks`), whether `outer_ads_are_derivations` holds, and
+    dim ad L' (`ad_rank`).
 
-    With ``axioms_ok``, which says that L has passed `check_axioms`, and
-    that guard passed, only the dominant blocks are solved (see the module
-    docstring), and when the verdict holds there, dim Der L is dim ad L'
-    (`ad_rank`).  A verdict that fails there is reported from a run on
-    every block, on the same `BlockSystem`; without both premises every
-    block is solved from the start.
+    `solve` is the dominant-first policy of both checks.  A run solves the
+    dominant blocks, which stand for every block (the module docstring;
+    `localcert`'s for the local maps): a verdict that holds there holds
+    everywhere, with dimension `dim_ad`.  One that fails says nothing of
+    the rest, so the run is made again, and reported, on every block of
+    the same `BlockSystem`, whose walk lays out only the blocks the first
+    run left out.  A failed premise, or a failed check of the filter
+    (`dominant` is None), solves every block from the start.
     """
-    blocks = BlockSystem(P.base)
-    outer_ok = outer_ads_are_derivations(P, G)
-    solved = dominant_blocks(blocks) if axioms_ok and outer_ok else None
-    core = BlockKernels(blocks, P, solved, outer_ok)
-    leibniz_kernels(core, G)
-    holds = core.matches_ad()
-    if not holds and core.reduced():
-        core = BlockKernels(blocks, P, None, outer_ok)
-        leibniz_kernels(core, G)
-        holds = core.matches_ad()
+
+    def __init__(self, P: LPrimeModel):
+        self.P, self.L = P, P.base
+
+    G = cached_property(lambda self: generators(self.L))
+    blocks = cached_property(lambda self: BlockSystem(self.L))
+    dominant = cached_property(lambda self: dominant_blocks(self.blocks))
+    outer_ok = cached_property(lambda self: outer_ads_are_derivations(self.P, self.G))
+    dim_ad = cached_property(lambda self: ad_rank(self.P, self.G))
+
+    def solve(self, run: Callable[[Optional[Set[Shift]]], tuple], reduce: bool = True) -> tuple:
+        """The tuple of the run that decides.  ``run(solved)`` solves the
+        blocks of ``solved`` (None: every block) on `blocks` and returns its
+        core, whether the verdict holds, and what else it reports; without
+        ``reduce``, a premise has failed."""
+        got = run(self.dominant if reduce else None)
+        if not got[1] and got[0].reduced():
+            got = run(None)
+        return got
+
+
+def derivation_report(ctx: ProofContext, axioms_ok: bool = False) -> DerivationReport:
+    """`check`'s comparison of Der L with ad L' in one `BlockKernels`, fed
+    the Leibniz rows of the pairs (g, y), g in ``ctx.G``.  Its blocks stop
+    at dim ad L'_s once `outer_ads_are_derivations` has shown ad L' to lie
+    in Der L.  ``axioms_ok`` says that L has passed `check_axioms`; with it
+    and that guard the run is dominant-first (`ProofContext.solve`).
+    """
+    P, outer_ok = ctx.P, ctx.outer_ok
+
+    def run(solved: Optional[Set[Shift]]) -> Tuple[BlockKernels, bool]:
+        core = BlockKernels(ctx.blocks, P, solved, outer_ok)
+        leibniz_kernels(core, ctx.G)
+        return core, core.matches_ad()
+
+    core, holds = ctx.solve(run, axioms_ok and outer_ok)
     return DerivationReport(
         family=P.base.family,
         n=P.base.n,
         dim_l=P.dim_l,
         dim_lprime=P.dim_lprime,
-        dim_der=ad_rank(P, G) if core.reduced() else core.dim_space(),
+        dim_der=ctx.dim_ad if core.reduced() else core.dim_space(),
         lemma_der_holds=holds,
         transitive=transitivity_check(P),
     )

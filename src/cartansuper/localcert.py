@@ -20,14 +20,13 @@ Constraints are intersected with the bigrade block pattern of End(L), the
 runs on: a local superderivation splits into (degree, weight)-homogeneous
 components that are themselves local with witnesses in the matching slice
 of L', so the certified space may soundly be computed one shift at a time,
-and a probe only constrains the blocks its cells reach.  The engine runs
-on Python ints (`ConstraintEngine`); only the public helpers take or
-return Fractions.  The engine is `check`'s block core
-(`derivations.BlockKernels`): each block is kept as the kernel of its cut
-rows, and the verdict is `check`'s block test against ad L'.  When the
-space collapses to exactly ad L' = Der L this way, every map that is
-locally inner at all points is inner, the per-n certificate of
-LDer(L) = Der(L).  When the proof list leaves a
+and a probe only constrains the blocks its cells reach.  The engine
+(`ConstraintEngine`, on ints, with no work on a closed block or a repeated
+key) is `check`'s block core (`derivations.BlockKernels`): each block is
+kept as the kernel of its cut rows, and the verdict is `check`'s block
+test against ad L'.  When the space collapses to exactly ad L' = Der L
+this way, every map that is locally inner at all points is inner, the
+per-n certificate of LDer(L) = Der(L).  When the proof list leaves a
 residual (the weight-zero depth slice of H(odd n), whose witness no
 Cartan anchor can see), deterministic degree-0-anchored probes and then
 basis/random stages escalate, each built only when it is reached.
@@ -44,8 +43,8 @@ stage imposes, a block that reaches its target equals ad L'_s whatever
 the order, and `IntKernel.basis()` is the RREF, so even the residual
 witness of an INCONCLUSIVE run is the same.
 
-`certify` opens only the dominant blocks (`derivations.dominant_blocks`,
-whose sl2 checks on the table are what runs here).  The argument is
+`certify` runs dominant-first (`derivations.ProofContext`, whose
+`dominant_blocks` makes the sl2 checks on the table).  The argument is
 `check`'s (the `derivations` docstring) with R = Loc / ad L', Loc the
 local maps.  For u in L with ad u nilpotent, as for every u in b+ and for
 the f of each sl2 triple, g = exp(t ad u) is an automorphism of L that
@@ -61,23 +60,16 @@ constrained space, which equals ad L'_s when the run certifies, so R = 0:
 CERTIFIED on the dominant blocks is CERTIFIED, and `dim_C` and
 `dim_adLprime` are then dim ad L' (`derivations.ad_rank`).  The
 constrained space itself is not reduced this way (the probes are not
-b+-stable), so when the run on the dominant blocks ends INCONCLUSIVE,
-`certify` runs again on every block, on the first run's `BlockSystem`,
-whose layout walk then takes only the blocks the first run left out, and
-reports that run; a block that fails on its own fails in both runs, so
-the second run reaches the same stages and draws the same probes.  This
-rests on the premises that `check` proves: the Jacobi identity and
-grading additivity of L, ad L' inside Der L (`outer_ads_are_derivations`),
-and Der L = ad L' (for CERTIFIED to speak of every superderivation); and,
-as a run on every block does, on Loc_s lying in the engine's
-slice-constrained space (`ConstraintEngine`), which for a probe spread
-over several cells is the open gap of ROADMAP.md, "A local certificate
-that rests on nothing unproven".
-
-The engine skips two kinds of dead work, exactly (`ConstraintEngine`): a
-block that the core has closed at its target takes no more probes, and a
-block takes no probe whose parts in its source cells equal the last
-probe's there, which is all that its rows read.
+b+-stable), so an INCONCLUSIVE run is reported from every block; a block
+that fails on its own fails in both runs, so the second run reaches the
+same stages and draws the same probes.  This rests on the premises that
+`check` proves: the Jacobi identity and grading additivity of L, ad L'
+inside Der L (`outer_ads_are_derivations`), and Der L = ad L' (for
+CERTIFIED to speak of every superderivation); and, as a run on every
+block does, on Loc_s lying in the engine's slice-constrained space
+(`ConstraintEngine`), which for a probe spread over several cells is the
+open gap of ROADMAP.md, "A local certificate that rests on nothing
+unproven".
 
 `certify_2local` reports the 2-local verdict as the local one, by
 reduction: a 2-local map is local (take the pair (x, x)), and the local
@@ -94,11 +86,11 @@ import itertools
 import random
 import time
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .derivations import BlockKernels, BlockSystem, Cell, EndMap, Shift, ad_rank, dominant_blocks
+from .derivations import BlockKernels, BlockSystem, Cell, EndMap, ProofContext, Shift
 from .families import LPrimeModel
-from .liesuper import AlgebraModel, generators
+from .liesuper import AlgebraModel
 from .linalg import (
     IntKernel,
     IntVec,
@@ -435,10 +427,7 @@ class ConstraintEngine(BlockKernels):
 
     `add_probes` splits each probe into its cells (`split`) once and groups
     the (shift, target cell) pairs of the blocks still open in each of them
-    (each cell's list is the one `BlockSystem.lay_out` records for it,
-    `targets`, cut to the open blocks when the cell is first met, and
-    pruned lazily once a block has closed: the core's `_open_reach`, which
-    `check`'s Leibniz rows read too).
+    (the core's `_open_reach`, which `check`'s Leibniz rows read too).
     Per shift, `constraint_rows` reduces the slice orbit [L'_shift, x] on
     the value space V, the sum of the target cells, with `int_reduce`, and
     reads its annihilator off that echelon, back-reduced (`kernel_terms`):
@@ -460,19 +449,11 @@ class ConstraintEngine(BlockKernels):
     such as the full-orbit rows [L', x] at a probe spread over several
     cells (ROADMAP.md, "A local certificate that rests on nothing
     unproven"), must widen the key to all that they read.
-
-    With ``dominant``, the core solves the dominant blocks only
-    (`dominant_blocks`); without it every block, as `constrained_space`
-    needs.  Given ``blocks``, the engine runs on that layout instead of a
-    new one.
     """
 
-    def __init__(self, P: LPrimeModel, dominant: bool = False,
-                 blocks: Optional[BlockSystem] = None):
-        blocks = BlockSystem(P.base) if blocks is None else blocks
-        super().__init__(blocks, P, dominant_blocks(blocks) if dominant else None)
-        self.L = L = P.base
-        self.dim = L.dim
+    def __init__(self, blocks: BlockSystem, P: LPrimeModel, solved: Optional[Set[Shift]] = None):
+        super().__init__(blocks, P, solved)
+        self.L, self.dim = P.base, P.dim_l
         # the key of the last constraint_rows call on each open block
         self.last_key: Dict[Shift, Tuple[IntVec, ...]] = {}
         # the bigraded slices of L' and their ad matrices (column-sparse)
@@ -565,14 +546,13 @@ def constrained_space(
     """
     if not probes:
         raise ValueError("constrained_space requires at least one probe")
+    if method not in ("blocks", "reference"):
+        raise ValueError(f"unknown method {method!r}")
     probes = [Probe(p.label, int_multiple(p.vector)) for p in probes]
+    engine = ConstraintEngine(BlockSystem(P.base), P)
     if method == "blocks":
-        engine = ConstraintEngine(P)
         engine.add_probes(probes)
         return engine.blocks.subspace(engine.space)
-    if method != "reference":
-        raise ValueError(f"unknown method {method!r}")
-    engine = ConstraintEngine(P)
     dim = engine.dim
     rows: List[Vec] = []
     for probe in probes:
@@ -589,7 +569,7 @@ def constrained_space(
 
 
 def certify(
-    P: LPrimeModel,
+    ctx: ProofContext,
     budget: Optional[int] = None,
     seed: int = 0,
 ) -> Certificate:
@@ -602,33 +582,28 @@ def certify(
     built, when the earlier ones leave a gap.  Each stage is one
     `add_probes` call; stage 1 is cut to the budget and then fed in
     `visit_order`, and `probe_labels` lists every probe in the order above.
-    The engine solves the dominant blocks only; when that ends
-    INCONCLUSIVE, the stages run again on every block, and the report is
-    that run's (see the module docstring).  CERTIFIED holds given `check`'s
-    lemma Der L = ad L' for the same (family, n), which this does not
-    prove; the golden `check` reports pin it for W(3-7), S(4, 5),
-    Stilde(4, 6) and H(5-9).
+    The run is ``ctx``'s dominant-first one (`ProofContext.solve`).
+    CERTIFIED holds given `check`'s lemma Der L = ad L' for the same
+    (family, n), which this does not prove; a golden `check` report pins
+    it for every model that `FamilySpec.validate` admits.
     """
     start = time.monotonic()
-    L = P.base
+    P, L = ctx.P, ctx.L
     if budget is None:
         budget = 4 * L.dim
     sep = separating_t(P.ext)
     proof = proof_probes(P, sep)
-    engine = ConstraintEngine(P, True)
-    labels, verdict = _run_stages(P, engine, proof, budget, seed)
-    if verdict != "CERTIFIED" and engine.reduced():
-        # a residual is reported on every block, as the full run finds it,
-        # on the blocks laid out so far
-        engine = ConstraintEngine(P, False, engine.blocks)
-        labels, verdict = _run_stages(P, engine, proof, budget, seed)
+
+    def run(solved: Optional[Set[Shift]]) -> Tuple[ConstraintEngine, bool, List[str]]:
+        engine = ConstraintEngine(ctx.blocks, P, solved)
+        return (engine, *_run_stages(P, engine, proof, budget, seed))
+
+    engine, certified, labels = ctx.solve(run)
     if engine.reduced():
         # CERTIFIED on the dominant blocks: the constrained space is ad L'
-        dim_c = dim_ad = ad_rank(P, generators(L))
+        dim_c = dim_ad = ctx.dim_ad
     else:
         dim_c, dim_ad = engine.dim_space(), engine.dim_ad()
-
-    elapsed = int((time.monotonic() - start) * 1000)
     return Certificate(
         family=L.family,
         n=L.n,
@@ -636,17 +611,17 @@ def certify(
         probe_labels=labels,
         dim_constrained=dim_c,
         dim_ad=dim_ad,
-        verdict=verdict,
-        elapsed_ms=elapsed,
+        verdict="CERTIFIED" if certified else "INCONCLUSIVE",
+        elapsed_ms=int((time.monotonic() - start) * 1000),
         engine=engine,
     )
 
 
 def _run_stages(
     P: LPrimeModel, engine: ConstraintEngine, proof: List[Probe], budget: int, seed: int
-) -> Tuple[List[str], str]:
+) -> Tuple[bool, List[str]]:
     """Feed `certify`'s stages to the engine until it matches ad L' or the
-    budget is spent; the probe labels fed and the verdict."""
+    budget is spent; whether it matches, and the probe labels fed."""
     seen = {_normalize_direction(p.vector) for p in proof}
     stage1 = proof[: max(budget, 0)]
 
@@ -673,14 +648,13 @@ def _run_stages(
         lambda: fresh(itertools.islice(_random_probe_stream(P, seed), budget - len(labels))),
     )
     engine.add_probes(visit_order(stage1))
-    verdict = "CERTIFIED" if engine.matches_ad() else "INCONCLUSIVE"
+    matches = engine.matches_ad()
     for stage in escalation:
-        if verdict == "CERTIFIED" or len(labels) >= budget:
+        if matches or len(labels) >= budget:
             break
         engine.add_probes(logged(itertools.islice(stage(), budget - len(labels))))
-        if engine.matches_ad():
-            verdict = "CERTIFIED"
-    return labels, verdict
+        matches = engine.matches_ad()
+    return matches, labels
 
 
 def certify_2local(cert: Certificate) -> Certificate:

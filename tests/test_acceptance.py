@@ -14,6 +14,7 @@ import pytest
 
 from cartansuper.derivations import (
     EndMap,
+    ProofContext,
     ad_image,
     derivation_space,
     transitivity_check,
@@ -53,7 +54,7 @@ def certificates(lprimes):
     out = {}
     for spec in [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]:
         t0 = time.monotonic()
-        cert = certify(lprimes[spec])
+        cert = certify(ProofContext(lprimes[spec]))
         out[spec] = (cert, time.monotonic() - t0)
     return out
 

@@ -15,6 +15,7 @@ from cartansuper.derivations import (
     BlockKernels,
     BlockSystem,
     EndMap,
+    ProofContext,
     ad_image,
     derivation_report,
     derivation_space,
@@ -253,7 +254,7 @@ def test_transitivity_fails_with_injected_center(pairs):
 
 def test_derivation_report_payload(pairs):
     A, P = pairs[("H", 5)]
-    rep = derivation_report(P, generators(P.base))
+    rep = derivation_report(ProofContext(P))
     d = rep.as_dict()
     assert d == {
         "family": "H",
@@ -271,7 +272,7 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
     from cartansuper import linalg
 
     A, P = pairs[spec]
-    expected = derivation_report(P, generators(P.base)).as_dict()
+    expected = derivation_report(ProofContext(P)).as_dict()
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction subspace route used")
@@ -280,20 +281,19 @@ def test_derivation_report_runs_on_the_integer_blocks(pairs, spec, monkeypatch):
     monkeypatch.setattr(linalg.Echelon, "insert", refuse)
     for name in ("as_fractions", "derivation_space", "ad_image"):
         monkeypatch.setattr(derivations, name, refuse)
-    report = derivation_report(P, generators(P.base))
+    report = derivation_report(ProofContext(P))
     assert report.as_dict() == expected
     assert report.lemma_der_holds and report.dim_der == P.dim_lprime
 
 
 def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
-    # the engine is the core, check builds exactly one, and patching
-    # dominant_blocks where each caller reads it decides the blocks that
-    # both solve
+    # the engine is the core, check builds exactly one, both run on the
+    # context's one BlockSystem, and patching dominant_blocks, the one name
+    # the context reads, decides the blocks that both solve
     from cartansuper import localcert
 
     _, P = pairs[("H", 5)]
-    G = generators(P.base)
-    assert isinstance(localcert.certify(P).engine, derivations.BlockKernels)
+    assert isinstance(localcert.certify(ProofContext(P)).engine, derivations.BlockKernels)
     real = derivations.BlockKernels.__init__
     cores = []
 
@@ -301,21 +301,75 @@ def test_check_and_certify_run_on_one_block_core(pairs, monkeypatch):
         real(core, *args)
         cores.append(core)
 
-    blocks = BlockSystem(P.base)
     for reduced in (True, False):
         with monkeypatch.context() as m:
             if not reduced:
                 m.setattr(derivations, "dominant_blocks", every_block)
-                m.setattr(localcert, "dominant_blocks", every_block)
-            solved = derivations.dominant_blocks(blocks) or set(blocks.size)
-            assert (len(solved) < len(blocks.size)) == reduced
+            ctx = ProofContext(P)
+            solved = ctx.dominant or set(ctx.blocks.size)
+            assert (len(solved) < len(ctx.blocks.size)) == reduced
             m.setattr(derivations.BlockKernels, "__init__", spy)
             cores.clear()
-            assert derivation_report(P, G, True).lemma_der_holds
+            assert derivation_report(ctx, True).lemma_der_holds
             assert len(cores) == 1 and set(cores[0].space) == solved
-            cert = localcert.certify(P)
+            cert = localcert.certify(ctx)
             assert cert.verdict == "CERTIFIED" and cores[1:] == [cert.engine]
             assert set(cert.engine.space) == solved
+            assert cert.engine.reduced() == cores[0].reduced() == reduced
+            assert {core.blocks for core in cores} == {ctx.blocks}
+
+
+@pytest.mark.parametrize("refused", [False, True])
+@pytest.mark.parametrize("spec", [("H", 5), ("Stilde", 4)])
+def test_one_context_serves_the_axioms_check_and_certify(pairs, spec, refused, monkeypatch):
+    # check_axioms, derivation_report and certify on one ProofContext build
+    # one BlockSystem, one dominant set and one generating set, and give the
+    # golden reports; with the filter refusing (None), both runs solve
+    # every block of that one system
+    from cartansuper import localcert
+    from cartansuper.cli import SCHEMA_VERSION
+    from cartansuper.liesuper import check_axioms
+    from cartansuper.localcert import certify_2local
+
+    A, P = pairs[spec]
+    calls = Counter()
+
+    def counted(name, fn, answer=lambda got: got):
+        def spy(*args):
+            calls[name] += 1
+            return answer(fn(*args))
+        return spy
+
+    monkeypatch.setattr(BlockSystem, "__init__", counted("BlockSystem", BlockSystem.__init__))
+    monkeypatch.setattr(derivations, "generators", counted("generators", derivations.generators))
+    refuse = (lambda got: None) if refused else (lambda got: got)
+    monkeypatch.setattr(derivations, "dominant_blocks",
+                        counted("dominant_blocks", derivations.dominant_blocks, refuse))
+    cores = []
+    real_core = BlockKernels.__init__
+
+    def core_spy(core, *args):
+        real_core(core, *args)
+        cores.append(core)
+
+    monkeypatch.setattr(BlockKernels, "__init__", core_spy)
+    ctx = ProofContext(P)
+    axioms = check_axioms(A, generating_set=ctx.G)
+    report = derivation_report(ctx, axioms.ok)
+    cert = certify_2local(localcert.certify(ctx))
+    assert calls == {"BlockSystem": 1, "generators": 1, "dominant_blocks": 1}
+    assert not hasattr(localcert, "generators") and not hasattr(localcert, "dominant_blocks")
+    assert [core.blocks for core in cores] == [ctx.blocks, ctx.blocks] and cert.engine is cores[1]
+    solved = set(ctx.blocks.size) if refused else ctx.dominant
+    assert (len(solved) < len(ctx.blocks.size)) != refused
+    assert [set(core.space) for core in cores] == [solved, solved]
+    assert [core.reduced() for core in cores] == [not refused] * 2
+    name = f"{spec[0].lower()}{spec[1]}.json"
+    check_payload = {"schema_version": SCHEMA_VERSION, **report.as_dict(), "axioms_ok": axioms.ok,
+                     "axioms_first_violation": axioms.first_violation}
+    assert check_payload == json.loads(golden(f"check_{name}"))
+    certify_payload = {"schema_version": SCHEMA_VERSION, **cert.as_dict()}
+    assert certify_payload == json.loads(golden(f"certify_{name}"))
 
 
 @pytest.mark.parametrize("spec, dim_der", [(("H", 5), 32), (("S", 4), 50)])
@@ -328,7 +382,7 @@ def test_lemma_fails_when_lprime_is_only_l(pairs, spec, dim_der, monkeypatch):
     P = LPrimeModel(A, A, [])
     for axioms_ok in (False, True):
         solved = solved_blocks(monkeypatch)
-        report = derivation_report(P, generators(A), axioms_ok)
+        report = derivation_report(ProofContext(P), axioms_ok)
         assert not report.lemma_der_holds
         assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
         assert report.dim_lprime == A.dim < dim_der
@@ -385,7 +439,7 @@ def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch)
     bad, G = broken(P), generators(A)
     assert derivations.outer_ads_are_derivations(P, G)
     assert not derivations.outer_ads_are_derivations(bad, G)
-    report = derivation_report(bad, G)
+    report = derivation_report(ProofContext(bad))
     assert not report.lemma_der_holds
     assert report.dim_der == derivation_space(A, method="reference").dim == dim_der
     # no block stopped at dim ad L'_s: the rows read are those of the
@@ -396,8 +450,10 @@ def test_guard_failure_cuts_every_row(pairs, spec, dim_der, broken, monkeypatch)
     # with the axioms passed too: a failed guard solves every block from
     # the start, not the dominant blocks first
     for axioms_ok in (False, True):
-        assert rows_pulled(monkeypatch, lambda: derivation_report(bad, G, axioms_ok)) == every
-    assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
+        assert rows_pulled(
+            monkeypatch, lambda: derivation_report(ProofContext(bad), axioms_ok)
+        ) == every
+    assert rows_pulled(monkeypatch, lambda: derivation_report(ProofContext(P))) < every
 
 
 def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
@@ -415,7 +471,7 @@ def test_guard_failure_keeps_dim_der_exact_above_the_target(pairs):
     bad = LPrimeModel(A, ext, ["e_bb"])
     G = generators(A)
     assert not derivations.outer_ads_are_derivations(bad, G)
-    report = derivation_report(bad, G)
+    report = derivation_report(ProofContext(bad))
     assert not report.lemma_der_holds
     assert report.dim_der == 64 and report.dim_lprime == 65
 
@@ -472,7 +528,7 @@ def test_report_stops_each_block_at_its_target(pairs, spec, monkeypatch):
     A, P = pairs[spec]
     G = generators(A)
     every = sum(1 for _ in every_row(A, G))
-    assert rows_pulled(monkeypatch, lambda: derivation_report(P, G)) < every
+    assert rows_pulled(monkeypatch, lambda: derivation_report(ProofContext(P))) < every
 
 
 def test_bigrade_decompose_reconstructs(pairs):
@@ -634,9 +690,8 @@ def with_one_sign_wrong(A):
 
 def filter_reads(monkeypatch, edit):
     """Make `dominant_blocks` read the table of ``edit(A)`` in place of
-    the run's model A, in `check` and in `certify`."""
-    from cartansuper import localcert
-
+    the run's model A, in `check` and in `certify`: the patch is on the one
+    name that `ProofContext` reads."""
     real = derivations.dominant_blocks
 
     def on_copy(blocks):
@@ -645,7 +700,6 @@ def filter_reads(monkeypatch, edit):
         return real(seen)
 
     monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
-    monkeypatch.setattr(localcert, "dominant_blocks", on_copy)
 
 
 def solved_blocks(monkeypatch):
@@ -714,7 +768,9 @@ def test_reduced_der_agrees_with_every_block(pairs, spec):
     # Der L = ad L' on every block, and dim ad L' on ints is its dimension
     assert derivations.blocks_equal_ad(every, derivations.ad_blocks(P, blocks, every))
     assert derivations.ad_rank(P, G) == sum(len(kern) for kern in every.values())
-    assert derivation_report(P, G, True).as_dict() == derivation_report(P, G).as_dict()
+    assert derivation_report(ProofContext(P), True).as_dict() == (
+        derivation_report(ProofContext(P)).as_dict()
+    )
 
 
 def test_ad_rank_is_a_rank(pairs):
@@ -1034,7 +1090,7 @@ def test_fallbacks_lay_out_every_block(pairs, monkeypatch, capsys):
     # check with no passed axiom scan
     calls.clear()
     with monkeypatch.context() as m:
-        m.setattr(cli, "derivation_report", lambda P, G, ok: derivation_report(P, G))
+        m.setattr(cli, "derivation_report", lambda ctx, ok: derivation_report(ctx))
         assert run_report(capsys, "check", "H", 5) == (0, golden("check_h5.json"))
     assert by_system(calls) == [every]
     # a root whose [h, f] is not -c f

@@ -2,13 +2,15 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartansuper.derivations import derivation_report
+from cartansuper.derivations import ProofContext, derivation_report
 from cartansuper.exterior import (
+    MAX_N,
     ExtElem,
     all_monomials,
     mono_degree,
@@ -81,11 +83,40 @@ def test_h4_stays_out_because_der_l_exceeds_ad_lprime():
     with pytest.raises(FamilyError, match="H requires n > 4"):
         FamilySpec("H", 4).validate()
     A = _finish_model("H", 4, *_family_rows(FamilySpec("H", 4)))
-    G = generators(A)
-    report = derivation_report(build_lprime(A), G, check_axioms(A, generating_set=G).ok)
+    ctx = ProofContext(build_lprime(A))
+    report = derivation_report(ctx, check_axioms(A, generating_set=ctx.G).ok)
     assert not report.lemma_der_holds
     assert (report.dim_der, report.dim_lprime) == (17, 16)
     # a model file with the head of H(4) exits 2 (tests/test_cli.py, `_h4`)
+
+
+def admitted_models():
+    """Every (family, n) that `FamilySpec.validate` admits."""
+    out = []
+    for family in ("W", "S", "Stilde", "H"):
+        for n in range(1, MAX_N + 2):
+            try:
+                FamilySpec(family, n).validate()
+            except FamilyError:
+                continue
+            out.append((family, n))
+    return out
+
+
+def test_every_admitted_model_has_a_passing_check_golden():
+    # the admitted range is tied to the pinned one: a model that validate
+    # admits without a golden `check` report proving its lemma fails here
+    # (the slow tier recomputes the reports of the largest ones)
+    golden = Path(__file__).parent / "golden"
+    admitted = admitted_models()
+    assert len(admitted) == 22 and ("H", 12) in admitted and ("H", 4) not in admitted
+    for family, n in admitted:
+        path = golden / f"check_{family.lower()}{n}.json"
+        assert path.exists(), f"{family}({n}) is admitted but has no golden check report"
+        report = json.loads(path.read_text())
+        assert (report["family"], report["n"]) == (family, n)
+        assert report["axioms_ok"] is report["lemma_der_holds"] is True, (family, n)
+        assert report["dim_Der"] == report["dim_Lprime"] == FamilySpec(family, n).dim_lprime
 
 
 def test_dimension_limit_admits_the_largest_models():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartansuper import derivations, localcert
-from cartansuper.derivations import BlockSystem, EndMap, ad_image
+from cartansuper.derivations import BlockSystem, EndMap, ProofContext, ad_image
 from cartansuper.families import build, build_lprime, w_basis
 from cartansuper.liesuper import ad_matrix
 from cartansuper.linalg import (
@@ -87,10 +87,16 @@ def every_block(blocks):
 
 def block_modes(monkeypatch):
     """Yield twice: as `certify` runs, on the dominant blocks, and then
-    with every block solved, which lasts to the end of the test."""
+    with every block solved, which lasts to the end of the test.  The
+    patch is on the one name that `ProofContext` reads."""
     yield "dominant blocks"
-    monkeypatch.setattr(localcert, "dominant_blocks", every_block)
+    monkeypatch.setattr(derivations, "dominant_blocks", every_block)
     yield "every block"
+
+
+def assert_mode(cert, mode):
+    """The certificate's engine ran in ``mode`` of `block_modes`."""
+    assert cert.engine.reduced() == (mode == "dominant blocks"), mode
 
 
 # -- orbits
@@ -361,7 +367,7 @@ def test_constrained_space_is_invariant_under_probe_scaling(H5, scale):
 
 def test_engine_runs_on_ints(H5):
     _, P = H5
-    engine = certify(P).engine
+    engine = certify(ProofContext(P)).engine
     kept = [r for space in engine.space.values() for r in space.rows.values()]
     inner = [r for rows in engine.ad_pivots.values() for r in rows.values()]
     assert kept and all(type(c) is int for r in kept + inner for c in r.values())
@@ -386,7 +392,7 @@ def test_skipped_shifts_have_no_constraint_rows(model, request):
     # a block without an entry in any column of x's support gives
     # phi_shift(x) = 0, which every orbit contains
     A, P = request.getfixturevalue(model)
-    engine = ConstraintEngine(P)
+    engine = ConstraintEngine(BlockSystem(P.base), P)
     columns = {
         shift: {k % A.dim for k in entries}
         for shift, entries in engine.blocks.entries.items()
@@ -452,7 +458,7 @@ def per_call_constraint_rows(engine, x, shift):
 @pytest.mark.parametrize("family, n", DESK)
 def test_constraint_rows_span_the_per_call_rows(family, n):
     P = build_lprime(build(family, n))
-    engine = ConstraintEngine(P)
+    engine = ConstraintEngine(BlockSystem(P.base), P)
     compared = 0
     for probe in proof_probes(P, separating_t(P.ext)):
         x = int_multiple(probe.vector)
@@ -469,7 +475,7 @@ def test_constraint_rows_span_the_per_call_rows(family, n):
 
 
 def feed(P, probes):
-    engine = ConstraintEngine(P)
+    engine = ConstraintEngine(BlockSystem(P.base), P)
     engine.add_probes(probes)
     return engine
 
@@ -498,9 +504,10 @@ def test_stage1_visit_order_cannot_change_the_certificate(family, n, monkeypatch
         certs = {}
         for name, order in orders.items():
             monkeypatch.setattr(localcert, "visit_order", order)
-            certs[name] = certify(P)
+            certs[name] = certify(ProofContext(P))
         report = certs["report"]
         assert report.verdict == "CERTIFIED", mode
+        assert_mode(report, mode)
         for name in orders:
             assert_same_blocks(certs[name].engine, report.engine)
             assert certs[name].as_dict() == report.as_dict()
@@ -518,7 +525,7 @@ def test_certify_feeds_each_stage_once_and_stage1_in_visit_order(H5, monkeypatch
         real(engine, probes)
 
     monkeypatch.setattr(ConstraintEngine, "add_probes", spy)
-    cert = certify(P)
+    cert = certify(ProofContext(P))
     assert cert.verdict == "CERTIFIED"
     assert len(fed) == 2  # H(odd n) certifies in the anchored stage
     assert fed[0] == [p.label for p in visit_order(stage1)] != [p.label for p in stage1]
@@ -531,7 +538,7 @@ def test_certify_truncates_stage1_to_the_budget_before_reordering(H5, budget):
     _, P = H5
     stage1 = proof_probes(P, separating_t(P.ext))
     assert budget < len(stage1)
-    cert = certify(P, budget=budget)
+    cert = certify(ProofContext(P), budget=budget)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.probe_labels == [p.label for p in stage1[:budget]]
     assert_same_blocks(cert.engine, feed(P, stage1[:budget]))
@@ -559,7 +566,7 @@ def test_escalation_draws_each_stage_within_the_budget(W4, budget, monkeypatch):
     push(anchored_probes(P))
     push(basis_probes(P))
     push(random_probes(P, max(0, limit - len(labels)), seed=3))
-    cert = certify(P, budget=budget, seed=3)
+    cert = certify(ProofContext(P), budget=budget, seed=3)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.probe_labels == labels[:limit]
     stages = {l.split("[")[0] for l in cert.probe_labels}
@@ -576,14 +583,14 @@ def test_certify_all_families_at_desk_scale():
     for spec in [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)]:
         A = build(*spec)
         P = build_lprime(A)
-        cert = certify(P)
+        cert = certify(ProofContext(P))
         assert cert.verdict == "CERTIFIED", spec
         assert cert.dim_constrained == cert.dim_ad == P.dim_lprime
 
 
 def test_certify_insufficient_budget_is_inconclusive(W4):
     _, P = W4
-    cert = certify(P, budget=1)
+    cert = certify(ProofContext(P), budget=1)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.dim_constrained > cert.dim_ad
     assert len(cert.probe_labels) == 1
@@ -592,7 +599,7 @@ def test_certify_insufficient_budget_is_inconclusive(W4):
 @pytest.mark.parametrize("budget", [0, -3])
 def test_certify_without_budget_feeds_no_probe(W4, budget):
     _, P = W4
-    cert = certify(P, budget=budget)
+    cert = certify(ProofContext(P), budget=budget)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.probe_labels == []
     assert cert.dim_constrained == sum(cert.engine.blocks.size.values())
@@ -600,13 +607,13 @@ def test_certify_without_budget_feeds_no_probe(W4, budget):
 
 def test_certified_w4_uses_proof_probes_only(W4):
     _, P = W4
-    cert = certify(P)
+    cert = certify(ProofContext(P))
     assert not any(l.startswith(("basis[", "rand[", "deg0sum")) for l in cert.probe_labels)
 
 
 def test_h5_needs_the_anchored_stage(H5):
     _, P = H5
-    cert = certify(P)
+    cert = certify(ProofContext(P))
     assert cert.verdict == "CERTIFIED"
     assert any(l.startswith("deg0sum") for l in cert.probe_labels)
     # and the anchored stage is genuinely load-bearing: without it the
@@ -624,7 +631,7 @@ def test_certify_2local_reduction(W4, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certify_2local checked a pair or drew a random number")
 
-    cert = certify(P)
+    cert = certify(ProofContext(P))
     monkeypatch.setattr(localcert, "is_2local_at", refuse)
     monkeypatch.setattr(localcert.random, "Random", refuse)
     assert certify_2local(cert) is cert
@@ -634,7 +641,7 @@ def test_certify_2local_reduction(W4, monkeypatch):
 
 def test_certify_2local_inconclusive_passthrough(W4):
     _, P = W4
-    cert = certify_2local(certify(P, budget=1))
+    cert = certify_2local(certify(ProofContext(P), budget=1))
     assert cert.twolocal_verdict == cert.verdict == "INCONCLUSIVE"
 
 
@@ -717,8 +724,8 @@ class AllRowsEngine(ConstraintEngine):
     RREFs over Q: the oracle for the blocks kept as `IntKernel`s and for
     `matches_ad`."""
 
-    def __init__(self, P, dominant=False, blocks=None):
-        super().__init__(P, dominant, blocks)
+    def __init__(self, blocks, P, solved=None):
+        super().__init__(blocks, P, solved)
         self.space = {shift: AllRowsSpace(space.ncols) for shift, space in self.space.items()}
 
     def matches_ad(self):
@@ -732,7 +739,7 @@ class AllRowsEngine(ConstraintEngine):
 def certify_with(engine_class, P, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(localcert, "ConstraintEngine", engine_class)
-        cert = certify(P, **kwargs)
+        cert = certify(ProofContext(P), **kwargs)
     assert type(cert.engine) is engine_class
     return cert
 
@@ -752,16 +759,18 @@ def assert_same_spaces(fast, slow, shifts=None):
 def test_indexed_cut_equals_all_rows_cut(family, n, monkeypatch):
     P = build_lprime(build(family, n))
     for mode in block_modes(monkeypatch):
-        fast = certify(P)
+        fast = certify(ProofContext(P))
         slow = certify_with(AllRowsEngine, P, monkeypatch)
         assert fast.verdict == slow.verdict == "CERTIFIED", mode
+        assert_mode(fast, mode)
+        assert_mode(slow, mode)
         assert fast.probe_labels == slow.probe_labels
         assert_same_spaces(fast.engine, slow.engine)
 
 
 def test_indexed_cut_equals_all_rows_cut_on_open_blocks(H5, monkeypatch):
     _, P = H5
-    fast = certify(P, budget=67)
+    fast = certify(ProofContext(P), budget=67)
     slow = certify_with(AllRowsEngine, P, monkeypatch, budget=67)
     assert fast.verdict == slow.verdict == "INCONCLUSIVE"
     assert fast.dim_constrained == slow.dim_constrained > fast.dim_ad
@@ -772,7 +781,7 @@ def test_matches_ad_checks_containment_not_only_dimension(H5):
     # a block cut down to the dimension of ad L'_s by rows that do not
     # vanish on ad L'_s has the right size but is another subspace
     _, P = H5
-    engine = certify(P).engine
+    engine = certify(ProofContext(P)).engine
     assert engine.matches_ad()
     shift = next(s for s, rows in engine.ad_pivots.items() if rows)
     target = list(engine.ad_pivots[shift].values())
@@ -798,7 +807,7 @@ def small_block(engine):
 @given(data=st.data())
 def test_random_functionals_cut_alike(H5, data):
     _, P = H5
-    fast, slow = ConstraintEngine(P), AllRowsEngine(P)
+    fast, slow = ConstraintEngine(BlockSystem(P.base), P), AllRowsEngine(BlockSystem(P.base), P)
     shift = small_block(fast)
     size = len(fast.space[shift])
     assert size == 24 and fast.ad_pivots[shift]
@@ -818,8 +827,8 @@ class CountingEngine(ConstraintEngine):
     """The engine, recording the shift of each `constraint_rows` call and
     counting the cuts that shrink a block."""
 
-    def __init__(self, P, dominant=False, blocks=None):
-        super().__init__(P, dominant, blocks)
+    def __init__(self, blocks, P, solved=None):
+        super().__init__(blocks, P, solved)
         self.calls = []
         self.effective = 0
 
@@ -870,8 +879,12 @@ def test_skips_keep_the_rows_of_every_probe_on_every_block(family, n):
     # on every block, and on the dominant blocks as `certify` opens them
     P = build_lprime(build(family, n))
     stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
-    for dominant in (False, True):
-        fast, slow = CountingEngine(P, dominant), EveryProbeEngine(P, dominant)
+    ctx = ProofContext(P)
+    assert ctx.dominant is not None and len(ctx.dominant) < len(ctx.blocks.size)
+    for solved in (None, ctx.dominant):
+        fast = CountingEngine(ctx.blocks, P, solved)
+        slow = EveryProbeEngine(ctx.blocks, P, solved)
+        assert set(fast.space) == set(slow.space) == (solved or set(ctx.blocks.size))
         fast.add_probes(stage1)
         slow.add_probes(stage1)
         assert_same_rows(fast, slow)
@@ -902,7 +915,7 @@ def reached(engine, cell):
 
 def test_repeated_probe_makes_no_call(H5):
     A, P = H5
-    engine = CountingEngine(P)
+    engine = CountingEngine(BlockSystem(P.base), P)
     x = depth_probe(A, next(b for b in range(A.dim) if A.degree[b] == 0))
     engine.add_probes([x])
     assert engine.calls
@@ -914,7 +927,7 @@ def test_repeated_probe_makes_no_call(H5):
 
 def test_key_reads_only_the_source_cells(H5):
     A, P = H5
-    engine = CountingEngine(P)
+    engine = CountingEngine(BlockSystem(P.base), P)
     b1 = next(b for b in range(A.dim) if A.degree[b] == 0)
     b2 = next(b for b in range(A.dim) if A.degree[b] == 1)
     c1, c2 = A.cell_of(b1), A.cell_of(b2)
@@ -945,7 +958,7 @@ def test_key_reads_only_the_source_cells(H5):
 
 def test_closed_blocks_get_no_call(H5):
     A, P = H5
-    engine = CountingEngine(P)
+    engine = CountingEngine(BlockSystem(P.base), P)
     stage1 = visit_order(proof_probes(P, separating_t(P.ext)))
     engine.add_probes(stage1)
     closed = set(engine.space) - engine.open
@@ -963,13 +976,13 @@ def test_closed_blocks_get_no_call(H5):
 
 def test_memo_holds_one_key_per_open_block(H5):
     _, P = H5
-    engine = ConstraintEngine(P)
+    engine = ConstraintEngine(BlockSystem(P.base), P)
     engine.add_probes(visit_order(proof_probes(P, separating_t(P.ext))))
     assert engine.last_key and set(engine.last_key) <= engine.open
     for key in engine.last_key.values():
         assert type(key) is tuple and key
         assert all(type(part) is dict and part for part in key)
-    assert certify(P).engine.last_key == {}
+    assert certify(ProofContext(P)).engine.last_key == {}
 
 
 # -- the integer 2-local check against the Fraction system
@@ -1035,8 +1048,8 @@ STRETCH = [
 
 def certify_every_block(P, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(localcert, "dominant_blocks", every_block)
-        cert = certify(P, **kwargs)
+        m.setattr(derivations, "dominant_blocks", every_block)
+        cert = certify(ProofContext(P), **kwargs)
     assert not cert.engine.reduced()
     return cert
 
@@ -1045,7 +1058,7 @@ def certify_every_block(P, monkeypatch, **kwargs):
 def test_certify_on_representatives_agrees_with_every_block(family, n, monkeypatch):
     # the dominant blocks stand for every block
     P = build_lprime(build(family, n))
-    reduced = certify(P)
+    reduced = certify(ProofContext(P))
     every = certify_every_block(P, monkeypatch)
     assert reduced.verdict == "CERTIFIED"
     assert reduced.as_dict() == every.as_dict()
@@ -1068,7 +1081,7 @@ def test_reduced_inconclusive_reports_what_the_full_run_reports(H5, monkeypatch)
 
     with monkeypatch.context() as m:
         m.setattr(ConstraintEngine, "__init__", spy)
-        cert = certify(P, budget=67)
+        cert = certify(ProofContext(P), budget=67)
     # the run on the dominant blocks, then the rerun on every block
     assert [len(e.space) for e in engines] == [36, len(engines[0].blocks.size)]
     assert cert.engine is engines[1]
@@ -1098,8 +1111,9 @@ def test_certify_solves_every_block_when_a_root_is_refused(H5, monkeypatch):
         return real(seen)
 
     assert on_copy(BlockSystem(A)) is None
-    monkeypatch.setattr(localcert, "dominant_blocks", on_copy)
-    cert = certify(P)
+    monkeypatch.setattr(derivations, "dominant_blocks", on_copy)
+    cert = certify(ProofContext(P))
+    assert not cert.engine.reduced()
     assert len(cert.engine.space) == len(cert.engine.blocks.size)
     assert cert.verdict == "CERTIFIED"
     assert cert.as_dict() == certify_every_block(P, monkeypatch).as_dict()

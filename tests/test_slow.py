@@ -1,7 +1,7 @@
 """Far tier: `build`, `check` and `certify` end to end on the largest models.
 
-Together they take about half a minute on a 2-core machine and are
-deselected by default; run them with
+Together they take about two and a half minutes on a 2-core machine,
+`check` on H(12) most of it, and are deselected by default; run them with
 
     PYTHONPATH=src python -m pytest -m slow
 """
@@ -49,6 +49,19 @@ def test_check_far_models(family, n, dim):
     assert payload["axioms_ok"] is True
     assert payload["lemma_der_holds"] is True
     assert payload["dim_Der"] == payload["dim_Lprime"] == dim
+    assert out == (GOLDEN / f"check_{family.lower()}{n}.json").read_text()
+
+
+# the rest of the admitted range, each report recomputed and compared with
+# its golden byte for byte; on a 2-core machine S(6) and S(7) take under
+# 2 s each, H(10), Stilde(8), S(8) and W(8) 4-7 s, H(11) about 17 s, and
+# H(12) about 76 s at a peak of about 650 MB
+@pytest.mark.parametrize("family, n", [
+    ("S", 6), ("S", 7), ("H", 10), ("Stilde", 8), ("S", 8), ("W", 8), ("H", 11), ("H", 12),
+])
+def test_check_pins_the_admitted_range(family, n):
+    rc, out = check_json(family, n)
+    assert rc == 0
     assert out == (GOLDEN / f"check_{family.lower()}{n}.json").read_text()
 
 
