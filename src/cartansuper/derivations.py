@@ -158,14 +158,6 @@ class EndMap:
                 vec_axpy_inplace(out, c, col)
         return out
 
-    def to_flat(self) -> Vec:
-        dim = self.dim
-        out: Vec = {}
-        for b, col in self.cols.items():
-            for a, c in col.items():
-                out[a * dim + b] = c
-        return out
-
     def infer_parity(self, A: AlgebraModel) -> Optional[int]:
         """Definite Z_2-shift of the map on A's basis, or None when mixed."""
         shifts = set()

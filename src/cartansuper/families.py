@@ -101,7 +101,8 @@ from .liesuper import (
 )
 from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
 
-# the largest dim L a spec may have; W(7), dim 896, is the largest model run
+# the largest dim L a spec may have; the slow tier runs the largest admitted
+# model, H(12), dim 4,094
 MAX_DIM = 4096
 
 

@@ -38,13 +38,10 @@ import json
 import random
 import re
 from os.path import commonprefix
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .exterior import mono_str
 from .linalg import IntKernel, IntVec, Matrix, Vec, vec_axpy_inplace
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 WeightVec = Tuple[int, ...]
 
@@ -94,9 +91,10 @@ class GradingElement(NamedTuple):
 
 
 class Combo(NamedTuple):
-    """A rational combination of monomial vector fields (kernel-basis rows)."""
+    """An integer combination of monomial vector fields (a basis row of S or
+    Stilde that is not a single field; `families` builds them on ints)."""
 
-    terms: Tuple[Tuple[Fraction, int, int], ...]  # (coeff, mono, j)
+    terms: Tuple[Tuple[int, int, int], ...]  # (coeff, mono, j)
 
     def __str__(self) -> str:
         return " + ".join(

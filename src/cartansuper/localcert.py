@@ -3,8 +3,8 @@
 A local superderivation agrees at every single point with some inner map
 ad(u), u in L' (the witness may vary per point).  At a fixed point x that is
 one linear condition on a map phi: phi(x) must lie in the orbit [L', x].
-The certifier imposes that condition at a finite probe list replayed from
-the vanishing argument of the underlying proof:
+The certifier imposes a per-shift form of it, the slice condition below,
+at a finite probe list replayed from the vanishing argument of the proof:
 
 * h_0 = sum_i t^i h_i with t an integer separating scalar (chosen so that
   sum_i t^i c_i != 0 for every realized nonzero weight vector c; an exact
@@ -18,20 +18,24 @@ the vanishing argument of the underlying proof:
 Constraints are intersected with the bigrade block pattern of End(L), the
 :class:`~cartansuper.derivations.BlockSystem` that the Leibniz solver also
 runs on: a local superderivation splits into (degree, weight)-homogeneous
-components that are themselves local with witnesses in the matching slice
-of L', so the certified space may soundly be computed one shift at a time,
-and a probe only constrains the blocks its cells reach.  The engine
-(`ConstraintEngine`, on ints, with no work on a closed block or a repeated
-key) is `check`'s block core (`derivations.BlockKernels`): each block is
-kept as the kernel of its cut rows, and the verdict is `check`'s block
-test against ad L'.  When the space collapses to exactly ad L' = Der L
-this way, every map that is locally inner at all points is inner, the
-per-n certificate of LDer(L) = Der(L).  When the proof list leaves a
-residual (the weight-zero depth slice of H(odd n), whose witness no
-Cartan anchor can see), deterministic degree-0-anchored probes and then
-basis/random stages escalate, each built only when it is reached.
-INCONCLUSIVE only means this probe budget did not collapse the space; it
-never claims the theorem fails.
+components that are themselves local, and the engine imposes on each the
+slice condition phi_s(x) in [L'_s, x], one shift at a time, so a probe
+only constrains the blocks its cells reach.  The slice condition is
+proven only at a probe inside one cell (see `ConstraintEngine`); at a
+probe spread over several cells it is the open gap of ROADMAP.md, "A
+local certificate that rests on nothing unproven", and CERTIFIED rests on
+it.  The engine (`ConstraintEngine`, on ints, with no work on a closed
+block or a repeated key) is `check`'s block core
+(`derivations.BlockKernels`): each block is kept as the kernel of its cut
+rows, and the verdict is `check`'s block test against ad L'.  When the
+space collapses to exactly ad L' = Der L this way, every map that is
+locally inner at all points is inner, the per-n certificate of
+LDer(L) = Der(L).  When the proof list leaves a residual (the
+weight-zero depth slice of H(odd n), whose witness no Cartan anchor can
+see), deterministic degree-0-anchored probes and then seeded random
+probes escalate, each stage built only when it is reached.  INCONCLUSIVE
+only means this probe budget did not collapse the space; it never claims
+the theorem fails.
 
 `certify` cuts the proof list to the budget and then feeds it to the
 engine with its x+dsum probes first (`visit_order`): they make nearly all
@@ -66,10 +70,8 @@ same stages and draws the same probes.  This rests on the premises that
 `check` proves: the Jacobi identity and grading additivity of L, ad L'
 inside Der L (`outer_ads_are_derivations`), and Der L = ad L' (for
 CERTIFIED to speak of every superderivation); and, as a run on every
-block does, on Loc_s lying in the engine's slice-constrained space
-(`ConstraintEngine`), which for a probe spread over several cells is the
-open gap of ROADMAP.md, "A local certificate that rests on nothing
-unproven".
+block does, on the slice condition at probes spread over several cells,
+the open gap named above.
 
 `certify_2local` reports the 2-local verdict as the local one, by
 reduction: a 2-local map is local (take the pair (x, x)), and the local
@@ -82,11 +84,10 @@ helper checked by the tests; the certifier does not call it.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .derivations import BlockKernels, BlockSystem, Cell, EndMap, ProofContext, Shift
 from .families import LPrimeModel
@@ -361,35 +362,27 @@ def anchored_probes(P: LPrimeModel) -> List[Probe]:
     ]
 
 
-def basis_probes(P: LPrimeModel) -> List[Probe]:
-    return [Probe(f"basis[{b}]", {b: 1}) for b in range(P.dim_l)]
-
-
 def random_probes(P: LPrimeModel, count: int, seed: int) -> List[Probe]:
-    """Seeded sparse random elements with small integer coefficients.
+    """Seeded sparse random elements with small integer coefficients: the
+    last stage of `certify`, which no model that `FamilySpec.validate`
+    admits reaches.
 
+    Each probe is drawn from one `random.Random(seed)` in turn, so the
+    first count probes of a longer list with the same seed are these.
     Deliberately not restricted to a single bigrade cell: cell-homogeneous
-    probes constrain one column group at a time and provably cannot couple
-    the degree bands of the weight-zero depth slice, so the escalation stage
-    mixes cells.
+    probes constrain one column group at a time and cannot couple the
+    degree bands of the weight-zero depth slice, so the stage mixes cells.
     """
-    return list(itertools.islice(_random_probe_stream(P, seed), count))
-
-
-def _random_probe_stream(P: LPrimeModel, seed: int) -> Iterator[Probe]:
-    """`random_probes` without an end: the first count items are theirs."""
     rng = random.Random(seed)
     dim = P.base.dim
-    for j in itertools.count():
-        while True:
-            v = {
-                rng.randrange(dim): rng.randint(-3, 3)
-                for _ in range(rng.randint(2, 6))
-            }
+    probes: List[Probe] = []
+    for j in range(count):
+        v: IntVec = {}
+        while not v:
+            v = {rng.randrange(dim): rng.randint(-3, 3) for _ in range(rng.randint(2, 6))}
             v = {b: c for b, c in v.items() if c}
-            if v:
-                break
-        yield Probe(f"rand[{j}]", v)
+        probes.append(Probe(f"rand[{j}]", v))
+    return probes
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +396,21 @@ class ConstraintEngine(BlockKernels):
     engine adds the probe work: `split`, the last-key skip and
     `constraint_rows`.
 
-    A shift-homogeneous local component admits witnesses inside the single
-    bigraded slice of L' matching its shift (the decomposition lemma: write
-    the witness at x as the sum of its bigraded pieces; the (d, a)-piece
-    witnesses the (d, a)-component of the map).  The sound per-shift
-    constraint at a probe x is therefore membership in the slice orbit
+    The constraint at a probe x on a shift's block is membership in the
+    slice orbit
 
         phi_shift(x)  in  [L'_shift, x],
 
     which is far tighter than the full orbit and is what lets the finite
     probe list collapse each block onto ad(L'_shift).  ad L'_shift meets
-    it at every x, so it lies in the constrained block.
+    it at every x, so it lies in the constrained block.  Locality gives
+    only phi_shift(x) in [L', x].  At a probe x inside one cell c the two
+    agree: [L', x] is the direct sum of the [L'_s', x], each in its own
+    cell c + s', and phi_shift(x) lies in cell c + shift.  At a probe spread
+    over several cells the other slices of a witness also land in the
+    target cells, so the slice condition can drop a local map; it is not
+    proven there, and that is the open gap of ROADMAP.md, "A local
+    certificate that rests on nothing unproven".
 
     Everything runs on Python ints: probes are integer vectors (the orbit
     condition is invariant under scaling the probe, so `constrained_space`
@@ -576,12 +573,12 @@ def certify(
     """Run the probe pipeline and compare the constrained space with ad L'.
 
     Probe order: proof probes, then the degree-0-anchored completions, then
-    the remaining basis vectors of L, then seeded sparse random elements,
-    all capped at the budget (default 4 * dim L).  CERTIFIED means the two
-    spaces agree exactly; the escalation stages only run, and are only
-    built, when the earlier ones leave a gap.  Each stage is one
-    `add_probes` call; stage 1 is cut to the budget and then fed in
-    `visit_order`, and `probe_labels` lists every probe in the order above.
+    seeded sparse random elements, all capped at the budget (default
+    4 * dim L).  CERTIFIED means the two spaces agree exactly; the
+    escalation stages only run, and are only built, when the earlier ones
+    leave a gap (`_run_stages`).  Each stage is one `add_probes` call;
+    stage 1 is cut to the budget and then fed in `visit_order`, and
+    `probe_labels` lists every probe in the order above.
     The run is ``ctx``'s dominant-first one (`ProofContext.solve`).
     CERTIFIED holds given `check`'s lemma Der L = ad L' for the same
     (family, n), which this does not prove; a golden `check` report pins
@@ -621,38 +618,32 @@ def _run_stages(
     P: LPrimeModel, engine: ConstraintEngine, proof: List[Probe], budget: int, seed: int
 ) -> Tuple[bool, List[str]]:
     """Feed `certify`'s stages to the engine until it matches ad L' or the
-    budget is spent; whether it matches, and the probe labels fed."""
-    seen = {_normalize_direction(p.vector) for p in proof}
-    stage1 = proof[: max(budget, 0)]
+    budget is spent; whether it matches, and the probe labels fed.
 
-    def fresh(batch: Iterable[Probe]) -> Iterator[Probe]:
-        for p in batch:
+    Stage 1 is the proof list cut to the budget, fed in `visit_order`.
+    Each later stage is built only when it is reached, and keeps, up to the
+    budget, every probe whose direction no earlier probe has; the random
+    stage draws as many probes as the budget has left, so its repeats are
+    dropped after the draw.
+    """
+    stage1 = proof[: max(budget, 0)]
+    seen = {_normalize_direction(p.vector) for p in stage1}
+    labels = [p.label for p in stage1]
+    engine.add_probes(visit_order(stage1))
+    matches = engine.matches_ad()
+    for stage in (anchored_probes, lambda P: random_probes(P, budget - len(labels), seed)):
+        if matches or len(labels) >= budget:
+            break
+        batch: List[Probe] = []
+        for p in stage(P):
+            if len(labels) == budget:
+                break
             key = _normalize_direction(p.vector)
             if key not in seen:
                 seen.add(key)
-                yield p
-
-    labels = [p.label for p in stage1]
-
-    def logged(batch: Iterable[Probe]) -> Iterator[Probe]:
-        for p in batch:
-            labels.append(p.label)
-            yield p
-
-    # each escalation stage is built only when the loop reaches it, and at
-    # most the probes the budget has left are drawn from it; the random
-    # stage draws that many before the repeats are dropped
-    escalation = (
-        lambda: fresh(anchored_probes(P)),
-        lambda: fresh(basis_probes(P)),
-        lambda: fresh(itertools.islice(_random_probe_stream(P, seed), budget - len(labels))),
-    )
-    engine.add_probes(visit_order(stage1))
-    matches = engine.matches_ad()
-    for stage in escalation:
-        if matches or len(labels) >= budget:
-            break
-        engine.add_probes(logged(itertools.islice(stage(), budget - len(labels))))
+                batch.append(p)
+                labels.append(p.label)
+        engine.add_probes(batch)
         matches = engine.matches_ad()
     return matches, labels
 

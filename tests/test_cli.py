@@ -640,14 +640,15 @@ def test_closed_stdout_is_not_an_error(args, head):
     # writes nothing to stderr, with a buffered stdout (whose rest `run`
     # flushes at exit) and with an unbuffered one
     for unbuffered in (None, "1"):
-        proc = subprocess.Popen(
+        # leaving the with block closes stderr and waits for the process
+        with subprocess.Popen(
             [sys.executable, "-m", PKG, *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=entry_env(unbuffered),
-        )
-        assert proc.stdout.read(len(head)) == head, unbuffered
-        proc.stdout.close()
-        assert proc.stderr.read() == b"", unbuffered
-        assert proc.wait(timeout=300) == 0, unbuffered
+        ) as proc:
+            assert proc.stdout.read(len(head)) == head, unbuffered
+            proc.stdout.close()
+            assert proc.stderr.read() == b"", unbuffered
+            assert proc.wait(timeout=300) == 0, unbuffered
 
 
 # the desk models and H(7), each golden the stdout that

@@ -553,8 +553,9 @@ def test_bigrade_decompose_reconstructs(pairs):
                 db, wb = A.cell_of(b)
                 cells.add((A.deg_sub(da, db), tuple(x - y for x, y in zip(wa, wb))))
         assert cells == {shift}
-        for k, c in comp.to_flat().items():
-            total[k] = total.get(k, Fraction(0)) + c
+        for b, col in comp.cols.items():
+            for a, c in col.items():
+                total[a * A.dim + b] = total.get(a * A.dim + b, Fraction(0)) + c
     assert {k: c for k, c in total.items() if c} == flat
 
 

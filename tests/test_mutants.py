@@ -71,6 +71,53 @@ MUTANTS = {
         ["tests/test_families.py::test_family_spec_rejections",
          "tests/test_families.py::test_every_admitted_model_has_a_passing_check_golden"],
     ),
+    # an escalation stage keeps probes whose direction an earlier probe has
+    "escalation-keeps-repeats": (
+        "localcert.py",
+        "            if key not in seen:\n",
+        "            if True:\n",
+        ["tests/test_localcert.py::test_escalation_draws_each_stage_within_the_budget"],
+    ),
+    # an escalation stage feeds one probe past the budget
+    "escalation-budget-off-by-one": (
+        "localcert.py",
+        "            if len(labels) == budget:\n",
+        "            if len(labels) == budget + 1:\n",
+        ["tests/test_localcert.py::test_escalation_draws_each_stage_within_the_budget",
+         "tests/test_cli.py::test_golden_inconclusive_certify_report"],
+    ),
+    # [j, i] = +[i, j] when either row is odd, not only when both are
+    "mirror-sign-or": (
+        "families.py",
+        "            if not (parity[i] and parity[j]):\n",
+        "            if not (parity[i] or parity[j]):\n",
+        ["tests/test_families.py::test_table_is_closed_under_swap_with_the_super_sign",
+         "tests/test_liesuper.py::test_check_axioms_passes"],
+    ),
+    # the Jacobi scan drops the triples (g, j, j) for an odd j
+    "jacobi-scan-drops-odd-self-pairs": (
+        "liesuper.py",
+        "(i, j, range(j + 1 - parity[j], dim))",
+        "(i, j, range(j + 1, dim))",
+        ["tests/test_liesuper.py::test_halved_scan_catches_odd_self_bracket_faults",
+         "tests/test_liesuper.py::test_odd_self_bracket_fault_seen_only_at_y_y_y"],
+    ),
+    # a block equals ad L'_s when the dimensions agree, contained or not
+    "blocks-equal-ad-by-dimension": (
+        "derivations.py",
+        "    return not any(\n        vec_dot(row, ad_row)",
+        "    return True or any(\n        vec_dot(row, ad_row)",
+        ["tests/test_localcert.py::test_matches_ad_checks_containment_not_only_dimension",
+         "tests/test_derivations.py::test_guard_failure_cuts_every_row"],
+    ),
+    # separating_t returns t = 2 without checking any weight
+    "separating-t-first-t": (
+        "localcert.py",
+        "        if all(values):\n",
+        "        if True:\n",
+        ["tests/test_localcert.py::test_separating_t_s4_needs_three",
+         "tests/test_cli.py::test_golden_certify_report"],
+    ),
 }
 
 
