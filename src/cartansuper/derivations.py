@@ -261,8 +261,6 @@ class BlockSystem:
                     count[diff] = na * nb
                     source[diff] = code_b
         self._cell_at = cell_at = dict(zip(codes, self.cells))
-        # each code difference's block, as the block's own key
-        named: Dict[int, Shift] = {}
         self.size: Dict[Shift, int] = {}
         self.pair: Dict[Shift, Tuple[int, int]] = {}
         # the code differences that name each block
@@ -270,11 +268,7 @@ class BlockSystem:
         for diff, n in count.items():
             code_b = source[diff]
             shift = self.cell_shift(A, cell_at[code_b + diff], cell_at[code_b])
-            diffs = self._diffs.setdefault(shift, [])
-            if diffs:
-                shift = named[diffs[0]]  # the block's own key
-            diffs.append(diff)
-            named[diff] = shift
+            self._diffs.setdefault(shift, []).append(diff)
             self.size[shift] = self.size.get(shift, 0) + n
             self.pair.setdefault(shift, (code_b + diff, code_b))
         self.entries: Dict[Shift, List[int]] = {}

@@ -24,9 +24,9 @@ Axioms checked by :func:`check_axioms`:
 Jacobi can be proved on a generating set: :func:`generators` picks basis
 elements whose closure under their own adjoint maps is all of L, taking
 candidates lowest degree first, then from the highest degree down.  Once the
-pair scan has passed, the proving scans test only half of the (y, z):
-y < z, and y = z for an odd y (see :func:`check_axioms`).  One kernel,
-:func:`jacobi_violation`, serves the proving scans, the sampled one and
+pair scan has passed, the scans test only half of the (y, z): y < z,
+and y = z for an odd y (see :func:`check_axioms`).  One kernel,
+:func:`jacobi_violation`, serves the generator scan, the full scan and
 `derivations.outer_ads_are_derivations`.  For each (x, y) it visits only
 the z at which a term of J(x, y, z) can be nonzero, reached through the
 table's entries; at every other z all three terms are zero.
@@ -35,7 +35,6 @@ table's entries; at every other z all three terms are zero.
 from __future__ import annotations
 
 import json
-import random
 import re
 from os.path import commonprefix
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -186,7 +185,10 @@ class AlgebraModel:
         return self.table.get((i, j), {})
 
     def bracket(self, a: Vec, b: Vec) -> Vec:
-        """Bilinear extension of the bracket table."""
+        """Bilinear extension of the bracket table, the one bracket of
+        vectors: a `Vec` with no zero coefficient.  A table entry's stored 0
+        is no term, and `vec_axpy_inplace` keeps one it meets first, so the
+        zeros are dropped here, on the rare call that has one."""
         out: Vec = {}
         table = self.table
         for i, ca in a.items():
@@ -194,7 +196,7 @@ class AlgebraModel:
                 w = table.get((i, j))
                 if w:
                     vec_axpy_inplace(out, ca * cb, w)
-        return out
+        return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 
     def __repr__(self) -> str:
         return f"AlgebraModel({self.family}({self.n}), dim={self.dim})"
@@ -210,13 +212,7 @@ def ad_matrix(A: AlgebraModel, u: Vec, restrict: Optional[int] = None) -> Matrix
     m = A.dim if restrict is None else restrict
     data: Dict[int, Vec] = {}
     for b in range(m):
-        col: Vec = {}
-        table = A.table
-        for i, c in u.items():
-            w = table.get((i, b))
-            if w:
-                vec_axpy_inplace(col, c, w)
-        for k, c in col.items():
+        for k, c in A.bracket(u, {b: 1}).items():
             if k >= m:
                 raise ValueError(
                     f"ad(u) leaves the restricted subalgebra at basis {b}"
@@ -244,17 +240,6 @@ class AxiomReport:
             "triples_checked": self.triples_checked,
             "first_violation": self.first_violation,
         }
-
-
-def _bracket_left(table: dict, i: int, v: Vec) -> Vec:
-    """[i, v] from the table, without the zeros that an entry's stored 0
-    leaves (`vec_axpy_inplace` keeps a term it sets to 0)."""
-    out: Vec = {}
-    for m, c in v.items():
-        w = table.get((i, m))
-        if w:
-            vec_axpy_inplace(out, c, w)
-    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,7 @@ def generators(
         v = 0
         while v < len(span):
             for h in G[applied[v]:]:
-                w = _bracket_left(A.table, h, span[v])
+                w = A.bracket({h: 1}, span[v])
                 if w and kern.cut(w):
                     span.append(w)
                     applied.append(0)
@@ -317,19 +302,14 @@ def generators(
     return G if not kern else None
 
 
-def check_axioms(
-    A: AlgebraModel,
-    jacobi_triples: Optional[int] = None,
-    seed: int = 0,
-    generating_set: Optional[Iterable[int]] = None,
-) -> AxiomReport:
+def check_axioms(A: AlgebraModel, generating_set: Optional[Iterable[int]] = None) -> AxiomReport:
     """Verify the superalgebra axioms plus parity, degree and weight
     additivity.
 
     Anticommutativity and the grading checks decide every basis pair, but
     only the pairs with a table entry are visited: a pair with neither
     order in the table has a zero bracket, which passes both.  Jacobi, in
-    the form "ad x is a superderivation", runs in one of three modes:
+    the form "ad x is a superderivation", is proved in one of two modes:
 
     * generator mode, when ``generating_set`` is given and `generators`
       confirms that (a subset G of) it generates L: the triples (g, y, z)
@@ -340,10 +320,10 @@ def check_axioms(
       [x, y] is homogeneous by parity additivity.  That subalgebra contains
       G, hence every left-normed bracket of G, hence all of L.  A set that
       does not generate L is refused, and the mode below runs instead;
-    * full mode, when ``jacobi_triples`` is None: the triples (x, y, z);
-    * sampled mode: that many seeded random triples, which proves nothing.
+    * full mode otherwise, the reference of the tests: the triples
+      (x, y, z).
 
-    Both proving modes test only y < z, and y = z for an odd y, which is
+    Both modes test only y < z, and y = z for an odd y, which is
     |G| (resp. dim) * (dim (dim - 1) / 2 + #odd) triples.  Proof: with
     J(x, y, z) = [x, [y, z]] - [[x, y], z] - (-1)^{|x||y|} [y, [x, z]],
     anticommutativity and parity additivity, both checked on every pair
@@ -356,8 +336,8 @@ def check_axioms(
     triple; a pair fault is the first in row-major order over the pairs
     (i, j), i <= j, and ``pairs_checked`` counts the pairs up to it.  A
     Jacobi fault is the first failing triple in scan order, (x, y, z) with
-    x in the order of G (or of the samples), and ``triples_checked``
-    counts the triples of the scan up to it.
+    x in the order of G, and ``triples_checked`` counts the triples of the
+    scan up to it.
     """
     dim = A.dim
     pairs = dim * (dim + 1) // 2
@@ -383,22 +363,13 @@ def check_axioms(
         return fail(first_fault)
 
     G = None if generating_set is None else generators(A, generating_set)
-    if G is not None or jacobi_triples is None:
-        # y < z, and y = z for an odd y (see above)
-        parity = A.parity
-        groups = (
-            (i, j, range(j + 1 - parity[j], dim))
-            for i in (range(dim) if G is None else G)
-            for j in range(dim)
-        )
-    else:
-        rng = random.Random(seed)
-        draws = (
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(jacobi_triples)
-        )
-        groups = ((i, j, range(k, k + 1)) for i, j, k in draws)
-
+    # y < z, and y = z for an odd y (see above)
+    parity = A.parity
+    groups = (
+        (i, j, range(j + 1 - parity[j], dim))
+        for i in (range(dim) if G is None else G)
+        for j in range(dim)
+    )
     triples, bad = jacobi_violation(A, groups)
     if bad is not None:
         return fail("Jacobi fails at triple ({},{},{})".format(*bad), triples)

@@ -135,7 +135,7 @@ class Echelon:
 
         Returns True when the row increased the rank.
         """
-        v = dict(row)
+        v = {k: x for k, x in row.items() if x}
         pivots = self.pivots
         while v:
             lead = min(v)
@@ -266,7 +266,7 @@ def _eliminate(v: IntVec, k: int, prow: IntVec) -> int:
         if s:
             v[j] = s
         else:
-            del v[j]
+            v.pop(j, None)  # none there when prow[j] is a stored 0
     return abs(a)
 
 
@@ -275,13 +275,17 @@ def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
     column: the one pivot loop.  The result is {} exactly when v lies in
     the span of the rows; otherwise it is v times a nonzero integer minus a
     combination of the rows, and its last column is no key of `pivots`.  It
-    is a primitive copy once a step is taken, and v itself before."""
+    is a primitive copy once a step is taken, and before that v itself, or
+    a copy without v's stored 0s."""
     grown = 0  # the multipliers' product since the last division; 0 before a step
     while v:
         lead = max(v)
         prow = pivots.get(lead)
         if prow is None:
-            break
+            if v[lead]:
+                break
+            v = {k: c for k, c in v.items() if c}  # stored 0s: no pivot removes one
+            continue
         if not grown:
             v, grown = dict(v), 1
         grown *= _eliminate(v, lead, prow)
@@ -311,7 +315,7 @@ def kernel_terms(pivots: Dict[int, IntVec], columns: Iterable[int]) -> List[List
             _primitive(row)
         reduced[lead] = row
         for f, x in row.items():
-            if f != lead:
+            if x and f != lead:  # a row may keep its argument's stored 0
                 hits.setdefault(f, []).append((lead, x, row[lead]))
     out = []
     for f in columns:  # a reduced row has no entry at another pivot
@@ -417,7 +421,7 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Vec) -> bool:
-        v = dict(v)
+        v = {k: x for k, x in v.items() if x}
         piv_index = {p: i for i, p in enumerate(self.pivots)}
         while v:
             lead = min(v)

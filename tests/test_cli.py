@@ -945,3 +945,25 @@ def test_run_keeps_the_exit_codes(args, prelude, code, err):
     stderr = res.stderr.decode()
     assert err in stderr if err else stderr == ""
     assert bool(res.stdout) == (code in (0, 3))
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/child.py wraps layer functions by name and records a name
+    # that is gone in `absent`, where its metrics then read as absent: a
+    # rename or deletion in src/ shows here, not only in the benchmark
+    import os
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import child\n"
+        "tr = child.Tracer()\n"
+        "child.install(tr)\n"
+        "print(tr.absent)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

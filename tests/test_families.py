@@ -255,7 +255,7 @@ def test_h_bracket_closure_on_basis_pairs():
     # the Poisson-transport identity is not assumed; closure is checked by
     # re-expressing every bracket in the H basis (raises on failure)
     H5 = build("H", 5)
-    assert check_axioms(H5, jacobi_triples=0).ok
+    assert check_axioms(H5).ok
     n_nonzero = sum(1 for w in H5.table.values() if w)
     assert n_nonzero > 0
 

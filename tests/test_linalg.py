@@ -1,9 +1,13 @@
 """Exact linear algebra: spec examples plus randomized invariants."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -334,6 +338,39 @@ def test_int_reduce_divides_by_the_content():
     # with nothing to eliminate, the argument itself comes back
     row = {0: 4, 1: 2}
     assert int_reduce({0: {0: 1}}, row) is row
+
+
+def test_integer_eliminations_drop_stored_zeros():
+    # a stored 0 is no term: not a lead, and not a term to cancel
+    row = {3: 0, 1: 2}
+    assert int_reduce({}, row) == {1: 2} and row == {3: 0, 1: 2}
+    kern = IntKernel(3)
+    assert kern.cut({0: 1})
+    assert not kern.cut({2: 0, 0: 5})  # at the 0 lead no pivot: {0: 5} lies in the span
+    # a kept row {0: 0, 1: 1} with a stored 0, against which {1: 1} reduces
+    kern = IntKernel(2)
+    assert kern.cut({0: 0, 1: 1})
+    assert not kern.cut({1: 1})
+    assert len(kern) == 1 and kern.basis() == [{0: 1}]
+
+
+def test_fraction_helpers_drop_explicit_zeros():
+    # an explicit 0 at a pivot's column made `Echelon.insert` and
+    # `Subspace.contains` loop for ever (a zero multiple of the pivot row
+    # leaves the 0 in place), so the calls run in a fresh interpreter that
+    # the timeout stops
+    code = (
+        "from cartansuper.linalg import Subspace, kernel_of_rows\n"
+        "print(Subspace.from_vectors([{0: 1}, {0: 0, 1: 2}], 2).dim)\n"
+        "print(Subspace.from_vectors([{0: 1}], 2).contains({0: 0, 1: 1}))\n"
+        "print(Subspace.from_vectors([{1: 1}], 2).contains({0: 0, 1: 1}))\n"
+        "print(kernel_of_rows([{0: 1}, {0: 0, 1: 1}], 3) == [{2: 1}])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "False", "True", "True"]
 
 
 def fraction_reduce(pivots, v):

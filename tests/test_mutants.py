@@ -118,6 +118,59 @@ MUTANTS = {
         ["tests/test_localcert.py::test_separating_t_s4_needs_three",
          "tests/test_cli.py::test_golden_certify_report"],
     ),
+    # the engine skips a block it has met before, whatever the probe's key
+    "last-key-skip-on-any-key": (
+        "localcert.py",
+        "                if key == last.get(shift):\n",
+        "                if shift in last:\n",
+        ["tests/test_localcert.py::test_skips_keep_the_rows_of_every_probe_on_open_blocks",
+         "tests/test_localcert.py::test_memo_holds_one_key_per_open_block"],
+    ),
+    # the dominance filter takes ad h as diagonal without looking
+    "dominance-skips-diagonal-check": (
+        "derivations.py",
+        "            if len(hx) != (m != 0):\n",
+        "            if False:\n",
+        ["tests/test_derivations.py::test_off_diagonal_h_is_refused"],
+    ),
+    # the dominance filter keeps the first mu it meets at each weight
+    "dominance-skips-one-mu-per-weight": (
+        "derivations.py",
+        "if mu.setdefault(A.weight[x], tuple(at_x)) != tuple(at_x):",
+        "if mu.setdefault(A.weight[x], tuple(at_x)) is None:",
+        ["tests/test_derivations.py::test_one_wrong_sign_is_refused_and_every_block_solved",
+         "tests/test_localcert.py::test_certify_solves_every_block_when_a_root_is_refused"],
+    ),
+    # the dominance filter takes mu as linear in the weight without looking
+    "dominance-skips-linearity-check": (
+        "derivations.py",
+        "    if len(weights.rows) != len(with_mu.rows):\n",
+        "    if False:\n",
+        ["tests/test_derivations.py::test_one_wrong_sign_is_refused_and_every_block_solved"],
+    ),
+    # the Leibniz term [D(i), j] with the opposite sign
+    "leibniz-second-term-sign": (
+        "derivations.py",
+        "s = 1 if third and odd_i and shift[0] % 2 else -1",
+        "s = (1 if odd_i and shift[0] % 2 else -1) if third else 1",
+        ["tests/test_derivations.py::test_leibniz_rows_are_the_brute_force_rows",
+         "tests/test_derivations.py::test_derivation_report_payload"],
+    ),
+    # the bracket of vectors keeps a table entry's stored 0 as a term
+    "bracket-keeps-stored-zeros": (
+        "liesuper.py",
+        "        return {k: c for k, c in out.items() if c} if 0 in out.values() else out\n",
+        "        return out\n",
+        ["tests/test_liesuper.py::test_a_stored_zero_is_no_bracket_term"],
+    ),
+    # the integer pivot loop stops at a stored 0 as at a new lead
+    "int-reduce-stops-at-a-zero-lead": (
+        "linalg.py",
+        "            if v[lead]:\n                break\n",
+        "            if True:\n                break\n",
+        ["tests/test_linalg.py::test_integer_eliminations_drop_stored_zeros",
+         "tests/test_liesuper.py::test_stored_zeros_change_no_generating_set_or_axiom_report"],
+    ),
 }
 
 
