@@ -99,7 +99,7 @@ from .liesuper import (
     head_difference,
     model_head,
 )
-from .linalg import IntKernel, IntVec, SpanSolver, Vec, int_reduce, vec_axpy_inplace
+from .linalg import IntKernel, IntVec, SpanSolver, Vec, vec_axpy_inplace
 
 # the largest dim L a spec may have; the slow tier runs the largest admitted
 # model, H(12), dim 4,094
@@ -380,12 +380,14 @@ def _graded(
     base: Optional[AlgebraModel] = None,
 ) -> Tuple[AlgebraModel, SpanSolver]:
     """An AlgebraModel with an empty bracket table, from basis rows given in
-    W(n) coordinates, plus a solver that expresses W(n) vectors in the rows.
+    W(n) coordinates, plus the rows' homes (`SpanSolver`), where
+    `_bracket_rows` reads the table.
 
-    Verifies along the way that every row has integer coordinates, is
-    homogeneous in parity and (possibly modular) degree, and is an exact
-    simultaneous eigenvector of the Cartan chain; any failure is a
-    constructor bug, not user error.  For L' over ``base`` the grading
+    Verifies along the way that the rows are independent and that every
+    row has integer coordinates, is homogeneous in parity and (possibly
+    modular) degree, and is an exact simultaneous eigenvector of the
+    Cartan chain, whose coordinates are read at the homes; any failure is
+    a constructor bug, not user error.  For L' over ``base`` the grading
     element enlarges the zero cell, so the chain need only sit inside it.
     """
     chain_family = family.rstrip("'")
@@ -426,33 +428,28 @@ def _graded(
             wt.append(lam)
     weight: List[WeightVec] = [tuple(wt) for wt in weights]
 
-    span = SpanSolver()
-    for row in rows:
-        if not span.add(row):
-            raise AssertionError(f"{family}({n}): dependent basis rows")
+    kern = IntKernel(len(basis_w))
+    if not all(kern.cut(row) for row in rows):
+        raise AssertionError(f"{family}({n}): dependent basis rows")
 
-    chain_model: List[IntVec] = []
-    for h in chain_w:
-        coords = span.express(h)
-        if coords is None:
-            raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
-        chain_model.append(coords)
+    # the chain lies in L, and L's rows lead the rows of L': read it at the
+    # homes L's rows have among themselves, as L''s extra rows take some
+    span = SpanSolver(rows)
+    home = span if base is None else SpanSolver(rows[: base.dim])
+    chain_model = [home.express(h) for h in chain_w]
+    if None in chain_model:
+        raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
 
     zero_wt = tuple([0] * len(chain_w))
-    cartan = [
-        i for i in range(len(rows)) if degree[i] == 0 and weight[i] == zero_wt
-    ]
-    # the cell and the chain as integer echelon rows of their spans
-    cell, chain = IntKernel(len(basis_w)), IntKernel(len(basis_w))
-    for i in cartan:
-        cell.cut(rows[i])
-    for h in chain_w:
-        chain.cut(h)
-    inside = not any(int_reduce(cell.rows, h) for h in chain_w)
+    cartan = [i for i in range(len(rows)) if degree[i] == 0 and weight[i] == zero_wt]
+    # the rows are independent, so the chain lies in the cell exactly when
+    # its coordinates sit on cell rows; the chain's vectors are independent
+    # (`cartan_chain_w`), so its rank is its length
+    inside = {k for coords in chain_model for k in coords}.issubset(cartan)
     if base is not None:
         if not inside:
             raise AssertionError(f"{family}({n}): chain escapes the Cartan cell")
-    elif not inside or len(cell) != len(chain):
+    elif not inside or len(cartan) != len(chain_w):
         raise AssertionError(f"{family}({n}): Cartan cell does not match the chain")
 
     model = AlgebraModel(family, n, descs, {}, parity, degree, weight, cartan,
@@ -476,22 +473,22 @@ def _bracket_rows(
     partners' home columns (`SpanSolver.homes`): if z = sum_r c_r row_r,
     then z[h] = c_r row_r[h] at the home h of row r, so c_r is read there,
     and c_r times the row's other terms is subtracted from a remainder kept
-    for the whole of row i.  This is the only home readout.  A bracket in
-    the span whose coordinates are ints leaves a zero remainder and exact
-    divisions, so a nonzero remainder or an inexact division raises
-    AssertionError naming the pair: the bracket leaves the span, has a
-    non-integer coordinate, or needs a row whose home another row takes.
-    In L' the Euler field and the top Hamiltonian take a few homes:
-    `build_lprime` passes first = dim L and brackets only the pairs with
-    j >= dim L, none of which needs such a row, while first = 0 over an L'
-    model meets one and raises.  A home coordinate is an exact quotient of
+    for the whole of row i, as `SpanSolver.express` does for one vector.
+    A bracket in the span whose coordinates are ints leaves a zero
+    remainder and exact divisions, so a nonzero remainder or an inexact
+    division raises AssertionError naming the pair: the bracket leaves the
+    span, has a non-integer coordinate, or needs a row whose home another
+    row takes.  In L' the Euler field and the top Hamiltonian take a few
+    homes: `build_lprime` passes first = dim L and brackets only the pairs
+    with j >= dim L, none of which needs such a row, while first = 0 over
+    an L' model meets one and raises.  A home coordinate is an exact quotient of
     ints, so an int.
     """
     n, rows = model.n, model.w_coords
     stride = n << n
     index = _term_index(n, rows, first)
     lists = index[0] + index[1]
-    homes = span.homes()
+    homes = span.homes
     for i, row in enumerate(rows):
         low = i * stride
         for terms in lists:
@@ -552,12 +549,13 @@ def _finish_model(
     +[i, j] when both rows are odd and -[i, j] otherwise.  The rows are
     super vector fields, whose bracket is super anticommutative, and
     `_graded` has checked that each row is homogeneous in parity, so the
-    sign is exact and the mirrored coordinates are the ones `SpanSolver`
-    would return for [j, i].  With ``base``, whose rows are the leading
-    rows here, the table starts as a copy of base's and only the pairs
-    involving the extra rows are bracketed.  Every structure constant is
-    an int: `_bracket_rows` reads them as exact quotients of ints, the
-    mirror of an int is one, and base's were checked when base was built.
+    sign is exact and the mirrored coordinates are the ones the home
+    readout would give for [j, i].  With ``base``, whose rows are the
+    leading rows here, the table starts as a copy of base's and only the
+    pairs involving the extra rows are bracketed.  Every structure
+    constant is an int: `_bracket_rows` reads them as exact quotients of
+    ints, the mirror of an int is one, and base's were checked when base
+    was built.
 
     Equal entries are one dict (see `AlgebraModel`): each coordinate dict,
     and each negated mirror, is stored through a map keyed on its items in

@@ -3,17 +3,18 @@
 The trusted path (`build`, `check`, `certify`) runs on Python ints, and
 every elimination on it is `int_reduce`'s: integer rows (``{index: int}``)
 are reduced fraction-free over Z against an echelon keyed by last column.
-`IntKernel` cuts rows into such an echelon, `kernel_terms` reads the
-kernel off one, and `SpanSolver` writes vectors in a set of rows by
-carrying each row's combination in negative columns.  They serve the
-constructors' divergence kernel, Cartan-cell check and bracket
-coordinates, the generating-set closure, all of `check`'s derivation
-layer, the certifier's engine and `localcert.is_2local_at`.  Every row is
-kept as a primitive integer multiple of the row Fraction elimination would
-hold, so the answer is the Fraction answer, scaled, with nothing to check
-and nothing to fall back to: a rational solution space has the same
-dimension as its complex counterpart, which is what lets integer
-structure constants stand in for the complex field.
+`IntKernel` cuts rows into such an echelon and `kernel_terms` reads the
+kernel off one.  They serve the constructors' divergence kernel and
+independence check, the generating-set closure, all of `check`'s
+derivation layer, the certifier's engine and `localcert.is_2local_at`.
+Every row is kept as a primitive integer multiple of the row Fraction
+elimination would hold, so the answer is the Fraction answer, scaled,
+with nothing to check and nothing to fall back to: a rational solution
+space has the same dimension as its complex counterpart, which is what
+lets integer structure constants stand in for the complex field.
+`SpanSolver` eliminates nothing: it reads a vector in a set of
+independent rows at the columns that only one row touches, for the
+constructors' Cartan chain and bracket coordinates.
 
 The `fractions.Fraction` machinery (`Matrix`, `Echelon`, `rref`, `kernel`,
 `kernel_of_rows`, `solve`, `Subspace`) serves the reference oracles and the
@@ -28,6 +29,7 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -487,75 +489,44 @@ def member(s: Subspace, v) -> bool:
 
 
 class SpanSolver:
-    """Express vectors in a fixed set of independent rows, on `int_reduce`'s
-    echelon.
+    """Read vectors in fixed independent integer rows at the rows' homes.
 
-    Columns must be >= 0: the negative ones carry the bookkeeping.  The
-    k-th row offered to ``add`` is reduced as {**row, -2 - k: 1}, so every
-    echelon row holds, in its negative columns, the integer combination of
-    added rows that gives its nonnegative part.  A row that reduces to
-    negative columns alone is a combination of the rows before it, and
-    ``add`` refuses it.
-
-    ``express(v)`` reduces {**v, -1: 1} to r.  A nonnegative column left in
-    r is a lead that no echelon row has, so v is outside the span (None).
-    Otherwise s v + sum_k c_k row_k = 0, with s = r[-1] and c_k = r[-2 - k],
-    and coordinate k is -c_k / s: an int when the division is exact, and a
-    Fraction only when it is not.
-
-    ``homes`` indexes the columns that only one row touches;
-    `families._bracket_rows` reads a whole bracket row there.
+    ``homes`` maps the home h of each row i that has one, the first column
+    of row i that no other row touches, to (i, row_i[h], the other terms of
+    row_i).  If v = sum_i c_i row_i, then v[h] = c_i row_i[h], so
+    ``express(v)`` reads c_i there, an int when the division is exact and
+    a Fraction only when it is not, and subtracts c_i times the other terms
+    from the rest of v.  A nonzero remainder means v is outside the span of
+    the rows with a home (None); the rows are independent, so otherwise
+    these are v's coordinates.  `families._bracket_rows` reads a whole row
+    of brackets at the homes in one pass of its own.
     """
 
-    def __init__(self):
-        self.pivots: Dict[int, IntVec] = {}  # the echelon, keyed by last column
-        self.count = 0  # rows offered to add, dependent ones included
-        self.rows: Dict[int, IntVec] = {}  # the independent ones, by index
-        # the home index (see ``homes``); dropped by an add
-        self._homes: Optional[Dict[int, Tuple[int, int, List[Tuple[int, int]]]]] = None
+    __slots__ = ("homes",)
 
-    def add(self, row: IntVec) -> bool:
-        """Add a row, which takes the next index; False when it depends on
-        the rows added before, and then it is never used."""
-        k = self.count
-        self.count += 1
-        v = int_reduce(self.pivots, {**row, -2 - k: 1})
-        lead = max(v)
-        if lead < 0:
-            return False
-        self.pivots[lead] = v
-        self.rows[k] = row
-        self._homes = None
-        return True
-
-    def homes(self) -> Dict[int, Tuple[int, int, List[Tuple[int, int]]]]:
-        """The home index: home h of row i -> (i, row_i[h], the other terms
-        of row_i), built once after the last ``add``."""
-        if self._homes is not None:
-            return self._homes
-        seen: Dict[int, int] = {}
-        for row in self.rows.values():
-            for k in row:
-                seen[k] = seen.get(k, 0) + 1
-        homes = {}
-        for i, row in self.rows.items():
+    def __init__(self, rows: Sequence[IntVec]):
+        seen = Counter(k for row in rows for k in row)
+        self.homes: Dict[int, Tuple[int, int, List[Tuple[int, int]]]] = {}
+        for i, row in enumerate(rows):
             for h, d in row.items():
                 if seen[h] == 1:
-                    homes[h] = (i, d, [(k, x) for k, x in row.items() if k != h])
+                    self.homes[h] = (i, d, [(k, x) for k, x in row.items() if k != h])
                     break
-        self._homes = homes
-        return homes
 
     def express(self, v: IntVec) -> Optional[Vec]:
-        r = int_reduce(self.pivots, {**v, -1: 1})
-        if max(r) >= 0:
-            return None
-        s = r.pop(-1)
         coords: Vec = {}
-        for k, c in r.items():
-            q, m = divmod(-c, s)
-            if m:
-                from fractions import Fraction
-                q = Fraction(-c, s)
-            coords[-2 - k] = q
-        return coords
+        rest: Dict[int, object] = {}  # v minus the rows read so far, off the homes
+        for k, x in v.items():
+            hit = self.homes.get(k)
+            if hit is None:
+                rest[k] = rest.get(k, 0) + x
+            elif x:
+                i, d, others = hit
+                c, m = divmod(x, d)
+                if m:
+                    from fractions import Fraction
+                    c = Fraction(x, d)
+                coords[i] = c
+                for u, y in others:
+                    rest[u] = rest.get(u, 0) - c * y
+        return None if any(rest.values()) else coords

@@ -3,11 +3,13 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartansuper import families
 from cartansuper.derivations import ProofContext, derivation_report
 from cartansuper.exterior import (
     MAX_N,
@@ -30,6 +32,7 @@ from cartansuper.families import (
     attach_derived,
     build,
     build_lprime,
+    cartan_chain_w,
     divergence,
     euler,
     ham,
@@ -44,12 +47,13 @@ from cartansuper.families import (
 from cartansuper.liesuper import (
     AlgebraModel,
     ModelFormatError,
+    VectorField,
     check_axioms,
     first_difference,
     generators,
     model_to_json,
 )
-from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, vec_axpy_inplace
+from cartansuper.linalg import Matrix, SpanSolver, kernel, rank, solve, vec_axpy_inplace
 
 
 # -- spec validation
@@ -495,23 +499,21 @@ def test_model_to_json_writes_one_dict_held_at_several_pairs():
 
 
 def test_span_solver_stays_on_ints_for_unit_leads():
-    span = SpanSolver()
-    assert span.add({0: 1, 1: 2})
-    assert span.add({1: -1, 2: 3})
-    assert not span.add({0: 1, 1: 1, 2: 3})
+    span = SpanSolver([{0: 1, 1: 2}, {1: -1, 2: 3}])
+    assert span.homes == {0: (0, 1, [(1, 2)]), 2: (1, 3, [(1, -1)])}
     coords = span.express({0: 2, 1: 1, 2: 9})
     assert coords == {0: 2, 1: 3}
     assert all(type(c) is int for c in coords.values())
 
 
-def test_span_solver_stays_on_ints_through_a_lead_of_2():
-    # the second row reduces to {1: -2}: an integral answer stays an int
-    span = SpanSolver()
-    assert span.add({0: 1, 1: 1})
-    assert span.add({0: 1, 1: -1})
-    coords = span.express({0: 1, 1: 3})
-    assert coords == {0: 2, 1: -1}
-    assert all(type(c) is int for c in coords.values())
+def test_span_solver_refuses_a_vector_that_needs_a_homeless_row():
+    # both columns are shared, so neither row has a home: the span of the
+    # rows with a home is 0, and express reads nothing else
+    span = SpanSolver([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    assert span.homes == {}
+    assert span.express({0: 1, 1: 3}) is None
+    assert span.express({0: 1, 1: 1}) is None
+    assert span.express({}) == {}
 
 
 @pytest.mark.parametrize("family, n", [("S", 4), ("H", 5)])
@@ -523,9 +525,7 @@ def test_lprime_chain_and_table_are_ints(family, n):
 
 
 def test_span_solver_divides_exactly_for_a_lead_of_2():
-    span = SpanSolver()
-    assert span.add({0: 2, 1: 1})
-    assert span.add({1: 1, 2: 2})
+    span = SpanSolver([{0: 2, 1: 1}, {1: 1, 2: 2}])
     coords = span.express({0: 1, 1: 1, 2: 1})
     assert coords == {0: Fraction(1, 2), 1: Fraction(1, 2)}
     assert all(type(c) is Fraction for c in coords.values())
@@ -534,21 +534,16 @@ def test_span_solver_divides_exactly_for_a_lead_of_2():
 
 def test_span_solver_refuses_a_stray_column_after_exact_home_reads():
     # columns 0-2 are 3 row 0 - row 1 exactly; column 3 is on no row
-    span = SpanSolver()
-    assert span.add({0: 1, 1: 2})
-    assert span.add({1: 1, 2: 1})
+    span = SpanSolver([{0: 1, 1: 2}, {1: 1, 2: 1}])
     assert span.express({0: 3, 1: 5, 2: -1}) == {0: 3, 1: -1}
     assert span.express({0: 3, 1: 5, 2: -1, 3: 7}) is None
     assert span.express({3: 7}) is None
 
 
-def test_span_solver_rereads_homes_after_a_later_add():
-    span = SpanSolver()
-    assert span.add({0: 1, 1: 1})
-    assert span.homes() == {0: (0, 1, [(1, 1)])}
-    assert span.express({0: 2, 1: 2}) == {0: 2}
-    assert span.add({0: 1, 2: 1})  # takes column 0: row 0's home is now 1
-    assert span.homes() == {1: (0, 1, [(0, 1)]), 2: (1, 1, [(0, 1)])}
+def test_span_solver_homes_skip_a_shared_column():
+    # row 1 takes column 0, so row 0's home is its next column, 1
+    span = SpanSolver([{0: 1, 1: 1}, {0: 1, 2: 1}])
+    assert span.homes == {1: (0, 1, [(0, 1)]), 2: (1, 1, [(0, 1)])}
     assert span.express({0: 2, 1: 2}) == {0: 2}
     assert span.express({0: 3, 1: 1, 2: 2}) == {0: 1, 1: 2}
     assert span.express({0: 1}) is None
@@ -559,7 +554,7 @@ def test_every_basis_row_has_a_home(family, n, monkeypatch):
     # so L's table is read off at the homes, with no elimination per bracket
     A = build(family, n)
     model, span = _graded(family, n, *_family_rows(FamilySpec(family, n)))
-    assert len(span.homes()) == model.dim
+    assert len(span.homes) == model.dim
     calls = []
     express = SpanSolver.express
     monkeypatch.setattr(
@@ -567,11 +562,10 @@ def test_every_basis_row_has_a_home(family, n, monkeypatch):
     for _ in _bracket_rows(model, span):
         pass
     assert calls == []
-    # L' writes its Cartan chain in its rows, and the extra rows take some
-    # homes: a few vectors are eliminated, and each is in the span
-    build_lprime(A)
-    assert len(calls) < model.dim
-    assert all(coords is not None for coords in calls)
+    # L' reads its Cartan chain at L's homes, one call per chain vector,
+    # and nothing else; W and Stilde have no L' of their own
+    ext = build_lprime(A).ext
+    assert calls == ([] if ext is A else ext.cartan_chain)
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
@@ -609,6 +603,54 @@ def test_constructor_refuses_a_bracket_that_leaves_the_span():
     rows, descs = _family_rows(FamilySpec("W", 4))
     with pytest.raises(AssertionError, match="leaves the span"):
         _finish_model("W", 4, rows[1:], descs[1:])
+
+
+def test_constructor_refuses_a_chain_outside_the_rows():
+    # without x1 d1, the chain's h_1 = x1 d1 is no combination of the rows
+    rows, descs = _family_rows(FamilySpec("W", 4))
+    k = w_index(4)[(1, 1)]
+    with pytest.raises(AssertionError, match="Cartan chain escapes the span"):
+        _finish_model("W", 4, rows[:k] + rows[k + 1:], descs[:k] + descs[k + 1:])
+
+
+def test_constructor_refuses_a_cell_larger_than_the_chain():
+    # W(4)'s rows under S(4)'s chain: the four x_i d_i have weight 0, a
+    # 4-dimensional cell against a chain of rank 3
+    with pytest.raises(AssertionError, match="Cartan cell does not match the chain"):
+        _finish_model("S", 4, *_family_rows(FamilySpec("W", 4)))
+
+
+def test_constructor_refuses_a_chain_on_rows_outside_the_cell(monkeypatch):
+    # a family's chain is abelian of degree 0, so the weight check already
+    # puts its coordinates on cell rows; a chain of degree 2 that commutes
+    # with both rows, x1 x2 x3 d1, is read on the row outside the cell,
+    # and the cell, x1 d1, has the chain's rank, 1
+    top = w_unit(3, 0b111, 1)
+    monkeypatch.setattr(families, "cartan_chain_w", lambda family, n: [top])
+    rows = [w_unit(3, 0b001, 1), top]
+    descs = [VectorField(0b001, 1), VectorField(0b111, 1)]
+    with pytest.raises(AssertionError, match="Cartan cell does not match the chain"):
+        _graded("W", 3, rows, descs)
+    with pytest.raises(AssertionError, match="chain escapes the Cartan cell"):
+        _graded("W'", 3, rows, descs, base=SimpleNamespace(dim=2))
+
+
+@pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
+def test_chain_read_at_the_homes_is_the_solve_oracle(family, n):
+    # the chain's coordinates in the rows by Fraction elimination over all
+    # of them are the ints read at the homes, and L' reads the same over
+    # L's rows; the chain is independent, so its rank is its length
+    rows, descs = _family_rows(FamilySpec(family, n))
+    A, _ = _graded(family, n, rows, descs)
+    m = Matrix(len(w_basis(n)), len(rows), {})
+    for col, row in enumerate(rows):
+        for k, c in row.items():
+            m.data.setdefault(k, {})[col] = Fraction(c)
+    chain = cartan_chain_w(family, n)
+    assert rank(Matrix(len(chain), len(w_basis(n)), dict(enumerate(chain)))) == len(chain)
+    assert A.cartan_chain == [solve(m, h) for h in chain]
+    assert all(type(c) is int for h in A.cartan_chain for c in h.values())
+    assert build_lprime(build(family, n)).ext.cartan_chain == A.cartan_chain
 
 
 @pytest.mark.parametrize("late", ["extra", "dropped"])

@@ -441,40 +441,35 @@ def test_int_reduce_and_cut_keep_the_fraction_rows_and_write_nothing(case):
     assert raw == raw_rows
 
 
-# -- the span solver, against the Fraction oracles
-
-
-def rank_of(rows, ncols):
-    return rank(Matrix(len(rows), ncols, dict(enumerate(as_fractions(rows)))))
+# -- the span solver, against the Fraction oracle
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_rows(), st.randoms(use_true_random=False))
 @example(([{0: 2, 1: 1}, {1: 1, 2: 2}], 3), random.Random(0))
-def test_span_solver_agrees_with_rank_and_solve(case, rnd):
-    rows, ncols = case
-    span, kept = SpanSolver(), []  # kept: the indices of the rows add keeps
-    for k, row in enumerate(rows):
-        rises = rank_of(rows[: k + 1], ncols) > rank_of(rows[:k], ncols)
-        assert span.add(row) == rises
-        if rises:
-            kept.append(k)
-    # the kept rows as the columns of a matrix, for solve
-    m = Matrix(ncols, len(kept), {})
-    for col, k in enumerate(kept):
-        for c, x in rows[k].items():
+def test_span_solver_agrees_with_solve(case, rnd):
+    # each row gets a private column past ncols, so the rows are
+    # independent and each has a home (not always the private column)
+    drawn, ncols = case
+    rows = [{**row, ncols + k: rnd.choice([-2, 1, 3])} for k, row in enumerate(drawn)]
+    width = ncols + len(rows)
+    span = SpanSolver(rows)
+    assert sorted(i for i, _, _ in span.homes.values()) == list(range(len(rows)))
+    # the rows as the columns of a matrix, for solve
+    m = Matrix(width, len(rows), {})
+    for col, row in enumerate(rows):
+        for c, x in row.items():
             m.data.setdefault(c, {})[col] = Fraction(x)
 
     def oracle(v):
-        sol = solve(m, as_fractions([v])[0])
-        return None if sol is None else {kept[col]: c for col, c in sol.items()}
+        return solve(m, as_fractions([v])[0])
 
     # an integer combination of the rows, divided by an integer that keeps
     # it integral, so some coordinates may be Fractions
     z = {}
-    for k in kept:
+    for row in rows:
         a = rnd.randint(-3, 3)
-        for c, x in rows[k].items():
+        for c, x in row.items():
             z[c] = z.get(c, 0) + a * x
     z = {c: x for c, x in z.items() if x}
     d = gcd(*z.values(), rnd.choice([1, 2, 3, 4, 6])) if z else 1
@@ -483,8 +478,8 @@ def test_span_solver_agrees_with_rank_and_solve(case, rnd):
     assert got is not None and got == oracle(v)
     assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in got.values())
     # any integer vector: None exactly when solve finds no solution
-    w = {c: rnd.randint(-2, 2) for c in range(ncols)}
+    w = {c: rnd.randint(-2, 2) for c in range(width)}
     w = {c: x for c, x in w.items() if x}
     assert span.express(w) == oracle(w)
     # a column that no row touches
-    assert span.express({**v, ncols: 1}) is None
+    assert span.express({**v, width: 1}) is None

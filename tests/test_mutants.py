@@ -171,6 +171,36 @@ MUTANTS = {
         ["tests/test_linalg.py::test_integer_eliminations_drop_stored_zeros",
          "tests/test_liesuper.py::test_stored_zeros_change_no_generating_set_or_axiom_report"],
     ),
+    # express returns what it read at the homes, whatever is left over
+    "express-skips-the-remainder": (
+        "linalg.py",
+        "        return None if any(rest.values()) else coords\n",
+        "        return coords\n",
+        ["tests/test_families.py::test_constructor_refuses_a_chain_outside_the_rows",
+         "tests/test_linalg.py::test_span_solver_agrees_with_solve"],
+    ),
+    # a row's home may be a column that other rows touch too
+    "home-on-a-shared-column": (
+        "linalg.py",
+        "                if seen[h] == 1:\n",
+        "                if seen[h] >= 1:\n",
+        ["tests/test_families.py::test_span_solver_homes_skip_a_shared_column",
+         "tests/test_linalg.py::test_span_solver_agrees_with_solve"],
+    ),
+    # the Cartan chain taken to lie in the cell without looking
+    "chain-in-cell-unchecked": (
+        "families.py",
+        "    inside = {k for coords in chain_model for k in coords}.issubset(cartan)\n",
+        "    inside = True\n",
+        ["tests/test_families.py::test_constructor_refuses_a_chain_on_rows_outside_the_cell"],
+    ),
+    # the constructor takes the basis rows as independent without looking
+    "basis-rows-unchecked": (
+        "families.py",
+        "    if not all(kern.cut(row) for row in rows):\n",
+        "    if False:\n",
+        ["tests/test_families.py::test_constructor_refuses_dependent_rows"],
+    ),
 }
 
 
