@@ -27,13 +27,34 @@ gl(n), sl(n), so(n):
 Weights are the exact ad-eigenvalue vectors against those chains; the
 constructors verify the eigenvector property entry by entry.
 
-The bracket table is computed by one output-sensitive kernel over integer
-rows (`_row_brackets`).  Every term of the basis rows is indexed by the
-generators of its monomial and by its d-index; a term f d_a then visits
-only the partner terms g d_b with x_a in g or x_b in f, the ones a
-derivative can hit, and looks up the result's index and sign in flat
-per-n tables.  Only nonzero brackets come out.  The same kernel, run once
-per Cartan chain element over all rows, gives the weights.
+The bracket tables of W, S, S~ and every L' are computed by one
+output-sensitive kernel over integer rows (`_row_brackets`).  Every term
+of the basis rows is indexed by the generators of its monomial and by its
+d-index; a term f d_a then visits only the partner terms g d_b with x_a in
+g or x_b in f, the ones a derivative can hit, and looks up the result's
+index and sign in flat per-n tables.  Only nonzero brackets come out.  The
+same kernel, run once per Cartan chain element over all rows, gives the
+weights.
+
+H(n)'s table is computed in H's own basis, from the Poisson bracket of its
+monomials (`_hamiltonian_brackets`).  D_H is a homomorphism from the
+Poisson superalgebra of the exterior algebra onto H~(n), whose kernel is
+the constants (V. G. Kac, "Lie superalgebras", Adv. Math. 26 (1977)):
+
+    [D_H(f), D_H(g)] = D_H(D_H(f)(g)),
+    D_H(f)(g) = (-1)^|f| sum_i d_i(f) d_{i'}(g).
+
+So [D_H(x^A), D_H(x^B)] = sum_C c_C D_H(x^C), where c_C is the coefficient
+of x^C in D_H(x^A)(x^B), a sum over the generators of A of products of two
+monomials.  A constant C contributes nothing, since D_H(1) = 0.  Any other
+C must be a basis monomial, of degree 1..n-1, and c_C is then the
+coordinate of its row; a nonzero c_C at another monomial (the top one, or
+one whose row a basis lacks) means the bracket leaves the span, and
+raises.  A Hamiltonian row has |A| terms against the few generators of A,
+so a pair costs a few bit operations per term pair and needs no readout.
+`_finish_model` takes this route when there is no base and every
+descriptor is a `Ham`, once each row is checked to be D_H of its
+descriptor's monomial; L' of H, with the Euler field, takes the W route.
 
 Each unordered pair of basis rows is bracketed once, as (i, j) with
 i <= j.  The other order follows from super anticommutativity,
@@ -46,7 +67,7 @@ is homogeneous in parity, so [j, i] is stored as +[i, j] when both rows
 are odd and -[i, j] otherwise, exactly, with no second bracket and no
 second readout.
 
-The table is built one basis row at a time (`_bracket_rows`): row i is
+The W route builds the table one basis row at a time (`_bracket_rows`): row i is
 bracketed with all its partners j >= i in one `_row_brackets` call, and
 each coordinate is read off that one accumulator at a *home*, with no
 elimination.  Every basis row has a home, a column where no other row is
@@ -387,8 +408,9 @@ def _graded(
     row has integer coordinates, is homogeneous in parity and (possibly
     modular) degree, and is an exact simultaneous eigenvector of the
     Cartan chain, whose coordinates are read at the homes; any failure is
-    a constructor bug, not user error.  For L' over ``base`` the grading
-    element enlarges the zero cell, so the chain need only sit inside it.
+    a constructor bug, not user error.  For L' over ``base``, whose rows
+    must lead these, the chain is base's, and the grading element enlarges
+    the zero cell, so the chain need only sit inside it.
     """
     chain_family = family.rstrip("'")
     modulus = n if chain_family == "Stilde" else None
@@ -432,13 +454,17 @@ def _graded(
     if not all(kern.cut(row) for row in rows):
         raise AssertionError(f"{family}({n}): dependent basis rows")
 
-    # the chain lies in L, and L's rows lead the rows of L': read it at the
-    # homes L's rows have among themselves, as L''s extra rows take some
     span = SpanSolver(rows)
-    home = span if base is None else SpanSolver(rows[: base.dim])
-    chain_model = [home.express(h) for h in chain_w]
-    if None in chain_model:
-        raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
+    if base is None:
+        chain_model = [span.express(h) for h in chain_w]
+        if None in chain_model:
+            raise AssertionError(f"{family}({n}): Cartan chain escapes the span")
+    else:
+        # the chain lies in L, whose rows lead the rows of L': it has L's
+        # coordinates, read at L's homes when L was built
+        if rows[: base.dim] != base.w_coords:
+            raise AssertionError(f"{family}({n}): L's rows do not lead the rows")
+        chain_model = base.cartan_chain
 
     zero_wt = tuple([0] * len(chain_w))
     cartan = [i for i in range(len(rows)) if degree[i] == 0 and weight[i] == zero_wt]
@@ -531,6 +557,87 @@ def _bracket_rows(
             yield i, j, coords
 
 
+def _hamiltonian_brackets(n: int, masks: List[int]) -> Iterator[Tuple[int, int, IntVec]]:
+    """Yield (i, j, the coordinates of [D_H(x^A), D_H(x^B)] in the rows
+    D_H(x^mask) of ``masks``), A = masks[i] and B = masks[j], for every pair
+    with i <= j whose bracket is nonzero, in row-major order, as
+    `_bracket_rows` yields them for these rows.
+
+    D_H maps the Poisson bracket onto the bracket of fields,
+
+        [D_H(f), D_H(g)] = D_H(D_H(f)(g)),
+        D_H(x^A)(x^B) = (-1)^|A| sum_a d_a(x^A) d_{a'}(x^B),
+
+    and D_H(c x^C) = c D_H(x^C), so the coordinate of row r is the
+    coefficient of its monomial in D_H(x^A)(x^B), summed term by term:
+    each generator a of A meets the rows j >= i whose monomial holds x_{a'},
+    indexed by generator as in `_term_index`, and the product of the two
+    monomials is signed with `_w_tables`' par/sp.  A constant is dropped,
+    since D_H(1) = 0.  A nonzero coefficient at a monomial that is no
+    basis monomial, such as the top one, raises AssertionError naming the
+    pair: the bracket leaves the span.
+
+    A pair's coordinates come by monomial, ascending.  That is the order of
+    the rows' homes, in which `_bracket_rows` reads them: the monomials of
+    one bracket share a degree and a weight, and the home of D_H(x^C), its
+    first term, is the field (C without its lowest generator x_a) d_{a'},
+    so two such homes order like their monomials.
+    """
+    par, sp = _w_tables(n)[1:]
+    size = 1 << n
+    partner = [involution(a, n) - 1 for a in range(1, n + 1)]
+    row_at: List[Optional[int]] = [None] * size
+    for r, m in enumerate(masks):
+        row_at[m] = r
+    # for each generator a, the rows j as (j*2^n, B without x_a, sign of
+    # d_a(x^B)), from the last row down, so the lowest rows sit at the end
+    by_gen: List[list] = [[] for _ in range(n)]
+    for j in range(len(masks) - 1, -1, -1):
+        key, g = j << n, masks[j]
+        for a in range(n):
+            bit = 1 << a
+            if g & bit:
+                by_gen[a].append((key, g ^ bit, -1 if par[g & (bit - 1)] else 1))
+    for i, f in enumerate(masks):
+        low = i << n
+        for terms in by_gen:
+            while terms and terms[-1][0] < low:
+                terms.pop()
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for a in range(n):
+            bit = 1 << a
+            if not f & bit:
+                continue
+            f1 = f ^ bit
+            spf = sp[f1]
+            flip = par[f] ^ par[f & (bit - 1)]  # the sign of (-1)^|A| d_a(x^A)
+            for key, g1, c in by_gen[partner[a]]:
+                if g1 & f1:
+                    continue
+                t = key + (f1 | g1)
+                acc[t] = get(t, 0) + (-c if flip ^ par[spf & g1] else c)
+        last, coords = -1, {}
+        for t in sorted(acc):
+            x = acc[t]
+            if not x:
+                continue
+            j, k = t >> n, t & (size - 1)
+            r = row_at[k]
+            if r is None:
+                if not k:
+                    continue
+                raise AssertionError(f"H({n}): bracket of basis {i},{j} leaves the span "
+                                     "of the basis monomials")
+            if j != last:
+                if coords:
+                    yield i, last, coords
+                last, coords = j, {}
+            coords[r] = x
+        if coords:
+            yield i, last, coords
+
+
 def _finish_model(
     family: str,
     n: int,
@@ -541,8 +648,7 @@ def _finish_model(
     """The model of `_graded` with its bracket table filled in.
 
     Each unordered pair is bracketed and expressed once, as (i, j) with
-    i <= j, by the per-row pass of `_bracket_rows` (home readout), and
-    [j, i] is stored as
+    i <= j, and [j, i] is stored as
 
         [j, i] = -(-1)^(|i||j|) [i, j],
 
@@ -550,12 +656,23 @@ def _finish_model(
     super vector fields, whose bracket is super anticommutative, and
     `_graded` has checked that each row is homogeneous in parity, so the
     sign is exact and the mirrored coordinates are the ones the home
-    readout would give for [j, i].  With ``base``, whose rows are the
-    leading rows here, the table starts as a copy of base's and only the
-    pairs involving the extra rows are bracketed.  Every structure
-    constant is an int: `_bracket_rows` reads them as exact quotients of
-    ints, the mirror of an int is one, and base's were checked when base
-    was built.
+    readout would give for [j, i].
+
+    The pairs come from `_hamiltonian_brackets` when there is no ``base``
+    and every descriptor is a `Ham`, once each row is checked to be
+    `_ham_mono` of its descriptor's monomial (a mismatch raises), so the
+    route follows the rows given, not the family's name.  There
+    [D_H(x^A), D_H(x^B)] = D_H(D_H(x^A)(x^B)) (Kac, Adv. Math. 26 (1977)):
+    the coordinates are the coefficients of the Poisson bracket of the two
+    monomials, with the constant term dropped, as D_H(1) = 0, and a
+    nonzero coefficient at a monomial with no row, such as the top one,
+    raises, as the bracket leaves the span.  Every other model, and every
+    L', takes the per-row pass of `_bracket_rows` (home readout).  With
+    ``base``, whose rows are the leading rows here, the table starts as a
+    copy of base's and only the pairs involving the extra rows are
+    bracketed.  Every structure constant is an int: the Poisson kernel
+    sums signs, `_bracket_rows` reads exact quotients of ints, the mirror
+    of an int is one, and base's were checked when base was built.
 
     Equal entries are one dict (see `AlgebraModel`): each coordinate dict,
     and each negated mirror, is stored through a map keyed on its items in
@@ -564,11 +681,19 @@ def _finish_model(
     stored as they are, and the map shares the new ones.
     """
     model, span = _graded(family, n, rows, descs, base)
+    if base is None and all(type(d) is Ham for d in descs):
+        masks = [d.mono for d in descs]
+        for r, (row, mask) in enumerate(zip(rows, masks)):
+            if row != _ham_mono(n, mask):
+                raise AssertionError(f"{family}({n}): basis row {r} is not D_H of its monomial")
+        brackets = _hamiltonian_brackets(n, masks)
+    else:
+        brackets = _bracket_rows(model, span, base.dim if base is not None else 0)
     table = dict(base.table) if base is not None else {}
     parity = model.parity
     share = {}.setdefault
     negated: Dict[int, IntVec] = {}  # id of a stored entry -> its stored negative
-    for i, j, coords in _bracket_rows(model, span, base.dim if base is not None else 0):
+    for i, j, coords in brackets:
         table[(i, j)] = coords = share(tuple(coords.items()), coords)
         if j != i:
             if not (parity[i] and parity[j]):

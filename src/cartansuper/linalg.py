@@ -253,11 +253,9 @@ def _primitive(v: IntVec, sign: int = 1) -> IntVec:
 
 def _eliminate(v: IntVec, k: int, prow: IntVec) -> int:
     """v <- a v - b prow in place, a and b the least integers that cancel
-    column k (a has the sign of prow[k]); returns |a|.  Drops a stored 0."""
+    column k (a has the sign of prow[k]); returns |a|.  Neither v nor prow
+    holds a stored 0, and v keeps none."""
     p, c = prow[k], v[k]
-    if not c:
-        del v[k]
-        return 1
     g = gcd(p, c)
     a, b = p // g, c // g
     if a != 1:
@@ -268,26 +266,27 @@ def _eliminate(v: IntVec, k: int, prow: IntVec) -> int:
         if s:
             v[j] = s
         else:
-            v.pop(j, None)  # none there when prow[j] is a stored 0
+            del v[j]
     return abs(a)
 
 
 def int_reduce(pivots: Dict[int, IntVec], v: IntVec) -> IntVec:
     """v reduced fraction-free against echelon rows keyed by their last
-    column: the one pivot loop.  The result is {} exactly when v lies in
-    the span of the rows; otherwise it is v times a nonzero integer minus a
-    combination of the rows, and its last column is no key of `pivots`.  It
-    is a primitive copy once a step is taken, and before that v itself, or
-    a copy without v's stored 0s."""
+    column, with no stored 0: the one pivot loop.  The result is {} exactly
+    when v lies in the span of the rows; otherwise it is v times a nonzero
+    integer minus a combination of the rows, and its last column is no key
+    of `pivots`.  It holds no stored 0: v's stored 0s are dropped first (no
+    pivot would remove one), and no step makes one.  It is a primitive copy
+    once a step is taken, and before that v itself, or a copy without v's
+    stored 0s."""
+    if 0 in v.values():
+        v = {k: c for k, c in v.items() if c}
     grown = 0  # the multipliers' product since the last division; 0 before a step
     while v:
         lead = max(v)
         prow = pivots.get(lead)
         if prow is None:
-            if v[lead]:
-                break
-            v = {k: c for k, c in v.items() if c}  # stored 0s: no pivot removes one
-            continue
+            break
         if not grown:
             v, grown = dict(v), 1
         grown *= _eliminate(v, lead, prow)
@@ -317,7 +316,7 @@ def kernel_terms(pivots: Dict[int, IntVec], columns: Iterable[int]) -> List[List
             _primitive(row)
         reduced[lead] = row
         for f, x in row.items():
-            if x and f != lead:  # a row may keep its argument's stored 0
+            if f != lead:
                 hits.setdefault(f, []).append((lead, x, row[lead]))
     out = []
     for f in columns:  # a reduced row has no entry at another pivot
@@ -337,9 +336,9 @@ class IntKernel:
     """The kernel in Q^ncols of the integer rows cut into it.
 
     The rows are kept in fraction-free echelon form, keyed by their last
-    column (`rows`), each primitive with a positive entry there; a cut
-    stores a new dict and never writes its argument or a kept row.  `len`
-    is the kernel's dimension, ncols minus the rank.
+    column (`rows`), each primitive with a positive entry there and no
+    stored 0; a cut stores a new dict and never writes its argument or a
+    kept row.  `len` is the kernel's dimension, ncols minus the rank.
     """
 
     __slots__ = ("ncols", "rows")

@@ -1,6 +1,7 @@
 """Family constructors: dimensions, gradings, roots, the extension L'."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,8 @@ from cartansuper.families import (
     _family_rows,
     _finish_model,
     _graded,
+    _ham_mono,
+    _hamiltonian_brackets,
     attach_derived,
     build,
     build_lprime,
@@ -449,7 +452,8 @@ def test_equal_table_entries_are_one_dict(family, n):
 
 
 def with_table(M, table):
-    return AlgebraModel(M.family, M.n, M.basis, table, M.parity, M.degree, M.weight, M.cartan)
+    return AlgebraModel(M.family, M.n, M.basis, table, M.parity, M.degree, M.weight, M.cartan,
+                        w_coords=M.w_coords, cartan_chain=M.cartan_chain)
 
 
 def written(M):
@@ -562,10 +566,9 @@ def test_every_basis_row_has_a_home(family, n, monkeypatch):
     for _ in _bracket_rows(model, span):
         pass
     assert calls == []
-    # L' reads its Cartan chain at L's homes, one call per chain vector,
-    # and nothing else; W and Stilde have no L' of their own
+    # L' takes L's Cartan chain as L read it, and reads nothing at the homes
     ext = build_lprime(A).ext
-    assert calls == ([] if ext is A else ext.cartan_chain)
+    assert calls == [] and ext.cartan_chain is A.cartan_chain
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])
@@ -605,6 +608,61 @@ def test_constructor_refuses_a_bracket_that_leaves_the_span():
         _finish_model("W", 4, rows[1:], descs[1:])
 
 
+# -- the Hamiltonian kernel
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_hamiltonian_table_is_the_home_readout(n):
+    # H's table comes from the Poisson bracket of its monomials; the W(n)
+    # route over the same rows, read at the homes and mirrored, is the
+    # oracle, at every pair in both orders, with equal entries one dict
+    rows, descs = _family_rows(FamilySpec("H", n))
+    A = _finish_model("H", n, rows, descs)
+    oracle = unshared_table(*_graded("H", n, rows, descs))
+    assert A.table == oracle
+    assert_shared_like(A.table, oracle)
+
+
+def test_hamiltonian_kernel_is_used_for_hamiltonian_rows_only(monkeypatch):
+    # it is picked from the descriptors, not the family: H(5)'s rows under
+    # W(n) descriptors take the W route to the same table, and L' never
+    # takes the kernel
+    calls = []
+    kernel = families._hamiltonian_brackets
+    monkeypatch.setattr(families, "_hamiltonian_brackets",
+                        lambda n, masks: calls.append(n) or kernel(n, masks))
+    A = build("H", 5)
+    build_lprime(A)
+    assert calls == [5]
+    rows = A.w_coords
+    B = _finish_model("H", 5, rows, [families._row_desc(5, row) for row in rows])
+    assert calls == [5] and B.table == A.table
+
+
+def test_hamiltonian_kernel_refuses_a_bracket_off_the_basis_monomials():
+    # without D_H(x1), a bracket with a component on DH(x1) raises: the
+    # named pair's bracket, over W(5), is nonzero at that row's home
+    rows, descs = _family_rows(FamilySpec("H", 5))
+    with pytest.raises(AssertionError, match=r"^H\(5\): bracket of basis (\d+),(\d+) leaves the span") as err:
+        _finish_model("H", 5, rows[1:], descs[1:])
+    i, j = (int(k) + 1 for k in re.search(r"(\d+),(\d+)", str(err.value)).groups())
+    home = next(iter(rows[0]))
+    assert w_bracket_oracle(5, rows[i], rows[j]).get(home)
+    # and the kernel alone names the same pair
+    masks = [d.mono for d in descs[1:]]
+    with pytest.raises(AssertionError, match=rf"basis {i - 1},{j - 1} leaves the span"):
+        list(_hamiltonian_brackets(5, masks))
+
+
+def test_constructor_refuses_a_row_that_is_not_d_h_of_its_monomial():
+    # -D_H(x1) passes every check of `_graded`, but not the descriptor's
+    rows, descs = _family_rows(FamilySpec("H", 5))
+    rows[0] = {k: -c for k, c in rows[0].items()}
+    assert rows[0] == {k: -c for k, c in _ham_mono(5, descs[0].mono).items()}
+    with pytest.raises(AssertionError, match=r"H\(5\): basis row 0 is not D_H of its monomial"):
+        _finish_model("H", 5, rows, descs)
+
+
 def test_constructor_refuses_a_chain_outside_the_rows():
     # without x1 d1, the chain's h_1 = x1 d1 is no combination of the rows
     rows, descs = _family_rows(FamilySpec("W", 4))
@@ -631,8 +689,21 @@ def test_constructor_refuses_a_chain_on_rows_outside_the_cell(monkeypatch):
     descs = [VectorField(0b001, 1), VectorField(0b111, 1)]
     with pytest.raises(AssertionError, match="Cartan cell does not match the chain"):
         _graded("W", 3, rows, descs)
+    base = SimpleNamespace(dim=2, w_coords=rows, cartan_chain=[{1: 1}])
     with pytest.raises(AssertionError, match="chain escapes the Cartan cell"):
-        _graded("W'", 3, rows, descs, base=SimpleNamespace(dim=2))
+        _graded("W'", 3, rows, descs, base=base)
+
+
+@pytest.mark.parametrize("family, n", [("S", 4), ("H", 5)])
+def test_lprime_refuses_rows_that_l_does_not_lead(family, n):
+    # L' takes L's chain only over rows that start with L's own
+    A = build(family, n)
+    ext = build_lprime(A).ext
+    rows = list(ext.w_coords)
+    rows[0], rows[1] = rows[1], rows[0]
+    basis = [ext.basis[1], ext.basis[0], *ext.basis[2:]]
+    with pytest.raises(AssertionError, match=rf"{family}'\({n}\): L's rows do not lead the rows"):
+        _graded(ext.family, n, rows, basis, base=A)
 
 
 @pytest.mark.parametrize("family,n", [("W", 4), ("S", 4), ("Stilde", 4), ("H", 5)])

@@ -347,11 +347,18 @@ def test_integer_eliminations_drop_stored_zeros():
     kern = IntKernel(3)
     assert kern.cut({0: 1})
     assert not kern.cut({2: 0, 0: 5})  # at the 0 lead no pivot: {0: 5} lies in the span
-    # a kept row {0: 0, 1: 1} with a stored 0, against which {1: 1} reduces
+    # a cut keeps no stored 0 of its argument's, at the lead or elsewhere
     kern = IntKernel(2)
-    assert kern.cut({0: 0, 1: 1})
+    arg = {0: 0, 1: 1}
+    assert kern.cut(arg)
+    assert kern.rows == {1: {1: 1}} and arg == {0: 0, 1: 1}
     assert not kern.cut({1: 1})
     assert len(kern) == 1 and kern.basis() == [{0: 1}]
+    # nor one carried through an elimination step
+    kern = IntKernel(3)
+    assert kern.cut({2: 1})
+    assert kern.cut({0: 0, 1: 3, 2: 2})
+    assert kern.rows == {1: {1: 1}, 2: {2: 1}}
 
 
 def test_fraction_helpers_drop_explicit_zeros():

@@ -163,11 +163,11 @@ MUTANTS = {
         "        return out\n",
         ["tests/test_liesuper.py::test_a_stored_zero_is_no_bracket_term"],
     ),
-    # the integer pivot loop stops at a stored 0 as at a new lead
+    # the integer pivot loop keeps a stored 0, and stops at one as at a new lead
     "int-reduce-stops-at-a-zero-lead": (
         "linalg.py",
-        "            if v[lead]:\n                break\n",
-        "            if True:\n                break\n",
+        "    if 0 in v.values():\n",
+        "    if False:\n",
         ["tests/test_linalg.py::test_integer_eliminations_drop_stored_zeros",
          "tests/test_liesuper.py::test_stored_zeros_change_no_generating_set_or_axiom_report"],
     ),
@@ -200,6 +200,27 @@ MUTANTS = {
         "    if not all(kern.cut(row) for row in rows):\n",
         "    if False:\n",
         ["tests/test_families.py::test_constructor_refuses_dependent_rows"],
+    ),
+    # every structure constant of H's Poisson kernel with the opposite sign
+    "hamiltonian-product-sign-flipped": (
+        "families.py",
+        "acc[t] = get(t, 0) + (-c if flip ^ par[spf & g1] else c)",
+        "acc[t] = get(t, 0) + (c if flip ^ par[spf & g1] else -c)",
+        ["tests/test_families.py::test_hamiltonian_table_is_the_home_readout"],
+    ),
+    # H's Poisson kernel pairs d_a(f) with d_a(g), not with d_{a'}(g)
+    "hamiltonian-partner-unpaired": (
+        "families.py",
+        "for key, g1, c in by_gen[partner[a]]:",
+        "for key, g1, c in by_gen[a]:",
+        ["tests/test_families.py::test_hamiltonian_table_is_the_home_readout"],
+    ),
+    # H's Poisson kernel drops a coefficient at a monomial with no basis row
+    "hamiltonian-off-basis-dropped": (
+        "families.py",
+        "                if not k:\n                    continue\n",
+        "                if True:\n                    continue\n",
+        ["tests/test_families.py::test_hamiltonian_kernel_refuses_a_bracket_off_the_basis_monomials"],
     ),
 }
 

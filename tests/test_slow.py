@@ -1,7 +1,7 @@
 """Far tier: `build`, `check` and `certify` end to end on the largest models.
 
-Together they take about two and a half minutes on a 2-core machine,
-`check` on H(12) most of it, and are deselected by default; run them with
+Together they take about two and a quarter minutes on a 2-core machine,
+`check` on H(12) about 40 s of it, and are deselected by default; run them with
 
     PYTHONPATH=src python -m pytest -m slow
 """
@@ -54,8 +54,8 @@ def test_check_far_models(family, n, dim):
 
 # the rest of the admitted range, each report recomputed and compared with
 # its golden byte for byte; on a 2-core machine S(6) and S(7) take under
-# 2 s each, H(10), Stilde(8), S(8) and W(8) 4-7 s, H(11) about 17 s, and
-# H(12) about 76 s at a peak of about 650 MB
+# 2 s each, H(10) about 3 s, Stilde(8), S(8) and W(8) 5-10 s, H(11) 11-13 s,
+# and H(12) about 38 s at a peak of about 590 MB
 @pytest.mark.parametrize("family, n", [
     ("S", 6), ("S", 7), ("H", 10), ("Stilde", 8), ("S", 8), ("W", 8), ("H", 11), ("H", 12),
 ])
